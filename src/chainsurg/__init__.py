@@ -21,7 +21,6 @@ from .csscode import (
     Encoder,
     PauliOperator,
     distance_bruteforce,
-    dual_basis,
     encoder_isometry,
     from_parity_checks,
     symplectic_product,

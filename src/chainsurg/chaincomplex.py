@@ -47,14 +47,6 @@ class ChainComplex:
     def dim(self, degree: int) -> int:
         return (self.dim0, self.dim1, self.dim2)[degree]
 
-    def boundary(self, degree: int) -> F2Matrix:
-        """The boundary map out of the given degree (degree 0 has none)."""
-        if degree == 2:
-            return self.d2
-        if degree == 1:
-            return self.d1
-        raise DimensionMismatch(f"no boundary map out of degree {degree}")
-
     def transpose(self) -> "ChainComplex":
         """The cochain complex viewed as a chain complex (degree n -> 2 - n)."""
         return ChainComplex(d2=self.d1.T, d1=self.d2.T)
@@ -103,9 +95,6 @@ class HomologyBasis:
     def matrix(self) -> F2Matrix:
         """Representatives stacked as rows (dim x ambient)."""
         return F2Matrix.from_rows(list(self.representatives), cols=self.ambient_dim)
-
-    def contains_cycle(self, v) -> bool:
-        return self.kernel.contains(v)
 
     def class_coordinates(self, v) -> np.ndarray:
         """Coordinates of [v] in this basis; v must lie in the kernel."""
@@ -232,15 +221,3 @@ def induced_on_homology(
 def direct_sum(a: ChainComplex, b: ChainComplex) -> ChainComplex:
     """Block-diagonal sum; a's coordinates come first in every degree."""
     return ChainComplex(d2=block_diag(a.d2, b.d2), d1=block_diag(a.d1, b.d1))
-
-
-def embed_vector(v, a_dim: int, b_dim: int, side: str) -> np.ndarray:
-    """Embed a degree-space vector of one summand into the direct sum."""
-    out = np.zeros(a_dim + b_dim, dtype=np.uint8)
-    if side == "a":
-        out[:a_dim] = np.asarray(v, dtype=np.uint8)
-    elif side == "b":
-        out[a_dim:] = np.asarray(v, dtype=np.uint8)
-    else:
-        raise DimensionMismatch("side must be 'a' or 'b'")
-    return out

@@ -126,16 +126,6 @@ def _analysis_text(report) -> str:
     return "\n".join(lines)
 
 
-def _cmd_analyze(args) -> int:
-    code, sub, merge = _merge_from_args(args)
-    report = analyze_merge(merge)
-    if args.json:
-        print(merge_report_json(merge, report))
-    else:
-        print(_analysis_text(report))
-    return 0
-
-
 def _cmd_logical_map(args) -> int:
     code, sub, merge = _merge_from_args(args)
     src = homology(merge.source, 1)
@@ -195,7 +185,7 @@ def _cmd_cnot(args) -> int:
 
 def _cmd_switch(args) -> int:
     plan = code_switch_plan()
-    merged = plan.snapshots[2]
+    merged = plan.merged_code(plan.steps[1].merge)
     d = distance_bruteforce(merged)
     p1 = plan.steps[1].logical_matrix
     action = plan_symplectic_action(plan)
@@ -236,7 +226,10 @@ def _cmd_simulate(args) -> int:
     outcomes = {}
     for spec in args.outcome or []:
         name, _, val = spec.partition("=")
-        outcomes[name] = int(val)
+        try:
+            outcomes[name] = int(val)
+        except ValueError:
+            raise ChainsurgError(f"--outcome {spec!r} is not MEASID=+1 or MEASID=-1") from None
     ch = plan_channel(plan, outcomes or None, corrected=not args.no_corrections)
     exp = expected_plan_channel(plan)
     exp = exp / np.max(np.abs(exp))
@@ -378,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="exact-sequence analysis of a merge")
     p.add_argument("code")
     p.add_argument("--subcode", required=True)
-    p.set_defaults(func=_cmd_analyze)
+    p.set_defaults(func=_cmd_merge, analyze=True, out=None)
 
     p = sub.add_parser("logical-map", help="induced logical matrix of a merge")
     p.add_argument("code")

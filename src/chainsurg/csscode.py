@@ -265,11 +265,6 @@ def dual_z_basis(cplx: ChainComplex, x_basis: HomologyBasis) -> HomologyBasis:
     )
 
 
-def dual_basis(code: CssCode, z_basis: HomologyBasis) -> HomologyBasis:
-    """The unique X-logical basis pairing to delta with ``z_basis``."""
-    return dual_x_basis(code.complex, z_basis)
-
-
 def distance_bruteforce(code: CssCode, cap: int = 1 << 24) -> Optional[int]:
     """Minimum weight over nontrivial Z- and X-logical coset members.
 
@@ -328,10 +323,6 @@ def bits_to_index(bits: np.ndarray) -> int:
     return idx
 
 
-def index_to_bits(index: int, n: int) -> np.ndarray:
-    return np.array([(index >> (n - 1 - i)) & 1 for i in range(n)], dtype=np.uint8)
-
-
 SIMULATOR_QUBIT_LIMIT = 20
 
 
@@ -359,11 +350,6 @@ def encoder_isometry(code: CssCode) -> Encoder:
         for s in orbit:
             mat[bits_to_index(base ^ s), label] += amp
     return Encoder(code=code, matrix=mat)
-
-
-def tensor_encoders(a: Encoder, b: Encoder, code: CssCode) -> Encoder:
-    """Encoder of a direct-sum code from its summands' encoders."""
-    return Encoder(code=code, matrix=np.kron(a.matrix, b.matrix))
 
 
 def encoder_with_fixed_logical(e: Encoder, index: int, state: np.ndarray) -> np.ndarray:

@@ -28,20 +28,6 @@ def as_bit_vector(v, length: int | None = None) -> np.ndarray:
     return a
 
 
-def zeros_vector(length: int) -> np.ndarray:
-    return as_bit_vector(np.zeros(length, dtype=np.uint8))
-
-
-def unit_vector(length: int, index: int) -> np.ndarray:
-    v = np.zeros(length, dtype=np.uint8)
-    v[index] = 1
-    return as_bit_vector(v)
-
-
-def vector_weight(v: np.ndarray) -> int:
-    return int(np.sum(v) % (1 << 62)) if v.size else 0
-
-
 class F2Matrix:
     """Immutable dense matrix over GF(2).
 
@@ -331,10 +317,6 @@ def kernel_basis(m: F2Matrix) -> Subspace:
 def image_basis(m: F2Matrix) -> Subspace:
     """Column-space basis of m (as a map into F2^rows)."""
     return Subspace.from_vectors([m.col(j) for j in range(m.cols)], m.rows)
-
-
-def row_space(m: F2Matrix) -> Subspace:
-    return Subspace.from_matrix_rows(m)
 
 
 def solve(m: F2Matrix, b) -> np.ndarray | None:

@@ -2,17 +2,20 @@
 support decomposition, Pauli propagation, and outcome corrections.
 
 A plan is an ordered list of steps (ancilla init, merges, splits,
-logical measurement, declarative corrections) with code snapshots
-between them. Merges carry named measurement slots: a Z-merge along
-V1 = span{v_1..v_r} measures the joint Z-operators Z^{v_i}. A -1
-outcome on slot i equals the ideal branch preceded by a
-codespace-preserving Pauli that anticommutes with Z^{v_i} (the branch
-gauge); correction rules are stated and verified in that gauge.
+logical measurement, declarative corrections) on one base code. Each
+merge is directly followed by its split, so the register is in the
+base code everywhere except between those two. Merges carry named
+measurement slots: a Z-merge along V1 = span{v_1..v_r} measures the
+joint Z-operators Z^{v_i}. A -1 outcome on slot i equals the ideal
+branch preceded by a codespace-preserving Pauli that anticommutes with
+Z^{v_i} (the branch gauge); correction rules are stated and verified in
+that gauge.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -43,6 +46,7 @@ from .f2linalg import (
     F2Matrix,
     Subspace,
     as_bit_vector,
+    block_diag,
     image_basis,
     kernel_basis,
     solve,
@@ -97,25 +101,12 @@ class AncillaStrategy:
 def direct_sum_code(a: CssCode, b: CssCode) -> CssCode:
     """The two codes side by side; logical bases are the embedded blocks."""
     total = direct_sum(a.complex, b.complex)
-    z_rows = [_embed(r, a.n, b.n, "a") for r in a.z_logicals.representatives]
-    z_rows += [_embed(r, a.n, b.n, "b") for r in b.z_logicals.representatives]
-    x_rows = [_embed(r, a.n, b.n, "a") for r in a.x_logicals.representatives]
-    x_rows += [_embed(r, a.n, b.n, "b") for r in b.x_logicals.representatives]
     return from_parity_checks(
         total.d1,
         total.d2.T,
-        z_basis=F2Matrix.from_rows(z_rows, cols=a.n + b.n),
-        x_basis=F2Matrix.from_rows(x_rows, cols=a.n + b.n),
+        z_basis=block_diag(a.z_logicals.matrix(), b.z_logicals.matrix()),
+        x_basis=block_diag(a.x_logicals.matrix(), b.x_logicals.matrix()),
     )
-
-
-def _embed(v, na: int, nb: int, side: str) -> np.ndarray:
-    out = np.zeros(na + nb, dtype=np.uint8)
-    if side == "a":
-        out[:na] = np.asarray(v, dtype=np.uint8)
-    else:
-        out[na:] = np.asarray(v, dtype=np.uint8)
-    return out
 
 
 # --- plan steps ---------------------------------------------------------------
@@ -142,7 +133,7 @@ class MergeStep:
     logical_matrix: F2Matrix  # induced map on the step's own logical side
     # Codespace-preserving Pauli realizing the -1 branch of each
     # measurement (the branch gauge); corrections are derived in the
-    # same gauge. None means the gauge is solved per outcome pattern.
+    # same gauge. All None means the gauge is solved per outcome pattern.
     branch_inserts: tuple[Optional[PauliOperator], ...] = ()
 
 
@@ -175,8 +166,7 @@ PlanStep = Union[InitAncilla, MergeStep, SplitStep, MeasureLogical, ApplyCorrect
 class SurgeryPlan:
     name: str
     steps: tuple[PlanStep, ...]
-    snapshots: tuple[CssCode, ...]  # code before step i is snapshots[i]
-    base_code: CssCode  # the code every merge starts from
+    base_code: CssCode  # the code every step starts and ends on, bar merge..split
     data_indices: tuple[int, ...]  # logical indices carrying data
     ancilla_index: int
     control: int
@@ -194,9 +184,9 @@ class SurgeryPlan:
                 ids.append(step.measurement_id)
         return ids
 
-    @property
-    def final_code(self) -> CssCode:
-        return self.snapshots[-1]
+    def merged_code(self, merge: MergeResult) -> CssCode:
+        """The code between ``merge`` and its split."""
+        return _merged_code(merge, self.base_code, self.ancilla_index)
 
     def data_k(self) -> int:
         return len(self.data_indices)
@@ -214,30 +204,28 @@ def _merge_flip_pattern(m: MergeResult, x: np.ndarray) -> np.ndarray:
     return np.array([int(v @ x) % 2 for v in v1.basis_vectors()], dtype=np.uint8)
 
 
-def _merge_gauge_fix(step: MergeStep, flips: np.ndarray) -> np.ndarray:
-    """Codespace-preserving string with the given measurement overlaps.
+def _solve_branch_gauge(step: MergeStep, signs: Sequence[int]) -> Optional[np.ndarray]:
+    """Codespace-preserving string realizing the -1 entries of ``signs``.
 
-    Prefers the step's declared per-measurement branch inserts; falls
-    back to solving against the subcode and Z-check constraints (always
-    possible when the flipping operator commutes with the stabilizers).
+    Uses the step's declared per-measurement branch inserts when it has
+    them; otherwise solves for overlaps with the subcode generators under
+    the preserved-type check constraints. Returns the flipping side of
+    the Pauli (X for a Z-merge), or None when the pattern contradicts the
+    stabilizers.
     """
-    n = step.merge.source.dim1
-    fix = np.zeros(n, dtype=np.uint8)
+    flips = np.array([1 if s == -1 else 0 for s in signs], dtype=np.uint8)
+    w = np.zeros(step.merge.source.dim1, dtype=np.uint8)
     if not flips.any():
-        return fix
+        return w
     inserts = step.branch_inserts
     if inserts and all(ins is not None for ins in inserts):
         for bit, ins in zip(flips, inserts):
             if bit:
-                fix ^= ins.x if step.orientation == "Z" else ins.z
-        return fix
-    signs = [-1 if f else 1 for f in flips]
-    solved = _solve_branch_gauge(step, signs)
-    if solved is None:
-        raise DimensionMismatch(
-            "flip pattern inconsistent with stabilizers; transported operator corrupt"
-        )
-    return np.asarray(solved, dtype=np.uint8)
+                w ^= ins.x if step.orientation == "Z" else ins.z
+        return w
+    source = step.merge.source
+    system = vstack([step.merge.subcode.oriented_spaces()[1].basis, source.d2.T])
+    return solve(system, np.concatenate([flips, np.zeros(source.dim2, dtype=np.uint8)]))
 
 
 def _transport_merge(step: MergeStep, x: np.ndarray, z: np.ndarray):
@@ -252,8 +240,12 @@ def _transport_merge(step: MergeStep, x: np.ndarray, z: np.ndarray):
     p1 = m.p.f1
     z_out = p1 @ z
     flips = _merge_flip_pattern(m, x)
-    fixed = np.asarray(x, dtype=np.uint8) ^ _merge_gauge_fix(step, flips)
-    x_out = solve(p1.T, fixed)
+    fix = _solve_branch_gauge(step, [-1 if f else 1 for f in flips])
+    if fix is None:
+        raise DimensionMismatch(
+            "flip pattern inconsistent with stabilizers; transported operator corrupt"
+        )
+    x_out = solve(p1.T, np.asarray(x, dtype=np.uint8) ^ fix)
     if x_out is None:
         raise DimensionMismatch("merge transport failed; completion invariant broken")
     return x_out, z_out, flips
@@ -331,10 +323,9 @@ def propagate_pauli(step: PlanStep, p: PauliOperator) -> tuple[PauliOperator, di
 
 def _split_projection_ops(step: SplitStep) -> list[Projection]:
     split = split_from_merge(step.merge)
-    orientation = "X" if step.orientation == "X" else "Z"
     return [
         op
-        for op in physical_op_sequence(split, orientation)
+        for op in physical_op_sequence(split, step.orientation)
         if isinstance(op, Projection)
     ]
 
@@ -395,7 +386,7 @@ def decompose_merge_support(
         first, rest = remaining[0], remaining[1:]
         max_extra = min(max_weight - 1, len(rest))
         for extra in range(max_extra, -1, -1):
-            for partners in _ordered_combinations(rest, extra):
+            for partners in combinations(rest, extra):
                 block = [first] + list(partners)
                 if not block_ok(block):
                     continue
@@ -415,12 +406,6 @@ def decompose_merge_support(
         gens.append(as_bit_vector(v))
     _check_span_exclusion(code, gens, target)
     return gens
-
-
-def _ordered_combinations(items: list[int], r: int):
-    from itertools import combinations
-
-    return combinations(items, r)
 
 
 def _allowed_space(code: CssCode, target: np.ndarray) -> Subspace:
@@ -458,14 +443,18 @@ def _pushed_basis(m: MergeResult, src: HomologyBasis, indices: Sequence[int]) ->
     return HomologyBasis(degree=1, representatives=tuple(reps), kernel=ker, image=img)
 
 
-def _merged_code_z(m: MergeResult, base: CssCode, indices: Sequence[int]) -> CssCode:
-    zb = _pushed_basis(m, base.z_logicals, indices)
-    return from_parity_checks(m.quotient.d1, m.quotient.d2.T, z_basis=zb.matrix())
+def _merged_code(m: MergeResult, base: CssCode, ancilla_index: int) -> CssCode:
+    """Merged code whose logical basis pushes every base class but the ancilla's.
 
-
-def _merged_code_x(m: MergeResult, base: CssCode, indices: Sequence[int]) -> CssCode:
-    """Merged code of an X-merge with the pushed X-basis and its dual Z."""
-    xb = _pushed_basis(m, _x_basis_oriented(base), indices)
+    A Z-merge keeps the pushed Z-basis; an X-merge keeps the pushed
+    X-basis and its dual Z-basis. Fails when the pushed classes are not
+    independent, i.e. when the merge identifies two data logicals.
+    """
+    keep = [i for i in range(base.k) if i != ancilla_index]
+    if m.orientation == "Z":
+        zb = _pushed_basis(m, base.z_logicals, keep)
+        return from_parity_checks(m.quotient.d1, m.quotient.d2.T, z_basis=zb.matrix())
+    xb = _pushed_basis(m, base.x_logicals, keep)
     code_cplx = m.merged_complex()
     zb = dual_z_basis(code_cplx, xb)
     return from_parity_checks(
@@ -474,11 +463,6 @@ def _merged_code_x(m: MergeResult, base: CssCode, indices: Sequence[int]) -> Css
         z_basis=zb.matrix(),
         x_basis=xb.matrix(),
     )
-
-
-def _x_basis_oriented(code: CssCode) -> HomologyBasis:
-    """The code's X-logical basis as degree-1 homology of the transpose."""
-    return code.x_logicals
 
 
 def build_cnot_plan(
@@ -539,7 +523,6 @@ def build_cnot_plan(
         data = tuple(range(code.k))
 
     steps: list[PlanStep] = [init]
-    snapshots: list[CssCode] = [code, base]
 
     # Z-merge along z_control + z_ancilla
     z_gens = _surgery_generators(
@@ -549,8 +532,7 @@ def build_cnot_plan(
     v0 = Subspace.from_vectors([base.complex.d1 @ g for g in z_gens], base.complex.dim0)
     sub_v = validate_subcode(base.complex, Subspace.zero(base.complex.dim2), v1, v0, "Z")
     zmerge = quotient_merge(base.complex, sub_v)
-    keep = [i for i in range(base.k) if i != anc]
-    merged_z_code = _merged_code_z(zmerge, base, keep)
+    merged_z_code = _merged_code(zmerge, base, anc)
     z_matrix = induced_on_homology(
         zmerge.p, 1, base.z_logicals, merged_z_code.z_logicals
     )
@@ -570,13 +552,11 @@ def build_cnot_plan(
             branch_inserts=zz_inserts,
         )
     )
-    snapshots.append(merged_z_code)
 
     split_x_matrix = induced_on_homology(
-        split_from_merge(zmerge), 1, merged_z_code.x_logicals, _x_basis_oriented(base)
+        split_from_merge(zmerge), 1, merged_z_code.x_logicals, base.x_logicals
     )
     steps.append(SplitStep(merge=zmerge, orientation="X", logical_matrix=split_x_matrix))
-    snapshots.append(base)
 
     rules: dict[str, PauliOperator] = {}
     xx_ids: tuple[str, ...] = ()
@@ -591,10 +571,8 @@ def build_cnot_plan(
         )
         sub_w = validate_subcode(base.complex, w2, w1, Subspace.zero(base.complex.dim0), "X")
         xmerge = quotient_merge(base.complex, sub_w)
-        merged_x_code = _merged_code_x(xmerge, base, keep)
-        x_matrix = induced_on_homology(
-            xmerge.p, 1, _x_basis_oriented(base), merged_x_code.x_logicals
-        )
+        merged_x_code = _merged_code(xmerge, base, anc)
+        x_matrix = induced_on_homology(xmerge.p, 1, base.x_logicals, merged_x_code.x_logicals)
         xx_ids = tuple(f"xmerge.xx{i}" for i in range(w1.dim))
         if locality:
             xx_inserts: tuple[Optional[PauliOperator], ...] = (None,) * w1.dim
@@ -610,13 +588,11 @@ def build_cnot_plan(
                 branch_inserts=xx_inserts,
             )
         )
-        snapshots.append(merged_x_code)
 
         split_z_matrix = induced_on_homology(
             split_from_merge(xmerge), 1, merged_x_code.z_logicals, base.z_logicals
         )
         steps.append(SplitStep(merge=xmerge, orientation="Z", logical_matrix=split_z_matrix))
-        snapshots.append(base)
 
         steps.append(
             MeasureLogical(
@@ -625,14 +601,12 @@ def build_cnot_plan(
                 measurement_id="final.za",
             )
         )
-        snapshots.append(base)
         steps.append(
             ApplyCorrection(
                 pauli=PauliOperator.from_x(base.x_logical(target)),
                 condition="final.za",
             )
         )
-        snapshots.append(base)
 
         if not locality:
             # corrections are stated in the branch gauges fixed above
@@ -649,7 +623,6 @@ def build_cnot_plan(
     return SurgeryPlan(
         name="cnot",
         steps=tuple(steps),
-        snapshots=tuple(snapshots),
         base_code=base,
         data_indices=data,
         ancilla_index=anc,
@@ -669,8 +642,7 @@ def _surgery_generators(
     if side == "Z":
         return decompose_merge_support(base, rep_a, rep_b, max_weight)
     flipped = from_parity_checks(base.hz, base.hx)
-    gens = decompose_merge_support(flipped, rep_a, rep_b, max_weight)
-    return gens
+    return decompose_merge_support(flipped, rep_a, rep_b, max_weight)
 
 
 def pairwise_switch_plan(data: CssCode, anc: CssCode, sub: Subcode, name: str = "code_switch") -> SurgeryPlan:
@@ -684,7 +656,7 @@ def pairwise_switch_plan(data: CssCode, anc: CssCode, sub: Subcode, name: str = 
     base = direct_sum_code(data, anc)
     sub = validate_subcode(base.complex, sub.v2, sub.v1, sub.v0, "Z")
     merge = quotient_merge(base.complex, sub)
-    merged_code = _merged_code_z(merge, base, [0])
+    merged_code = _merged_code(merge, base, 1)
     z_matrix = induced_on_homology(merge.p, 1, base.z_logicals, merged_code.z_logicals)
     ids = tuple(f"zmerge.zz{i}" for i in range(sub.v1.dim))
     split_x_matrix = induced_on_homology(
@@ -713,7 +685,6 @@ def pairwise_switch_plan(data: CssCode, anc: CssCode, sub: Subcode, name: str = 
     return SurgeryPlan(
         name=name,
         steps=steps,
-        snapshots=(data, base, merged_code, base, base, base),
         base_code=base,
         data_indices=(0,),
         ancilla_index=1,
@@ -745,42 +716,55 @@ def code_switch_plan() -> SurgeryPlan:
 def measurement_correction(plan: SurgeryPlan, outcomes: dict) -> list[PauliOperator]:
     """Pauli corrections restoring the ideal logical channel.
 
-    ``outcomes`` maps every measurement id of the plan to +1 or -1.
-    Locality-decomposed plans with any -1 outcome are refused: handling
-    them is an open question, not something to guess at.
+    ``outcomes`` maps every measurement id of the plan, and nothing
+    else, to +1 or -1. Locality-decomposed plans with any -1 outcome
+    are refused: handling them is an open question, not something to
+    guess at.
     """
     ids = plan.measurement_ids()
+    unknown = [i for i in outcomes if i not in ids]
+    if unknown:
+        raise CorrectionUnavailable(f"the plan has no measurements {unknown}")
     missing = [i for i in ids if i not in outcomes]
     if missing:
         raise CorrectionUnavailable(f"outcomes missing for {missing}")
     bad = [i for i in ids if outcomes[i] not in (1, -1)]
     if bad:
         raise CorrectionUnavailable(f"outcomes must be +1 or -1, got {bad}")
-    negatives = [i for i in ids if outcomes[i] == -1]
-    if not negatives:
-        return []
+    total = _outcome_correction(plan, {i for i in ids if outcomes[i] == -1})
+    return [] if total.is_identity() else [total]
+
+
+def _outcome_correction(plan: SurgeryPlan, flipped_ids) -> PauliOperator:
+    """Product of the corrections for the measurement ids recorded as -1.
+
+    Single-generator merges use the plan's ``correction_rules``,
+    multi-generator merges their flip-pattern class, and
+    ``ApplyCorrection`` steps their own Pauli.
+    """
+    total = PauliOperator.identity(plan.base_code.n)
+    if not flipped_ids:
+        return total
     if plan.locality:
         raise CorrectionUnavailable(
             "corrections for locality-decomposed merges are an open question"
         )
-    n = plan.final_code.n
-    total = PauliOperator.identity(n)
     for step in plan.steps:
         if isinstance(step, MergeStep):
-            flagged = [mid for mid in step.measurement_ids if outcomes[mid] == -1]
-            if not flagged:
+            signs = [-1 if m in flipped_ids else 1 for m in step.measurement_ids]
+            if -1 not in signs:
                 continue
-            if len(step.measurement_ids) == 1:
-                _check_branch_overlap(step)
-                total = total.compose(plan.correction_rules[step.measurement_ids[0]])
-            else:
-                total = total.compose(
-                    _class_correction(plan, step, [outcomes[m] for m in step.measurement_ids])
-                )
-        elif isinstance(step, ApplyCorrection):
-            if outcomes.get(step.condition, 1) == -1:
-                total = total.compose(step.pauli)
-    return [] if total.is_identity() else [total]
+            if len(signs) > 1:
+                total = total.compose(_class_correction(plan, step, signs))
+                continue
+            _check_branch_overlap(step)
+            rule = plan.correction_rules.get(step.measurement_ids[0])
+            if rule is None:
+                raise CorrectionUnavailable(f"no correction rule for {step.measurement_ids[0]}")
+            total = total.compose(rule)
+        elif isinstance(step, ApplyCorrection) and step.condition in flipped_ids:
+            total = total.compose(step.pauli)
+    return total
 
 
 def _check_branch_overlap(step: MergeStep) -> None:
@@ -818,45 +802,13 @@ def _class_correction(
     basis = plan.base_code.x_logicals if step.orientation == "Z" else plan.base_code.z_logicals
     coords = basis.class_coordinates(w)
     if not coords.any():
-        return PauliOperator.identity(plan.final_code.n)
+        return PauliOperator.identity(plan.base_code.n)
     if plan.class_correction is None:
         raise CorrectionUnavailable("plan carries no class correction rule")
     return plan.class_correction
 
 
 # --- simulation glue -------------------------------------------------------------
-
-
-def _branch_insert_pauli(step: MergeStep, signs: Sequence[int]) -> Optional[PauliOperator]:
-    """Codespace-preserving Pauli whose insertion realizes the -1 pattern."""
-    if all(s == 1 for s in signs):
-        return None
-    w = np.zeros(step.merge.source.dim1, dtype=np.uint8)
-    solved_any = False
-    for insert, sign in zip(step.branch_inserts, signs):
-        if sign == -1 and insert is not None:
-            w ^= insert.x if step.orientation == "Z" else insert.z
-            solved_any = True
-    if not solved_any:
-        w2 = _solve_branch_gauge(step, signs)
-        if w2 is None:
-            raise CorrectionUnavailable(
-                "outcome pattern is inconsistent with the merged stabilizers"
-            )
-        w = w2
-    if step.orientation == "Z":
-        return PauliOperator.from_x(w)
-    return PauliOperator.from_z(w)
-
-
-def _solve_branch_gauge(step: MergeStep, signs: Sequence[int]) -> Optional[np.ndarray]:
-    m = step.merge
-    oriented = m.source
-    v1 = m.subcode.oriented_spaces()[1]
-    f = np.array([1 if s == -1 else 0 for s in signs], dtype=np.uint8)
-    system = vstack([v1.basis, oriented.d2.T])
-    rhs = np.concatenate([f, np.zeros(oriented.dim2, dtype=np.uint8)])
-    return solve(system, rhs)
 
 
 def plan_physical_ops(plan: SurgeryPlan, outcomes: Optional[dict] = None) -> list[PhysicalOp]:
@@ -867,10 +819,14 @@ def plan_physical_ops(plan: SurgeryPlan, outcomes: Optional[dict] = None) -> lis
         if isinstance(step, InitAncilla):
             continue  # handled by the encoders
         if isinstance(step, MergeStep):
-            signs = [outcomes.get(mid, 1) for mid in step.measurement_ids]
-            insert = _branch_insert_pauli(step, signs)
-            if insert is not None:
-                ops.append(PauliGate(insert))
+            w = _solve_branch_gauge(step, [outcomes.get(m, 1) for m in step.measurement_ids])
+            if w is None:
+                raise CorrectionUnavailable(
+                    "outcome pattern is inconsistent with the merged stabilizers"
+                )
+            if w.any():
+                side = PauliOperator.from_x if step.orientation == "Z" else PauliOperator.from_z
+                ops.append(PauliGate(side(w)))
             ops.extend(physical_op_sequence(step.merge.p, step.orientation))
         elif isinstance(step, SplitStep):
             ops.extend(
@@ -894,25 +850,24 @@ _STATES = {
 def plan_encoders(plan: SurgeryPlan, outcomes: Optional[dict] = None):
     """(e_in, e_out) matrices for channel extraction over the data logicals."""
     outcomes = outcomes or {}
-    base_enc = encoder_isometry(plan.base_code)
+    enc = encoder_isometry(plan.base_code)
     init = plan.steps[0]
     if not isinstance(init, InitAncilla):
         raise DimensionMismatch("plan does not start with an ancilla initialization")
-    e_in = encoder_with_fixed_logical(base_enc, plan.ancilla_index, _STATES[init.state])
+    e_in = encoder_with_fixed_logical(enc, plan.ancilla_index, _STATES[init.state])
 
     final_measure = next(
         (s for s in plan.steps if isinstance(s, MeasureLogical)), None
     )
-    final_enc = encoder_isometry(plan.final_code)
     if final_measure is None:
-        e_out = final_enc.matrix
+        e_out = enc.matrix
     else:
         sign = outcomes.get(final_measure.measurement_id, 1)
         if final_measure.basis == "Z":
             state = _STATES["zero"] if sign == 1 else _STATES["one"]
         else:
             state = _STATES["plus"] if sign == 1 else _STATES["minus"]
-        e_out = encoder_with_fixed_logical(final_enc, plan.ancilla_index, state)
+        e_out = encoder_with_fixed_logical(enc, plan.ancilla_index, state)
     return e_in, e_out
 
 
@@ -924,16 +879,11 @@ def plan_channel(
     """Simulated logical channel of the plan (post-selected branches)."""
     ops = plan_physical_ops(plan, outcomes)
     if corrected and outcomes:
-        for pauli in measurement_correction(plan, _filled(plan, outcomes)):
+        filled = {**{m: 1 for m in plan.measurement_ids()}, **outcomes}
+        for pauli in measurement_correction(plan, filled):
             ops.append(PauliGate(pauli))
     e_in, e_out = plan_encoders(plan, outcomes)
     return extract_logical_channel(ops, e_in, e_out)
-
-
-def _filled(plan: SurgeryPlan, outcomes: dict) -> dict:
-    full = {mid: 1 for mid in plan.measurement_ids()}
-    full.update(outcomes)
-    return full
 
 
 def cnot_unitary(k: int, control: int, target: int) -> np.ndarray:
@@ -966,8 +916,12 @@ def _embed_zero_at(total_qubits: int, index: int) -> np.ndarray:
 
 
 def expected_plan_channel(plan: SurgeryPlan) -> np.ndarray:
-    """The target logical channel the plan claims to implement."""
-    if plan.name == "code_switch":
+    """The target logical channel the plan claims to implement.
+
+    A plan without a data target that measures its ancilla out is a
+    round trip (a code switch): the identity on the data logicals.
+    """
+    if plan.target is None and any(isinstance(s, MeasureLogical) for s in plan.steps):
         return np.eye(1 << plan.data_k())
     if plan.target is not None:
         k = plan.data_k()
@@ -992,7 +946,7 @@ def plan_symplectic_action(plan: SurgeryPlan) -> dict:
     contributes that measurement's correction Pauli (the flip is what
     the classical control sees, so the correction is part of the
     transported operator). Returns {"X0": (xcoords, zcoords), ...} in
-    the final code's logical bases.
+    the base code's logical bases.
     """
     base = plan.base_code
     out = {}
@@ -1001,28 +955,13 @@ def plan_symplectic_action(plan: SurgeryPlan) -> dict:
         for i in range(base.k):
             rep = base.x_logical(i) if kind == "X" else base.z_logical(i)
             p = PauliOperator.from_x(rep) if kind == "X" else PauliOperator.from_z(rep)
-            flipped: dict = {}
+            flipped: set = set()
             for step in surgery_steps:
                 p, flips = propagate_pauli(step, p)
                 flipped.update(flips)
-            for step in surgery_steps:
-                if isinstance(step, MergeStep):
-                    hit = [m for m in step.measurement_ids if m in flipped]
-                    if not hit:
-                        continue
-                    if len(step.measurement_ids) == 1:
-                        p = p.compose(plan.correction_rules[step.measurement_ids[0]])
-                    else:
-                        signs = [
-                            -1 if m in flipped else 1 for m in step.measurement_ids
-                        ]
-                        p = p.compose(_class_correction(plan, step, signs))
-                elif isinstance(step, ApplyCorrection):
-                    if step.condition in flipped:
-                        p = p.compose(step.pauli)
-            final = plan.final_code
-            xc = final.x_logicals.class_coordinates(p.x) if p.x.any() else np.zeros(final.k, dtype=np.uint8)
-            zc = final.z_logicals.class_coordinates(p.z) if p.z.any() else np.zeros(final.k, dtype=np.uint8)
+            p = p.compose(_outcome_correction(plan, flipped))
+            xc = base.x_logicals.class_coordinates(p.x) if p.x.any() else np.zeros(base.k, dtype=np.uint8)
+            zc = base.z_logicals.class_coordinates(p.z) if p.z.any() else np.zeros(base.k, dtype=np.uint8)
             out[f"{kind}{i}"] = (xc, zc)
     return out
 
@@ -1162,13 +1101,20 @@ def _matrix_from_lists(rows, cols: int) -> F2Matrix:
     return F2Matrix.from_rows(rows, cols=cols) if rows else F2Matrix.zeros(0, cols)
 
 
+def _logical_matrix(entry: dict) -> F2Matrix:
+    rows = entry["logical_matrix"]
+    return _matrix_from_lists(rows, len(rows[0]) if rows else 0)
+
+
 def plan_from_json(text: str) -> SurgeryPlan:
     """Rebuild a plan from its JSON document.
 
     Merges are reconstructed by re-running the quotient construction on
     the stored subcode generators, so the loaded plan simulates and
-    corrects identically to the original. The leading snapshot is the
-    base code (the pre-init data code is not serialized).
+    corrects identically to the original. Load-time structure checks
+    reject a merge not directly followed by its split, ``branch_inserts``
+    not matching ``measurement_ids`` one to one or mixing null and set
+    entries, and a merge whose merged code would identify data logicals.
     """
     doc = json.loads(text)
     if doc.get("schema") != "chainsurg-plan/1":
@@ -1180,10 +1126,11 @@ def plan_from_json(text: str) -> SurgeryPlan:
         z_basis=_matrix_from_lists(doc["base_zl"], n),
         x_basis=_matrix_from_lists(doc["base_xl"], n),
     )
-    keep = [i for i in range(base.k) if i != doc["ancilla_index"]]
+    kinds = [entry["kind"] for entry in doc["steps"]]
+    for prev, kind in zip([None] + kinds, kinds + [None]):
+        if (prev == "merge") != (kind == "split"):
+            raise DimensionMismatch("every merge must be directly followed by its split")
     steps: list[PlanStep] = []
-    snapshots: list[CssCode] = [base]
-    last_merge: Optional[MergeResult] = None
     for entry in doc["steps"]:
         kind = entry["kind"]
         if kind == "init_ancilla":
@@ -1197,7 +1144,6 @@ def plan_from_json(text: str) -> SurgeryPlan:
             steps.append(
                 InitAncilla(ancilla=anc, logical_index=entry["logical_index"], state=entry["state"])
             )
-            snapshots.append(base)
         elif kind == "merge":
             orientation = entry["orientation"]
             sub = validate_subcode(
@@ -1208,40 +1154,30 @@ def plan_from_json(text: str) -> SurgeryPlan:
                 orientation,
             )
             merge = quotient_merge(base.complex, sub)
-            last_merge = merge
-            inserts = tuple(
-                _pauli_from_dict(d) for d in entry["branch_inserts"]
-            )
+            _merged_code(merge, base, doc["ancilla_index"])  # raises if data logicals merge
+            inserts = tuple(_pauli_from_dict(d) for d in entry["branch_inserts"])
+            if len(inserts) != len(entry["measurement_ids"]):
+                raise DimensionMismatch("branch_inserts and measurement_ids differ in length")
+            if len({ins is None for ins in inserts}) > 1:
+                raise DimensionMismatch("branch_inserts mixes null and set entries")
             steps.append(
                 MergeStep(
                     merge=merge,
                     orientation=orientation,
                     measurement_ids=tuple(entry["measurement_ids"]),
                     pivot_qubits=tuple(entry["pivot_qubits"]),
-                    logical_matrix=_matrix_from_lists(
-                        entry["logical_matrix"], len(entry["logical_matrix"][0]) if entry["logical_matrix"] else 0
-                    ),
+                    logical_matrix=_logical_matrix(entry),
                     branch_inserts=inserts,
                 )
             )
-            snapshots.append(
-                _merged_code_z(merge, base, keep)
-                if orientation == "Z"
-                else _merged_code_x(merge, base, keep)
-            )
         elif kind == "split":
-            if last_merge is None:
-                raise DimensionMismatch("split step without a preceding merge")
             steps.append(
                 SplitStep(
-                    merge=last_merge,
+                    merge=steps[-1].merge,
                     orientation=entry["orientation"],
-                    logical_matrix=_matrix_from_lists(
-                        entry["logical_matrix"], len(entry["logical_matrix"][0]) if entry["logical_matrix"] else 0
-                    ),
+                    logical_matrix=_logical_matrix(entry),
                 )
             )
-            snapshots.append(base)
         elif kind == "measure_logical":
             steps.append(
                 MeasureLogical(
@@ -1250,20 +1186,17 @@ def plan_from_json(text: str) -> SurgeryPlan:
                     measurement_id=entry["measurement_id"],
                 )
             )
-            snapshots.append(base)
         elif kind == "apply_correction":
             steps.append(
                 ApplyCorrection(
                     pauli=_pauli_from_dict(entry["pauli"]), condition=entry["condition"]
                 )
             )
-            snapshots.append(base)
         else:
             raise DimensionMismatch(f"unknown plan step kind {kind!r}")
     return SurgeryPlan(
         name=doc["name"],
         steps=tuple(steps),
-        snapshots=tuple(snapshots),
         base_code=base,
         data_indices=tuple(doc["data_indices"]),
         ancilla_index=doc["ancilla_index"],
@@ -1275,5 +1208,3 @@ def plan_from_json(text: str) -> SurgeryPlan:
         },
         class_correction=_pauli_from_dict(doc.get("class_correction")),
     )
-
-

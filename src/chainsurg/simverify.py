@@ -70,19 +70,6 @@ class StateVector:
         return StateVector(n=self.n, amplitudes=self.amplitudes / nrm, normalized=True)
 
 
-def states_equal_up_to_phase(a: StateVector, b: StateVector, tol: float = PHASE_TOL) -> bool:
-    if a.n != b.n:
-        return False
-    va, vb = a.amplitudes, b.amplitudes
-    ia = int(np.argmax(np.abs(va)))
-    if abs(va[ia]) < tol and np.linalg.norm(vb) < tol:
-        return True
-    if abs(vb[ia]) < tol:
-        return False
-    phase = va[ia] / vb[ia]
-    return bool(np.allclose(va, phase * vb, atol=tol * max(1.0, abs(phase))))
-
-
 # --- physical operations -----------------------------------------------------
 
 
@@ -308,12 +295,6 @@ def fix_phase_and_scale(mat: np.ndarray) -> np.ndarray:
     if flat[idx] <= 1e-300:
         raise ZeroProbabilityOutcome("extracted channel is identically zero")
     return mat / mat.ravel()[idx]
-
-
-def channels_close(a: np.ndarray, b: np.ndarray, tol: float = PHASE_TOL) -> bool:
-    if a.shape != b.shape:
-        return False
-    return bool(np.max(np.abs(fix_phase_and_scale(a) - fix_phase_and_scale(b))) < tol)
 
 
 def pauli_expectation(p: PauliOperator, state: StateVector) -> complex:

@@ -193,7 +193,7 @@ def test_criterion_8_merge_spider():
 
 def test_criterion_9_code_switch():
     plan = code_switch_plan()
-    merged = plan.snapshots[2]
+    merged = plan.merged_code(plan.steps[1].merge)
     d = distance_bruteforce(merged)
     assert (merged.n, merged.k, d) == (15, 1, 3)
     assert plan.steps[1].logical_matrix.to_lists() == [[1, 1]]

@@ -8,6 +8,7 @@ import pytest
 from chainsurg import catalog
 from chainsurg.cli import main
 from chainsurg.csscode import CssCode
+from chainsurg.protocols import direct_sum_code
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report_schema.json").read_text()
@@ -101,6 +102,14 @@ class TestMergeCommands:
         assert rc == 1
         assert json.loads(err)["error"] == "ClosureViolated"
 
+    def test_analyze_matches_merge_analyze(self, welding_files, capsys):
+        code, sub = welding_files
+        rc, doc = run_json(capsys, ["analyze", code, "--subcode", sub])
+        assert rc == 0
+        assert doc == run_json(capsys, ["merge", code, "--subcode", sub, "--analyze"])[1]
+        assert main(["analyze", code, "--subcode", sub]) == 0
+        assert "killed classes (1): [[1, 1]]" in capsys.readouterr().out
+
     def test_logical_map(self, welding_files, capsys):
         code, sub = welding_files
         rc, doc = run_json(capsys, ["logical-map", code, "--subcode", sub])
@@ -150,6 +159,37 @@ class TestPlanCommands:
         assert rc == 0
         assert doc["max_deviation"] < 1e-9
         assert doc["corrections"]  # a correction was applied
+
+
+    @pytest.mark.parametrize("outcome", ["bogus=-1", "zmerge.zz0=abc", "zmerge.zz0=2"])
+    def test_simulate_bad_outcome_exits_1(self, steane_file, outcome, capsys):
+        rc = main(["simulate", steane_file, "--control", "0", "--outcome", outcome])
+        captured = capsys.readouterr()
+        assert rc == 1 and not captured.out
+        assert "error" in json.loads(captured.err)
+
+    @pytest.mark.parametrize("defect", ["merge_without_split", "inserts_length", "inserts_mixed"])
+    def test_simulate_malformed_plan_exits_1(self, tmp_path, defect, capsys):
+        code = tmp_path / "two.code"
+        patch = catalog.surface_patch(2, 2)
+        code.write_text(direct_sum_code(patch, patch).to_text())
+        plan_file = tmp_path / "plan.json"
+        argv = ["cnot", str(code), "--control", "0", "--target", "1", "--out", str(plan_file)]
+        assert main(argv + ["--locality"]) == 0
+        capsys.readouterr()
+        doc = json.loads(plan_file.read_text())
+        merge = doc["steps"][1]
+        if defect == "merge_without_split":
+            del doc["steps"][2]
+        elif defect == "inserts_length":
+            merge["branch_inserts"].append(None)
+        else:
+            n = len(doc["base_hx"][0])
+            merge["branch_inserts"][0] = {"x": [0] * n, "z": [0] * n}
+        plan_file.write_text(json.dumps(doc))
+        rc = main(["simulate", "--plan", str(plan_file)])
+        assert rc == 1
+        assert json.loads(capsys.readouterr().err)["error"] == "DimensionMismatch"
 
 
 class TestCatalogCommands:

@@ -26,6 +26,7 @@ from chainsurg.protocols import (
     measurement_correction,
     pairwise_switch_plan,
     plan_channel,
+    plan_from_json,
     plan_symplectic_action,
     plan_to_json,
     propagate_pauli,
@@ -65,11 +66,15 @@ class TestBuildCnotPlan:
         assert patch_plan.steps[1].logical_matrix.to_lists() == [[1, 0, 1], [0, 1, 0]]
         assert patch_plan.steps[3].logical_matrix.to_lists() == [[1, 0, 0], [0, 1, 1]]
 
-    def test_snapshots_chain(self, patch_plan):
-        assert len(patch_plan.snapshots) == len(patch_plan.steps) + 1
-        # splits return to the base code
-        assert patch_plan.snapshots[3].hx == patch_plan.base_code.hx
-        assert patch_plan.snapshots[5].hx == patch_plan.base_code.hx
+    def test_merged_codes(self, patch_plan):
+        # each merge leaves the base code for its merged code; every
+        # other step starts and ends on the base code
+        base = patch_plan.base_code
+        for idx in (1, 3):
+            merge = patch_plan.steps[idx].merge
+            merged = patch_plan.merged_code(merge)
+            assert merged.hx == merge.merged_complex().d1
+            assert merged.k == base.k - 1
 
     def test_subcode_side_conditions(self, patch_plan):
         from chainsurg.surgery import analyze_merge
@@ -154,8 +159,8 @@ class TestPlanChannels:
 
 class TestPerStepSoundness:
     def test_each_surgery_step_channel_matches_logical_matrix(self, patch_plan):
-        # every merge and split step, simulated in isolation between its
-        # snapshot encoders, reproduces the interpretation of its induced
+        # every merge and split step, simulated in isolation between the
+        # base- and merged-code encoders, reproduces the interpretation of its induced
         # logical matrix (merge spiders on the Z side, parity maps on X)
         from chainsurg.csscode import encoder_isometry
         from chainsurg.protocols import SplitStep
@@ -172,8 +177,8 @@ class TestPerStepSoundness:
         for idx, step in enumerate(patch_plan.steps):
             if not isinstance(step, (MergeStep, SplitStep)):
                 continue
-            before = patch_plan.snapshots[idx]
-            after = patch_plan.snapshots[idx + 1]
+            merged, base = patch_plan.merged_code(step.merge), patch_plan.base_code
+            before, after = (base, merged) if isinstance(step, MergeStep) else (merged, base)
             side = step.orientation
             if isinstance(step, MergeStep):
                 ops = physical_op_sequence(step.merge.p, side)
@@ -221,6 +226,21 @@ class TestMeasurementCorrection:
         with pytest.raises(CorrectionUnavailable):
             measurement_correction(patch_plan, {"zmerge.zz0": -1})
 
+    def test_unknown_outcome_rejected(self, patch_plan):
+        outcomes = {m: 1 for m in patch_plan.measurement_ids()}
+        outcomes["bogus"] = -1
+        with pytest.raises(CorrectionUnavailable, match="bogus"):
+            measurement_correction(patch_plan, outcomes)
+
+    def test_missing_correction_rule_refused(self, patch_plan):
+        doc = json.loads(plan_to_json(patch_plan))
+        doc["correction_rules"] = {}
+        plan = plan_from_json(json.dumps(doc))
+        outcomes = {m: 1 for m in plan.measurement_ids()}
+        outcomes["zmerge.zz0"] = -1
+        with pytest.raises(CorrectionUnavailable, match="no correction rule"):
+            measurement_correction(plan, outcomes)
+
     def test_locality_refusal(self, two_patches):
         plan = build_cnot_plan(two_patches, control=0, target=1, locality=True)
         outcomes = {m: 1 for m in plan.measurement_ids()}
@@ -243,6 +263,14 @@ class TestSymplecticAction:
         for key in ("Z0", "Z1"):
             assert not act[key][0].any()
 
+    def test_locality_plan_refused(self, steane):
+        # a single-generator locality merge has no correction rule; the
+        # action is refused like its corrections, not a KeyError
+        plan = build_cnot_plan(steane, 0, locality=True, max_weight=10)
+        assert len(plan.steps[1].measurement_ids) == 1
+        with pytest.raises(CorrectionUnavailable):
+            plan_symplectic_action(plan)
+
     def test_switch_identity(self):
         plan = code_switch_plan()
         act = plan_symplectic_action(plan)
@@ -253,7 +281,7 @@ class TestSymplecticAction:
 class TestCodeSwitch:
     def test_merged_parameters(self):
         plan = code_switch_plan()
-        merged = plan.snapshots[2]
+        merged = plan.merged_code(plan.steps[1].merge)
         from chainsurg.csscode import distance_bruteforce
 
         assert (merged.n, merged.k) == (15, 1)
@@ -277,25 +305,8 @@ class TestCodeSwitch:
     def test_simulable_analog_corrections(self, steane):
         # steane glued to steane pairwise: same plan shape at 14 qubits,
         # fully verifiable by state vectors including outcome branches
-        from chainsurg.chaincomplex import direct_sum
-
-        total = direct_sum(steane.complex, steane.complex)
-
-        def pair(dim, i):
-            v = np.zeros(2 * dim, dtype=np.uint8)
-            v[i] = 1
-            v[dim + i] = 1
-            return v
-
-        sub = validate_subcode(
-            total,
-            Subspace.from_vectors([pair(3, i) for i in range(3)], 6),
-            Subspace.from_vectors([pair(7, i) for i in range(7)], 14),
-            Subspace.from_vectors([pair(3, i) for i in range(3)], 6),
-            "Z",
-        )
-        plan = pairwise_switch_plan(steane, steane, sub)
-        assert plan.snapshots[2].n == 7
+        plan = pairwise_switch_plan(steane, steane, _steane_pair_subcode(steane))
+        assert plan.merged_code(plan.steps[1].merge).n == 7
         assert plan.steps[1].logical_matrix.to_lists() == [[1, 1]]
         ids = plan.measurement_ids()
         assert np.max(np.abs(plan_channel(plan) - np.eye(2))) < 1e-9
@@ -322,6 +333,66 @@ class TestCodeSwitch:
         outcomes[ids[0]] = -1  # single pair flip contradicts face constraints
         with pytest.raises(CorrectionUnavailable):
             measurement_correction(plan, outcomes)
+
+
+    def test_custom_name_expects_identity(self, steane):
+        # the target channel follows the plan's structure, not its name
+        plan = pairwise_switch_plan(steane, steane, _steane_pair_subcode(steane), name="custom")
+        assert np.array_equal(expected_plan_channel(plan), np.eye(2))
+        assert np.max(np.abs(plan_channel(plan) - np.eye(2))) < 1e-9
+
+
+def _steane_pair_subcode(steane):
+    """Z-subcode identifying two Steane blocks qubit by qubit and check by check."""
+    from chainsurg.chaincomplex import direct_sum
+
+    total = direct_sum(steane.complex, steane.complex)
+
+    def pair(dim, i):
+        v = np.zeros(2 * dim, dtype=np.uint8)
+        v[i] = 1
+        v[dim + i] = 1
+        return v
+
+    return validate_subcode(
+        total,
+        Subspace.from_vectors([pair(3, i) for i in range(3)], 6),
+        Subspace.from_vectors([pair(7, i) for i in range(7)], 14),
+        Subspace.from_vectors([pair(3, i) for i in range(3)], 6),
+        "Z",
+    )
+
+
+class TestPlanLoading:
+    """plan_from_json rejects documents outside the merge-then-split model."""
+
+    @pytest.fixture()
+    def doc(self, patch_plan):
+        return json.loads(plan_to_json(patch_plan))
+
+    def test_merge_without_following_split(self, doc):
+        del doc["steps"][2]  # the X-split after the Z-merge
+        with pytest.raises(DimensionMismatch, match="followed by its split"):
+            plan_from_json(json.dumps(doc))
+
+    def test_split_without_preceding_merge(self, doc):
+        doc["steps"][1], doc["steps"][2] = doc["steps"][2], doc["steps"][1]
+        with pytest.raises(DimensionMismatch, match="followed by its split"):
+            plan_from_json(json.dumps(doc))
+
+    def test_branch_inserts_length(self, doc):
+        doc["steps"][1]["branch_inserts"].append(None)
+        with pytest.raises(DimensionMismatch, match="differ in length"):
+            plan_from_json(json.dumps(doc))
+
+    def test_branch_inserts_mixed(self, two_patches):
+        plan = build_cnot_plan(two_patches, control=0, target=1, locality=True, max_weight=2)
+        doc = json.loads(plan_to_json(plan))
+        merge = doc["steps"][1]
+        assert len(merge["branch_inserts"]) > 1
+        merge["branch_inserts"][0] = {"x": [0] * plan.base_code.n, "z": [0] * plan.base_code.n}
+        with pytest.raises(DimensionMismatch, match="mixes null and set"):
+            plan_from_json(json.dumps(doc))
 
 
 class TestDecomposeMergeSupport:
@@ -410,7 +481,7 @@ class TestPropagation:
         z_anc[-1] = 1
         out, flips = propagate_pauli(step, PauliOperator.from_z(z_anc))
         assert not flips
-        merged = plan.snapshots[2]
+        merged = plan.merged_code(step.merge)
         coords = merged.z_logicals.class_coordinates(out.z)
         assert coords.any()  # a logical error on the merged code
 
