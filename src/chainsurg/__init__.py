@@ -27,6 +27,7 @@ from .csscode import (
 )
 from .errors import ChainsurgError
 from .f2linalg import (
+    Elimination,
     F2Matrix,
     Subspace,
     coset_reduce,

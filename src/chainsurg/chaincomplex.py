@@ -7,21 +7,23 @@ of C is the chain complex (d1.T, d2.T), with degree n mapped to 2 - n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonZeroComposition, SquareDoesNotCommute
 from .f2linalg import (
+    Elimination,
     F2Matrix,
     Subspace,
     block_diag,
     format_matrix,
     image_basis,
     kernel_basis,
-    parse_matrix,
     quotient_basis,
-    solve,
+    section_matrix,
     split_sections,
+    vstack,
 )
 
 
@@ -57,7 +59,7 @@ class ChainComplex:
     @classmethod
     def from_text(cls, text: str) -> "ChainComplex":
         sections = split_sections(text)
-        return validate(parse_matrix(sections["d2"]), parse_matrix(sections["d1"]))
+        return validate(section_matrix(sections, "d2"), section_matrix(sections, "d1"))
 
 
 def validate(d2: F2Matrix, d1: F2Matrix) -> ChainComplex:
@@ -96,16 +98,16 @@ class HomologyBasis:
         """Representatives stacked as rows (dim x ambient)."""
         return F2Matrix.from_rows(list(self.representatives), cols=self.ambient_dim)
 
+    @cached_property
+    def _class_system(self) -> Elimination:
+        """Elimination of [representatives | image basis], as columns."""
+        return Elimination(vstack([self.matrix(), self.image.basis]).T)
+
     def class_coordinates(self, v) -> np.ndarray:
         """Coordinates of [v] in this basis; v must lie in the kernel."""
         if not self.kernel.contains(v):
             raise DimensionMismatch("vector is not a cycle at this degree")
-        cols = [np.asarray(r, dtype=np.uint8) for r in self.representatives]
-        cols += [np.asarray(b, dtype=np.uint8) for b in self.image.basis_vectors()]
-        if not cols:
-            return np.zeros(0, dtype=np.uint8)
-        system = F2Matrix.from_rows(cols, cols=self.ambient_dim).T
-        x = solve(system, v)
+        x = self._class_system.solve(v)
         if x is None:
             raise DimensionMismatch("cycle not expressible in basis + boundaries")
         return x[: self.dim]

@@ -16,7 +16,7 @@ import numpy as np
 from . import catalog
 from .chaincomplex import ChainComplex, homology
 from .csscode import CssCode, PauliOperator, distance_bruteforce, from_parity_checks
-from .errors import ChainsurgError
+from .errors import ChainsurgError, MalformedInput
 from .f2linalg import F2Matrix
 from .protocols import (
     AncillaStrategy,
@@ -43,12 +43,31 @@ from .surgery import (
 REPORT_SCHEMA = "chainsurg-report/1"
 
 
+def _read_input(path: str, parse):
+    """``parse`` applied to the text of ``path``.
+
+    An unreadable file, or one ``parse`` finds malformed, raises
+    MalformedInput naming the file.
+    """
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise MalformedInput(f"cannot read input: {exc.strerror}", file=path) from None
+    except UnicodeDecodeError:
+        raise MalformedInput("input is not UTF-8 text", file=path) from None
+    try:
+        return parse(text)
+    except MalformedInput as exc:
+        exc.file = path
+        raise
+
+
 def _load_code(path: str) -> CssCode:
-    return CssCode.from_text(Path(path).read_text())
+    return _read_input(path, CssCode.from_text)
 
 
 def _load_subcode(path: str, parent: ChainComplex) -> Subcode:
-    return Subcode.from_text(Path(path).read_text(), parent)
+    return _read_input(path, lambda text: Subcode.from_text(text, parent))
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -211,7 +230,7 @@ def _cmd_switch(args) -> int:
 
 def _cmd_simulate(args) -> int:
     if args.plan:
-        plan = plan_from_json(Path(args.plan).read_text())
+        plan = _read_input(args.plan, plan_from_json)
     else:
         if args.code is None or args.control is None:
             raise ChainsurgError("simulate needs either --plan or a code with --control")

@@ -21,8 +21,8 @@ from .f2linalg import (
     image_basis,
     kernel_basis,
     left_inverse_block,
-    parse_matrix,
     rref,
+    section_matrix,
     split_sections,
 )
 
@@ -141,10 +141,10 @@ class CssCode:
     @classmethod
     def from_text(cls, text: str) -> "CssCode":
         sections = split_sections(text)
-        hx = parse_matrix(sections["hx"])
-        hz = parse_matrix(sections["hz"])
-        zl = parse_matrix(sections["zl"]) if "zl" in sections else None
-        xl = parse_matrix(sections["xl"]) if "xl" in sections else None
+        hx = section_matrix(sections, "hx")
+        hz = section_matrix(sections, "hz")
+        zl = section_matrix(sections, "zl") if "zl" in sections else None
+        xl = section_matrix(sections, "xl") if "xl" in sections else None
         return from_parity_checks(hx, hz, z_basis=zl, x_basis=xl)
 
 

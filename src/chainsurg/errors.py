@@ -17,6 +17,26 @@ class DimensionMismatch(ChainsurgError):
     pass
 
 
+class MalformedInput(DimensionMismatch):
+    """An input file is unreadable or does not follow its documented format.
+
+    ``section`` names the part of the file at fault when the parser knows
+    it; the CLI fills in ``file``. Both are added to the JSON payload.
+    """
+
+    def __init__(self, message: str, section: str | None = None, file: str | None = None):
+        super().__init__(message)
+        self.section = section
+        self.file = file
+
+    def payload(self) -> dict:
+        out = super().payload()
+        for key in ("file", "section"):
+            if getattr(self, key) is not None:
+                out[key] = getattr(self, key)
+        return out
+
+
 class SingularMatrix(ChainsurgError):
     pass
 

@@ -4,6 +4,11 @@ Matrices are immutable wrappers around uint8 numpy arrays with entries in
 {0, 1}; all arithmetic is mod 2. Everything here is deterministic: equal
 inputs produce bit-identical outputs, which the rest of the package relies
 on for reproducible bases and reports.
+
+``Elimination`` is the one solve path: it reduces a matrix once with
+``rref`` and then solves ``m @ x = b`` for as many right-hand sides as the
+caller has. ``solve`` is the one-shot form. Callers that need coordinates
+in a subspace's basis read them off the RREF pivots instead of solving.
 """
 from __future__ import annotations
 
@@ -13,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotContained, SingularMatrix
+from .errors import DimensionMismatch, MalformedInput, NotContained, SingularMatrix
 
 
 def as_bit_vector(v, length: int | None = None) -> np.ndarray:
@@ -26,6 +31,15 @@ def as_bit_vector(v, length: int | None = None) -> np.ndarray:
     a = a.copy()
     a.flags.writeable = False
     return a
+
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mod-2 product of 0/1 arrays as uint8.
+
+    The product runs in float64 BLAS; it is exact because every sum is an
+    integer no larger than the inner dimension, far below 2**53.
+    """
+    return ((a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) & 1).astype(np.uint8)
 
 
 class F2Matrix:
@@ -93,12 +107,12 @@ class F2Matrix:
         if isinstance(other, F2Matrix):
             if self.cols != other.rows:
                 raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-            return F2Matrix(self._a.astype(np.int64) @ other._a.astype(np.int64) % 2)
+            return F2Matrix(_mul(self._a, other._a))
         v = np.asarray(other, dtype=np.uint8)
         if v.ndim == 1:
             if self.cols != v.shape[0]:
                 raise DimensionMismatch(f"{self.shape} @ vector of length {v.shape[0]}")
-            return as_bit_vector(self._a.astype(np.int64) @ v.astype(np.int64) % 2)
+            return as_bit_vector(_mul(self._a, v))
         return NotImplemented
 
     def __add__(self, other: "F2Matrix") -> "F2Matrix":
@@ -157,33 +171,57 @@ class RrefResult:
 
 
 def rref(m: F2Matrix) -> RrefResult:
-    """Reduced row-echelon form with the invertible row transform."""
-    a = m.a.copy()
-    rows, cols = a.shape
-    t = np.eye(rows, dtype=np.uint8)
+    """Reduced row-echelon form with the invertible row transform.
+
+    Eliminates on the augmented array [m | I]. The pivot of a column is its
+    first 1 at or below the current row; the pivot row is XORed into every
+    other row with a 1 in that column at once. Rows at or below the current
+    row are zero left of the current column, so only columns from the
+    pivot column on are touched.
+    """
+    rows, cols = m.shape
+    aug = np.concatenate([m.a, np.eye(rows, dtype=np.uint8)], axis=1)
     r = 0
     pivots: list[int] = []
     for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if a[i, c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        if pivot != r:
-            a[[r, pivot]] = a[[pivot, r]]
-            t[[r, pivot]] = t[[pivot, r]]
-        hit = np.nonzero(a[:, c])[0]
-        for i in hit:
-            if i != r:
-                a[i, :] ^= a[r, :]
-                t[i, :] ^= t[r, :]
-        pivots.append(c)
-        r += 1
         if r == rows:
             break
-    return RrefResult(F2Matrix(a), tuple(pivots), F2Matrix(t))
+        col = aug[:, c]  # a view: it follows the row swap below
+        pivot = r + int(col[r:].argmax())
+        if not col[pivot]:
+            continue
+        if pivot != r:
+            aug[[r, pivot]] = aug[[pivot, r]]
+        hit = col.nonzero()[0]
+        if hit.size > 1:
+            hit = hit[hit != r]
+            aug[hit, c:] ^= aug[r, c:]
+        pivots.append(c)
+        r += 1
+    return RrefResult(F2Matrix(aug[:, :cols]), tuple(pivots), F2Matrix(aug[:, cols:]))
+
+
+class Elimination:
+    """``rref(m)`` computed once, for solving ``m @ x = b`` with many b."""
+
+    __slots__ = ("matrix", "result")
+
+    def __init__(self, m: F2Matrix):
+        self.matrix = m
+        self.result = rref(m)
+
+    def solve(self, b) -> np.ndarray | None:
+        """One solution of m @ x = b (pivot solution, free variables 0), or None."""
+        bv = as_bit_vector(b)
+        if bv.shape[0] != self.matrix.rows:
+            raise DimensionMismatch(f"rhs length {bv.shape[0]} != rows {self.matrix.rows}")
+        res = self.result
+        rb = res.transform @ bv
+        if rb[res.rank :].any():
+            return None
+        x = np.zeros(self.matrix.cols, dtype=np.uint8)
+        x[list(res.pivots)] = rb[: res.rank]
+        return as_bit_vector(x)
 
 
 def rank(m: F2Matrix) -> int:
@@ -208,15 +246,12 @@ class Subspace:
     @classmethod
     def from_vectors(cls, vectors: Iterable, ambient_dim: int) -> "Subspace":
         vecs = [as_bit_vector(v, ambient_dim) for v in vectors]
-        if not vecs:
-            return cls.zero(ambient_dim)
-        res = rref(F2Matrix.from_rows(vecs, cols=ambient_dim))
-        basis = F2Matrix(res.reduced.a[: res.rank])
-        return cls(ambient_dim, basis, res.pivots)
+        return cls.from_matrix_rows(F2Matrix.from_rows(vecs, cols=ambient_dim))
 
     @classmethod
     def from_matrix_rows(cls, m: F2Matrix) -> "Subspace":
-        return cls.from_vectors([m.row(i) for i in range(m.rows)], m.cols)
+        res = rref(m)
+        return cls(m.cols, F2Matrix(res.reduced.a[: res.rank]), res.pivots)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -255,7 +290,7 @@ class Subspace:
     def contains_subspace(self, other: "Subspace") -> bool:
         if other.ambient_dim != self._ambient:
             raise DimensionMismatch("ambient dimensions differ")
-        return all(self.contains(b) for b in other.basis_vectors())
+        return not _reduce_rows(other.basis.a, self).any()
 
     def sum(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self._ambient:
@@ -299,49 +334,33 @@ class Subspace:
 def kernel_basis(m: F2Matrix) -> Subspace:
     """Basis of {x : m @ x = 0}, canonicalized to RREF."""
     res = rref(m)
-    a = res.reduced.a
     pivots = list(res.pivots)
-    cols = m.cols
-    free = [c for c in range(cols) if c not in pivots]
-    vecs = []
-    for f in free:
-        v = np.zeros(cols, dtype=np.uint8)
-        v[f] = 1
-        for i, p in enumerate(pivots):
-            if a[i, f]:
-                v[p] = 1
-        vecs.append(v)
-    return Subspace.from_vectors(vecs, cols)
+    pivot_set = set(pivots)
+    free = [c for c in range(m.cols) if c not in pivot_set]
+    vecs = np.zeros((len(free), m.cols), dtype=np.uint8)
+    vecs[np.arange(len(free)), free] = 1
+    vecs[:, pivots] = res.reduced.a[: res.rank, free].T
+    return Subspace.from_matrix_rows(F2Matrix(vecs))
 
 
 def image_basis(m: F2Matrix) -> Subspace:
     """Column-space basis of m (as a map into F2^rows)."""
-    return Subspace.from_vectors([m.col(j) for j in range(m.cols)], m.rows)
+    return Subspace.from_matrix_rows(m.T)
 
 
 def solve(m: F2Matrix, b) -> np.ndarray | None:
     """One solution of m @ x = b (pivot solution, free variables 0), or None."""
-    bv = as_bit_vector(b)
-    if bv.shape[0] != m.rows:
-        raise DimensionMismatch(f"rhs length {bv.shape[0]} != rows {m.rows}")
-    res = rref(m)
-    rb = (res.transform @ bv).astype(np.uint8)
-    if rb[res.rank :].any():
-        return None
-    x = np.zeros(m.cols, dtype=np.uint8)
-    for i, p in enumerate(res.pivots):
-        x[p] = rb[i]
-    return as_bit_vector(x)
+    return Elimination(m).solve(b)
+
+
+def _reduce_rows(a: np.ndarray, w: Subspace) -> np.ndarray:
+    """Each row of ``a`` with w's pivot entries cleared by w's RREF rows."""
+    return a ^ _mul(a[:, list(w.pivots)], w.basis.a)
 
 
 def coset_reduce(v, w: Subspace) -> np.ndarray:
     """The unique representative of v + w with zeros in w's pivot columns."""
-    out = np.array(as_bit_vector(v, w.ambient_dim))
-    b = w.basis.a
-    for i, p in enumerate(w.pivots):
-        if out[p]:
-            out ^= b[i]
-    return as_bit_vector(out)
+    return as_bit_vector(_reduce_rows(as_bit_vector(v, w.ambient_dim)[None, :], w)[0])
 
 
 def quotient_basis(ambient: int, u: Subspace, w: Subspace) -> list[np.ndarray]:
@@ -357,14 +376,8 @@ def quotient_basis(ambient: int, u: Subspace, w: Subspace) -> list[np.ndarray]:
         raise NotContained("quotient_basis: w is not contained in u")
     if w.dim == 0:
         return u.basis_vectors()
-    ub_t = u.basis.T
-    coords = []
-    for r in w.basis_vectors():
-        c = solve(ub_t, r)
-        if c is None:  # unreachable after containment check
-            raise NotContained("quotient_basis: w is not contained in u")
-        coords.append(c)
-    res = rref(F2Matrix.from_rows(coords, cols=u.dim))
+    # u's basis is in RREF, so a member's coordinates are its pivot entries.
+    res = rref(F2Matrix(w.basis.a[:, list(u.pivots)]))
     pivot_set = set(res.pivots)
     return [u.basis.row(j) for j in range(u.dim) if j not in pivot_set]
 
@@ -398,27 +411,42 @@ def format_matrix(m: F2Matrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+_HEADER_RE = re.compile(r"[0-9]+")
+
+
 def parse_matrix(text: str) -> F2Matrix:
     lines = text.splitlines()
     if not lines:
-        raise DimensionMismatch("empty matrix text")
+        raise MalformedInput("empty matrix text")
     head = lines[0].split()
-    if len(head) != 2:
-        raise DimensionMismatch(f"bad matrix header: {lines[0]!r}")
+    if len(head) != 2 or not all(_HEADER_RE.fullmatch(h) for h in head):
+        raise MalformedInput(f"bad matrix header: {lines[0]!r}")
     rows, cols = int(head[0]), int(head[1])
-    body = lines[1 : 1 + rows]
+    body = [line.strip() for line in lines[1 : 1 + rows]]
     if len(body) != rows:
-        raise DimensionMismatch(f"expected {rows} rows, found {len(body)}")
-    a = np.zeros((rows, cols), dtype=np.uint8)
+        raise MalformedInput(f"expected {rows} rows, found {len(body)}")
     for i, line in enumerate(body):
-        line = line.strip()
         if len(line) != cols:
-            raise DimensionMismatch(f"row {i} has {len(line)} entries, expected {cols}")
-        for j, ch in enumerate(line):
+            raise MalformedInput(f"row {i} has {len(line)} entries, expected {cols}")
+        for ch in line:
             if ch not in "01":
-                raise DimensionMismatch(f"bad character {ch!r} in matrix row {i}")
-            a[i, j] = ch == "1"
+                raise MalformedInput(f"bad character {ch!r} in matrix row {i}")
+    a = np.frombuffer("".join(body).encode(), dtype=np.uint8).reshape(rows, cols) - ord("0")
     return F2Matrix(a)
+
+
+def section_matrix(sections: dict[str, str], name: str) -> F2Matrix:
+    """The matrix in the required section ``name:`` of a section file.
+
+    A missing or malformed section raises MalformedInput naming it.
+    """
+    if name not in sections:
+        raise MalformedInput(f"missing section '{name}:'", section=name)
+    try:
+        return parse_matrix(sections[name])
+    except MalformedInput as exc:
+        exc.section = name
+        raise
 
 
 _SECTION_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*):\s*(.*)$")
@@ -452,6 +480,6 @@ def split_sections(text: str) -> dict[str, str]:
         elif name is not None:
             buf.append(line)
         elif line.strip():
-            raise DimensionMismatch(f"unexpected line outside any section: {line!r}")
+            raise MalformedInput(f"unexpected line outside any section: {line!r}")
     flush()
     return sections

@@ -41,6 +41,7 @@ from .errors import (
     DecompositionInfeasible,
     DimensionMismatch,
     EmptyOverlap,
+    MalformedInput,
 )
 from .f2linalg import (
     F2Matrix,
@@ -1106,6 +1107,13 @@ def _logical_matrix(entry: dict) -> F2Matrix:
     return _matrix_from_lists(rows, len(rows[0]) if rows else 0)
 
 
+class _JsonObject(dict):
+    """A JSON object whose missing fields raise MalformedInput naming them."""
+
+    def __missing__(self, key):
+        raise MalformedInput(f"missing field {key!r}", section=key)
+
+
 def plan_from_json(text: str) -> SurgeryPlan:
     """Rebuild a plan from its JSON document.
 
@@ -1116,9 +1124,13 @@ def plan_from_json(text: str) -> SurgeryPlan:
     not matching ``measurement_ids`` one to one or mixing null and set
     entries, and a merge whose merged code would identify data logicals.
     """
-    doc = json.loads(text)
-    if doc.get("schema") != "chainsurg-plan/1":
-        raise DimensionMismatch(f"not a plan document: {doc.get('schema')!r}")
+    try:
+        doc = json.loads(text, object_hook=_JsonObject)
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"not valid JSON: {exc}") from None
+    schema = doc.get("schema") if isinstance(doc, dict) else None
+    if schema != "chainsurg-plan/1":
+        raise DimensionMismatch(f"not a plan document: {schema!r}")
     n = len(doc["base_hx"][0]) if doc["base_hx"] else len(doc["base_hz"][0])
     base = from_parity_checks(
         _matrix_from_lists(doc["base_hx"], n),

@@ -138,17 +138,22 @@ class PauliGate:
 PhysicalOp = Union[ParityMap, HadamardConjugatedParityMap, Projection, PauliGate]
 
 
-def _basis_bits(n: int) -> np.ndarray:
-    idx = np.arange(1 << n, dtype=np.int64)
-    return ((idx[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+def _linear_indices(columns) -> np.ndarray:
+    """The value of the linear map x -> XOR of columns[j] over the set bits x_j, for every x.
+
+    Entry x of the result is indexed as in ``bits_to_index`` (qubit 0 is
+    the most significant bit). The table is built by linearity: each
+    qubit, from the last to the first, doubles it with its column XORed in.
+    """
+    out = np.zeros(1, dtype=np.int64)
+    for c in reversed(columns):
+        out = np.concatenate([out, out ^ int(c)])
+    return out
 
 
 def _parity_indices(a: F2Matrix) -> np.ndarray:
     """Output basis index A @ x for every input index x."""
-    bits = _basis_bits(a.cols)
-    out_bits = bits @ a.a.T.astype(np.int64) % 2
-    powers = 1 << np.arange(a.rows - 1, -1, -1, dtype=np.int64) if a.rows else np.zeros(0, dtype=np.int64)
-    return out_bits @ powers if a.rows else np.zeros(1 << a.cols, dtype=np.int64)
+    return _linear_indices([bits_to_index(a.a[:, j]) for j in range(a.cols)])
 
 
 def _fwht(v: np.ndarray) -> np.ndarray:
@@ -182,7 +187,7 @@ def _apply_hconj_parity(a: F2Matrix, amps: np.ndarray) -> np.ndarray:
 
 def _apply_pauli(p: PauliOperator, amps: np.ndarray) -> np.ndarray:
     """Amplitudes of gamma(x|z)|psi> = X^x Z^z |psi| (sign included)."""
-    zpar = _basis_bits(p.n) @ p.z.astype(np.int64) % 2
+    zpar = _linear_indices(p.z)
     shifted = amps * np.where(zpar, -1.0, 1.0) * p.sign
     xmask = bits_to_index(p.x)
     if xmask:

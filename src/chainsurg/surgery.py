@@ -27,6 +27,7 @@ from .errors import (
     ClosureViolated,
     DimensionMismatch,
     NotSurjective,
+    SingularMatrix,
 )
 from .f2linalg import (
     F2Matrix,
@@ -34,11 +35,12 @@ from .f2linalg import (
     as_bit_vector,
     format_matrix,
     image_basis,
+    invert,
     kernel_basis,
-    parse_matrix,
     quotient_basis,
     rank,
-    solve,
+    rref,
+    section_matrix,
     split_sections,
     vstack,
 )
@@ -96,8 +98,7 @@ class Subcode:
         orientation = sections.get("orientation", "Z").strip().upper()
         spaces = {}
         for name in ("v2", "v1", "v0"):
-            m = parse_matrix(sections[name])
-            spaces[name] = Subspace.from_matrix_rows(m)
+            spaces[name] = Subspace.from_matrix_rows(section_matrix(sections, name))
         return validate_subcode(
             parent, spaces["v2"], spaces["v1"], spaces["v0"], orientation
         )
@@ -105,17 +106,11 @@ class Subcode:
 
 def _restricted_boundary(d: F2Matrix, src: Subspace, tgt: Subspace) -> F2Matrix:
     """Matrix of d restricted to src, in the bases of src and tgt."""
-    cols = []
-    tgt_t = tgt.basis.T
-    for b in src.basis_vectors():
-        image = d @ b
-        c = solve(tgt_t, image)
-        if c is None:
-            raise ClosureViolated(0, "restricted boundary leaves the target subspace")
-        cols.append(c)
-    if not cols:
-        return F2Matrix.zeros(tgt.dim, 0)
-    return F2Matrix.from_rows(cols, cols=tgt.dim).T
+    image = d @ src.basis.T
+    if not all(tgt.contains(image.col(j)) for j in range(image.cols)):
+        raise ClosureViolated(0, "restricted boundary leaves the target subspace")
+    # tgt's basis is in RREF, so a member's coordinates are its pivot entries.
+    return F2Matrix(image.a[list(tgt.pivots)])
 
 
 def validate_subcode(
@@ -168,13 +163,11 @@ def _projection_matrix(ambient: int, sub: Subspace, reps: list[np.ndarray]) -> F
     if not reps:
         return F2Matrix.zeros(0, ambient)
     system = F2Matrix.from_rows(reps + list(sub.basis_vectors()), cols=ambient).T
-    cols = []
-    for j in range(ambient):
-        full = solve(system, np.eye(ambient, dtype=np.uint8)[j])
-        if full is None:
-            raise DimensionMismatch("projection solve failed; quotient basis invalid")
-        cols.append(full[: len(reps)])
-    return F2Matrix.from_rows(cols, cols=len(reps)).T
+    try:
+        inverse = invert(system)
+    except SingularMatrix:
+        raise DimensionMismatch("projection solve failed; quotient basis invalid") from None
+    return F2Matrix(inverse.a[: len(reps)])
 
 
 @dataclass(frozen=True)
@@ -441,14 +434,14 @@ class _IndependentRows:
 
 
 def _independent_rows(rows: list[np.ndarray], width: int) -> _IndependentRows:
-    kept: list[int] = []
-    current: list[np.ndarray] = []
-    for idx, row in enumerate(rows):
-        candidate = current + [row]
-        if rank(F2Matrix.from_rows(candidate, cols=width)) == len(candidate):
-            current = candidate
-            kept.append(idx)
-    return _IndependentRows(F2Matrix.from_rows(current, cols=width), tuple(kept))
+    """The rows a greedy scan keeps: each one independent of those kept before it.
+
+    Row i is kept exactly when column i of the stacked rows' transpose is a
+    pivot column.
+    """
+    stacked = F2Matrix.from_rows(rows, cols=width)
+    kept = rref(stacked.T).pivots
+    return _IndependentRows(F2Matrix(stacked.a[list(kept)]), kept)
 
 
 def induced_logical_matrix(

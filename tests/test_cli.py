@@ -192,6 +192,51 @@ class TestPlanCommands:
         assert json.loads(capsys.readouterr().err)["error"] == "DimensionMismatch"
 
 
+class TestMalformedInputs:
+    """Each unreadable or malformed input file ends in exit 1 with a JSON error naming it."""
+
+    def _error(self, capsys, argv):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1 and not captured.out
+        payload = json.loads(captured.err)
+        assert payload["error"] == "MalformedInput"
+        return payload
+
+    def test_code_without_hz_section(self, tmp_path, capsys):
+        bad = tmp_path / "nohz.code"
+        bad.write_text("hx:\n1 3\n110\n")
+        payload = self._error(capsys, ["validate", str(bad)])
+        assert payload["file"] == str(bad) and payload["section"] == "hz"
+
+    def test_bad_matrix_header(self, tmp_path, capsys):
+        bad = tmp_path / "header.code"
+        bad.write_text("hx:\nx y\n110\nhz:\n0 3\n")
+        payload = self._error(capsys, ["validate", str(bad)])
+        assert payload["file"] == str(bad) and payload["section"] == "hx"
+        assert "x y" in payload["message"]
+
+    @pytest.mark.parametrize("which", ["code", "subcode", "plan"])
+    def test_missing_file(self, tmp_path, steane_file, which, capsys):
+        missing = str(tmp_path / "missing")
+        argv = {
+            "code": ["validate", missing],
+            "subcode": ["merge", steane_file, "--subcode", missing],
+            "plan": ["simulate", "--plan", missing],
+        }[which]
+        assert self._error(capsys, argv)["file"] == missing
+
+    def test_plan_without_base_hx(self, steane_file, tmp_path, capsys):
+        plan_file = tmp_path / "plan.json"
+        assert main(["cnot", steane_file, "--control", "0", "--out", str(plan_file)]) == 0
+        capsys.readouterr()
+        doc = json.loads(plan_file.read_text())
+        del doc["base_hx"]
+        plan_file.write_text(json.dumps(doc))
+        payload = self._error(capsys, ["simulate", "--plan", str(plan_file)])
+        assert payload["file"] == str(plan_file) and payload["section"] == "base_hx"
+
+
 class TestCatalogCommands:
     def test_list(self, capsys):
         rc, doc = run_json(capsys, ["catalog", "list"])

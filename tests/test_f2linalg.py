@@ -1,13 +1,17 @@
 """GF(2) kernel tests; expected values come from brute-force enumeration."""
 import itertools
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainsurg.errors import DimensionMismatch, NotContained, SingularMatrix
+from chainsurg import catalog, f2linalg
+from chainsurg.csscode import from_parity_checks
+from chainsurg.errors import DimensionMismatch, MalformedInput, NotContained, SingularMatrix
 from chainsurg.f2linalg import (
+    Elimination,
     F2Matrix,
     Subspace,
     coset_reduce,
@@ -295,3 +299,273 @@ def test_coset_reduce_canonical_hypothesis(n, seed):
         if r.randint(0, 2):
             shift ^= b
     assert np.array_equal(coset_reduce(v, w), coset_reduce(v ^ shift, w))
+
+
+# --- loop oracles: the elimination and product as first written ---------------
+
+
+def loop_rref(a):
+    """Row-by-row Gauss-Jordan elimination; returns (reduced, pivots, transform)."""
+    a = np.array(a, dtype=np.uint8)
+    rows, cols = a.shape
+    t = np.eye(rows, dtype=np.uint8)
+    r = 0
+    pivots = []
+    for c in range(cols):
+        pivot = None
+        for i in range(r, rows):
+            if a[i, c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        if pivot != r:
+            a[[r, pivot]] = a[[pivot, r]]
+            t[[r, pivot]] = t[[pivot, r]]
+        for i in np.nonzero(a[:, c])[0]:
+            if i != r:
+                a[i, :] ^= a[r, :]
+                t[i, :] ^= t[r, :]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return a, tuple(pivots), t
+
+
+def int64_product(a, b):
+    return np.asarray(a).astype(np.int64) @ np.asarray(b).astype(np.int64) % 2
+
+
+def loop_solve(a, b):
+    """Pivot solution of a @ x = b from a fresh loop elimination, or None."""
+    _, pivots, transform = loop_rref(a)
+    rb = int64_product(transform, b)
+    if rb[len(pivots) :].any():
+        return None
+    x = np.zeros(np.shape(a)[1], dtype=np.uint8)
+    for i, p in enumerate(pivots):
+        x[p] = rb[i]
+    return x
+
+
+def loop_quotient_basis(u, w):
+    """Coordinates of w in u's basis by one solve per vector, then one rref."""
+    if w.dim == 0:
+        return u.basis_vectors()
+    coords = [loop_solve(u.basis.T.a, r) for r in w.basis_vectors()]
+    pivots = set(loop_rref(np.array(coords))[1])
+    return [u.basis.row(j) for j in range(u.dim) if j not in pivots]
+
+
+def loop_coset_reduce(v, w):
+    out = np.array(v, dtype=np.uint8)
+    for i, p in enumerate(w.pivots):
+        if out[p]:
+            out ^= w.basis.a[i]
+    return out
+
+
+def loop_kernel_vectors(m):
+    """One kernel vector per free column, set bit by bit from the reduced form."""
+    reduced, pivots, _ = loop_rref(m.a)
+    vecs = []
+    for f in (c for c in range(m.cols) if c not in pivots):
+        v = np.zeros(m.cols, dtype=np.uint8)
+        v[f] = 1
+        for i, p in enumerate(pivots):
+            if reduced[i, f]:
+                v[p] = 1
+        vecs.append(v)
+    return vecs
+
+
+def random_matrix(r, rows, cols, density=0.5):
+    return (r.random_sample((rows, cols)) < density).astype(np.uint8)
+
+
+def rank_deficient(r, rows, cols, rank_):
+    return int64_product(random_matrix(r, rows, rank_), random_matrix(r, rank_, cols))
+
+
+EDGE_SHAPES = [(0, 4), (4, 0), (0, 0), (1, 1), (1, 5), (5, 1)]
+
+
+def oracle_matrices():
+    r = np.random.RandomState(11)
+    out = [np.zeros(shape, dtype=np.uint8) for shape in EDGE_SHAPES]
+    out += [np.ones((1, 1), dtype=np.uint8), np.zeros((3, 3), dtype=np.uint8)]
+    for _ in range(40):
+        rows, cols = r.randint(1, 14), r.randint(1, 14)
+        out.append(random_matrix(r, rows, cols, density=r.choice([0.1, 0.5, 0.9])))
+    for rows, cols, rank_ in [(6, 6, 3), (10, 4, 2), (4, 12, 1), (30, 60, 17), (60, 30, 29)]:
+        out.append(rank_deficient(r, rows, cols, rank_))
+    return out
+
+
+class TestRrefOracle:
+    @pytest.mark.parametrize("a", oracle_matrices(), ids=lambda a: "x".join(map(str, a.shape)))
+    def test_matches_loop_rref(self, a):
+        res = rref(F2Matrix(a))
+        reduced, pivots, transform = loop_rref(a)
+        assert res.pivots == pivots
+        assert np.array_equal(res.reduced.a, reduced)
+        assert np.array_equal(res.transform.a, transform)
+
+    def test_code_check_matrices(self):
+        code = catalog.toric(4)
+        for m in (code.hx, code.hz, code.hx.T, code.hz.T):
+            res = rref(m)
+            reduced, pivots, transform = loop_rref(m.a)
+            assert res.pivots == pivots and np.array_equal(res.transform.a, transform)
+            assert np.array_equal(res.reduced.a, reduced)
+
+
+class TestProductOracle:
+    @pytest.mark.parametrize(
+        "shapes", [((0, 3), (3, 4)), ((3, 0), (0, 4)), ((3, 4), (4, 0)), ((1, 1), (1, 1)), ((7, 9), (9, 5)),
+                   ((40, 81), (81, 33)), ((2, 700), (700, 3))]
+    )
+    def test_matrix_product(self, shapes):
+        r = np.random.RandomState(sum(sum(s) for s in shapes))
+        a, b = (random_matrix(r, *shape, density=0.9) for shape in shapes)
+        got = F2Matrix(a) @ F2Matrix(b)
+        assert got.shape == (a.shape[0], b.shape[1])
+        assert np.array_equal(got.a, int64_product(a, b))
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (1, 1), (6, 11), (50, 700)])
+    def test_vector_product(self, shape):
+        r = np.random.RandomState(shape[1])
+        a = random_matrix(r, *shape, density=0.9)
+        v = random_matrix(r, 1, shape[1], density=0.9)[0]
+        got = F2Matrix(a) @ v
+        assert got.dtype == np.uint8 and got.shape == (shape[0],)
+        assert np.array_equal(got, int64_product(a, v))
+
+
+class TestSubspaceOracle:
+    @pytest.mark.parametrize("a", oracle_matrices(), ids=lambda a: "x".join(map(str, a.shape)))
+    def test_kernel_matches_loop_construction(self, a):
+        m = F2Matrix(a)
+        assert kernel_basis(m) == Subspace.from_vectors(loop_kernel_vectors(m), m.cols)
+
+    @pytest.mark.parametrize("a", oracle_matrices(), ids=lambda a: "x".join(map(str, a.shape)))
+    def test_coset_reduce_matches_loop(self, a):
+        w = Subspace.from_matrix_rows(F2Matrix(a))
+        r = np.random.RandomState(a.size)
+        for _ in range(3):
+            v = random_matrix(r, 1, w.ambient_dim)[0]
+            assert np.array_equal(coset_reduce(v, w), loop_coset_reduce(v, w))
+
+
+class TestElimination:
+    @pytest.mark.parametrize("a", oracle_matrices(), ids=lambda a: "x".join(map(str, a.shape)))
+    def test_solve_many_matches_one_shot_and_loop(self, a):
+        r = np.random.RandomState(a.size)
+        m = F2Matrix(a)
+        elim = Elimination(m)
+        rhs = [random_matrix(r, 1, m.rows)[0] for _ in range(4)]
+        rhs += [int64_product(a, random_matrix(r, 1, m.cols)[0]) for _ in range(3)]  # solvable
+        for b in rhs:
+            x = elim.solve(b)
+            expected = loop_solve(a, b)
+            if expected is None:
+                assert x is None and solve(m, b) is None
+                continue
+            assert np.array_equal(x, expected) and np.array_equal(solve(m, b), expected)
+            assert np.array_equal(m @ x, b)
+            free = [c for c in range(m.cols) if c not in elim.result.pivots]
+            assert not x[free].any()
+
+    def test_unsolvable(self):
+        elim = Elimination(F2Matrix([[1, 1], [1, 1]]))
+        assert elim.solve([1, 0]) is None
+        assert np.array_equal(elim.solve([1, 1]), [1, 0])
+
+    def test_rhs_length_checked(self):
+        with pytest.raises(DimensionMismatch):
+            Elimination(F2Matrix.identity(3)).solve([1, 0])
+
+
+class TestQuotientBasisOracle:
+    def test_matches_per_vector_reference(self):
+        r = np.random.RandomState(3)
+        for _ in range(30):
+            n = r.randint(1, 12)
+            u = Subspace.from_vectors(random_matrix(r, r.randint(1, n + 1), n), n)
+            if u.dim == 0:
+                continue
+            coeffs = random_matrix(r, r.randint(0, u.dim + 1), u.dim)
+            w = Subspace.from_vectors(list(int64_product(coeffs, u.basis.a)), n)
+            got = quotient_basis(n, u, w)
+            expected = loop_quotient_basis(u, w)
+            assert len(got) == len(expected) == u.dim - w.dim
+            assert all(np.array_equal(g, e) for g, e in zip(got, expected))
+
+    def test_toric_homology_reference(self):
+        code = catalog.toric(3)
+        u, w = kernel_basis(code.hx), image_basis(code.hz.T)
+        got = quotient_basis(code.n, u, w)
+        assert all(np.array_equal(g, e) for g, e in zip(got, loop_quotient_basis(u, w)))
+
+
+class TestParsing:
+    @pytest.mark.parametrize(
+        "text", ["", "x y\n", "2\n01\n", "-1 2\n", "2 2\n01\n", "1 2\n0\n", "1 2\n0a\n"]
+    )
+    def test_malformed_matrix(self, text):
+        with pytest.raises(MalformedInput):
+            parse_matrix(text)
+
+    def test_huge_header_rejected_before_allocating(self):
+        with pytest.raises(MalformedInput):
+            parse_matrix("1 100000000000\n01\n")
+
+    def test_section_named(self):
+        sections = split_sections("hx:\n1 2\n01\nhz:\n1 2\n0b\n")
+        assert f2linalg.section_matrix(sections, "hx") == F2Matrix([[0, 1]])
+        for name in ("hz", "zl"):
+            with pytest.raises(MalformedInput) as exc:
+                f2linalg.section_matrix(sections, name)
+            assert exc.value.section == name
+
+
+# --- elimination budget: per-vector solve loops must not come back ----------------
+
+
+def count_rref_calls(fn):
+    """Number of rref calls fn makes, counted in every chainsurg namespace that binds rref."""
+    original = f2linalg.rref
+    calls = [0]
+
+    def counted(m):
+        calls[0] += 1
+        return original(m)
+
+    patched = [
+        (module, attr)
+        for name, module in sys.modules.items()
+        if name == "chainsurg" or name.startswith("chainsurg.")
+        for attr, value in list(vars(module).items())
+        if value is original
+    ]
+    for module, attr in patched:
+        setattr(module, attr, counted)
+    try:
+        fn()
+    finally:
+        for module, attr in patched:
+            setattr(module, attr, original)
+    return calls[0]
+
+
+class TestEliminationBudget:
+    def test_cnot_plan_on_toric_5(self):
+        from chainsurg.protocols import build_cnot_plan
+
+        code = catalog.toric(5)
+        assert count_rref_calls(lambda: build_cnot_plan(code, 0, 1)) <= 100
+
+    def test_from_parity_checks_on_toric_20(self):
+        code = catalog.toric(20)
+        assert count_rref_calls(lambda: from_parity_checks(code.hx, code.hz)) <= 20

@@ -25,6 +25,7 @@ from chainsurg.simverify import (
     pauli_expectation,
     physical_op_sequence,
 )
+from chainsurg.simverify import _linear_indices, _parity_indices
 from chainsurg.surgery import quotient_merge, split_from_merge, validate_subcode
 
 
@@ -359,3 +360,41 @@ class TestStabilizerPreservation:
             assert abs(pauli_expectation(PauliOperator.from_x(merged.hx.row(i)), out) - 1) < 1e-9
         for i in range(merged.hz.rows):
             assert abs(pauli_expectation(PauliOperator.from_z(merged.hz.row(i)), out) - 1) < 1e-9
+
+
+# --- bit-table oracles: the index tables as first written ------------------------
+
+
+def bit_table(n):
+    idx = np.arange(1 << n, dtype=np.int64)
+    return ((idx[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)
+
+
+def bit_table_parity_indices(a):
+    out_bits = bit_table(a.cols) @ a.a.T.astype(np.int64) % 2
+    if not a.rows:
+        return np.zeros(1 << a.cols, dtype=np.int64)
+    return out_bits @ (1 << np.arange(a.rows - 1, -1, -1, dtype=np.int64))
+
+
+class TestIndexTables:
+    @pytest.mark.parametrize(
+        "shape", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (7, 7), (4, 12), (12, 10)]
+    )
+    def test_parity_indices_match_bit_table(self, shape):
+        r = np.random.RandomState(shape[0] * 31 + shape[1])
+        a = F2Matrix(r.randint(0, 2, size=shape))
+        got = _parity_indices(a)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, bit_table_parity_indices(a))
+
+    @pytest.mark.parametrize("n", [0, 1, 3, 9])
+    def test_z_parity_matches_bit_table(self, n):
+        z = np.random.RandomState(n).randint(0, 2, size=n).astype(np.uint8)
+        assert np.array_equal(_linear_indices(z), bit_table(n) @ z.astype(np.int64) % 2)
+
+    def test_pauli_sign_pattern(self):
+        p = PauliOperator.from_z([1, 0, 1])
+        amps = np.arange(8, dtype=np.complex128) + 1
+        parity = bit_table(3) @ np.array([1, 0, 1]) % 2
+        assert np.array_equal(apply_linear(PauliGate(p), amps), amps * np.where(parity, -1, 1))
