@@ -70,6 +70,18 @@ def _load_subcode(path: str, parent: ChainComplex) -> Subcode:
     return _read_input(path, lambda text: Subcode.from_text(text, parent))
 
 
+def _output_error(path, exc: OSError) -> ChainsurgError:
+    return ChainsurgError(f"cannot write output {path}: {exc.strerror or exc}")
+
+
+def _write_output(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; a failed write raises ChainsurgError naming the path."""
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise _output_error(path, exc) from None
+
+
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
         payload = {"schema": REPORT_SCHEMA, **payload}
@@ -113,7 +125,7 @@ def _cmd_merge(args) -> int:
     if args.out:
         merged = merge.merged_complex()
         out_code = from_parity_checks(merged.d1, merged.d2.T)
-        Path(args.out).write_text(out_code.to_text())
+        _write_output(args.out, out_code.to_text())
     if args.json:
         print(merge_report_json(merge, report))
         return 0
@@ -196,7 +208,7 @@ def _cmd_cnot(args) -> int:
         verdict = "=" if dev < PHASE_TOL else "!="
         lines.append(f"logical channel {verdict} CNOT (max deviation {dev:.2e})")
     if args.out:
-        Path(args.out).write_text(plan_to_json(plan))
+        _write_output(args.out, plan_to_json(plan))
         lines.append(f"plan written to {args.out}")
     _emit(args, payload, "\n".join(lines))
     return 0
@@ -223,7 +235,7 @@ def _cmd_switch(args) -> int:
         f" round-trip logical map {'= identity' if identity_ok else 'NOT identity'}"
     )
     if args.out:
-        Path(args.out).write_text(plan_to_json(plan))
+        _write_output(args.out, plan_to_json(plan))
     _emit(args, payload, human)
     return 0
 
@@ -280,23 +292,14 @@ def _cmd_catalog(args) -> int:
         raise ChainsurgError("catalog export needs a name")
     if name.startswith("example:"):
         ex = catalog.worked_example(name.split(":", 1)[1])
-        outdir = Path(args.dir or ".")
-        outdir.mkdir(parents=True, exist_ok=True)
-        files = []
         # the scenario's parent code (the direct sum for two-code examples)
         parent_code = from_parity_checks(ex.parent.d1, ex.parent.d2.T)
-        p = outdir / f"{ex.name}.code"
-        p.write_text(parent_code.to_text())
-        files.append(str(p))
+        outputs = {f"{ex.name}.code": parent_code.to_text()}
         if len(ex.codes) > 1:
             for i, code in enumerate(ex.codes):
-                p = outdir / f"{ex.name}.part{i}.code"
-                p.write_text(code.to_text())
-                files.append(str(p))
+                outputs[f"{ex.name}.part{i}.code"] = code.to_text()
         if ex.subcode is not None:
-            p = outdir / f"{ex.name}.sub"
-            p.write_text(ex.subcode.to_text())
-            files.append(str(p))
+            outputs[f"{ex.name}.sub"] = ex.subcode.to_text()
         elif ex.raw_spaces is not None:
             raw = Subcode(
                 parent=ex.parent,
@@ -305,18 +308,22 @@ def _cmd_catalog(args) -> int:
                 v0=ex.raw_spaces[2],
                 orientation=ex.raw_orientation,
             )
-            p = outdir / f"{ex.name}.sub"
-            p.write_text(raw.to_text())
-            files.append(str(p))
-        p = outdir / f"{ex.name}.expect.json"
-        p.write_text(json.dumps(ex.expect, indent=2, sort_keys=True))
-        files.append(str(p))
+            outputs[f"{ex.name}.sub"] = raw.to_text()
+        outputs[f"{ex.name}.expect.json"] = json.dumps(ex.expect, indent=2, sort_keys=True)
+        outdir = Path(args.dir or ".")
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _output_error(outdir, exc) from None
+        files = [str(outdir / fname) for fname in outputs]
+        for path, text in zip(files, outputs.values()):
+            _write_output(path, text)
         _emit(args, {"type": "catalog-export", "files": files}, "\n".join(files))
         return 0
     code = catalog.catalog_code(name)
     text = code.to_text()
     if args.out:
-        Path(args.out).write_text(text)
+        _write_output(args.out, text)
         _emit(args, {"type": "catalog-export", "files": [args.out]}, args.out)
     else:
         sys.stdout.write(text)

@@ -161,6 +161,9 @@ def _basis_from_rows(rows: F2Matrix, kernel: Subspace, image: Subspace, degree: 
         got = rref(F2Matrix.from_rows(stacked, cols=kernel.ambient_dim)).rank
         if got != len(reps) + image.dim:
             raise DimensionMismatch("supplied logical representatives are dependent mod stabilizers")
+    if len(reps) + image.dim != kernel.dim:
+        k = kernel.dim - image.dim
+        raise DimensionMismatch(f"supplied {len(reps)} logical representatives for {k} logical qubits")
     return basis
 
 
@@ -323,32 +326,39 @@ def bits_to_index(bits: np.ndarray) -> int:
     return idx
 
 
+def linear_indices(columns) -> np.ndarray:
+    """The value of the linear map x -> XOR of columns[j] over the set bits x_j, for every x.
+
+    Entry x of the result is indexed as in ``bits_to_index`` (qubit 0 is
+    the most significant bit). The table is built by linearity: each
+    qubit, from the last to the first, doubles it with its column XORed in.
+    With basis-index columns this enumerates a GF(2) span, one element
+    per coordinate vector x.
+    """
+    out = np.zeros(1, dtype=np.int64)
+    for c in reversed(columns):
+        out = np.concatenate([out, out ^ int(c)])
+    return out
+
+
 SIMULATOR_QUBIT_LIMIT = 20
 
 
 def encoder_isometry(code: CssCode) -> Encoder:
-    """Type-preserving encoder built from the stored dual bases."""
+    """Type-preserving encoder built from the stored dual bases.
+
+    Column u holds 1/sqrt(|S|) on every index of the coset G @ u + S,
+    where S is the X-stabilizer span; cosets of distinct labels are
+    disjoint, so one fancy-index assignment fills the matrix.
+    """
     n, k = code.n, code.k
     if n > SIMULATOR_QUBIT_LIMIT:
         raise DimensionMismatch(f"{n} qubits exceeds the simulator limit {SIMULATOR_QUBIT_LIMIT}")
     row_basis = rref(code.hx)
-    gen_rows = [row_basis.reduced.row(i) for i in range(row_basis.rank)]
-    orbit = []
-    for mask in range(1 << len(gen_rows)):
-        v = np.zeros(n, dtype=np.uint8)
-        for i, g in enumerate(gen_rows):
-            if (mask >> i) & 1:
-                v ^= g
-        orbit.append(v)
-    amp = 1.0 / np.sqrt(len(orbit))
+    orbit = linear_indices([bits_to_index(row_basis.reduced.row(i)) for i in range(row_basis.rank)])
+    bases = linear_indices([bits_to_index(code.x_logical(i)) for i in range(k)])
     mat = np.zeros((1 << n, 1 << k), dtype=np.complex128)
-    for label in range(1 << k):
-        base = np.zeros(n, dtype=np.uint8)
-        for i in range(k):
-            if (label >> (k - 1 - i)) & 1:
-                base ^= code.x_logical(i)
-        for s in orbit:
-            mat[bits_to_index(base ^ s), label] += amp
+    mat[bases[None, :] ^ orbit[:, None], np.arange(1 << k)] = 1.0 / np.sqrt(len(orbit))
     return Encoder(code=code, matrix=mat)
 
 

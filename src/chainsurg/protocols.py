@@ -14,6 +14,7 @@ that gauge.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence, Union
@@ -1088,30 +1089,90 @@ def plan_to_json(plan: SurgeryPlan) -> str:
     return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def _pauli_from_dict(d: Optional[dict]) -> Optional[PauliOperator]:
-    if d is None:
-        return None
-    return PauliOperator(
-        x=np.array(d["x"], dtype=np.uint8),
-        z=np.array(d["z"], dtype=np.uint8),
-        sign=d.get("sign", 1),
-    )
+def _is_int(v) -> bool:
+    return type(v) is int  # not bool, which JSON true and false load as
 
 
-def _matrix_from_lists(rows, cols: int) -> F2Matrix:
-    return F2Matrix.from_rows(rows, cols=cols) if rows else F2Matrix.zeros(0, cols)
+def _is_ints(v) -> bool:
+    return isinstance(v, list) and set(map(type, v)) <= {int}
 
 
-def _logical_matrix(entry: dict) -> F2Matrix:
-    rows = entry["logical_matrix"]
-    return _matrix_from_lists(rows, len(rows[0]) if rows else 0)
+def _is_bits(v) -> bool:
+    return _is_ints(v) and set(v) <= {0, 1}
+
+
+# field kind -> (description for the error message, check)
+_FIELD_KINDS = {
+    "int": ("an integer", _is_int),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "ints": ("a list of integers", _is_ints),
+    "strs": ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)),
+    "bits": ("a list of 0/1 entries", _is_bits),
+    "matrix": (
+        "a list of equal-length lists of 0/1 entries",
+        lambda v: isinstance(v, list) and all(map(_is_bits, v)) and len({len(r) for r in v}) <= 1,
+    ),
+    "list": ("a list", lambda v: isinstance(v, list)),
+    "object": ("an object", lambda v: isinstance(v, dict)),
+}
 
 
 class _JsonObject(dict):
-    """A JSON object whose missing fields raise MalformedInput naming them."""
+    """A JSON object whose missing or wrongly typed fields raise MalformedInput naming them."""
 
     def __missing__(self, key):
         raise MalformedInput(f"missing field {key!r}", section=key)
+
+    def field(self, key: str, kind: str, nullable: bool = False, choices=None):
+        """The value of ``key``, checked to be of ``kind`` (see _FIELD_KINDS) and in ``choices``."""
+        value = self[key]
+        if value is None and nullable:
+            return None
+        what, check = _FIELD_KINDS[kind]
+        if not check(value) or (choices is not None and value not in choices):
+            if isinstance(choices, range):
+                what = f"an integer from {choices.start} to {choices.stop - 1}"
+            elif choices is not None:
+                what = "one of " + ", ".join(map(repr, choices))
+            raise MalformedInput(
+                f"field {key!r} must be {what}{' or null' if nullable else ''}, got {value!r:.40}",
+                section=key,
+            )
+        return value
+
+    def matrix(self, key: str, cols: Optional[int] = None) -> F2Matrix:
+        """The binary matrix in ``key``; ``cols`` is its required width (None: any)."""
+        rows = self.field(key, "matrix")
+        width = len(rows[0]) if rows else (cols or 0)
+        if cols is not None and width != cols:
+            raise MalformedInput(f"field {key!r} must have {cols} columns, has {width}", section=key)
+        return F2Matrix.from_rows(rows, cols=width)
+
+    def pauli(self, key: str, nullable: bool = False) -> Optional[PauliOperator]:
+        return _pauli_from_json(self.field(key, "object", nullable), key)
+
+
+def _pauli_from_json(d, where: str) -> Optional[PauliOperator]:
+    """A Pauli {x, z, sign} object or None; errors name ``where`` before the field."""
+    if d is None:
+        return None
+    with _within(where):
+        if not isinstance(d, dict):
+            raise MalformedInput("a Pauli must be an object with 'x', 'z' and 'sign'")
+        sign = d.field("sign", "int") if "sign" in d else 1
+        return PauliOperator(x=np.array(d.field("x", "bits"), dtype=np.uint8),
+                             z=np.array(d.field("z", "bits"), dtype=np.uint8), sign=sign)
+
+
+@contextmanager
+def _within(where: str):
+    """Prefix the section of a MalformedInput raised inside with ``where``."""
+    try:
+        yield
+    except MalformedInput as exc:
+        exc.section = where if exc.section is None else f"{where}.{exc.section}"
+        raise
 
 
 def plan_from_json(text: str) -> SurgeryPlan:
@@ -1123,6 +1184,9 @@ def plan_from_json(text: str) -> SurgeryPlan:
     reject a merge not directly followed by its split, ``branch_inserts``
     not matching ``measurement_ids`` one to one or mixing null and set
     entries, and a merge whose merged code would identify data logicals.
+    A field that is missing, of the wrong type or out of range raises
+    MalformedInput whose section names it (``steps[2].v1`` for a field of
+    a step).
     """
     try:
         doc = json.loads(text, object_hook=_JsonObject)
@@ -1131,92 +1195,112 @@ def plan_from_json(text: str) -> SurgeryPlan:
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != "chainsurg-plan/1":
         raise DimensionMismatch(f"not a plan document: {schema!r}")
-    n = len(doc["base_hx"][0]) if doc["base_hx"] else len(doc["base_hz"][0])
-    base = from_parity_checks(
-        _matrix_from_lists(doc["base_hx"], n),
-        _matrix_from_lists(doc["base_hz"], n),
-        z_basis=_matrix_from_lists(doc["base_zl"], n),
-        x_basis=_matrix_from_lists(doc["base_xl"], n),
-    )
-    kinds = [entry["kind"] for entry in doc["steps"]]
+    base_keys = ("base_hx", "base_hz", "base_zl", "base_xl")
+    widths = [len(rows[0]) for rows in (doc.field(key, "matrix") for key in base_keys) if rows]
+    if not widths:
+        raise MalformedInput("base code matrices are all empty", section="base_hx")
+    n = widths[0]
+    hx, hz, zl, xl = (doc.matrix(key, n) for key in base_keys)
+    base = from_parity_checks(hx, hz, z_basis=zl, x_basis=xl)
+    entries = doc.field("steps", "list")
+    if not entries:
+        raise MalformedInput("a plan needs at least one step", section="steps")
+    kinds = []
+    for i, entry in enumerate(entries):
+        with _within(f"steps[{i}]"):
+            if not isinstance(entry, dict):
+                raise MalformedInput("a step must be an object")
+            kinds.append(entry.field("kind", "str"))
     for prev, kind in zip([None] + kinds, kinds + [None]):
         if (prev == "merge") != (kind == "split"):
             raise DimensionMismatch("every merge must be directly followed by its split")
+    logicals = range(base.k)
+    ancilla_index = doc.field("ancilla_index", "int", choices=logicals)
     steps: list[PlanStep] = []
-    for entry in doc["steps"]:
-        kind = entry["kind"]
-        if kind == "init_ancilla":
-            anc = None
-            if entry["ancilla_hx"] is not None:
-                an = entry["ancilla_n"]
-                anc = from_parity_checks(
-                    _matrix_from_lists(entry["ancilla_hx"], an),
-                    _matrix_from_lists(entry["ancilla_hz"], an),
-                )
-            steps.append(
-                InitAncilla(ancilla=anc, logical_index=entry["logical_index"], state=entry["state"])
-            )
-        elif kind == "merge":
-            orientation = entry["orientation"]
-            sub = validate_subcode(
-                base.complex,
-                Subspace.from_matrix_rows(_matrix_from_lists(entry["v2"], base.complex.dim2)),
-                Subspace.from_matrix_rows(_matrix_from_lists(entry["v1"], base.complex.dim1)),
-                Subspace.from_matrix_rows(_matrix_from_lists(entry["v0"], base.complex.dim0)),
-                orientation,
-            )
-            merge = quotient_merge(base.complex, sub)
-            _merged_code(merge, base, doc["ancilla_index"])  # raises if data logicals merge
-            inserts = tuple(_pauli_from_dict(d) for d in entry["branch_inserts"])
-            if len(inserts) != len(entry["measurement_ids"]):
-                raise DimensionMismatch("branch_inserts and measurement_ids differ in length")
-            if len({ins is None for ins in inserts}) > 1:
-                raise DimensionMismatch("branch_inserts mixes null and set entries")
-            steps.append(
-                MergeStep(
-                    merge=merge,
-                    orientation=orientation,
-                    measurement_ids=tuple(entry["measurement_ids"]),
-                    pivot_qubits=tuple(entry["pivot_qubits"]),
-                    logical_matrix=_logical_matrix(entry),
-                    branch_inserts=inserts,
-                )
-            )
-        elif kind == "split":
-            steps.append(
-                SplitStep(
-                    merge=steps[-1].merge,
-                    orientation=entry["orientation"],
-                    logical_matrix=_logical_matrix(entry),
-                )
-            )
-        elif kind == "measure_logical":
-            steps.append(
-                MeasureLogical(
-                    pauli=_pauli_from_dict(entry["pauli"]),
-                    basis=entry["basis"],
-                    measurement_id=entry["measurement_id"],
-                )
-            )
-        elif kind == "apply_correction":
-            steps.append(
-                ApplyCorrection(
-                    pauli=_pauli_from_dict(entry["pauli"]), condition=entry["condition"]
-                )
-            )
-        else:
-            raise DimensionMismatch(f"unknown plan step kind {kind!r}")
+    for i, entry in enumerate(entries):
+        with _within(f"steps[{i}]"):
+            steps.append(_step_from_json(entry, base, ancilla_index, steps))
+    data_indices = doc.field("data_indices", "ints")
+    if not set(data_indices) <= set(logicals):
+        raise MalformedInput(
+            f"field 'data_indices' must list logical qubits from 0 to {base.k - 1}",
+            section="data_indices",
+        )
+    control = doc.field("control", "int", choices=data_indices)
+    target = doc.field("target", "int", nullable=True, choices=data_indices)
+    rules = doc.field("correction_rules", "object")
+    with _within("correction_rules"):
+        correction_rules = {k: rules.pauli(k) for k in rules}
     return SurgeryPlan(
-        name=doc["name"],
+        name=doc.field("name", "str"),
         steps=tuple(steps),
         base_code=base,
-        data_indices=tuple(doc["data_indices"]),
-        ancilla_index=doc["ancilla_index"],
-        control=doc["control"],
-        target=doc["target"],
-        locality=doc["locality"],
-        correction_rules={
-            k: _pauli_from_dict(v) for k, v in doc["correction_rules"].items()
-        },
-        class_correction=_pauli_from_dict(doc.get("class_correction")),
+        data_indices=tuple(data_indices),
+        ancilla_index=ancilla_index,
+        control=control,
+        target=target,
+        locality=doc.field("locality", "bool"),
+        correction_rules=correction_rules,
+        class_correction=doc.pauli("class_correction", nullable=True)
+        if "class_correction" in doc
+        else None,
     )
+
+
+def _step_from_json(entry: _JsonObject, base: CssCode, ancilla_index: int, steps: list) -> PlanStep:
+    """One plan step; ``steps`` holds the steps before it (a split takes the last merge)."""
+    kind = entry.field("kind", "str")
+    if kind == "init_ancilla":
+        anc = None
+        an = entry.field("ancilla_n", "int", nullable=True, choices=range(base.n + 1))
+        if an is not None:
+            anc = from_parity_checks(entry.matrix("ancilla_hx", an), entry.matrix("ancilla_hz", an))
+        return InitAncilla(
+            ancilla=anc,
+            logical_index=entry.field("logical_index", "int", choices=range(base.k)),
+            state=entry.field("state", "str", choices=("plus", "zero")),
+        )
+    if kind == "merge":
+        orientation = entry.field("orientation", "str", choices=("Z", "X"))
+        cx = base.complex
+        sub = validate_subcode(
+            cx,
+            Subspace.from_matrix_rows(entry.matrix("v2", cx.dim2)),
+            Subspace.from_matrix_rows(entry.matrix("v1", cx.dim1)),
+            Subspace.from_matrix_rows(entry.matrix("v0", cx.dim0)),
+            orientation,
+        )
+        merge = quotient_merge(cx, sub)
+        _merged_code(merge, base, ancilla_index)  # raises if data logicals merge
+        measurement_ids = entry.field("measurement_ids", "strs")
+        inserts = [
+            _pauli_from_json(d, f"branch_inserts[{j}]")
+            for j, d in enumerate(entry.field("branch_inserts", "list"))
+        ]
+        if len(inserts) != len(measurement_ids):
+            raise DimensionMismatch("branch_inserts and measurement_ids differ in length")
+        if len({ins is None for ins in inserts}) > 1:
+            raise DimensionMismatch("branch_inserts mixes null and set entries")
+        return MergeStep(
+            merge=merge,
+            orientation=orientation,
+            measurement_ids=tuple(measurement_ids),
+            pivot_qubits=tuple(entry.field("pivot_qubits", "ints")),
+            logical_matrix=entry.matrix("logical_matrix"),
+            branch_inserts=tuple(inserts),
+        )
+    if kind == "split":
+        return SplitStep(
+            merge=steps[-1].merge,
+            orientation=entry.field("orientation", "str", choices=("Z", "X")),
+            logical_matrix=entry.matrix("logical_matrix"),
+        )
+    if kind == "measure_logical":
+        return MeasureLogical(
+            pauli=entry.pauli("pauli"),
+            basis=entry.field("basis", "str", choices=("Z", "X")),
+            measurement_id=entry.field("measurement_id", "str"),
+        )
+    if kind == "apply_correction":
+        return ApplyCorrection(pauli=entry.pauli("pauli"), condition=entry.field("condition", "str"))
+    raise DimensionMismatch(f"unknown plan step kind {kind!r}")

@@ -4,6 +4,12 @@ Physical operations are parity maps, Hadamard-conjugated parity maps,
 post-selected stabilizer projections, and Pauli gates; channels are
 extracted by conjugating an operation list with encoders. Everything is
 exact linear algebra on dense state vectors (n <= 20 qubits).
+
+Each op is an index map over basis indices and costs O(2^n): a parity
+map scatters amplitude x to A x, a Hadamard-conjugated parity map
+gathers out[y] = 2^{(in-out)/2} * amps[A^T y] (no Walsh-Hadamard
+transform is taken), and a Pauli gate permutes by its X part and signs
+by its Z parity.
 """
 from __future__ import annotations
 
@@ -19,6 +25,7 @@ from .csscode import (
     SIMULATOR_QUBIT_LIMIT,
     bits_to_index,
     from_parity_checks,
+    linear_indices,
 )
 from .errors import DimensionMismatch, ZeroProbabilityOutcome
 from .f2linalg import F2Matrix, Subspace, image_basis, quotient_basis
@@ -93,6 +100,9 @@ class HadamardConjugatedParityMap:
     """H^out . ParityMap(matrix) . H^in; equivalently the transpose-fiber map.
 
     On basis states: |x> -> 2^{(in-out)/2} * sum_{y : matrix^T y = x} |y>.
+    So on amplitudes it is the gather out[y] = 2^{(in-out)/2} * amps[matrix^T y],
+    one table lookup per output index: O(2^out) work, where the literal
+    transform-scatter-transform reading costs O((in + out) 2^max(in, out)).
     """
 
     matrix: F2Matrix
@@ -138,38 +148,9 @@ class PauliGate:
 PhysicalOp = Union[ParityMap, HadamardConjugatedParityMap, Projection, PauliGate]
 
 
-def _linear_indices(columns) -> np.ndarray:
-    """The value of the linear map x -> XOR of columns[j] over the set bits x_j, for every x.
-
-    Entry x of the result is indexed as in ``bits_to_index`` (qubit 0 is
-    the most significant bit). The table is built by linearity: each
-    qubit, from the last to the first, doubles it with its column XORed in.
-    """
-    out = np.zeros(1, dtype=np.int64)
-    for c in reversed(columns):
-        out = np.concatenate([out, out ^ int(c)])
-    return out
-
-
 def _parity_indices(a: F2Matrix) -> np.ndarray:
     """Output basis index A @ x for every input index x."""
-    return _linear_indices([bits_to_index(a.a[:, j]) for j in range(a.cols)])
-
-
-def _fwht(v: np.ndarray) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard transform."""
-    out = v.copy()
-    size = len(out)
-    h = 1
-    while h < size:
-        out = out.reshape(-1, 2 * h)
-        left = out[:, :h].copy()
-        right = out[:, h:].copy()
-        out[:, :h] = left + right
-        out[:, h:] = left - right
-        out = out.reshape(size)
-        h *= 2
-    return out
+    return linear_indices([bits_to_index(a.a[:, j]) for j in range(a.cols)])
 
 
 def _apply_parity(a: F2Matrix, amps: np.ndarray) -> np.ndarray:
@@ -179,15 +160,13 @@ def _apply_parity(a: F2Matrix, amps: np.ndarray) -> np.ndarray:
 
 
 def _apply_hconj_parity(a: F2Matrix, amps: np.ndarray) -> np.ndarray:
-    n_in, n_out = a.cols, a.rows
-    v = _fwht(amps) / np.sqrt(1 << n_in)
-    v = _apply_parity(a, v)
-    return _fwht(v) / np.sqrt(1 << n_out)
+    """out[y] = 2^{(in-out)/2} * amps[A^T y]: one gather, see HadamardConjugatedParityMap."""
+    return amps[_parity_indices(a.T)] * np.sqrt(2.0 ** (a.cols - a.rows))
 
 
 def _apply_pauli(p: PauliOperator, amps: np.ndarray) -> np.ndarray:
     """Amplitudes of gamma(x|z)|psi> = X^x Z^z |psi| (sign included)."""
-    zpar = _linear_indices(p.z)
+    zpar = linear_indices(p.z)
     shifted = amps * np.where(zpar, -1.0, 1.0) * p.sign
     xmask = bits_to_index(p.x)
     if xmask:
@@ -277,20 +256,25 @@ def extract_logical_channel(
     """E_out^dagger . (composed ops) . E_in, column by column.
 
     ``e_in`` and ``e_out`` are Encoder objects or isometry matrices
-    (2^n x 2^k). Projections are applied linearly so relative column
-    norms are meaningful; the result is normalized so its
-    largest-magnitude entry is exactly 1 (real positive). Raises
-    ZeroProbabilityOutcome if everything post-selects to zero.
+    (2^n x 2^k); E_out^dagger is formed once for all columns.
+    Projections are applied linearly so relative column norms are
+    meaningful; the result is normalized so its largest-magnitude entry
+    is exactly 1 (real positive). Raises ZeroProbabilityOutcome if
+    everything post-selects to zero.
     """
     e_in = e_in.matrix if isinstance(e_in, Encoder) else np.asarray(e_in)
     e_out = e_out.matrix if isinstance(e_out, Encoder) else np.asarray(e_out)
     k_in = int(np.log2(e_in.shape[1]))
     k_out = int(np.log2(e_out.shape[1]))
     mat = np.zeros((1 << k_out, 1 << k_in), dtype=np.complex128)
+    # One conjugated copy for all columns. It feeds BLAS the same bytes as a
+    # per-column e_out.conj(); conjugating the state instead, conj(e_out.T @
+    # conj(amps)), flips the sign of some zero imaginary parts in reports.
+    e_out_h = e_out.conj().T
     for u in range(1 << k_in):
         amps = np.ascontiguousarray(e_in[:, u])
         amps = apply_sequence_linear(ops, amps)
-        mat[:, u] = e_out.conj().T @ amps
+        mat[:, u] = e_out_h @ amps
     return fix_phase_and_scale(mat)
 
 

@@ -237,6 +237,80 @@ class TestMalformedInputs:
         assert payload["file"] == str(plan_file) and payload["section"] == "base_hx"
 
 
+    MALFORMED_FIELDS = [
+        (("base_hx",), 5, "base_hx"),
+        (("base_hz",), [[0, 1, 2, 0, 0, 0, 0, 0]], "base_hz"),
+        (("base_zl",), [[1, 1], [1]], "base_zl"),
+        (("control",), "0", "control"),
+        (("name",), 7, "name"),
+        (("locality",), 0, "locality"),
+        (("steps",), {"kind": "merge"}, "steps"),
+        (("steps", 0, "state"), "bogus", "steps[0].state"),
+        (("steps", 1, "v1"), [["a"]], "steps[1].v1"),
+        (("steps", 1, "measurement_ids"), [3], "steps[1].measurement_ids"),
+        (("steps", 1, "pivot_qubits"), [1.5], "steps[1].pivot_qubits"),
+        (("steps", 1, "branch_inserts", 0), 5, "steps[1].branch_inserts[0]"),
+        (("steps", 2, "logical_matrix"), "11", "steps[2].logical_matrix"),
+        (("correction_rules", "zmerge.zz0", "x"), [0.5], "correction_rules.zmerge.zz0.x"),
+        # well typed, out of range
+        (("steps",), [], "steps"),
+        (("steps", 0, "ancilla_n"), -1, "steps[0].ancilla_n"),
+        (("ancilla_index",), 5, "ancilla_index"),
+        (("data_indices",), [7], "data_indices"),
+        (("control",), 1, "control"),
+    ]
+
+    @pytest.mark.parametrize(
+        "field, value, section", MALFORMED_FIELDS, ids=[case[2] for case in MALFORMED_FIELDS]
+    )
+    def test_plan_with_malformed_field(self, steane_file, tmp_path, capsys, field, value, section):
+        plan_file = tmp_path / "plan.json"
+        assert main(["cnot", steane_file, "--control", "0", "--out", str(plan_file)]) == 0
+        capsys.readouterr()
+        doc = json.loads(plan_file.read_text())
+        holder = doc
+        for key in field[:-1]:
+            holder = holder[key]
+        holder[field[-1]] = value
+        plan_file.write_text(json.dumps(doc))
+        payload = self._error(capsys, ["simulate", "--plan", str(plan_file)])
+        assert payload["file"] == str(plan_file) and payload["section"] == section
+
+
+class TestUnwritableOutput:
+    """A write to a path that cannot be written ends in exit 1 with a JSON error naming it."""
+
+    def _error(self, capsys, argv, path):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1 and not captured.out
+        payload = json.loads(captured.err)
+        assert payload["error"] == "ChainsurgError" and str(path) in payload["message"]
+
+    def test_cnot_out(self, steane_file, tmp_path, capsys):
+        out = tmp_path / "nodir" / "plan.json"
+        self._error(capsys, ["cnot", steane_file, "--control", "0", "--out", str(out)], out)
+
+    def test_switch_out(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "switch.json"
+        self._error(capsys, ["--json", "switch", "--out", str(out)], out)
+
+    def test_merge_out(self, welding_files, tmp_path, capsys):
+        code, sub = welding_files
+        out = tmp_path / "nodir" / "merged.code"
+        self._error(capsys, ["merge", code, "--subcode", sub, "--out", str(out)], out)
+
+    def test_catalog_export_out(self, tmp_path, capsys):
+        out = tmp_path / "nodir" / "steane.code"
+        self._error(capsys, ["catalog", "export", "steane", "--out", str(out)], out)
+
+    def test_catalog_export_dir(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = ["catalog", "export", "example:welding", "--dir", str(blocker / "sub")]
+        self._error(capsys, argv, blocker)
+
+
 class TestCatalogCommands:
     def test_list(self, capsys):
         rc, doc = run_json(capsys, ["catalog", "list"])

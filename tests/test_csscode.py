@@ -8,6 +8,8 @@ from chainsurg import catalog
 from chainsurg.csscode import (
     CssCode,
     PauliOperator,
+    SIMULATOR_QUBIT_LIMIT,
+    bits_to_index,
     distance_bruteforce,
     dual_x_basis,
     encoder_isometry,
@@ -15,7 +17,7 @@ from chainsurg.csscode import (
     symplectic_product,
 )
 from chainsurg.errors import DimensionMismatch, NonCommutingChecks
-from chainsurg.f2linalg import F2Matrix
+from chainsurg.f2linalg import F2Matrix, rref
 from chainsurg.simverify import StateVector, pauli_expectation
 
 
@@ -100,6 +102,10 @@ class TestDualBasis:
                 if r.randint(0, 2):
                     x ^= b
             assert int(x @ z) % 2 == 1
+
+    def test_partial_supplied_basis_rejected(self, steane):
+        with pytest.raises(DimensionMismatch, match="0 logical representatives for 1"):
+            from_parity_checks(steane.hx, steane.hz, z_basis=F2Matrix.zeros(0, 7))
 
     def test_all_catalog_duality(self):
         for name in catalog.catalog_names():
@@ -208,3 +214,49 @@ class TestPauliOperator:
 
     def test_weight(self):
         assert PauliOperator(x=[1, 0, 1], z=[1, 0, 0]).weight() == 2
+
+
+# --- loop oracle: encoder_isometry as first written -------------------------------
+
+
+def encoder_matrix_oracle(code):
+    """Orbit x label loop with one bits_to_index call per entry."""
+    n, k = code.n, code.k
+    row_basis = rref(code.hx)
+    gen_rows = [row_basis.reduced.row(i) for i in range(row_basis.rank)]
+    orbit = []
+    for mask in range(1 << len(gen_rows)):
+        v = np.zeros(n, dtype=np.uint8)
+        for i, g in enumerate(gen_rows):
+            if (mask >> i) & 1:
+                v ^= g
+        orbit.append(v)
+    amp = 1.0 / np.sqrt(len(orbit))
+    mat = np.zeros((1 << n, 1 << k), dtype=np.complex128)
+    for label in range(1 << k):
+        base = np.zeros(n, dtype=np.uint8)
+        for i in range(k):
+            if (label >> (k - 1 - i)) & 1:
+                base ^= code.x_logical(i)
+        for s in orbit:
+            mat[bits_to_index(base ^ s), label] += amp
+    return mat
+
+
+def _small_catalog_codes():
+    codes = {name: catalog.catalog_code(name) for name in catalog.catalog_names()}
+    for name in catalog.example_names():
+        ex = catalog.worked_example(name)
+        codes[f"example:{name}"] = from_parity_checks(ex.parent.d1, ex.parent.d2.T)
+        for i, code in enumerate(ex.codes):
+            codes[f"example:{name}.part{i}"] = code
+    return {name: c for name, c in codes.items() if c.n <= SIMULATOR_QUBIT_LIMIT}
+
+
+SMALL_CODES = _small_catalog_codes()
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_CODES))
+def test_encoder_matches_loop_oracle(name):
+    code = SMALL_CODES[name]
+    assert np.array_equal(encoder_isometry(code).matrix, encoder_matrix_oracle(code))

@@ -8,6 +8,7 @@ from chainsurg.csscode import (
     PauliOperator,
     encoder_isometry,
     from_parity_checks,
+    linear_indices,
 )
 from chainsurg.errors import ZeroProbabilityOutcome
 from chainsurg.f2linalg import F2Matrix, Subspace
@@ -25,7 +26,7 @@ from chainsurg.simverify import (
     pauli_expectation,
     physical_op_sequence,
 )
-from chainsurg.simverify import _linear_indices, _parity_indices
+from chainsurg.simverify import _apply_hconj_parity, _parity_indices
 from chainsurg.surgery import quotient_merge, split_from_merge, validate_subcode
 
 
@@ -391,10 +392,112 @@ class TestIndexTables:
     @pytest.mark.parametrize("n", [0, 1, 3, 9])
     def test_z_parity_matches_bit_table(self, n):
         z = np.random.RandomState(n).randint(0, 2, size=n).astype(np.uint8)
-        assert np.array_equal(_linear_indices(z), bit_table(n) @ z.astype(np.int64) % 2)
+        assert np.array_equal(linear_indices(z), bit_table(n) @ z.astype(np.int64) % 2)
 
     def test_pauli_sign_pattern(self):
         p = PauliOperator.from_z([1, 0, 1])
         amps = np.arange(8, dtype=np.complex128) + 1
         parity = bit_table(3) @ np.array([1, 0, 1]) % 2
         assert np.array_equal(apply_linear(PauliGate(p), amps), amps * np.where(parity, -1, 1))
+
+
+# --- FWHT oracle: the H-conjugated parity map as first written -------------------
+
+
+def fwht_oracle(v):
+    """Unnormalized fast Walsh-Hadamard transform."""
+    out = v.copy()
+    size = len(out)
+    h = 1
+    while h < size:
+        out = out.reshape(-1, 2 * h)
+        left = out[:, :h].copy()
+        right = out[:, h:].copy()
+        out[:, :h] = left + right
+        out[:, h:] = left - right
+        out = out.reshape(size)
+        h *= 2
+    return out
+
+
+def hconj_parity_oracle(a, amps):
+    """H^out . P_A . H^in as transform, scatter, transform."""
+    v = fwht_oracle(amps) / np.sqrt(1 << a.cols)
+    scattered = np.zeros(1 << a.rows, dtype=np.complex128)
+    np.add.at(scattered, bit_table_parity_indices(a), v)
+    return fwht_oracle(scattered) / np.sqrt(1 << a.rows)
+
+
+def dense_hconj_parity(a):
+    """The dense matrix H^{(x)out} . P_A . H^{(x)in}, built with np.kron."""
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
+
+    def hadamards(m):
+        out = np.ones((1, 1))
+        for _ in range(m):
+            out = np.kron(out, h)
+        return out
+
+    parity = np.zeros((1 << a.rows, 1 << a.cols))
+    parity[bit_table_parity_indices(a), np.arange(1 << a.cols)] = 1.0
+    return hadamards(a.rows) @ parity @ hadamards(a.cols)
+
+
+def random_amps(r, n):
+    return r.normal(size=1 << n) + 1j * r.normal(size=1 << n)
+
+
+class TestHconjGather:
+    @pytest.mark.parametrize(
+        "shape", [(0, 0), (0, 4), (4, 0), (1, 1), (3, 6), (6, 3), (5, 5), (8, 11), (11, 7)]
+    )
+    def test_matches_fwht_oracle(self, shape):
+        r = np.random.RandomState(shape[0] * 17 + shape[1])
+        a = F2Matrix(r.randint(0, 2, size=shape))
+        amps = random_amps(r, a.cols)
+        got = _apply_hconj_parity(a, amps)
+        assert got.shape == (1 << a.rows,)
+        assert np.allclose(got, hconj_parity_oracle(a, amps), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 1, 0], [0, 1, 1]],  # surjective, not injective
+            [[1, 0], [0, 1], [1, 1]],  # injective, not surjective
+            [[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0]],  # neither
+            [[0, 0, 0], [0, 0, 0]],  # zero map
+        ],
+    )
+    def test_degenerate_maps_match_fwht_oracle(self, rows):
+        a = F2Matrix(rows)
+        amps = random_amps(np.random.RandomState(a.rows * 7 + a.cols), a.cols)
+        assert np.allclose(
+            _apply_hconj_parity(a, amps), hconj_parity_oracle(a, amps), atol=1e-12
+        )
+
+    @pytest.mark.parametrize("n_out", range(6))
+    @pytest.mark.parametrize("n_in", range(6))
+    def test_matches_dense_kron_matrix(self, n_in, n_out):
+        r = np.random.RandomState(n_in * 6 + n_out)
+        a = F2Matrix(r.randint(0, 2, size=(n_out, n_in)))
+        op = HadamardConjugatedParityMap(a)
+        basis = np.eye(1 << n_in, dtype=np.complex128)
+        got = np.column_stack([apply_linear(op, basis[:, x]) for x in range(1 << n_in)])
+        assert np.allclose(got, dense_hconj_parity(a), atol=1e-12)
+
+
+class TestProjectionBytes:
+    def test_matches_per_column_conj_product(self):
+        # the projection onto e_out rounds exactly as conj(e_out).T @ amps per
+        # column, down to the sign of zeros; real-valued encoders with signed
+        # entries are where conj(e_out.T @ conj(amps)) would differ
+        r = np.random.RandomState(5)
+        e_in = r.choice([0.0, 0.5, -0.5], size=(8, 4)).astype(np.complex128)
+        e_out = r.choice([0.0, 0.5, -0.5], size=(8, 4)).astype(np.complex128)
+        ops = [PauliGate(PauliOperator(x=[1, 0, 1], z=[0, 1, 1]))]
+        expect = np.zeros((4, 4), dtype=np.complex128)
+        for u in range(4):
+            expect[:, u] = e_out.conj().T @ apply_sequence_linear(ops, e_in[:, u].copy())
+        expect = expect / expect.ravel()[np.argmax(np.abs(expect))]
+        got = extract_logical_channel(ops, e_in, e_out)
+        assert got.tobytes() == expect.tobytes()
