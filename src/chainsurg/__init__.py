@@ -22,6 +22,7 @@ from .csscode import (
     PauliOperator,
     distance_bruteforce,
     encoder_isometry,
+    from_complex,
     from_parity_checks,
     symplectic_product,
 )

@@ -29,7 +29,14 @@ from .f2linalg import (
 
 @dataclass(frozen=True)
 class ChainComplex:
-    """Boundary pair (d2, d1) with d1 @ d2 = 0."""
+    """Boundary pair (d2, d1) with d1 @ d2 = 0.
+
+    The degree-1 spaces are computed once per complex and shared:
+    ``cycles`` is ker d1 and ``boundaries`` is im d2. ``transpose()`` is
+    memoised, so the cocycles and coboundaries are the transposed
+    complex's ``cycles`` and ``boundaries``, and transposing twice gives
+    back this object.
+    """
 
     d2: F2Matrix
     d1: F2Matrix
@@ -49,9 +56,25 @@ class ChainComplex:
     def dim(self, degree: int) -> int:
         return (self.dim0, self.dim1, self.dim2)[degree]
 
+    @cached_property
+    def cycles(self) -> Subspace:
+        """ker d1, the degree-1 cycles."""
+        return kernel_basis(self.d1)
+
+    @cached_property
+    def boundaries(self) -> Subspace:
+        """im d2, the degree-1 boundaries."""
+        return image_basis(self.d2)
+
+    @cached_property
+    def _transposed(self) -> "ChainComplex":
+        t = ChainComplex(d2=self.d1.T, d1=self.d2.T)
+        t.__dict__["_transposed"] = self
+        return t
+
     def transpose(self) -> "ChainComplex":
         """The cochain complex viewed as a chain complex (degree n -> 2 - n)."""
-        return ChainComplex(d2=self.d1.T, d1=self.d2.T)
+        return self._transposed
 
     def to_text(self) -> str:
         return "d2:\n" + format_matrix(self.d2) + "d1:\n" + format_matrix(self.d1)
@@ -119,8 +142,8 @@ class HomologyBasis:
 def homology(c: ChainComplex, degree: int = 1) -> HomologyBasis:
     """Pivot-complement basis of ker/im at the given degree."""
     if degree == 1:
-        ker = kernel_basis(c.d1)
-        img = image_basis(c.d2)
+        ker = c.cycles
+        img = c.boundaries
     elif degree == 2:
         ker = kernel_basis(c.d2)
         img = Subspace.zero(c.dim2)

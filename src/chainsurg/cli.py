@@ -15,7 +15,7 @@ import numpy as np
 
 from . import catalog
 from .chaincomplex import ChainComplex, homology
-from .csscode import CssCode, PauliOperator, distance_bruteforce, from_parity_checks
+from .csscode import CssCode, PauliOperator, distance_bruteforce, from_complex, from_parity_checks
 from .errors import ChainsurgError, MalformedInput
 from .f2linalg import F2Matrix
 from .protocols import (
@@ -123,8 +123,7 @@ def _cmd_merge(args) -> int:
     code, sub, merge = _merge_from_args(args)
     report = analyze_merge(merge)
     if args.out:
-        merged = merge.merged_complex()
-        out_code = from_parity_checks(merged.d1, merged.d2.T)
+        out_code = from_complex(merge.merged_complex())
         _write_output(args.out, out_code.to_text())
     if args.json:
         print(merge_report_json(merge, report))

@@ -11,15 +11,13 @@ from typing import Optional
 
 import numpy as np
 
-from .chaincomplex import ChainComplex, HomologyBasis, cohomology, homology, validate
+from .chaincomplex import ChainComplex, HomologyBasis, homology, validate
 from .errors import DimensionMismatch, NonCommutingChecks, SingularMatrix
 from .f2linalg import (
     F2Matrix,
     Subspace,
     as_bit_vector,
     format_matrix,
-    image_basis,
-    kernel_basis,
     left_inverse_block,
     rref,
     section_matrix,
@@ -121,10 +119,10 @@ class CssCode:
         return self.x_logicals.representatives[i]
 
     def z_stabilizer_space(self) -> Subspace:
-        return image_basis(self.complex.d2)
+        return self.complex.boundaries
 
     def x_stabilizer_space(self) -> Subspace:
-        return image_basis(self.complex.d1.T)
+        return self.complex.transpose().boundaries
 
     def params(self) -> str:
         return f"[[{self.n},{self.k},{self.d if self.d is not None else '?'}]]"
@@ -149,22 +147,20 @@ class CssCode:
 
 
 def _basis_from_rows(rows: F2Matrix, kernel: Subspace, image: Subspace, degree: int) -> HomologyBasis:
-    reps = []
-    for i in range(rows.rows):
-        v = rows.row(i)
-        if not kernel.contains(v):
+    """The rows as a homology basis, checked to be independent cycles spanning ker/im."""
+    if rows.rows:
+        if rows.cols != kernel.ambient_dim:
+            raise DimensionMismatch(f"expected length {kernel.ambient_dim}, got {rows.cols}")
+        if not kernel.contains_rows(rows):
             raise DimensionMismatch("supplied logical representative is not a cycle")
-        reps.append(v)
-    basis = HomologyBasis(degree=degree, representatives=tuple(reps), kernel=kernel, image=image)
-    stacked = [np.asarray(r) for r in reps] + [b for b in image.basis_vectors()]
-    if reps:
-        got = rref(F2Matrix.from_rows(stacked, cols=kernel.ambient_dim)).rank
-        if got != len(reps) + image.dim:
+        got = rref(F2Matrix(np.vstack([rows.a, image.basis.a]))).rank
+        if got != rows.rows + image.dim:
             raise DimensionMismatch("supplied logical representatives are dependent mod stabilizers")
-    if len(reps) + image.dim != kernel.dim:
+    if rows.rows + image.dim != kernel.dim:
         k = kernel.dim - image.dim
-        raise DimensionMismatch(f"supplied {len(reps)} logical representatives for {k} logical qubits")
-    return basis
+        raise DimensionMismatch(f"supplied {rows.rows} logical representatives for {k} logical qubits")
+    reps = tuple(rows.row(i) for i in range(rows.rows))
+    return HomologyBasis(degree=degree, representatives=reps, kernel=kernel, image=image)
 
 
 def from_parity_checks(
@@ -183,29 +179,39 @@ def from_parity_checks(
         raise DimensionMismatch(f"hx has {hx.cols} columns, hz has {hz.cols}")
     if hx.rows and hz.rows and not (hx @ hz.T).is_zero():
         raise NonCommutingChecks("hx @ hz.T != 0")
-    cplx = validate(d2=hz.T, d1=hx)
+    return from_complex(validate(d2=hz.T, d1=hx), z_basis, x_basis)
+
+
+def from_complex(
+    cplx: ChainComplex,
+    z_basis: F2Matrix | None = None,
+    x_basis: F2Matrix | None = None,
+) -> CssCode:
+    """The code on an already validated complex; bases as in ``from_parity_checks``.
+
+    The code keeps ``cplx`` itself, so its cached cycles and boundaries
+    (and those of its transpose) are shared with the caller.
+    """
     if z_basis is None:
         zb = homology(cplx, 1)
     else:
-        zb = _basis_from_rows(z_basis, kernel_basis(cplx.d1), image_basis(cplx.d2), degree=1)
+        zb = _basis_from_rows(z_basis, cplx.cycles, cplx.boundaries, degree=1)
     if x_basis is None:
         xb = dual_x_basis(cplx, zb)
     else:
-        co = cohomology(cplx, 1)
-        xb = _basis_from_rows(x_basis, co.kernel, co.image, degree=1)
+        co = cplx.transpose()
+        xb = _basis_from_rows(x_basis, co.cycles, co.boundaries, degree=1)
         _check_duality(xb, zb)
     return CssCode(complex=cplx, z_logicals=zb, x_logicals=xb)
 
 
 def _check_duality(xb: HomologyBasis, zb: HomologyBasis) -> None:
-    k = zb.dim
-    for i in range(k):
-        for j in range(k):
-            got = int(xb.representatives[i] @ zb.representatives[j]) % 2
-            if got != (1 if i == j else 0):
-                raise DimensionMismatch(
-                    f"supplied bases are not dual: x_{i} . z_{j} = {got}"
-                )
+    """Raise on the first (i, j), in row-major order, with x_i . z_j != delta_ij."""
+    pairing = (xb.matrix() @ zb.matrix().T).a
+    bad = np.argwhere(pairing != np.eye(zb.dim, dtype=np.uint8))
+    if bad.size:
+        i, j = (int(t) for t in bad[0])
+        raise DimensionMismatch(f"supplied bases are not dual: x_{i} . z_{j} = {int(pairing[i, j])}")
 
 
 def _injective_column_selection(m: F2Matrix) -> F2Matrix:
@@ -238,23 +244,21 @@ def dual_x_basis(cplx: ChainComplex, z_basis: HomologyBasis) -> HomologyBasis:
     """
     n = cplx.dim1
     k = z_basis.dim
-    ker = kernel_basis(cplx.d2.T)
-    img = image_basis(cplx.d1.T)
+    ker = cplx.transpose().cycles
+    img = cplx.transpose().boundaries
     if k == 0:
         return HomologyBasis(degree=1, representatives=(), kernel=ker, image=img)
     lz = z_basis.matrix().T  # n x k, columns are z representatives
     d2_gen = _injective_column_selection(cplx.d2)
-    kernel_complement = quotient_basis_units(n, kernel_basis(cplx.d1))
+    kernel_complement = quotient_basis_units(n, cplx.cycles)
     try:
         inv = left_inverse_block([lz, d2_gen, kernel_complement])
     except (SingularMatrix, DimensionMismatch) as exc:
         raise SingularMatrix(f"dual basis assembly failed: {exc}") from exc
+    if not ker.contains_rows(F2Matrix(inv.a[:k])):
+        raise SingularMatrix("dual basis construction produced a non-cycle")
     reps = tuple(inv.row(i) for i in range(k))
-    basis = HomologyBasis(degree=1, representatives=reps, kernel=ker, image=img)
-    for r in reps:
-        if not ker.contains(r):
-            raise SingularMatrix("dual basis construction produced a non-cycle")
-    return basis
+    return HomologyBasis(degree=1, representatives=reps, kernel=ker, image=img)
 
 
 def dual_z_basis(cplx: ChainComplex, x_basis: HomologyBasis) -> HomologyBasis:
@@ -275,10 +279,8 @@ def distance_bruteforce(code: CssCode, cap: int = 1 << 24) -> Optional[int]:
     enumeration would exceed ``cap`` elements.
     """
     best: Optional[int] = None
-    for kernel, image in (
-        (kernel_basis(code.complex.d1), image_basis(code.complex.d2)),
-        (kernel_basis(code.complex.d2.T), image_basis(code.complex.d1.T)),
-    ):
+    for side in (code.complex, code.complex.transpose()):
+        kernel, image = side.cycles, side.boundaries
         if kernel.dim == image.dim:
             continue  # no logicals on this side
         if (1 << kernel.dim) > cap:

@@ -5,15 +5,20 @@ Matrices are immutable wrappers around uint8 numpy arrays with entries in
 inputs produce bit-identical outputs, which the rest of the package relies
 on for reproducible bases and reports.
 
-``Elimination`` is the one solve path: it reduces a matrix once with
-``rref`` and then solves ``m @ x = b`` for as many right-hand sides as the
-caller has. ``solve`` is the one-shot form. Callers that need coordinates
-in a subspace's basis read them off the RREF pivots instead of solving.
+``rref`` eliminates on bitset rows: each row of the augmented array
+[m | I] is packed into one Python int, so a row XOR is one integer
+operation whatever the width, and the next pivot is found by comparing
+rows rather than scanning columns. ``Elimination`` is the one solve
+path: it reduces a matrix once with ``rref`` and then solves
+``m @ x = b`` for as many right-hand sides as the caller has. ``solve``
+is the one-shot form. Callers that need coordinates in a subspace's
+basis read them off the RREF pivots instead of solving.
 """
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import compress, count
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -173,31 +178,43 @@ class RrefResult:
 def rref(m: F2Matrix) -> RrefResult:
     """Reduced row-echelon form with the invertible row transform.
 
-    Eliminates on the augmented array [m | I]. The pivot of a column is its
-    first 1 at or below the current row; the pivot row is XORed into every
-    other row with a 1 in that column at once. Rows at or below the current
-    row are zero left of the current column, so only columns from the
-    pivot column on are touched.
+    Eliminates on the augmented array [m | I], each row held as one Python
+    int: the packed bytes read big-endian, so column j is bit
+    ``top - 1 - j`` and the leftmost column is the highest bit. The pivot
+    of a column is its first 1 at or below the current row; the pivot row
+    is XORed into every other row with a 1 in that column at once. Rows at
+    or below the current row are zero left of the current column, so the
+    next pivot column is the top bit of the largest of them and its pivot
+    row is the first of them at least that bit: the search compares ints
+    and never scans a zero column. The identity block sits below the bits
+    of m and keeps every row nonzero, so a largest row under ``floor``
+    means no pivot is left.
     """
     rows, cols = m.shape
+    width = cols + rows
+    nbytes = (width + 7) // 8
+    top = 8 * nbytes
     aug = np.concatenate([m.a, np.eye(rows, dtype=np.uint8)], axis=1)
-    r = 0
+    packed = np.packbits(aug, axis=1).tobytes()
+    bits = [int.from_bytes(packed[i * nbytes : (i + 1) * nbytes], "big") for i in range(rows)]
+    floor = 1 << (top - cols)
     pivots: list[int] = []
-    for c in range(cols):
-        if r == rows:
+    r = 0
+    while r < rows:
+        rest = bits[r:]
+        hi = max(rest)
+        if hi < floor:
             break
-        col = aug[:, c]  # a view: it follows the row swap below
-        pivot = r + int(col[r:].argmax())
-        if not col[pivot]:
-            continue
-        if pivot != r:
-            aug[[r, pivot]] = aug[[pivot, r]]
-        hit = col.nonzero()[0]
-        if hit.size > 1:
-            hit = hit[hit != r]
-            aug[hit, c:] ^= aug[r, c:]
-        pivots.append(c)
+        bit = 1 << (hi.bit_length() - 1)
+        p = r + next(compress(count(), map(bit.__le__, rest)))
+        prow = bits[p]
+        bits[p] = bits[r]
+        bits = [x ^ prow if x & bit else x for x in bits]
+        bits[r] = prow
+        pivots.append(top - hi.bit_length())
         r += 1
+    data = np.frombuffer(b"".join(x.to_bytes(nbytes, "big") for x in bits), dtype=np.uint8)
+    aug = np.unpackbits(data.reshape(rows, nbytes), axis=1, count=width)
     return RrefResult(F2Matrix(aug[:, :cols]), tuple(pivots), F2Matrix(aug[:, cols:]))
 
 
@@ -287,10 +304,14 @@ class Subspace:
     def contains(self, v) -> bool:
         return not self.reduce(v).any()
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        if other.ambient_dim != self._ambient:
+    def contains_rows(self, m: F2Matrix) -> bool:
+        """Whether every row of m lies in this subspace (one product for all rows)."""
+        if m.cols != self._ambient:
             raise DimensionMismatch("ambient dimensions differ")
-        return not _reduce_rows(other.basis.a, self).any()
+        return not _reduce_rows(m.a, self).any()
+
+    def contains_subspace(self, other: "Subspace") -> bool:
+        return self.contains_rows(other.basis)
 
     def sum(self, other: "Subspace") -> "Subspace":
         if other.ambient_dim != self._ambient:

@@ -32,6 +32,7 @@ from .csscode import (
     dual_z_basis,
     encoder_isometry,
     encoder_with_fixed_logical,
+    from_complex,
     from_parity_checks,
     symplectic_product,
 )
@@ -49,8 +50,6 @@ from .f2linalg import (
     Subspace,
     as_bit_vector,
     block_diag,
-    image_basis,
-    kernel_basis,
     solve,
     vstack,
 )
@@ -102,10 +101,8 @@ class AncillaStrategy:
 
 def direct_sum_code(a: CssCode, b: CssCode) -> CssCode:
     """The two codes side by side; logical bases are the embedded blocks."""
-    total = direct_sum(a.complex, b.complex)
-    return from_parity_checks(
-        total.d1,
-        total.d2.T,
+    return from_complex(
+        direct_sum(a.complex, b.complex),
         z_basis=block_diag(a.z_logicals.matrix(), b.z_logicals.matrix()),
         x_basis=block_diag(a.x_logicals.matrix(), b.x_logicals.matrix()),
     )
@@ -411,14 +408,13 @@ def decompose_merge_support(
 
 
 def _allowed_space(code: CssCode, target: np.ndarray) -> Subspace:
-    stab = image_basis(code.complex.d2)
+    stab = code.complex.boundaries
     return Subspace.from_vectors(list(stab.basis_vectors()) + [target], code.n)
 
 
 def _check_span_exclusion(code: CssCode, gens: list[np.ndarray], target: np.ndarray) -> None:
     span = Subspace.from_vectors(gens, code.n)
-    cycles = kernel_basis(code.complex.d1)
-    inside = span.intersect(cycles)
+    inside = span.intersect(code.complex.cycles)
     allowed = _allowed_space(code, target)
     if not allowed.contains_subspace(inside):
         raise DecompositionInfeasible(
@@ -437,12 +433,8 @@ def _check_span_exclusion(code: CssCode, gens: list[np.ndarray], target: np.ndar
 def _pushed_basis(m: MergeResult, src: HomologyBasis, indices: Sequence[int]) -> HomologyBasis:
     """Quotient-side degree-1 basis given by pushing selected src classes."""
     q = m.quotient
-    ker = kernel_basis(q.d1)
-    img = image_basis(q.d2)
-    reps = []
-    for i in indices:
-        reps.append(m.p.f1 @ src.representatives[i])
-    return HomologyBasis(degree=1, representatives=tuple(reps), kernel=ker, image=img)
+    reps = tuple(m.p.f1 @ src.representatives[i] for i in indices)
+    return HomologyBasis(degree=1, representatives=reps, kernel=q.cycles, image=q.boundaries)
 
 
 def _merged_code(m: MergeResult, base: CssCode, ancilla_index: int) -> CssCode:
@@ -455,16 +447,11 @@ def _merged_code(m: MergeResult, base: CssCode, ancilla_index: int) -> CssCode:
     keep = [i for i in range(base.k) if i != ancilla_index]
     if m.orientation == "Z":
         zb = _pushed_basis(m, base.z_logicals, keep)
-        return from_parity_checks(m.quotient.d1, m.quotient.d2.T, z_basis=zb.matrix())
+        return from_complex(m.quotient, z_basis=zb.matrix())
     xb = _pushed_basis(m, base.x_logicals, keep)
     code_cplx = m.merged_complex()
     zb = dual_z_basis(code_cplx, xb)
-    return from_parity_checks(
-        code_cplx.d1,
-        code_cplx.d2.T,
-        z_basis=zb.matrix(),
-        x_basis=xb.matrix(),
-    )
+    return from_complex(code_cplx, z_basis=zb.matrix(), x_basis=xb.matrix())
 
 
 def build_cnot_plan(
@@ -643,7 +630,7 @@ def _surgery_generators(
         return [joint]
     if side == "Z":
         return decompose_merge_support(base, rep_a, rep_b, max_weight)
-    flipped = from_parity_checks(base.hz, base.hx)
+    flipped = from_complex(base.complex.transpose())
     return decompose_merge_support(flipped, rep_a, rep_b, max_weight)
 
 
@@ -1183,10 +1170,10 @@ def plan_from_json(text: str) -> SurgeryPlan:
     corrects identically to the original. Load-time structure checks
     reject a merge not directly followed by its split, ``branch_inserts``
     not matching ``measurement_ids`` one to one or mixing null and set
-    entries, and a merge whose merged code would identify data logicals.
-    A field that is missing, of the wrong type or out of range raises
-    MalformedInput whose section names it (``steps[2].v1`` for a field of
-    a step).
+    entries, a stored ``p1`` other than the recomputed projection, and a
+    merge whose merged code would identify data logicals. A field that is
+    missing, of the wrong type or out of range raises MalformedInput whose
+    section names it (``steps[2].v1`` for a field of a step).
     """
     try:
         doc = json.loads(text, object_hook=_JsonObject)
@@ -1271,6 +1258,9 @@ def _step_from_json(entry: _JsonObject, base: CssCode, ancilla_index: int, steps
             orientation,
         )
         merge = quotient_merge(cx, sub)
+        if entry.matrix("p1", merge.p.f1.cols) != merge.p.f1:
+            raise MalformedInput("field 'p1' differs from the projection recomputed from v2, v1, v0",
+                                 section="p1")
         _merged_code(merge, base, ancilla_index)  # raises if data logicals merge
         measurement_ids = entry.field("measurement_ids", "strs")
         inserts = [

@@ -16,7 +16,7 @@ from chainsurg.chaincomplex import (
     validate_chain_map,
 )
 from chainsurg.errors import NonZeroComposition, SquareDoesNotCommute
-from chainsurg.f2linalg import F2Matrix
+from chainsurg.f2linalg import F2Matrix, image_basis, kernel_basis
 
 
 class TestValidate:
@@ -87,6 +87,27 @@ class TestCohomology:
         for name in catalog.catalog_names():
             code = catalog.catalog_code(name)
             assert homology(code.complex, 1).dim == cohomology(code.complex, 1).dim
+
+
+class TestCachedSpaces:
+    @pytest.mark.parametrize("name", catalog.catalog_names())
+    def test_cached_spaces_equal_uncached(self, name):
+        c = catalog.catalog_code(name).complex
+        t = c.transpose()
+        assert c.cycles == kernel_basis(c.d1)
+        assert c.boundaries == image_basis(c.d2)
+        assert t.cycles == kernel_basis(c.d2.T)
+        assert t.boundaries == image_basis(c.d1.T)
+
+    def test_transpose_is_memoised(self, steane):
+        c = steane.complex
+        assert c.transpose() is c.transpose()
+        assert c.transpose().transpose() is c
+
+    def test_cache_leaves_equality_and_hash(self, steane):
+        fresh = ChainComplex(d2=steane.complex.d2, d1=steane.complex.d1)
+        assert steane.complex.transpose().cycles.dim == 4  # fills the caches
+        assert fresh == steane.complex and hash(fresh) == hash(steane.complex)
 
 
 class TestChainMap:

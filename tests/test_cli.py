@@ -251,6 +251,7 @@ class TestMalformedInputs:
         (("steps", 1, "pivot_qubits"), [1.5], "steps[1].pivot_qubits"),
         (("steps", 1, "branch_inserts", 0), 5, "steps[1].branch_inserts[0]"),
         (("steps", 2, "logical_matrix"), "11", "steps[2].logical_matrix"),
+        (("steps", 1, "p1"), [[1]], "steps[1].p1"),
         (("correction_rules", "zmerge.zz0", "x"), [0.5], "correction_rules.zmerge.zz0.x"),
         # well typed, out of range
         (("steps",), [], "steps"),
@@ -275,6 +276,18 @@ class TestMalformedInputs:
         plan_file.write_text(json.dumps(doc))
         payload = self._error(capsys, ["simulate", "--plan", str(plan_file)])
         assert payload["file"] == str(plan_file) and payload["section"] == section
+
+    def test_plan_with_edited_p1(self, steane_file, tmp_path, capsys):
+        plan_file = tmp_path / "plan.json"
+        assert main(["cnot", steane_file, "--control", "0", "--out", str(plan_file)]) == 0
+        capsys.readouterr()
+        doc = json.loads(plan_file.read_text())
+        assert doc["steps"][1]["kind"] == "merge"
+        doc["steps"][1]["p1"][0][0] ^= 1
+        plan_file.write_text(json.dumps(doc))
+        payload = self._error(capsys, ["simulate", "--plan", str(plan_file)])
+        assert payload["file"] == str(plan_file) and payload["section"] == "steps[1].p1"
+        assert "p1" in payload["message"]
 
 
 class TestUnwritableOutput:

@@ -107,6 +107,30 @@ class TestDualBasis:
         with pytest.raises(DimensionMismatch, match="0 logical representatives for 1"):
             from_parity_checks(steane.hx, steane.hz, z_basis=F2Matrix.zeros(0, 7))
 
+    def test_supplied_basis_errors(self, steane, toric2):
+        """Each supplied-basis defect keeps its error type and message."""
+
+        def message(code, zl, xl=None):
+            with pytest.raises(DimensionMismatch) as exc:
+                from_parity_checks(code.hx, code.hz, z_basis=F2Matrix(zl), x_basis=xl)
+            return str(exc.value)
+
+        z = steane.z_logicals.matrix().a
+        non_cycle = np.zeros((1, 7), dtype=np.uint8)
+        non_cycle[0, 0] = 1
+        assert message(steane, np.vstack([z, non_cycle])) == "supplied logical representative is not a cycle"
+        assert message(steane, z[:, :5]) == "expected length 7, got 5"
+        twice = np.vstack([z, z ^ steane.hz.a[0]])
+        assert message(steane, twice) == "supplied logical representatives are dependent mod stabilizers"
+        assert message(steane, np.vstack([z, z])) == "supplied logical representatives are dependent mod stabilizers"
+        # x_0 + x_1 pairs to 1 with z_1, and x_0 to 1 with z_0: the first miss in
+        # row-major order is (0, 1), in column-major order it would be (1, 0)
+        zl, xl = toric2.z_logicals.matrix(), toric2.x_logicals.matrix().a
+        mixed = F2Matrix(np.vstack([xl[0] ^ xl[1], xl[0]]))
+        assert message(toric2, zl.a, mixed) == "supplied bases are not dual: x_0 . z_1 = 1"
+        swapped = F2Matrix(xl[::-1])
+        assert message(toric2, zl.a, swapped) == "supplied bases are not dual: x_0 . z_0 = 0"
+
     def test_all_catalog_duality(self):
         for name in catalog.catalog_names():
             code = catalog.catalog_code(name)
