@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import catalog
+from . import catalog, jsontext
 from .chaincomplex import ChainComplex, homology
 from .csscode import CssCode, PauliOperator, distance_bruteforce, from_complex, from_parity_checks
 from .errors import ChainsurgError, MalformedInput
@@ -85,7 +85,7 @@ def _write_output(path: str, text: str) -> None:
 def _emit(args, payload: dict, human: str) -> None:
     if args.json:
         payload = {"schema": REPORT_SCHEMA, **payload}
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(jsontext.dumps(payload))
     else:
         print(human)
 
@@ -103,12 +103,12 @@ def _cmd_validate(args) -> int:
 def _cmd_homology(args) -> int:
     code = _load_code(args.code)
     h = homology(code.complex, args.degree)
-    reps = [[int(b) for b in r] for r in h.representatives]
+    reps = h.representatives
     _emit(
         args,
         {"type": "homology", "degree": args.degree, "dim": h.dim, "representatives": reps},
         f"H_{args.degree} dimension {h.dim}\n"
-        + "\n".join("".join(str(b) for b in r) for r in reps),
+        + "\n".join("".join(map(str, r.tolist())) for r in reps),
     )
     return 0
 
@@ -163,7 +163,7 @@ def _cmd_logical_map(args) -> int:
     mat = induced_logical_matrix(merge, src, tgt)
     _emit(
         args,
-        {"type": "logical-map", "matrix": mat.to_lists()},
+        {"type": "logical-map", "matrix": mat.a},
         "\n".join("".join(str(b) for b in row) for row in mat.to_lists()),
     )
     return 0
@@ -173,7 +173,11 @@ def _parse_ancilla(spec: str) -> AncillaStrategy:
     if spec == "trivial":
         return AncillaStrategy.trivial()
     if spec.startswith("embedded:"):
-        return AncillaStrategy.embedded(int(spec.split(":", 1)[1]))
+        try:
+            index = int(spec.split(":", 1)[1])
+        except ValueError:
+            raise ChainsurgError(f"--ancilla {spec!r} is not embedded:IDX with integer IDX") from None
+        return AncillaStrategy.embedded(index)
     return AncillaStrategy.provided(_load_code(spec))
 
 
@@ -226,7 +230,7 @@ def _cmd_switch(args) -> int:
     payload = {
         "type": "code-switch",
         "merged": {"n": merged.n, "k": merged.k, "d": d},
-        "p1_star": p1.to_lists(),
+        "p1_star": p1.a,
         "round_trip_identity": identity_ok,
     }
     human = (
@@ -308,7 +312,7 @@ def _cmd_catalog(args) -> int:
                 orientation=ex.raw_orientation,
             )
             outputs[f"{ex.name}.sub"] = raw.to_text()
-        outputs[f"{ex.name}.expect.json"] = json.dumps(ex.expect, indent=2, sort_keys=True)
+        outputs[f"{ex.name}.expect.json"] = jsontext.dumps(ex.expect)
         outdir = Path(args.dir or ".")
         try:
             outdir.mkdir(parents=True, exist_ok=True)

@@ -142,7 +142,7 @@ class F2Matrix:
         return f"F2Matrix({self.rows}x{self.cols})\n{body}"
 
     def to_lists(self) -> list[list[int]]:
-        return [[int(x) for x in row] for row in self._a]
+        return self._a.tolist()
 
 
 def hstack(blocks: Sequence[F2Matrix]) -> F2Matrix:

@@ -21,6 +21,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import jsontext
 from .chaincomplex import (
     HomologyBasis,
     direct_sum,
@@ -483,6 +484,10 @@ def build_cnot_plan(
             raise DimensionMismatch(f"target index {target} out of range for k={code.k}")
 
     if ancilla.kind == "embedded":
+        if ancilla.index < 0:
+            raise DimensionMismatch(
+                f"embedded ancilla index {ancilla.index} out of range 0..{code.k - 1}"
+            )
         if ancilla.index in (control, target) or ancilla.index >= code.k:
             raise DimensionMismatch("embedded ancilla must be a distinct spare logical")
         base = code
@@ -996,7 +1001,7 @@ def singleton_check(c: CssCode, a: CssCode) -> SingletonReport:
 
 def plan_to_json(plan: SurgeryPlan) -> str:
     def pauli_dict(p: PauliOperator) -> dict:
-        return {"x": [int(b) for b in p.x], "z": [int(b) for b in p.z], "sign": p.sign}
+        return {"x": p.x, "z": p.z, "sign": p.sign}
 
     steps = []
     for step in plan.steps:
@@ -1007,8 +1012,8 @@ def plan_to_json(plan: SurgeryPlan) -> str:
                     "state": step.state,
                     "logical_index": step.logical_index,
                     "ancilla_n": step.ancilla.n if step.ancilla else None,
-                    "ancilla_hx": step.ancilla.hx.to_lists() if step.ancilla else None,
-                    "ancilla_hz": step.ancilla.hz.to_lists() if step.ancilla else None,
+                    "ancilla_hx": step.ancilla.hx.a if step.ancilla else None,
+                    "ancilla_hz": step.ancilla.hz.a if step.ancilla else None,
                 }
             )
         elif isinstance(step, MergeStep):
@@ -1017,13 +1022,13 @@ def plan_to_json(plan: SurgeryPlan) -> str:
                 {
                     "kind": "merge",
                     "orientation": step.orientation,
-                    "v2": sub.v2.basis.to_lists(),
-                    "v1": sub.v1.basis.to_lists(),
-                    "v0": sub.v0.basis.to_lists(),
+                    "v2": sub.v2.basis.a,
+                    "v1": sub.v1.basis.a,
+                    "v0": sub.v0.basis.a,
                     "measurement_ids": list(step.measurement_ids),
                     "pivot_qubits": list(step.pivot_qubits),
-                    "p1": step.merge.p.f1.to_lists(),
-                    "logical_matrix": step.logical_matrix.to_lists(),
+                    "p1": step.merge.p.f1.a,
+                    "logical_matrix": step.logical_matrix.a,
                     "branch_inserts": [
                         None if ins is None else pauli_dict(ins)
                         for ins in step.branch_inserts
@@ -1035,7 +1040,7 @@ def plan_to_json(plan: SurgeryPlan) -> str:
                 {
                     "kind": "split",
                     "orientation": step.orientation,
-                    "logical_matrix": step.logical_matrix.to_lists(),
+                    "logical_matrix": step.logical_matrix.a,
                 }
             )
         elif isinstance(step, MeasureLogical):
@@ -1063,17 +1068,17 @@ def plan_to_json(plan: SurgeryPlan) -> str:
         "ancilla_index": plan.ancilla_index,
         "data_indices": list(plan.data_indices),
         "locality": plan.locality,
-        "base_hx": plan.base_code.hx.to_lists(),
-        "base_hz": plan.base_code.hz.to_lists(),
-        "base_zl": plan.base_code.z_logicals.matrix().to_lists(),
-        "base_xl": plan.base_code.x_logicals.matrix().to_lists(),
+        "base_hx": plan.base_code.hx.a,
+        "base_hz": plan.base_code.hz.a,
+        "base_zl": plan.base_code.z_logicals.matrix().a,
+        "base_xl": plan.base_code.x_logicals.matrix().a,
         "correction_rules": {k: pauli_dict(v) for k, v in plan.correction_rules.items()},
         "class_correction": pauli_dict(plan.class_correction)
         if plan.class_correction is not None
         else None,
         "steps": steps,
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return jsontext.dumps(doc)
 
 
 def _is_int(v) -> bool:

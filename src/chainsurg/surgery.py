@@ -7,12 +7,12 @@ complexes.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from . import jsontext
 from .chaincomplex import (
     ChainComplex,
     ChainMap,
@@ -362,9 +362,9 @@ class ExactSequenceReport:
             "injective_guaranteed": self.injective_guaranteed,
             "matrix_surjective": self.matrix_surjective,
             "matrix_injective": self.matrix_injective,
-            "induced_matrix": self.induced_matrix.to_lists(),
-            "killed": self.killed_coords.to_lists(),
-            "created": self.created_coords.to_lists(),
+            "induced_matrix": self.induced_matrix.a,
+            "killed": self.killed_coords.a,
+            "created": self.created_coords.a,
         }
 
 
@@ -461,7 +461,7 @@ def merge_report_json(m: MergeResult, report: ExactSequenceReport) -> str:
         "source_dims": [m.source.dim2, m.source.dim1, m.source.dim0],
         "quotient_dims": [m.quotient.dim2, m.quotient.dim1, m.quotient.dim0],
         "subcode_dims": list(m.subcode.dims()),
-        "p1": m.p.f1.to_lists(),
+        "p1": m.p.f1.a,
         "analysis": report.to_json_dict(),
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return jsontext.dumps(doc)

@@ -160,6 +160,23 @@ class TestPlanCommands:
         assert doc["max_deviation"] < 1e-9
         assert doc["corrections"]  # a correction was applied
 
+    def test_cnot_non_integer_embedded_ancilla(self, steane_file, capsys):
+        rc = main(["cnot", steane_file, "--control", "0", "--ancilla", "embedded:abc"])
+        captured = capsys.readouterr()
+        assert rc == 1 and not captured.out
+        payload = json.loads(captured.err)
+        assert payload["error"] == "ChainsurgError"
+        assert "embedded:abc" in payload["message"]
+
+    def test_cnot_negative_embedded_ancilla(self, tmp_path, capsys):
+        code = tmp_path / "toric3.code"
+        code.write_text(catalog.toric(3).to_text())
+        rc = main(["cnot", str(code), "--control", "0", "--ancilla", "embedded:-1"])
+        captured = capsys.readouterr()
+        assert rc == 1 and not captured.out
+        payload = json.loads(captured.err)
+        assert payload["error"] == "DimensionMismatch"
+        assert "-1" in payload["message"] and "0..1" in payload["message"]
 
     @pytest.mark.parametrize("outcome", ["bogus=-1", "zmerge.zz0=abc", "zmerge.zz0=2"])
     def test_simulate_bad_outcome_exits_1(self, steane_file, outcome, capsys):
