@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -333,6 +334,9 @@ def _cmd_catalog(args) -> int:
     return 0
 
 
+_PAULI_TERM_RE = re.compile(r"([XYZ])([0-9]+)", re.IGNORECASE)
+
+
 def _cmd_propagate(args) -> int:
     code = _load_code(args.code)
     sub = _load_subcode(args.subcode, code.complex)
@@ -341,16 +345,16 @@ def _cmd_propagate(args) -> int:
     x = np.zeros(n, dtype=np.uint8)
     z = np.zeros(n, dtype=np.uint8)
     for term in args.pauli.split():
-        kind, idx = term[0].upper(), int(term[1:])
-        if kind == "X":
+        match = _PAULI_TERM_RE.fullmatch(term)
+        if match is None or int(match.group(2)) >= n:
+            raise ChainsurgError(
+                f"bad Pauli term {term!r}: expected X, Y or Z and a qubit index in 0..{n - 1}"
+            )
+        kind, idx = match.group(1).upper(), int(match.group(2))
+        if kind in "XY":
             x[idx] ^= 1
-        elif kind == "Z":
+        if kind in "YZ":
             z[idx] ^= 1
-        elif kind == "Y":
-            x[idx] ^= 1
-            z[idx] ^= 1
-        else:
-            raise ChainsurgError(f"bad Pauli term {term!r}")
     step = MergeStep(
         merge=merge,
         orientation=sub.orientation,

@@ -153,7 +153,7 @@ def _basis_from_rows(rows: F2Matrix, kernel: Subspace, image: Subspace, degree: 
             raise DimensionMismatch(f"expected length {kernel.ambient_dim}, got {rows.cols}")
         if not kernel.contains_rows(rows):
             raise DimensionMismatch("supplied logical representative is not a cycle")
-        got = rref(F2Matrix(np.vstack([rows.a, image.basis.a]))).rank
+        got = rref(F2Matrix(np.vstack([rows.a, image.basis.a])), transform=False).rank
         if got != rows.rows + image.dim:
             raise DimensionMismatch("supplied logical representatives are dependent mod stabilizers")
     if rows.rows + image.dim != kernel.dim:
@@ -216,7 +216,7 @@ def _check_duality(xb: HomologyBasis, zb: HomologyBasis) -> None:
 
 def _injective_column_selection(m: F2Matrix) -> F2Matrix:
     """Columns of m restricted to an independent generating subset."""
-    keep = rref(m).pivots  # pivot columns are an independent generating set
+    keep = rref(m, transform=False).pivots  # pivot columns are an independent generating set
     if not keep:
         return F2Matrix.zeros(m.rows, 0)
     return F2Matrix(np.array([m.a[:, j] for j in keep]).T)
@@ -356,7 +356,7 @@ def encoder_isometry(code: CssCode) -> Encoder:
     n, k = code.n, code.k
     if n > SIMULATOR_QUBIT_LIMIT:
         raise DimensionMismatch(f"{n} qubits exceeds the simulator limit {SIMULATOR_QUBIT_LIMIT}")
-    row_basis = rref(code.hx)
+    row_basis = rref(code.hx, transform=False)
     orbit = linear_indices([bits_to_index(row_basis.reduced.row(i)) for i in range(row_basis.rank)])
     bases = linear_indices([bits_to_index(code.x_logical(i)) for i in range(k)])
     mat = np.zeros((1 << n, 1 << k), dtype=np.complex128)

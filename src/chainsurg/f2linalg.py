@@ -5,14 +5,24 @@ Matrices are immutable wrappers around uint8 numpy arrays with entries in
 inputs produce bit-identical outputs, which the rest of the package relies
 on for reproducible bases and reports.
 
-``rref`` eliminates on bitset rows: each row of the augmented array
-[m | I] is packed into one Python int, so a row XOR is one integer
-operation whatever the width, and the next pivot is found by comparing
-rows rather than scanning columns. ``Elimination`` is the one solve
-path: it reduces a matrix once with ``rref`` and then solves
-``m @ x = b`` for as many right-hand sides as the caller has. ``solve``
-is the one-shot form. Callers that need coordinates in a subspace's
-basis read them off the RREF pivots instead of solving.
+``rref`` eliminates on bitset rows: each row of m, or of the augmented
+array [m | I] when the caller reads the row transform, is packed into one
+Python int, so a row XOR is one integer operation whatever the width,
+and the next pivot is found by comparing rows rather than scanning
+columns. Only ``Elimination``, ``left_inverse_block`` and ``invert`` read
+the transform; every other caller passes ``transform=False``.
+``Elimination`` is the one solve path: it reduces a matrix once with
+``rref`` and then solves ``m @ x = b`` for as many right-hand sides as
+the caller has. ``solve`` is the one-shot form.
+
+What an RREF already says is read, not eliminated again:
+
+- coordinates in a subspace's basis are the entries at its pivots;
+- ``kernel_basis`` reduces m with its columns reversed, and the kernel
+  vectors it reads off are then, in reverse order, the canonical RREF of
+  the kernel, so one elimination gives the canonical basis;
+- ``quotient_basis`` needs none: a subspace's pivots are among the pivots
+  of any subspace holding it, and that fixes the quotient basis.
 """
 from __future__ import annotations
 
@@ -168,33 +178,35 @@ def block_diag(a: F2Matrix, b: F2Matrix) -> F2Matrix:
 class RrefResult:
     reduced: F2Matrix
     pivots: tuple[int, ...]
-    transform: F2Matrix  # invertible; transform @ input == reduced
+    transform: F2Matrix | None  # invertible, transform @ input == reduced; None if not asked for
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
 
-def rref(m: F2Matrix) -> RrefResult:
-    """Reduced row-echelon form with the invertible row transform.
+def rref(m: F2Matrix, transform: bool = True) -> RrefResult:
+    """Reduced row-echelon form, with the invertible row transform if asked for.
 
-    Eliminates on the augmented array [m | I], each row held as one Python
-    int: the packed bytes read big-endian, so column j is bit
-    ``top - 1 - j`` and the leftmost column is the highest bit. The pivot
-    of a column is its first 1 at or below the current row; the pivot row
-    is XORed into every other row with a 1 in that column at once. Rows at
-    or below the current row are zero left of the current column, so the
-    next pivot column is the top bit of the largest of them and its pivot
-    row is the first of them at least that bit: the search compares ints
-    and never scans a zero column. The identity block sits below the bits
-    of m and keeps every row nonzero, so a largest row under ``floor``
-    means no pivot is left.
+    Eliminates on the augmented array [m | I] (on m alone when
+    ``transform`` is false, and ``RrefResult.transform`` is then None),
+    each row held as one Python int: the packed bytes read big-endian, so
+    column j is bit ``top - 1 - j`` and the leftmost column is the highest
+    bit. The pivot of a column is its first 1 at or below the current row;
+    the pivot row is XORed into every other row with a 1 in that column at
+    once. Rows at or below the current row are zero left of the current
+    column, so the next pivot column is the top bit of the largest of them
+    and its pivot row is the first of them at least that bit: the search
+    compares ints and never scans a zero column. ``floor`` is the bit of
+    m's last column, so a largest row under ``floor`` has no 1 in m and no
+    pivot is left. With the identity block that row is nonzero; without
+    it, it is a zero row, which is under ``floor`` too.
     """
     rows, cols = m.shape
-    width = cols + rows
+    width = cols + rows if transform else cols
     nbytes = (width + 7) // 8
     top = 8 * nbytes
-    aug = np.concatenate([m.a, np.eye(rows, dtype=np.uint8)], axis=1)
+    aug = np.concatenate([m.a, np.eye(rows, dtype=np.uint8)], axis=1) if transform else m.a
     packed = np.packbits(aug, axis=1).tobytes()
     bits = [int.from_bytes(packed[i * nbytes : (i + 1) * nbytes], "big") for i in range(rows)]
     floor = 1 << (top - cols)
@@ -215,7 +227,9 @@ def rref(m: F2Matrix) -> RrefResult:
         r += 1
     data = np.frombuffer(b"".join(x.to_bytes(nbytes, "big") for x in bits), dtype=np.uint8)
     aug = np.unpackbits(data.reshape(rows, nbytes), axis=1, count=width)
-    return RrefResult(F2Matrix(aug[:, :cols]), tuple(pivots), F2Matrix(aug[:, cols:]))
+    return RrefResult(
+        F2Matrix(aug[:, :cols]), tuple(pivots), F2Matrix(aug[:, cols:]) if transform else None
+    )
 
 
 class Elimination:
@@ -242,7 +256,7 @@ class Elimination:
 
 
 def rank(m: F2Matrix) -> int:
-    return rref(m).rank
+    return rref(m, transform=False).rank
 
 
 class Subspace:
@@ -267,7 +281,7 @@ class Subspace:
 
     @classmethod
     def from_matrix_rows(cls, m: F2Matrix) -> "Subspace":
-        res = rref(m)
+        res = rref(m, transform=False)
         return cls(m.cols, F2Matrix(res.reduced.a[: res.rank]), res.pivots)
 
     @classmethod
@@ -353,15 +367,33 @@ class Subspace:
 
 
 def kernel_basis(m: F2Matrix) -> Subspace:
-    """Basis of {x : m @ x = 0}, canonicalized to RREF."""
-    res = rref(m)
-    pivots = list(res.pivots)
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    vecs = np.zeros((len(free), m.cols), dtype=np.uint8)
+    """Basis of {x : m @ x = 0}, canonicalized to RREF, from one elimination.
+
+    m is reduced with its columns reversed. In reversed coordinates the
+    kernel vector of free column f' is 1 at f' and otherwise supported on
+    pivots left of f'. Reversed back, its leading 1 sits at n-1-f', a
+    column that is zero in every other kernel vector. So the vectors,
+    ordered by n-1-f', are already the canonical RREF of the kernel, with
+    pivots n-1-f'.
+    """
+    n = m.cols
+    res = rref(F2Matrix(m.a[:, ::-1]), transform=False)
+    pivot_set = set(res.pivots)
+    free = [c for c in reversed(range(n)) if c not in pivot_set]
+    vecs = free_column_vectors(res.reduced.a, res.pivots, free)
+    return Subspace(n, F2Matrix(vecs[:, ::-1]), tuple(n - 1 - f for f in free))
+
+
+def free_column_vectors(reduced: np.ndarray, pivots: Sequence[int], free: Sequence[int]) -> np.ndarray:
+    """The null vector of RREF rows ``reduced`` for each column in ``free``, as rows.
+
+    Row j is 1 at column ``free[j]``, holds that column's entries of the
+    reduced rows at ``pivots``, and is 0 elsewhere.
+    """
+    vecs = np.zeros((len(free), reduced.shape[1]), dtype=np.uint8)
     vecs[np.arange(len(free)), free] = 1
-    vecs[:, pivots] = res.reduced.a[: res.rank, free].T
-    return Subspace.from_matrix_rows(F2Matrix(vecs))
+    vecs[:, list(pivots)] = reduced[: len(pivots), free].T
+    return vecs
 
 
 def image_basis(m: F2Matrix) -> Subspace:
@@ -385,22 +417,21 @@ def coset_reduce(v, w: Subspace) -> np.ndarray:
 
 
 def quotient_basis(ambient: int, u: Subspace, w: Subspace) -> list[np.ndarray]:
-    """Coset representatives of a basis of u/w.
+    """Coset representatives of a basis of u/w, in u's basis order.
 
-    Echelonizes w inside u's basis coordinates and keeps the non-pivot
-    members of u's basis, so the output is deterministic and ordered by
-    u's basis order.
+    They are the members of u's basis whose pivots are not w's pivots,
+    and finding them needs no elimination. As w lies in u, each of w's
+    pivots is one of u's, so w's basis in u's basis coordinates (its
+    entries at u's pivots) is already in RREF, with its pivots where w's
+    pivots sit among u's. The members of u's basis at the other positions
+    complete w to a basis of u.
     """
     if u.ambient_dim != ambient or w.ambient_dim != ambient:
         raise DimensionMismatch("ambient dimensions differ")
     if not u.contains_subspace(w):
         raise NotContained("quotient_basis: w is not contained in u")
-    if w.dim == 0:
-        return u.basis_vectors()
-    # u's basis is in RREF, so a member's coordinates are its pivot entries.
-    res = rref(F2Matrix(w.basis.a[:, list(u.pivots)]))
-    pivot_set = set(res.pivots)
-    return [u.basis.row(j) for j in range(u.dim) if j not in pivot_set]
+    w_pivots = set(w.pivots)
+    return [u.basis.row(j) for j, c in enumerate(u.pivots) if c not in w_pivots]
 
 
 def left_inverse_block(blocks: Sequence[F2Matrix]) -> F2Matrix:

@@ -34,6 +34,7 @@ from .f2linalg import (
     Subspace,
     as_bit_vector,
     format_matrix,
+    free_column_vectors,
     image_basis,
     invert,
     kernel_basis,
@@ -158,8 +159,21 @@ def _complement_reps(ambient: int, sub: Subspace, supplied: Sequence | None) -> 
     return reps
 
 
-def _projection_matrix(ambient: int, sub: Subspace, reps: list[np.ndarray]) -> F2Matrix:
-    """Matrix of the coset projection in the basis [reps]."""
+def _projection_matrix(ambient: int, sub: Subspace, reps: list[np.ndarray] | None) -> F2Matrix:
+    """Matrix of the coset projection in the basis [reps].
+
+    ``reps=None`` stands for the default reps, the non-pivot unit vectors
+    of sub's RREF basis S. The projection then has a closed form: with P
+    the pivots of S and F the other columns, p[:, F] = I and
+    p[:, P] = S[:, F].T, since x - sum_i x[P_i] S_i is zero on P and has
+    the coordinates x[F] - S[:, F].T x[P] on the unit vectors of F. Its
+    rows are the null vectors of S's free columns, and it is the unique
+    inverse the supplied-reps path computes for those reps.
+    """
+    if reps is None:
+        pivot_set = set(sub.pivots)
+        free = [j for j in range(ambient) if j not in pivot_set]
+        return F2Matrix(free_column_vectors(sub.basis.a, sub.pivots, free))
     if not reps:
         return F2Matrix.zeros(0, ambient)
     system = F2Matrix.from_rows(reps + list(sub.basis_vectors()), cols=ambient).T
@@ -215,11 +229,14 @@ def quotient_merge(
     spaces = sub.oriented_spaces()
     supplied = quotient_bases or {}
     reps = []
+    projections = []
     for degree, space in zip((2, 1, 0), spaces):
-        reps.append(_complement_reps(oriented.dim(degree), space, supplied.get(degree)))
-    p2 = _projection_matrix(oriented.dim2, spaces[0], reps[0])
-    p1 = _projection_matrix(oriented.dim1, spaces[1], reps[1])
-    p0 = _projection_matrix(oriented.dim0, spaces[2], reps[2])
+        given = supplied.get(degree)
+        reps.append(_complement_reps(oriented.dim(degree), space, given))
+        projections.append(
+            _projection_matrix(oriented.dim(degree), space, None if given is None else reps[-1])
+        )
+    p2, p1, p0 = projections
     sec2 = _section_matrix(oriented.dim2, reps[0])
     sec1 = _section_matrix(oriented.dim1, reps[1])
     q_d2 = p1 @ oriented.d2 @ sec2
@@ -440,7 +457,7 @@ def _independent_rows(rows: list[np.ndarray], width: int) -> _IndependentRows:
     pivot column.
     """
     stacked = F2Matrix.from_rows(rows, cols=width)
-    kept = rref(stacked.T).pivots
+    kept = rref(stacked.T, transform=False).pivots
     return _IndependentRows(F2Matrix(stacked.a[list(kept)]), kept)
 
 

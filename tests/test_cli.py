@@ -377,3 +377,13 @@ class TestPropagate:
         rc, doc = run_json(capsys, ["propagate", code, "--subcode", sub, "--pauli", "X3"])
         assert rc == 0
         assert doc["flips"]
+
+    @pytest.mark.parametrize("term", ["Xa", "X", "X99", "X16", "X-1"])
+    def test_bad_term_exits_1(self, welding_files, term, capsys):
+        code, sub = welding_files
+        rc = main(["propagate", code, "--subcode", sub, "--pauli", f"Z2 {term}"])
+        captured = capsys.readouterr()
+        assert rc == 1 and not captured.out
+        payload = json.loads(captured.err)
+        assert payload["error"] == "ChainsurgError"
+        assert repr(term) in payload["message"] and "0..15" in payload["message"]

@@ -1,6 +1,8 @@
 """Subcode, merge, split, span, and decomposition tests."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainsurg import catalog
 from chainsurg.chaincomplex import (
@@ -10,9 +12,10 @@ from chainsurg.chaincomplex import (
     validate_chain_map,
 )
 from chainsurg.errors import ClosureViolated, NotSurjective
-from chainsurg.f2linalg import F2Matrix, Subspace, image_basis, kernel_basis, rank
+from chainsurg.f2linalg import F2Matrix, Subspace, image_basis, invert, kernel_basis, quotient_basis, rank
 from chainsurg.surgery import (
     Subcode,
+    _projection_matrix,
     analyze_merge,
     induced_logical_matrix,
     merge_decompose,
@@ -365,3 +368,52 @@ class TestRandomizedExactness:
             for c in killed_coords:
                 assert not (induced @ c).any()
         assert checked >= 180
+
+
+def invert_projection(ambient, sub):
+    """Projection onto the non-pivot unit vectors by inverting [reps | sub basis], as columns."""
+    reps = quotient_basis(ambient, Subspace.full(ambient), sub)
+    if not reps:
+        return F2Matrix.zeros(0, ambient)
+    system = F2Matrix.from_rows(reps + sub.basis_vectors(), cols=ambient).T
+    return F2Matrix(invert(system).a[: len(reps)])
+
+
+def assert_projection_matches_inverse(ambient, sub):
+    expected = invert_projection(ambient, sub)
+    for got in (
+        _projection_matrix(ambient, sub, None),
+        _projection_matrix(ambient, sub, quotient_basis(ambient, Subspace.full(ambient), sub)),
+    ):
+        assert got.shape == expected.shape
+        assert got.a.tobytes() == expected.a.tobytes()
+
+
+class TestDefaultProjection:
+    @pytest.mark.parametrize("name", catalog.example_names())
+    def test_examples_at_every_degree(self, name):
+        # rejected examples keep their raw subspaces, which still have projections
+        ex = catalog.worked_example(name)
+        spaces = ex.subcode.oriented_spaces() if ex.subcode is not None else ex.raw_spaces
+        for space in spaces:
+            assert_projection_matches_inverse(space.ambient_dim, space)
+
+    @pytest.mark.parametrize("ambient", [0, 1, 9])
+    def test_zero_and_full(self, ambient):
+        assert_projection_matches_inverse(ambient, Subspace.zero(ambient))
+        assert_projection_matches_inverse(ambient, Subspace.full(ambient))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 40), st.integers(0, 80), st.sampled_from([0.05, 0.5, 0.95]),
+           st.integers(0, 2**30 - 1))
+    def test_random_subspaces_hypothesis(self, rows, cols, density, seed):
+        a = (np.random.RandomState(seed).random_sample((rows, cols)) < density).astype(np.uint8)
+        assert_projection_matches_inverse(cols, Subspace.from_matrix_rows(F2Matrix(a)))
+
+    def test_merge_with_default_reps_supplied(self):
+        ex = catalog.worked_example("welding")
+        default = quotient_merge(ex.parent, ex.subcode)
+        supplied = {deg: list(default.reps_at(deg)) for deg in (2, 1, 0)}
+        explicit = quotient_merge(ex.parent, ex.subcode, quotient_bases=supplied)
+        for deg in (2, 1, 0):
+            assert explicit.p.component(deg) == default.p.component(deg)
