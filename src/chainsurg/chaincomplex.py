@@ -229,18 +229,15 @@ def induced_on_homology(
     f: ChainMap, degree: int, src_basis: HomologyBasis, tgt_basis: HomologyBasis
 ) -> F2Matrix:
     """Matrix of the homology lift [x] -> [f(x)] in the given bases."""
-    comp = f.component(degree)
-    cols = []
-    for r in src_basis.representatives:
-        pushed = comp @ r
-        if not tgt_basis.kernel.contains(pushed):
-            raise DimensionMismatch(
-                "pushed representative is not a cycle; chain map or basis corrupted"
-            )
-        cols.append(tgt_basis.class_coordinates(pushed))
-    if not cols:
-        return F2Matrix.zeros(tgt_basis.dim, 0)
-    return F2Matrix.from_rows(cols, cols=tgt_basis.dim).T
+    pushed = f.component(degree) @ src_basis.matrix().T  # one column per representative
+    if not tgt_basis.kernel.contains_rows(pushed.T):
+        raise DimensionMismatch(
+            "pushed representative is not a cycle; chain map or basis corrupted"
+        )
+    coords = tgt_basis._class_system.solve_columns(pushed)
+    if coords is None:
+        raise DimensionMismatch("cycle not expressible in basis + boundaries")
+    return F2Matrix(coords.a[: tgt_basis.dim])
 
 
 def direct_sum(a: ChainComplex, b: ChainComplex) -> ChainComplex:

@@ -246,13 +246,18 @@ class Elimination:
         bv = as_bit_vector(b)
         if bv.shape[0] != self.matrix.rows:
             raise DimensionMismatch(f"rhs length {bv.shape[0]} != rows {self.matrix.rows}")
+        x = self.solve_columns(F2Matrix(bv[:, None]))
+        return None if x is None else x.col(0)
+
+    def solve_columns(self, b: F2Matrix) -> F2Matrix | None:
+        """One solution of m @ X = b, column by column as in ``solve``, or None if any has none."""
         res = self.result
-        rb = res.transform @ bv
+        rb = (res.transform @ b).a
         if rb[res.rank :].any():
             return None
-        x = np.zeros(self.matrix.cols, dtype=np.uint8)
+        x = np.zeros((self.matrix.cols, b.cols), dtype=np.uint8)
         x[list(res.pivots)] = rb[: res.rank]
-        return as_bit_vector(x)
+        return F2Matrix(x)
 
 
 def rank(m: F2Matrix) -> int:

@@ -123,6 +123,11 @@ class InitAncilla:
     logical_index: int
     state: str  # "plus" | "zero"
 
+    # the ancilla code as plan JSON stores it
+    ancilla_n = property(lambda self: self.ancilla.n if self.ancilla else None)
+    ancilla_hx = property(lambda self: self.ancilla.hx if self.ancilla else None)
+    ancilla_hz = property(lambda self: self.ancilla.hz if self.ancilla else None)
+
 
 @dataclass(frozen=True)
 class MergeStep:
@@ -135,6 +140,12 @@ class MergeStep:
     # measurement (the branch gauge); corrections are derived in the
     # same gauge. All None means the gauge is solved per outcome pattern.
     branch_inserts: tuple[Optional[PauliOperator], ...] = ()
+
+    # the subcode generators and the projection as plan JSON stores them
+    v2 = property(lambda self: self.merge.subcode.v2.basis)
+    v1 = property(lambda self: self.merge.subcode.v1.basis)
+    v0 = property(lambda self: self.merge.subcode.v0.basis)
+    p1 = property(lambda self: self.merge.p.f1)
 
 
 @dataclass(frozen=True)
@@ -176,13 +187,7 @@ class SurgeryPlan:
     class_correction: Optional[PauliOperator] = None  # multi-generator merges
 
     def measurement_ids(self) -> list[str]:
-        ids: list[str] = []
-        for step in self.steps:
-            if isinstance(step, MergeStep):
-                ids.extend(step.measurement_ids)
-            elif isinstance(step, MeasureLogical):
-                ids.append(step.measurement_id)
-        return ids
+        return _measurement_ids(self.steps)
 
     def merged_code(self, merge: MergeResult) -> CssCode:
         """The code between ``merge`` and its split."""
@@ -192,11 +197,17 @@ class SurgeryPlan:
         return len(self.data_indices)
 
 
+def _measurement_ids(steps: Sequence[PlanStep]) -> list[str]:
+    ids: list[str] = []
+    for step in steps:
+        if isinstance(step, MergeStep):
+            ids.extend(step.measurement_ids)
+        elif isinstance(step, MeasureLogical):
+            ids.append(step.measurement_id)
+    return ids
+
+
 # --- Pauli propagation --------------------------------------------------------
-
-
-def _merge_pivots(m: MergeResult) -> tuple[int, ...]:
-    return m.subcode.oriented_spaces()[1].pivots
 
 
 def _merge_flip_pattern(m: MergeResult, x: np.ndarray) -> np.ndarray:
@@ -516,103 +527,38 @@ def build_cnot_plan(
         init = InitAncilla(ancilla=anc_code, logical_index=anc, state="plus")
         data = tuple(range(code.k))
 
-    steps: list[PlanStep] = [init]
-
-    # Z-merge along z_control + z_ancilla
-    z_gens = _surgery_generators(
-        base, base.z_logical(control), base.z_logical(anc), locality, max_weight, side="Z"
-    )
-    v1 = Subspace.from_vectors(z_gens, base.n)
-    v0 = Subspace.from_vectors([base.complex.d1 @ g for g in z_gens], base.complex.dim0)
-    sub_v = validate_subcode(base.complex, Subspace.zero(base.complex.dim2), v1, v0, "Z")
-    zmerge = quotient_merge(base.complex, sub_v)
-    merged_z_code = _merged_code(zmerge, base, anc)
-    z_matrix = induced_on_homology(
-        zmerge.p, 1, base.z_logicals, merged_z_code.z_logicals
-    )
-    zz_ids = tuple(f"zmerge.zz{i}" for i in range(v1.dim))
-    zz_inserts: tuple[Optional[PauliOperator], ...]
-    if locality:
-        zz_inserts = (None,) * v1.dim
-    else:
-        zz_inserts = (PauliOperator.from_x(base.x_logical(control)),)
-    steps.append(
-        MergeStep(
-            merge=zmerge,
-            orientation="Z",
-            measurement_ids=zz_ids,
-            pivot_qubits=_merge_pivots(zmerge),
-            logical_matrix=z_matrix,
-            branch_inserts=zz_inserts,
-        )
-    )
-
-    split_x_matrix = induced_on_homology(
-        split_from_merge(zmerge), 1, merged_z_code.x_logicals, base.x_logicals
-    )
-    steps.append(SplitStep(merge=zmerge, orientation="X", logical_matrix=split_x_matrix))
-
+    zsub = _joint_subcode(base, "Z", control, anc, locality, max_weight)
+    zinserts = None if locality else (PauliOperator.from_x(base.x_logical(control)),)
+    zmerge, zsplit = _merge_and_split(base, zsub, anc, zinserts)
+    steps: list[PlanStep] = [init, zmerge, zsplit]
     rules: dict[str, PauliOperator] = {}
-    xx_ids: tuple[str, ...] = ()
     if target is not None:
-        # X-merge along x_target + x_ancilla
-        x_gens = _surgery_generators(
-            base, base.x_logical(target), base.x_logical(anc), locality, max_weight, side="X"
-        )
-        w1 = Subspace.from_vectors(x_gens, base.n)
-        w2 = Subspace.from_vectors(
-            [base.complex.d2.T @ g for g in x_gens], base.complex.dim2
-        )
-        sub_w = validate_subcode(base.complex, w2, w1, Subspace.zero(base.complex.dim0), "X")
-        xmerge = quotient_merge(base.complex, sub_w)
-        merged_x_code = _merged_code(xmerge, base, anc)
-        x_matrix = induced_on_homology(xmerge.p, 1, base.x_logicals, merged_x_code.x_logicals)
-        xx_ids = tuple(f"xmerge.xx{i}" for i in range(w1.dim))
-        if locality:
-            xx_inserts: tuple[Optional[PauliOperator], ...] = (None,) * w1.dim
-        else:
-            xx_inserts = (PauliOperator.from_z(base.z_logical(anc)),)
-        steps.append(
-            MergeStep(
-                merge=xmerge,
-                orientation="X",
-                measurement_ids=xx_ids,
-                pivot_qubits=_merge_pivots(xmerge),
-                logical_matrix=x_matrix,
-                branch_inserts=xx_inserts,
-            )
-        )
-
-        split_z_matrix = induced_on_homology(
-            split_from_merge(xmerge), 1, merged_x_code.z_logicals, base.z_logicals
-        )
-        steps.append(SplitStep(merge=xmerge, orientation="Z", logical_matrix=split_z_matrix))
-
-        steps.append(
+        xsub = _joint_subcode(base, "X", target, anc, locality, max_weight)
+        xinserts = None if locality else (PauliOperator.from_z(base.z_logical(anc)),)
+        xmerge, xsplit = _merge_and_split(base, xsub, anc, xinserts)
+        steps += [
+            xmerge,
+            xsplit,
             MeasureLogical(
                 pauli=PauliOperator.from_z(base.z_logical(anc)),
                 basis="Z",
                 measurement_id="final.za",
-            )
-        )
-        steps.append(
+            ),
             ApplyCorrection(
                 pauli=PauliOperator.from_x(base.x_logical(target)),
                 condition="final.za",
-            )
-        )
-
+            ),
+        ]
         if not locality:
             # corrections are stated in the branch gauges fixed above
-            rules[zz_ids[0]] = PauliOperator.from_x(
+            rules[zmerge.measurement_ids[0]] = PauliOperator.from_x(
                 base.x_logical(control) ^ base.x_logical(target)
             )
-            rules[xx_ids[0]] = PauliOperator.from_z(base.z_logical(control))
-    else:
-        if not locality:
-            rules[zz_ids[0]] = PauliOperator.from_x(
-                base.x_logical(control) ^ base.x_logical(anc)
-            )
+            rules[xmerge.measurement_ids[0]] = PauliOperator.from_z(base.z_logical(control))
+    elif not locality:
+        rules[zmerge.measurement_ids[0]] = PauliOperator.from_x(
+            base.x_logical(control) ^ base.x_logical(anc)
+        )
 
     return SurgeryPlan(
         name="cnot",
@@ -627,16 +573,75 @@ def build_cnot_plan(
     )
 
 
-def _surgery_generators(
-    base: CssCode, rep_a, rep_b, locality: bool, max_weight: int, side: str
-) -> list[np.ndarray]:
-    joint = as_bit_vector(np.asarray(rep_a) ^ np.asarray(rep_b), base.n)
-    if not locality:
-        return [joint]
-    if side == "Z":
-        return decompose_merge_support(base, rep_a, rep_b, max_weight)
-    flipped = from_complex(base.complex.transpose())
-    return decompose_merge_support(flipped, rep_a, rep_b, max_weight)
+def _joint_subcode(
+    base: CssCode, side: str, a: int, b: int, locality: bool, max_weight: int
+) -> Subcode:
+    """Subcode along the joint ``side`` operator of logicals ``a`` and ``b``.
+
+    Its degree-1 generators are the sum of the two representatives, or
+    with ``locality`` that sum decomposed into pieces of weight at most
+    ``max_weight``; in the ``side`` frame, degree 0 holds their
+    boundaries and degree 2 nothing.
+    """
+    oriented = base.complex if side == "Z" else base.complex.transpose()
+    rep = base.z_logical if side == "Z" else base.x_logical
+    if locality:
+        code = base if side == "Z" else from_complex(oriented)
+        gens = decompose_merge_support(code, rep(a), rep(b), max_weight)
+    else:
+        gens = [as_bit_vector(rep(a) ^ rep(b), base.n)]
+    spaces = (
+        Subspace.zero(oriented.dim2),
+        Subspace.from_vectors(gens, base.n),
+        Subspace.from_vectors([oriented.d1 @ g for g in gens], oriented.dim0),
+    )
+    return validate_subcode(base.complex, *(spaces if side == "Z" else spaces[::-1]), side)
+
+
+def _logicals(code: CssCode, side: str) -> HomologyBasis:
+    return code.z_logicals if side == "Z" else code.x_logicals
+
+
+def _merge_and_split(
+    base: CssCode,
+    sub: Subcode,
+    anc: int,
+    inserts: Optional[Sequence[Optional[PauliOperator]]],
+) -> tuple[MergeStep, SplitStep]:
+    """The merge of ``base`` along ``sub`` and the split that undoes it.
+
+    The merge measures one slot per generator of ``sub.v1``, named
+    ``zmerge.zz<i>`` (``xmerge.xx<i>`` for an X-merge). ``inserts`` are
+    the slots' branch gauges, or None to solve them per outcome pattern.
+    Both steps carry the map they induce on the logicals of their own
+    side, in the bases of ``base`` and of its merged code.
+    """
+    merge = quotient_merge(base.complex, sub)
+    merged = _merged_code(merge, base, anc)
+    side = sub.orientation
+    other = "X" if side == "Z" else "Z"
+    ids = tuple(f"{side.lower()}merge.{side.lower() * 2}{i}" for i in range(sub.v1.dim))
+    inserts = (None,) * len(ids) if inserts is None else tuple(inserts)
+    if len(inserts) != len(ids):
+        raise DimensionMismatch(
+            f"branch_inserts and measurement_ids differ in length: {len(inserts)} for {len(ids)}"
+        )
+    if len({ins is None for ins in inserts}) > 1:
+        raise DimensionMismatch("branch_inserts mixes null and set entries")
+    merge_step = MergeStep(
+        merge=merge,
+        orientation=side,
+        measurement_ids=ids,
+        pivot_qubits=sub.v1.pivots,
+        logical_matrix=induced_on_homology(
+            merge.p, 1, _logicals(base, side), _logicals(merged, side)
+        ),
+        branch_inserts=inserts,
+    )
+    split_matrix = induced_on_homology(
+        split_from_merge(merge), 1, _logicals(merged, other), _logicals(base, other)
+    )
+    return merge_step, SplitStep(merge=merge, orientation=other, logical_matrix=split_matrix)
 
 
 def pairwise_switch_plan(data: CssCode, anc: CssCode, sub: Subcode, name: str = "code_switch") -> SurgeryPlan:
@@ -649,24 +654,11 @@ def pairwise_switch_plan(data: CssCode, anc: CssCode, sub: Subcode, name: str = 
     """
     base = direct_sum_code(data, anc)
     sub = validate_subcode(base.complex, sub.v2, sub.v1, sub.v0, "Z")
-    merge = quotient_merge(base.complex, sub)
-    merged_code = _merged_code(merge, base, 1)
-    z_matrix = induced_on_homology(merge.p, 1, base.z_logicals, merged_code.z_logicals)
-    ids = tuple(f"zmerge.zz{i}" for i in range(sub.v1.dim))
-    split_x_matrix = induced_on_homology(
-        split_from_merge(merge), 1, merged_code.x_logicals, base.x_logicals
-    )
+    merge, split = _merge_and_split(base, sub, 1, None)
     steps: tuple[PlanStep, ...] = (
         InitAncilla(ancilla=anc, logical_index=1, state="plus"),
-        MergeStep(
-            merge=merge,
-            orientation="Z",
-            measurement_ids=ids,
-            pivot_qubits=_merge_pivots(merge),
-            logical_matrix=z_matrix,
-            branch_inserts=(None,) * len(ids),
-        ),
-        SplitStep(merge=merge, orientation="X", logical_matrix=split_x_matrix),
+        merge,
+        split,
         MeasureLogical(
             pauli=PauliOperator.from_x(base.x_logical(1)),
             basis="X",
@@ -999,88 +991,6 @@ def singleton_check(c: CssCode, a: CssCode) -> SingletonReport:
 # --- plan serialization -----------------------------------------------------------
 
 
-def plan_to_json(plan: SurgeryPlan) -> str:
-    def pauli_dict(p: PauliOperator) -> dict:
-        return {"x": p.x, "z": p.z, "sign": p.sign}
-
-    steps = []
-    for step in plan.steps:
-        if isinstance(step, InitAncilla):
-            steps.append(
-                {
-                    "kind": "init_ancilla",
-                    "state": step.state,
-                    "logical_index": step.logical_index,
-                    "ancilla_n": step.ancilla.n if step.ancilla else None,
-                    "ancilla_hx": step.ancilla.hx.a if step.ancilla else None,
-                    "ancilla_hz": step.ancilla.hz.a if step.ancilla else None,
-                }
-            )
-        elif isinstance(step, MergeStep):
-            sub = step.merge.subcode
-            steps.append(
-                {
-                    "kind": "merge",
-                    "orientation": step.orientation,
-                    "v2": sub.v2.basis.a,
-                    "v1": sub.v1.basis.a,
-                    "v0": sub.v0.basis.a,
-                    "measurement_ids": list(step.measurement_ids),
-                    "pivot_qubits": list(step.pivot_qubits),
-                    "p1": step.merge.p.f1.a,
-                    "logical_matrix": step.logical_matrix.a,
-                    "branch_inserts": [
-                        None if ins is None else pauli_dict(ins)
-                        for ins in step.branch_inserts
-                    ],
-                }
-            )
-        elif isinstance(step, SplitStep):
-            steps.append(
-                {
-                    "kind": "split",
-                    "orientation": step.orientation,
-                    "logical_matrix": step.logical_matrix.a,
-                }
-            )
-        elif isinstance(step, MeasureLogical):
-            steps.append(
-                {
-                    "kind": "measure_logical",
-                    "basis": step.basis,
-                    "measurement_id": step.measurement_id,
-                    "pauli": pauli_dict(step.pauli),
-                }
-            )
-        elif isinstance(step, ApplyCorrection):
-            steps.append(
-                {
-                    "kind": "apply_correction",
-                    "condition": step.condition,
-                    "pauli": pauli_dict(step.pauli),
-                }
-            )
-    doc = {
-        "schema": "chainsurg-plan/1",
-        "name": plan.name,
-        "control": plan.control,
-        "target": plan.target,
-        "ancilla_index": plan.ancilla_index,
-        "data_indices": list(plan.data_indices),
-        "locality": plan.locality,
-        "base_hx": plan.base_code.hx.a,
-        "base_hz": plan.base_code.hz.a,
-        "base_zl": plan.base_code.z_logicals.matrix().a,
-        "base_xl": plan.base_code.x_logicals.matrix().a,
-        "correction_rules": {k: pauli_dict(v) for k, v in plan.correction_rules.items()},
-        "class_correction": pauli_dict(plan.class_correction)
-        if plan.class_correction is not None
-        else None,
-        "steps": steps,
-    }
-    return jsontext.dumps(doc)
-
-
 def _is_int(v) -> bool:
     return type(v) is int  # not bool, which JSON true and false load as
 
@@ -1133,28 +1043,49 @@ class _JsonObject(dict):
             )
         return value
 
-    def matrix(self, key: str, cols: Optional[int] = None) -> F2Matrix:
-        """The binary matrix in ``key``; ``cols`` is its required width (None: any)."""
-        rows = self.field(key, "matrix")
-        width = len(rows[0]) if rows else (cols or 0)
-        if cols is not None and width != cols:
-            raise MalformedInput(f"field {key!r} must have {cols} columns, has {width}", section=key)
-        return F2Matrix.from_rows(rows, cols=width)
+    def read(self, key: str, kind: str, nullable: bool = False, spec=None):
+        """The value of ``key`` as a plan field of ``kind``.
 
-    def pauli(self, key: str, nullable: bool = False) -> Optional[PauliOperator]:
-        return _pauli_from_json(self.field(key, "object", nullable), key)
+        ``kind`` is a _FIELD_KINDS entry, "pauli" or "paulis" (a list of
+        Paulis and nulls). ``spec`` is the width of a "matrix" (None: any;
+        only then may a nullable matrix be null), the length of "bits" and
+        of each Pauli, and the choices of any other kind.
+        """
+        if kind == "matrix":
+            rows = self.field(key, kind, nullable and spec is None)
+            if rows is None:
+                return None
+            width = len(rows[0]) if rows else (spec or 0)
+            if spec is not None and width != spec:
+                raise MalformedInput(
+                    f"field {key!r} must have {spec} columns, has {width}", section=key
+                )
+            return F2Matrix.from_rows(rows, cols=width)
+        if kind == "bits":
+            bits = self.field(key, kind)
+            if len(bits) != spec:
+                raise MalformedInput(
+                    f"field {key!r} must have {spec} entries, has {len(bits)}", section=key
+                )
+            return np.array(bits, dtype=np.uint8)
+        if kind == "pauli":
+            return _pauli_from_json(self.field(key, "object", nullable), key, spec)
+        if kind == "paulis":
+            items = self.field(key, "list")
+            return tuple(_pauli_from_json(d, f"{key}[{j}]", spec) for j, d in enumerate(items))
+        return self.field(key, kind, nullable, spec)
 
 
-def _pauli_from_json(d, where: str) -> Optional[PauliOperator]:
-    """A Pauli {x, z, sign} object or None; errors name ``where`` before the field."""
+def _pauli_from_json(d, where: str, n: int) -> Optional[PauliOperator]:
+    """A Pauli {x, z, sign} on ``n`` qubits or None; errors name ``where`` before the field."""
     if d is None:
         return None
     with _within(where):
         if not isinstance(d, dict):
             raise MalformedInput("a Pauli must be an object with 'x', 'z' and 'sign'")
-        sign = d.field("sign", "int") if "sign" in d else 1
-        return PauliOperator(x=np.array(d.field("x", "bits"), dtype=np.uint8),
-                             z=np.array(d.field("z", "bits"), dtype=np.uint8), sign=sign)
+        sign = d.field("sign", "int", choices=(1, -1)) if "sign" in d else 1
+        x, z = (d.read(key, "bits", spec=n) for key in ("x", "z"))
+        return PauliOperator(x=x, z=z, sign=sign)
 
 
 @contextmanager
@@ -1167,18 +1098,117 @@ def _within(where: str):
         raise
 
 
+def _init_from_json(ctx: dict, state: str, n: Optional[int], hx, hz) -> tuple[PlanStep]:
+    ancilla = None if n is None else from_parity_checks(hx, hz)
+    return (InitAncilla(ancilla=ancilla, logical_index=ctx["ancilla_index"], state=state),)
+
+
+def _merge_from_json(ctx: dict, orientation: str, v2, v1, v0, inserts) -> tuple[PlanStep, ...]:
+    base = ctx["base"]
+    spaces = (Subspace.from_matrix_rows(v) for v in (v2, v1, v0))
+    sub = validate_subcode(base.complex, *spaces, orientation)
+    return _merge_and_split(base, sub, ctx["ancilla_index"], inserts)
+
+
+# Spec of a derived field: plan_from_json checks it equals the rebuilt step's.
+_REBUILT = object()
+
+# Every plan step kind, once: step class -> (JSON kind, fields, builder).
+# A field is (name, kind, nullable, spec) as _JsonObject.read takes them,
+# and is the step attribute of that name. A str spec names an entry of
+# the loading context or an earlier field of the step. The builder takes
+# the context and the values of the fields that are not derived, in
+# order, and returns the steps it rebuilds: a merge rebuilds its split.
+_STEP_TABLE = {
+    InitAncilla: ("init_ancilla", (
+        ("state", "str", False, ("plus", "zero")),
+        ("logical_index", "int", False, _REBUILT),
+        ("ancilla_n", "int", True, "qubits"),
+        ("ancilla_hx", "matrix", True, "ancilla_n"),
+        ("ancilla_hz", "matrix", True, "ancilla_n"),
+    ), _init_from_json),
+    MergeStep: ("merge", (
+        ("orientation", "str", False, ("Z", "X")),
+        ("v2", "matrix", False, "dim2"),
+        ("v1", "matrix", False, "dim1"),
+        ("v0", "matrix", False, "dim0"),
+        ("branch_inserts", "paulis", False, "n"),
+        ("measurement_ids", "strs", False, _REBUILT),
+        ("pivot_qubits", "ints", False, _REBUILT),
+        ("p1", "matrix", False, _REBUILT),
+        ("logical_matrix", "matrix", False, _REBUILT),
+    ), _merge_from_json),
+    SplitStep: ("split", (
+        ("orientation", "str", False, _REBUILT),
+        ("logical_matrix", "matrix", False, _REBUILT),
+    ), lambda ctx: ()),
+    # the fields of these two in their dataclass order, so the values build them
+    MeasureLogical: ("measure_logical", (
+        ("pauli", "pauli", False, "n"),
+        ("basis", "str", False, ("Z", "X")),
+        ("measurement_id", "str", False, None),
+    ), lambda ctx, *values: (MeasureLogical(*values),)),
+    ApplyCorrection: ("apply_correction", (
+        ("pauli", "pauli", False, "n"),
+        ("condition", "str", False, "measured"),  # a measurement made before it
+    ), lambda ctx, *values: (ApplyCorrection(*values),)),
+}
+_STEP_KINDS = {kind: (fields, build) for kind, fields, build in _STEP_TABLE.values()}
+
+
+def _json_value(kind: str, value):
+    """A field value as plan_to_json writes it."""
+    if value is None:
+        return None
+    if kind == "matrix":
+        return value.a
+    if kind == "pauli":
+        return {"x": value.x, "z": value.z, "sign": value.sign}
+    if kind == "paulis":
+        return [_json_value("pauli", p) for p in value]
+    return list(value) if kind in ("ints", "strs") else value
+
+
+def plan_to_json(plan: SurgeryPlan) -> str:
+    steps = []
+    for step in plan.steps:
+        kind, fields, _ = _STEP_TABLE[type(step)]
+        entry = {name: _json_value(form, getattr(step, name)) for name, form, _, _ in fields}
+        steps.append({"kind": kind, **entry})
+    doc = {
+        "schema": "chainsurg-plan/1",
+        "name": plan.name,
+        "control": plan.control,
+        "target": plan.target,
+        "ancilla_index": plan.ancilla_index,
+        "data_indices": list(plan.data_indices),
+        "locality": plan.locality,
+        "base_hx": plan.base_code.hx.a,
+        "base_hz": plan.base_code.hz.a,
+        "base_zl": plan.base_code.z_logicals.matrix().a,
+        "base_xl": plan.base_code.x_logicals.matrix().a,
+        "correction_rules": {k: _json_value("pauli", v) for k, v in plan.correction_rules.items()},
+        "class_correction": _json_value("pauli", plan.class_correction),
+        "steps": steps,
+    }
+    return jsontext.dumps(doc)
+
+
 def plan_from_json(text: str) -> SurgeryPlan:
     """Rebuild a plan from its JSON document.
 
-    Merges are reconstructed by re-running the quotient construction on
-    the stored subcode generators, so the loaded plan simulates and
-    corrects identically to the original. Load-time structure checks
-    reject a merge not directly followed by its split, ``branch_inserts``
-    not matching ``measurement_ids`` one to one or mixing null and set
-    entries, a stored ``p1`` other than the recomputed projection, and a
-    merge whose merged code would identify data logicals. A field that is
-    missing, of the wrong type or out of range raises MalformedInput whose
-    section names it (``steps[2].v1`` for a field of a step).
+    Each merge and its split are rebuilt from the stored subcode
+    generators and branch inserts, so the loaded plan simulates and
+    corrects identically to the original. Load-time checks reject a
+    merge not directly followed by its split, ``branch_inserts`` not
+    matching ``measurement_ids`` one to one or mixing null and set
+    entries, a merge whose merged code would identify data logicals, a
+    derived field (see _STEP_TABLE) other than its rebuilt value, a
+    correction conditioned on no earlier measurement, and a measurement
+    id used twice. A field that is missing, of the wrong type or out of
+    range, a Pauli not on the base code's qubits included, raises
+    MalformedInput whose section names it (``steps[2].v1`` for a field
+    of a step).
     """
     try:
         doc = json.loads(text, object_hook=_JsonObject)
@@ -1192,7 +1222,7 @@ def plan_from_json(text: str) -> SurgeryPlan:
     if not widths:
         raise MalformedInput("base code matrices are all empty", section="base_hx")
     n = widths[0]
-    hx, hz, zl, xl = (doc.matrix(key, n) for key in base_keys)
+    hx, hz, zl, xl = (doc.read(key, "matrix", spec=n) for key in base_keys)
     base = from_parity_checks(hx, hz, z_basis=zl, x_basis=xl)
     entries = doc.field("steps", "list")
     if not entries:
@@ -1207,11 +1237,14 @@ def plan_from_json(text: str) -> SurgeryPlan:
         if (prev == "merge") != (kind == "split"):
             raise DimensionMismatch("every merge must be directly followed by its split")
     logicals = range(base.k)
-    ancilla_index = doc.field("ancilla_index", "int", choices=logicals)
-    steps: list[PlanStep] = []
-    for i, entry in enumerate(entries):
-        with _within(f"steps[{i}]"):
-            steps.append(_step_from_json(entry, base, ancilla_index, steps))
+    cx = base.complex
+    ctx = {"base": base, "ancilla_index": doc.field("ancilla_index", "int", choices=logicals),
+           "n": n, "qubits": range(n + 1), "dim2": cx.dim2, "dim1": cx.dim1, "dim0": cx.dim0}
+    steps = _steps_from_json(entries, ctx)
+    ids = _measurement_ids(steps)
+    twice = [m for m in ids if ids.count(m) > 1]
+    if twice:
+        raise MalformedInput(f"measurement id {twice[0]!r} is used by two steps", section="steps")
     data_indices = doc.field("data_indices", "ints")
     if not set(data_indices) <= set(logicals):
         raise MalformedInput(
@@ -1222,80 +1255,44 @@ def plan_from_json(text: str) -> SurgeryPlan:
     target = doc.field("target", "int", nullable=True, choices=data_indices)
     rules = doc.field("correction_rules", "object")
     with _within("correction_rules"):
-        correction_rules = {k: rules.pauli(k) for k in rules}
+        correction_rules = {k: rules.read(k, "pauli", spec=n) for k in rules}
     return SurgeryPlan(
         name=doc.field("name", "str"),
         steps=tuple(steps),
         base_code=base,
         data_indices=tuple(data_indices),
-        ancilla_index=ancilla_index,
+        ancilla_index=ctx["ancilla_index"],
         control=control,
         target=target,
         locality=doc.field("locality", "bool"),
         correction_rules=correction_rules,
-        class_correction=doc.pauli("class_correction", nullable=True)
+        class_correction=doc.read("class_correction", "pauli", True, n)
         if "class_correction" in doc
         else None,
     )
 
 
-def _step_from_json(entry: _JsonObject, base: CssCode, ancilla_index: int, steps: list) -> PlanStep:
-    """One plan step; ``steps`` holds the steps before it (a split takes the last merge)."""
-    kind = entry.field("kind", "str")
-    if kind == "init_ancilla":
-        anc = None
-        an = entry.field("ancilla_n", "int", nullable=True, choices=range(base.n + 1))
-        if an is not None:
-            anc = from_parity_checks(entry.matrix("ancilla_hx", an), entry.matrix("ancilla_hz", an))
-        return InitAncilla(
-            ancilla=anc,
-            logical_index=entry.field("logical_index", "int", choices=range(base.k)),
-            state=entry.field("state", "str", choices=("plus", "zero")),
-        )
-    if kind == "merge":
-        orientation = entry.field("orientation", "str", choices=("Z", "X"))
-        cx = base.complex
-        sub = validate_subcode(
-            cx,
-            Subspace.from_matrix_rows(entry.matrix("v2", cx.dim2)),
-            Subspace.from_matrix_rows(entry.matrix("v1", cx.dim1)),
-            Subspace.from_matrix_rows(entry.matrix("v0", cx.dim0)),
-            orientation,
-        )
-        merge = quotient_merge(cx, sub)
-        if entry.matrix("p1", merge.p.f1.cols) != merge.p.f1:
-            raise MalformedInput("field 'p1' differs from the projection recomputed from v2, v1, v0",
-                                 section="p1")
-        _merged_code(merge, base, ancilla_index)  # raises if data logicals merge
-        measurement_ids = entry.field("measurement_ids", "strs")
-        inserts = [
-            _pauli_from_json(d, f"branch_inserts[{j}]")
-            for j, d in enumerate(entry.field("branch_inserts", "list"))
-        ]
-        if len(inserts) != len(measurement_ids):
-            raise DimensionMismatch("branch_inserts and measurement_ids differ in length")
-        if len({ins is None for ins in inserts}) > 1:
-            raise DimensionMismatch("branch_inserts mixes null and set entries")
-        return MergeStep(
-            merge=merge,
-            orientation=orientation,
-            measurement_ids=tuple(measurement_ids),
-            pivot_qubits=tuple(entry.field("pivot_qubits", "ints")),
-            logical_matrix=entry.matrix("logical_matrix"),
-            branch_inserts=tuple(inserts),
-        )
-    if kind == "split":
-        return SplitStep(
-            merge=steps[-1].merge,
-            orientation=entry.field("orientation", "str", choices=("Z", "X")),
-            logical_matrix=entry.matrix("logical_matrix"),
-        )
-    if kind == "measure_logical":
-        return MeasureLogical(
-            pauli=entry.pauli("pauli"),
-            basis=entry.field("basis", "str", choices=("Z", "X")),
-            measurement_id=entry.field("measurement_id", "str"),
-        )
-    if kind == "apply_correction":
-        return ApplyCorrection(pauli=entry.pauli("pauli"), condition=entry.field("condition", "str"))
-    raise DimensionMismatch(f"unknown plan step kind {kind!r}")
+def _steps_from_json(entries: list, ctx: dict) -> list[PlanStep]:
+    """The steps the entries rebuild, each derived field checked against its rebuilt value."""
+    steps: list[PlanStep] = []
+    for i, entry in enumerate(entries):
+        with _within(f"steps[{i}]"):
+            kind = entry.field("kind", "str")
+            if kind not in _STEP_KINDS:
+                raise DimensionMismatch(f"unknown plan step kind {kind!r}")
+            fields, build = _STEP_KINDS[kind]
+            values = {**ctx, "measured": _measurement_ids(steps)}
+            for name, form, nullable, spec in fields:
+                if isinstance(spec, str):
+                    spec = values[spec]  # a context entry or a field read before
+                values[name] = entry.read(name, form, nullable, None if spec is _REBUILT else spec)
+            stored = [values[name] for name, _, _, spec in fields if spec is not _REBUILT]
+            steps.extend(build(ctx, *stored))
+            for name, form, _, spec in fields:
+                if spec is not _REBUILT:
+                    continue
+                if entry[name] != np.asarray(_json_value(form, getattr(steps[i], name))).tolist():
+                    raise MalformedInput(
+                        f"field {name!r} differs from the value rebuilt from the plan", section=name
+                    )
+    return steps

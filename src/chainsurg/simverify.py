@@ -26,9 +26,10 @@ from .csscode import (
     bits_to_index,
     from_parity_checks,
     linear_indices,
+    quotient_basis_units,
 )
 from .errors import DimensionMismatch, ZeroProbabilityOutcome
-from .f2linalg import F2Matrix, Subspace, image_basis, quotient_basis
+from .f2linalg import F2Matrix, image_basis
 
 PHASE_TOL = 1e-9
 
@@ -212,11 +213,6 @@ def apply_sequence_linear(ops: Sequence[PhysicalOp], amps: np.ndarray) -> np.nda
 # --- interpretation of preserving code maps ----------------------------------
 
 
-def omega_complement(image: Subspace, ambient: int) -> list[np.ndarray]:
-    """Pivot-complement basis of a supplementary space of ``image``."""
-    return quotient_basis(ambient, Subspace.full(ambient), image)
-
-
 def physical_op_sequence(f: ChainMap, orientation: str = "Z") -> list[PhysicalOp]:
     """Interpretation of a preserving code map on the physical Hilbert space.
 
@@ -235,9 +231,9 @@ def physical_op_sequence(f: ChainMap, orientation: str = "Z") -> list[PhysicalOp
         ops.append(HadamardConjugatedParityMap(f.f1))
     else:
         ops.append(ParityMap(f.f1))
-    img = image_basis(f.f2)
-    for w in omega_complement(img, f.tgt.dim2):
-        vec = f.tgt.d2 @ w
+    stabilizers = f.tgt.d2 @ quotient_basis_units(f.tgt.dim2, image_basis(f.f2))
+    for j in range(stabilizers.cols):
+        vec = stabilizers.col(j)
         if orientation == "Z":
             ops.append(Projection(PauliOperator.from_z(vec), outcome=1))
         else:

@@ -272,13 +272,17 @@ def _inclusion_matrix(space: Subspace) -> F2Matrix:
 
 
 def split_from_merge(m: MergeResult) -> ChainMap:
-    """The injective preserving code map dual to the merge (its transpose)."""
-    split = m.p.transpose()
+    """The injective preserving code map dual to the merge (its transpose).
+
+    The section spanned by the merge's coset representatives is a right
+    inverse of p in every degree, so p's transpose is injective; one
+    product per degree checks it.
+    """
     for deg in (2, 1, 0):
-        comp = split.component(deg)
-        if rank(comp) != comp.cols:
+        comp = m.p.component(deg)
+        if comp @ _section_matrix(comp.cols, list(m.reps_at(deg))) != F2Matrix.identity(comp.rows):
             raise DimensionMismatch("split component is not injective; merge corrupted")
-    return split
+    return m.p.transpose()
 
 
 def span_merge(f: ChainMap, g: ChainMap) -> MergeResult:

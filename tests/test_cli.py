@@ -270,6 +270,14 @@ class TestMalformedInputs:
         (("steps", 2, "logical_matrix"), "11", "steps[2].logical_matrix"),
         (("steps", 1, "p1"), [[1]], "steps[1].p1"),
         (("correction_rules", "zmerge.zz0", "x"), [0.5], "correction_rules.zmerge.zz0.x"),
+        # a Pauli not on the base code's 8 qubits
+        (("steps", 1, "branch_inserts", 0, "x"), [1, 0], "steps[1].branch_inserts[0].x"),
+        (("correction_rules", "zmerge.zz0", "z"), [0] * 9, "correction_rules.zmerge.zz0.z"),
+        (("class_correction",), {"x": [1], "z": [0]}, "class_correction.x"),
+        # a derived field other than the value the loader rebuilds
+        (("steps", 0, "logical_index"), 0, "steps[0].logical_index"),
+        (("steps", 1, "logical_matrix"), [[1, 0]], "steps[1].logical_matrix"),
+        (("steps", 2, "orientation"), "Z", "steps[2].orientation"),
         # well typed, out of range
         (("steps",), [], "steps"),
         (("steps", 0, "ancilla_n"), -1, "steps[0].ancilla_n"),
@@ -293,6 +301,55 @@ class TestMalformedInputs:
         plan_file.write_text(json.dumps(doc))
         payload = self._error(capsys, ["simulate", "--plan", str(plan_file)])
         assert payload["file"] == str(plan_file) and payload["section"] == section
+
+    # edits of a toric-2 CNOT plan (init, Z-merge, X-split, X-merge, Z-split,
+    # measure_logical, apply_correction) -> (error, section)
+    TARGET_PLAN_EDITS = {
+        "measure_pauli": ({(5, "pauli", "x"): [0, 0, 1]}, ("MalformedInput", "steps[5].pauli.x")),
+        "correction_pauli": ({(6, "pauli", "z"): [1] * 10}, ("MalformedInput", "steps[6].pauli.z")),
+        "pivot_qubits": ({(3, "pivot_qubits"): [99]}, ("MalformedInput", "steps[3].pivot_qubits")),
+        "measurement_count": (
+            {(3, "measurement_ids"): ["xmerge.xx0", "xmerge.xx1"]},
+            ("MalformedInput", "steps[3].measurement_ids"),
+        ),
+        "no_measurements": (
+            {(3, "measurement_ids"): [], (3, "branch_inserts"): []},
+            ("DimensionMismatch", None),
+        ),
+        "split_matrix": (
+            {(4, "logical_matrix"): [[1, 0], [0, 1], [1, 1]]},
+            ("MalformedInput", "steps[4].logical_matrix"),
+        ),
+        "unmeasured_condition": (
+            {(6, "condition"): "zmerge.zz9"}, ("MalformedInput", "steps[6].condition")
+        ),
+        "duplicate_id": (
+            {(5, "measurement_id"): "xmerge.xx0", (6, "condition"): "xmerge.xx0"},
+            ("MalformedInput", "steps"),
+        ),
+    }
+
+    @pytest.mark.parametrize("case", TARGET_PLAN_EDITS)
+    def test_target_plan_with_edited_fields(self, tmp_path, capsys, case):
+        edits, expected = self.TARGET_PLAN_EDITS[case]
+        code = tmp_path / "toric2.code"
+        code.write_text(catalog.toric(2).to_text())
+        plan_file = tmp_path / "plan.json"
+        argv = ["cnot", str(code), "--control", "0", "--target", "1", "--out", str(plan_file)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        doc = json.loads(plan_file.read_text())
+        for (step, *keys), value in edits.items():
+            holder = doc["steps"][step]
+            for key in keys[:-1]:
+                holder = holder[key]
+            holder[keys[-1]] = value
+        plan_file.write_text(json.dumps(doc))
+        rc = main(["simulate", "--plan", str(plan_file)])
+        captured = capsys.readouterr()
+        assert rc == 1 and not captured.out
+        payload = json.loads(captured.err)
+        assert (payload["error"], payload.get("section")) == expected
 
     def test_plan_with_edited_p1(self, steane_file, tmp_path, capsys):
         plan_file = tmp_path / "plan.json"

@@ -1,4 +1,6 @@
 """Subcode, merge, split, span, and decomposition tests."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from chainsurg.chaincomplex import (
     validate,
     validate_chain_map,
 )
-from chainsurg.errors import ClosureViolated, NotSurjective
+from chainsurg.errors import ClosureViolated, DimensionMismatch, NotSurjective
 from chainsurg.f2linalg import F2Matrix, Subspace, image_basis, invert, kernel_basis, quotient_basis, rank
 from chainsurg.surgery import (
     Subcode,
@@ -131,6 +133,15 @@ class TestSplit:
         for deg in (2, 1, 0):
             comp = s.component(deg)
             assert rank(comp) == comp.cols
+
+    def test_corrupted_projection_is_refused(self):
+        ex = catalog.worked_example("welding")
+        m = quotient_merge(ex.parent, ex.subcode)
+        f1 = m.p.f1.a.copy()
+        f1[0] = 0  # the first quotient coordinate loses its preimage
+        corrupted = dataclasses.replace(m, p=dataclasses.replace(m.p, f1=F2Matrix(f1)))
+        with pytest.raises(DimensionMismatch, match="not injective"):
+            split_from_merge(corrupted)
 
     def test_split_then_merge_is_identity_when_v0_zero(self, steane):
         # the CNOT-style subcode has V0 = 0: the physical split followed by
