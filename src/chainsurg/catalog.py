@@ -47,9 +47,13 @@ def no_check(n: int) -> CssCode:
     return _code([], [], n, d=1)
 
 
+# faces a, b and c of the 7-qubit code's triangle layout, 1-based
+_STEANE_FACES = ([1, 2, 3, 5], [3, 4, 5, 6], [2, 5, 6, 7])
+
+
 def steane() -> CssCode:
     """The 7-qubit self-dual code, [[7,1,3]], in the triangle layout."""
-    faces = [_support_to_row(s, 7) for s in ([1, 2, 3, 5], [3, 4, 5, 6], [2, 5, 6, 7])]
+    faces = [_support_to_row(s, 7) for s in _STEANE_FACES]
     return _code(faces, faces, 7, d=3)
 
 
@@ -106,9 +110,6 @@ class _PatchLayout:
 
     def vertex(self, r: int, c: int) -> int:
         return r * (self.w - 1) + c
-
-    def face(self, r: int, c: int) -> int:
-        return r * self.w + c
 
     def vertex_support(self, r: int, c: int) -> list[int]:
         out = [self.horizontal(r, c), self.horizontal(r, c + 1)]
@@ -234,36 +235,13 @@ def _welding_pair() -> tuple[CssCode, CssCode, _PatchLayout, _PatchLayout]:
 
 def worked_example(name: str) -> WorkedExample:
     """Catalogued surgery scenarios; see the module docstring for layouts."""
-    builders = {
-        "welding": _example_welding,
-        "partial_boundary": _example_partial_boundary,
-        "internal_cylinder": _example_internal_cylinder,
-        "wrong_merge": _example_wrong_merge,
-        "virtual_merge": _example_virtual_merge,
-        "steane_z_subcode": _example_steane_z_subcode,
-        "steane_x_subcode": _example_steane_x_subcode,
-        "steane_invalid_subcode": _example_steane_invalid_subcode,
-        "worked_quotient_matrix": _example_worked_quotient_matrix,
-        "code_switch": _example_code_switch,
-    }
-    if name not in builders:
-        raise UnknownExample(f"unknown example {name!r}; known: {sorted(builders)}")
-    return builders[name]()
+    if name not in _EXAMPLES:
+        raise UnknownExample(f"unknown example {name!r}; known: {sorted(_EXAMPLES)}")
+    return _EXAMPLES[name]()
 
 
 def example_names() -> list[str]:
-    return [
-        "welding",
-        "partial_boundary",
-        "internal_cylinder",
-        "wrong_merge",
-        "virtual_merge",
-        "steane_z_subcode",
-        "steane_x_subcode",
-        "steane_invalid_subcode",
-        "worked_quotient_matrix",
-        "code_switch",
-    ]
+    return list(_EXAMPLES)
 
 
 def _boundary_pairs(
@@ -426,10 +404,6 @@ def _example_virtual_merge() -> WorkedExample:
     )
 
 
-def _steane_check_supports() -> list[list[int]]:
-    return [[1, 2, 3, 5], [3, 4, 5, 6], [2, 5, 6, 7]]
-
-
 def _example_steane_z_subcode() -> WorkedExample:
     c = steane()
     cplx = c.complex
@@ -552,8 +526,7 @@ def _steane_bits(q: int) -> int:
     Qubit q belongs to face i iff bit_i is set; the triangle layout was
     chosen so this is exactly the check membership pattern.
     """
-    supports = _steane_check_supports()
-    return sum((1 << i) for i, s in enumerate(supports) if q in s)
+    return sum((1 << i) for i, s in enumerate(_STEANE_FACES) if q in s)
 
 
 def _example_code_switch() -> WorkedExample:
@@ -572,3 +545,18 @@ def _example_code_switch() -> WorkedExample:
             "h0_subcode": 0,
         },
     )
+
+
+# every worked example by name, in listing order
+_EXAMPLES = {
+    "welding": _example_welding,
+    "partial_boundary": _example_partial_boundary,
+    "internal_cylinder": _example_internal_cylinder,
+    "wrong_merge": _example_wrong_merge,
+    "virtual_merge": _example_virtual_merge,
+    "steane_z_subcode": _example_steane_z_subcode,
+    "steane_x_subcode": _example_steane_x_subcode,
+    "steane_invalid_subcode": _example_steane_invalid_subcode,
+    "worked_quotient_matrix": _example_worked_quotient_matrix,
+    "code_switch": _example_code_switch,
+}

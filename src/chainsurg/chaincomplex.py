@@ -98,13 +98,8 @@ def validate(d2: F2Matrix, d1: F2Matrix) -> ChainComplex:
 
 @dataclass(frozen=True)
 class HomologyBasis:
-    """Chosen representatives of ker/im at one degree of a complex.
+    """Chosen representatives of ker/im at one degree of a complex."""
 
-    ``degree`` records the degree in the complex the basis was computed
-    on; for cohomology that complex is the transpose.
-    """
-
-    degree: int
     representatives: tuple[np.ndarray, ...]
     kernel: Subspace
     image: Subspace
@@ -153,7 +148,7 @@ def homology(c: ChainComplex, degree: int = 1) -> HomologyBasis:
     else:
         raise DimensionMismatch(f"degree must be 0, 1 or 2, got {degree}")
     reps = quotient_basis(ker.ambient_dim, ker, img)
-    return HomologyBasis(degree=degree, representatives=tuple(reps), kernel=ker, image=img)
+    return HomologyBasis(representatives=tuple(reps), kernel=ker, image=img)
 
 
 def cohomology(c: ChainComplex, degree: int = 1) -> HomologyBasis:

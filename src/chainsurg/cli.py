@@ -122,7 +122,7 @@ def _merge_from_args(args):
 
 def _cmd_merge(args) -> int:
     code, sub, merge = _merge_from_args(args)
-    report = analyze_merge(merge)
+    report = analyze_merge(merge) if args.analyze or args.json else None
     if args.out:
         out_code = from_complex(merge.merged_complex())
         _write_output(args.out, out_code.to_text())

@@ -146,7 +146,7 @@ class CssCode:
         return from_parity_checks(hx, hz, z_basis=zl, x_basis=xl)
 
 
-def _basis_from_rows(rows: F2Matrix, kernel: Subspace, image: Subspace, degree: int) -> HomologyBasis:
+def _basis_from_rows(rows: F2Matrix, kernel: Subspace, image: Subspace) -> HomologyBasis:
     """The rows as a homology basis, checked to be independent cycles spanning ker/im."""
     if rows.rows:
         if rows.cols != kernel.ambient_dim:
@@ -160,7 +160,7 @@ def _basis_from_rows(rows: F2Matrix, kernel: Subspace, image: Subspace, degree: 
         k = kernel.dim - image.dim
         raise DimensionMismatch(f"supplied {rows.rows} logical representatives for {k} logical qubits")
     reps = tuple(rows.row(i) for i in range(rows.rows))
-    return HomologyBasis(degree=degree, representatives=reps, kernel=kernel, image=image)
+    return HomologyBasis(representatives=reps, kernel=kernel, image=image)
 
 
 def from_parity_checks(
@@ -195,12 +195,12 @@ def from_complex(
     if z_basis is None:
         zb = homology(cplx, 1)
     else:
-        zb = _basis_from_rows(z_basis, cplx.cycles, cplx.boundaries, degree=1)
+        zb = _basis_from_rows(z_basis, cplx.cycles, cplx.boundaries)
     if x_basis is None:
         xb = dual_x_basis(cplx, zb)
     else:
         co = cplx.transpose()
-        xb = _basis_from_rows(x_basis, co.cycles, co.boundaries, degree=1)
+        xb = _basis_from_rows(x_basis, co.cycles, co.boundaries)
         _check_duality(xb, zb)
     return CssCode(complex=cplx, z_logicals=zb, x_logicals=xb)
 
@@ -247,7 +247,7 @@ def dual_x_basis(cplx: ChainComplex, z_basis: HomologyBasis) -> HomologyBasis:
     ker = cplx.transpose().cycles
     img = cplx.transpose().boundaries
     if k == 0:
-        return HomologyBasis(degree=1, representatives=(), kernel=ker, image=img)
+        return HomologyBasis(representatives=(), kernel=ker, image=img)
     lz = z_basis.matrix().T  # n x k, columns are z representatives
     d2_gen = _injective_column_selection(cplx.d2)
     kernel_complement = quotient_basis_units(n, cplx.cycles)
@@ -258,18 +258,12 @@ def dual_x_basis(cplx: ChainComplex, z_basis: HomologyBasis) -> HomologyBasis:
     if not ker.contains_rows(F2Matrix(inv.a[:k])):
         raise SingularMatrix("dual basis construction produced a non-cycle")
     reps = tuple(inv.row(i) for i in range(k))
-    return HomologyBasis(degree=1, representatives=reps, kernel=ker, image=img)
+    return HomologyBasis(representatives=reps, kernel=ker, image=img)
 
 
 def dual_z_basis(cplx: ChainComplex, x_basis: HomologyBasis) -> HomologyBasis:
     """Dual construction in the other direction (Z basis from X basis)."""
-    flipped = dual_x_basis(cplx.transpose(), x_basis)
-    return HomologyBasis(
-        degree=1,
-        representatives=flipped.representatives,
-        kernel=flipped.kernel,
-        image=flipped.image,
-    )
+    return dual_x_basis(cplx.transpose(), x_basis)
 
 
 def distance_bruteforce(code: CssCode, cap: int = 1 << 24) -> Optional[int]:
@@ -307,10 +301,6 @@ class Encoder:
 
     code: CssCode
     matrix: np.ndarray  # complex, 2**n x 2**k
-
-    @property
-    def n(self) -> int:
-        return self.code.n
 
     @property
     def k(self) -> int:

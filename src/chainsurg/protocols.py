@@ -10,6 +10,12 @@ joint Z-operators Z^{v_i}. A -1 outcome on slot i equals the ideal
 branch preceded by a codespace-preserving Pauli that anticommutes with
 Z^{v_i} (the branch gauge); correction rules are stated and verified in
 that gauge.
+
+Each step holds what its plan JSON fields name and builds the rest once.
+A split step keeps the split map its merge gave when the step was built,
+at synthesis or at load, and simulation and Pauli transport read it from
+there. An ancilla init step holds only the ancilla's checks: the base
+code already contains the ancilla qubits.
 """
 from __future__ import annotations
 
@@ -23,6 +29,7 @@ import numpy as np
 
 from . import jsontext
 from .chaincomplex import (
+    ChainMap,
     HomologyBasis,
     direct_sum,
     induced_on_homology,
@@ -116,17 +123,18 @@ def direct_sum_code(a: CssCode, b: CssCode) -> CssCode:
 class InitAncilla:
     """Introduce the auxiliary logical qubit in |+> (or |0>).
 
-    ``ancilla`` is None for embedded strategies (no new qubits).
+    ``ancilla_hx`` and ``ancilla_hz`` are the checks of the ancilla code,
+    the trailing diagonal block of the plan's base code; both are None
+    for embedded strategies (no new qubits). The base code already holds
+    the ancilla qubits, so the step acts on the plan frame as the identity.
     """
 
-    ancilla: Optional[CssCode]
     logical_index: int
     state: str  # "plus" | "zero"
+    ancilla_hx: Optional[F2Matrix] = None
+    ancilla_hz: Optional[F2Matrix] = None
 
-    # the ancilla code as plan JSON stores it
-    ancilla_n = property(lambda self: self.ancilla.n if self.ancilla else None)
-    ancilla_hx = property(lambda self: self.ancilla.hx if self.ancilla else None)
-    ancilla_hz = property(lambda self: self.ancilla.hz if self.ancilla else None)
+    ancilla_n = property(lambda self: None if self.ancilla_hx is None else self.ancilla_hx.cols)
 
 
 @dataclass(frozen=True)
@@ -151,6 +159,7 @@ class MergeStep:
 @dataclass(frozen=True)
 class SplitStep:
     merge: MergeResult  # the merge this split reverses
+    split: ChainMap  # split_from_merge(merge), checked once when the step is built
     orientation: str  # the split's preserving type ("X" after a Z-merge)
     logical_matrix: F2Matrix
 
@@ -192,9 +201,6 @@ class SurgeryPlan:
     def merged_code(self, merge: MergeResult) -> CssCode:
         """The code between ``merge`` and its split."""
         return _merged_code(merge, self.base_code, self.ancilla_index)
-
-    def data_k(self) -> int:
-        return len(self.data_indices)
 
 
 def _measurement_ids(steps: Sequence[PlanStep]) -> list[str]:
@@ -291,18 +297,8 @@ def propagate_pauli(step: PlanStep, p: PauliOperator) -> tuple[PauliOperator, di
     Returns the transported Pauli on the step's output register and a
     dict of measurement ids whose post-selected outcome the input flips.
     """
-    if isinstance(step, InitAncilla):
-        if step.ancilla is None:
-            return p, {}
-        pad = step.ancilla.n
-        return (
-            PauliOperator(
-                x=np.concatenate([p.x, np.zeros(pad, dtype=np.uint8)]),
-                z=np.concatenate([p.z, np.zeros(pad, dtype=np.uint8)]),
-                sign=p.sign,
-            ),
-            {},
-        )
+    if isinstance(step, (InitAncilla, ApplyCorrection)):
+        return p, {}  # the base code holds the ancilla; corrections are outcome rules
     if isinstance(step, MergeStep):
         if step.orientation == "Z":
             x_out, z_out, flips = _transport_merge(step, p.x, p.z)
@@ -327,16 +323,13 @@ def propagate_pauli(step: PlanStep, p: PauliOperator) -> tuple[PauliOperator, di
     if isinstance(step, MeasureLogical):
         flip = symplectic_product(p, step.pauli)
         return p, ({step.measurement_id: 1} if flip else {})
-    if isinstance(step, ApplyCorrection):
-        return p, {}
     raise DimensionMismatch(f"unknown plan step {step!r}")
 
 
 def _split_projection_ops(step: SplitStep) -> list[Projection]:
-    split = split_from_merge(step.merge)
     return [
         op
-        for op in physical_op_sequence(split, step.orientation)
+        for op in physical_op_sequence(step.split, step.orientation)
         if isinstance(op, Projection)
     ]
 
@@ -446,7 +439,7 @@ def _pushed_basis(m: MergeResult, src: HomologyBasis, indices: Sequence[int]) ->
     """Quotient-side degree-1 basis given by pushing selected src classes."""
     q = m.quotient
     reps = tuple(m.p.f1 @ src.representatives[i] for i in indices)
-    return HomologyBasis(degree=1, representatives=reps, kernel=q.cycles, image=q.boundaries)
+    return HomologyBasis(representatives=reps, kernel=q.cycles, image=q.boundaries)
 
 
 def _merged_code(m: MergeResult, base: CssCode, ancilla_index: int) -> CssCode:
@@ -503,7 +496,7 @@ def build_cnot_plan(
             raise DimensionMismatch("embedded ancilla must be a distinct spare logical")
         base = code
         anc = ancilla.index
-        init = InitAncilla(ancilla=None, logical_index=anc, state="plus")
+        init = InitAncilla(logical_index=anc, state="plus")
         data = tuple(i for i in range(code.k) if i != anc)
     else:
         anc_code = ancilla.code
@@ -524,7 +517,7 @@ def build_cnot_plan(
             )
         base = direct_sum_code(code, anc_code)
         anc = code.k + ancilla.index
-        init = InitAncilla(ancilla=anc_code, logical_index=anc, state="plus")
+        init = InitAncilla(anc, "plus", anc_code.hx, anc_code.hz)
         data = tuple(range(code.k))
 
     zsub = _joint_subcode(base, "Z", control, anc, locality, max_weight)
@@ -638,10 +631,9 @@ def _merge_and_split(
         ),
         branch_inserts=inserts,
     )
-    split_matrix = induced_on_homology(
-        split_from_merge(merge), 1, _logicals(merged, other), _logicals(base, other)
-    )
-    return merge_step, SplitStep(merge=merge, orientation=other, logical_matrix=split_matrix)
+    split = split_from_merge(merge)
+    split_matrix = induced_on_homology(split, 1, _logicals(merged, other), _logicals(base, other))
+    return merge_step, SplitStep(merge, split, other, split_matrix)
 
 
 def pairwise_switch_plan(data: CssCode, anc: CssCode, sub: Subcode, name: str = "code_switch") -> SurgeryPlan:
@@ -656,7 +648,7 @@ def pairwise_switch_plan(data: CssCode, anc: CssCode, sub: Subcode, name: str = 
     sub = validate_subcode(base.complex, sub.v2, sub.v1, sub.v0, "Z")
     merge, split = _merge_and_split(base, sub, 1, None)
     steps: tuple[PlanStep, ...] = (
-        InitAncilla(ancilla=anc, logical_index=1, state="plus"),
+        InitAncilla(1, "plus", anc.hx, anc.hz),
         merge,
         split,
         MeasureLogical(
@@ -815,9 +807,7 @@ def plan_physical_ops(plan: SurgeryPlan, outcomes: Optional[dict] = None) -> lis
                 ops.append(PauliGate(side(w)))
             ops.extend(physical_op_sequence(step.merge.p, step.orientation))
         elif isinstance(step, SplitStep):
-            ops.extend(
-                physical_op_sequence(split_from_merge(step.merge), step.orientation)
-            )
+            ops.extend(physical_op_sequence(step.split, step.orientation))
         elif isinstance(step, MeasureLogical):
             ops.append(Projection(step.pauli, outcomes.get(step.measurement_id, 1)))
         elif isinstance(step, ApplyCorrection):
@@ -834,7 +824,7 @@ _STATES = {
 
 
 def plan_encoders(plan: SurgeryPlan, outcomes: Optional[dict] = None):
-    """(e_in, e_out) matrices for channel extraction over the data logicals."""
+    """(e_in, e_out) matrices for channel extraction over every logical but the ancilla."""
     outcomes = outcomes or {}
     enc = encoder_isometry(plan.base_code)
     init = plan.steps[0]
@@ -904,16 +894,15 @@ def _embed_zero_at(total_qubits: int, index: int) -> np.ndarray:
 def expected_plan_channel(plan: SurgeryPlan) -> np.ndarray:
     """The target logical channel the plan claims to implement.
 
-    A plan without a data target that measures its ancilla out is a
-    round trip (a code switch): the identity on the data logicals.
+    It acts on the logicals ``plan_encoders`` keeps: every base-code
+    logical but the ancilla. A plan without a data target that measures
+    its ancilla out is a round trip (a code switch): the identity.
     """
-    if plan.target is None and any(isinstance(s, MeasureLogical) for s in plan.steps):
-        return np.eye(1 << plan.data_k())
+    kept = [i for i in range(plan.base_code.k) if i != plan.ancilla_index]
     if plan.target is not None:
-        k = plan.data_k()
-        ctrl = plan.data_indices.index(plan.control)
-        tgt = plan.data_indices.index(plan.target)
-        return cnot_unitary(k, ctrl, tgt)
+        return cnot_unitary(len(kept), kept.index(plan.control), kept.index(plan.target))
+    if any(isinstance(s, MeasureLogical) for s in plan.steps):
+        return np.eye(1 << len(kept))
     # ancilla as target: CNOT from the control onto a fresh |0> logical
     b = plan.base_code.k
     return cnot_unitary(b, plan.control, plan.ancilla_index) @ _embed_zero_at(
@@ -936,13 +925,12 @@ def plan_symplectic_action(plan: SurgeryPlan) -> dict:
     """
     base = plan.base_code
     out = {}
-    surgery_steps = [s for s in plan.steps if not isinstance(s, InitAncilla)]
     for kind in ("X", "Z"):
         for i in range(base.k):
             rep = base.x_logical(i) if kind == "X" else base.z_logical(i)
             p = PauliOperator.from_x(rep) if kind == "X" else PauliOperator.from_z(rep)
             flipped: set = set()
-            for step in surgery_steps:
+            for step in plan.steps:
                 p, flips = propagate_pauli(step, p)
                 flipped.update(flips)
             p = p.compose(_outcome_correction(plan, flipped))
@@ -1099,8 +1087,22 @@ def _within(where: str):
 
 
 def _init_from_json(ctx: dict, state: str, n: Optional[int], hx, hz) -> tuple[PlanStep]:
-    ancilla = None if n is None else from_parity_checks(hx, hz)
-    return (InitAncilla(ancilla=ancilla, logical_index=ctx["ancilla_index"], state=state),)
+    """The init step; its ancilla checks must be the base code's trailing diagonal block."""
+    base = ctx["base"]
+    for name, block, checks in (("ancilla_hx", hx, base.hx), ("ancilla_hz", hz, base.hz)):
+        if n is None and block is not None:
+            raise MalformedInput(f"field {name!r} must be null when 'ancilla_n' is", section=name)
+        if n is not None and not _is_trailing_block(checks, block):
+            raise MalformedInput(
+                f"field {name!r} is not the trailing diagonal block of the base code", section=name
+            )
+    return (InitAncilla(ctx["ancilla_index"], state, hx, hz),)
+
+
+def _is_trailing_block(checks: F2Matrix, block: F2Matrix) -> bool:
+    """Whether ``checks`` is block diagonal with ``block`` as its last block."""
+    rows, cols = checks.rows - block.rows, checks.cols - block.cols
+    return rows >= 0 and checks == block_diag(F2Matrix(checks.a[:rows, :cols]), block)
 
 
 def _merge_from_json(ctx: dict, orientation: str, v2, v1, v0, inserts) -> tuple[PlanStep, ...]:
@@ -1203,9 +1205,12 @@ def plan_from_json(text: str) -> SurgeryPlan:
     merge not directly followed by its split, ``branch_inserts`` not
     matching ``measurement_ids`` one to one or mixing null and set
     entries, a merge whose merged code would identify data logicals, a
-    derived field (see _STEP_TABLE) other than its rebuilt value, a
-    correction conditioned on no earlier measurement, and a measurement
-    id used twice. A field that is missing, of the wrong type or out of
+    derived field (see _STEP_TABLE) other than its rebuilt value, ancilla
+    checks that are not the base code's trailing diagonal block or that
+    come without ``ancilla_n``, a correction conditioned on no earlier
+    measurement, a measurement id used twice, repeated ``data_indices``
+    or ones that include the ancilla, and a ``target`` equal to
+    ``control``. A field that is missing, of the wrong type or out of
     range, a Pauli not on the base code's qubits included, raises
     MalformedInput whose section names it (``steps[2].v1`` for a field
     of a step).
@@ -1246,13 +1251,17 @@ def plan_from_json(text: str) -> SurgeryPlan:
     if twice:
         raise MalformedInput(f"measurement id {twice[0]!r} is used by two steps", section="steps")
     data_indices = doc.field("data_indices", "ints")
-    if not set(data_indices) <= set(logicals):
+    spare = set(logicals) - {ctx["ancilla_index"]}
+    if not set(data_indices) <= spare or len(set(data_indices)) != len(data_indices):
         raise MalformedInput(
-            f"field 'data_indices' must list logical qubits from 0 to {base.k - 1}",
+            f"field 'data_indices' must list distinct logical qubits from 0 to {base.k - 1}"
+            f" other than the ancilla {ctx['ancilla_index']}",
             section="data_indices",
         )
     control = doc.field("control", "int", choices=data_indices)
     target = doc.field("target", "int", nullable=True, choices=data_indices)
+    if target == control:
+        raise MalformedInput("field 'target' must differ from 'control'", section="target")
     rules = doc.field("correction_rules", "object")
     with _within("correction_rules"):
         correction_rules = {k: rules.read(k, "pauli", spec=n) for k in rules}

@@ -68,15 +68,6 @@ class StateVector:
             raise DimensionMismatch("amplitude count is not a power of two")
         return cls(n=n, amplitudes=a)
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalize(self) -> "StateVector":
-        nrm = self.norm()
-        if nrm == 0.0:
-            raise ZeroProbabilityOutcome("cannot normalize the zero vector")
-        return StateVector(n=self.n, amplitudes=self.amplitudes / nrm, normalized=True)
-
 
 # --- physical operations -----------------------------------------------------
 

@@ -4,10 +4,17 @@ A merge is the quotient of a code complex by a subcode; the projection
 is a surjective preserving code map and the induced homology map is the
 logical operation. X-type surgery runs the same machinery on transposed
 complexes.
+
+``quotient_merge`` builds the projection only. The inclusion of the
+subcode's own complex, ``MergeResult.i``, is built and validated the
+first time it is read; ``split_from_merge`` checks and returns the dual
+split each time it is called, so a caller that keeps the split (as a
+plan's split step does) calls it once per merge.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -195,13 +202,21 @@ class MergeResult:
     source: ChainComplex
     quotient: ChainComplex
     p: ChainMap
-    i: ChainMap
     subcode: Subcode
     quotient_reps: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
 
     @property
     def orientation(self) -> str:
         return self.subcode.orientation
+
+    @cached_property
+    def i(self) -> ChainMap:
+        """The inclusion of the subcode's own complex, validated when first read."""
+        return validate_chain_map(
+            self.subcode.own_complex(),
+            self.source,
+            *(space.basis.T for space in self.subcode.oriented_spaces()),
+        )
 
     def merged_complex(self) -> ChainComplex:
         """The merged code's complex in chain (Z) orientation."""
@@ -243,19 +258,10 @@ def quotient_merge(
     q_d1 = p0 @ oriented.d1 @ sec1
     quotient = validate(d2=q_d2, d1=q_d1)
     p = validate_chain_map(oriented, quotient, p2, p1, p0)
-    own = sub.own_complex()
-    i = validate_chain_map(
-        own,
-        oriented,
-        _inclusion_matrix(spaces[0]),
-        _inclusion_matrix(spaces[1]),
-        _inclusion_matrix(spaces[2]),
-    )
     return MergeResult(
         source=oriented,
         quotient=quotient,
         p=p,
-        i=i,
         subcode=sub,
         quotient_reps=(tuple(reps[0]), tuple(reps[1]), tuple(reps[2])),
     )
@@ -265,10 +271,6 @@ def _section_matrix(ambient: int, reps: list[np.ndarray]) -> F2Matrix:
     if not reps:
         return F2Matrix.zeros(ambient, 0)
     return F2Matrix.from_rows(reps, cols=ambient).T
-
-
-def _inclusion_matrix(space: Subspace) -> F2Matrix:
-    return space.basis.T
 
 
 def split_from_merge(m: MergeResult) -> ChainMap:

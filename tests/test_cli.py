@@ -86,6 +86,18 @@ class TestMergeCommands:
         merged = CssCode.from_text(out_file.read_text())
         assert (merged.n, merged.k) == (13, 1)
 
+    def test_plain_merge_runs_no_analysis(self, welding_files, capsys, monkeypatch):
+        # human output without --analyze prints nothing the analysis computes
+        import chainsurg.cli
+
+        def unused(merge):
+            raise AssertionError("analyze_merge ran for output that does not use it")
+
+        monkeypatch.setattr(chainsurg.cli, "analyze_merge", unused)
+        code, sub = welding_files
+        assert main(["merge", code, "--subcode", sub]) == 0
+        assert capsys.readouterr().out.startswith("merged code: degree-1 dim 13")
+
     def test_wrong_merge_exits_1(self, tmp_path, capsys):
         rc = main(["catalog", "export", "example:wrong_merge", "--dir", str(tmp_path)])
         capsys.readouterr()
@@ -284,6 +296,12 @@ class TestMalformedInputs:
         (("ancilla_index",), 5, "ancilla_index"),
         (("data_indices",), [7], "data_indices"),
         (("control",), 1, "control"),
+        # well typed, contradicting another field (a pytest.param id tells
+        # apart cases whose section repeats another's)
+        (("target",), 0, "target"),
+        pytest.param(("data_indices",), [0, 0], "data_indices", id="data_indices.repeated"),
+        pytest.param(("data_indices",), [0, 1], "data_indices", id="data_indices.ancilla"),
+        (("steps", 0, "ancilla_n"), None, "steps[0].ancilla_hx"),
     ]
 
     @pytest.mark.parametrize(

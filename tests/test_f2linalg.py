@@ -710,6 +710,13 @@ class TestEliminationBudget:
         # rebuilding a complex from its matrices reduces the same inputs again
         assert len(inputs) - len(set(inputs)) <= 4
 
+    def test_cnot_plan_load_on_toric_2(self):
+        from chainsurg.protocols import build_cnot_plan, plan_from_json, plan_to_json
+
+        # the loader builds no code for the ancilla and no inclusion map per merge
+        text = plan_to_json(build_cnot_plan(catalog.toric(2), 0, 1))
+        assert len(rref_inputs(lambda: plan_from_json(text))) <= 31
+
     def test_from_parity_checks_on_toric_20(self):
         code = catalog.toric(20)
         assert len(rref_inputs(lambda: from_parity_checks(code.hx, code.hz))) <= 8

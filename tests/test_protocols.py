@@ -13,12 +13,15 @@ from chainsurg.errors import (
     CorrectionUnavailable,
     DecompositionInfeasible,
     DimensionMismatch,
+    MalformedInput,
 )
 from chainsurg.f2linalg import F2Matrix, Subspace
 from chainsurg.protocols import (
     AncillaStrategy,
     MergeStep,
+    _outcome_correction,
     build_cnot_plan,
+    cnot_unitary,
     code_switch_plan,
     decompose_merge_support,
     direct_sum_code,
@@ -149,6 +152,14 @@ class TestPlanChannels:
         exp = exp / np.max(np.abs(exp))
         assert np.max(np.abs(ch - exp)) < 1e-9
 
+    def test_ancilla_with_a_spare_logical(self, toric2):
+        # the ancilla code's second logical stays an idle wire of the channel
+        plan = build_cnot_plan(toric2, 0, 1, ancilla=AncillaStrategy.provided(toric2))
+        exp = expected_plan_channel(plan)
+        assert np.array_equal(exp, np.kron(cnot_unitary(2, 0, 1), np.eye(2)))
+        for outcomes in (None, {"zmerge.zz0": -1}, {"xmerge.xx0": -1, "final.za": -1}):
+            assert np.max(np.abs(plan_channel(plan, outcomes) - exp)) < 1e-9, outcomes
+
     def test_locality_plan_channel(self, two_patches):
         plan = build_cnot_plan(two_patches, control=0, target=1, locality=True, max_weight=2)
         assert plan.steps[1].merge.subcode.v1.dim > 1
@@ -271,6 +282,39 @@ class TestSymplecticAction:
         with pytest.raises(CorrectionUnavailable):
             plan_symplectic_action(plan)
 
+    @pytest.mark.parametrize("ancilla", ["trivial", "steane", "toric2"])
+    def test_in_order_propagation(self, toric2, steane, ancilla):
+        # every step, the ancilla init included, transports a base-code Pauli
+        strategy = {
+            "trivial": AncillaStrategy.trivial(),
+            "steane": AncillaStrategy.provided(steane),
+            "toric2": AncillaStrategy.provided(toric2),
+        }[ancilla]
+        plan = build_cnot_plan(toric2, 0, 1, ancilla=strategy)
+        base = plan.base_code
+        act = plan_symplectic_action(plan)
+        for kind in ("X", "Z"):
+            for i in range(base.k):
+                rep = base.x_logical(i) if kind == "X" else base.z_logical(i)
+                p = PauliOperator.from_x(rep) if kind == "X" else PauliOperator.from_z(rep)
+                flipped = set()
+                for step in plan.steps:
+                    p, flips = propagate_pauli(step, p)
+                    flipped.update(flips)
+                p = p.compose(_outcome_correction(plan, flipped))
+                xc, zc = act[f"{kind}{i}"]
+                assert np.array_equal(base.x_logicals.class_coordinates(p.x), xc)
+                assert np.array_equal(base.z_logicals.class_coordinates(p.z), zc)
+                # CNOT 0 -> 1 on the data; every other logical but the ancilla is idle
+                keep = [j for j in range(base.k) if j != plan.ancilla_index]
+                if i not in keep:
+                    continue
+                expect = np.eye(base.k, dtype=np.uint8)[i]
+                if (kind, i) in (("X", 0), ("Z", 1)):
+                    expect[1 - i] = 1
+                out = xc if kind == "X" else zc
+                assert np.array_equal(out[keep], expect[keep]), (kind, i)
+
     def test_switch_identity(self):
         plan = code_switch_plan()
         act = plan_symplectic_action(plan)
@@ -384,6 +428,39 @@ class TestPlanLoading:
         doc["steps"][1]["branch_inserts"].append(None)
         with pytest.raises(DimensionMismatch, match="differ in length"):
             plan_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "ancilla, field",
+        [("trivial", "ancilla_hz"), ("steane", "ancilla_hx")],
+        ids=["extra_z_check", "dropped_x_check"],
+    )
+    def test_ancilla_checks_not_the_base_block(self, toric2, steane, ancilla, field):
+        strategy = AncillaStrategy.trivial() if ancilla == "trivial" else AncillaStrategy.provided(steane)
+        doc = json.loads(plan_to_json(build_cnot_plan(toric2, 0, 1, ancilla=strategy)))
+        init = doc["steps"][0]
+        init[field] = init[field] + [[1]] if ancilla == "trivial" else init[field][:-1]
+        with pytest.raises(MalformedInput, match="trailing diagonal block") as err:
+            plan_from_json(json.dumps(doc))
+        assert err.value.section == f"steps[0].{field}"
+
+    def test_load_builds_each_split_once(self, patch_plan, monkeypatch):
+        import chainsurg.protocols
+
+        calls = {"from_parity_checks": 0, "split_from_merge": 0}
+        for name in calls:
+            original = getattr(chainsurg.protocols, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(chainsurg.protocols, name, counted)
+        plan = plan_from_json(plan_to_json(patch_plan))
+        # the base code and one split per merge; the init step builds no code
+        assert calls == {"from_parity_checks": 1, "split_from_merge": 2}
+        plan_channel(plan, {"zmerge.zz0": -1})
+        plan_symplectic_action(plan)
+        assert calls == {"from_parity_checks": 1, "split_from_merge": 2}
 
     def test_branch_inserts_mixed(self, two_patches):
         plan = build_cnot_plan(two_patches, control=0, target=1, locality=True, max_weight=2)

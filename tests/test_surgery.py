@@ -103,6 +103,25 @@ class TestQuotientMerge:
             for deg in (2, 1, 0):
                 assert kernel_basis(m.p.component(deg)) == image_basis(m.i.component(deg))
 
+    def test_inclusion_built_and_validated_when_first_read(self, monkeypatch):
+        import chainsurg.surgery
+
+        ex = catalog.worked_example("welding")
+        own_calls, validated = [], []
+        own_complex, validate_chain_map = Subcode.own_complex, chainsurg.surgery.validate_chain_map
+        monkeypatch.setattr(Subcode, "own_complex", lambda sub: own_calls.append(sub) or own_complex(sub))
+        monkeypatch.setattr(
+            chainsurg.surgery,
+            "validate_chain_map",
+            lambda *args: validated.append(args[0]) or validate_chain_map(*args),
+        )
+        m = quotient_merge(ex.parent, ex.subcode)
+        assert own_calls == [] and validated == [m.source]  # the projection only
+        i = m.i
+        assert m.i is i and len(own_calls) == 1
+        assert validated == [m.source, i.src] and i.src == own_complex(ex.subcode)
+        assert i.tgt == m.source and i.f1 == ex.subcode.v1.basis.T
+
     def test_x_merge_via_transpose(self):
         ex = catalog.worked_example("steane_x_subcode")
         m = quotient_merge(ex.parent, ex.subcode)
