@@ -12,16 +12,19 @@ Z^{v_i} (the branch gauge); correction rules are stated and verified in
 that gauge.
 
 Each step holds what its plan JSON fields name and builds the rest once.
-A split step keeps the split map its merge gave when the step was built,
-at synthesis or at load, and simulation and Pauli transport read it from
-there. An ancilla init step holds only the ancilla's checks: the base
-code already contains the ancilla qubits.
+A split is the dual of its merge, so a split step is read off its merge
+step: its map is the merge projection transposed, it preserves the other
+Pauli type, and its logical matrix is the merge's transposed. Neither
+synthesis nor loading builds the merged code. An ancilla init step holds
+only the ancilla's checks: the base code already contains the ancilla
+qubits.
 """
 from __future__ import annotations
 
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import Optional, Sequence, Union
 
@@ -37,6 +40,7 @@ from .chaincomplex import (
 from .csscode import (
     CssCode,
     PauliOperator,
+    _basis_from_rows,
     dual_z_basis,
     encoder_isometry,
     encoder_with_fixed_logical,
@@ -158,10 +162,28 @@ class MergeStep:
 
 @dataclass(frozen=True)
 class SplitStep:
-    merge: MergeResult  # the merge this split reverses
-    split: ChainMap  # split_from_merge(merge), checked once when the step is built
-    orientation: str  # the split's preserving type ("X" after a Z-merge)
-    logical_matrix: F2Matrix
+    """The split that reverses ``merge_step``, read off that merge.
+
+    Its map is the merge projection transposed (``split_from_merge``
+    checks it once, when the step is built) and it preserves the other
+    Pauli type: an X-split follows a Z-merge. Its logical matrix, on the
+    other side's logical bases of the merged and the base code, is the
+    merge's transposed: both codes pair their X- and Z-logical bases to
+    the identity, and x . (p1 z) = (p1.T x) . z for every merged-code
+    representative x and base-code representative z.
+    """
+
+    merge_step: MergeStep
+    split: ChainMap
+
+    merge = property(lambda self: self.merge_step.merge)
+    orientation = property(lambda self: "X" if self.merge_step.orientation == "Z" else "Z")
+    logical_matrix = property(lambda self: self.merge_step.logical_matrix.T)
+
+    @cached_property
+    def ops(self) -> tuple[PhysicalOp, ...]:
+        """The split's physical ops, built when first read."""
+        return tuple(physical_op_sequence(self.split, self.orientation))
 
 
 @dataclass(frozen=True)
@@ -216,11 +238,6 @@ def _measurement_ids(steps: Sequence[PlanStep]) -> list[str]:
 # --- Pauli propagation --------------------------------------------------------
 
 
-def _merge_flip_pattern(m: MergeResult, x: np.ndarray) -> np.ndarray:
-    v1 = m.subcode.oriented_spaces()[1]
-    return np.array([int(v @ x) % 2 for v in v1.basis_vectors()], dtype=np.uint8)
-
-
 def _solve_branch_gauge(step: MergeStep, signs: Sequence[int]) -> Optional[np.ndarray]:
     """Codespace-preserving string realizing the -1 entries of ``signs``.
 
@@ -245,50 +262,51 @@ def _solve_branch_gauge(step: MergeStep, signs: Sequence[int]) -> Optional[np.nd
     return solve(system, np.concatenate([flips, np.zeros(source.dim2, dtype=np.uint8)]))
 
 
-def _transport_merge(step: MergeStep, x: np.ndarray, z: np.ndarray):
-    """Oriented-frame transport through a quotient merge's middle map.
+def _transport(step: Union[MergeStep, SplitStep], p: PauliOperator) -> tuple[PauliOperator, dict]:
+    """Transport through a merge or a split, in the step's oriented frame.
 
-    ``x`` plays the 'flipping' role, ``z`` the exact one when the merge
-    is Z-type (swap before calling for X-type). Flips are compensated in
-    the step's branch gauge before solving for the survivor, so the
-    output stays a cycle. Returns (x', z', flips).
+    The Pauli's side of the step's own type is exact: it is pushed
+    through the step map's f1 (p1 for a merge, p1.T for a split). The
+    other side flips outcomes: it is pulled back through f1.T. A merge
+    first adds to it the branch gauge of the outcomes it flips, so that
+    it has a preimage, and records those outcomes. A split's preimage is
+    only determined modulo the merged subspace; it is canonicalized to a
+    cycle when one exists (always, for merges with trivial subcode H0),
+    and the split records the projections, which re-impose subcode
+    degree-0 stabilizers, that the result anticommutes with.
     """
+    merging = isinstance(step, MergeStep)
     m = step.merge
-    p1 = m.p.f1
-    z_out = p1 @ z
-    flips = _merge_flip_pattern(m, x)
-    fix = _solve_branch_gauge(step, [-1 if f else 1 for f in flips])
-    if fix is None:
-        raise DimensionMismatch(
-            "flip pattern inconsistent with stabilizers; transported operator corrupt"
-        )
-    x_out = solve(p1.T, np.asarray(x, dtype=np.uint8) ^ fix)
-    if x_out is None:
-        raise DimensionMismatch("merge transport failed; completion invariant broken")
-    return x_out, z_out, flips
-
-
-def _transport_split(m: MergeResult, x: np.ndarray, z: np.ndarray):
-    """Oriented-frame transport through the split dual to ``m``.
-
-    The solve side is only determined modulo the merged subspace; the
-    representative is canonicalized to a cycle when one exists (always
-    the case for merges with trivial subcode H0).
-    """
-    p1 = m.p.f1
-    x_out = p1.T @ x
-    z_out = solve(p1, z)
-    if z_out is None:
-        raise DimensionMismatch("split transport failed; p1 lost surjectivity")
+    f1 = m.p.f1 if merging else step.split.f1
+    flipping, exact = (p.x, p.z) if step.orientation == "Z" else (p.z, p.x)
     v1 = m.subcode.oriented_spaces()[1]
-    if v1.dim:
-        boundary = m.source.d1
-        residue = boundary @ z_out
+    if merging:
+        pattern = v1.basis @ flipping
+        fix = _solve_branch_gauge(step, [-1 if f else 1 for f in pattern])
+        if fix is None:
+            raise DimensionMismatch(
+                "flip pattern inconsistent with stabilizers; transported operator corrupt"
+            )
+        flipping = flipping ^ fix
+    pulled = solve(f1.T, flipping)
+    if pulled is None:
+        raise DimensionMismatch("transport failed: the flipping side has no preimage")
+    if not merging and v1.dim:
+        residue = m.source.d1 @ pulled
         if residue.any():
-            coeffs = solve(boundary @ v1.basis.T, residue)
+            coeffs = solve(m.source.d1 @ v1.basis.T, residue)
             if coeffs is not None:
-                z_out = z_out ^ (v1.basis.T @ coeffs)
-    return x_out, z_out
+                pulled = pulled ^ (v1.basis.T @ coeffs)
+    pushed = f1 @ exact
+    x, z = (pulled, pushed) if step.orientation == "Z" else (pushed, pulled)
+    out = PauliOperator(x=x, z=z, sign=p.sign)
+    if merging:
+        return out, {mid: 1 for mid, f in zip(step.measurement_ids, pattern) if f}
+    return out, {
+        f"{step.orientation.lower()}split.proj.{op.pauli.label()}": 1
+        for op in step.ops
+        if isinstance(op, Projection) and symplectic_product(out, op.pauli)
+    }
 
 
 def propagate_pauli(step: PlanStep, p: PauliOperator) -> tuple[PauliOperator, dict]:
@@ -299,43 +317,12 @@ def propagate_pauli(step: PlanStep, p: PauliOperator) -> tuple[PauliOperator, di
     """
     if isinstance(step, (InitAncilla, ApplyCorrection)):
         return p, {}  # the base code holds the ancilla; corrections are outcome rules
-    if isinstance(step, MergeStep):
-        if step.orientation == "Z":
-            x_out, z_out, flips = _transport_merge(step, p.x, p.z)
-        else:
-            z_out, x_out, flips = _transport_merge(step, p.z, p.x)
-        flip_map = {
-            mid: 1 for mid, f in zip(step.measurement_ids, flips) if f
-        }
-        return PauliOperator(x=x_out, z=z_out, sign=p.sign), flip_map
-    if isinstance(step, SplitStep):
-        if step.orientation == "X":  # split of a Z-merge
-            x_out, z_out = _transport_split(step.merge, p.x, p.z)
-        else:
-            z_out, x_out = _transport_split(step.merge, p.z, p.x)
-        out = PauliOperator(x=x_out, z=z_out, sign=p.sign)
-        flip_map: dict = {}
-        # projections re-imposing subcode-degree-0 stabilizers can flip
-        for op in _split_projection_ops(step):
-            if symplectic_product(out, op.pauli):
-                flip_map[_projection_id(step, op)] = 1
-        return out, flip_map
+    if isinstance(step, (MergeStep, SplitStep)):
+        return _transport(step, p)
     if isinstance(step, MeasureLogical):
         flip = symplectic_product(p, step.pauli)
         return p, ({step.measurement_id: 1} if flip else {})
     raise DimensionMismatch(f"unknown plan step {step!r}")
-
-
-def _split_projection_ops(step: SplitStep) -> list[Projection]:
-    return [
-        op
-        for op in physical_op_sequence(step.split, step.orientation)
-        if isinstance(op, Projection)
-    ]
-
-
-def _projection_id(step: SplitStep, op: Projection) -> str:
-    return f"{step.orientation.lower()}split.proj.{op.pauli.label()}"
 
 
 # --- locality-aware support decomposition --------------------------------------
@@ -435,28 +422,36 @@ def _check_span_exclusion(code: CssCode, gens: list[np.ndarray], target: np.ndar
 # --- plan construction ----------------------------------------------------------
 
 
-def _pushed_basis(m: MergeResult, src: HomologyBasis, indices: Sequence[int]) -> HomologyBasis:
-    """Quotient-side degree-1 basis given by pushing selected src classes."""
+def _pushed_basis(m: MergeResult, src: HomologyBasis, anc: int) -> HomologyBasis:
+    """The merged code's logical basis on the merge's own side.
+
+    It pushes every class of ``src`` but the ancilla's through p1, and
+    fails unless those classes stay a basis: when the merge identifies
+    logical classes of the base code, or when it creates new ones.
+    """
     q = m.quotient
-    reps = tuple(m.p.f1 @ src.representatives[i] for i in indices)
-    return HomologyBasis(representatives=reps, kernel=q.cycles, image=q.boundaries)
+    keep = [i for i in range(src.dim) if i != anc]
+    if q.cycles.dim - q.boundaries.dim > len(keep):
+        raise DimensionMismatch("the merge creates logical classes the base code does not have")
+    rows = F2Matrix((m.p.f1 @ src.matrix().T).a.T[keep])
+    try:
+        return _basis_from_rows(rows, q.cycles, q.boundaries)
+    except DimensionMismatch:
+        raise DimensionMismatch("the merge identifies logical classes of the base code") from None
 
 
 def _merged_code(m: MergeResult, base: CssCode, ancilla_index: int) -> CssCode:
     """Merged code whose logical basis pushes every base class but the ancilla's.
 
-    A Z-merge keeps the pushed Z-basis; an X-merge keeps the pushed
-    X-basis and its dual Z-basis. Fails when the pushed classes are not
-    independent, i.e. when the merge identifies two data logicals.
+    A Z-merge keeps the pushed Z-basis and its dual X-basis; an X-merge
+    keeps the pushed X-basis and its dual Z-basis.
     """
-    keep = [i for i in range(base.k) if i != ancilla_index]
+    pushed = _pushed_basis(m, _logicals(base, m.orientation), ancilla_index)
     if m.orientation == "Z":
-        zb = _pushed_basis(m, base.z_logicals, keep)
-        return from_complex(m.quotient, z_basis=zb.matrix())
-    xb = _pushed_basis(m, base.x_logicals, keep)
+        return from_complex(m.quotient, z_basis=pushed.matrix())
     code_cplx = m.merged_complex()
-    zb = dual_z_basis(code_cplx, xb)
-    return from_complex(code_cplx, z_basis=zb.matrix(), x_basis=xb.matrix())
+    zb = dual_z_basis(code_cplx, pushed)
+    return from_complex(code_cplx, z_basis=zb.matrix(), x_basis=pushed.matrix())
 
 
 def build_cnot_plan(
@@ -497,7 +492,6 @@ def build_cnot_plan(
         base = code
         anc = ancilla.index
         init = InitAncilla(logical_index=anc, state="plus")
-        data = tuple(i for i in range(code.k) if i != anc)
     else:
         anc_code = ancilla.code
         if ancilla.kind == "trivial":
@@ -518,7 +512,7 @@ def build_cnot_plan(
         base = direct_sum_code(code, anc_code)
         anc = code.k + ancilla.index
         init = InitAncilla(anc, "plus", anc_code.hx, anc_code.hz)
-        data = tuple(range(code.k))
+    data = tuple(i for i in range(base.k) if i != anc)  # an ancilla code's spare logicals too
 
     zsub = _joint_subcode(base, "Z", control, anc, locality, max_weight)
     zinserts = None if locality else (PauliOperator.from_x(base.x_logical(control)),)
@@ -606,13 +600,12 @@ def _merge_and_split(
     The merge measures one slot per generator of ``sub.v1``, named
     ``zmerge.zz<i>`` (``xmerge.xx<i>`` for an X-merge). ``inserts`` are
     the slots' branch gauges, or None to solve them per outcome pattern.
-    Both steps carry the map they induce on the logicals of their own
-    side, in the bases of ``base`` and of its merged code.
+    The merge carries the map it induces on the logicals of its own side,
+    from the basis of ``base`` to the pushed basis of the merged code; the
+    split reads its own from the merge, without building the merged code.
     """
     merge = quotient_merge(base.complex, sub)
-    merged = _merged_code(merge, base, anc)
     side = sub.orientation
-    other = "X" if side == "Z" else "Z"
     ids = tuple(f"{side.lower()}merge.{side.lower() * 2}{i}" for i in range(sub.v1.dim))
     inserts = (None,) * len(ids) if inserts is None else tuple(inserts)
     if len(inserts) != len(ids):
@@ -621,19 +614,16 @@ def _merge_and_split(
         )
     if len({ins is None for ins in inserts}) > 1:
         raise DimensionMismatch("branch_inserts mixes null and set entries")
+    src = _logicals(base, side)
     merge_step = MergeStep(
         merge=merge,
         orientation=side,
         measurement_ids=ids,
         pivot_qubits=sub.v1.pivots,
-        logical_matrix=induced_on_homology(
-            merge.p, 1, _logicals(base, side), _logicals(merged, side)
-        ),
+        logical_matrix=induced_on_homology(merge.p, 1, src, _pushed_basis(merge, src, anc)),
         branch_inserts=inserts,
     )
-    split = split_from_merge(merge)
-    split_matrix = induced_on_homology(split, 1, _logicals(merged, other), _logicals(base, other))
-    return merge_step, SplitStep(merge, split, other, split_matrix)
+    return merge_step, SplitStep(merge_step, split_from_merge(merge))
 
 
 def pairwise_switch_plan(data: CssCode, anc: CssCode, sub: Subcode, name: str = "code_switch") -> SurgeryPlan:
@@ -807,7 +797,7 @@ def plan_physical_ops(plan: SurgeryPlan, outcomes: Optional[dict] = None) -> lis
                 ops.append(PauliGate(side(w)))
             ops.extend(physical_op_sequence(step.merge.p, step.orientation))
         elif isinstance(step, SplitStep):
-            ops.extend(physical_op_sequence(step.split, step.orientation))
+            ops.extend(step.ops)
         elif isinstance(step, MeasureLogical):
             ops.append(Projection(step.pauli, outcomes.get(step.measurement_id, 1)))
         elif isinstance(step, ApplyCorrection):
@@ -1204,16 +1194,16 @@ def plan_from_json(text: str) -> SurgeryPlan:
     corrects identically to the original. Load-time checks reject a
     merge not directly followed by its split, ``branch_inserts`` not
     matching ``measurement_ids`` one to one or mixing null and set
-    entries, a merge whose merged code would identify data logicals, a
+    entries, a merge that identifies logical classes of the base code, a
     derived field (see _STEP_TABLE) other than its rebuilt value, ancilla
     checks that are not the base code's trailing diagonal block or that
     come without ``ancilla_n``, a correction conditioned on no earlier
     measurement, a measurement id used twice, repeated ``data_indices``
-    or ones that include the ancilla, and a ``target`` equal to
-    ``control``. A field that is missing, of the wrong type or out of
-    range, a Pauli not on the base code's qubits included, raises
-    MalformedInput whose section names it (``steps[2].v1`` for a field
-    of a step).
+    or ones that include the ancilla, a ``target`` equal to ``control``,
+    and a ``correction_rules`` key that no merge measures. A field that
+    is missing, of the wrong type or out of range, a Pauli not on the
+    base code's qubits included, raises MalformedInput whose section
+    names it (``steps[2].v1`` for a field of a step).
     """
     try:
         doc = json.loads(text, object_hook=_JsonObject)
@@ -1263,7 +1253,11 @@ def plan_from_json(text: str) -> SurgeryPlan:
     if target == control:
         raise MalformedInput("field 'target' must differ from 'control'", section="target")
     rules = doc.field("correction_rules", "object")
+    merge_ids = [m for step in steps if isinstance(step, MergeStep) for m in step.measurement_ids]
     with _within("correction_rules"):
+        for key in rules:
+            if key not in merge_ids:
+                raise MalformedInput(f"key {key!r} is not a merge measurement id", section=key)
         correction_rules = {k: rules.read(k, "pauli", spec=n) for k in rules}
     return SurgeryPlan(
         name=doc.field("name", "str"),

@@ -285,6 +285,8 @@ class TestMalformedInputs:
         # a Pauli not on the base code's 8 qubits
         (("steps", 1, "branch_inserts", 0, "x"), [1, 0], "steps[1].branch_inserts[0].x"),
         (("correction_rules", "zmerge.zz0", "z"), [0] * 9, "correction_rules.zmerge.zz0.z"),
+        # a correction rule for a measurement no merge makes
+        (("correction_rules", "bogus"), {"x": [0] * 8, "z": [0] * 8}, "correction_rules.bogus"),
         (("class_correction",), {"x": [1], "z": [0]}, "class_correction.x"),
         # a derived field other than the value the loader rebuilds
         (("steps", 0, "logical_index"), 0, "steps[0].logical_index"),

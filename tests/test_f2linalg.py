@@ -706,16 +706,23 @@ class TestEliminationBudget:
         toric = catalog.toric(5)
         code = from_parity_checks(toric.hx, toric.hz)
         inputs = rref_inputs(lambda: build_cnot_plan(code, 0, 1))
-        assert len(inputs) <= 35
+        # no merged code: one elimination checks each pushed basis
+        assert len(inputs) <= 24
         # rebuilding a complex from its matrices reduces the same inputs again
         assert len(inputs) - len(set(inputs)) <= 4
 
     def test_cnot_plan_load_on_toric_2(self):
         from chainsurg.protocols import build_cnot_plan, plan_from_json, plan_to_json
 
-        # the loader builds no code for the ancilla and no inclusion map per merge
+        # the loader builds no code for the ancilla, no inclusion map and no
+        # merged code per merge
         text = plan_to_json(build_cnot_plan(catalog.toric(2), 0, 1))
-        assert len(rref_inputs(lambda: plan_from_json(text))) <= 31
+        assert len(rref_inputs(lambda: plan_from_json(text))) <= 20
+
+    def test_code_switch_plan(self):
+        from chainsurg.protocols import code_switch_plan
+
+        assert len(rref_inputs(code_switch_plan)) <= 25
 
     def test_from_parity_checks_on_toric_20(self):
         code = catalog.toric(20)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chainsurg import catalog
+from chainsurg.chaincomplex import induced_on_homology
 from chainsurg.csscode import PauliOperator, from_parity_checks
 from chainsurg.errors import (
     AncillaDistanceTooSmall,
@@ -19,6 +20,7 @@ from chainsurg.f2linalg import F2Matrix, Subspace
 from chainsurg.protocols import (
     AncillaStrategy,
     MergeStep,
+    SplitStep,
     _outcome_correction,
     build_cnot_plan,
     cnot_unitary,
@@ -36,6 +38,7 @@ from chainsurg.protocols import (
     singleton_check,
 )
 from chainsurg.surgery import quotient_merge, validate_subcode
+from test_plan_golden import PLANS as GOLDEN_PLANS
 
 
 @pytest.fixture(scope="module")
@@ -100,6 +103,24 @@ class TestBuildCnotPlan:
         with pytest.raises(DimensionMismatch):
             build_cnot_plan(toric2, control=0, target=1, ancilla=AncillaStrategy.embedded(1))
 
+    @pytest.mark.parametrize("side, step", [("Z", 1), ("X", 3)])
+    def test_merge_identifying_two_logicals_rejected(self, toric2, side, step):
+        # along logicals 0 and 1 of toric-2 + trivial, both orientations and
+        # the loader fail alike
+        from chainsurg.protocols import _joint_subcode, _merge_and_split
+
+        base = direct_sum_code(toric2, catalog.trivial_qubit())
+        sub = _joint_subcode(base, side, 0, 1, False, 2)
+        match = "the merge identifies logical classes of the base code"
+        with pytest.raises(DimensionMismatch, match=match):
+            _merge_and_split(base, sub, 2, None)
+        doc = json.loads(plan_to_json(build_cnot_plan(toric2, 0, 1)))
+        assert doc["steps"][step]["orientation"] == side
+        for name in ("v2", "v1", "v0"):
+            doc["steps"][step][name] = getattr(sub, name).basis.to_lists()
+        with pytest.raises(DimensionMismatch, match=match):
+            plan_from_json(json.dumps(doc))
+
     def test_plan_json_schema(self, patch_plan):
         doc = json.loads(plan_to_json(patch_plan))
         assert doc["schema"] == "chainsurg-plan/1"
@@ -153,8 +174,12 @@ class TestPlanChannels:
         assert np.max(np.abs(ch - exp)) < 1e-9
 
     def test_ancilla_with_a_spare_logical(self, toric2):
-        # the ancilla code's second logical stays an idle wire of the channel
+        # the ancilla code's second logical stays an idle wire of the channel,
+        # and the plan names it a data logical
         plan = build_cnot_plan(toric2, 0, 1, ancilla=AncillaStrategy.provided(toric2))
+        assert (plan.ancilla_index, plan.data_indices) == (2, (0, 1, 3))
+        text = plan_to_json(plan)
+        assert plan_to_json(plan_from_json(text)) == text
         exp = expected_plan_channel(plan)
         assert np.array_equal(exp, np.kron(cnot_unitary(2, 0, 1), np.eye(2)))
         for outcomes in (None, {"zmerge.zz0": -1}, {"xmerge.xx0": -1, "final.za": -1}):
@@ -174,7 +199,6 @@ class TestPerStepSoundness:
         # base- and merged-code encoders, reproduces the interpretation of its induced
         # logical matrix (merge spiders on the Z side, parity maps on X)
         from chainsurg.csscode import encoder_isometry
-        from chainsurg.protocols import SplitStep
         from chainsurg.simverify import (
             HadamardConjugatedParityMap,
             ParityMap,
@@ -208,6 +232,33 @@ class TestPerStepSoundness:
                 col[u] = 1.0
                 expect[:, u] = apply_linear(logical_op, col)
             assert np.max(np.abs(ch - fix_phase_and_scale(expect))) < 1e-9, idx
+
+
+# the golden plans, and a provided ancilla with a spare logical; both
+# split orientations, and merged codes above 20 qubits
+SPLIT_ORACLE_PLANS = {
+    **GOLDEN_PLANS,
+    "toric2_provided_toric2": lambda: build_cnot_plan(
+        catalog.toric(2), 0, 1, ancilla=AncillaStrategy.provided(catalog.toric(2))
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_ORACLE_PLANS))
+def test_split_matrix_is_the_merge_matrix_transposed(name):
+    # the reference is the split's induced map on homology, between the
+    # other-side bases of the full merged code and of the base code
+    plan = SPLIT_ORACLE_PLANS[name]()
+    base = plan.base_code
+    splits = [step for step in plan.steps if isinstance(step, SplitStep)]
+    assert splits
+    for step in splits:
+        merged = plan.merged_code(step.merge)
+        if step.orientation == "X":
+            bases = (merged.x_logicals, base.x_logicals)
+        else:
+            bases = (merged.z_logicals, base.z_logicals)
+        assert step.logical_matrix == induced_on_homology(step.split, 1, *bases)
 
 
 class TestMeasurementCorrection:
@@ -314,6 +365,22 @@ class TestSymplecticAction:
                     expect[1 - i] = 1
                 out = xc if kind == "X" else zc
                 assert np.array_equal(out[keep], expect[keep]), (kind, i)
+
+    def test_split_ops_built_once_per_step(self, monkeypatch):
+        import chainsurg.protocols
+
+        plan = build_cnot_plan(catalog.toric(3), 0, 1)
+        original = chainsurg.protocols.physical_op_sequence
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(chainsurg.protocols, "physical_op_sequence", counted)
+        plan_symplectic_action(plan)
+        plan_symplectic_action(plan)
+        assert len(calls) == 2  # one per split, not one per transported Pauli
 
     def test_switch_identity(self):
         plan = code_switch_plan()
@@ -461,6 +528,21 @@ class TestPlanLoading:
         plan_channel(plan, {"zmerge.zz0": -1})
         plan_symplectic_action(plan)
         assert calls == {"from_parity_checks": 1, "split_from_merge": 2}
+
+    def test_merge_creating_a_logical_rejected(self, toric2):
+        # a Z-merge that also kills two X-checks leaves a third logical class
+        doc = json.loads(plan_to_json(build_cnot_plan(toric2, 0, 1)))
+        doc["steps"][1]["v0"] = [[1, 0, 0, 0], [0, 1, 0, 0]]
+        with pytest.raises(DimensionMismatch, match="creates logical classes"):
+            plan_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["bogus", "final.za"])
+    def test_correction_rule_for_no_merge_measurement(self, toric2, key):
+        doc = json.loads(plan_to_json(build_cnot_plan(toric2, 0, 1)))
+        doc["correction_rules"][key] = doc["correction_rules"]["zmerge.zz0"]
+        with pytest.raises(MalformedInput, match="not a merge measurement id") as err:
+            plan_from_json(json.dumps(doc))
+        assert err.value.section == f"correction_rules.{key}"
 
     def test_branch_inserts_mixed(self, two_patches):
         plan = build_cnot_plan(two_patches, control=0, target=1, locality=True, max_weight=2)

@@ -1,7 +1,7 @@
 """Byte identity of report JSON: SHA-256 digests of the ``--json`` stdout
-of the analysis and plan commands, of one rejected merge's stderr, and of
-the ``expect.json`` files that ``catalog export`` writes for the worked
-examples.
+of the analysis, plan and ``propagate`` commands, of the stderr of one
+rejected merge and two rejected transports, and of the ``expect.json``
+files that ``catalog export`` writes for the worked examples.
 
 The digests pin the serialized bytes, so any change to the reports or to
 the JSON layout shows up here. Re-record them only for a deliberate
@@ -41,6 +41,19 @@ CASES = {
     "switch": (["switch"], "out"),
     "cnot_steane_anc_target": (["cnot", "{dir}/steane.code", "--control", "0"], "out"),
     "cnot_toric3_c0t1": (["cnot", "{dir}/toric_3.code", "--control", "0", "--target", "1"], "out"),
+    # Pauli transport through a Z-merge and an X-merge; on the X-merge the
+    # first two inputs flip a pattern no codespace operator realises
+    "propagate_welding_x3": (["propagate", *_example("welding"), "--pauli", "X3"], "out"),
+    "propagate_welding_z2x7": (["propagate", *_example("welding"), "--pauli", "Z2 X7"], "out"),
+    "propagate_steane_x_x0z3": (
+        ["propagate", *_example("steane_x_subcode"), "--pauli", "X0 Z3"], "err"
+    ),
+    "propagate_steane_x_z2x5y6": (
+        ["propagate", *_example("steane_x_subcode"), "--pauli", "Z2 X5 Y6"], "err"
+    ),
+    "propagate_steane_x_both_sides": (
+        ["propagate", *_example("steane_x_subcode"), "--pauli", "X2 X6 Z0 Z1 Z3"], "out"
+    ),
 }
 
 DIGESTS = {
@@ -59,6 +72,11 @@ DIGESTS = {
     "merge_analyze_steane_x": "0235ba1b93280a4435af0ab15c248397a12e428801e427503f67d643684b1926",
     "merge_analyze_welding_z": "054cfcab8f71075d507a50c378f066d82d9f1257ad29d0f35e77bb233c757220",
     "merge_analyze_wrong_merge": "650d03dc0651adb0f68b2580eb299056d12951363384dfed02502c3624314c85",
+    "propagate_steane_x_both_sides": "a18da2dfd9a673e5270c8f874d7020b90dfb86f2167e68c058cba2c18bdaee1b",
+    "propagate_steane_x_x0z3": "7690c5309a8ed58271636bbcfd7a1ede93b82fe217d48db5aff86170d82eb237",
+    "propagate_steane_x_z2x5y6": "7690c5309a8ed58271636bbcfd7a1ede93b82fe217d48db5aff86170d82eb237",
+    "propagate_welding_x3": "f1ca3bb2c597e2b1734dcc0eccd60650b1a0ea1640c33d84b04f164eae20ca97",
+    "propagate_welding_z2x7": "37347d3967ab0483c928648d455c425adb239a6dcaa5e7698d030b3be5c46db0",
     "switch": "85841bb5efd6f0461d756a9ac599b66500080c458271e4556c1b15105b068791",
     "validate_steane": "98dda9379420e8832699db877262bc1474f7d1de44d065d1b8c50179ffb47736",
     "validate_surface_3": "53eb7b1cc35284077bcbf7a30232ca709fdf9ec41e434dd698000099f50b71d2",
