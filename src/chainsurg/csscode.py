@@ -290,24 +290,78 @@ def distance_bruteforce(code: CssCode, cap: int = 1 << 24) -> Optional[int]:
     return best
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Encoder:
-    """Isometry from k logical qubits into the codespace.
+    """Isometry from logical qubits into the codespace, held as its coset table.
 
-    Columns are indexed by logical labels u (qubit 0 is the most
-    significant bit); column u is the uniform superposition over the
-    X-stabilizer orbit of the logical-X representative sum G @ u.
+    Column u is the uniform superposition over the coset G @ u + S of the
+    X-stabilizer span S, the affine form of a CSS state (Dehaene & De
+    Moor, PRA 68, 042318, 2003): ``amplitude`` = 1/sqrt(|S|) on every
+    index ``bases[u] ^ orbit``. ``orbit`` lists the basis indices of S and
+    ``bases[u]`` is the index of the logical-X representative sum G @ u;
+    qubit 0 is the most significant bit of labels and of indices. Cosets
+    of distinct labels are disjoint.
+
+    ``fixed``, when set, is (index, state): that logical input is
+    contracted with a 1-qubit state, and labels run over the other
+    logicals in their order. Nothing of size 2^n x 2^k is held:
+    ``column`` builds one 2^n state, ``adjoint`` builds E^dagger, the
+    one dense array channel extraction needs (its BLAS product with each
+    state fixes the pinned channel bits), and ``matrix`` builds E for
+    callers that read it.
     """
 
     code: CssCode
-    matrix: np.ndarray  # complex, 2**n x 2**k
+    orbit: np.ndarray  # int64, 2**rank(hx) entries
+    bases: np.ndarray  # int64, one entry per label of all k logicals
+    amplitude: float
+    fixed: Optional[tuple[int, np.ndarray]] = None
 
     @property
     def k(self) -> int:
-        return self.code.k
+        """The number of logical inputs: the code's, less a fixed one."""
+        return self.code.k - (self.fixed is not None)
+
+    def _terms(self, label: int) -> list:
+        """(coset base index, amplitude) for each nonzero coset of column ``label``."""
+        if self.fixed is None:
+            return [(self.bases[label], complex(self.amplitude))]
+        index, state = self.fixed
+        low = self.code.k - 1 - index  # the fixed logical's bit in a full label
+        high, rest = label >> low, label & ((1 << low) - 1)
+        return [
+            (self.bases[(((high << 1) | b) << low) | rest], self.amplitude * state[b])
+            for b in (0, 1)
+            if state[b] != 0
+        ]
+
+    def _fill(self, out: np.ndarray, conjugate: bool) -> np.ndarray:
+        for u in range(1 << self.k):
+            for base, value in self._terms(u):
+                out[self.orbit ^ base, u] = np.conj(value) if conjugate else value
+        return out
 
     def column(self, label: int) -> np.ndarray:
-        return self.matrix[:, label]
+        """The 2^n state of one label: one scatter per nonzero coset."""
+        col = np.zeros(1 << self.code.n, dtype=np.complex128)
+        for base, value in self._terms(label):
+            col[self.orbit ^ base] = value
+        return col
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """E as a dense 2^n x 2^k array, built on every read."""
+        return self._fill(np.zeros((1 << self.code.n, 1 << self.k), dtype=np.complex128), False)
+
+    def adjoint(self) -> np.ndarray:
+        """E^dagger, with the layout and bytes of ``matrix.conj().T``.
+
+        That is the F-ordered view of a C-ordered 2^n x 2^k buffer, with
+        the negative zero imaginary parts that ``conj`` writes; the buffer
+        is allocated once and filled in place.
+        """
+        shape = (1 << self.code.n, 1 << self.k)
+        return self._fill(np.full(shape, complex(0.0, -0.0)), True).T
 
 
 def bits_to_index(bits: np.ndarray) -> int:
@@ -337,11 +391,9 @@ SIMULATOR_QUBIT_LIMIT = 20
 
 
 def encoder_isometry(code: CssCode) -> Encoder:
-    """Type-preserving encoder built from the stored dual bases.
+    """Type-preserving encoder built from the stored dual bases, as a coset table.
 
-    Column u holds 1/sqrt(|S|) on every index of the coset G @ u + S,
-    where S is the X-stabilizer span; cosets of distinct labels are
-    disjoint, so one fancy-index assignment fills the matrix.
+    The qubit limit is checked before anything of size 2^n is built.
     """
     n, k = code.n, code.k
     if n > SIMULATOR_QUBIT_LIMIT:
@@ -349,18 +401,16 @@ def encoder_isometry(code: CssCode) -> Encoder:
     row_basis = rref(code.hx, transform=False)
     orbit = linear_indices([bits_to_index(row_basis.reduced.row(i)) for i in range(row_basis.rank)])
     bases = linear_indices([bits_to_index(code.x_logical(i)) for i in range(k)])
-    mat = np.zeros((1 << n, 1 << k), dtype=np.complex128)
-    mat[bases[None, :] ^ orbit[:, None], np.arange(1 << k)] = 1.0 / np.sqrt(len(orbit))
-    return Encoder(code=code, matrix=mat)
+    return Encoder(code=code, orbit=orbit, bases=bases, amplitude=1.0 / np.sqrt(len(orbit)))
 
 
-def encoder_with_fixed_logical(e: Encoder, index: int, state: np.ndarray) -> np.ndarray:
-    """Contract one logical input of the isometry with a 1-qubit state.
+def encoder_with_fixed_logical(e: Encoder, index: int, state: np.ndarray) -> Encoder:
+    """The encoder with one logical input fixed to a 1-qubit state.
 
-    Returns a 2**n x 2**(k-1) matrix; remaining logical qubits keep
-    their order.
+    It has k - 1 inputs, which keep their order; no array is built.
     """
-    k = e.k
-    m = e.matrix.reshape((e.matrix.shape[0],) + (2,) * k)
-    m = np.tensordot(m, np.asarray(state, dtype=np.complex128), axes=([1 + index], [0]))
-    return m.reshape(e.matrix.shape[0], 1 << (k - 1))
+    if e.fixed is not None:
+        raise DimensionMismatch("encoder already has a fixed logical input")
+    if not 0 <= index < e.k:
+        raise DimensionMismatch(f"logical index {index} is outside 0..{e.k - 1}")
+    return replace(e, fixed=(index, np.asarray(state, dtype=np.complex128)))

@@ -58,11 +58,12 @@ from .errors import (
     MalformedInput,
 )
 from .f2linalg import (
+    Elimination,
     F2Matrix,
     Subspace,
     as_bit_vector,
     block_diag,
-    solve,
+    solve,  # unused here; perfbench/test_perfbench.py checks its tracer patches protocols.solve
     vstack,
 )
 from .simverify import (
@@ -159,6 +160,19 @@ class MergeStep:
     v0 = property(lambda self: self.merge.subcode.v0.basis)
     p1 = property(lambda self: self.merge.p.f1)
 
+    # Transport and gauge systems depend only on the step: each is
+    # eliminated once, when first read, for every Pauli and outcome pattern.
+    @cached_property
+    def pullback(self) -> Elimination:
+        """p1.T, through which the flipping side of a Pauli is pulled back."""
+        return Elimination(self.p1.T)
+
+    @cached_property
+    def gauge_system(self) -> Elimination:
+        """Overlaps with the subcode generators over the preserved-type checks."""
+        source = self.merge.source
+        return Elimination(vstack([self.merge.subcode.oriented_spaces()[1].basis, source.d2.T]))
+
 
 @dataclass(frozen=True)
 class SplitStep:
@@ -184,6 +198,17 @@ class SplitStep:
     def ops(self) -> tuple[PhysicalOp, ...]:
         """The split's physical ops, built when first read."""
         return tuple(physical_op_sequence(self.split, self.orientation))
+
+    @cached_property
+    def pullback(self) -> Elimination:
+        """The split's f1.T, eliminated when first read."""
+        return Elimination(self.split.f1.T)
+
+    @cached_property
+    def residue_system(self) -> Elimination:
+        """The merged subspace's boundaries, for canonicalizing a pulled-back side."""
+        m = self.merge
+        return Elimination(m.source.d1 @ m.subcode.oriented_spaces()[1].basis.T)
 
 
 @dataclass(frozen=True)
@@ -257,9 +282,9 @@ def _solve_branch_gauge(step: MergeStep, signs: Sequence[int]) -> Optional[np.nd
             if bit:
                 w ^= ins.x if step.orientation == "Z" else ins.z
         return w
-    source = step.merge.source
-    system = vstack([step.merge.subcode.oriented_spaces()[1].basis, source.d2.T])
-    return solve(system, np.concatenate([flips, np.zeros(source.dim2, dtype=np.uint8)]))
+    return step.gauge_system.solve(
+        np.concatenate([flips, np.zeros(step.merge.source.dim2, dtype=np.uint8)])
+    )
 
 
 def _transport(step: Union[MergeStep, SplitStep], p: PauliOperator) -> tuple[PauliOperator, dict]:
@@ -288,13 +313,13 @@ def _transport(step: Union[MergeStep, SplitStep], p: PauliOperator) -> tuple[Pau
                 "flip pattern inconsistent with stabilizers; transported operator corrupt"
             )
         flipping = flipping ^ fix
-    pulled = solve(f1.T, flipping)
+    pulled = step.pullback.solve(flipping)
     if pulled is None:
         raise DimensionMismatch("transport failed: the flipping side has no preimage")
     if not merging and v1.dim:
         residue = m.source.d1 @ pulled
         if residue.any():
-            coeffs = solve(m.source.d1 @ v1.basis.T, residue)
+            coeffs = step.residue_system.solve(residue)
             if coeffs is not None:
                 pulled = pulled ^ (v1.basis.T @ coeffs)
     pushed = f1 @ exact
@@ -814,7 +839,7 @@ _STATES = {
 
 
 def plan_encoders(plan: SurgeryPlan, outcomes: Optional[dict] = None):
-    """(e_in, e_out) matrices for channel extraction over every logical but the ancilla."""
+    """(e_in, e_out) Encoders for channel extraction over every logical but the ancilla."""
     outcomes = outcomes or {}
     enc = encoder_isometry(plan.base_code)
     init = plan.steps[0]
@@ -826,7 +851,7 @@ def plan_encoders(plan: SurgeryPlan, outcomes: Optional[dict] = None):
         (s for s in plan.steps if isinstance(s, MeasureLogical)), None
     )
     if final_measure is None:
-        e_out = enc.matrix
+        e_out = enc
     else:
         sign = outcomes.get(final_measure.measurement_id, 1)
         if final_measure.basis == "Z":

@@ -5,6 +5,11 @@ post-selected stabilizer projections, and Pauli gates; channels are
 extracted by conjugating an operation list with encoders. Everything is
 exact linear algebra on dense state vectors (n <= 20 qubits).
 
+Encoders are coset tables (``csscode.Encoder``): an input column is built
+as one 2^n state when it is simulated. The one dense 2^n x 2^k array is
+E_out^dagger, because the BLAS product of it with each simulated state
+fixes the channel's pinned floating-point bits.
+
 Each op is an index map over basis indices and costs O(2^n): a parity
 map scatters amplitude x to A x, a Hadamard-conjugated parity map
 gathers out[y] = 2^{(in-out)/2} * amps[A^T y] (no Walsh-Hadamard
@@ -243,25 +248,29 @@ def extract_logical_channel(
     """E_out^dagger . (composed ops) . E_in, column by column.
 
     ``e_in`` and ``e_out`` are Encoder objects or isometry matrices
-    (2^n x 2^k); E_out^dagger is formed once for all columns.
+    (2^n x 2^k). An Encoder input gives one 2^n column at a time, and an
+    Encoder output gives E_out^dagger from its coset table: that is the
+    only dense 2^n x 2^k array, formed once for all columns.
     Projections are applied linearly so relative column norms are
     meaningful; the result is normalized so its largest-magnitude entry
     is exactly 1 (real positive). Raises ZeroProbabilityOutcome if
     everything post-selects to zero.
     """
-    e_in = e_in.matrix if isinstance(e_in, Encoder) else np.asarray(e_in)
-    e_out = e_out.matrix if isinstance(e_out, Encoder) else np.asarray(e_out)
-    k_in = int(np.log2(e_in.shape[1]))
-    k_out = int(np.log2(e_out.shape[1]))
+    if isinstance(e_in, Encoder):
+        k_in, column = e_in.k, e_in.column
+    else:
+        e_in = np.asarray(e_in)
+        k_in = int(np.log2(e_in.shape[1]))
+        column = lambda u: np.ascontiguousarray(e_in[:, u])
+    # E_out^dagger in the bytes and layout of e_out.conj().T, so BLAS rounds
+    # each column as the per-column conj(e_out).T @ amps; conjugating the
+    # state instead, conj(e_out.T @ conj(amps)), flips the sign of some zero
+    # imaginary parts in reports.
+    e_out_h = e_out.adjoint() if isinstance(e_out, Encoder) else np.asarray(e_out).conj().T
+    k_out = int(np.log2(e_out_h.shape[0]))
     mat = np.zeros((1 << k_out, 1 << k_in), dtype=np.complex128)
-    # One conjugated copy for all columns. It feeds BLAS the same bytes as a
-    # per-column e_out.conj(); conjugating the state instead, conj(e_out.T @
-    # conj(amps)), flips the sign of some zero imaginary parts in reports.
-    e_out_h = e_out.conj().T
     for u in range(1 << k_in):
-        amps = np.ascontiguousarray(e_in[:, u])
-        amps = apply_sequence_linear(ops, amps)
-        mat[:, u] = e_out_h @ amps
+        mat[:, u] = e_out_h @ apply_sequence_linear(ops, column(u))
     return fix_phase_and_scale(mat)
 
 

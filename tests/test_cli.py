@@ -23,6 +23,17 @@ def steane_file(tmp_path):
 
 
 @pytest.fixture()
+def toric4_file(tmp_path):
+    p = tmp_path / "toric4.code"
+    p.write_text(catalog.toric(4).to_text())
+    return str(p)
+
+
+# a toric-4 CNOT plan with its trivial ancilla has 33 qubits
+ABOVE_LIMIT = {"error": "DimensionMismatch", "message": "33 qubits exceeds the simulator limit 20"}
+
+
+@pytest.fixture()
 def welding_files(tmp_path):
     rc = main(["catalog", "export", "example:welding", "--dir", str(tmp_path)])
     assert rc == 0
@@ -189,6 +200,22 @@ class TestPlanCommands:
         payload = json.loads(captured.err)
         assert payload["error"] == "DimensionMismatch"
         assert "-1" in payload["message"] and "0..1" in payload["message"]
+
+    def test_cnot_simulate_above_the_qubit_limit(self, toric4_file, capsys):
+        rc = main(["cnot", toric4_file, "--control", "0", "--target", "1", "--simulate"])
+        captured = capsys.readouterr()
+        assert rc == 1 and not captured.out
+        assert json.loads(captured.err) == ABOVE_LIMIT
+
+    def test_simulate_plan_above_the_qubit_limit(self, toric4_file, tmp_path, capsys):
+        plan_file = tmp_path / "plan.json"
+        argv = ["cnot", toric4_file, "--control", "0", "--target", "1", "--out", str(plan_file)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        rc = main(["simulate", "--plan", str(plan_file)])
+        captured = capsys.readouterr()
+        assert rc == 1 and not captured.out
+        assert json.loads(captured.err) == ABOVE_LIMIT
 
     @pytest.mark.parametrize("outcome", ["bogus=-1", "zmerge.zz0=abc", "zmerge.zz0=2"])
     def test_simulate_bad_outcome_exits_1(self, steane_file, outcome, capsys):

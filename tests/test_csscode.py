@@ -13,11 +13,13 @@ from chainsurg.csscode import (
     distance_bruteforce,
     dual_x_basis,
     encoder_isometry,
+    encoder_with_fixed_logical,
     from_parity_checks,
     symplectic_product,
 )
 from chainsurg.errors import DimensionMismatch, NonCommutingChecks
 from chainsurg.f2linalg import F2Matrix, rref
+from chainsurg.protocols import _STATES
 from chainsurg.simverify import StateVector, pauli_expectation
 
 
@@ -280,7 +282,54 @@ def _small_catalog_codes():
 SMALL_CODES = _small_catalog_codes()
 
 
+def dense_fixed_logical(mat, k, index, state):
+    """The oracle contracted with a 1-qubit state as a dense matrix, by ``np.tensordot``."""
+    m = mat.reshape((mat.shape[0],) + (2,) * k)
+    m = np.tensordot(m, np.asarray(state, dtype=np.complex128), axes=([1 + index], [0]))
+    return m.reshape(mat.shape[0], 1 << (k - 1))
+
+
+def assert_encoder_bytes(e, ref):
+    """Columns, matrix and adjoint of ``e`` are those of the dense ``ref``, byte for byte.
+
+    The adjoint is compared with ``ref.conj().T`` in layout too, so the
+    signed zeros ``conj`` writes and the strides BLAS reads are checked.
+    """
+    assert e.matrix.tobytes() == ref.tobytes()
+    for u in range(ref.shape[1]):
+        assert e.column(u).tobytes() == np.ascontiguousarray(ref[:, u]).tobytes()
+    ref_h = ref.conj().T
+    adj = e.adjoint()
+    assert (adj.shape, adj.strides) == (ref_h.shape, ref_h.strides)
+    assert adj.tobytes() == ref_h.tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(SMALL_CODES))
 def test_encoder_matches_loop_oracle(name):
     code = SMALL_CODES[name]
-    assert np.array_equal(encoder_isometry(code).matrix, encoder_matrix_oracle(code))
+    assert_encoder_bytes(encoder_isometry(code), encoder_matrix_oracle(code))
+
+
+FIXED_CASES = [
+    (name, index, state)
+    for name in sorted(SMALL_CODES)
+    for index in range(SMALL_CODES[name].k)
+    for state in sorted(_STATES)
+]
+
+
+@pytest.mark.parametrize("name,index,state", FIXED_CASES)
+def test_fixed_logical_encoder_matches_dense_contraction(name, index, state):
+    code = SMALL_CODES[name]
+    ref = dense_fixed_logical(encoder_matrix_oracle(code), code.k, index, _STATES[state])
+    e = encoder_with_fixed_logical(encoder_isometry(code), index, _STATES[state])
+    assert e.k == code.k - 1
+    assert_encoder_bytes(e, ref)
+
+
+def test_fixed_logical_index_out_of_range():
+    e = encoder_isometry(catalog.toric(2))
+    with pytest.raises(DimensionMismatch):
+        encoder_with_fixed_logical(e, 2, _STATES["plus"])
+    with pytest.raises(DimensionMismatch):
+        encoder_with_fixed_logical(encoder_with_fixed_logical(e, 0, _STATES["plus"]), 0, _STATES["zero"])

@@ -724,6 +724,24 @@ class TestEliminationBudget:
 
         assert len(rref_inputs(code_switch_plan)) <= 25
 
+    def test_symplectic_action_of_toric_3_cnot(self):
+        from chainsurg.protocols import build_cnot_plan, plan_symplectic_action
+
+        plan = build_cnot_plan(catalog.toric(3), 0, 1)
+        first = rref_inputs(lambda: plan_symplectic_action(plan))
+        # each step eliminates its transport systems once, when first read;
+        # the one repeat is the two splits' ops, whose f2 images are equal
+        assert len(first) <= 8 and len(set(first)) <= 7
+        assert rref_inputs(lambda: plan_symplectic_action(plan)) == []
+
+    def test_symplectic_action_of_code_switch_plan(self):
+        from chainsurg.protocols import code_switch_plan, plan_symplectic_action
+
+        plan = code_switch_plan()
+        first = rref_inputs(lambda: plan_symplectic_action(plan))
+        assert len(first) == len(set(first)) <= 7
+        assert rref_inputs(lambda: plan_symplectic_action(plan)) == []
+
     def test_from_parity_checks_on_toric_20(self):
         code = catalog.toric(20)
         assert len(rref_inputs(lambda: from_parity_checks(code.hx, code.hz))) <= 8

@@ -1,13 +1,14 @@
 """Plan synthesis, propagation, corrections, decomposition, Singleton."""
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from chainsurg import catalog
 from chainsurg.chaincomplex import induced_on_homology
-from chainsurg.csscode import PauliOperator, from_parity_checks
+from chainsurg.csscode import SIMULATOR_QUBIT_LIMIT, PauliOperator, from_parity_checks
 from chainsurg.errors import (
     AncillaDistanceTooSmall,
     ChainsurgError,
@@ -191,6 +192,35 @@ class TestPlanChannels:
         ch = plan_channel(plan)
         exp = expected_plan_channel(plan)
         assert np.max(np.abs(ch - exp)) < 1e-9
+
+    def test_one_dense_encoder_array(self):
+        # toric-3 with the ancilla as target: n = 19 and k_out = 3. The one
+        # 2^n x 2^k_out array is E_out^dagger (64 MiB); inputs are built a
+        # column at a time from the coset table
+        plan = build_cnot_plan(catalog.toric(3), control=0, target=None)
+        n, k_out = plan.base_code.n, plan.base_code.k
+        assert (n, k_out) == (19, 3)
+        tracemalloc.start()
+        try:
+            ch = plan_channel(plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 16 * (1 << n) * (1 << k_out)
+        exp = expected_plan_channel(plan)
+        assert np.max(np.abs(ch - exp / np.max(np.abs(exp)))) < 1e-9
+
+    def test_above_the_qubit_limit_allocates_no_state(self):
+        plan = build_cnot_plan(catalog.toric(4), control=0, target=1)
+        assert plan.base_code.n == 33
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionMismatch, match="33 qubits exceeds the simulator limit 20"):
+                plan_channel(plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 << SIMULATOR_QUBIT_LIMIT  # less than one state at the limit
 
 
 class TestPerStepSoundness:
