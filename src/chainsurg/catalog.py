@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chaincomplex import ChainComplex, direct_sum
+from .chaincomplex import ChainComplex, cohomology, direct_sum, homology
 from .csscode import CssCode, from_parity_checks
 from .errors import DimensionMismatch, UnknownExample
 from .f2linalg import F2Matrix, Subspace
@@ -37,14 +37,20 @@ def _code(hx_rows: list[list[int]], hz_rows: list[list[int]], n: int, d: int | N
 
 def trivial_qubit() -> CssCode:
     """One qubit, no checks: [[1,1,1]]."""
-    return _code([], [], 1, d=1)
+    return no_check(1)
 
 
 def no_check(n: int) -> CssCode:
-    """n qubits without stabilizers: [[n,n,1]]."""
+    """n qubits without stabilizers: [[n,n,1]].
+
+    Nothing is eliminated: on both sides the cycles are the whole space
+    and the boundaries are zero, so the logical bases are the unit
+    vectors, and the X basis is dual to the Z basis.
+    """
     if n < 1:
         raise DimensionMismatch("need at least one qubit")
-    return _code([], [], n, d=1)
+    cplx = ChainComplex(d2=F2Matrix.zeros(n, 0), d1=F2Matrix.zeros(0, n))
+    return CssCode(complex=cplx, z_logicals=homology(cplx), x_logicals=cohomology(cplx), d=1)
 
 
 # faces a, b and c of the 7-qubit code's triangle layout, 1-based

@@ -6,7 +6,7 @@ of C is the chain complex (d1.T, d2.T), with degree n mapped to 2 - n.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -16,6 +16,8 @@ from .f2linalg import (
     Elimination,
     F2Matrix,
     Subspace,
+    _reduce_rows,
+    as_bit_vector,
     block_diag,
     format_matrix,
     image_basis,
@@ -23,7 +25,6 @@ from .f2linalg import (
     quotient_basis,
     section_matrix,
     split_sections,
-    vstack,
 )
 
 
@@ -35,11 +36,16 @@ class ChainComplex:
     ``cycles`` is ker d1 and ``boundaries`` is im d2. ``transpose()`` is
     memoised, so the cocycles and coboundaries are the transposed
     complex's ``cycles`` and ``boundaries``, and transposing twice gives
-    back this object.
+    back this object. A complex built by ``direct_sum`` keeps its two
+    summands, and assembles its spaces from theirs with no elimination;
+    the summands take no part in equality or hashing.
     """
 
     d2: F2Matrix
     d1: F2Matrix
+    summands: tuple["ChainComplex", "ChainComplex"] | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def dim2(self) -> int:
@@ -59,16 +65,25 @@ class ChainComplex:
     @cached_property
     def cycles(self) -> Subspace:
         """ker d1, the degree-1 cycles."""
+        if self.summands is not None:
+            a, b = self.summands
+            return a.cycles.direct_sum(b.cycles)
         return kernel_basis(self.d1)
 
     @cached_property
     def boundaries(self) -> Subspace:
         """im d2, the degree-1 boundaries."""
+        if self.summands is not None:
+            a, b = self.summands
+            return a.boundaries.direct_sum(b.boundaries)
         return image_basis(self.d2)
 
     @cached_property
     def _transposed(self) -> "ChainComplex":
-        t = ChainComplex(d2=self.d1.T, d1=self.d2.T)
+        summands = None
+        if self.summands is not None:
+            summands = tuple(s.transpose() for s in self.summands)
+        t = ChainComplex(d2=self.d1.T, d1=self.d2.T, summands=summands)
         t.__dict__["_transposed"] = self
         return t
 
@@ -118,17 +133,26 @@ class HomologyBasis:
 
     @cached_property
     def _class_system(self) -> Elimination:
-        """Elimination of [representatives | image basis], as columns."""
-        return Elimination(vstack([self.matrix(), self.image.basis]).T)
+        """Elimination of the representatives reduced modulo the image, as columns.
+
+        Reduction modulo the image is linear and kills the image, so a
+        cycle's class coordinates solve this k-column system for the
+        cycle's own reduction.
+        """
+        return Elimination(F2Matrix(_reduce_rows(self.matrix().a, self.image).T))
+
+    def _coordinates(self, cycles: np.ndarray) -> F2Matrix:
+        """Class coordinates of each row of ``cycles``, as columns."""
+        coords = self._class_system.solve_columns(F2Matrix(_reduce_rows(cycles, self.image).T))
+        if coords is None:
+            raise DimensionMismatch("cycle not expressible in basis + boundaries")
+        return coords
 
     def class_coordinates(self, v) -> np.ndarray:
         """Coordinates of [v] in this basis; v must lie in the kernel."""
         if not self.kernel.contains(v):
             raise DimensionMismatch("vector is not a cycle at this degree")
-        x = self._class_system.solve(v)
-        if x is None:
-            raise DimensionMismatch("cycle not expressible in basis + boundaries")
-        return x[: self.dim]
+        return self._coordinates(as_bit_vector(v)[None, :]).col(0)
 
     def is_trivial_class(self, v) -> bool:
         return self.kernel.contains(v) and self.image.contains(v)
@@ -229,12 +253,13 @@ def induced_on_homology(
         raise DimensionMismatch(
             "pushed representative is not a cycle; chain map or basis corrupted"
         )
-    coords = tgt_basis._class_system.solve_columns(pushed)
-    if coords is None:
-        raise DimensionMismatch("cycle not expressible in basis + boundaries")
-    return F2Matrix(coords.a[: tgt_basis.dim])
+    return tgt_basis._coordinates(pushed.a.T)
 
 
 def direct_sum(a: ChainComplex, b: ChainComplex) -> ChainComplex:
-    """Block-diagonal sum; a's coordinates come first in every degree."""
-    return ChainComplex(d2=block_diag(a.d2, b.d2), d1=block_diag(a.d1, b.d1))
+    """Block-diagonal sum; a's coordinates come first in every degree.
+
+    The sum keeps a and b, so its cycles and boundaries, and those of its
+    transpose, are a's and b's placed side by side (``Subspace.direct_sum``).
+    """
+    return ChainComplex(d2=block_diag(a.d2, b.d2), d1=block_diag(a.d1, b.d1), summands=(a, b))

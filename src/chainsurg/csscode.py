@@ -11,14 +11,16 @@ from typing import Optional
 
 import numpy as np
 
-from .chaincomplex import ChainComplex, HomologyBasis, homology, validate
+from .chaincomplex import ChainComplex, HomologyBasis, homology
 from .errors import DimensionMismatch, NonCommutingChecks, SingularMatrix
 from .f2linalg import (
     F2Matrix,
     Subspace,
+    _reduce_rows,
     as_bit_vector,
     format_matrix,
     left_inverse_block,
+    rank,
     rref,
     section_matrix,
     split_sections,
@@ -147,14 +149,17 @@ class CssCode:
 
 
 def _basis_from_rows(rows: F2Matrix, kernel: Subspace, image: Subspace) -> HomologyBasis:
-    """The rows as a homology basis, checked to be independent cycles spanning ker/im."""
+    """The rows as a homology basis, checked to be independent cycles spanning ker/im.
+
+    The rows are independent modulo the image exactly when their
+    reductions modulo it have full rank, so only k rows are eliminated.
+    """
     if rows.rows:
         if rows.cols != kernel.ambient_dim:
             raise DimensionMismatch(f"expected length {kernel.ambient_dim}, got {rows.cols}")
         if not kernel.contains_rows(rows):
             raise DimensionMismatch("supplied logical representative is not a cycle")
-        got = rref(F2Matrix(np.vstack([rows.a, image.basis.a])), transform=False).rank
-        if got != rows.rows + image.dim:
+        if rank(F2Matrix(_reduce_rows(rows.a, image))) != rows.rows:
             raise DimensionMismatch("supplied logical representatives are dependent mod stabilizers")
     if rows.rows + image.dim != kernel.dim:
         k = kernel.dim - image.dim
@@ -179,7 +184,8 @@ def from_parity_checks(
         raise DimensionMismatch(f"hx has {hx.cols} columns, hz has {hz.cols}")
     if hx.rows and hz.rows and not (hx @ hz.T).is_zero():
         raise NonCommutingChecks("hx @ hz.T != 0")
-    return from_complex(validate(d2=hz.T, d1=hx), z_basis, x_basis)
+    # the two checks above are ``validate``'s, so the complex is built directly
+    return from_complex(ChainComplex(d2=hz.T, d1=hx), z_basis, x_basis)
 
 
 def from_complex(
@@ -223,13 +229,15 @@ def _injective_column_selection(m: F2Matrix) -> F2Matrix:
 
 
 def quotient_basis_units(ambient: int, sub: Subspace) -> F2Matrix:
-    """Complement of ``sub`` spanned by its non-pivot unit vectors, as columns."""
-    from .f2linalg import quotient_basis
+    """Complement of ``sub`` spanned by its non-pivot unit vectors, as columns.
 
-    reps = quotient_basis(ambient, Subspace.full(ambient), sub)
-    if not reps:
-        return F2Matrix.zeros(ambient, 0)
-    return F2Matrix.from_rows(reps, cols=ambient).T
+    They are the columns of one identity array at sub's free columns; no
+    elimination and no containment check is needed.
+    """
+    if sub.ambient_dim != ambient:
+        raise DimensionMismatch("ambient dimensions differ")
+    pivot_set = set(sub.pivots)
+    return F2Matrix(np.eye(ambient, dtype=np.uint8)[:, [j for j in range(ambient) if j not in pivot_set]])
 
 
 def dual_x_basis(cplx: ChainComplex, z_basis: HomologyBasis) -> HomologyBasis:

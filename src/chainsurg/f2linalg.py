@@ -22,7 +22,19 @@ What an RREF already says is read, not eliminated again:
   vectors it reads off are then, in reverse order, the canonical RREF of
   the kernel, so one elimination gives the canonical basis;
 - ``quotient_basis`` needs none: a subspace's pivots are among the pivots
-  of any subspace holding it, and that fixes the quotient basis.
+  of any subspace holding it, and that fixes the quotient basis;
+- ``Subspace.direct_sum`` needs none: two canonical bases placed
+  block-diagonally, the second block's pivots shifted by the first
+  block's dimension, are the canonical RREF of the sum, so the kernel and
+  image of a block-diagonal map are assembled from its blocks' spaces;
+- independence and coordinates modulo a subspace w are read on rows
+  reduced modulo w (``_reduce_rows``): reduction is linear and kills w,
+  so k rows are independent modulo w exactly when their k reductions
+  have rank k, and v = sum x_i r_i + (a member of w) exactly when the
+  reduction of v is sum x_i times the reductions of the r_i. That is k
+  rows to eliminate where the stacked rows and w's basis are k + dim w;
+- a matrix with no rows is already reduced: its row space is zero and
+  its kernel is the whole space.
 """
 from __future__ import annotations
 
@@ -286,6 +298,8 @@ class Subspace:
 
     @classmethod
     def from_matrix_rows(cls, m: F2Matrix) -> "Subspace":
+        if not m.rows:
+            return cls.zero(m.cols)
         res = rref(m, transform=False)
         return cls(m.cols, F2Matrix(res.reduced.a[: res.rank]), res.pivots)
 
@@ -337,6 +351,18 @@ class Subspace:
             raise DimensionMismatch("ambient dimensions differ")
         return Subspace.from_vectors(self.basis_vectors() + other.basis_vectors(), self._ambient)
 
+    def direct_sum(self, other: "Subspace") -> "Subspace":
+        """self in the first coordinates and other in the rest, with no elimination.
+
+        The bases placed block-diagonally are already the canonical RREF:
+        each block's pivot columns are zero in the other block's rows.
+        """
+        return Subspace(
+            self._ambient + other._ambient,
+            block_diag(self._basis, other._basis),
+            self._pivots + tuple(self._ambient + p for p in other._pivots),
+        )
+
     def perp(self) -> "Subspace":
         """Orthogonal complement w.r.t. the standard bilinear form."""
         if self.dim == 0:
@@ -379,9 +405,11 @@ def kernel_basis(m: F2Matrix) -> Subspace:
     pivots left of f'. Reversed back, its leading 1 sits at n-1-f', a
     column that is zero in every other kernel vector. So the vectors,
     ordered by n-1-f', are already the canonical RREF of the kernel, with
-    pivots n-1-f'.
+    pivots n-1-f'. A matrix with no rows needs no elimination.
     """
     n = m.cols
+    if not m.rows:
+        return Subspace.full(n)
     res = rref(F2Matrix(m.a[:, ::-1]), transform=False)
     pivot_set = set(res.pivots)
     free = [c for c in reversed(range(n)) if c not in pivot_set]

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import jsontext
 from .chaincomplex import (
+    ChainComplex,
     ChainMap,
     HomologyBasis,
     direct_sum,
@@ -369,7 +370,15 @@ def decompose_merge_support(
     backtracking; raises DecompositionInfeasible past the weight cap or
     search budget.
     """
-    target = as_bit_vector(np.asarray(u, dtype=np.uint8) ^ np.asarray(w, dtype=np.uint8), code.n)
+    return _decompose_support(code.complex, u, w, max_weight, node_cap)
+
+
+def _decompose_support(
+    cplx: ChainComplex, u, w, max_weight: int, node_cap: int = 4000
+) -> list[np.ndarray]:
+    """``decompose_merge_support`` on a complex: its cycles and boundaries stand for the code's."""
+    n = cplx.dim1
+    target = as_bit_vector(np.asarray(u, dtype=np.uint8) ^ np.asarray(w, dtype=np.uint8), n)
     if not target.any():
         raise DecompositionInfeasible("u and w coincide; nothing to merge")
     if max_weight < 1:
@@ -377,20 +386,16 @@ def decompose_merge_support(
     if int(np.count_nonzero(target)) <= max_weight:
         return [target]
     support = [int(i) for i in np.nonzero(target)[0]]
-    n = code.n
-    allowed = _allowed_space(code, target)
+    allowed = _allowed_space(cplx, target)
 
     nodes = 0
 
     def block_ok(block: list[int]) -> bool:
         v = np.zeros(n, dtype=np.uint8)
         v[block] = 1
-        if not kernel_contains(code, v):
-            return True
+        if cplx.d1.rows and (cplx.d1 @ v).any():
+            return True  # not a cycle
         return allowed.contains(v)
-
-    def kernel_contains(code: CssCode, v: np.ndarray) -> bool:
-        return not (code.complex.d1 @ v).any() if code.complex.d1.rows else True
 
     def search(remaining: list[int], acc: list[list[int]]) -> Optional[list[list[int]]]:
         nonlocal nodes
@@ -420,24 +425,26 @@ def decompose_merge_support(
         v = np.zeros(n, dtype=np.uint8)
         v[block] = 1
         gens.append(as_bit_vector(v))
-    _check_span_exclusion(code, gens, target)
+    _check_span_exclusion(cplx, gens, target, allowed)
     return gens
 
 
-def _allowed_space(code: CssCode, target: np.ndarray) -> Subspace:
-    stab = code.complex.boundaries
-    return Subspace.from_vectors(list(stab.basis_vectors()) + [target], code.n)
+def _allowed_space(cplx: ChainComplex, target: np.ndarray) -> Subspace:
+    """The boundaries and u + w: the cycles a safe span may contain."""
+    stab = cplx.boundaries
+    return Subspace.from_vectors(list(stab.basis_vectors()) + [target], cplx.dim1)
 
 
-def _check_span_exclusion(code: CssCode, gens: list[np.ndarray], target: np.ndarray) -> None:
-    span = Subspace.from_vectors(gens, code.n)
-    inside = span.intersect(code.complex.cycles)
-    allowed = _allowed_space(code, target)
+def _check_span_exclusion(
+    cplx: ChainComplex, gens: list[np.ndarray], target: np.ndarray, allowed: Subspace
+) -> None:
+    span = Subspace.from_vectors(gens, cplx.dim1)
+    inside = span.intersect(cplx.cycles)
     if not allowed.contains_subspace(inside):
         raise DecompositionInfeasible(
             "candidate span admits a second independent logical class"
         )
-    total = np.zeros(code.n, dtype=np.uint8)
+    total = np.zeros(cplx.dim1, dtype=np.uint8)
     for g in gens:
         total ^= g
     if not np.array_equal(total, target):
@@ -598,8 +605,7 @@ def _joint_subcode(
     oriented = base.complex if side == "Z" else base.complex.transpose()
     rep = base.z_logical if side == "Z" else base.x_logical
     if locality:
-        code = base if side == "Z" else from_complex(oriented)
-        gens = decompose_merge_support(code, rep(a), rep(b), max_weight)
+        gens = _decompose_support(oriented, rep(a), rep(b), max_weight)
     else:
         gens = [as_bit_vector(rep(a) ^ rep(b), base.n)]
     spaces = (

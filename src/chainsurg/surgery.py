@@ -30,6 +30,7 @@ from .chaincomplex import (
     validate,
     validate_chain_map,
 )
+from .csscode import quotient_basis_units
 from .errors import (
     ClosureViolated,
     DimensionMismatch,
@@ -147,14 +148,8 @@ def validate_subcode(
     return sub
 
 
-def _complement_reps(ambient: int, sub: Subspace, supplied: Sequence | None) -> list[np.ndarray]:
-    """Representatives of a basis of F2^ambient / sub.
-
-    Defaults to the non-pivot unit vectors of sub's RREF; a user-supplied
-    list is validated to be a genuine complement basis.
-    """
-    if supplied is None:
-        return quotient_basis(ambient, Subspace.full(ambient), sub)
+def _complement_reps(ambient: int, sub: Subspace, supplied: Sequence) -> list[np.ndarray]:
+    """User-supplied representatives, validated to be a basis of F2^ambient / sub."""
     reps = [as_bit_vector(v, ambient) for v in supplied]
     if len(reps) != ambient - sub.dim:
         raise DimensionMismatch(
@@ -244,18 +239,23 @@ def quotient_merge(
     spaces = sub.oriented_spaces()
     supplied = quotient_bases or {}
     reps = []
+    sections = []
     projections = []
     for degree, space in zip((2, 1, 0), spaces):
+        ambient = oriented.dim(degree)
         given = supplied.get(degree)
-        reps.append(_complement_reps(oriented.dim(degree), space, given))
-        projections.append(
-            _projection_matrix(oriented.dim(degree), space, None if given is None else reps[-1])
-        )
+        if given is None:
+            sections.append(quotient_basis_units(ambient, space))
+            reps.append(tuple(sections[-1].T.a))
+            projections.append(_projection_matrix(ambient, space, None))
+        else:
+            given = _complement_reps(ambient, space, given)
+            reps.append(tuple(given))
+            sections.append(_section_matrix(ambient, given))
+            projections.append(_projection_matrix(ambient, space, given))
     p2, p1, p0 = projections
-    sec2 = _section_matrix(oriented.dim2, reps[0])
-    sec1 = _section_matrix(oriented.dim1, reps[1])
-    q_d2 = p1 @ oriented.d2 @ sec2
-    q_d1 = p0 @ oriented.d1 @ sec1
+    q_d2 = p1 @ oriented.d2 @ sections[0]
+    q_d1 = p0 @ oriented.d1 @ sections[1]
     quotient = validate(d2=q_d2, d1=q_d1)
     p = validate_chain_map(oriented, quotient, p2, p1, p0)
     return MergeResult(
@@ -263,7 +263,7 @@ def quotient_merge(
         quotient=quotient,
         p=p,
         subcode=sub,
-        quotient_reps=(tuple(reps[0]), tuple(reps[1]), tuple(reps[2])),
+        quotient_reps=tuple(reps),
     )
 
 

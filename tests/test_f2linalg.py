@@ -706,10 +706,18 @@ class TestEliminationBudget:
         toric = catalog.toric(5)
         code = from_parity_checks(toric.hx, toric.hz)
         inputs = rref_inputs(lambda: build_cnot_plan(code, 0, 1))
-        # no merged code: one elimination checks each pushed basis
-        assert len(inputs) <= 24
-        # rebuilding a complex from its matrices reduces the same inputs again
-        assert len(inputs) - len(set(inputs)) <= 4
+        # no merged code: one elimination checks each pushed basis; the base
+        # code's spaces are assembled from its summands' and the bare
+        # ancilla qubit needs none
+        assert len(inputs) <= 14
+        assert len(inputs) - len(set(inputs)) <= 1
+
+    def test_ancilla_target_plan_on_surface_5(self):
+        from chainsurg.protocols import build_cnot_plan
+
+        patch = catalog.surface_patch(5, 5)
+        code = from_parity_checks(patch.hx, patch.hz)
+        assert len(rref_inputs(lambda: build_cnot_plan(code, 0))) <= 8
 
     def test_cnot_plan_load_on_toric_2(self):
         from chainsurg.protocols import build_cnot_plan, plan_from_json, plan_to_json
@@ -722,7 +730,11 @@ class TestEliminationBudget:
     def test_code_switch_plan(self):
         from chainsurg.protocols import code_switch_plan
 
-        assert len(rref_inputs(code_switch_plan)) <= 25
+        assert len(rref_inputs(code_switch_plan)) <= 21
+
+    def test_trivial_qubit(self):
+        # its cycles are the whole space and its boundaries are zero
+        assert rref_inputs(catalog.trivial_qubit) == []
 
     def test_symplectic_action_of_toric_3_cnot(self):
         from chainsurg.protocols import build_cnot_plan, plan_symplectic_action
