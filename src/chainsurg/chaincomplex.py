@@ -139,11 +139,11 @@ class HomologyBasis:
         cycle's class coordinates solve this k-column system for the
         cycle's own reduction.
         """
-        return Elimination(F2Matrix(_reduce_rows(self.matrix().a, self.image).T))
+        return Elimination(F2Matrix._wrap(_reduce_rows(self.matrix().a, self.image).T))
 
     def _coordinates(self, cycles: np.ndarray) -> F2Matrix:
         """Class coordinates of each row of ``cycles``, as columns."""
-        coords = self._class_system.solve_columns(F2Matrix(_reduce_rows(cycles, self.image).T))
+        coords = self._class_system.solve_columns(F2Matrix._wrap(_reduce_rows(cycles, self.image).T))
         if coords is None:
             raise DimensionMismatch("cycle not expressible in basis + boundaries")
         return coords

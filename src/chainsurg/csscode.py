@@ -159,7 +159,7 @@ def _basis_from_rows(rows: F2Matrix, kernel: Subspace, image: Subspace) -> Homol
             raise DimensionMismatch(f"expected length {kernel.ambient_dim}, got {rows.cols}")
         if not kernel.contains_rows(rows):
             raise DimensionMismatch("supplied logical representative is not a cycle")
-        if rank(F2Matrix(_reduce_rows(rows.a, image))) != rows.rows:
+        if rank(F2Matrix._wrap(_reduce_rows(rows.a, image))) != rows.rows:
             raise DimensionMismatch("supplied logical representatives are dependent mod stabilizers")
     if rows.rows + image.dim != kernel.dim:
         k = kernel.dim - image.dim
@@ -225,7 +225,7 @@ def _injective_column_selection(m: F2Matrix) -> F2Matrix:
     keep = rref(m, transform=False).pivots  # pivot columns are an independent generating set
     if not keep:
         return F2Matrix.zeros(m.rows, 0)
-    return F2Matrix(np.array([m.a[:, j] for j in keep]).T)
+    return F2Matrix._wrap(m.a[:, list(keep)])
 
 
 def quotient_basis_units(ambient: int, sub: Subspace) -> F2Matrix:
@@ -237,7 +237,7 @@ def quotient_basis_units(ambient: int, sub: Subspace) -> F2Matrix:
     if sub.ambient_dim != ambient:
         raise DimensionMismatch("ambient dimensions differ")
     pivot_set = set(sub.pivots)
-    return F2Matrix(np.eye(ambient, dtype=np.uint8)[:, [j for j in range(ambient) if j not in pivot_set]])
+    return F2Matrix._wrap(np.eye(ambient, dtype=np.uint8)[:, [j for j in range(ambient) if j not in pivot_set]])
 
 
 def dual_x_basis(cplx: ChainComplex, z_basis: HomologyBasis) -> HomologyBasis:
@@ -263,9 +263,10 @@ def dual_x_basis(cplx: ChainComplex, z_basis: HomologyBasis) -> HomologyBasis:
         inv = left_inverse_block([lz, d2_gen, kernel_complement])
     except (SingularMatrix, DimensionMismatch) as exc:
         raise SingularMatrix(f"dual basis assembly failed: {exc}") from exc
-    if not ker.contains_rows(F2Matrix(inv.a[:k])):
+    lx = F2Matrix._wrap(inv.a[:k].copy())  # row views of inv would keep all n x n alive
+    if not ker.contains_rows(lx):
         raise SingularMatrix("dual basis construction produced a non-cycle")
-    reps = tuple(inv.row(i) for i in range(k))
+    reps = tuple(lx.row(i) for i in range(k))
     return HomologyBasis(representatives=reps, kernel=ker, image=img)
 
 
@@ -380,7 +381,7 @@ def bits_to_index(bits: np.ndarray) -> int:
     return idx
 
 
-def linear_indices(columns) -> np.ndarray:
+def linear_indices(columns, dtype=np.int64) -> np.ndarray:
     """The value of the linear map x -> XOR of columns[j] over the set bits x_j, for every x.
 
     Entry x of the result is indexed as in ``bits_to_index`` (qubit 0 is
@@ -389,7 +390,7 @@ def linear_indices(columns) -> np.ndarray:
     With basis-index columns this enumerates a GF(2) span, one element
     per coordinate vector x.
     """
-    out = np.zeros(1, dtype=np.int64)
+    out = np.zeros(1, dtype=dtype)
     for c in reversed(columns):
         out = np.concatenate([out, out ^ int(c)])
     return out

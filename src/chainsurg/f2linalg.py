@@ -5,6 +5,14 @@ Matrices are immutable wrappers around uint8 numpy arrays with entries in
 inputs produce bit-identical outputs, which the rest of the package relies
 on for reproducible bases and reports.
 
+There are two constructors. ``F2Matrix(data)`` takes data from outside the
+package: it reduces mod 2 and copies, so it never aliases a caller's
+array. ``F2Matrix._wrap(a)`` trusts a 2-D 0/1 uint8 array the package made
+itself and nothing writes to: products, XORs, transposes, stacks, RREF
+and transform blocks, identity and zero matrices, and the reduced-row and
+free-column arrays other modules slice from them. It only marks the array
+read-only; ``F2Matrix.row`` returns a read-only view.
+
 ``rref`` eliminates on bitset rows: each row of m, or of the augmented
 array [m | I] when the caller reads the row transform, is packed into one
 Python int, so a row XOR is one integer operation whatever the width,
@@ -34,7 +42,11 @@ What an RREF already says is read, not eliminated again:
   reduction of v is sum x_i times the reductions of the r_i. That is k
   rows to eliminate where the stacked rows and w's basis are k + dim w;
 - a matrix with no rows is already reduced: its row space is zero and
-  its kernel is the whole space.
+  its kernel is the whole space; a matrix of zero rows spans the zero
+  space too;
+- ``Subspace.intersect`` is one elimination of [[U, U], [W, 0]]
+  (Zassenhaus): the rows with a zero left half come last, and their
+  right halves are already the canonical basis of the intersection.
 """
 from __future__ import annotations
 
@@ -73,7 +85,8 @@ class F2Matrix:
     """Immutable dense matrix over GF(2).
 
     ``@`` is mod-2 matrix product (also accepts a vector on the right),
-    ``+`` is entrywise XOR, ``.T`` the transpose.
+    ``+`` is entrywise XOR, ``.T`` the transpose. ``F2Matrix(data)``
+    reduces and copies; ``_wrap`` trusts (see the module docstring).
     """
 
     __slots__ = ("_a",)
@@ -89,12 +102,20 @@ class F2Matrix:
         self._a = a
 
     @classmethod
+    def _wrap(cls, a: np.ndarray) -> "F2Matrix":
+        """The matrix of a 0/1 uint8 array the package made, without reduction or copy."""
+        a.flags.writeable = False
+        m = object.__new__(cls)
+        m._a = a
+        return m
+
+    @classmethod
     def zeros(cls, rows: int, cols: int) -> "F2Matrix":
-        return cls(np.zeros((rows, cols), dtype=np.uint8))
+        return cls._wrap(np.zeros((rows, cols), dtype=np.uint8))
 
     @classmethod
     def identity(cls, n: int) -> "F2Matrix":
-        return cls(np.eye(n, dtype=np.uint8))
+        return cls._wrap(np.eye(n, dtype=np.uint8))
 
     @classmethod
     def from_rows(cls, rows: Sequence, cols: int | None = None) -> "F2Matrix":
@@ -119,10 +140,11 @@ class F2Matrix:
 
     @property
     def T(self) -> "F2Matrix":
-        return F2Matrix(self._a.T)
+        return F2Matrix._wrap(self._a.T)
 
     def row(self, i: int) -> np.ndarray:
-        return as_bit_vector(self._a[i])
+        """Row i as a read-only view."""
+        return self._a[i]
 
     def col(self, j: int) -> np.ndarray:
         return as_bit_vector(self._a[:, j])
@@ -134,7 +156,7 @@ class F2Matrix:
         if isinstance(other, F2Matrix):
             if self.cols != other.rows:
                 raise DimensionMismatch(f"{self.shape} @ {other.shape}")
-            return F2Matrix(_mul(self._a, other._a))
+            return F2Matrix._wrap(_mul(self._a, other._a))
         v = np.asarray(other, dtype=np.uint8)
         if v.ndim == 1:
             if self.cols != v.shape[0]:
@@ -145,7 +167,7 @@ class F2Matrix:
     def __add__(self, other: "F2Matrix") -> "F2Matrix":
         if self.shape != other.shape:
             raise DimensionMismatch(f"{self.shape} + {other.shape}")
-        return F2Matrix(self._a ^ other._a)
+        return F2Matrix._wrap(self._a ^ other._a)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -170,20 +192,20 @@ class F2Matrix:
 def hstack(blocks: Sequence[F2Matrix]) -> F2Matrix:
     if not blocks:
         raise DimensionMismatch("need at least one block")
-    return F2Matrix(np.hstack([b.a for b in blocks]))
+    return F2Matrix._wrap(np.hstack([b.a for b in blocks]))
 
 
 def vstack(blocks: Sequence[F2Matrix]) -> F2Matrix:
     if not blocks:
         raise DimensionMismatch("need at least one block")
-    return F2Matrix(np.vstack([b.a for b in blocks]))
+    return F2Matrix._wrap(np.vstack([b.a for b in blocks]))
 
 
 def block_diag(a: F2Matrix, b: F2Matrix) -> F2Matrix:
     out = np.zeros((a.rows + b.rows, a.cols + b.cols), dtype=np.uint8)
     out[: a.rows, : a.cols] = a.a
     out[a.rows :, a.cols :] = b.a
-    return F2Matrix(out)
+    return F2Matrix._wrap(out)
 
 
 @dataclass(frozen=True)
@@ -240,7 +262,9 @@ def rref(m: F2Matrix, transform: bool = True) -> RrefResult:
     data = np.frombuffer(b"".join(x.to_bytes(nbytes, "big") for x in bits), dtype=np.uint8)
     aug = np.unpackbits(data.reshape(rows, nbytes), axis=1, count=width)
     return RrefResult(
-        F2Matrix(aug[:, :cols]), tuple(pivots), F2Matrix(aug[:, cols:]) if transform else None
+        F2Matrix._wrap(aug[:, :cols]),
+        tuple(pivots),
+        F2Matrix._wrap(aug[:, cols:]) if transform else None,
     )
 
 
@@ -258,7 +282,7 @@ class Elimination:
         bv = as_bit_vector(b)
         if bv.shape[0] != self.matrix.rows:
             raise DimensionMismatch(f"rhs length {bv.shape[0]} != rows {self.matrix.rows}")
-        x = self.solve_columns(F2Matrix(bv[:, None]))
+        x = self.solve_columns(F2Matrix._wrap(bv[:, None]))
         return None if x is None else x.col(0)
 
     def solve_columns(self, b: F2Matrix) -> F2Matrix | None:
@@ -269,7 +293,7 @@ class Elimination:
             return None
         x = np.zeros((self.matrix.cols, b.cols), dtype=np.uint8)
         x[list(res.pivots)] = rb[: res.rank]
-        return F2Matrix(x)
+        return F2Matrix._wrap(x)
 
 
 def rank(m: F2Matrix) -> int:
@@ -298,10 +322,10 @@ class Subspace:
 
     @classmethod
     def from_matrix_rows(cls, m: F2Matrix) -> "Subspace":
-        if not m.rows:
+        if m.is_zero():  # no rows, or only zero rows: nothing to eliminate
             return cls.zero(m.cols)
         res = rref(m, transform=False)
-        return cls(m.cols, F2Matrix(res.reduced.a[: res.rank]), res.pivots)
+        return cls(m.cols, F2Matrix._wrap(res.reduced.a[: res.rank]), res.pivots)
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -370,7 +394,27 @@ class Subspace:
         return kernel_basis(self._basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        return self.perp().sum(other.perp()).perp()
+        """self ∩ other from one Zassenhaus elimination, already canonical.
+
+        The RREF of [[U, U], [W, 0]] (U, W the two bases) ends in the rows
+        whose left half is zero, and their right halves span U ∩ W. Those
+        rows are an RREF block on their own, their pivots in the right
+        half, so their right halves are the canonical basis.
+        """
+        n = self._ambient
+        if other.ambient_dim != n:
+            raise DimensionMismatch("ambient dimensions differ")
+        if not (self.dim and other.dim):
+            return Subspace.zero(n)
+        u, w = self._basis.a, other.basis.a
+        stacked = np.block([[u, u], [w, np.zeros_like(w)]])
+        res = rref(F2Matrix._wrap(stacked), transform=False)
+        left = sum(p < n for p in res.pivots)
+        return Subspace(
+            n,
+            F2Matrix._wrap(res.reduced.a[left : res.rank, n:]),
+            tuple(p - n for p in res.pivots[left:]),
+        )
 
     def enumerate(self):
         """Yield every element (2**dim of them); caller checks the dimension."""
@@ -410,11 +454,11 @@ def kernel_basis(m: F2Matrix) -> Subspace:
     n = m.cols
     if not m.rows:
         return Subspace.full(n)
-    res = rref(F2Matrix(m.a[:, ::-1]), transform=False)
+    res = rref(F2Matrix._wrap(m.a[:, ::-1]), transform=False)
     pivot_set = set(res.pivots)
     free = [c for c in reversed(range(n)) if c not in pivot_set]
     vecs = free_column_vectors(res.reduced.a, res.pivots, free)
-    return Subspace(n, F2Matrix(vecs[:, ::-1]), tuple(n - 1 - f for f in free))
+    return Subspace(n, F2Matrix._wrap(vecs[:, ::-1]), tuple(n - 1 - f for f in free))
 
 
 def free_column_vectors(reduced: np.ndarray, pivots: Sequence[int], free: Sequence[int]) -> np.ndarray:
@@ -490,13 +534,13 @@ def invert(m: F2Matrix) -> F2Matrix:
 
 
 def format_matrix(m: F2Matrix) -> str:
-    lines = [f"{m.rows} {m.cols}"]
-    for i in range(m.rows):
-        lines.append("".join(str(int(x)) for x in m.a[i]))
-    return "\n".join(lines) + "\n"
+    """The header line, then each row's uint8 bytes as '0'/'1' characters and a newline."""
+    lines = np.hstack([m.a + ord("0"), np.full((m.rows, 1), ord("\n"), dtype=np.uint8)])
+    return f"{m.rows} {m.cols}\n" + lines.tobytes().decode()
 
 
 _HEADER_RE = re.compile(r"[0-9]+")
+_NOT_BIT_RE = re.compile(r"[^01]")
 
 
 def parse_matrix(text: str) -> F2Matrix:
@@ -513,11 +557,11 @@ def parse_matrix(text: str) -> F2Matrix:
     for i, line in enumerate(body):
         if len(line) != cols:
             raise MalformedInput(f"row {i} has {len(line)} entries, expected {cols}")
-        for ch in line:
-            if ch not in "01":
-                raise MalformedInput(f"bad character {ch!r} in matrix row {i}")
+        bad = _NOT_BIT_RE.search(line)
+        if bad:
+            raise MalformedInput(f"bad character {bad.group()!r} in matrix row {i}")
     a = np.frombuffer("".join(body).encode(), dtype=np.uint8).reshape(rows, cols) - ord("0")
-    return F2Matrix(a)
+    return F2Matrix._wrap(a)
 
 
 def section_matrix(sections: dict[str, str], name: str) -> F2Matrix:

@@ -465,7 +465,7 @@ def _pushed_basis(m: MergeResult, src: HomologyBasis, anc: int) -> HomologyBasis
     keep = [i for i in range(src.dim) if i != anc]
     if q.cycles.dim - q.boundaries.dim > len(keep):
         raise DimensionMismatch("the merge creates logical classes the base code does not have")
-    rows = F2Matrix((m.p.f1 @ src.matrix().T).a.T[keep])
+    rows = F2Matrix._wrap((m.p.f1 @ src.matrix().T).a.T[keep])
     try:
         return _basis_from_rows(rows, q.cycles, q.boundaries)
     except DimensionMismatch:
@@ -1123,7 +1123,7 @@ def _init_from_json(ctx: dict, state: str, n: Optional[int], hx, hz) -> tuple[Pl
 def _is_trailing_block(checks: F2Matrix, block: F2Matrix) -> bool:
     """Whether ``checks`` is block diagonal with ``block`` as its last block."""
     rows, cols = checks.rows - block.rows, checks.cols - block.cols
-    return rows >= 0 and checks == block_diag(F2Matrix(checks.a[:rows, :cols]), block)
+    return rows >= 0 and checks == block_diag(F2Matrix._wrap(checks.a[:rows, :cols]), block)
 
 
 def _merge_from_json(ctx: dict, orientation: str, v2, v1, v0, inserts) -> tuple[PlanStep, ...]:

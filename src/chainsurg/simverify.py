@@ -14,12 +14,16 @@ Each op is an index map over basis indices and costs O(2^n): a parity
 map scatters amplitude x to A x, a Hadamard-conjugated parity map
 gathers out[y] = 2^{(in-out)/2} * amps[A^T y] (no Walsh-Hadamard
 transform is taken), and a Pauli gate permutes by its X part and signs
-by its Z parity.
+by its Z parity. Every op maps CSS states to CSS states by a fixed
+XOR-linear index map, so its table depends on the op alone and not on
+the state: ``extract_logical_channel`` builds each op's ``IndexMap``
+once per channel, before E_out^dagger, and applies it to every input
+column.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -146,43 +150,85 @@ PhysicalOp = Union[ParityMap, HadamardConjugatedParityMap, Projection, PauliGate
 
 
 def _parity_indices(a: F2Matrix) -> np.ndarray:
-    """Output basis index A @ x for every input index x."""
-    return linear_indices([bits_to_index(a.a[:, j]) for j in range(a.cols)])
+    """Output basis index A @ x for every input index x, as int32 (n <= 20)."""
+    return linear_indices([bits_to_index(a.a[:, j]) for j in range(a.cols)], np.int32)
 
 
-def _apply_parity(a: F2Matrix, amps: np.ndarray) -> np.ndarray:
-    out = np.zeros(1 << a.rows, dtype=np.complex128)
-    np.add.at(out, _parity_indices(a), amps)
-    return out
+@dataclass(frozen=True, eq=False)
+class IndexMap:
+    """A physical op as the int32 index table that applies it, built once for many states.
+
+    ``index`` is the scatter table A x of a parity map, the gather table
+    A^T y of a Hadamard-conjugated parity map, or the gather table y ^ mask
+    of a Pauli's X part (None when it has none). ``signs`` holds a Pauli's
+    Z signs (-1)^{z.x} as int8, in the order of the gathered amplitudes.
+    Each application allocates one output array and works in it; indexing
+    casts the int32 table in buffered chunks (``np.take`` would copy it
+    to int64 first).
+
+    ``apply`` multiplies the same pairs of floats, in the same order, as
+    the op's formula: a product with (s + 0j) is exact in value but not
+    in the sign of a zero, so the Z signs, the Pauli's sign and a
+    projection's outcome stay three products. Gathering first and
+    multiplying by the gathered signs pairs the same operands as
+    multiplying first and gathering.
+    """
+
+    op: PhysicalOp
+    index: Optional[np.ndarray]
+    signs: Optional[np.ndarray] = None
+
+    @property
+    def n_in(self) -> int:
+        return self.op.n_in
+
+    @property
+    def n_out(self) -> int:
+        return self.op.n_out
+
+    def apply(self, amps: np.ndarray) -> np.ndarray:
+        op, index = self.op, self.index
+        if isinstance(op, ParityMap):
+            out = np.zeros(1 << op.n_out, dtype=np.complex128)
+            np.add.at(out, index, amps)
+            return out
+        if isinstance(op, HadamardConjugatedParityMap):
+            out = amps[index]
+            out *= np.sqrt(2.0 ** (op.n_in - op.n_out))
+            return out
+        if index is None:
+            out = amps * self.signs
+        else:
+            out = amps[index]
+            out *= self.signs
+        out *= op.pauli.sign
+        if isinstance(op, Projection):  # (amps + outcome * P amps) / 2
+            out *= op.outcome
+            np.add(amps, out, out=out)
+            out /= 2.0
+        return out
 
 
-def _apply_hconj_parity(a: F2Matrix, amps: np.ndarray) -> np.ndarray:
-    """out[y] = 2^{(in-out)/2} * amps[A^T y]: one gather, see HadamardConjugatedParityMap."""
-    return amps[_parity_indices(a.T)] * np.sqrt(2.0 ** (a.cols - a.rows))
-
-
-def _apply_pauli(p: PauliOperator, amps: np.ndarray) -> np.ndarray:
-    """Amplitudes of gamma(x|z)|psi> = X^x Z^z |psi| (sign included)."""
-    zpar = linear_indices(p.z)
-    shifted = amps * np.where(zpar, -1.0, 1.0) * p.sign
-    xmask = bits_to_index(p.x)
-    if xmask:
-        idx = np.arange(1 << p.n, dtype=np.int64) ^ xmask
-        shifted = shifted[idx]
-    return shifted
-
-
-def apply_linear(op: PhysicalOp, amps: np.ndarray) -> np.ndarray:
-    """Raw linear action of an op; no renormalization."""
+def index_map(op: PhysicalOp) -> IndexMap:
+    """The op's index table (and a Pauli's Z signs); see IndexMap."""
     if isinstance(op, ParityMap):
-        return _apply_parity(op.matrix, amps)
+        return IndexMap(op, _parity_indices(op.matrix))
     if isinstance(op, HadamardConjugatedParityMap):
-        return _apply_hconj_parity(op.matrix, amps)
-    if isinstance(op, Projection):
-        return (amps + op.outcome * _apply_pauli(op.pauli, amps)) / 2.0
-    if isinstance(op, PauliGate):
-        return _apply_pauli(op.pauli, amps)
+        return IndexMap(op, _parity_indices(op.matrix.T))
+    if isinstance(op, (Projection, PauliGate)):
+        p = op.pauli
+        signs = 1 - 2 * linear_indices(p.z, np.int8)
+        xmask = bits_to_index(p.x)
+        if not xmask:
+            return IndexMap(op, None, signs)
+        gather = np.arange(1 << p.n, dtype=np.int32) ^ xmask
+        return IndexMap(op, gather, signs[gather])
     raise DimensionMismatch(f"unknown physical op {op!r}")
+
+
+def apply_linear(op: Union[PhysicalOp, IndexMap], amps: np.ndarray) -> np.ndarray:
+    """Raw linear action of an op, or of its prebuilt IndexMap; no renormalization."""
+    return (op if isinstance(op, IndexMap) else index_map(op)).apply(amps)
 
 
 def apply(op: PhysicalOp, state: StateVector) -> tuple[StateVector, float]:
@@ -250,7 +296,8 @@ def extract_logical_channel(
     ``e_in`` and ``e_out`` are Encoder objects or isometry matrices
     (2^n x 2^k). An Encoder input gives one 2^n column at a time, and an
     Encoder output gives E_out^dagger from its coset table: that is the
-    only dense 2^n x 2^k array, formed once for all columns.
+    only dense 2^n x 2^k array, formed once for all columns. Each op's
+    IndexMap is built once and applied to every column.
     Projections are applied linearly so relative column norms are
     meaningful; the result is normalized so its largest-magnitude entry
     is exactly 1 (real positive). Raises ZeroProbabilityOutcome if
@@ -262,6 +309,8 @@ def extract_logical_channel(
         e_in = np.asarray(e_in)
         k_in = int(np.log2(e_in.shape[1]))
         column = lambda u: np.ascontiguousarray(e_in[:, u])
+    # each op's table, built once for all columns and before E_out^dagger exists
+    maps = [index_map(op) for op in ops]
     # E_out^dagger in the bytes and layout of e_out.conj().T, so BLAS rounds
     # each column as the per-column conj(e_out).T @ amps; conjugating the
     # state instead, conj(e_out.T @ conj(amps)), flips the sign of some zero
@@ -270,7 +319,7 @@ def extract_logical_channel(
     k_out = int(np.log2(e_out_h.shape[0]))
     mat = np.zeros((1 << k_out, 1 << k_in), dtype=np.complex128)
     for u in range(1 << k_in):
-        mat[:, u] = e_out_h @ apply_sequence_linear(ops, column(u))
+        mat[:, u] = e_out_h @ apply_sequence_linear(maps, column(u))
     return fix_phase_and_scale(mat)
 
 
@@ -286,7 +335,7 @@ def pauli_expectation(p: PauliOperator, state: StateVector) -> complex:
     nrm2 = np.vdot(state.amplitudes, state.amplitudes)
     if abs(nrm2) < 1e-300:
         raise ZeroProbabilityOutcome("zero state has no expectation values")
-    return complex(np.vdot(state.amplitudes, _apply_pauli(p, state.amplitudes)) / nrm2)
+    return complex(np.vdot(state.amplitudes, apply_linear(PauliGate(p), state.amplitudes)) / nrm2)
 
 
 # --- the two-qubit counterexample ---------------------------------------------

@@ -119,7 +119,7 @@ def _restricted_boundary(d: F2Matrix, src: Subspace, tgt: Subspace) -> F2Matrix:
     if not all(tgt.contains(image.col(j)) for j in range(image.cols)):
         raise ClosureViolated(0, "restricted boundary leaves the target subspace")
     # tgt's basis is in RREF, so a member's coordinates are its pivot entries.
-    return F2Matrix(image.a[list(tgt.pivots)])
+    return F2Matrix._wrap(image.a[list(tgt.pivots)])
 
 
 def validate_subcode(
@@ -175,7 +175,7 @@ def _projection_matrix(ambient: int, sub: Subspace, reps: list[np.ndarray] | Non
     if reps is None:
         pivot_set = set(sub.pivots)
         free = [j for j in range(ambient) if j not in pivot_set]
-        return F2Matrix(free_column_vectors(sub.basis.a, sub.pivots, free))
+        return F2Matrix._wrap(free_column_vectors(sub.basis.a, sub.pivots, free))
     if not reps:
         return F2Matrix.zeros(0, ambient)
     system = F2Matrix.from_rows(reps + list(sub.basis_vectors()), cols=ambient).T
@@ -183,7 +183,7 @@ def _projection_matrix(ambient: int, sub: Subspace, reps: list[np.ndarray] | Non
         inverse = invert(system)
     except SingularMatrix:
         raise DimensionMismatch("projection solve failed; quotient basis invalid") from None
-    return F2Matrix(inverse.a[: len(reps)])
+    return F2Matrix._wrap(inverse.a[: len(reps)])
 
 
 @dataclass(frozen=True)
@@ -464,7 +464,7 @@ def _independent_rows(rows: list[np.ndarray], width: int) -> _IndependentRows:
     """
     stacked = F2Matrix.from_rows(rows, cols=width)
     kept = rref(stacked.T, transform=False).pivots
-    return _IndependentRows(F2Matrix(stacked.a[list(kept)]), kept)
+    return _IndependentRows(F2Matrix._wrap(stacked.a[list(kept)]), kept)
 
 
 def induced_logical_matrix(

@@ -203,22 +203,22 @@ class TestEncoder:
 
     def test_logical_z_acts_diagonally(self, toric2):
         e = encoder_isometry(toric2)
-        from chainsurg.simverify import _apply_pauli
+        from chainsurg.simverify import PauliGate, apply_linear
 
         for i in range(toric2.k):
             p = PauliOperator.from_z(toric2.z_logical(i))
             for u in range(4):
                 bits = [(u >> (1 - b)) & 1 for b in range(2)]
                 expect = (-1) ** bits[i]
-                out = _apply_pauli(p, e.column(u))
+                out = apply_linear(PauliGate(p), e.column(u))
                 assert np.allclose(out, expect * e.column(u), atol=1e-12)
 
     def test_logical_x_permutes_labels(self, steane):
         e = encoder_isometry(steane)
-        from chainsurg.simverify import _apply_pauli
+        from chainsurg.simverify import PauliGate, apply_linear
 
         p = PauliOperator.from_x(steane.x_logical(0))
-        out = _apply_pauli(p, e.column(0))
+        out = apply_linear(PauliGate(p), e.column(0))
         assert np.allclose(out, e.column(1), atol=1e-12)
 
     def test_qubit_limit(self):

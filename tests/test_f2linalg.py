@@ -708,16 +708,17 @@ class TestEliminationBudget:
         inputs = rref_inputs(lambda: build_cnot_plan(code, 0, 1))
         # no merged code: one elimination checks each pushed basis; the base
         # code's spaces are assembled from its summands' and the bare
-        # ancilla qubit needs none
-        assert len(inputs) <= 14
-        assert len(inputs) - len(set(inputs)) <= 1
+        # ancilla qubit needs none; the zero degree-0 row of a non-local
+        # joint subcode needs none either
+        assert len(inputs) <= 12
+        assert len(inputs) == len(set(inputs))
 
     def test_ancilla_target_plan_on_surface_5(self):
         from chainsurg.protocols import build_cnot_plan
 
         patch = catalog.surface_patch(5, 5)
         code = from_parity_checks(patch.hx, patch.hz)
-        assert len(rref_inputs(lambda: build_cnot_plan(code, 0))) <= 8
+        assert len(rref_inputs(lambda: build_cnot_plan(code, 0))) <= 7
 
     def test_cnot_plan_load_on_toric_2(self):
         from chainsurg.protocols import build_cnot_plan, plan_from_json, plan_to_json
@@ -757,3 +758,154 @@ class TestEliminationBudget:
     def test_from_parity_checks_on_toric_20(self):
         code = catalog.toric(20)
         assert len(rref_inputs(lambda: from_parity_checks(code.hx, code.hz))) <= 8
+
+
+# --- the two constructors ------------------------------------------------------------
+
+
+class TestConstructors:
+    def test_public_constructor_reduces_and_copies(self):
+        data = np.array([[2, 3, 5], [0, 1, 4]])
+        m = F2Matrix(data)
+        assert m.a.tolist() == [[0, 1, 1], [0, 1, 0]] and m.a.dtype == np.uint8
+        data[0, 0] = 1
+        assert m.a.tolist() == [[0, 1, 1], [0, 1, 0]]
+        assert not np.shares_memory(m.a, data) and not m.a.flags.writeable
+
+    def test_public_constructor_copies_bits_already_reduced(self):
+        bits = np.array([[1, 0], [1, 1]], dtype=np.uint8)
+        m = F2Matrix(bits)
+        assert not np.shares_memory(m.a, bits)
+        bits[0, 0] = 0
+        assert m == F2Matrix([[1, 0], [1, 1]])
+        assert bits.flags.writeable
+        assert F2Matrix([1, 3, 0]).a.tolist() == [[1, 1, 0]]
+
+    def test_package_results_are_read_only_bits(self):
+        r = np.random.RandomState(3)
+        a, b = F2Matrix(r.randint(0, 2, (5, 7))), F2Matrix(r.randint(0, 2, (7, 4)))
+        res = rref(a)
+        made = [
+            a @ b, a + a, a.T, hstack([a, a]), f2linalg.vstack([a, a]), f2linalg.block_diag(a, b),
+            res.reduced, res.transform, F2Matrix.identity(4), F2Matrix.zeros(2, 3),
+            kernel_basis(a).basis, image_basis(a).basis, parse_matrix(format_matrix(a)),
+            Subspace.from_matrix_rows(a).intersect(Subspace.from_matrix_rows(a + a.T.T)).basis,
+        ]
+        for m in made:
+            assert m.a.dtype == np.uint8 and m.a.ndim == 2 and m.a.max(initial=0) <= 1
+            assert not m.a.flags.writeable
+        assert (a @ b).a.tolist() == (int64_product(a.a, b.a) % 2).tolist()
+
+    def test_row_is_a_read_only_view(self):
+        m = F2Matrix([[1, 0, 1], [0, 1, 1]])
+        row = m.row(1)
+        assert row.tolist() == [0, 1, 1] and np.shares_memory(row, m.a)
+        with pytest.raises(ValueError):
+            row[0] = 1
+        assert m.T.row(2).tolist() == [1, 1]
+
+
+# --- matrix text: bytes and messages against the per-character formulas -------------
+
+
+def per_entry_format_matrix(m):
+    """format_matrix as it was: one str(int(x)) per entry."""
+    lines = [f"{m.rows} {m.cols}"]
+    for i in range(m.rows):
+        lines.append("".join(str(int(x)) for x in m.a[i]))
+    return "\n".join(lines) + "\n"
+
+
+def per_character_row_error(text):
+    """The MalformedInput message of the old per-character check, or None."""
+    lines = text.splitlines()
+    rows, cols = (int(h) for h in lines[0].split())
+    for i, line in enumerate(line.strip() for line in lines[1 : 1 + rows]):
+        if len(line) != cols:
+            return f"row {i} has {len(line)} entries, expected {cols}"
+        for ch in line:
+            if ch not in "01":
+                return f"bad character {ch!r} in matrix row {i}"
+    return None
+
+
+class TestTextBytes:
+    @pytest.mark.parametrize("name", catalog.catalog_names())
+    def test_catalog_code_text_matches_per_entry_formula(self, name):
+        code = catalog.catalog_code(name)
+        mats = (code.hx, code.hz, code.z_logicals.matrix(), code.x_logicals.matrix())
+        for m in mats + (code.hx.T, code.complex.cycles.basis):
+            assert format_matrix(m) == per_entry_format_matrix(m)
+        labels = ("hx", "hz", "zl", "xl")
+        assert code.to_text() == "".join(f"{k}:\n" + per_entry_format_matrix(m) for k, m in zip(labels, mats))
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (1, 1), (4, 9)])
+    def test_edge_shapes_match_per_entry_formula(self, shape):
+        m = F2Matrix(np.random.RandomState(sum(shape)).randint(0, 2, shape).astype(np.uint8).reshape(shape))
+        assert format_matrix(m) == per_entry_format_matrix(m)
+        assert parse_matrix(format_matrix(m)) == m
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_row_errors_match_per_character_check(self, data):
+        rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(0, 4))
+        # mostly rows of the right length, so that the character check is reached
+        widths = st.one_of(st.just(cols), st.integers(0, 5))
+        lines = [
+            data.draw(widths.flatmap(lambda w: st.text(alphabet="0101 x2\té١", min_size=w, max_size=w)))
+            for _ in range(rows)
+        ]
+        text = f"{rows} {cols}\n" + "\n".join(lines) + "\n"
+        expected = per_character_row_error(text)
+        if expected is None:
+            assert parse_matrix(text).shape == (rows, cols)
+        else:
+            with pytest.raises(MalformedInput) as exc:
+                parse_matrix(text)
+            assert str(exc.value) == expected
+
+
+# --- intersection from one elimination ----------------------------------------------
+
+
+def perp_sum_intersect(u, w):
+    """The old formula, kept as the oracle: (u-perp + w-perp)-perp."""
+    return u.perp().sum(w.perp()).perp()
+
+
+def random_subspace(r, n, kind):
+    if kind == "zero":
+        return Subspace.zero(n)
+    if kind == "full":
+        return Subspace.full(n)
+    return Subspace.from_matrix_rows(F2Matrix(random_matrix(r, r.randint(0, n + 2), n, r.choice([0.1, 0.5]))))
+
+
+class TestIntersect:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 24), st.sampled_from(["zero", "full", "random"]),
+           st.sampled_from(["zero", "full", "random"]), st.integers(0, 2**30 - 1))
+    def test_matches_perp_sum_formula(self, n, kind_u, kind_w, seed):
+        r = np.random.RandomState(seed)
+        u, w = random_subspace(r, n, kind_u), random_subspace(r, n, kind_w)
+        if kind_u == kind_w == "random" and r.rand() < 0.5:
+            w = u.sum(random_subspace(r, n, "random"))  # nested spaces
+        got, expected = u.intersect(w), perp_sum_intersect(u, w)
+        assert got.pivots == expected.pivots and got.basis.a.tobytes() == expected.basis.a.tobytes()
+        assert got == w.intersect(u)
+
+    def test_one_elimination_and_ambient_check(self):
+        r = np.random.RandomState(11)
+        u, w = (Subspace.from_matrix_rows(F2Matrix(random_matrix(r, 7, 12))) for _ in range(2))
+        assert u.dim and w.dim
+        assert len(rref_inputs(lambda: u.intersect(w))) == 1
+        assert rref_inputs(lambda: u.intersect(Subspace.zero(12))) == []
+        with pytest.raises(DimensionMismatch):
+            u.intersect(Subspace.full(13))
+
+
+def test_zero_rows_span_the_zero_space_without_elimination():
+    m = F2Matrix.zeros(3, 5)
+    assert rref_inputs(lambda: Subspace.from_matrix_rows(m)) == []
+    assert Subspace.from_matrix_rows(m) == Subspace.zero(5)
+    assert Subspace.from_vectors([np.zeros(4), np.zeros(4)], 4) == Subspace.zero(4)

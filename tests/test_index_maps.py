@@ -1,0 +1,229 @@
+"""Each simulated op's index map is built once per channel, with unchanged bytes.
+
+``extract_logical_channel`` builds one ``IndexMap`` per op and applies it
+to every input column. The old path, kept here as the oracle, rebuilt
+every op's 2^n table once per column. The channels must agree byte for
+byte (signed zeros included) on every catalog and golden plan that the
+simulator takes, in every outcome branch, with and without corrections.
+"""
+import itertools
+
+import numpy as np
+import pytest
+
+from chainsurg import catalog, simverify
+from chainsurg.csscode import SIMULATOR_QUBIT_LIMIT, PauliOperator, bits_to_index, linear_indices
+from chainsurg.errors import ChainsurgError
+from chainsurg.f2linalg import F2Matrix
+from chainsurg.protocols import (
+    AncillaStrategy,
+    build_cnot_plan,
+    direct_sum_code,
+    measurement_correction,
+    plan_channel,
+    plan_encoders,
+    plan_physical_ops,
+    plan_to_json,
+)
+from chainsurg.simverify import (
+    HadamardConjugatedParityMap,
+    ParityMap,
+    PauliGate,
+    Projection,
+    apply_linear,
+    fix_phase_and_scale,
+    index_map,
+)
+from test_plan_golden import PLANS as GOLDEN_PLANS
+
+# --- the old per-column path, kept as the oracle ---------------------------------
+
+
+def old_parity_indices(a: F2Matrix) -> np.ndarray:
+    return linear_indices([bits_to_index(a.a[:, j]) for j in range(a.cols)])
+
+
+def old_apply_pauli(p: PauliOperator, amps: np.ndarray) -> np.ndarray:
+    zpar = linear_indices(p.z)
+    shifted = amps * np.where(zpar, -1.0, 1.0) * p.sign
+    xmask = bits_to_index(p.x)
+    if xmask:
+        idx = np.arange(1 << p.n, dtype=np.int64) ^ xmask
+        shifted = shifted[idx]
+    return shifted
+
+
+def old_apply_linear(op, amps: np.ndarray) -> np.ndarray:
+    if isinstance(op, ParityMap):
+        out = np.zeros(1 << op.matrix.rows, dtype=np.complex128)
+        np.add.at(out, old_parity_indices(op.matrix), amps)
+        return out
+    if isinstance(op, HadamardConjugatedParityMap):
+        a = op.matrix
+        return amps[old_parity_indices(a.T)] * np.sqrt(2.0 ** (a.cols - a.rows))
+    if isinstance(op, Projection):
+        return (amps + op.outcome * old_apply_pauli(op.pauli, amps)) / 2.0
+    return old_apply_pauli(op.pauli, amps)
+
+
+def old_plan_channel(plan, outcomes, corrected):
+    """plan_channel as it was: every op read afresh for every input column."""
+    ops = plan_physical_ops(plan, outcomes)
+    if corrected and outcomes:
+        filled = {**{m: 1 for m in plan.measurement_ids()}, **outcomes}
+        ops += [PauliGate(p) for p in measurement_correction(plan, filled)]
+    e_in, e_out = plan_encoders(plan, outcomes)
+    e_out_h = e_out.adjoint()
+    mat = np.zeros((e_out_h.shape[0], 1 << e_in.k), dtype=np.complex128)
+    for u in range(1 << e_in.k):
+        amps = e_in.column(u)
+        for op in ops:
+            amps = old_apply_linear(op, amps)
+        mat[:, u] = e_out_h @ amps
+    return fix_phase_and_scale(mat)
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type and message of the chainsurg error it raises."""
+    try:
+        return fn(*args).tobytes()
+    except ChainsurgError as exc:
+        return type(exc), str(exc)
+
+
+# --- plans -----------------------------------------------------------------------
+
+
+def _catalog_plans():
+    plans = {}
+    for name in catalog.catalog_names():
+        code = catalog.catalog_code(name)
+        if code.k:
+            plans[f"{name}_anc_target"] = lambda c=code: build_cnot_plan(c, 0, None)
+        if code.k >= 2:
+            plans[f"{name}_c0t1"] = lambda c=code: build_cnot_plan(c, 0, 1)
+    plans["steane_steane_c0t1"] = lambda: build_cnot_plan(
+        direct_sum_code(catalog.steane(), catalog.steane()), 0, 1
+    )
+    return plans
+
+
+def _simulable_plans():
+    """Every catalog and golden plan of at most 20 qubits, each distinct plan once."""
+    plans, seen = {}, set()
+    golden = {f"golden_{k}": v for k, v in GOLDEN_PLANS.items()}
+    for name, build in {**golden, **_catalog_plans()}.items():
+        plan = build()
+        text = plan_to_json(plan)
+        if plan.base_code.n <= SIMULATOR_QUBIT_LIMIT and text not in seen:
+            seen.add(text)
+            plans[name] = plan
+    return plans
+
+
+PLANS = _simulable_plans()
+
+
+@pytest.mark.parametrize("name", sorted(PLANS))
+def test_channel_bytes_match_the_per_column_path(name):
+    plan = PLANS[name]
+    ids = plan.measurement_ids()
+    branches = [None] + [dict(zip(ids, s)) for s in itertools.product((1, -1), repeat=len(ids))]
+    for outcomes, corrected in itertools.product(branches, (True, False)):
+        got = _outcome(plan_channel, plan, outcomes, corrected)
+        assert got == _outcome(old_plan_channel, plan, outcomes, corrected), (outcomes, corrected)
+
+
+def test_the_oracle_covers_every_op_kind_and_branch_error():
+    assert {"golden_toric3_full", "golden_two_patch_locality_w2", "steane_steane_c0t1"} <= set(PLANS)
+    kinds, errors = set(), set()
+    for plan in PLANS.values():
+        ids = plan.measurement_ids()
+        for signs in itertools.product((1, -1), repeat=len(ids)):
+            outcomes = dict(zip(ids, signs))
+            try:
+                kinds |= {type(op) for op in plan_physical_ops(plan, outcomes)}
+                measurement_correction(plan, outcomes)
+            except ChainsurgError as exc:
+                errors.add(type(exc).__name__)
+    assert kinds == {ParityMap, HadamardConjugatedParityMap, Projection, PauliGate}
+    assert errors  # a locality plan refuses corrections for -1 outcomes
+
+
+# --- single ops on amplitudes with signed zeros ----------------------------------
+
+
+def signed_zero_amps(r, n):
+    """Random real-valued amplitudes in which zeros of either sign are common."""
+    out = np.empty(1 << n, dtype=np.complex128)
+    out.real = r.choice([0.0, -0.0, 0.5, -0.5, 0.25], size=1 << n)
+    out.imag = r.choice([0.0, -0.0], size=1 << n)
+    return out
+
+
+def _random_ops(r, n):
+    pauli = lambda: PauliOperator(x=r.randint(0, 2, n), z=r.randint(0, 2, n), sign=int(r.choice([1, -1])))
+    m = r.randint(0, 2, size=(n, n))
+    return [
+        ParityMap(F2Matrix(m)),
+        HadamardConjugatedParityMap(F2Matrix(m)),
+        HadamardConjugatedParityMap(F2Matrix(m[: n - 1])),
+        PauliGate(pauli()),
+        PauliGate(PauliOperator.from_z(r.randint(0, 2, n))),
+        Projection(pauli(), outcome=int(r.choice([1, -1]))),
+        Projection(PauliOperator.from_x(r.randint(0, 2, n)), outcome=-1),
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_index_map_bytes_match_the_old_op_on_signed_zeros(n):
+    r = np.random.RandomState(n)
+    for op in _random_ops(r, n):
+        m = index_map(op)
+        assert m.index is None or m.index.dtype == np.int32
+        for _ in range(3):
+            amps = signed_zero_amps(r, op.n_in)
+            expect = old_apply_linear(op, amps)
+            assert m.apply(amps).tobytes() == expect.tobytes()
+            assert apply_linear(op, amps).tobytes() == expect.tobytes()
+            assert apply_linear(m, amps).tobytes() == expect.tobytes()
+
+
+# --- each table is built once per channel -----------------------------------------
+
+
+COUNT_PLANS = {  # name -> (plan, number of logical inputs k_in)
+    "steane_anc_target": (lambda: build_cnot_plan(catalog.steane(), 0, None), 1),
+    "steane_provided_steane": (
+        lambda: build_cnot_plan(
+            catalog.steane(), 0, None, ancilla=AncillaStrategy.provided(catalog.steane())
+        ),
+        1,
+    ),
+    "toric2_c0t1": (lambda: build_cnot_plan(catalog.toric(2), 0, 1), 2),
+    "toric2_steane_c0t2": (
+        lambda: build_cnot_plan(direct_sum_code(catalog.toric(2), catalog.steane()), 0, 2),
+        3,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_PLANS))
+def test_each_op_table_is_built_once_per_channel(name, monkeypatch):
+    build, k_in = COUNT_PLANS[name]
+    plan = build()
+    ids = plan.measurement_ids()
+    outcomes = {ids[0]: -1}  # one forced branch gauge and its correction
+    built, applied = [], []
+    real_index_map, real_apply_linear = simverify.index_map, simverify.apply_linear
+    monkeypatch.setattr(simverify, "index_map", lambda op: built.append(op) or real_index_map(op))
+    monkeypatch.setattr(
+        simverify, "apply_linear", lambda op, amps: applied.append(op) or real_apply_linear(op, amps)
+    )
+    plan_channel(plan, outcomes)
+    assert plan_encoders(plan, outcomes)[0].k == k_in
+    ops = plan_physical_ops(plan, outcomes) + measurement_correction(plan, {m: 1 for m in ids} | outcomes)
+    assert len(built) == len(ops) == len({id(op) for op in built})
+    # the channel loop still applies every op to every column through apply_linear
+    assert len(applied) == len(ops) << k_in
+    assert all(isinstance(m, simverify.IndexMap) for m in applied)

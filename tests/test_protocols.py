@@ -196,7 +196,9 @@ class TestPlanChannels:
     def test_one_dense_encoder_array(self):
         # toric-3 with the ancilla as target: n = 19 and k_out = 3. The one
         # 2^n x 2^k_out array is E_out^dagger (64 MiB); inputs are built a
-        # column at a time from the coset table
+        # column at a time from the coset table, and each op's int32 table
+        # is built before E_out^dagger, so beside it there is room for two
+        # states only (80 MiB in all)
         plan = build_cnot_plan(catalog.toric(3), control=0, target=None)
         n, k_out = plan.base_code.n, plan.base_code.k
         assert (n, k_out) == (19, 3)
@@ -206,7 +208,7 @@ class TestPlanChannels:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * 16 * (1 << n) * (1 << k_out)
+        assert peak <= 16 * (1 << n) * ((1 << k_out) + 2)
         exp = expected_plan_channel(plan)
         assert np.max(np.abs(ch - exp / np.max(np.abs(exp)))) < 1e-9
 
