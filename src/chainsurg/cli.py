@@ -182,13 +182,19 @@ def _parse_ancilla(spec: str) -> AncillaStrategy:
     return AncillaStrategy.provided(_load_code(spec))
 
 
+def _deviation(plan, channel) -> float:
+    """Largest entry distance of a simulated channel from the plan's target channel."""
+    exp = expected_plan_channel(plan)
+    exp = exp / np.max(np.abs(exp))
+    return float(np.max(np.abs(channel - exp)))
+
+
 def _cmd_cnot(args) -> int:
     code = _load_code(args.code)
-    target = None if args.target is None else args.target
     plan = build_cnot_plan(
         code,
         control=args.control,
-        target=target,
+        target=args.target,
         ancilla=_parse_ancilla(args.ancilla),
         locality=args.locality,
         max_weight=args.max_weight,
@@ -204,10 +210,7 @@ def _cmd_cnot(args) -> int:
         f" measurements: {', '.join(plan.measurement_ids())}"
     ]
     if args.simulate:
-        ch = plan_channel(plan)
-        exp = expected_plan_channel(plan)
-        exp = exp / np.max(np.abs(exp))
-        dev = float(np.max(np.abs(ch - exp)))
+        dev = _deviation(plan, plan_channel(plan))
         payload["max_deviation"] = dev
         verdict = "=" if dev < PHASE_TOL else "!="
         lines.append(f"logical channel {verdict} CNOT (max deviation {dev:.2e})")
@@ -251,11 +254,10 @@ def _cmd_simulate(args) -> int:
         if args.code is None or args.control is None:
             raise ChainsurgError("simulate needs either --plan or a code with --control")
         code = _load_code(args.code)
-        target = None if args.target is None else args.target
         plan = build_cnot_plan(
             code,
             control=args.control,
-            target=target,
+            target=args.target,
             ancilla=_parse_ancilla(args.ancilla),
         )
     outcomes = {}
@@ -266,9 +268,7 @@ def _cmd_simulate(args) -> int:
         except ValueError:
             raise ChainsurgError(f"--outcome {spec!r} is not MEASID=+1 or MEASID=-1") from None
     ch = plan_channel(plan, outcomes or None, corrected=not args.no_corrections)
-    exp = expected_plan_channel(plan)
-    exp = exp / np.max(np.abs(exp))
-    dev = float(np.max(np.abs(ch - exp)))
+    dev = _deviation(plan, ch)
     corrections = measurement_correction(
         plan, {**{m: 1 for m in plan.measurement_ids()}, **outcomes}
     )
@@ -355,13 +355,14 @@ def _cmd_propagate(args) -> int:
             x[idx] ^= 1
         if kind in "YZ":
             z[idx] ^= 1
+    v1 = sub.oriented_spaces()[1]
     step = MergeStep(
         merge=merge,
         orientation=sub.orientation,
-        measurement_ids=tuple(f"m{i}" for i in range(sub.oriented_spaces()[1].dim)),
-        pivot_qubits=merge.subcode.oriented_spaces()[1].pivots,
+        measurement_ids=tuple(f"m{i}" for i in range(v1.dim)),
+        pivot_qubits=v1.pivots,
         logical_matrix=F2Matrix.zeros(0, 0),
-        branch_inserts=(None,) * sub.oriented_spaces()[1].dim,
+        branch_inserts=(None,) * v1.dim,
     )
     p = PauliOperator(x=x, z=z)
     out, flips = propagate_pauli(step, p)

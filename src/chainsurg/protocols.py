@@ -11,6 +11,9 @@ branch preceded by a codespace-preserving Pauli that anticommutes with
 Z^{v_i} (the branch gauge); correction rules are stated and verified in
 that gauge.
 
+Each step kind owns how a Pauli passes it (``transport``), its physical
+ops for an outcome pattern (``physical_ops``) and its share of the
+outcome correction (``correction``); plan-level functions loop over steps.
 Each step holds what its plan JSON fields name and builds the rest once.
 A split is the dual of its merge, so a split step is read off its merge
 step: its map is the merge projection transposed, it preserves the other
@@ -26,7 +29,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -125,14 +128,35 @@ def direct_sum_code(a: CssCode, b: CssCode) -> CssCode:
 # --- plan steps ---------------------------------------------------------------
 
 
+class PlanStep:
+    """A plan step: the defaults pass a Pauli unchanged, emit no op and add no correction.
+
+    Each kind sets ``measurement_ids``, the outcomes it records, on its
+    own class: a dataclass would take a value set here as a field default.
+    """
+
+    def transport(self, p: PauliOperator) -> tuple[PauliOperator, dict]:
+        """The Pauli on the step's output register, and the measurement ids it flips."""
+        return p, {}
+
+    def physical_ops(self, outcomes: dict) -> tuple[PhysicalOp, ...]:
+        """The step's physical ops, with the -1 branches of ``outcomes`` forced."""
+        return ()
+
+    def correction(self, plan: "SurgeryPlan", flipped_ids) -> Optional[PauliOperator]:
+        """The step's share of the correction for the ids recorded as -1, or None."""
+        return None
+
+
 @dataclass(frozen=True)
-class InitAncilla:
+class InitAncilla(PlanStep):
     """Introduce the auxiliary logical qubit in |+> (or |0>).
 
     ``ancilla_hx`` and ``ancilla_hz`` are the checks of the ancilla code,
     the trailing diagonal block of the plan's base code; both are None
     for embedded strategies (no new qubits). The base code already holds
-    the ancilla qubits, so the step acts on the plan frame as the identity.
+    the ancilla qubits, so the step acts on the plan frame as the identity;
+    the encoders prepare the ancilla.
     """
 
     logical_index: int
@@ -140,11 +164,25 @@ class InitAncilla:
     ancilla_hx: Optional[F2Matrix] = None
     ancilla_hz: Optional[F2Matrix] = None
 
+    measurement_ids = ()
     ancilla_n = property(lambda self: None if self.ancilla_hx is None else self.ancilla_hx.cols)
 
 
+def _pull_back(pullback: Elimination, flipping: np.ndarray) -> np.ndarray:
+    pulled = pullback.solve(flipping)
+    if pulled is None:
+        raise DimensionMismatch("transport failed: the flipping side has no preimage")
+    return pulled
+
+
 @dataclass(frozen=True)
-class MergeStep:
+class MergeStep(PlanStep):
+    """A merge along a subcode, measuring one joint operator per generator of V1.
+
+    A Pauli's side of the merge's type is pushed through p1. The other
+    side, plus the branch gauge of the outcomes it flips, is pulled back.
+    """
+
     merge: MergeResult
     orientation: str
     measurement_ids: tuple[str, ...]
@@ -174,9 +212,95 @@ class MergeStep:
         source = self.merge.source
         return Elimination(vstack([self.merge.subcode.oriented_spaces()[1].basis, source.d2.T]))
 
+    @cached_property
+    def ops(self) -> tuple[PhysicalOp, ...]:
+        """The merge's physical ops in its all-+1 branch, built when first read."""
+        return tuple(physical_op_sequence(self.merge.p, self.orientation))
+
+    def branch_gauge(self, signs: Sequence[int]) -> Optional[np.ndarray]:
+        """The flipping side (X for a Z-merge) of a codespace-preserving
+        Pauli realizing the -1 entries of ``signs``: the declared branch
+        inserts when all are set, else solved from the gauge system. None
+        when the pattern contradicts the stabilizers.
+        """
+        flips = np.array([1 if s == -1 else 0 for s in signs], dtype=np.uint8)
+        w = np.zeros(self.merge.source.dim1, dtype=np.uint8)
+        if not flips.any():
+            return w
+        inserts = self.branch_inserts
+        if inserts and all(ins is not None for ins in inserts):
+            for bit, ins in zip(flips, inserts):
+                if bit:
+                    w ^= ins.x if self.orientation == "Z" else ins.z
+            return w
+        return self.gauge_system.solve(
+            np.concatenate([flips, np.zeros(self.merge.source.dim2, dtype=np.uint8)])
+        )
+
+    def transport(self, p: PauliOperator) -> tuple[PauliOperator, dict]:
+        flipping, exact = (p.x, p.z) if self.orientation == "Z" else (p.z, p.x)
+        pattern = self.v1 @ flipping
+        fix = self.branch_gauge([-1 if f else 1 for f in pattern])
+        if fix is None:
+            raise DimensionMismatch(
+                "flip pattern inconsistent with stabilizers; transported operator corrupt"
+            )
+        pulled, pushed = _pull_back(self.pullback, flipping ^ fix), self.p1 @ exact
+        x, z = (pulled, pushed) if self.orientation == "Z" else (pushed, pulled)
+        flips = {mid: 1 for mid, f in zip(self.measurement_ids, pattern) if f}
+        return PauliOperator(x=x, z=z, sign=p.sign), flips
+
+    def _outcome_gauge(self, signs: Sequence[int]) -> np.ndarray:
+        """The branch gauge of an outcome pattern, which must not contradict the stabilizers."""
+        w = self.branch_gauge(signs)
+        if w is None:
+            raise CorrectionUnavailable(
+                "outcome pattern is inconsistent with the merged stabilizers"
+            )
+        return w
+
+    def physical_ops(self, outcomes: dict) -> tuple[PhysicalOp, ...]:
+        """The branch gauge of ``outcomes`` as a Pauli gate, when not trivial, then the merge."""
+        w = self._outcome_gauge([outcomes.get(m, 1) for m in self.measurement_ids])
+        if not w.any():
+            return self.ops
+        side = PauliOperator.from_x if self.orientation == "Z" else PauliOperator.from_z
+        return (PauliGate(side(w)),) + self.ops
+
+    def correction(self, plan: "SurgeryPlan", flipped_ids) -> Optional[PauliOperator]:
+        """The correction for this merge's -1 outcomes, in its branch gauge.
+
+        A multi-generator merge is corrected through the logical class of
+        its flip pattern's gauge w. A single one takes the plan's rule for
+        its slot, once its gauge is checked to anticommute with the
+        measured operator: dual bases make the overlap odd.
+        """
+        signs = [-1 if m in flipped_ids else 1 for m in self.measurement_ids]
+        if -1 not in signs:
+            return None
+        if len(signs) > 1:
+            base = plan.base_code
+            logicals = base.x_logicals if self.orientation == "Z" else base.z_logicals
+            if not logicals.class_coordinates(self._outcome_gauge(signs)).any():
+                return None
+            if plan.class_correction is None:
+                raise CorrectionUnavailable("plan carries no class correction rule")
+            return plan.class_correction
+        insert = self.branch_inserts[0]
+        if insert is not None:
+            part = insert.x if self.orientation == "Z" else insert.z
+            if int(part @ self.v1.row(0)) % 2 != 1:
+                raise EmptyOverlap(
+                    "branch gauge commutes with the measured operator; dual bases corrupted"
+                )
+        rule = plan.correction_rules.get(self.measurement_ids[0])
+        if rule is None:
+            raise CorrectionUnavailable(f"no correction rule for {self.measurement_ids[0]}")
+        return rule
+
 
 @dataclass(frozen=True)
-class SplitStep:
+class SplitStep(PlanStep):
     """The split that reverses ``merge_step``, read off that merge.
 
     Its map is the merge projection transposed (``split_from_merge``
@@ -191,6 +315,7 @@ class SplitStep:
     merge_step: MergeStep
     split: ChainMap
 
+    measurement_ids = ()
     merge = property(lambda self: self.merge_step.merge)
     orientation = property(lambda self: "X" if self.merge_step.orientation == "Z" else "Z")
     logical_matrix = property(lambda self: self.merge_step.logical_matrix.T)
@@ -211,23 +336,63 @@ class SplitStep:
         m = self.merge
         return Elimination(m.source.d1 @ m.subcode.oriented_spaces()[1].basis.T)
 
+    def transport(self, p: PauliOperator) -> tuple[PauliOperator, dict]:
+        """Push one side through p1.T and pull the other back, a cycle when one exists.
+
+        The split records the projections (re-imposed subcode stabilizers)
+        that the result anticommutes with.
+        """
+        m = self.merge
+        flipping, exact = (p.x, p.z) if self.orientation == "Z" else (p.z, p.x)
+        pulled = _pull_back(self.pullback, flipping)
+        v1 = m.subcode.oriented_spaces()[1]
+        if v1.dim:
+            residue = m.source.d1 @ pulled
+            if residue.any():
+                coeffs = self.residue_system.solve(residue)
+                if coeffs is not None:
+                    pulled = pulled ^ (v1.basis.T @ coeffs)
+        pushed = self.split.f1 @ exact
+        x, z = (pulled, pushed) if self.orientation == "Z" else (pushed, pulled)
+        out = PauliOperator(x=x, z=z, sign=p.sign)
+        return out, {
+            f"{self.orientation.lower()}split.proj.{op.pauli.label()}": 1
+            for op in self.ops
+            if isinstance(op, Projection) and symplectic_product(out, op.pauli)
+        }
+
+    def physical_ops(self, outcomes: dict) -> tuple[PhysicalOp, ...]:
+        return self.ops
+
 
 @dataclass(frozen=True)
-class MeasureLogical:
+class MeasureLogical(PlanStep):
+    """Measure a logical operator; a Pauli that anticommutes with it flips the outcome."""
+
     pauli: PauliOperator
     basis: str  # "Z" | "X"
     measurement_id: str
 
+    measurement_ids = property(lambda self: (self.measurement_id,))
+
+    def transport(self, p: PauliOperator) -> tuple[PauliOperator, dict]:
+        return p, ({self.measurement_id: 1} if symplectic_product(p, self.pauli) else {})
+
+    def physical_ops(self, outcomes: dict) -> tuple[PhysicalOp, ...]:
+        return (Projection(self.pauli, outcomes.get(self.measurement_id, 1)),)
+
 
 @dataclass(frozen=True)
-class ApplyCorrection:
+class ApplyCorrection(PlanStep):
     """Declarative rule: apply ``pauli`` when ``condition`` records -1."""
 
     pauli: PauliOperator
     condition: str
 
+    measurement_ids = ()
 
-PlanStep = Union[InitAncilla, MergeStep, SplitStep, MeasureLogical, ApplyCorrection]
+    def correction(self, plan: "SurgeryPlan", flipped_ids) -> Optional[PauliOperator]:
+        return self.pauli if self.condition in flipped_ids else None
 
 
 @dataclass(frozen=True)
@@ -246,93 +411,21 @@ class SurgeryPlan:
     def measurement_ids(self) -> list[str]:
         return _measurement_ids(self.steps)
 
+    @property
+    def final_measurement(self) -> Optional[MeasureLogical]:
+        """The plan's logical measurement of the ancilla, or None when it keeps it."""
+        return next((s for s in self.steps if isinstance(s, MeasureLogical)), None)
+
     def merged_code(self, merge: MergeResult) -> CssCode:
         """The code between ``merge`` and its split."""
         return _merged_code(merge, self.base_code, self.ancilla_index)
 
 
 def _measurement_ids(steps: Sequence[PlanStep]) -> list[str]:
-    ids: list[str] = []
-    for step in steps:
-        if isinstance(step, MergeStep):
-            ids.extend(step.measurement_ids)
-        elif isinstance(step, MeasureLogical):
-            ids.append(step.measurement_id)
-    return ids
+    return [m for step in steps for m in step.measurement_ids]
 
 
 # --- Pauli propagation --------------------------------------------------------
-
-
-def _solve_branch_gauge(step: MergeStep, signs: Sequence[int]) -> Optional[np.ndarray]:
-    """Codespace-preserving string realizing the -1 entries of ``signs``.
-
-    Uses the step's declared per-measurement branch inserts when it has
-    them; otherwise solves for overlaps with the subcode generators under
-    the preserved-type check constraints. Returns the flipping side of
-    the Pauli (X for a Z-merge), or None when the pattern contradicts the
-    stabilizers.
-    """
-    flips = np.array([1 if s == -1 else 0 for s in signs], dtype=np.uint8)
-    w = np.zeros(step.merge.source.dim1, dtype=np.uint8)
-    if not flips.any():
-        return w
-    inserts = step.branch_inserts
-    if inserts and all(ins is not None for ins in inserts):
-        for bit, ins in zip(flips, inserts):
-            if bit:
-                w ^= ins.x if step.orientation == "Z" else ins.z
-        return w
-    return step.gauge_system.solve(
-        np.concatenate([flips, np.zeros(step.merge.source.dim2, dtype=np.uint8)])
-    )
-
-
-def _transport(step: Union[MergeStep, SplitStep], p: PauliOperator) -> tuple[PauliOperator, dict]:
-    """Transport through a merge or a split, in the step's oriented frame.
-
-    The Pauli's side of the step's own type is exact: it is pushed
-    through the step map's f1 (p1 for a merge, p1.T for a split). The
-    other side flips outcomes: it is pulled back through f1.T. A merge
-    first adds to it the branch gauge of the outcomes it flips, so that
-    it has a preimage, and records those outcomes. A split's preimage is
-    only determined modulo the merged subspace; it is canonicalized to a
-    cycle when one exists (always, for merges with trivial subcode H0),
-    and the split records the projections, which re-impose subcode
-    degree-0 stabilizers, that the result anticommutes with.
-    """
-    merging = isinstance(step, MergeStep)
-    m = step.merge
-    f1 = m.p.f1 if merging else step.split.f1
-    flipping, exact = (p.x, p.z) if step.orientation == "Z" else (p.z, p.x)
-    v1 = m.subcode.oriented_spaces()[1]
-    if merging:
-        pattern = v1.basis @ flipping
-        fix = _solve_branch_gauge(step, [-1 if f else 1 for f in pattern])
-        if fix is None:
-            raise DimensionMismatch(
-                "flip pattern inconsistent with stabilizers; transported operator corrupt"
-            )
-        flipping = flipping ^ fix
-    pulled = step.pullback.solve(flipping)
-    if pulled is None:
-        raise DimensionMismatch("transport failed: the flipping side has no preimage")
-    if not merging and v1.dim:
-        residue = m.source.d1 @ pulled
-        if residue.any():
-            coeffs = step.residue_system.solve(residue)
-            if coeffs is not None:
-                pulled = pulled ^ (v1.basis.T @ coeffs)
-    pushed = f1 @ exact
-    x, z = (pulled, pushed) if step.orientation == "Z" else (pushed, pulled)
-    out = PauliOperator(x=x, z=z, sign=p.sign)
-    if merging:
-        return out, {mid: 1 for mid, f in zip(step.measurement_ids, pattern) if f}
-    return out, {
-        f"{step.orientation.lower()}split.proj.{op.pauli.label()}": 1
-        for op in step.ops
-        if isinstance(op, Projection) and symplectic_product(out, op.pauli)
-    }
 
 
 def propagate_pauli(step: PlanStep, p: PauliOperator) -> tuple[PauliOperator, dict]:
@@ -341,14 +434,7 @@ def propagate_pauli(step: PlanStep, p: PauliOperator) -> tuple[PauliOperator, di
     Returns the transported Pauli on the step's output register and a
     dict of measurement ids whose post-selected outcome the input flips.
     """
-    if isinstance(step, (InitAncilla, ApplyCorrection)):
-        return p, {}  # the base code holds the ancilla; corrections are outcome rules
-    if isinstance(step, (MergeStep, SplitStep)):
-        return _transport(step, p)
-    if isinstance(step, MeasureLogical):
-        flip = symplectic_product(p, step.pauli)
-        return p, ({step.measurement_id: 1} if flip else {})
-    raise DimensionMismatch(f"unknown plan step {step!r}")
+    return step.transport(p)
 
 
 # --- locality-aware support decomposition --------------------------------------
@@ -558,15 +644,8 @@ def build_cnot_plan(
         steps += [
             xmerge,
             xsplit,
-            MeasureLogical(
-                pauli=PauliOperator.from_z(base.z_logical(anc)),
-                basis="Z",
-                measurement_id="final.za",
-            ),
-            ApplyCorrection(
-                pauli=PauliOperator.from_x(base.x_logical(target)),
-                condition="final.za",
-            ),
+            MeasureLogical(PauliOperator.from_z(base.z_logical(anc)), "Z", "final.za"),
+            ApplyCorrection(PauliOperator.from_x(base.x_logical(target)), "final.za"),
         ]
         if not locality:
             # corrections are stated in the branch gauges fixed above
@@ -672,14 +751,8 @@ def pairwise_switch_plan(data: CssCode, anc: CssCode, sub: Subcode, name: str = 
         InitAncilla(1, "plus", anc.hx, anc.hz),
         merge,
         split,
-        MeasureLogical(
-            pauli=PauliOperator.from_x(base.x_logical(1)),
-            basis="X",
-            measurement_id="final.xa",
-        ),
-        ApplyCorrection(
-            pauli=PauliOperator.from_z(base.z_logical(0)), condition="final.xa"
-        ),
+        MeasureLogical(PauliOperator.from_x(base.x_logical(1)), "X", "final.xa"),
+        ApplyCorrection(PauliOperator.from_z(base.z_logical(0)), "final.xa"),
     )
     return SurgeryPlan(
         name=name,
@@ -735,12 +808,7 @@ def measurement_correction(plan: SurgeryPlan, outcomes: dict) -> list[PauliOpera
 
 
 def _outcome_correction(plan: SurgeryPlan, flipped_ids) -> PauliOperator:
-    """Product of the corrections for the measurement ids recorded as -1.
-
-    Single-generator merges use the plan's ``correction_rules``,
-    multi-generator merges their flip-pattern class, and
-    ``ApplyCorrection`` steps their own Pauli.
-    """
+    """Product of the steps' corrections for the measurement ids recorded as -1."""
     total = PauliOperator.identity(plan.base_code.n)
     if not flipped_ids:
         return total
@@ -749,62 +817,10 @@ def _outcome_correction(plan: SurgeryPlan, flipped_ids) -> PauliOperator:
             "corrections for locality-decomposed merges are an open question"
         )
     for step in plan.steps:
-        if isinstance(step, MergeStep):
-            signs = [-1 if m in flipped_ids else 1 for m in step.measurement_ids]
-            if -1 not in signs:
-                continue
-            if len(signs) > 1:
-                total = total.compose(_class_correction(plan, step, signs))
-                continue
-            _check_branch_overlap(step)
-            rule = plan.correction_rules.get(step.measurement_ids[0])
-            if rule is None:
-                raise CorrectionUnavailable(f"no correction rule for {step.measurement_ids[0]}")
-            total = total.compose(rule)
-        elif isinstance(step, ApplyCorrection) and step.condition in flipped_ids:
-            total = total.compose(step.pauli)
+        correction = step.correction(plan, flipped_ids)
+        if correction is not None:
+            total = total.compose(correction)
     return total
-
-
-def _check_branch_overlap(step: MergeStep) -> None:
-    """The branch gauge must anticommute with the measured joint operator.
-
-    Dual logical bases guarantee the odd overlap; an even one means the
-    stored bases are corrupted.
-    """
-    insert = step.branch_inserts[0]
-    if insert is None:
-        return
-    v = step.merge.subcode.oriented_spaces()[1].basis.row(0)
-    part = insert.x if step.orientation == "Z" else insert.z
-    if int(part @ v) % 2 != 1:
-        raise EmptyOverlap(
-            "branch gauge commutes with the measured operator; dual bases corrupted"
-        )
-
-
-def _class_correction(
-    plan: SurgeryPlan, step: MergeStep, signs: Sequence[int]
-) -> PauliOperator:
-    """Correction for a multi-generator merge via the flip-pattern class.
-
-    A -1 pattern f is physical only if some X-type operator w commuting
-    with all Z-checks has overlaps (w . v_i) = f; its logical class
-    determines the correction. Patterns with no such w contradict the
-    stabilizer constraints among the joint measurements.
-    """
-    w = _solve_branch_gauge(step, signs)
-    if w is None:
-        raise CorrectionUnavailable(
-            "outcome pattern is inconsistent with the merged stabilizers"
-        )
-    basis = plan.base_code.x_logicals if step.orientation == "Z" else plan.base_code.z_logicals
-    coords = basis.class_coordinates(w)
-    if not coords.any():
-        return PauliOperator.identity(plan.base_code.n)
-    if plan.class_correction is None:
-        raise CorrectionUnavailable("plan carries no class correction rule")
-    return plan.class_correction
 
 
 # --- simulation glue -------------------------------------------------------------
@@ -813,27 +829,7 @@ def _class_correction(
 def plan_physical_ops(plan: SurgeryPlan, outcomes: Optional[dict] = None) -> list[PhysicalOp]:
     """The plan as a list of physical ops, with forced -1 branches inserted."""
     outcomes = outcomes or {}
-    ops: list[PhysicalOp] = []
-    for step in plan.steps:
-        if isinstance(step, InitAncilla):
-            continue  # handled by the encoders
-        if isinstance(step, MergeStep):
-            w = _solve_branch_gauge(step, [outcomes.get(m, 1) for m in step.measurement_ids])
-            if w is None:
-                raise CorrectionUnavailable(
-                    "outcome pattern is inconsistent with the merged stabilizers"
-                )
-            if w.any():
-                side = PauliOperator.from_x if step.orientation == "Z" else PauliOperator.from_z
-                ops.append(PauliGate(side(w)))
-            ops.extend(physical_op_sequence(step.merge.p, step.orientation))
-        elif isinstance(step, SplitStep):
-            ops.extend(step.ops)
-        elif isinstance(step, MeasureLogical):
-            ops.append(Projection(step.pauli, outcomes.get(step.measurement_id, 1)))
-        elif isinstance(step, ApplyCorrection):
-            continue  # applied via measurement_correction
-    return ops
+    return [op for step in plan.steps for op in step.physical_ops(outcomes)]
 
 
 _STATES = {
@@ -847,15 +843,9 @@ _STATES = {
 def plan_encoders(plan: SurgeryPlan, outcomes: Optional[dict] = None):
     """(e_in, e_out) Encoders for channel extraction over every logical but the ancilla."""
     outcomes = outcomes or {}
-    enc = encoder_isometry(plan.base_code)
-    init = plan.steps[0]
-    if not isinstance(init, InitAncilla):
-        raise DimensionMismatch("plan does not start with an ancilla initialization")
-    e_in = encoder_with_fixed_logical(enc, plan.ancilla_index, _STATES[init.state])
-
-    final_measure = next(
-        (s for s in plan.steps if isinstance(s, MeasureLogical)), None
-    )
+    enc = encoder_isometry(plan.base_code)  # plan_from_json checks that steps[0] inits the ancilla
+    e_in = encoder_with_fixed_logical(enc, plan.ancilla_index, _STATES[plan.steps[0].state])
+    final_measure = plan.final_measurement
     if final_measure is None:
         e_out = enc
     else:
@@ -922,7 +912,7 @@ def expected_plan_channel(plan: SurgeryPlan) -> np.ndarray:
     kept = [i for i in range(plan.base_code.k) if i != plan.ancilla_index]
     if plan.target is not None:
         return cnot_unitary(len(kept), kept.index(plan.control), kept.index(plan.target))
-    if any(isinstance(s, MeasureLogical) for s in plan.steps):
+    if plan.final_measurement is not None:
         return np.eye(1 << len(kept))
     # ancilla as target: CNOT from the control onto a fresh |0> logical
     b = plan.base_code.k
@@ -1222,19 +1212,21 @@ def plan_from_json(text: str) -> SurgeryPlan:
 
     Each merge and its split are rebuilt from the stored subcode
     generators and branch inserts, so the loaded plan simulates and
-    corrects identically to the original. Load-time checks reject a
-    merge not directly followed by its split, ``branch_inserts`` not
-    matching ``measurement_ids`` one to one or mixing null and set
-    entries, a merge that identifies logical classes of the base code, a
-    derived field (see _STEP_TABLE) other than its rebuilt value, ancilla
-    checks that are not the base code's trailing diagonal block or that
-    come without ``ancilla_n``, a correction conditioned on no earlier
-    measurement, a measurement id used twice, repeated ``data_indices``
-    or ones that include the ancilla, a ``target`` equal to ``control``,
-    and a ``correction_rules`` key that no merge measures. A field that
-    is missing, of the wrong type or out of range, a Pauli not on the
-    base code's qubits included, raises MalformedInput whose section
-    names it (``steps[2].v1`` for a field of a step).
+    corrects identically to the original. Load-time checks reject a plan
+    whose first step is not its one ancilla initialization, a plan with
+    two logical measurements, a merge not directly followed by its
+    split, ``branch_inserts`` not matching ``measurement_ids`` one to
+    one or mixing null and set entries, a merge that identifies logical
+    classes of the base code, a derived field (see _STEP_TABLE) other
+    than its rebuilt value, ancilla checks that are not the base code's
+    trailing diagonal block or that come without ``ancilla_n``, a
+    correction conditioned on no earlier measurement, a measurement id
+    used twice, repeated ``data_indices`` or ones that include the
+    ancilla, a ``target`` equal to ``control``, and a
+    ``correction_rules`` key that no merge measures. A field that is
+    missing, of the wrong type or out of range, a Pauli not on the base
+    code's qubits included, raises MalformedInput whose section names it
+    (``steps[2].v1`` for a field of a step).
     """
     try:
         doc = json.loads(text, object_hook=_JsonObject)
@@ -1262,6 +1254,12 @@ def plan_from_json(text: str) -> SurgeryPlan:
     for prev, kind in zip([None] + kinds, kinds + [None]):
         if (prev == "merge") != (kind == "split"):
             raise DimensionMismatch("every merge must be directly followed by its split")
+    if kinds[0] != "init_ancilla":
+        raise DimensionMismatch("plan does not start with an ancilla initialization")
+    if kinds.count("init_ancilla") > 1:
+        raise DimensionMismatch("plan initializes its ancilla more than once")
+    if kinds.count("measure_logical") > 1:
+        raise DimensionMismatch("plan measures a logical more than once")
     logicals = range(base.k)
     cx = base.complex
     ctx = {"base": base, "ancilla_index": doc.field("ancilla_index", "int", choices=logicals),

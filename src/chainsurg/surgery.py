@@ -358,9 +358,7 @@ class ExactSequenceReport:
     matrix_injective: bool
     induced_matrix: F2Matrix
     killed_coords: F2Matrix  # classes of im(i1*) in source logical coordinates
-    killed_reps: tuple[np.ndarray, ...]
     created_coords: F2Matrix  # complement basis of im(p1*) in quotient coordinates
-    created_reps: tuple[np.ndarray, ...]
     source_basis: HomologyBasis
     quotient_basis: HomologyBasis
 
@@ -409,29 +407,17 @@ def analyze_merge(
 
     # killed classes: im(i1*) expressed in the source logical basis
     killed_coords_rows = []
-    killed_reps = []
     s1 = m.subcode.oriented_spaces()[1]
     for rep in h1v.representatives:
         embedded = s1.basis.T @ rep
-        if src_basis.is_trivial_class(embedded):
-            continue
-        killed_coords_rows.append(src_basis.class_coordinates(embedded))
-        killed_reps.append(embedded)
-    killed = _independent_rows(killed_coords_rows, src_basis.dim)
-    killed_reps = tuple(killed_reps[i] for i in killed.kept)
+        if not src_basis.is_trivial_class(embedded):
+            killed_coords_rows.append(src_basis.class_coordinates(embedded))
 
     # created classes: complement of im(p1*) in the quotient basis
     img = Subspace.from_vectors(
         [induced.col(j) for j in range(induced.cols)], tgt_basis.dim
     )
     created_coord_vecs = quotient_basis(tgt_basis.dim, Subspace.full(tgt_basis.dim), img)
-    created_reps = []
-    for c in created_coord_vecs:
-        v = np.zeros(tgt_basis.ambient_dim, dtype=np.uint8)
-        for j, bit in enumerate(c):
-            if bit:
-                v ^= tgt_basis.representatives[j]
-        created_reps.append(as_bit_vector(v))
     return ExactSequenceReport(
         orientation=m.orientation,
         h1_subcode_dim=h1v.dim,
@@ -441,22 +427,14 @@ def analyze_merge(
         matrix_surjective=matrix_surjective,
         matrix_injective=matrix_injective,
         induced_matrix=induced,
-        killed_coords=killed.matrix,
-        killed_reps=killed_reps,
+        killed_coords=_independent_rows(killed_coords_rows, src_basis.dim),
         created_coords=F2Matrix.from_rows(created_coord_vecs, cols=tgt_basis.dim),
-        created_reps=tuple(created_reps),
         source_basis=src_basis,
         quotient_basis=tgt_basis,
     )
 
 
-@dataclass(frozen=True)
-class _IndependentRows:
-    matrix: F2Matrix
-    kept: tuple[int, ...]
-
-
-def _independent_rows(rows: list[np.ndarray], width: int) -> _IndependentRows:
+def _independent_rows(rows: list[np.ndarray], width: int) -> F2Matrix:
     """The rows a greedy scan keeps: each one independent of those kept before it.
 
     Row i is kept exactly when column i of the stacked rows' transpose is a
@@ -464,7 +442,7 @@ def _independent_rows(rows: list[np.ndarray], width: int) -> _IndependentRows:
     """
     stacked = F2Matrix.from_rows(rows, cols=width)
     kept = rref(stacked.T, transform=False).pivots
-    return _IndependentRows(F2Matrix._wrap(stacked.a[list(kept)]), kept)
+    return F2Matrix._wrap(stacked.a[list(kept)])
 
 
 def induced_logical_matrix(

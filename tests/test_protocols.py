@@ -454,12 +454,10 @@ class TestCodeSwitch:
         ids = plan.measurement_ids()
         assert np.max(np.abs(plan_channel(plan) - np.eye(2))) < 1e-9
         # one legal merge pattern (an x-logical support), final flip, both
-        from chainsurg.protocols import _solve_branch_gauge
-
         step = plan.steps[1]
         legal = None
         for bits in itertools.product([0, 1], repeat=7):
-            if any(bits) and _solve_branch_gauge(step, [-1 if b else 1 for b in bits]) is not None:
+            if any(bits) and step.branch_gauge([-1 if b else 1 for b in bits]) is not None:
                 legal = bits
                 break
         assert legal is not None
@@ -521,6 +519,25 @@ class TestPlanLoading:
     def test_split_without_preceding_merge(self, doc):
         doc["steps"][1], doc["steps"][2] = doc["steps"][2], doc["steps"][1]
         with pytest.raises(DimensionMismatch, match="followed by its split"):
+            plan_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda steps: steps.insert(3, steps[0]), "initializes its ancilla more than once"),
+            (
+                lambda steps: steps.insert(5, {**steps[5], "measurement_id": "final.zb"}),
+                "measures a logical more than once",
+            ),
+            (lambda steps: steps.pop(0), "does not start with an ancilla initialization"),
+        ],
+        ids=["second_init", "second_measurement", "no_init"],
+    )
+    def test_step_structure(self, toric2, edit, message):
+        doc = json.loads(plan_to_json(build_cnot_plan(toric2, 0, 1)))
+        assert [s["kind"] for s in doc["steps"]][5] == "measure_logical"
+        edit(doc["steps"])
+        with pytest.raises(DimensionMismatch, match=message):
             plan_from_json(json.dumps(doc))
 
     def test_branch_inserts_length(self, doc):

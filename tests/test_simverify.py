@@ -223,7 +223,7 @@ class TestChannels:
 class TestPauliTransport:
     def test_transport_identity_physical(self):
         # op . P == transported(P) . branch-flipped op, checked on states
-        from chainsurg.protocols import MergeStep, propagate_pauli, _solve_branch_gauge
+        from chainsurg.protocols import MergeStep, propagate_pauli
 
         ex = catalog.worked_example("welding")
         m = quotient_merge(ex.parent, ex.subcode)
@@ -259,8 +259,8 @@ class TestPauliTransport:
             out, flips = propagate_pauli(step, p)
             state = e.matrix @ (r.randn(2**both.k) + 1j * r.randn(2**both.k))
             lhs = apply_sequence_linear(merge_ops, apply_linear(PauliGate(p), state))
-            insert = _solve_branch_gauge(
-                step, [-1 if f"m{i}" in flips else 1 for i in range(m.subcode.v1.dim)]
+            insert = step.branch_gauge(
+                [-1 if f"m{i}" in flips else 1 for i in range(m.subcode.v1.dim)]
             )
             branch_state = apply_linear(
                 PauliGate(PauliOperator.from_x(insert)), state
