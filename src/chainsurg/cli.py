@@ -338,9 +338,7 @@ _PAULI_TERM_RE = re.compile(r"([XYZ])([0-9]+)", re.IGNORECASE)
 
 
 def _cmd_propagate(args) -> int:
-    code = _load_code(args.code)
-    sub = _load_subcode(args.subcode, code.complex)
-    merge = quotient_merge(code.complex, sub)
+    code, sub, merge = _merge_from_args(args)
     n = code.n
     x = np.zeros(n, dtype=np.uint8)
     z = np.zeros(n, dtype=np.uint8)
@@ -355,7 +353,7 @@ def _cmd_propagate(args) -> int:
             x[idx] ^= 1
         if kind in "YZ":
             z[idx] ^= 1
-    v1 = sub.oriented_spaces()[1]
+    v1 = sub.v1
     step = MergeStep(
         merge=merge,
         orientation=sub.orientation,

@@ -210,7 +210,7 @@ class MergeStep(PlanStep):
     def gauge_system(self) -> Elimination:
         """Overlaps with the subcode generators over the preserved-type checks."""
         source = self.merge.source
-        return Elimination(vstack([self.merge.subcode.oriented_spaces()[1].basis, source.d2.T]))
+        return Elimination(vstack([self.merge.subcode.v1.basis, source.d2.T]))
 
     @cached_property
     def ops(self) -> tuple[PhysicalOp, ...]:
@@ -334,7 +334,7 @@ class SplitStep(PlanStep):
     def residue_system(self) -> Elimination:
         """The merged subspace's boundaries, for canonicalizing a pulled-back side."""
         m = self.merge
-        return Elimination(m.source.d1 @ m.subcode.oriented_spaces()[1].basis.T)
+        return Elimination(m.source.d1 @ m.subcode.v1.basis.T)
 
     def transport(self, p: PauliOperator) -> tuple[PauliOperator, dict]:
         """Push one side through p1.T and pull the other back, a cycle when one exists.
@@ -345,7 +345,7 @@ class SplitStep(PlanStep):
         m = self.merge
         flipping, exact = (p.x, p.z) if self.orientation == "Z" else (p.z, p.x)
         pulled = _pull_back(self.pullback, flipping)
-        v1 = m.subcode.oriented_spaces()[1]
+        v1 = m.subcode.v1
         if v1.dim:
             residue = m.source.d1 @ pulled
             if residue.any():
@@ -440,13 +440,11 @@ def propagate_pauli(step: PlanStep, p: PauliOperator) -> tuple[PauliOperator, di
 # --- locality-aware support decomposition --------------------------------------
 
 
-def decompose_merge_support(
-    code: CssCode,
-    u,
-    w,
-    max_weight: int,
-    node_cap: int = 4000,
-) -> list[np.ndarray]:
+# The most search nodes one support decomposition may visit.
+DECOMPOSE_NODE_CAP = 4000
+
+
+def decompose_merge_support(code: CssCode, u, w, max_weight: int) -> list[np.ndarray]:
     """Split u + w into low-weight generators spanning a safe subcode.
 
     The generators v_j satisfy sum v_j = u + w, weight(v_j) <= max_weight,
@@ -456,12 +454,10 @@ def decompose_merge_support(
     backtracking; raises DecompositionInfeasible past the weight cap or
     search budget.
     """
-    return _decompose_support(code.complex, u, w, max_weight, node_cap)
+    return _decompose_support(code.complex, u, w, max_weight)
 
 
-def _decompose_support(
-    cplx: ChainComplex, u, w, max_weight: int, node_cap: int = 4000
-) -> list[np.ndarray]:
+def _decompose_support(cplx: ChainComplex, u, w, max_weight: int) -> list[np.ndarray]:
     """``decompose_merge_support`` on a complex: its cycles and boundaries stand for the code's."""
     n = cplx.dim1
     target = as_bit_vector(np.asarray(u, dtype=np.uint8) ^ np.asarray(w, dtype=np.uint8), n)
@@ -486,7 +482,7 @@ def _decompose_support(
     def search(remaining: list[int], acc: list[list[int]]) -> Optional[list[list[int]]]:
         nonlocal nodes
         nodes += 1
-        if nodes > node_cap:
+        if nodes > DECOMPOSE_NODE_CAP:
             raise DecompositionInfeasible("search budget exhausted")
         if not remaining:
             return acc
@@ -888,20 +884,6 @@ def cnot_unitary(k: int, control: int, target: int) -> np.ndarray:
     return mat
 
 
-def _embed_zero_at(total_qubits: int, index: int) -> np.ndarray:
-    """Isometry inserting a fresh |0> qubit at the given label position."""
-    dim_in = 1 << (total_qubits - 1)
-    mat = np.zeros((1 << total_qubits, dim_in))
-    for i in range(dim_in):
-        bits = [(i >> (total_qubits - 2 - b)) & 1 for b in range(total_qubits - 1)]
-        bits.insert(index, 0)
-        j = 0
-        for b in bits:
-            j = (j << 1) | b
-        mat[j, i] = 1.0
-    return mat
-
-
 def expected_plan_channel(plan: SurgeryPlan) -> np.ndarray:
     """The target logical channel the plan claims to implement.
 
@@ -914,11 +896,11 @@ def expected_plan_channel(plan: SurgeryPlan) -> np.ndarray:
         return cnot_unitary(len(kept), kept.index(plan.control), kept.index(plan.target))
     if plan.final_measurement is not None:
         return np.eye(1 << len(kept))
-    # ancilla as target: CNOT from the control onto a fresh |0> logical
-    b = plan.base_code.k
-    return cnot_unitary(b, plan.control, plan.ancilla_index) @ _embed_zero_at(
-        b, plan.ancilla_index
-    )
+    # ancilla as target: CNOT from the control onto a fresh |0> logical,
+    # the CNOT's columns whose ancilla bit is 0
+    b, anc = plan.base_code.k, plan.ancilla_index
+    fresh = [j for j in range(1 << b) if not (j >> (b - 1 - anc)) & 1]
+    return cnot_unitary(b, plan.control, anc)[:, fresh]
 
 
 # --- plan-level verification helpers ---------------------------------------------
@@ -1123,6 +1105,26 @@ def _merge_from_json(ctx: dict, orientation: str, v2, v1, v0, inserts) -> tuple[
     return _merge_and_split(base, sub, ctx["ancilla_index"], inserts)
 
 
+def _measure_from_json(ctx: dict, pauli: PauliOperator, basis: str, measurement_id: str):
+    """The logical measurement; its Pauli must be the ancilla's logical of type ``basis``.
+
+    That is the Pauli ``plan_encoders`` reads ``basis`` for: of that type
+    only, with sign +1, and differing from the ancilla's representative
+    by a stabilizer (its class coordinates are the unit vector at the
+    ancilla).
+    """
+    base, anc = ctx["base"], ctx["ancilla_index"]
+    side, other, logicals = (
+        (pauli.z, pauli.x, base.z_logicals) if basis == "Z" else (pauli.x, pauli.z, base.x_logicals)
+    )
+    if other.any() or pauli.sign != 1 or not logicals.is_trivial_class(side ^ logicals.representatives[anc]):
+        raise MalformedInput(
+            f"field 'pauli' must be the {basis} logical of the ancilla {anc} with sign +1",
+            section="pauli",
+        )
+    return (MeasureLogical(pauli, basis, measurement_id),)
+
+
 # Spec of a derived field: plan_from_json checks it equals the rebuilt step's.
 _REBUILT = object()
 
@@ -1160,7 +1162,7 @@ _STEP_TABLE = {
         ("pauli", "pauli", False, "n"),
         ("basis", "str", False, ("Z", "X")),
         ("measurement_id", "str", False, None),
-    ), lambda ctx, *values: (MeasureLogical(*values),)),
+    ), _measure_from_json),
     ApplyCorrection: ("apply_correction", (
         ("pauli", "pauli", False, "n"),
         ("condition", "str", False, "measured"),  # a measurement made before it
@@ -1222,8 +1224,10 @@ def plan_from_json(text: str) -> SurgeryPlan:
     trailing diagonal block or that come without ``ancilla_n``, a
     correction conditioned on no earlier measurement, a measurement id
     used twice, repeated ``data_indices`` or ones that include the
-    ancilla, a ``target`` equal to ``control``, and a
-    ``correction_rules`` key that no merge measures. A field that is
+    ancilla, a ``target`` equal to ``control``, a ``correction_rules``
+    key that no merge measures, and a ``measure_logical`` Pauli that is
+    not the ancilla's logical of its ``basis`` type with sign +1
+    (section ``steps[i].pauli``). A field that is
     missing, of the wrong type or out of range, a Pauli not on the base
     code's qubits included, raises MalformedInput whose section names it
     (``steps[2].v1`` for a field of a step).

@@ -10,20 +10,22 @@ as one 2^n state when it is simulated. The one dense 2^n x 2^k array is
 E_out^dagger, because the BLAS product of it with each simulated state
 fixes the channel's pinned floating-point bits.
 
-Each op is an index map over basis indices and costs O(2^n): a parity
-map scatters amplitude x to A x, a Hadamard-conjugated parity map
-gathers out[y] = 2^{(in-out)/2} * amps[A^T y] (no Walsh-Hadamard
-transform is taken), and a Pauli gate permutes by its X part and signs
-by its Z parity. Every op maps CSS states to CSS states by a fixed
-XOR-linear index map, so its table depends on the op alone and not on
-the state: ``extract_logical_channel`` builds each op's ``IndexMap``
-once per channel, before E_out^dagger, and applies it to every input
-column.
+Each op kind is a class that applies itself in O(2^n): a parity map
+scatters amplitude x to A x, a Hadamard-conjugated parity map gathers
+out[y] = 2^{(in-out)/2} * amps[A^T y] (no Walsh-Hadamard transform is
+taken), and a Pauli gate permutes by its X part and signs by its Z
+parity; a projection adds its Pauli's action to the state and halves.
+Every op maps CSS states to CSS states by a fixed XOR-linear index map,
+so its table depends on the op alone and not on the state: each op
+builds its int32 table the first time it is applied and keeps it, so a
+channel builds it once for all input columns, and ops a plan step holds
+keep theirs as long as the plan.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from functools import cached_property
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -81,23 +83,52 @@ class StateVector:
 # --- physical operations -----------------------------------------------------
 
 
+class PhysicalOp:
+    """An op on dense amplitudes: ``apply`` maps 2^n_in of them to 2^n_out.
+
+    Each kind builds its ``table`` (int32 indices, and a Pauli's int8 Z
+    signs) the first time it is applied and keeps it for every later
+    state. Indexing casts the int32 table in buffered chunks (``np.take``
+    would copy it to int64 first), and each application allocates one
+    output array and works in it.
+    """
+
+    def apply(self, amps: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+
+def _parity_indices(a: F2Matrix) -> np.ndarray:
+    """Output basis index A @ x for every input index x, as int32 (n <= 20)."""
+    return linear_indices([bits_to_index(a.a[:, j]) for j in range(a.cols)], np.int32)
+
+
 @dataclass(frozen=True)
-class ParityMap:
-    """|x> -> |A x| ... the basis-state parity map of a binary matrix."""
+class _BinaryMap(PhysicalOp):
+    """An op read off a binary matrix from n_in = cols to n_out = rows qubits."""
 
     matrix: F2Matrix
 
-    @property
-    def n_in(self) -> int:
-        return self.matrix.cols
-
-    @property
-    def n_out(self) -> int:
-        return self.matrix.rows
+    n_in = property(lambda self: self.matrix.cols)
+    n_out = property(lambda self: self.matrix.rows)
 
 
 @dataclass(frozen=True)
-class HadamardConjugatedParityMap:
+class ParityMap(_BinaryMap):
+    """|x> -> |A x> ... the basis-state parity map of a binary matrix."""
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The scatter table A x."""
+        return _parity_indices(self.matrix)
+
+    def apply(self, amps: np.ndarray) -> np.ndarray:
+        out = np.zeros(1 << self.n_out, dtype=np.complex128)
+        np.add.at(out, self.table, amps)
+        return out
+
+
+@dataclass(frozen=True)
+class HadamardConjugatedParityMap(_BinaryMap):
     """H^out . ParityMap(matrix) . H^in; equivalently the transpose-fiber map.
 
     On basis states: |x> -> 2^{(in-out)/2} * sum_{y : matrix^T y = x} |y>.
@@ -106,129 +137,78 @@ class HadamardConjugatedParityMap:
     transform-scatter-transform reading costs O((in + out) 2^max(in, out)).
     """
 
-    matrix: F2Matrix
-
-    @property
-    def n_in(self) -> int:
-        return self.matrix.cols
-
-    @property
-    def n_out(self) -> int:
-        return self.matrix.rows
-
-
-@dataclass(frozen=True)
-class Projection:
-    """Post-selected projection (I + outcome * S)/2 for a stabilizer Pauli S."""
-
-    pauli: PauliOperator
-    outcome: int = 1
-
-    @property
-    def n_in(self) -> int:
-        return self.pauli.n
-
-    @property
-    def n_out(self) -> int:
-        return self.pauli.n
-
-
-@dataclass(frozen=True)
-class PauliGate:
-    pauli: PauliOperator
-
-    @property
-    def n_in(self) -> int:
-        return self.pauli.n
-
-    @property
-    def n_out(self) -> int:
-        return self.pauli.n
-
-
-PhysicalOp = Union[ParityMap, HadamardConjugatedParityMap, Projection, PauliGate]
-
-
-def _parity_indices(a: F2Matrix) -> np.ndarray:
-    """Output basis index A @ x for every input index x, as int32 (n <= 20)."""
-    return linear_indices([bits_to_index(a.a[:, j]) for j in range(a.cols)], np.int32)
-
-
-@dataclass(frozen=True, eq=False)
-class IndexMap:
-    """A physical op as the int32 index table that applies it, built once for many states.
-
-    ``index`` is the scatter table A x of a parity map, the gather table
-    A^T y of a Hadamard-conjugated parity map, or the gather table y ^ mask
-    of a Pauli's X part (None when it has none). ``signs`` holds a Pauli's
-    Z signs (-1)^{z.x} as int8, in the order of the gathered amplitudes.
-    Each application allocates one output array and works in it; indexing
-    casts the int32 table in buffered chunks (``np.take`` would copy it
-    to int64 first).
-
-    ``apply`` multiplies the same pairs of floats, in the same order, as
-    the op's formula: a product with (s + 0j) is exact in value but not
-    in the sign of a zero, so the Z signs, the Pauli's sign and a
-    projection's outcome stay three products. Gathering first and
-    multiplying by the gathered signs pairs the same operands as
-    multiplying first and gathering.
-    """
-
-    op: PhysicalOp
-    index: Optional[np.ndarray]
-    signs: Optional[np.ndarray] = None
-
-    @property
-    def n_in(self) -> int:
-        return self.op.n_in
-
-    @property
-    def n_out(self) -> int:
-        return self.op.n_out
+    @cached_property
+    def table(self) -> np.ndarray:
+        """The gather table A^T y."""
+        return _parity_indices(self.matrix.T)
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
-        op, index = self.op, self.index
-        if isinstance(op, ParityMap):
-            out = np.zeros(1 << op.n_out, dtype=np.complex128)
-            np.add.at(out, index, amps)
-            return out
-        if isinstance(op, HadamardConjugatedParityMap):
-            out = amps[index]
-            out *= np.sqrt(2.0 ** (op.n_in - op.n_out))
-            return out
-        if index is None:
-            out = amps * self.signs
-        else:
-            out = amps[index]
-            out *= self.signs
-        out *= op.pauli.sign
-        if isinstance(op, Projection):  # (amps + outcome * P amps) / 2
-            out *= op.outcome
-            np.add(amps, out, out=out)
-            out /= 2.0
+        out = amps[self.table]
+        out *= np.sqrt(2.0 ** (self.n_in - self.n_out))
         return out
 
 
-def index_map(op: PhysicalOp) -> IndexMap:
-    """The op's index table (and a Pauli's Z signs); see IndexMap."""
-    if isinstance(op, ParityMap):
-        return IndexMap(op, _parity_indices(op.matrix))
-    if isinstance(op, HadamardConjugatedParityMap):
-        return IndexMap(op, _parity_indices(op.matrix.T))
-    if isinstance(op, (Projection, PauliGate)):
-        p = op.pauli
+@dataclass(frozen=True)
+class _PauliAction(PhysicalOp):
+    """The action of a Pauli P, from one gather and one Z-sign table.
+
+    ``apply`` multiplies the same pairs of floats, in the same order, as
+    sign * (-1)^{z.x} * amps[y ^ mask]: a product with (s + 0j) is exact
+    in value but not in the sign of a zero, so the Z signs, the Pauli's
+    sign and a projection's outcome stay three products. Gathering first
+    and multiplying by the gathered signs pairs the same operands as
+    multiplying first and gathering.
+    """
+
+    pauli: PauliOperator
+
+    n_in = n_out = property(lambda self: self.pauli.n)
+
+    @cached_property
+    def table(self) -> tuple[Optional[np.ndarray], np.ndarray]:
+        """(gather, signs): the X part's gather table y ^ mask, None when it
+        has none, and the Z signs (-1)^{z.x} as int8 in gathered order."""
+        p = self.pauli
         signs = 1 - 2 * linear_indices(p.z, np.int8)
         xmask = bits_to_index(p.x)
         if not xmask:
-            return IndexMap(op, None, signs)
+            return None, signs
         gather = np.arange(1 << p.n, dtype=np.int32) ^ xmask
-        return IndexMap(op, gather, signs[gather])
-    raise DimensionMismatch(f"unknown physical op {op!r}")
+        return gather, signs[gather]
+
+    def apply(self, amps: np.ndarray) -> np.ndarray:
+        gather, signs = self.table
+        if gather is None:
+            out = amps * signs
+        else:
+            out = amps[gather]
+            out *= signs
+        out *= self.pauli.sign
+        return out
 
 
-def apply_linear(op: Union[PhysicalOp, IndexMap], amps: np.ndarray) -> np.ndarray:
-    """Raw linear action of an op, or of its prebuilt IndexMap; no renormalization."""
-    return (op if isinstance(op, IndexMap) else index_map(op)).apply(amps)
+@dataclass(frozen=True)
+class PauliGate(_PauliAction):
+    """The Pauli P applied as a gate."""
+
+
+@dataclass(frozen=True)
+class Projection(_PauliAction):
+    """Post-selected projection (I + outcome * S)/2 for a stabilizer Pauli S."""
+
+    outcome: int = 1
+
+    def apply(self, amps: np.ndarray) -> np.ndarray:
+        out = super().apply(amps)
+        out *= self.outcome
+        np.add(amps, out, out=out)
+        out /= 2.0
+        return out
+
+
+def apply_linear(op: PhysicalOp, amps: np.ndarray) -> np.ndarray:
+    """Raw linear action of an op; no renormalization."""
+    return op.apply(amps)
 
 
 def apply(op: PhysicalOp, state: StateVector) -> tuple[StateVector, float]:
@@ -286,40 +266,26 @@ def physical_op_sequence(f: ChainMap, orientation: str = "Z") -> list[PhysicalOp
 # --- logical channel extraction ----------------------------------------------
 
 
-def extract_logical_channel(
-    ops: Sequence[PhysicalOp],
-    e_in,
-    e_out,
-) -> np.ndarray:
+def extract_logical_channel(ops: Sequence[PhysicalOp], e_in: Encoder, e_out: Encoder) -> np.ndarray:
     """E_out^dagger . (composed ops) . E_in, column by column.
 
-    ``e_in`` and ``e_out`` are Encoder objects or isometry matrices
-    (2^n x 2^k). An Encoder input gives one 2^n column at a time, and an
-    Encoder output gives E_out^dagger from its coset table: that is the
-    only dense 2^n x 2^k array, formed once for all columns. Each op's
-    IndexMap is built once and applied to every column.
+    ``e_in`` gives one 2^n column at a time, and ``e_out`` gives
+    E_out^dagger from its coset table: that is the only dense 2^n x 2^k
+    array, formed once for all columns. Each op builds its table on the
+    first column and applies it to every later one.
     Projections are applied linearly so relative column norms are
     meaningful; the result is normalized so its largest-magnitude entry
     is exactly 1 (real positive). Raises ZeroProbabilityOutcome if
     everything post-selects to zero.
     """
-    if isinstance(e_in, Encoder):
-        k_in, column = e_in.k, e_in.column
-    else:
-        e_in = np.asarray(e_in)
-        k_in = int(np.log2(e_in.shape[1]))
-        column = lambda u: np.ascontiguousarray(e_in[:, u])
-    # each op's table, built once for all columns and before E_out^dagger exists
-    maps = [index_map(op) for op in ops]
-    # E_out^dagger in the bytes and layout of e_out.conj().T, so BLAS rounds
-    # each column as the per-column conj(e_out).T @ amps; conjugating the
-    # state instead, conj(e_out.T @ conj(amps)), flips the sign of some zero
-    # imaginary parts in reports.
-    e_out_h = e_out.adjoint() if isinstance(e_out, Encoder) else np.asarray(e_out).conj().T
-    k_out = int(np.log2(e_out_h.shape[0]))
-    mat = np.zeros((1 << k_out, 1 << k_in), dtype=np.complex128)
-    for u in range(1 << k_in):
-        mat[:, u] = e_out_h @ apply_sequence_linear(maps, column(u))
+    # E_out^dagger in the bytes and layout of e_out.matrix.conj().T, so BLAS
+    # rounds each column as the per-column conj(e_out).T @ amps; conjugating
+    # the state instead, conj(e_out.T @ conj(amps)), flips the sign of some
+    # zero imaginary parts in reports.
+    e_out_h = e_out.adjoint()
+    mat = np.zeros((e_out_h.shape[0], 1 << e_in.k), dtype=np.complex128)
+    for u in range(1 << e_in.k):
+        mat[:, u] = e_out_h @ apply_sequence_linear(ops, e_in.column(u))
     return fix_phase_and_scale(mat)
 
 

@@ -360,7 +360,6 @@ class ExactSequenceReport:
     killed_coords: F2Matrix  # classes of im(i1*) in source logical coordinates
     created_coords: F2Matrix  # complement basis of im(p1*) in quotient coordinates
     source_basis: HomologyBasis
-    quotient_basis: HomologyBasis
 
     @property
     def killed_count(self) -> int:
@@ -389,17 +388,13 @@ class ExactSequenceReport:
         }
 
 
-def analyze_merge(
-    m: MergeResult,
-    src_basis: HomologyBasis | None = None,
-    tgt_basis: HomologyBasis | None = None,
-) -> ExactSequenceReport:
+def analyze_merge(m: MergeResult) -> ExactSequenceReport:
     """Homology analysis of a merge via the subcode's own complex."""
     own = m.subcode.own_complex()
     h1v = homology(own, 1)
     h0v = homology(own, 0)
-    src_basis = src_basis or homology(m.source, 1)
-    tgt_basis = tgt_basis or homology(m.quotient, 1)
+    src_basis = homology(m.source, 1)
+    tgt_basis = homology(m.quotient, 1)
     induced = induced_on_homology(m.p, 1, src_basis, tgt_basis)
     r = rank(induced)
     matrix_surjective = r == tgt_basis.dim
@@ -407,7 +402,7 @@ def analyze_merge(
 
     # killed classes: im(i1*) expressed in the source logical basis
     killed_coords_rows = []
-    s1 = m.subcode.oriented_spaces()[1]
+    s1 = m.subcode.v1
     for rep in h1v.representatives:
         embedded = s1.basis.T @ rep
         if not src_basis.is_trivial_class(embedded):
@@ -430,7 +425,6 @@ def analyze_merge(
         killed_coords=_independent_rows(killed_coords_rows, src_basis.dim),
         created_coords=F2Matrix.from_rows(created_coord_vecs, cols=tgt_basis.dim),
         source_basis=src_basis,
-        quotient_basis=tgt_basis,
     )
 
 

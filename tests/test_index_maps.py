@@ -1,12 +1,14 @@
-"""Each simulated op's index map is built once per channel, with unchanged bytes.
+"""Each simulated op builds its index table once, with unchanged bytes.
 
-``extract_logical_channel`` builds one ``IndexMap`` per op and applies it
-to every input column. The old path, kept here as the oracle, rebuilt
-every op's 2^n table once per column. The channels must agree byte for
-byte (signed zeros included) on every catalog and golden plan that the
-simulator takes, in every outcome branch, with and without corrections.
+Each op kind builds its table the first time it is applied and keeps it,
+so ``extract_logical_channel`` builds it once for all input columns. The
+old path, kept here as the oracle, rebuilt every op's 2^n table once per
+column. The channels must agree byte for byte (signed zeros included) on
+every catalog and golden plan that the simulator takes, in every outcome
+branch, with and without corrections.
 """
 import itertools
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -32,7 +34,6 @@ from chainsurg.simverify import (
     Projection,
     apply_linear,
     fix_phase_and_scale,
-    index_map,
 )
 from test_plan_golden import PLANS as GOLDEN_PLANS
 
@@ -176,20 +177,28 @@ def _random_ops(r, n):
 
 
 @pytest.mark.parametrize("n", [1, 4, 9])
-def test_index_map_bytes_match_the_old_op_on_signed_zeros(n):
+def test_op_bytes_match_the_old_op_on_signed_zeros(n):
     r = np.random.RandomState(n)
     for op in _random_ops(r, n):
-        m = index_map(op)
-        assert m.index is None or m.index.dtype == np.int32
         for _ in range(3):
             amps = signed_zero_amps(r, op.n_in)
-            expect = old_apply_linear(op, amps)
-            assert m.apply(amps).tobytes() == expect.tobytes()
-            assert apply_linear(op, amps).tobytes() == expect.tobytes()
-            assert apply_linear(m, amps).tobytes() == expect.tobytes()
+            assert apply_linear(op, amps).tobytes() == old_apply_linear(op, amps).tobytes()
+        table = op.table[0] if isinstance(op, (PauliGate, Projection)) else op.table
+        assert table is None or table.dtype == np.int32
 
 
-# --- each table is built once per channel -----------------------------------------
+# --- each table is built once -----------------------------------------------------
+
+
+def _record_table_builds(monkeypatch) -> list:
+    """The list of ops whose table is built, one entry per build."""
+    built = []
+    for cls in (ParityMap, HadamardConjugatedParityMap, simverify._PauliAction):
+        real = cls.__dict__["table"].func
+        table = cached_property(lambda op, real=real: built.append(op) or real(op))
+        table.__set_name__(cls, "table")
+        monkeypatch.setattr(cls, "table", table)
+    return built
 
 
 COUNT_PLANS = {  # name -> (plan, number of logical inputs k_in)
@@ -209,14 +218,13 @@ COUNT_PLANS = {  # name -> (plan, number of logical inputs k_in)
 
 
 @pytest.mark.parametrize("name", sorted(COUNT_PLANS))
-def test_each_op_table_is_built_once_per_channel(name, monkeypatch):
+def test_each_op_table_is_built_once(name, monkeypatch):
     build, k_in = COUNT_PLANS[name]
     plan = build()
     ids = plan.measurement_ids()
     outcomes = {ids[0]: -1}  # one forced branch gauge and its correction
-    built, applied = [], []
-    real_index_map, real_apply_linear = simverify.index_map, simverify.apply_linear
-    monkeypatch.setattr(simverify, "index_map", lambda op: built.append(op) or real_index_map(op))
+    built, applied = _record_table_builds(monkeypatch), []
+    real_apply_linear = simverify.apply_linear
     monkeypatch.setattr(
         simverify, "apply_linear", lambda op, amps: applied.append(op) or real_apply_linear(op, amps)
     )
@@ -226,4 +234,12 @@ def test_each_op_table_is_built_once_per_channel(name, monkeypatch):
     assert len(built) == len(ops) == len({id(op) for op in built})
     # the channel loop still applies every op to every column through apply_linear
     assert len(applied) == len(ops) << k_in
-    assert all(isinstance(m, simverify.IndexMap) for m in applied)
+    assert {id(op) for op in applied} == {id(op) for op in built}
+
+    # the merge and split ops live on their steps, and keep their tables
+    # for the next channel; its gauge, projection and correction ops are new
+    first, step_ops = len(built), {id(op) for step in plan.steps for op in getattr(step, "ops", ())}
+    plan_channel(plan, outcomes)
+    again = {id(op) for op in applied[len(ops) << k_in:]}
+    assert {id(op) for op in built[first:]} == again - step_ops
+    assert len(built) - first == len(again - step_ops) == len(ops) - len(step_ops)

@@ -193,12 +193,28 @@ class TestPlanChannels:
         exp = expected_plan_channel(plan)
         assert np.max(np.abs(ch - exp)) < 1e-9
 
+    @pytest.mark.parametrize("code, ancilla", [("steane", "trivial"), ("toric2", "trivial"), ("toric2", "provided")])
+    def test_ancilla_target_channel_is_the_cnot_on_a_fresh_zero(self, code, ancilla, request):
+        # the old form: the CNOT times the isometry that inserts a |0> at the
+        # ancilla; a provided toric-2 ancilla sits between data logicals
+        base = request.getfixturevalue(code)
+        strategy = AncillaStrategy.trivial() if ancilla == "trivial" else AncillaStrategy.provided(base)
+        plan = build_cnot_plan(base, 0, None, ancilla=strategy)
+        b, anc = plan.base_code.k, plan.ancilla_index
+        embed = np.zeros((1 << b, 1 << (b - 1)))
+        for i in range(1 << (b - 1)):
+            bits = [(i >> (b - 2 - q)) & 1 for q in range(b - 1)]
+            bits.insert(anc, 0)
+            embed[int("".join(map(str, bits)), 2), i] = 1.0
+        expect = cnot_unitary(b, plan.control, anc) @ embed
+        assert expected_plan_channel(plan).tobytes() == expect.tobytes()
+
     def test_one_dense_encoder_array(self):
         # toric-3 with the ancilla as target: n = 19 and k_out = 3. The one
         # 2^n x 2^k_out array is E_out^dagger (64 MiB); inputs are built a
-        # column at a time from the coset table, and each op's int32 table
-        # is built before E_out^dagger, so beside it there is room for two
-        # states only (80 MiB in all)
+        # column at a time from the coset table, and each op builds its
+        # int32 table once, on the first column, so beside it there is room
+        # for two states only (80 MiB in all)
         plan = build_cnot_plan(catalog.toric(3), control=0, target=None)
         n, k_out = plan.base_code.n, plan.base_code.k
         assert (n, k_out) == (19, 3)
@@ -602,6 +618,29 @@ class TestPlanLoading:
         with pytest.raises(DimensionMismatch, match="mixes null and set"):
             plan_from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda step, base: step.update(basis="X"),
+            lambda step, base: step["pauli"].update(z=base.z_logical(0).tolist()),
+            lambda step, base: step["pauli"].update(sign=-1),
+            lambda step, base: step["pauli"].update(x=base.x_logical(0).tolist()),
+        ],
+        ids=["basis_x", "data_logical", "sign_minus", "mixed_type"],
+    )
+    def test_measurement_not_of_the_ancilla_logical(self, toric2, edit):
+        # plan_encoders fixes the ancilla by the step's basis, so a Pauli that
+        # is not the ancilla's logical of that type simulates against the
+        # wrong target or fails only at simulation time
+        plan = build_cnot_plan(toric2, 0, 1)
+        doc = json.loads(plan_to_json(plan))
+        step = doc["steps"][5]
+        assert step["kind"] == "measure_logical" and step["basis"] == "Z"
+        edit(step, plan.base_code)
+        with pytest.raises(MalformedInput, match="must be the [ZX] logical of the ancilla 2") as err:
+            plan_from_json(json.dumps(doc))
+        assert err.value.section == "steps[5].pauli"
+
 
 class TestDecomposeMergeSupport:
     def _toy_code(self):
@@ -645,6 +684,19 @@ class TestDecomposeMergeSupport:
         u = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
         with pytest.raises(DecompositionInfeasible):
             decompose_merge_support(code, u, np.zeros(5, dtype=np.uint8), max_weight=0)
+
+    def test_search_budget(self, monkeypatch):
+        import chainsurg.protocols
+
+        code = self._toy_code()
+        u = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
+        w = np.array([0, 1, 0, 0, 1], dtype=np.uint8)
+        # the pairing {1,2},{3,4},{5} is found at the fourth search node
+        monkeypatch.setattr(chainsurg.protocols, "DECOMPOSE_NODE_CAP", 4)
+        assert len(decompose_merge_support(code, u, w, max_weight=2)) == 3
+        monkeypatch.setattr(chainsurg.protocols, "DECOMPOSE_NODE_CAP", 3)
+        with pytest.raises(DecompositionInfeasible, match="search budget exhausted"):
+            decompose_merge_support(code, u, w, max_weight=2)
 
     def test_backtracking_avoids_logical_pair(self, two_patches):
         base = direct_sum_code(

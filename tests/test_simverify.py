@@ -7,6 +7,7 @@ from chainsurg.chaincomplex import homology, identity_chain_map
 from chainsurg.csscode import (
     PauliOperator,
     encoder_isometry,
+    encoder_with_fixed_logical,
     from_parity_checks,
     linear_indices,
 )
@@ -386,7 +387,7 @@ class TestIndexTables:
         r = np.random.RandomState(shape[0] * 31 + shape[1])
         a = F2Matrix(r.randint(0, 2, size=shape))
         got = _parity_indices(a)
-        assert got.dtype == np.int32  # the table an IndexMap holds
+        assert got.dtype == np.int32  # the table a parity map holds
         assert np.array_equal(got, bit_table_parity_indices(a))
 
     @pytest.mark.parametrize("n", [0, 1, 3, 9])
@@ -489,15 +490,17 @@ class TestHconjGather:
 class TestProjectionBytes:
     def test_matches_per_column_conj_product(self):
         # the projection onto e_out rounds exactly as conj(e_out).T @ amps per
-        # column, down to the sign of zeros; real-valued encoders with signed
-        # entries are where conj(e_out.T @ conj(amps)) would differ
-        r = np.random.RandomState(5)
-        e_in = r.choice([0.0, 0.5, -0.5], size=(8, 4)).astype(np.complex128)
-        e_out = r.choice([0.0, 0.5, -0.5], size=(8, 4)).astype(np.complex128)
-        ops = [PauliGate(PauliOperator(x=[1, 0, 1], z=[0, 1, 1]))]
-        expect = np.zeros((4, 4), dtype=np.complex128)
-        for u in range(4):
-            expect[:, u] = e_out.conj().T @ apply_sequence_linear(ops, e_in[:, u].copy())
+        # column, down to the sign of zeros; encoders with a logical fixed to
+        # |-> have signed entries, where conj(e_out.T @ conj(amps)) would differ
+        code = catalog.toric(2)
+        enc = encoder_isometry(code)
+        minus = np.array([1, -1]) / np.sqrt(2)
+        e_in = encoder_with_fixed_logical(enc, 0, minus)
+        e_out = encoder_with_fixed_logical(enc, 1, minus)
+        ops = [PauliGate(PauliOperator.from_x(code.x_logical(0)))]
+        expect = np.zeros((2, 2), dtype=np.complex128)
+        for u in range(2):
+            expect[:, u] = e_out.matrix.conj().T @ apply_sequence_linear(ops, e_in.column(u))
         expect = expect / expect.ravel()[np.argmax(np.abs(expect))]
         got = extract_logical_channel(ops, e_in, e_out)
         assert got.tobytes() == expect.tobytes()

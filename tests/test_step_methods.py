@@ -32,7 +32,7 @@ from chainsurg.protocols import (
     plan_to_json,
     propagate_pauli,
 )
-from chainsurg.simverify import PauliGate, Projection, physical_op_sequence
+from chainsurg.simverify import PauliGate, PhysicalOp, Projection, physical_op_sequence
 from test_index_maps import _catalog_plans
 from test_plan_golden import PLANS as GOLDEN_PLANS
 
@@ -348,7 +348,7 @@ ISINSTANCE_ALLOWED = {"plan_from_json", "SurgeryPlan.final_measurement"}
 
 
 def step_class_isinstance_sites(package_dir: Path, step_classes: set) -> list:
-    """(module, qualified function name, line) of every isinstance naming a step class."""
+    """(module, qualified function name, line) of every isinstance naming one of ``step_classes``."""
     sites = []
     for path in sorted(package_dir.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -381,6 +381,23 @@ def test_no_isinstance_dispatch_on_step_classes():
     assert not stray, stray
     assert {scope for _, scope, _ in sites} == ISINSTANCE_ALLOWED
     assert len(sites) == 2
+
+
+# the places that may still test an op's class: a split's record of the
+# projections a Pauli flips, the renormalization of a projection, and the
+# counterexample that drops the projections
+OP_ISINSTANCE_ALLOWED = {"SplitStep.transport", "apply", "counterexample_check"}
+
+
+def test_no_isinstance_dispatch_on_op_classes():
+    op_classes, found = set(), [PhysicalOp]
+    while found:
+        cls = found.pop()
+        op_classes.add(cls.__name__)
+        found.extend(cls.__subclasses__())
+    assert {"ParityMap", "HadamardConjugatedParityMap", "PauliGate", "Projection"} <= op_classes
+    sites = step_class_isinstance_sites(Path(chainsurg.__file__).parent, op_classes | {"Encoder"})
+    assert sorted(scope for _, scope, _ in sites) == sorted(OP_ISINSTANCE_ALLOWED), sites
 
 
 def test_the_isinstance_scan_sees_dispatch(tmp_path):
