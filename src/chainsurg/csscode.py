@@ -220,14 +220,6 @@ def _check_duality(xb: HomologyBasis, zb: HomologyBasis) -> None:
         raise DimensionMismatch(f"supplied bases are not dual: x_{i} . z_{j} = {int(pairing[i, j])}")
 
 
-def _injective_column_selection(m: F2Matrix) -> F2Matrix:
-    """Columns of m restricted to an independent generating subset."""
-    keep = rref(m, transform=False).pivots  # pivot columns are an independent generating set
-    if not keep:
-        return F2Matrix.zeros(m.rows, 0)
-    return F2Matrix._wrap(m.a[:, list(keep)])
-
-
 def quotient_basis_units(ambient: int, sub: Subspace) -> F2Matrix:
     """Complement of ``sub`` spanned by its non-pivot unit vectors, as columns.
 
@@ -243,12 +235,14 @@ def quotient_basis_units(ambient: int, sub: Subspace) -> F2Matrix:
 def dual_x_basis(cplx: ChainComplex, z_basis: HomologyBasis) -> HomologyBasis:
     """The unique degree-1 cohomology basis with x_i . z_j = delta_ij.
 
-    Assembles (L_Z | generators of im d2 | complement of ker d1),
-    inverts, and reads the first k rows. The first two blocks span
-    ker d1, so the concatenation is invertible; rows of the inverse pair
-    to delta with the z-representatives and annihilate im d2, i.e. they
-    are cocycles. (A generating set of ker(d1)-perp would not do as the
-    third block: it can meet ker d1 itself, e.g. for self-dual checks.)
+    Assembles (L_Z | basis of im d2 | complement of ker d1), inverts,
+    and reads the first k rows. The first two blocks span ker d1, so the
+    concatenation is invertible; rows of the inverse pair to delta with
+    the z-representatives and annihilate im d2, i.e. they are cocycles.
+    (A generating set of ker(d1)-perp would not do as the third block: it
+    can meet ker d1 itself, e.g. for self-dual checks.) Those k rows
+    depend only on the spans of the three blocks, so the second block is
+    the cached canonical basis of the boundaries: no elimination of d2.
     """
     n = cplx.dim1
     k = z_basis.dim
@@ -257,10 +251,9 @@ def dual_x_basis(cplx: ChainComplex, z_basis: HomologyBasis) -> HomologyBasis:
     if k == 0:
         return HomologyBasis(representatives=(), kernel=ker, image=img)
     lz = z_basis.matrix().T  # n x k, columns are z representatives
-    d2_gen = _injective_column_selection(cplx.d2)
     kernel_complement = quotient_basis_units(n, cplx.cycles)
     try:
-        inv = left_inverse_block([lz, d2_gen, kernel_complement])
+        inv = left_inverse_block([lz, cplx.boundaries.basis.T, kernel_complement])
     except (SingularMatrix, DimensionMismatch) as exc:
         raise SingularMatrix(f"dual basis assembly failed: {exc}") from exc
     lx = F2Matrix._wrap(inv.a[:k].copy())  # row views of inv would keep all n x n alive

@@ -12,8 +12,11 @@ Z^{v_i} (the branch gauge); correction rules are stated and verified in
 that gauge.
 
 Each step kind owns how a Pauli passes it (``transport``), its physical
-ops for an outcome pattern (``physical_ops``) and its share of the
-outcome correction (``correction``); plan-level functions loop over steps.
+ops (``physical_ops``) and its share of the outcome correction
+(``correction``), the last two for the set of ids recorded as -1; plan-level
+functions loop over steps. Only ``_flipped_ids`` reads outcome dicts, so
+every entry point refuses unknown ids and values other than +1 and -1 alike
+and reads a missing id as +1 (``measurement_correction`` refuses it).
 Each step holds what its plan JSON fields name and builds the rest once.
 A split is the dual of its merge, so a split step is read off its merge
 step: its map is the merge projection transposed, it preserves the other
@@ -139,8 +142,8 @@ class PlanStep:
         """The Pauli on the step's output register, and the measurement ids it flips."""
         return p, {}
 
-    def physical_ops(self, outcomes: dict) -> tuple[PhysicalOp, ...]:
-        """The step's physical ops, with the -1 branches of ``outcomes`` forced."""
+    def physical_ops(self, flipped_ids) -> tuple[PhysicalOp, ...]:
+        """The step's physical ops, with the branches of the ids recorded as -1 forced."""
         return ()
 
     def correction(self, plan: "SurgeryPlan", flipped_ids) -> Optional[PauliOperator]:
@@ -217,13 +220,12 @@ class MergeStep(PlanStep):
         """The merge's physical ops in its all-+1 branch, built when first read."""
         return tuple(physical_op_sequence(self.merge.p, self.orientation))
 
-    def branch_gauge(self, signs: Sequence[int]) -> Optional[np.ndarray]:
-        """The flipping side (X for a Z-merge) of a codespace-preserving
-        Pauli realizing the -1 entries of ``signs``: the declared branch
-        inserts when all are set, else solved from the gauge system. None
-        when the pattern contradicts the stabilizers.
+    def branch_gauge(self, flips: np.ndarray) -> Optional[np.ndarray]:
+        """The flipping side (X for a Z-merge) of a codespace-preserving Pauli
+        realizing -1 on the slots set in the 0/1 vector ``flips``: the declared
+        branch inserts when all are set, else solved from the gauge system.
+        None when the pattern contradicts the stabilizers.
         """
-        flips = np.array([1 if s == -1 else 0 for s in signs], dtype=np.uint8)
         w = np.zeros(self.merge.source.dim1, dtype=np.uint8)
         if not flips.any():
             return w
@@ -240,7 +242,7 @@ class MergeStep(PlanStep):
     def transport(self, p: PauliOperator) -> tuple[PauliOperator, dict]:
         flipping, exact = (p.x, p.z) if self.orientation == "Z" else (p.z, p.x)
         pattern = self.v1 @ flipping
-        fix = self.branch_gauge([-1 if f else 1 for f in pattern])
+        fix = self.branch_gauge(pattern)
         if fix is None:
             raise DimensionMismatch(
                 "flip pattern inconsistent with stabilizers; transported operator corrupt"
@@ -250,18 +252,19 @@ class MergeStep(PlanStep):
         flips = {mid: 1 for mid, f in zip(self.measurement_ids, pattern) if f}
         return PauliOperator(x=x, z=z, sign=p.sign), flips
 
-    def _outcome_gauge(self, signs: Sequence[int]) -> np.ndarray:
-        """The branch gauge of an outcome pattern, which must not contradict the stabilizers."""
-        w = self.branch_gauge(signs)
+    def _outcome_gauge(self, flipped_ids) -> np.ndarray:
+        """The branch gauge of the ids recorded as -1, which must not contradict the stabilizers."""
+        slots = np.array([m in flipped_ids for m in self.measurement_ids], dtype=np.uint8)
+        w = self.branch_gauge(slots)
         if w is None:
             raise CorrectionUnavailable(
                 "outcome pattern is inconsistent with the merged stabilizers"
             )
         return w
 
-    def physical_ops(self, outcomes: dict) -> tuple[PhysicalOp, ...]:
-        """The branch gauge of ``outcomes`` as a Pauli gate, when not trivial, then the merge."""
-        w = self._outcome_gauge([outcomes.get(m, 1) for m in self.measurement_ids])
+    def physical_ops(self, flipped_ids) -> tuple[PhysicalOp, ...]:
+        """The branch gauge of ``flipped_ids`` as a Pauli gate, when not trivial, then the merge."""
+        w = self._outcome_gauge(flipped_ids)
         if not w.any():
             return self.ops
         side = PauliOperator.from_x if self.orientation == "Z" else PauliOperator.from_z
@@ -275,13 +278,12 @@ class MergeStep(PlanStep):
         its slot, once its gauge is checked to anticommute with the
         measured operator: dual bases make the overlap odd.
         """
-        signs = [-1 if m in flipped_ids else 1 for m in self.measurement_ids]
-        if -1 not in signs:
+        if flipped_ids.isdisjoint(self.measurement_ids):
             return None
-        if len(signs) > 1:
+        if len(self.measurement_ids) > 1:
             base = plan.base_code
             logicals = base.x_logicals if self.orientation == "Z" else base.z_logicals
-            if not logicals.class_coordinates(self._outcome_gauge(signs)).any():
+            if not logicals.class_coordinates(self._outcome_gauge(flipped_ids)).any():
                 return None
             if plan.class_correction is None:
                 raise CorrectionUnavailable("plan carries no class correction rule")
@@ -361,7 +363,7 @@ class SplitStep(PlanStep):
             if isinstance(op, Projection) and symplectic_product(out, op.pauli)
         }
 
-    def physical_ops(self, outcomes: dict) -> tuple[PhysicalOp, ...]:
+    def physical_ops(self, flipped_ids) -> tuple[PhysicalOp, ...]:
         return self.ops
 
 
@@ -378,8 +380,8 @@ class MeasureLogical(PlanStep):
     def transport(self, p: PauliOperator) -> tuple[PauliOperator, dict]:
         return p, ({self.measurement_id: 1} if symplectic_product(p, self.pauli) else {})
 
-    def physical_ops(self, outcomes: dict) -> tuple[PhysicalOp, ...]:
-        return (Projection(self.pauli, outcomes.get(self.measurement_id, 1)),)
+    def physical_ops(self, flipped_ids) -> tuple[PhysicalOp, ...]:
+        return (Projection(self.pauli, -1 if self.measurement_id in flipped_ids else 1),)
 
 
 @dataclass(frozen=True)
@@ -632,7 +634,10 @@ def build_cnot_plan(
     zinserts = None if locality else (PauliOperator.from_x(base.x_logical(control)),)
     zmerge, zsplit = _merge_and_split(base, zsub, anc, zinserts)
     steps: list[PlanStep] = [init, zmerge, zsplit]
-    rules: dict[str, PauliOperator] = {}
+    # the rules are stated in the branch gauges that zinserts and xinserts fix
+    partner = anc if target is None else target  # the logical the ancilla ends on
+    zrule = PauliOperator.from_x(base.x_logical(control) ^ base.x_logical(partner))
+    rules: dict[str, PauliOperator] = {} if locality else {zmerge.measurement_ids[0]: zrule}
     if target is not None:
         xsub = _joint_subcode(base, "X", target, anc, locality, max_weight)
         xinserts = None if locality else (PauliOperator.from_z(base.z_logical(anc)),)
@@ -644,15 +649,7 @@ def build_cnot_plan(
             ApplyCorrection(PauliOperator.from_x(base.x_logical(target)), "final.za"),
         ]
         if not locality:
-            # corrections are stated in the branch gauges fixed above
-            rules[zmerge.measurement_ids[0]] = PauliOperator.from_x(
-                base.x_logical(control) ^ base.x_logical(target)
-            )
             rules[xmerge.measurement_ids[0]] = PauliOperator.from_z(base.z_logical(control))
-    elif not locality:
-        rules[zmerge.measurement_ids[0]] = PauliOperator.from_x(
-            base.x_logical(control) ^ base.x_logical(anc)
-        )
 
     return SurgeryPlan(
         name="cnot",
@@ -781,25 +778,34 @@ def code_switch_plan() -> SurgeryPlan:
 # --- outcome corrections --------------------------------------------------------
 
 
-def measurement_correction(plan: SurgeryPlan, outcomes: dict) -> list[PauliOperator]:
-    """Pauli corrections restoring the ideal logical channel.
-
-    ``outcomes`` maps every measurement id of the plan, and nothing
-    else, to +1 or -1. Locality-decomposed plans with any -1 outcome
-    are refused: handling them is an open question, not something to
-    guess at.
+def _flipped_ids(plan: SurgeryPlan, outcomes: Optional[dict], complete: bool = False) -> frozenset:
+    """The ids ``outcomes`` records as -1, after refusing, in this order, ids the plan
+    does not measure, missing ids (only when ``complete``; else they read as +1) and
+    values other than +1 and -1.
     """
+    outcomes = outcomes or {}
     ids = plan.measurement_ids()
     unknown = [i for i in outcomes if i not in ids]
     if unknown:
         raise CorrectionUnavailable(f"the plan has no measurements {unknown}")
     missing = [i for i in ids if i not in outcomes]
-    if missing:
+    if complete and missing:
         raise CorrectionUnavailable(f"outcomes missing for {missing}")
-    bad = [i for i in ids if outcomes[i] not in (1, -1)]
+    bad = [i for i in ids if outcomes.get(i, 1) not in (1, -1)]
     if bad:
         raise CorrectionUnavailable(f"outcomes must be +1 or -1, got {bad}")
-    total = _outcome_correction(plan, {i for i in ids if outcomes[i] == -1})
+    return frozenset(i for i in ids if outcomes.get(i) == -1)
+
+
+def measurement_correction(plan: SurgeryPlan, outcomes: dict) -> list[PauliOperator]:
+    """Pauli corrections restoring the ideal logical channel.
+
+    ``outcomes`` maps every measurement id of the plan, and nothing
+    else, to +1 or -1; unlike the other entry points, it refuses a missing
+    id. Locality-decomposed plans with any -1 outcome are refused:
+    handling them is an open question, not something to guess at.
+    """
+    total = _outcome_correction(plan, _flipped_ids(plan, outcomes, complete=True))
     return [] if total.is_identity() else [total]
 
 
@@ -824,8 +830,8 @@ def _outcome_correction(plan: SurgeryPlan, flipped_ids) -> PauliOperator:
 
 def plan_physical_ops(plan: SurgeryPlan, outcomes: Optional[dict] = None) -> list[PhysicalOp]:
     """The plan as a list of physical ops, with forced -1 branches inserted."""
-    outcomes = outcomes or {}
-    return [op for step in plan.steps for op in step.physical_ops(outcomes)]
+    flipped = _flipped_ids(plan, outcomes)
+    return [op for step in plan.steps for op in step.physical_ops(flipped)]
 
 
 _STATES = {
@@ -838,20 +844,15 @@ _STATES = {
 
 def plan_encoders(plan: SurgeryPlan, outcomes: Optional[dict] = None):
     """(e_in, e_out) Encoders for channel extraction over every logical but the ancilla."""
-    outcomes = outcomes or {}
+    flipped = _flipped_ids(plan, outcomes)
     enc = encoder_isometry(plan.base_code)  # plan_from_json checks that steps[0] inits the ancilla
     e_in = encoder_with_fixed_logical(enc, plan.ancilla_index, _STATES[plan.steps[0].state])
     final_measure = plan.final_measurement
     if final_measure is None:
-        e_out = enc
-    else:
-        sign = outcomes.get(final_measure.measurement_id, 1)
-        if final_measure.basis == "Z":
-            state = _STATES["zero"] if sign == 1 else _STATES["one"]
-        else:
-            state = _STATES["plus"] if sign == 1 else _STATES["minus"]
-        e_out = encoder_with_fixed_logical(enc, plan.ancilla_index, state)
-    return e_in, e_out
+        return e_in, enc
+    states = ("zero", "one") if final_measure.basis == "Z" else ("plus", "minus")
+    state = _STATES[states[final_measure.measurement_id in flipped]]
+    return e_in, encoder_with_fixed_logical(enc, plan.ancilla_index, state)
 
 
 def plan_channel(
@@ -859,12 +860,16 @@ def plan_channel(
     outcomes: Optional[dict] = None,
     corrected: bool = True,
 ) -> np.ndarray:
-    """Simulated logical channel of the plan (post-selected branches)."""
+    """Simulated logical channel of the plan (post-selected branches).
+
+    ``outcomes`` is checked as in every entry point (a missing id reads
+    as +1); with ``corrected`` the correction for its -1 ids is applied.
+    """
+    flipped = _flipped_ids(plan, outcomes)
     ops = plan_physical_ops(plan, outcomes)
-    if corrected and outcomes:
-        filled = {**{m: 1 for m in plan.measurement_ids()}, **outcomes}
-        for pauli in measurement_correction(plan, filled):
-            ops.append(PauliGate(pauli))
+    correction = _outcome_correction(plan, flipped if corrected else frozenset())
+    if not correction.is_identity():
+        ops.append(PauliGate(correction))
     e_in, e_out = plan_encoders(plan, outcomes)
     return extract_logical_channel(ops, e_in, e_out)
 

@@ -149,15 +149,16 @@ def validate_subcode(
 
 
 def _complement_reps(ambient: int, sub: Subspace, supplied: Sequence) -> list[np.ndarray]:
-    """User-supplied representatives, validated to be a basis of F2^ambient / sub."""
+    """User-supplied representatives, as many as F2^ambient / sub has dimensions.
+
+    ``_projection_matrix`` inverts them stacked with sub's basis, which
+    checks that they are a basis of the quotient.
+    """
     reps = [as_bit_vector(v, ambient) for v in supplied]
     if len(reps) != ambient - sub.dim:
         raise DimensionMismatch(
             f"need {ambient - sub.dim} quotient basis vectors, got {len(reps)}"
         )
-    stacked = list(sub.basis_vectors()) + reps
-    if reps and rank(F2Matrix.from_rows(stacked, cols=ambient)) != len(stacked):
-        raise DimensionMismatch("supplied quotient basis is not a complement of the subcode")
     return reps
 
 
@@ -182,7 +183,7 @@ def _projection_matrix(ambient: int, sub: Subspace, reps: list[np.ndarray] | Non
     try:
         inverse = invert(system)
     except SingularMatrix:
-        raise DimensionMismatch("projection solve failed; quotient basis invalid") from None
+        raise DimensionMismatch("supplied quotient basis is not a complement of the subcode") from None
     return F2Matrix._wrap(inverse.a[: len(reps)])
 
 

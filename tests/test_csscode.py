@@ -3,8 +3,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chainsurg import catalog
+from chainsurg import catalog, csscode, f2linalg
 from chainsurg.csscode import (
     CssCode,
     PauliOperator,
@@ -12,9 +14,11 @@ from chainsurg.csscode import (
     bits_to_index,
     distance_bruteforce,
     dual_x_basis,
+    dual_z_basis,
     encoder_isometry,
     encoder_with_fixed_logical,
     from_parity_checks,
+    quotient_basis_units,
     symplectic_product,
 )
 from chainsurg.errors import DimensionMismatch, NonCommutingChecks
@@ -140,6 +144,49 @@ class TestDualBasis:
                 for j in range(code.k):
                     got = int(code.x_logical(i) @ code.z_logical(j)) % 2
                     assert got == (1 if i == j else 0), name
+
+
+def old_dual_x_rows(cplx, z_basis) -> np.ndarray:
+    """The dual X basis as first built: d2's pivot columns, found by eliminating d2, as the middle block."""
+    keep = list(f2linalg.rref(cplx.d2, transform=False).pivots)
+    d2_gen = F2Matrix(cplx.d2.a[:, keep]) if keep else F2Matrix.zeros(cplx.d2.rows, 0)
+    complement = quotient_basis_units(cplx.dim1, cplx.cycles)
+    return f2linalg.left_inverse_block([z_basis.matrix().T, d2_gen, complement]).a[: z_basis.dim]
+
+
+def rref_calls(fn, *args) -> tuple:
+    """fn(*args) and the number of ``rref`` calls it made, through any module that binds it."""
+    calls = []
+    original = f2linalg.rref
+
+    def counted(*a, **kw):
+        calls.append(1)
+        return original(*a, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (f2linalg, csscode):
+            mp.setattr(module, "rref", counted)
+        return fn(*args), len(calls)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 6), st.integers(0, 8), st.integers(0, 2**30 - 1))
+def test_dual_bases_read_the_cached_boundaries(n, x_rows, z_rows, seed):
+    """The canonical boundary basis gives the bytes d2's pivot columns gave, with one rref fewer."""
+    r = np.random.RandomState(seed)
+    hx = F2Matrix(r.randint(0, 2, size=(x_rows, n)))
+    kernel = f2linalg.kernel_basis(hx).basis
+    hz = F2Matrix(r.randint(0, 2, size=(z_rows, kernel.rows)) @ kernel.a) if kernel.rows else F2Matrix.zeros(0, n)
+    code = from_parity_checks(hx, hz)
+    for cplx, own, dual in (
+        (code.complex, code.z_logicals, dual_x_basis),
+        (code.complex.transpose(), code.x_logicals, lambda c, b: dual_z_basis(c.transpose(), b)),
+    ):
+        got, calls = rref_calls(dual, cplx, own)
+        want, old_calls = rref_calls(old_dual_x_rows, cplx, own)
+        rows = got.matrix().a if got.dim else np.zeros((0, n), dtype=np.uint8)
+        assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes()
+        assert calls == (old_calls - 1 if code.k else 0)
 
 
 class TestDistance:

@@ -32,7 +32,9 @@ from chainsurg.protocols import (
     measurement_correction,
     pairwise_switch_plan,
     plan_channel,
+    plan_encoders,
     plan_from_json,
+    plan_physical_ops,
     plan_symplectic_action,
     plan_to_json,
     propagate_pauli,
@@ -359,6 +361,62 @@ class TestMeasurementCorrection:
             measurement_correction(plan, outcomes)
 
 
+@pytest.fixture(scope="module")
+def toric_plan():
+    return build_cnot_plan(catalog.toric(2), control=0, target=1)
+
+
+BAD_OUTCOMES = {
+    "value_2": ({"final.za": 2}, "outcomes must be +1 or -1, got ['final.za']"),
+    "value_0": ({"final.za": 0}, "outcomes must be +1 or -1, got ['final.za']"),
+    "unknown_id": ({"bogus": -1}, "the plan has no measurements ['bogus']"),
+    "merge_value_7": ({"zmerge.zz0": 7}, "outcomes must be +1 or -1, got ['zmerge.zz0']"),
+}
+
+OUTCOME_ENTRY_POINTS = {
+    "uncorrected_channel": lambda plan, o: plan_channel(plan, o, corrected=False),
+    "corrected_channel": plan_channel,
+    "physical_ops": plan_physical_ops,
+    "encoders": plan_encoders,
+}
+
+
+class TestOutcomeChecks:
+    """Every entry point that takes outcomes refuses what ``measurement_correction`` refuses."""
+
+    @pytest.mark.parametrize("entry", sorted(OUTCOME_ENTRY_POINTS))
+    @pytest.mark.parametrize("bad", sorted(BAD_OUTCOMES))
+    def test_bad_outcomes_refused(self, toric_plan, bad, entry):
+        outcomes, message = BAD_OUTCOMES[bad]
+        filled = {**{m: 1 for m in toric_plan.measurement_ids()}, **outcomes}
+        with pytest.raises(CorrectionUnavailable) as expected:
+            measurement_correction(toric_plan, filled)
+        assert str(expected.value) == message
+        with pytest.raises(CorrectionUnavailable) as got:
+            OUTCOME_ENTRY_POINTS[entry](toric_plan, outcomes)
+        assert str(got.value) == message
+
+    @pytest.mark.parametrize("corrected", [True, False])
+    def test_missing_ids_read_as_plus_one(self, toric_plan, corrected):
+        plus = dict.fromkeys(toric_plan.measurement_ids(), 1)
+        for partial, full in ((None, plus), ({"final.za": -1}, {**plus, "final.za": -1})):
+            a = plan_channel(toric_plan, partial, corrected=corrected)
+            assert a.tobytes() == plan_channel(toric_plan, full, corrected=corrected).tobytes()
+
+    def test_unknown_id_reported_before_a_bad_value(self, toric_plan):
+        with pytest.raises(CorrectionUnavailable, match=r"no measurements \['bogus'\]"):
+            plan_physical_ops(toric_plan, {"final.za": 2, "bogus": 1})
+
+    def test_bad_value_reported_before_a_contradicting_pattern(self):
+        plan = code_switch_plan()
+        outcomes = {plan.measurement_ids()[0]: -1, "final.xa": 2}  # a single pair flip contradicts
+        with pytest.raises(CorrectionUnavailable, match=r"got \['final.xa'\]"):
+            plan_physical_ops(plan, outcomes)
+        del outcomes["final.xa"]
+        with pytest.raises(CorrectionUnavailable, match="inconsistent with the merged stabilizers"):
+            plan_physical_ops(plan, outcomes)
+
+
 class TestSymplecticAction:
     def test_cnot_action(self, patch_plan):
         act = plan_symplectic_action(patch_plan)
@@ -473,7 +531,7 @@ class TestCodeSwitch:
         step = plan.steps[1]
         legal = None
         for bits in itertools.product([0, 1], repeat=7):
-            if any(bits) and step.branch_gauge([-1 if b else 1 for b in bits]) is not None:
+            if any(bits) and step.branch_gauge(np.array(bits, dtype=np.uint8)) is not None:
                 legal = bits
                 break
         assert legal is not None

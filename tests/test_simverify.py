@@ -261,7 +261,7 @@ class TestPauliTransport:
             state = e.matrix @ (r.randn(2**both.k) + 1j * r.randn(2**both.k))
             lhs = apply_sequence_linear(merge_ops, apply_linear(PauliGate(p), state))
             insert = step.branch_gauge(
-                [-1 if f"m{i}" in flips else 1 for i in range(m.subcode.v1.dim)]
+                np.array([f"m{i}" in flips for i in range(m.subcode.v1.dim)], dtype=np.uint8)
             )
             branch_state = apply_linear(
                 PauliGate(PauliOperator.from_x(insert)), state

@@ -321,7 +321,7 @@ def test_steps_share_one_base_with_identity_defaults():
     for step in (init, correction):
         out, flips = step.transport(p)
         assert out is p and flips == {}
-        assert step.physical_ops({}) == ()
+        assert step.physical_ops(frozenset()) == ()
         assert step.measurement_ids == ()
     assert init.correction(plan, {"final.za"}) is None
     assert correction.correction(plan, {"final.za"}) is correction.pauli
@@ -333,9 +333,9 @@ def test_steps_share_one_base_with_identity_defaults():
 def test_merge_ops_are_built_once():
     plan = PLANS["toric_2_c0t1"]
     merge = plan.steps[1]
-    first = merge.physical_ops({})
+    first = merge.physical_ops(frozenset())
     assert first is merge.ops
-    flipped = merge.physical_ops({merge.measurement_ids[0]: -1})
+    flipped = merge.physical_ops({merge.measurement_ids[0]})
     assert isinstance(flipped[0], PauliGate)
     assert all(a is b for a, b in zip(flipped[1:], first))
 
@@ -347,30 +347,31 @@ def test_merge_ops_are_built_once():
 ISINSTANCE_ALLOWED = {"plan_from_json", "SurgeryPlan.final_measurement"}
 
 
+def scoped_nodes(node, scope=""):
+    """(qualified name of the enclosing function or class, node) for every node below ``node``."""
+    for child in ast.iter_child_nodes(node):
+        yield scope, child
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        yield from scoped_nodes(child, inner)
+
+
 def step_class_isinstance_sites(package_dir: Path, step_classes: set) -> list:
     """(module, qualified function name, line) of every isinstance naming one of ``step_classes``."""
     sites = []
     for path in sorted(package_dir.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-
-        def visit(node, scope):
-            for child in ast.iter_child_nodes(node):
-                inner = scope
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                    inner = f"{scope}.{child.name}" if scope else child.name
-                if (
-                    isinstance(child, ast.Call)
-                    and isinstance(child.func, ast.Name)
-                    and child.func.id == "isinstance"
-                    and len(child.args) == 2
-                ):
-                    classes = child.args[1]
-                    names = classes.elts if isinstance(classes, ast.Tuple) else [classes]
-                    if any(isinstance(n, ast.Name) and n.id in step_classes for n in names):
-                        sites.append((path.name, scope, child.lineno))
-                visit(child, inner)
-
-        visit(tree, "")
+        for scope, node in scoped_nodes(ast.parse(path.read_text(), filename=str(path))):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and len(node.args) == 2
+            ):
+                classes = node.args[1]
+                names = classes.elts if isinstance(classes, ast.Tuple) else [classes]
+                if any(isinstance(n, ast.Name) and n.id in step_classes for n in names):
+                    sites.append((path.name, scope, node.lineno))
     return sites
 
 
@@ -411,3 +412,60 @@ def test_the_isinstance_scan_sees_dispatch(tmp_path):
     )
     sites = step_class_isinstance_sites(tmp_path, {"InitAncilla", "MergeStep"})
     assert sites == [("mod.py", "f", 2), ("mod.py", "C.g", 6)]
+
+
+# --- outcomes are read in one place ------------------------------------------------
+
+OUTCOME_READER = "_flipped_ids"
+
+
+def outcome_read_sites(path: Path) -> list:
+    """(qualified function name, line) of every read of the name ``outcomes`` outside the reader.
+
+    Elsewhere ``outcomes`` may only be passed on unread: as a call
+    argument, or in ``outcomes or {}``. Binding the name is not a read.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    passed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            passed.update(id(arg) for arg in node.args + [kw.value for kw in node.keywords])
+        elif (
+            isinstance(node, ast.BoolOp)
+            and isinstance(node.op, ast.Or)
+            and len(node.values) == 2
+            and isinstance(node.values[1], ast.Dict)
+            and not node.values[1].keys
+        ):
+            passed.add(id(node.values[0]))
+    return [
+        (scope, node.lineno)
+        for scope, node in scoped_nodes(tree)
+        if isinstance(node, ast.Name)
+        and node.id == "outcomes"
+        and isinstance(node.ctx, ast.Load)
+        and id(node) not in passed
+        and OUTCOME_READER not in scope.split(".")
+    ]
+
+
+def test_outcomes_are_read_only_by_the_reader():
+    assert outcome_read_sites(Path(chainsurg.__file__).parent / "protocols.py") == []
+
+
+def test_the_outcome_scan_sees_reads(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text(
+        "def _flipped_ids(plan, outcomes):\n"
+        "    return {i for i in outcomes if outcomes[i] == -1}\n"
+        "def passes(plan, outcomes=None):\n"
+        "    outcomes = outcomes or {}\n"
+        "    return run(plan, outcomes), _flipped_ids(plan, outcomes=outcomes or {})\n"
+        "def reads(plan, outcomes):\n"
+        "    if outcomes:\n"
+        "        return run(outcomes.get('a', 1))\n"
+        "class S:\n"
+        "    def ops(self, outcomes):\n"
+        "        return [outcomes[m] for m in self.ids] + run({**outcomes})\n"
+    )
+    assert outcome_read_sites(path) == [("reads", 7), ("reads", 8), ("S.ops", 11), ("S.ops", 11)]

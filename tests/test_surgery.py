@@ -440,6 +440,28 @@ class TestDefaultProjection:
         a = (np.random.RandomState(seed).random_sample((rows, cols)) < density).astype(np.uint8)
         assert_projection_matches_inverse(cols, Subspace.from_matrix_rows(F2Matrix(a)))
 
+    @pytest.mark.parametrize(
+        "defect,message",
+        [
+            ("too_few", "need {} quotient basis vectors, got {}"),
+            ("repeated", "supplied quotient basis is not a complement of the subcode"),
+            ("inside_subcode", "supplied quotient basis is not a complement of the subcode"),
+        ],
+    )
+    def test_supplied_reps_rejected(self, defect, message):
+        ex = catalog.worked_example("welding")
+        reps = list(quotient_merge(ex.parent, ex.subcode).reps_at(1))
+        if defect == "too_few":
+            message = message.format(len(reps), len(reps) - 1)
+            reps = reps[:-1]
+        elif defect == "repeated":
+            reps[-1] = reps[0]
+        else:
+            reps[0] = ex.subcode.v1.basis_vectors()[0]
+        with pytest.raises(DimensionMismatch) as err:
+            quotient_merge(ex.parent, ex.subcode, quotient_bases={1: reps})
+        assert str(err.value) == message
+
     def test_merge_with_default_reps_supplied(self):
         ex = catalog.worked_example("welding")
         default = quotient_merge(ex.parent, ex.subcode)
