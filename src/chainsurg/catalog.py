@@ -5,7 +5,9 @@ docs, and tests agree bit-for-bit:
 
 * surface patches: horizontal edges in row-major order first, then
   vertical edges; X-checks on vertices, Z-checks on faces, both
-  row-major.
+  row-major. Surface patches and toric codes are the hypergraph
+  products (``hypergraph_product``) of repetition codes with X and Z
+  exchanged, and these orders are the product's.
 * the 7-qubit code uses the triangle layout with faces
   a = {1,2,3,5}, b = {3,4,5,6}, c = {2,5,6,7} (1-based), identical
   supports for X- and Z-checks.
@@ -17,6 +19,7 @@ docs, and tests agree bit-for-bit:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -28,11 +31,9 @@ from .f2linalg import F2Matrix, Subspace
 from .surgery import Subcode, validate_subcode
 
 
-def _code(hx_rows: list[list[int]], hz_rows: list[list[int]], n: int, d: int | None = None) -> CssCode:
-    hx = F2Matrix.from_rows(hx_rows, cols=n) if hx_rows else F2Matrix.zeros(0, n)
-    hz = F2Matrix.from_rows(hz_rows, cols=n) if hz_rows else F2Matrix.zeros(0, n)
-    code = from_parity_checks(hx, hz)
-    return code.with_distance(d) if d is not None else code
+def _code(hx_rows: list[list[int]], hz_rows: list[list[int]], n: int, d: int) -> CssCode:
+    hx, hz = (F2Matrix.from_rows(rows, cols=n) for rows in (hx_rows, hz_rows))
+    return from_parity_checks(hx, hz).with_distance(d)
 
 
 def trivial_qubit() -> CssCode:
@@ -101,37 +102,42 @@ class _PatchLayout:
     h: int
 
     @property
-    def n_horizontal(self) -> int:
-        return self.w * self.h
-
-    @property
     def n(self) -> int:
         return self.w * self.h + (self.w - 1) * (self.h - 1)
 
     def horizontal(self, r: int, c: int) -> int:
         return r * self.w + c
 
-    def vertical(self, r: int, c: int) -> int:
-        return self.n_horizontal + r * (self.w - 1) + c
-
     def vertex(self, r: int, c: int) -> int:
         return r * (self.w - 1) + c
 
-    def vertex_support(self, r: int, c: int) -> list[int]:
-        out = [self.horizontal(r, c), self.horizontal(r, c + 1)]
-        if r > 0:
-            out.append(self.vertical(r - 1, c))
-        if r < self.h - 1:
-            out.append(self.vertical(r, c))
-        return out
 
-    def face_support(self, r: int, c: int) -> list[int]:
-        out = [self.horizontal(r, c), self.horizontal(r + 1, c)]
-        if c > 0:
-            out.append(self.vertical(r, c - 1))
-        if c < self.w - 1:
-            out.append(self.vertical(r, c))
-        return out
+def hypergraph_product(h1, h2) -> tuple[F2Matrix, F2Matrix]:
+    """The hypergraph product (hx, hz) of classical checks h1 (m1 x n1) and h2 (m2 x n2).
+
+    hx = [H1 (x) I_n2 | I_m1 (x) H2^T] and hz = [I_n1 (x) H2 | H1^T (x) I_m2]
+    on n1*n2 + m1*m2 qubits (Tillich and Zemor, arXiv:0903.0566). Each
+    argument is anything ``F2Matrix()`` takes.
+    """
+    a, b = F2Matrix(h1).a, F2Matrix(h2).a
+    (m1, n1), (m2, n2) = a.shape, b.shape
+    i_m1, i_n1, i_m2, i_n2 = (np.eye(k, dtype=np.uint8) for k in (m1, n1, m2, n2))
+    hx = np.hstack([_kron(a, i_n2), _kron(i_m1, b.T)])
+    hz = np.hstack([_kron(i_n1, b), _kron(a.T, i_m2)])
+    return F2Matrix._wrap(hx), F2Matrix._wrap(hz)
+
+
+def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two 0/1 arrays, without its general-purpose overhead on small ones."""
+    (p, q), (r, s) = x.shape, y.shape
+    return (x[:, None, :, None] * y[None, :, None, :]).reshape(p * r, q * s)
+
+
+def _repetition(length: int, cyclic: bool) -> np.ndarray:
+    """Checks e_i + e_(i+1) of the length-L repetition code; cyclic adds e_(L-1) + e_0."""
+    eye = np.eye(length, dtype=np.uint8)
+    checks = eye ^ np.roll(eye, 1, axis=1)
+    return checks if cyclic else checks[: length - 1]
 
 
 def surface_patch(w: int, h: int) -> CssCode:
@@ -139,55 +145,26 @@ def surface_patch(w: int, h: int) -> CssCode:
 
     For w = h = d this is the [[d*d + (d-1)*(d-1), 1, d]] patch; the
     Z-logical runs along a row of horizontal edges, the X-logical along
-    a column.
+    a column. It is the hypergraph product of the open repetition codes
+    of lengths h and w, with X and Z exchanged.
     """
     if w < 1 or h < 1:
         raise DimensionMismatch("patch needs w, h >= 1")
-    lay = _PatchLayout(w, h)
-    hx_rows = []
-    for r in range(lay.h):
-        for c in range(lay.w - 1):
-            row = [0] * lay.n
-            for q in lay.vertex_support(r, c):
-                row[q] = 1
-            hx_rows.append(row)
-    hz_rows = []
-    for r in range(lay.h - 1):
-        for c in range(lay.w):
-            row = [0] * lay.n
-            for q in lay.face_support(r, c):
-                row[q] = 1
-            hz_rows.append(row)
-    return _code(hx_rows, hz_rows, lay.n, d=min(w, h))
+    hz, hx = hypergraph_product(_repetition(h, cyclic=False), _repetition(w, cyclic=False))
+    return from_parity_checks(hx, hz).with_distance(min(w, h))
 
 
 def toric(L: int) -> CssCode:
-    """Toric code on an L x L periodic lattice: [[2*L*L, 2, L]]."""
+    """Toric code on an L x L periodic lattice: [[2*L*L, 2, L]].
+
+    It is the hypergraph product of the cyclic repetition code R of
+    length L with R^T, with X and Z exchanged.
+    """
     if L < 2:
         raise DimensionMismatch("toric code needs L >= 2")
-    n = 2 * L * L
-
-    def h_edge(r: int, c: int) -> int:
-        return (r % L) * L + (c % L)
-
-    def v_edge(r: int, c: int) -> int:
-        return L * L + (r % L) * L + (c % L)
-
-    hx_rows = []
-    for r in range(L):
-        for c in range(L):
-            row = [0] * n
-            for q in (h_edge(r, c), h_edge(r, c - 1), v_edge(r, c), v_edge(r - 1, c)):
-                row[q] ^= 1
-            hx_rows.append(row)
-    hz_rows = []
-    for r in range(L):
-        for c in range(L):
-            row = [0] * n
-            for q in (h_edge(r, c), h_edge(r + 1, c), v_edge(r, c), v_edge(r, c + 1)):
-                row[q] ^= 1
-            hz_rows.append(row)
-    return _code(hx_rows, hz_rows, n, d=L)
+    r = _repetition(L, cyclic=True)
+    hz, hx = hypergraph_product(r, r.T)
+    return from_parity_checks(hx, hz).with_distance(L)
 
 
 _CATALOG = {
@@ -213,17 +190,26 @@ def catalog_names() -> list[str]:
 
 @dataclass(frozen=True)
 class WorkedExample:
-    """A worked surgery example with a machine-checkable expectation record."""
+    """A worked surgery example with a machine-checkable expectation record.
+
+    The example is declared by its (v2, v1, v0) subspaces of ``parent``;
+    an invalid one keeps them so tests can re-run validation and watch
+    it fail.
+    """
 
     name: str
     parent: ChainComplex
-    subcode: Optional[Subcode]
     codes: tuple[CssCode, ...]
-    expect: dict = field(default_factory=dict)
-    # For invalid examples the raw subspaces are kept so tests can re-run
-    # validation and watch it fail.
-    raw_spaces: Optional[tuple[Subspace, Subspace, Subspace]] = None
+    raw_spaces: tuple[Subspace, Subspace, Subspace]
     raw_orientation: str = "Z"
+    expect: dict = field(default_factory=dict)
+
+    @cached_property
+    def subcode(self) -> Optional[Subcode]:
+        """The validated subcode of a valid example; None for an invalid one."""
+        if not self.expect.get("valid"):
+            return None
+        return validate_subcode(self.parent, *self.raw_spaces, self.raw_orientation)
 
 
 def _pair_vector(dim_a: int, dim_b: int, ia: int, ib: int) -> np.ndarray:
@@ -271,18 +257,15 @@ def _example_welding() -> WorkedExample:
     c, d, c_lay, d_lay = _welding_pair()
     total = direct_sum(c.complex, d.complex)
     qubit_pairs, vertex_pairs = _boundary_pairs(c_lay, d_lay)
-    sub = validate_subcode(
-        total,
-        Subspace.zero(total.dim2),
-        Subspace.from_vectors(qubit_pairs, total.dim1),
-        Subspace.from_vectors(vertex_pairs, total.dim0),
-        "Z",
-    )
     return WorkedExample(
         name="welding",
         parent=total,
-        subcode=sub,
         codes=(c, d),
+        raw_spaces=(
+            Subspace.zero(total.dim2),
+            Subspace.from_vectors(qubit_pairs, total.dim1),
+            Subspace.from_vectors(vertex_pairs, total.dim0),
+        ),
         expect={
             "valid": True,
             "h0_subcode": 0,
@@ -300,18 +283,15 @@ def _example_partial_boundary() -> WorkedExample:
     c, d, c_lay, d_lay = _welding_pair()
     total = direct_sum(c.complex, d.complex)
     qubit_pairs, vertex_pairs = _boundary_pairs(c_lay, d_lay)
-    sub = validate_subcode(
-        total,
-        Subspace.zero(total.dim2),
-        Subspace.from_vectors([qubit_pairs[1]], total.dim1),  # middle pair only
-        Subspace.from_vectors(vertex_pairs, total.dim0),
-        "Z",
-    )
     return WorkedExample(
         name="partial_boundary",
         parent=total,
-        subcode=sub,
         codes=(c, d),
+        raw_spaces=(
+            Subspace.zero(total.dim2),
+            Subspace.from_vectors([qubit_pairs[1]], total.dim1),  # middle pair only
+            Subspace.from_vectors(vertex_pairs, total.dim0),
+        ),
         expect={
             "valid": True,
             "h1_subcode": 0,
@@ -326,30 +306,18 @@ def _example_internal_cylinder() -> WorkedExample:
     c = surface_patch(3, 3)
     lay = _PatchLayout(3, 3)
     cplx = c.complex
-    qubit_pairs = []
-    for col in range(3):
-        v = np.zeros(lay.n, dtype=np.uint8)
-        v[lay.horizontal(0, col)] = 1
-        v[lay.horizontal(2, col)] = 1
-        qubit_pairs.append(v)
-    vertex_pairs = []
-    for col in range(2):
-        v = np.zeros(3 * 2, dtype=np.uint8)
-        v[lay.vertex(0, col)] = 1
-        v[lay.vertex(2, col)] = 1
-        vertex_pairs.append(v)
-    sub = validate_subcode(
-        cplx,
-        Subspace.zero(cplx.dim2),
-        Subspace.from_vectors(qubit_pairs, cplx.dim1),
-        Subspace.from_vectors(vertex_pairs, cplx.dim0),
-        "Z",
-    )
+    qubits, vertices = np.eye(lay.n, dtype=np.uint8), np.eye(3 * 2, dtype=np.uint8)
+    qubit_pairs = [qubits[lay.horizontal(0, col)] ^ qubits[lay.horizontal(2, col)] for col in range(3)]
+    vertex_pairs = [vertices[lay.vertex(0, col)] ^ vertices[lay.vertex(2, col)] for col in range(2)]
     return WorkedExample(
         name="internal_cylinder",
         parent=cplx,
-        subcode=sub,
         codes=(c,),
+        raw_spaces=(
+            Subspace.zero(cplx.dim2),
+            Subspace.from_vectors(qubit_pairs, cplx.dim1),
+            Subspace.from_vectors(vertex_pairs, cplx.dim0),
+        ),
         expect={
             "valid": True,
             "h0_subcode": 0,
@@ -369,15 +337,13 @@ def _example_wrong_merge() -> WorkedExample:
     return WorkedExample(
         name="wrong_merge",
         parent=total,
-        subcode=None,
         codes=(c, d),
-        expect={"valid": False, "closure_degree": 1},
         raw_spaces=(
             Subspace.zero(total.dim2),
             Subspace.from_vectors([one_pair], total.dim1),
             Subspace.zero(total.dim0),
         ),
-        raw_orientation="Z",
+        expect={"valid": False, "closure_degree": 1},
     )
 
 
@@ -388,18 +354,15 @@ def _example_virtual_merge() -> WorkedExample:
     c = from_parity_checks(hx=F2Matrix.zeros(0, 2), hz=F2Matrix([[1, 1]]))
     d = from_parity_checks(hx=F2Matrix([[1]]), hz=F2Matrix.zeros(0, 1))
     total = direct_sum(c_cplx, d_cplx)
-    sub = validate_subcode(
-        total,
-        Subspace.zero(total.dim2),
-        Subspace.from_vectors([np.array([1, 1, 1], dtype=np.uint8)], total.dim1),
-        Subspace.from_vectors([np.array([1], dtype=np.uint8)], total.dim0),
-        "Z",
-    )
     return WorkedExample(
         name="virtual_merge",
         parent=total,
-        subcode=sub,
         codes=(c, d),
+        raw_spaces=(
+            Subspace.zero(total.dim2),
+            Subspace.from_vectors([np.array([1, 1, 1], dtype=np.uint8)], total.dim1),
+            Subspace.from_vectors([np.array([1], dtype=np.uint8)], total.dim0),
+        ),
         expect={
             "valid": True,
             "quotient_dims": [1, 2, 0],
@@ -418,12 +381,11 @@ def _example_steane_z_subcode() -> WorkedExample:
     z67 = _support_to_row([6, 7], 7)
     v1 = Subspace.from_vectors([np.array(z13, dtype=np.uint8), np.array(z67, dtype=np.uint8)], 7)
     v0 = Subspace.from_vectors([np.array([0, 1, 0], dtype=np.uint8)], 3)  # check b
-    sub = validate_subcode(cplx, v2, v1, v0, "Z")
     return WorkedExample(
         name="steane_z_subcode",
         parent=cplx,
-        subcode=sub,
         codes=(c,),
+        raw_spaces=(v2, v1, v0),
         expect={"valid": True},
     )
 
@@ -442,12 +404,12 @@ def _example_steane_x_subcode() -> WorkedExample:
     )
     w0 = Subspace.from_vectors([np.array([1, 1, 1], dtype=np.uint8)], 3)
     w2 = Subspace.full(3)
-    sub = validate_subcode(cplx, w2, w1, w0, "X")
     return WorkedExample(
         name="steane_x_subcode",
         parent=cplx,
-        subcode=sub,
         codes=(c,),
+        raw_spaces=(w2, w1, w0),
+        raw_orientation="X",
         expect={"valid": True},
     )
 
@@ -458,15 +420,13 @@ def _example_steane_invalid_subcode() -> WorkedExample:
     return WorkedExample(
         name="steane_invalid_subcode",
         parent=cplx,
-        subcode=None,
         codes=(c,),
-        expect={"valid": False, "closure_degree": 1},
         raw_spaces=(
             Subspace.zero(3),
             Subspace.from_vectors([np.array(_support_to_row([1, 2], 7), dtype=np.uint8)], 7),
             Subspace.from_vectors([np.array([1, 0, 1], dtype=np.uint8)], 3),
         ),
-        raw_orientation="Z",
+        expect={"valid": False, "closure_degree": 1},
     )
 
 
@@ -481,12 +441,11 @@ def _example_worked_quotient_matrix() -> WorkedExample:
     v1 = Subspace.from_vectors(
         [np.array([1, 0, 1, 0], dtype=np.uint8), np.array([0, 1, 1, 1], dtype=np.uint8)], 4
     )
-    sub = validate_subcode(cplx, Subspace.zero(0), v1, Subspace.zero(0), "Z")
     return WorkedExample(
         name="worked_quotient_matrix",
         parent=cplx,
-        subcode=sub,
         codes=(c,),
+        raw_spaces=(Subspace.zero(0), v1, Subspace.zero(0)),
         expect={
             "valid": True,
             "induced_matrix": [[1, 1, 1, 0], [0, 1, 0, 1]],
@@ -541,9 +500,9 @@ def _example_code_switch() -> WorkedExample:
     sub = switch_subcode(s, rm)
     return WorkedExample(
         name="code_switch",
-        parent=direct_sum(s.complex, rm.complex),
-        subcode=sub,
+        parent=sub.parent,
         codes=(s, rm),
+        raw_spaces=(sub.v2, sub.v1, sub.v0),
         expect={
             "valid": True,
             "merged_params": [15, 1, 3],

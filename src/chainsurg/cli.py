@@ -17,7 +17,7 @@ import numpy as np
 from . import catalog, jsontext
 from .chaincomplex import ChainComplex, homology
 from .csscode import CssCode, PauliOperator, distance_bruteforce, from_complex, from_parity_checks
-from .errors import ChainsurgError, MalformedInput
+from .errors import ChainsurgError, CorrectionUnavailable, MalformedInput
 from .f2linalg import F2Matrix
 from .protocols import (
     AncillaStrategy,
@@ -34,14 +34,13 @@ from .protocols import (
 )
 from .simverify import PHASE_TOL
 from .surgery import (
+    REPORT_SCHEMA,
     Subcode,
     analyze_merge,
     induced_logical_matrix,
     merge_report_json,
     quotient_merge,
 )
-
-REPORT_SCHEMA = "chainsurg-report/1"
 
 
 def _read_input(path: str, parse):
@@ -269,9 +268,14 @@ def _cmd_simulate(args) -> int:
             raise ChainsurgError(f"--outcome {spec!r} is not MEASID=+1 or MEASID=-1") from None
     ch = plan_channel(plan, outcomes or None, corrected=not args.no_corrections)
     dev = _deviation(plan, ch)
-    corrections = measurement_correction(
-        plan, {**{m: 1 for m in plan.measurement_ids()}, **outcomes}
-    )
+    try:
+        corrections = measurement_correction(
+            plan, {**{m: 1 for m in plan.measurement_ids()}, **outcomes}
+        )
+    except CorrectionUnavailable:
+        if not args.no_corrections:
+            raise
+        corrections = []  # none would be applied, so none is refused
     _emit(
         args,
         {
@@ -302,17 +306,9 @@ def _cmd_catalog(args) -> int:
         if len(ex.codes) > 1:
             for i, code in enumerate(ex.codes):
                 outputs[f"{ex.name}.part{i}.code"] = code.to_text()
-        if ex.subcode is not None:
-            outputs[f"{ex.name}.sub"] = ex.subcode.to_text()
-        elif ex.raw_spaces is not None:
-            raw = Subcode(
-                parent=ex.parent,
-                v2=ex.raw_spaces[0],
-                v1=ex.raw_spaces[1],
-                v0=ex.raw_spaces[2],
-                orientation=ex.raw_orientation,
-            )
-            outputs[f"{ex.name}.sub"] = raw.to_text()
+        # a valid example's subspaces are validated before they are written
+        sub = ex.subcode or Subcode(ex.parent, *ex.raw_spaces, orientation=ex.raw_orientation)
+        outputs[f"{ex.name}.sub"] = sub.to_text()
         outputs[f"{ex.name}.expect.json"] = jsontext.dumps(ex.expect)
         outdir = Path(args.dir or ".")
         try:

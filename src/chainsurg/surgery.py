@@ -54,6 +54,9 @@ from .f2linalg import (
     vstack,
 )
 
+# the schema id of every JSON report, stated in docs/report_schema.json
+REPORT_SCHEMA = "chainsurg-report/1"
+
 
 @dataclass(frozen=True)
 class Subcode:
@@ -199,7 +202,8 @@ class MergeResult:
     quotient: ChainComplex
     p: ChainMap
     subcode: Subcode
-    quotient_reps: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
+    # per degree 2, 1, 0: the section whose columns are the coset representatives
+    sections: tuple[F2Matrix, F2Matrix, F2Matrix]
 
     @property
     def orientation(self) -> str:
@@ -221,7 +225,7 @@ class MergeResult:
         return self.quotient.transpose()
 
     def reps_at(self, degree: int) -> tuple[np.ndarray, ...]:
-        return self.quotient_reps[2 - degree]
+        return tuple(self.sections[2 - degree].T.a)
 
 
 def quotient_merge(
@@ -239,7 +243,6 @@ def quotient_merge(
     oriented = sub.oriented_parent()
     spaces = sub.oriented_spaces()
     supplied = quotient_bases or {}
-    reps = []
     sections = []
     projections = []
     for degree, space in zip((2, 1, 0), spaces):
@@ -247,12 +250,10 @@ def quotient_merge(
         given = supplied.get(degree)
         if given is None:
             sections.append(quotient_basis_units(ambient, space))
-            reps.append(tuple(sections[-1].T.a))
             projections.append(_projection_matrix(ambient, space, None))
         else:
             given = _complement_reps(ambient, space, given)
-            reps.append(tuple(given))
-            sections.append(_section_matrix(ambient, given))
+            sections.append(F2Matrix.from_rows(given, cols=ambient).T)
             projections.append(_projection_matrix(ambient, space, given))
     p2, p1, p0 = projections
     q_d2 = p1 @ oriented.d2 @ sections[0]
@@ -264,14 +265,8 @@ def quotient_merge(
         quotient=quotient,
         p=p,
         subcode=sub,
-        quotient_reps=tuple(reps),
+        sections=tuple(sections),
     )
-
-
-def _section_matrix(ambient: int, reps: list[np.ndarray]) -> F2Matrix:
-    if not reps:
-        return F2Matrix.zeros(ambient, 0)
-    return F2Matrix.from_rows(reps, cols=ambient).T
 
 
 def split_from_merge(m: MergeResult) -> ChainMap:
@@ -281,9 +276,9 @@ def split_from_merge(m: MergeResult) -> ChainMap:
     inverse of p in every degree, so p's transpose is injective; one
     product per degree checks it.
     """
-    for deg in (2, 1, 0):
+    for deg, section in zip((2, 1, 0), m.sections):
         comp = m.p.component(deg)
-        if comp @ _section_matrix(comp.cols, list(m.reps_at(deg))) != F2Matrix.identity(comp.rows):
+        if comp @ section != F2Matrix.identity(comp.rows):
             raise DimensionMismatch("split component is not injective; merge corrupted")
     return m.p.transpose()
 
@@ -451,7 +446,7 @@ def induced_logical_matrix(
 
 def merge_report_json(m: MergeResult, report: ExactSequenceReport) -> str:
     doc = {
-        "schema": "chainsurg-report/1",
+        "schema": REPORT_SCHEMA,
         "type": "merge",
         "orientation": m.orientation,
         "source_dims": [m.source.dim2, m.source.dim1, m.source.dim0],

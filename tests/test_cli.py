@@ -3,12 +3,13 @@ import json
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
 from chainsurg import catalog
 from chainsurg.cli import main
 from chainsurg.csscode import CssCode
-from chainsurg.protocols import direct_sum_code
+from chainsurg.protocols import direct_sum_code, plan_channel, plan_from_json
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report_schema.json").read_text()
@@ -216,6 +217,28 @@ class TestPlanCommands:
         captured = capsys.readouterr()
         assert rc == 1 and not captured.out
         assert json.loads(captured.err) == ABOVE_LIMIT
+
+    def test_no_corrections_simulates_a_plan_it_would_not_correct(self, tmp_path, capsys):
+        code = tmp_path / "toric2.code"
+        code.write_text(catalog.toric(2).to_text())
+        plan_file = tmp_path / "loc.json"
+        argv = ["cnot", str(code), "--control", "0", "--target", "1", "--out", str(plan_file)]
+        assert main(argv + ["--locality", "--max-weight", "2"]) == 0
+        capsys.readouterr()
+        simulate = ["simulate", "--plan", str(plan_file), "--outcome", "zmerge.zz0=-1"]
+        rc, doc = run_json(capsys, simulate + ["--no-corrections"])
+        assert rc == 0 and doc["corrections"] == []
+        plan = plan_from_json(plan_file.read_text())
+        channel = plan_channel(plan, {"zmerge.zz0": -1}, corrected=False)
+        assert np.array_equal(np.array(doc["channel"]), np.stack([channel.real, channel.imag], axis=-1))
+        assert main(simulate + ["--no-corrections"]) == 0
+        assert capsys.readouterr().out.endswith("corrections applied: none\n")
+        # with corrections asked for, the plan is still refused
+        assert main(simulate) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "CorrectionUnavailable",
+            "message": "corrections for locality-decomposed merges are an open question",
+        }
 
     @pytest.mark.parametrize("outcome", ["bogus=-1", "zmerge.zz0=abc", "zmerge.zz0=2"])
     def test_simulate_bad_outcome_exits_1(self, steane_file, outcome, capsys):
