@@ -20,6 +20,7 @@ from .csscode import (
     CssCode,
     Encoder,
     PauliOperator,
+    certify_distance,
     distance_bruteforce,
     encoder_isometry,
     from_complex,

@@ -461,6 +461,14 @@ def switch_subcode(
     Returns the Z-subcode of (steane + rm) whose quotient is again a
     15-qubit code: 7 qubit pairs, 3 Z-check pairs, 3 X-check pairs.
     """
+    total, spaces = _switch_spaces(steane_code, rm_code)
+    return validate_subcode(total, *spaces, "Z")
+
+
+def _switch_spaces(
+    steane_code: CssCode, rm_code: CssCode
+) -> tuple[ChainComplex, tuple[Subspace, Subspace, Subspace]]:
+    """The parent (steane + rm) and the unvalidated (v2, v1, v0) of ``switch_subcode``."""
     total = direct_sum(steane_code.complex, rm_code.complex)
 
     def rm_index(steane_q: int) -> int:
@@ -476,12 +484,10 @@ def switch_subcode(
     z_pairs = [_pair_vector(3, 10, i, 6 + i) for i in range(3)]
     # X-check pairs: steane check i <-> rm cell i.
     x_pairs = [_pair_vector(3, 4, i, i) for i in range(3)]
-    return validate_subcode(
-        total,
+    return total, (
         Subspace.from_vectors(z_pairs, total.dim2),
         Subspace.from_vectors(qubit_pairs, total.dim1),
         Subspace.from_vectors(x_pairs, total.dim0),
-        "Z",
     )
 
 
@@ -497,12 +503,12 @@ def _steane_bits(q: int) -> int:
 def _example_code_switch() -> WorkedExample:
     s = steane()
     rm = reed_muller_15()
-    sub = switch_subcode(s, rm)
+    total, spaces = _switch_spaces(s, rm)
     return WorkedExample(
         name="code_switch",
-        parent=sub.parent,
+        parent=total,
         codes=(s, rm),
-        raw_spaces=(sub.v2, sub.v1, sub.v0),
+        raw_spaces=spaces,
         expect={
             "valid": True,
             "merged_params": [15, 1, 3],

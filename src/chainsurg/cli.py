@@ -16,8 +16,8 @@ import numpy as np
 
 from . import catalog, jsontext
 from .chaincomplex import ChainComplex, homology
-from .csscode import CssCode, PauliOperator, distance_bruteforce, from_complex, from_parity_checks
-from .errors import ChainsurgError, CorrectionUnavailable, MalformedInput
+from .csscode import CssCode, PauliOperator, certify_distance, from_complex, from_parity_checks
+from .errors import ChainsurgError, MalformedInput
 from .f2linalg import F2Matrix
 from .protocols import (
     AncillaStrategy,
@@ -25,7 +25,7 @@ from .protocols import (
     build_cnot_plan,
     code_switch_plan,
     expected_plan_channel,
-    measurement_correction,
+    plan_branch,
     plan_channel,
     plan_from_json,
     plan_symplectic_action,
@@ -223,7 +223,8 @@ def _cmd_cnot(args) -> int:
 def _cmd_switch(args) -> int:
     plan = code_switch_plan()
     merged = plan.merged_code(plan.steps[1].merge)
-    d = distance_bruteforce(merged)
+    # every nontrivial logical has weight at most n, so wmax = n gives the exact distance
+    d = min((s for s in certify_distance(merged, wmax=merged.n) if s is not None), default=None)
     p1 = plan.steps[1].logical_matrix
     action = plan_symplectic_action(plan)
     identity_ok = (
@@ -266,16 +267,8 @@ def _cmd_simulate(args) -> int:
             outcomes[name] = int(val)
         except ValueError:
             raise ChainsurgError(f"--outcome {spec!r} is not MEASID=+1 or MEASID=-1") from None
-    ch = plan_channel(plan, outcomes or None, corrected=not args.no_corrections)
+    ch, corrections = plan_branch(plan, outcomes or None, corrected=not args.no_corrections)
     dev = _deviation(plan, ch)
-    try:
-        corrections = measurement_correction(
-            plan, {**{m: 1 for m in plan.measurement_ids()}, **outcomes}
-        )
-    except CorrectionUnavailable:
-        if not args.no_corrections:
-            raise
-        corrections = []  # none would be applied, so none is refused
     _emit(
         args,
         {

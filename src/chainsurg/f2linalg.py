@@ -219,6 +219,17 @@ class RrefResult:
         return len(self.pivots)
 
 
+def packed_rows(a: np.ndarray) -> list[int]:
+    """Each row of a 0/1 array as one Python int: its packed bytes read big-endian.
+
+    Column j of a w-column array is bit ``8 * ceil(w / 8) - 1 - j``, so
+    the leftmost column is the highest bit and the padding bits are zero.
+    """
+    nbytes = (a.shape[1] + 7) // 8
+    packed = np.packbits(a, axis=1).tobytes()
+    return [int.from_bytes(packed[i * nbytes : (i + 1) * nbytes], "big") for i in range(a.shape[0])]
+
+
 def rref(m: F2Matrix, transform: bool = True) -> RrefResult:
     """Reduced row-echelon form, with the invertible row transform if asked for.
 
@@ -241,8 +252,7 @@ def rref(m: F2Matrix, transform: bool = True) -> RrefResult:
     nbytes = (width + 7) // 8
     top = 8 * nbytes
     aug = np.concatenate([m.a, np.eye(rows, dtype=np.uint8)], axis=1) if transform else m.a
-    packed = np.packbits(aug, axis=1).tobytes()
-    bits = [int.from_bytes(packed[i * nbytes : (i + 1) * nbytes], "big") for i in range(rows)]
+    bits = packed_rows(aug)
     floor = 1 << (top - cols)
     pivots: list[int] = []
     r = 0

@@ -865,13 +865,36 @@ def plan_channel(
     ``outcomes`` is checked as in every entry point (a missing id reads
     as +1); with ``corrected`` the correction for its -1 ids is applied.
     """
+    return plan_branch(plan, outcomes, corrected)[0]
+
+
+def plan_branch(
+    plan: SurgeryPlan,
+    outcomes: Optional[dict] = None,
+    corrected: bool = True,
+) -> tuple[np.ndarray, list[PauliOperator]]:
+    """``plan_channel``, and the correction of the branch as a list of at most one Pauli.
+
+    The correction is ``measurement_correction``'s for ``outcomes`` with
+    missing ids read as +1, computed once. With ``corrected`` it is
+    applied, so a refusal is raised before anything is simulated.
+    Without, it is computed after the channel only to be reported, and a
+    CorrectionUnavailable reports none: none is applied, so none is refused.
+    """
     flipped = _flipped_ids(plan, outcomes)
     ops = plan_physical_ops(plan, outcomes)
-    correction = _outcome_correction(plan, flipped if corrected else frozenset())
-    if not correction.is_identity():
-        ops.append(PauliGate(correction))
+    if corrected:
+        correction = _outcome_correction(plan, flipped)
+        if not correction.is_identity():
+            ops.append(PauliGate(correction))
     e_in, e_out = plan_encoders(plan, outcomes)
-    return extract_logical_channel(ops, e_in, e_out)
+    channel = extract_logical_channel(ops, e_in, e_out)
+    if not corrected:
+        try:
+            correction = _outcome_correction(plan, flipped)
+        except CorrectionUnavailable:
+            correction = PauliOperator.identity(plan.base_code.n)
+    return channel, [] if correction.is_identity() else [correction]
 
 
 def cnot_unitary(k: int, control: int, target: int) -> np.ndarray:

@@ -241,5 +241,16 @@ class TestExampleSpaces:
         assert ex.subcode is sub  # validated once
 
     @pytest.mark.parametrize("name", catalog.example_names())
+    def test_subcode_read_validates_once(self, name, monkeypatch):
+        calls = []
+        real = catalog.validate_subcode
+        monkeypatch.setattr(
+            catalog, "validate_subcode", lambda *args: calls.append(args) or real(*args)
+        )
+        ex = catalog.worked_example(name)
+        ex.subcode
+        assert len(calls) == (1 if ex.expect["valid"] else 0)
+
+    @pytest.mark.parametrize("name", catalog.example_names())
     def test_exported_files_bytes(self, name, tmp_path):
         assert _export_digest(name, tmp_path) == EXPORT_DIGESTS[name]

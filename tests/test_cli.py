@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from chainsurg import catalog
+from chainsurg import catalog, protocols
 from chainsurg.cli import main
 from chainsurg.csscode import CssCode
 from chainsurg.protocols import direct_sum_code, plan_channel, plan_from_json
@@ -239,6 +239,25 @@ class TestPlanCommands:
             "error": "CorrectionUnavailable",
             "message": "corrections for locality-decomposed merges are an open question",
         }
+
+    @pytest.mark.parametrize("extra", [[], ["--no-corrections"]])
+    def test_simulate_computes_the_correction_once(self, tmp_path, extra, monkeypatch, capsys):
+        code = tmp_path / "toric2.code"
+        code.write_text(catalog.toric(2).to_text())
+        plan_file = tmp_path / "plan.json"
+        assert main(["cnot", str(code), "--control", "0", "--target", "1", "--out", str(plan_file)]) == 0
+        capsys.readouterr()
+        calls, real = [], protocols._outcome_correction
+        monkeypatch.setattr(
+            protocols, "_outcome_correction", lambda plan, ids: calls.append(ids) or real(plan, ids)
+        )
+        simulate = ["simulate", "--plan", str(plan_file), "--outcome", "zmerge.zz0=-1"]
+        rc, doc = run_json(capsys, simulate + extra)
+        assert rc == 0 and calls == [frozenset({"zmerge.zz0"})]
+        plan = plan_from_json(plan_file.read_text())
+        outcomes = {m: 1 for m in plan.measurement_ids()} | {"zmerge.zz0": -1}
+        labels = [c.label() for c in protocols.measurement_correction(plan, outcomes)]
+        assert doc["corrections"] == labels and labels
 
     @pytest.mark.parametrize("outcome", ["bogus=-1", "zmerge.zz0=abc", "zmerge.zz0=2"])
     def test_simulate_bad_outcome_exits_1(self, steane_file, outcome, capsys):

@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from chainsurg import catalog
+from chainsurg import catalog, cli, csscode
 from chainsurg.cli import main
 
 EXAMPLES = ("welding", "steane_x_subcode", "worked_quotient_matrix", "wrong_merge")
@@ -125,3 +125,14 @@ def test_report_bytes(case, files, capsys):
 def test_expect_json_bytes(name, tmp_path, capsys):
     assert main(["catalog", "export", f"example:{name}", "--dir", str(tmp_path)]) == 0
     assert _sha((tmp_path / f"{name}.expect.json").read_text()) == EXPECT_DIGESTS[name]
+
+
+def test_switch_distance_needs_no_enumeration(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("switch enumerated every kernel vector")
+
+    monkeypatch.setattr(csscode, "distance_bruteforce", refuse)
+    assert not hasattr(cli, "distance_bruteforce")
+    capsys.readouterr()
+    assert main(["--json", "switch"]) == 0
+    assert _sha(capsys.readouterr().out) == DIGESTS["switch"]
