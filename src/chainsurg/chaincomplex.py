@@ -13,9 +13,10 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonZeroComposition, SquareDoesNotCommute
 from .f2linalg import (
-    Elimination,
     F2Matrix,
+    RrefResult,
     Subspace,
+    _mul,
     _reduce_rows,
     as_bit_vector,
     block_diag,
@@ -23,6 +24,7 @@ from .f2linalg import (
     image_basis,
     kernel_basis,
     quotient_basis,
+    rref,
     section_matrix,
     split_sections,
 )
@@ -113,7 +115,13 @@ def validate(d2: F2Matrix, d1: F2Matrix) -> ChainComplex:
 
 @dataclass(frozen=True)
 class HomologyBasis:
-    """Chosen representatives of ker/im at one degree of a complex."""
+    """Chosen representatives of ker/im at one degree of a complex.
+
+    Class coordinates are read from the class system: the RREF of the k
+    representatives reduced modulo the image, with its k x k row
+    transform. ``homology`` and ``_basis_from_rows`` know it already and
+    seed it; any other basis eliminates its k rows on first use.
+    """
 
     representatives: tuple[np.ndarray, ...]
     kernel: Subspace
@@ -132,21 +140,30 @@ class HomologyBasis:
         return F2Matrix.from_rows(list(self.representatives), cols=self.ambient_dim)
 
     @cached_property
-    def _class_system(self) -> Elimination:
-        """Elimination of the representatives reduced modulo the image, as columns.
+    def _class_system(self) -> tuple[list[int], np.ndarray]:
+        """(pivots, [R | T]): the RREF rows R of the reduced representatives, with transform rows T.
 
-        Reduction modulo the image is linear and kills the image, so a
-        cycle's class coordinates solve this k-column system for the
-        cycle's own reduction.
+        Only the rank rows are kept. Reduction modulo the image is linear
+        and kills the image, so a cycle's class is spanned by the basis
+        exactly when its reduction w is y @ R, where y is w at the pivots,
+        and its coordinates are then y @ T.
         """
-        return Elimination(F2Matrix._wrap(_reduce_rows(self.matrix().a, self.image).T))
+        return _class_rows(rref(F2Matrix._wrap(_reduce_rows(self.matrix().a, self.image))))
+
+    def _seed(self, reduced: RrefResult) -> "HomologyBasis":
+        """This basis, with ``reduced`` (the RREF of its reduced representatives) as its class system."""
+        self.__dict__["_class_system"] = _class_rows(reduced)
+        return self
 
     def _coordinates(self, cycles: np.ndarray) -> F2Matrix:
-        """Class coordinates of each row of ``cycles``, as columns."""
-        coords = self._class_system.solve_columns(F2Matrix._wrap(_reduce_rows(cycles, self.image).T))
-        if coords is None:
+        """Class coordinates of each row of ``cycles``, as columns: one product for all rows."""
+        pivots, rows = self._class_system
+        w = _reduce_rows(cycles, self.image)
+        n = w.shape[1]
+        out = _mul(w[:, pivots], rows)
+        if (out[:, :n] != w).any():
             raise DimensionMismatch("cycle not expressible in basis + boundaries")
-        return coords
+        return F2Matrix._wrap(np.ascontiguousarray(out[:, n:].T))
 
     def class_coordinates(self, v) -> np.ndarray:
         """Coordinates of [v] in this basis; v must lie in the kernel."""
@@ -158,8 +175,20 @@ class HomologyBasis:
         return self.kernel.contains(v) and self.image.contains(v)
 
 
+def _class_rows(reduced: RrefResult) -> tuple[list[int], np.ndarray]:
+    """An RREF's pivots and its rank rows, with the transform's rows beside them."""
+    r = reduced.rank
+    return list(reduced.pivots), np.hstack([reduced.reduced.a[:r], reduced.transform.a[:r]])
+
+
 def homology(c: ChainComplex, degree: int = 1) -> HomologyBasis:
-    """Pivot-complement basis of ker/im at the given degree."""
+    """Pivot-complement basis of ker/im at the given degree.
+
+    The representatives are rows of ker's RREF basis whose pivots are not
+    the image's. Each image pivot is another row's pivot, so they are zero
+    there: already reduced modulo the image, and already in RREF with the
+    identity transform. Their pivots are their leading ones.
+    """
     if degree == 1:
         ker = c.cycles
         img = c.boundaries
@@ -172,7 +201,9 @@ def homology(c: ChainComplex, degree: int = 1) -> HomologyBasis:
     else:
         raise DimensionMismatch(f"degree must be 0, 1 or 2, got {degree}")
     reps = quotient_basis(ker.ambient_dim, ker, img)
-    return HomologyBasis(representatives=tuple(reps), kernel=ker, image=img)
+    basis = HomologyBasis(representatives=tuple(reps), kernel=ker, image=img)
+    pivots = tuple(int(np.flatnonzero(r)[0]) for r in reps)
+    return basis._seed(RrefResult(basis.matrix(), pivots, F2Matrix.identity(len(reps))))
 
 
 def cohomology(c: ChainComplex, degree: int = 1) -> HomologyBasis:

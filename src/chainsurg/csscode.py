@@ -21,7 +21,6 @@ from .f2linalg import (
     format_matrix,
     left_inverse_block,
     packed_rows,
-    rank,
     rref,
     section_matrix,
     split_sections,
@@ -153,20 +152,28 @@ def _basis_from_rows(rows: F2Matrix, kernel: Subspace, image: Subspace) -> Homol
     """The rows as a homology basis, checked to be independent cycles spanning ker/im.
 
     The rows are independent modulo the image exactly when their
-    reductions modulo it have full rank, so only k rows are eliminated.
+    reductions modulo it have full rank, so only k rows are eliminated;
+    that elimination, with its row transform, is kept as the basis's
+    class system.
     """
+    reduced = None
     if rows.rows:
         if rows.cols != kernel.ambient_dim:
             raise DimensionMismatch(f"expected length {kernel.ambient_dim}, got {rows.cols}")
         if not kernel.contains_rows(rows):
             raise DimensionMismatch("supplied logical representative is not a cycle")
-        if rank(F2Matrix._wrap(_reduce_rows(rows.a, image))) != rows.rows:
+        reduced = rref(F2Matrix._wrap(_reduce_rows(rows.a, image)))
+        if reduced.rank != rows.rows:
             raise DimensionMismatch("supplied logical representatives are dependent mod stabilizers")
     if rows.rows + image.dim != kernel.dim:
         k = kernel.dim - image.dim
         raise DimensionMismatch(f"supplied {rows.rows} logical representatives for {k} logical qubits")
-    reps = tuple(rows.row(i) for i in range(rows.rows))
-    return HomologyBasis(representatives=reps, kernel=kernel, image=image)
+    basis = _rows_basis(rows, kernel, image)
+    return basis if reduced is None else basis._seed(reduced)
+
+
+def _rows_basis(rows: F2Matrix, kernel: Subspace, image: Subspace) -> HomologyBasis:
+    return HomologyBasis(representatives=tuple(rows.row(i) for i in range(rows.rows)), kernel=kernel, image=image)
 
 
 def from_parity_checks(
@@ -198,7 +205,19 @@ def from_complex(
 
     The code keeps ``cplx`` itself, so its cached cycles and boundaries
     (and those of its transpose) are shared with the caller.
+
+    Two supplied bases certify each other when both are (co)cycles, k of
+    them each, with pairing x_i . z_j = delta_ij. A combination of the
+    z_j that is a boundary pairs to zero with every cocycle x_i, so its
+    coefficients are all zero: the z_j are independent modulo the
+    stabilizers, and the x_i likewise. Such a pair is taken with no rank
+    elimination. Any other pair is checked one basis at a time, and the
+    first check that fails names the error.
     """
+    co = cplx.transpose()
+    if z_basis is not None and x_basis is not None and _dual_pair(cplx, z_basis, x_basis):
+        zb = _rows_basis(z_basis, cplx.cycles, cplx.boundaries)
+        return CssCode(complex=cplx, z_logicals=zb, x_logicals=_rows_basis(x_basis, co.cycles, co.boundaries))
     if z_basis is None:
         zb = homology(cplx, 1)
     else:
@@ -206,10 +225,21 @@ def from_complex(
     if x_basis is None:
         xb = dual_x_basis(cplx, zb)
     else:
-        co = cplx.transpose()
         xb = _basis_from_rows(x_basis, co.cycles, co.boundaries)
         _check_duality(xb, zb)
     return CssCode(complex=cplx, z_logicals=zb, x_logicals=xb)
+
+
+def _dual_pair(cplx: ChainComplex, z_basis: F2Matrix, x_basis: F2Matrix) -> bool:
+    """Whether both bases are k x n (co)cycles with x_basis @ z_basis.T = I."""
+    co = cplx.transpose()
+    k = cplx.cycles.dim - cplx.boundaries.dim
+    return (
+        z_basis.shape == x_basis.shape == (k, cplx.dim1)
+        and cplx.cycles.contains_rows(z_basis)
+        and co.cycles.contains_rows(x_basis)
+        and x_basis @ z_basis.T == F2Matrix.identity(k)
+    )
 
 
 def _check_duality(xb: HomologyBasis, zb: HomologyBasis) -> None:

@@ -41,6 +41,19 @@ What an RREF already says is read, not eliminated again:
   have rank k, and v = sum x_i r_i + (a member of w) exactly when the
   reduction of v is sum x_i times the reductions of the r_i. That is k
   rows to eliminate where the stacked rows and w's basis are k + dim w;
+- class coordinates are read at the pivots of that k-row RREF: with T
+  its row transform and w a reduced cycle, y = w at the pivots, w must be
+  y times the RREF rows, and the coordinates are y times T's rows;
+- ``homology``'s pivot-complement representatives need no elimination for
+  that RREF: they are rows of ker's canonical basis whose pivots are not
+  the image's, so they are zero at the image's pivots (already reduced)
+  and in RREF with the identity transform, pivots at their leading ones;
+- the RREF that ranks k supplied rows modulo w, taken with its
+  transform, is also their class system, so one elimination does both;
+- two supplied bases with pairing x_i . z_j = delta_ij, k (co)cycles
+  each, need no rank elimination: a combination of the z_j that is a
+  boundary pairs to zero with every x_i, so its coefficients are zero,
+  and likewise for the x_i;
 - a matrix with no rows is already reduced: its row space is zero and
   its kernel is the whole space; a matrix of zero rows spans the zero
   space too;

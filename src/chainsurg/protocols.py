@@ -830,8 +830,11 @@ def _outcome_correction(plan: SurgeryPlan, flipped_ids) -> PauliOperator:
 
 def plan_physical_ops(plan: SurgeryPlan, outcomes: Optional[dict] = None) -> list[PhysicalOp]:
     """The plan as a list of physical ops, with forced -1 branches inserted."""
-    flipped = _flipped_ids(plan, outcomes)
-    return [op for step in plan.steps for op in step.physical_ops(flipped)]
+    return _physical_ops(plan, _flipped_ids(plan, outcomes))
+
+
+def _physical_ops(plan: SurgeryPlan, flipped_ids) -> list[PhysicalOp]:
+    return [op for step in plan.steps for op in step.physical_ops(flipped_ids)]
 
 
 _STATES = {
@@ -844,14 +847,17 @@ _STATES = {
 
 def plan_encoders(plan: SurgeryPlan, outcomes: Optional[dict] = None):
     """(e_in, e_out) Encoders for channel extraction over every logical but the ancilla."""
-    flipped = _flipped_ids(plan, outcomes)
+    return _encoders(plan, _flipped_ids(plan, outcomes))
+
+
+def _encoders(plan: SurgeryPlan, flipped_ids):
     enc = encoder_isometry(plan.base_code)  # plan_from_json checks that steps[0] inits the ancilla
     e_in = encoder_with_fixed_logical(enc, plan.ancilla_index, _STATES[plan.steps[0].state])
     final_measure = plan.final_measurement
     if final_measure is None:
         return e_in, enc
     states = ("zero", "one") if final_measure.basis == "Z" else ("plus", "minus")
-    state = _STATES[states[final_measure.measurement_id in flipped]]
+    state = _STATES[states[final_measure.measurement_id in flipped_ids]]
     return e_in, encoder_with_fixed_logical(enc, plan.ancilla_index, state)
 
 
@@ -882,12 +888,12 @@ def plan_branch(
     CorrectionUnavailable reports none: none is applied, so none is refused.
     """
     flipped = _flipped_ids(plan, outcomes)
-    ops = plan_physical_ops(plan, outcomes)
+    ops = _physical_ops(plan, flipped)
     if corrected:
         correction = _outcome_correction(plan, flipped)
         if not correction.is_identity():
             ops.append(PauliGate(correction))
-    e_in, e_out = plan_encoders(plan, outcomes)
+    e_in, e_out = _encoders(plan, flipped)
     channel = extract_logical_channel(ops, e_in, e_out)
     if not corrected:
         try:

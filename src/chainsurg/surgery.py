@@ -119,7 +119,7 @@ class Subcode:
 def _restricted_boundary(d: F2Matrix, src: Subspace, tgt: Subspace) -> F2Matrix:
     """Matrix of d restricted to src, in the bases of src and tgt."""
     image = d @ src.basis.T
-    if not all(tgt.contains(image.col(j)) for j in range(image.cols)):
+    if not tgt.contains_rows(image.T):
         raise ClosureViolated(0, "restricted boundary leaves the target subspace")
     # tgt's basis is in RREF, so a member's coordinates are its pivot entries.
     return F2Matrix._wrap(image.a[list(tgt.pivots)])
@@ -142,12 +142,11 @@ def validate_subcode(
     sub = Subcode(parent=parent, v2=v2, v1=v1, v0=v0, orientation=orientation)
     oriented = sub.oriented_parent()
     s2, s1, s0 = sub.oriented_spaces()
-    for b in s2.basis_vectors():
-        if not s1.contains(oriented.d2 @ b):
-            raise ClosureViolated(2)
-    for b in s1.basis_vectors():
-        if not s0.contains(oriented.d1 @ b):
-            raise ClosureViolated(1)
+    # row i of basis @ d.T is d applied to basis row i
+    if not s1.contains_rows(s2.basis @ oriented.d2.T):
+        raise ClosureViolated(2)
+    if not s0.contains_rows(s1.basis @ oriented.d1.T):
+        raise ClosureViolated(1)
     return sub
 
 
@@ -392,22 +391,20 @@ def analyze_merge(m: MergeResult) -> ExactSequenceReport:
     src_basis = homology(m.source, 1)
     tgt_basis = homology(m.quotient, 1)
     induced = induced_on_homology(m.p, 1, src_basis, tgt_basis)
-    r = rank(induced)
-    matrix_surjective = r == tgt_basis.dim
-    matrix_injective = r == src_basis.dim
+    # im(p1*) is the induced matrix's column space, so its dimension is the matrix's rank
+    img = image_basis(induced)
+    matrix_surjective = img.dim == tgt_basis.dim
+    matrix_injective = img.dim == src_basis.dim
 
-    # killed classes: im(i1*) expressed in the source logical basis
-    killed_coords_rows = []
-    s1 = m.subcode.v1
-    for rep in h1v.representatives:
-        embedded = s1.basis.T @ rep
-        if not src_basis.is_trivial_class(embedded):
-            killed_coords_rows.append(src_basis.class_coordinates(embedded))
+    # killed classes: im(i1*) expressed in the source logical basis, one
+    # column per subcode class; a trivial class has zero coordinates
+    embedded = h1v.matrix() @ m.subcode.v1.basis
+    if not src_basis.kernel.contains_rows(embedded):
+        raise DimensionMismatch("vector is not a cycle at this degree")
+    coords = src_basis._coordinates(embedded.a).a
+    killed = coords[:, coords.any(axis=0)]
 
     # created classes: complement of im(p1*) in the quotient basis
-    img = Subspace.from_vectors(
-        [induced.col(j) for j in range(induced.cols)], tgt_basis.dim
-    )
     created_coord_vecs = quotient_basis(tgt_basis.dim, Subspace.full(tgt_basis.dim), img)
     return ExactSequenceReport(
         orientation=m.orientation,
@@ -418,21 +415,19 @@ def analyze_merge(m: MergeResult) -> ExactSequenceReport:
         matrix_surjective=matrix_surjective,
         matrix_injective=matrix_injective,
         induced_matrix=induced,
-        killed_coords=_independent_rows(killed_coords_rows, src_basis.dim),
+        killed_coords=_independent_columns(killed),
         created_coords=F2Matrix.from_rows(created_coord_vecs, cols=tgt_basis.dim),
         source_basis=src_basis,
     )
 
 
-def _independent_rows(rows: list[np.ndarray], width: int) -> F2Matrix:
-    """The rows a greedy scan keeps: each one independent of those kept before it.
+def _independent_columns(columns: np.ndarray) -> F2Matrix:
+    """The columns a greedy scan keeps, as rows: each one independent of those kept before it.
 
-    Row i is kept exactly when column i of the stacked rows' transpose is a
-    pivot column.
+    Column i is kept exactly when it is a pivot column.
     """
-    stacked = F2Matrix.from_rows(rows, cols=width)
-    kept = rref(stacked.T, transform=False).pivots
-    return F2Matrix._wrap(stacked.a[list(kept)])
+    kept = rref(F2Matrix._wrap(columns), transform=False).pivots
+    return F2Matrix._wrap(columns.T[list(kept)])
 
 
 def induced_logical_matrix(

@@ -7,8 +7,11 @@ Each rewrite keeps its old form here as the oracle:
   block-diagonal matrices;
 * ``_basis_from_rows`` ranks the k rows reduced modulo the image instead
   of the stacked (k + dim im) rows;
-* class coordinates solve a k-column system of representatives reduced
-  modulo the image instead of ``[reps | image basis]``;
+* class coordinates are read at the pivots of the RREF of the k
+  representatives reduced modulo the image, instead of solving
+  ``[reps | image basis]``;
+* ``from_complex`` takes two supplied bases whose pairing is the identity
+  with no rank elimination, instead of checking each basis on its own;
 * ``no_check`` and ``trivial_qubit`` build their codes with no
   elimination.
 """
@@ -26,7 +29,7 @@ from chainsurg.chaincomplex import (
     identity_chain_map,
     induced_on_homology,
 )
-from chainsurg.csscode import _basis_from_rows
+from chainsurg.csscode import _basis_from_rows, _check_duality, dual_x_basis, from_complex
 from chainsurg.errors import DimensionMismatch
 from chainsurg.f2linalg import (
     Elimination,
@@ -182,7 +185,11 @@ EDITS = ["none", "drop", "extra_cycle", "extra_vector", "non_cycle", "dependent"
 
 
 def _edited_rows(r, c: ChainComplex, edit: str) -> F2Matrix:
-    rows = _recombined_basis(r, c)
+    return _edit(r, c, _recombined_basis(r, c), edit)
+
+
+def _edit(r, c: ChainComplex, rows: np.ndarray, edit: str) -> F2Matrix:
+    rows = rows.copy()
     n = c.dim1
     if edit == "drop" and len(rows):
         rows = rows[1:]
@@ -238,6 +245,43 @@ class TestSuppliedBasisCheck:
         assert want == ("rejected", "supplied 0 logical representatives for 1 logical qubits")
 
 
+def sequential_from_complex(c: ChainComplex, z: F2Matrix, x: F2Matrix):
+    """The old rule for two supplied bases: each checked on its own, then the pairing."""
+    co = c.transpose()
+    zb = stacked_rank_basis_from_rows(z, c.cycles, c.boundaries)
+    xb = stacked_rank_basis_from_rows(x, co.cycles, co.boundaries)
+    _check_duality(xb, zb)
+    return zb, xb
+
+
+def code_bases(c: ChainComplex, z: F2Matrix, x: F2Matrix):
+    code = from_complex(c, z, x)
+    return code.z_logicals, code.x_logicals
+
+
+def _bases_outcome(fn, *args):
+    try:
+        bases = fn(*args)
+    except DimensionMismatch as exc:
+        return ("rejected", str(exc))
+    return ("accepted",) + tuple(tuple(v.tobytes() for v in b.representatives) for b in bases)
+
+
+class TestDualPairCertificate:
+    @settings(max_examples=300, deadline=None)
+    @given(complexes(), st.sampled_from(EDITS), st.sampled_from(EDITS), st.integers(0, 2**30 - 1))
+    def test_matches_checking_each_basis(self, c, z_edit, x_edit, seed):
+        r = np.random.RandomState(seed)
+        z = _edited_rows(r, c, z_edit)
+        try:
+            zb = _basis_from_rows(z, c.cycles, c.boundaries)
+            x_rows = dual_x_basis(c, zb).matrix().a  # the dual, then edited
+        except DimensionMismatch:
+            x_rows = _recombined_basis(r, c.transpose())
+        x = _edit(r, c.transpose(), x_rows, x_edit)
+        assert _bases_outcome(code_bases, c, z, x) == _bases_outcome(sequential_from_complex, c, z, x)
+
+
 # --- class coordinates -----------------------------------------------------------
 
 
@@ -275,11 +319,16 @@ def _result(fn, *args):
 
 
 def _bases(r, c: ChainComplex) -> list[HomologyBasis]:
-    """The canonical basis, a recombined one, and one short of a representative."""
+    """The canonical basis, a recombined one, one short of a representative, and a
+    recombined one certified by its dual, whose class system is built on first use."""
     canonical = homology(c, 1)
     recombined = _basis_from_rows(F2Matrix(_recombined_basis(r, c)), c.cycles, c.boundaries)
     short = HomologyBasis(canonical.representatives[1:], canonical.kernel, canonical.image)
-    return [canonical, recombined, short]
+    z = F2Matrix(_recombined_basis(r, c))
+    x = dual_x_basis(c, _basis_from_rows(z, c.cycles, c.boundaries)).matrix()
+    paired = from_complex(c, z, x).z_logicals
+    assert "_class_system" not in vars(paired)
+    return [canonical, recombined, short, paired]
 
 
 class TestClassCoordinates:

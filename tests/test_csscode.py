@@ -137,6 +137,29 @@ class TestDualBasis:
         swapped = F2Matrix(xl[::-1])
         assert message(toric2, zl.a, swapped) == "supplied bases are not dual: x_0 . z_0 = 0"
 
+    def test_first_failing_check_names_the_error(self, steane, toric2):
+        """With both bases supplied and several checks broken, the error is the one the
+        checks give one basis at a time: z's own checks, then x's, then the pairing."""
+
+        def message(code, zl, xl):
+            with pytest.raises(DimensionMismatch) as exc:
+                from_parity_checks(code.hx, code.hz, z_basis=F2Matrix(zl), x_basis=F2Matrix(xl))
+            return str(exc.value)
+
+        dependent = "supplied logical representatives are dependent mod stabilizers"
+        tz, tx = toric2.z_logicals.matrix().a, toric2.x_logicals.matrix().a
+        sz, sx = steane.z_logicals.matrix().a, steane.x_logicals.matrix().a
+        non_cocycle = tx.copy()
+        non_cocycle[0, 0] ^= 1
+        assert message(toric2, np.vstack([tz[0], tz[0] ^ toric2.hz.a[0]]), non_cocycle) == dependent
+        # two rows for one logical qubit: the rank check comes before the count
+        assert message(steane, np.vstack([sz, sz]), sx) == dependent
+        assert message(steane, np.vstack([sz, sz]), sx ^ np.eye(1, 7, dtype=np.uint8)) == dependent
+        assert message(toric2, np.vstack([tz[0], tz[0] ^ tz[1]]), tx) == "supplied bases are not dual: x_0 . z_1 = 1"
+        assert message(toric2, tz, np.vstack([tx[0], tx[0]])) == dependent
+        assert message(toric2, tz[:1], tx[:1]) == "supplied 1 logical representatives for 2 logical qubits"
+        assert message(toric2, tz, non_cocycle[::-1]) == "supplied logical representative is not a cycle"
+
     def test_all_catalog_duality(self):
         for name in catalog.catalog_names():
             code = catalog.catalog_code(name)

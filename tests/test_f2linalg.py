@@ -671,6 +671,9 @@ class TestParsing:
 
 # --- elimination budget: per-vector solve loops must not come back ----------------
 
+HAMMING_3 = [[((j + 1) >> (2 - i)) & 1 for j in range(7)] for i in range(3)]
+
+
 
 def rref_inputs(fn):
     """(shape, bytes) of every rref input fn passes, counted in every chainsurg namespace that binds rref."""
@@ -758,6 +761,38 @@ class TestEliminationBudget:
     def test_from_parity_checks_on_toric_20(self):
         code = catalog.toric(20)
         assert len(rref_inputs(lambda: from_parity_checks(code.hx, code.hz))) <= 8
+
+    def test_from_parity_checks_with_dual_bases(self):
+        hx, hz = catalog.hypergraph_product(HAMMING_3, HAMMING_3)
+        code = from_parity_checks(hx, hz)
+        zl, xl = code.z_logicals.matrix(), code.x_logicals.matrix()
+        inputs = rref_inputs(lambda: from_parity_checks(hx, hz, z_basis=zl, x_basis=xl))
+        # the pairing certifies both bases, so only the four homology spaces are
+        # eliminated: ker hx and im hz.T (from hx and hz), and those of the transpose
+        assert sorted(shape for shape, _ in inputs) == sorted([hx.shape, hx.shape, hz.shape, hz.shape])
+
+    def test_analyze_merge_on_hgp_eliminates_no_class_system(self):
+        from chainsurg.chaincomplex import homology
+        from chainsurg.surgery import analyze_merge, quotient_merge, validate_subcode
+
+        hx, hz = catalog.hypergraph_product(HAMMING_3, HAMMING_3)
+        code = from_parity_checks(hx, hz)
+        assert code.k == 16
+        c, zl = code.complex, code.z_logicals.matrix().a
+        gens = [zl[0] ^ zl[1], zl[2] ^ zl[5], zl[7] ^ zl[12]]
+        sub = validate_subcode(c, Subspace.zero(c.dim2), Subspace.from_vectors(gens, c.dim1), Subspace.zero(c.dim0))
+        m = quotient_merge(c, sub)
+        inputs = rref_inputs(lambda: analyze_merge(m))
+        # the source and quotient bases are homology's, whose class systems are
+        # already known: nothing of the shape of their representatives, as rows
+        # or as columns, is eliminated
+        for basis in (homology(m.source, 1), homology(m.quotient, 1)):
+            assert basis.dim >= 13
+            shapes = {(basis.dim, basis.ambient_dim), (basis.ambient_dim, basis.dim)}
+            assert not [shape for shape, _ in inputs if shape in shapes]
+        # the subcode's own complex (2) and its H0 (1), the quotient's cycles and
+        # boundaries (2), the image of the induced map (1) and the killed classes (1)
+        assert len(inputs) <= 7
 
 
 # --- the two constructors ------------------------------------------------------------

@@ -417,6 +417,22 @@ class TestOutcomeChecks:
             plan_physical_ops(plan, outcomes)
 
 
+    @pytest.mark.parametrize("corrected", [True, False])
+    def test_plan_branch_checks_outcomes_once(self, toric_plan, corrected, monkeypatch):
+        from chainsurg import protocols
+
+        calls = []
+        original = protocols._flipped_ids
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(protocols, "_flipped_ids", counted)
+        protocols.plan_branch(toric_plan, {"final.za": -1}, corrected)
+        assert len(calls) == 1
+
+
 class TestSymplecticAction:
     def test_cnot_action(self, patch_plan):
         act = plan_symplectic_action(patch_plan)

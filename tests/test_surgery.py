@@ -27,6 +27,7 @@ from chainsurg.surgery import (
     split_from_merge,
     validate_subcode,
 )
+from test_assembled_spaces import complexes
 
 
 def random_subcode(cplx, r, orientation="Z", max_gens=2):
@@ -43,6 +44,63 @@ def random_subcode(cplx, r, orientation="Z", max_gens=2):
     if orientation == "Z":
         return validate_subcode(cplx, s2, s1, s0, "Z")
     return validate_subcode(cplx, s0, s1, s2, "X")
+
+
+def loop_validate_subcode(parent, v2, v1, v0, orientation):
+    """The old closure check: one containment test per basis vector, degree 2 first."""
+    sub = Subcode(parent=parent, v2=v2, v1=v1, v0=v0, orientation=orientation)
+    oriented = sub.oriented_parent()
+    s2, s1, s0 = sub.oriented_spaces()
+    for b in s2.basis_vectors():
+        if not s1.contains(oriented.d2 @ b):
+            raise ClosureViolated(2)
+    for b in s1.basis_vectors():
+        if not s0.contains(oriented.d1 @ b):
+            raise ClosureViolated(1)
+    return sub
+
+
+def loop_own_complex(sub):
+    """The old restricted boundaries: one containment test per image column."""
+    parent = sub.oriented_parent()
+    s2, s1, s0 = sub.oriented_spaces()
+    blocks = []
+    for d, src, tgt in ((parent.d2, s2, s1), (parent.d1, s1, s0)):
+        image = d @ src.basis.T
+        if not all(tgt.contains(image.col(j)) for j in range(image.cols)):
+            raise ClosureViolated(0, "restricted boundary leaves the target subspace")
+        blocks.append(F2Matrix(image.a[list(tgt.pivots)]))
+    return validate(d2=blocks[0], d1=blocks[1])
+
+
+def _closure_outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except ClosureViolated as exc:
+        return ("violated", exc.degree, str(exc))
+    return ("closed", out.to_text() if hasattr(out, "to_text") else out.dims())
+
+
+def _random_space(r, dim, extra=()):
+    vecs = [r.randint(0, 2, size=dim).astype(np.uint8) for _ in range(r.randint(0, 3))]
+    return Subspace.from_vectors(vecs + list(extra), dim)
+
+
+class TestClosureChecks:
+    @settings(max_examples=200, deadline=None)
+    @given(complexes(), st.sampled_from("ZX"), st.booleans(), st.integers(0, 2**30 - 1))
+    def test_match_one_check_per_vector(self, c, orientation, closed, seed):
+        """Closed, open at one degree or both: the same outcome, ClosureViolated(2) first."""
+        r = np.random.RandomState(seed)
+        oriented = c if orientation == "Z" else c.transpose()
+        s2 = _random_space(r, oriented.dim2)
+        s1 = _random_space(r, oriented.dim1, [oriented.d2 @ b for b in s2.basis_vectors()] if closed else ())
+        s0 = _random_space(r, oriented.dim0, [oriented.d1 @ b for b in s1.basis_vectors()] if closed else ())
+        spaces = (s2, s1, s0) if orientation == "Z" else (s0, s1, s2)
+        want = _closure_outcome(loop_validate_subcode, c, *spaces, orientation)
+        assert _closure_outcome(validate_subcode, c, *spaces, orientation) == want
+        unchecked = Subcode(c, *spaces, orientation)
+        assert _closure_outcome(Subcode.own_complex, unchecked) == _closure_outcome(loop_own_complex, unchecked)
 
 
 class TestValidateSubcode:
