@@ -98,7 +98,7 @@ class ChainComplex:
 
     @classmethod
     def from_text(cls, text: str) -> "ChainComplex":
-        sections = split_sections(text)
+        sections = split_sections(text, ("d2", "d1"))
         return validate(section_matrix(sections, "d2"), section_matrix(sections, "d1"))
 
 

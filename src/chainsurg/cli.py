@@ -249,6 +249,18 @@ def _cmd_switch(args) -> int:
 
 def _cmd_simulate(args) -> int:
     if args.plan:
+        given = [
+            name
+            for name, value in (
+                ("a code", args.code),
+                ("--control", args.control),
+                ("--target", args.target),
+                ("--ancilla", args.ancilla),
+            )
+            if value is not None
+        ]
+        if given:
+            raise ChainsurgError(f"simulate --plan takes no {', '.join(given)}: the plan fixes them")
         plan = _read_input(args.plan, plan_from_json)
     else:
         if args.code is None or args.control is None:
@@ -258,11 +270,13 @@ def _cmd_simulate(args) -> int:
             code,
             control=args.control,
             target=args.target,
-            ancilla=_parse_ancilla(args.ancilla),
+            ancilla=_parse_ancilla("trivial" if args.ancilla is None else args.ancilla),
         )
     outcomes = {}
     for spec in args.outcome or []:
         name, _, val = spec.partition("=")
+        if name in outcomes:
+            raise ChainsurgError(f"--outcome {name!r} is given twice")
         try:
             outcomes[name] = int(val)
         except ValueError:
@@ -419,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", help="consume a plan JSON file instead of synthesizing")
     p.add_argument("--control", type=int, default=None)
     p.add_argument("--target", type=int, default=None)
-    p.add_argument("--ancilla", default="trivial")
+    p.add_argument("--ancilla")  # trivial when omitted
     p.add_argument("--outcome", action="append", help="MEASID=-1 (repeatable)")
     p.add_argument("--no-corrections", action="store_true")
     p.set_defaults(func=_cmd_simulate)

@@ -140,7 +140,7 @@ class CssCode:
 
     @classmethod
     def from_text(cls, text: str) -> "CssCode":
-        sections = split_sections(text)
+        sections = split_sections(text, ("hx", "hz", "zl", "xl"))
         hx = section_matrix(sections, "hx")
         hz = section_matrix(sections, "hz")
         zl = section_matrix(sections, "zl") if "zl" in sections else None
@@ -490,8 +490,8 @@ def encoder_isometry(code: CssCode) -> Encoder:
     n, k = code.n, code.k
     if n > SIMULATOR_QUBIT_LIMIT:
         raise DimensionMismatch(f"{n} qubits exceeds the simulator limit {SIMULATOR_QUBIT_LIMIT}")
-    row_basis = rref(code.hx, transform=False)
-    orbit = linear_indices([bits_to_index(row_basis.reduced.row(i)) for i in range(row_basis.rank)])
+    stabilizers = code.x_stabilizer_space().basis
+    orbit = linear_indices([bits_to_index(stabilizers.row(i)) for i in range(stabilizers.rows)])
     bases = linear_indices([bits_to_index(code.x_logical(i)) for i in range(k)])
     return Encoder(code=code, orbit=orbit, bases=bases, amplitude=1.0 / np.sqrt(len(orbit)))
 

@@ -604,11 +604,12 @@ def section_matrix(sections: dict[str, str], name: str) -> F2Matrix:
 _SECTION_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*):\s*(.*)$")
 
 
-def split_sections(text: str) -> dict[str, str]:
+def split_sections(text: str, names: Sequence[str]) -> dict[str, str]:
     """Split "name:"-introduced blocks of a section file into raw bodies.
 
     A header with trailing content on the same line ("orientation: Z")
-    becomes a plain key/value entry.
+    becomes a plain key/value entry. A section not among ``names``, or one
+    given twice, raises MalformedInput naming it.
     """
     sections: dict[str, str] = {}
     name = None
@@ -625,10 +626,17 @@ def split_sections(text: str) -> dict[str, str]:
         m = _SECTION_RE.match(line.strip())
         if m:
             flush()
+            key = m.group(1)
+            if key not in names:
+                raise MalformedInput(
+                    f"unknown section '{key}:', expected one of {', '.join(names)}", section=key
+                )
+            if key in sections:
+                raise MalformedInput(f"section '{key}:' is given twice", section=key)
             if m.group(2):
-                sections[m.group(1)] = m.group(2).strip()
+                sections[key] = m.group(2).strip()
             else:
-                name = m.group(1)
+                name = key
         elif name is not None:
             buf.append(line)
         elif line.strip():

@@ -96,8 +96,8 @@ from .surgery import (
 class AncillaStrategy:
     """How the auxiliary logical qubit is introduced.
 
-    kind "trivial": one bare physical qubit. kind "provided": a given
-    code with at least one logical qubit (its distance, when known, must
+    kind "trivial": one bare physical qubit. kind "provided": logical
+    ``index`` of a given code (for a CNOT, its distance, when known, must
     not undercut the data code's). kind "embedded": reuse an existing
     spare logical qubit of the data code itself.
     """
@@ -273,32 +273,30 @@ class MergeStep(PlanStep):
     def correction(self, plan: "SurgeryPlan", flipped_ids) -> Optional[PauliOperator]:
         """The correction for this merge's -1 outcomes, in its branch gauge.
 
-        A multi-generator merge is corrected through the logical class of
-        its flip pattern's gauge w. A single one takes the plan's rule for
-        its slot, once its gauge is checked to anticommute with the
-        measured operator: dual bases make the overlap odd.
+        The outcome gauge w, which must anticommute with exactly the flipped
+        measured operators, needs one exactly when its logical class is
+        nontrivial: as x_i . z_j = delta_ij, when it pairs oddly with a
+        base-code logical of the measured type. That is the slot's rule for
+        a single-slot merge that has one, else the plan's class correction.
         """
-        if flipped_ids.isdisjoint(self.measurement_ids):
+        ids = self.measurement_ids
+        if flipped_ids.isdisjoint(ids):
             return None
-        if len(self.measurement_ids) > 1:
-            base = plan.base_code
-            logicals = base.x_logicals if self.orientation == "Z" else base.z_logicals
-            if not logicals.class_coordinates(self._outcome_gauge(flipped_ids)).any():
-                return None
-            if plan.class_correction is None:
-                raise CorrectionUnavailable("plan carries no class correction rule")
-            return plan.class_correction
-        insert = self.branch_inserts[0]
-        if insert is not None:
-            part = insert.x if self.orientation == "Z" else insert.z
-            if int(part @ self.v1.row(0)) % 2 != 1:
-                raise EmptyOverlap(
-                    "branch gauge commutes with the measured operator; dual bases corrupted"
-                )
-        rule = plan.correction_rules.get(self.measurement_ids[0])
-        if rule is None:
-            raise CorrectionUnavailable(f"no correction rule for {self.measurement_ids[0]}")
-        return rule
+        w = self._outcome_gauge(flipped_ids)
+        if not np.array_equal(self.v1 @ w, [m in flipped_ids for m in ids]):
+            raise EmptyOverlap(
+                "branch gauge commutes with the measured operator; dual bases corrupted"
+            )
+        if not (_logicals(plan.base_code, self.orientation).matrix() @ w).any():
+            return None
+        single = len(ids) == 1
+        correction = plan.correction_rules.get(ids[0]) if single else None
+        correction = correction or plan.class_correction
+        if correction is None:
+            raise CorrectionUnavailable(
+                f"no correction rule for {ids[0]}" if single else "plan carries no class correction rule"
+            )
+        return correction
 
 
 @dataclass(frozen=True)
@@ -408,7 +406,7 @@ class SurgeryPlan:
     target: Optional[int]  # None when the ancilla itself is the target
     locality: bool = False
     correction_rules: dict = field(default_factory=dict)  # meas id -> PauliOperator
-    class_correction: Optional[PauliOperator] = None  # multi-generator merges
+    class_correction: Optional[PauliOperator] = None  # for every merge slot without its own rule
 
     def measurement_ids(self) -> list[str]:
         return _measurement_ids(self.steps)
@@ -597,71 +595,77 @@ def build_cnot_plan(
             raise DimensionMismatch("control and target must differ")
         if target < 0 or target >= code.k:
             raise DimensionMismatch(f"target index {target} out of range for k={code.k}")
+    attached = _resolve_ancilla(code, ancilla, (control, target))
+    base, anc, _ = attached
+    if ancilla.kind == "provided" and None not in (code.d, ancilla.code.d) and ancilla.code.d < code.d:
+        raise AncillaDistanceTooSmall(f"ancilla distance {ancilla.code.d} < data code distance {code.d}")
+    x, z = base.x_logical, base.z_logical
+    X, Z = PauliOperator.from_x, PauliOperator.from_z
+    partner = anc if target is None else target  # the logical the ancilla ends on
+    # each half: (side, data logical merged with the ancilla, branch gauge, rule in that gauge)
+    halves = [("Z", control, X(x(control)), X(x(control) ^ x(partner)))]
+    measure = None
+    if target is not None:
+        halves.append(("X", target, Z(z(anc)), Z(z(control))))
+        measure = ("Z", X(x(target)))
+    # a generator: each half's subcode is built after the merge before it
+    merges = (
+        (_joint_subcode(base, side, a, anc, locality, max_weight), gauge, rule)
+        for side, a, gauge, rule in halves
+    )
+    return _assemble_plan("cnot", attached, merges, measure, control, target, locality)
 
+
+def _resolve_ancilla(code: CssCode, ancilla: AncillaStrategy, reserved: tuple) -> tuple:
+    """(base code, ancilla index, init step): an embedded ancilla is a spare logical of
+    ``code`` outside ``reserved``; a trivial or provided one's code is placed after ``code``.
+    """
     if ancilla.kind == "embedded":
         if ancilla.index < 0:
-            raise DimensionMismatch(
-                f"embedded ancilla index {ancilla.index} out of range 0..{code.k - 1}"
-            )
-        if ancilla.index in (control, target) or ancilla.index >= code.k:
+            raise DimensionMismatch(f"embedded ancilla index {ancilla.index} out of range 0..{code.k - 1}")
+        if ancilla.index in reserved or ancilla.index >= code.k:
             raise DimensionMismatch("embedded ancilla must be a distinct spare logical")
-        base = code
-        anc = ancilla.index
-        init = InitAncilla(logical_index=anc, state="plus")
-    else:
-        anc_code = ancilla.code
-        if ancilla.kind == "trivial":
-            from .catalog import trivial_qubit
+        return code, ancilla.index, InitAncilla(logical_index=ancilla.index, state="plus")
+    anc_code = ancilla.code
+    if ancilla.kind == "trivial":
+        from .catalog import trivial_qubit
 
-            anc_code = trivial_qubit()
-        if anc_code is None or anc_code.k < 1:
-            raise DimensionMismatch("ancilla code must carry a logical qubit")
-        if (
-            ancilla.kind == "provided"
-            and code.d is not None
-            and anc_code.d is not None
-            and anc_code.d < code.d
-        ):
-            raise AncillaDistanceTooSmall(
-                f"ancilla distance {anc_code.d} < data code distance {code.d}"
-            )
-        base = direct_sum_code(code, anc_code)
-        anc = code.k + ancilla.index
-        init = InitAncilla(anc, "plus", anc_code.hx, anc_code.hz)
+        anc_code = trivial_qubit()
+    if anc_code is None or anc_code.k < 1:
+        raise DimensionMismatch("ancilla code must carry a logical qubit")
+    if not 0 <= ancilla.index < anc_code.k:
+        raise DimensionMismatch(f"ancilla index {ancilla.index} out of range 0..{anc_code.k - 1}")
+    anc = code.k + ancilla.index
+    return direct_sum_code(code, anc_code), anc, InitAncilla(anc, "plus", anc_code.hx, anc_code.hz)
+
+
+def _assemble_plan(
+    name, attached, merges, measure, control, target=None, locality=False, class_correction=None
+) -> SurgeryPlan:
+    """The plan: ancilla init, each merge with its split, then the ancilla's measurement if any.
+
+    ``attached`` is what ``_resolve_ancilla`` returns. Each merge is
+    (subcode, gauge, rule): a single slot's branch gauge and correction
+    rule, or None to solve the gauge per pattern; ``locality`` drops both.
+    ``measure`` is (basis, correction applied when the ancilla's logical
+    of that basis, measured as ``final.za`` or ``final.xa``, reads -1).
+    """
+    base, anc, init = attached
+    steps: list[PlanStep] = [init]
+    rules: dict[str, PauliOperator] = {}
+    for sub, gauge, rule in merges:
+        gauge, rule = (None, None) if locality else (gauge, rule)
+        merge, split = _merge_and_split(base, sub, anc, None if gauge is None else (gauge,))
+        steps += [merge, split]
+        if rule is not None:
+            rules[merge.measurement_ids[0]] = rule
+    if measure is not None:
+        basis, correction = measure
+        side = PauliOperator.from_z if basis == "Z" else PauliOperator.from_x
+        logical, mid = side(_logicals(base, basis).representatives[anc]), f"final.{basis.lower()}a"
+        steps += [MeasureLogical(logical, basis, mid), ApplyCorrection(correction, mid)]
     data = tuple(i for i in range(base.k) if i != anc)  # an ancilla code's spare logicals too
-
-    zsub = _joint_subcode(base, "Z", control, anc, locality, max_weight)
-    zinserts = None if locality else (PauliOperator.from_x(base.x_logical(control)),)
-    zmerge, zsplit = _merge_and_split(base, zsub, anc, zinserts)
-    steps: list[PlanStep] = [init, zmerge, zsplit]
-    # the rules are stated in the branch gauges that zinserts and xinserts fix
-    partner = anc if target is None else target  # the logical the ancilla ends on
-    zrule = PauliOperator.from_x(base.x_logical(control) ^ base.x_logical(partner))
-    rules: dict[str, PauliOperator] = {} if locality else {zmerge.measurement_ids[0]: zrule}
-    if target is not None:
-        xsub = _joint_subcode(base, "X", target, anc, locality, max_weight)
-        xinserts = None if locality else (PauliOperator.from_z(base.z_logical(anc)),)
-        xmerge, xsplit = _merge_and_split(base, xsub, anc, xinserts)
-        steps += [
-            xmerge,
-            xsplit,
-            MeasureLogical(PauliOperator.from_z(base.z_logical(anc)), "Z", "final.za"),
-            ApplyCorrection(PauliOperator.from_x(base.x_logical(target)), "final.za"),
-        ]
-        if not locality:
-            rules[xmerge.measurement_ids[0]] = PauliOperator.from_z(base.z_logical(control))
-
-    return SurgeryPlan(
-        name="cnot",
-        steps=tuple(steps),
-        base_code=base,
-        data_indices=data,
-        ancilla_index=anc,
-        control=control,
-        target=target,
-        locality=locality,
-        correction_rules=rules,
-    )
+    return SurgeryPlan(name, tuple(steps), base, data, anc, control, target, locality, rules, class_correction)
 
 
 def _joint_subcode(
@@ -732,33 +736,16 @@ def _merge_and_split(
 def pairwise_switch_plan(data: CssCode, anc: CssCode, sub: Subcode, name: str = "code_switch") -> SurgeryPlan:
     """Round-trip switch plan along a Z-subcode identifying the two codes.
 
-    Init the ancilla in |+>, Z-merge along ``sub``, then reverse:
-    X-split and X-basis measurement of the ancilla logical, correcting
-    with a Z on the surviving qubit when the outcome is -1. Merge
-    outcomes are corrected through their flip-pattern class.
+    Init the ancilla (logical 0 of ``anc``) in |+>, Z-merge along ``sub``,
+    X-split, and measure the ancilla in X, correcting -1 with a Z on data
+    logical 0 (the control); merge outcomes take an X on the control.
     """
-    base = direct_sum_code(data, anc)
+    attached = _resolve_ancilla(data, AncillaStrategy.provided(anc), ())
+    base, control = attached[0], 0
     sub = validate_subcode(base.complex, sub.v2, sub.v1, sub.v0, "Z")
-    merge, split = _merge_and_split(base, sub, 1, None)
-    steps: tuple[PlanStep, ...] = (
-        InitAncilla(1, "plus", anc.hx, anc.hz),
-        merge,
-        split,
-        MeasureLogical(PauliOperator.from_x(base.x_logical(1)), "X", "final.xa"),
-        ApplyCorrection(PauliOperator.from_z(base.z_logical(0)), "final.xa"),
-    )
-    return SurgeryPlan(
-        name=name,
-        steps=steps,
-        base_code=base,
-        data_indices=(0,),
-        ancilla_index=1,
-        control=0,
-        target=None,
-        locality=False,
-        correction_rules={},
-        class_correction=PauliOperator.from_x(base.x_logical(0)),
-    )
+    measure = ("X", PauliOperator.from_z(base.z_logical(control)))
+    rule = PauliOperator.from_x(base.x_logical(control))
+    return _assemble_plan(name, attached, [(sub, None, None)], measure, control, class_correction=rule)
 
 
 def code_switch_plan() -> SurgeryPlan:
@@ -1133,10 +1120,19 @@ def _is_trailing_block(checks: F2Matrix, block: F2Matrix) -> bool:
 
 
 def _merge_from_json(ctx: dict, orientation: str, v2, v1, v0, inserts) -> tuple[PlanStep, ...]:
+    """The merge and its split; a declared branch gauge must commute with the checks of its type."""
     base = ctx["base"]
     spaces = (Subspace.from_matrix_rows(v) for v in (v2, v1, v0))
     sub = validate_subcode(base.complex, *spaces, orientation)
-    return _merge_and_split(base, sub, ctx["ancilla_index"], inserts)
+    steps = _merge_and_split(base, sub, ctx["ancilla_index"], inserts)
+    checks = base.hz if orientation == "Z" else base.hx
+    for j, ins in enumerate(inserts):
+        if ins is not None and (checks @ (ins.x if orientation == "Z" else ins.z)).any():
+            raise MalformedInput(
+                f"branch insert {j} leaves the codespace: it anticommutes with a {orientation} check",
+                section="branch_inserts",
+            )
+    return steps
 
 
 def _measure_from_json(ctx: dict, pauli: PauliOperator, basis: str, measurement_id: str):
@@ -1259,9 +1255,11 @@ def plan_from_json(text: str) -> SurgeryPlan:
     correction conditioned on no earlier measurement, a measurement id
     used twice, repeated ``data_indices`` or ones that include the
     ancilla, a ``target`` equal to ``control``, a ``correction_rules``
-    key that no merge measures, and a ``measure_logical`` Pauli that is
-    not the ancilla's logical of its ``basis`` type with sign +1
-    (section ``steps[i].pauli``). A field that is
+    key that no merge measures, a ``measure_logical`` Pauli that is not
+    the ancilla's logical of its ``basis`` type with sign +1 (section
+    ``steps[i].pauli``), and a branch insert that anticommutes with a
+    base-code check of its merge's type (section
+    ``steps[i].branch_inserts``). A field that is
     missing, of the wrong type or out of range, a Pauli not on the base
     code's qubits included, raises MalformedInput whose section names it
     (``steps[2].v1`` for a field of a step).

@@ -46,7 +46,6 @@ from .f2linalg import (
     image_basis,
     invert,
     kernel_basis,
-    quotient_basis,
     rank,
     rref,
     section_matrix,
@@ -106,7 +105,7 @@ class Subcode:
 
     @classmethod
     def from_text(cls, text: str, parent: ChainComplex) -> "Subcode":
-        sections = split_sections(text)
+        sections = split_sections(text, ("orientation", "v2", "v1", "v0"))
         orientation = sections.get("orientation", "Z").strip().upper()
         spaces = {}
         for name in ("v2", "v1", "v0"):
@@ -387,7 +386,8 @@ def analyze_merge(m: MergeResult) -> ExactSequenceReport:
     """Homology analysis of a merge via the subcode's own complex."""
     own = m.subcode.own_complex()
     h1v = homology(own, 1)
-    h0v = homology(own, 0)
+    # rank-nullity: dim H0(V) = dim V0 - rank d1 = dim V0 - dim V1 + dim ker d1
+    h0_dim = own.dim0 - own.dim1 + own.cycles.dim
     src_basis = homology(m.source, 1)
     tgt_basis = homology(m.quotient, 1)
     induced = induced_on_homology(m.p, 1, src_basis, tgt_basis)
@@ -404,19 +404,19 @@ def analyze_merge(m: MergeResult) -> ExactSequenceReport:
     coords = src_basis._coordinates(embedded.a).a
     killed = coords[:, coords.any(axis=0)]
 
-    # created classes: complement of im(p1*) in the quotient basis
-    created_coord_vecs = quotient_basis(tgt_basis.dim, Subspace.full(tgt_basis.dim), img)
+    # created classes: complement of im(p1*) in the quotient basis, one unit vector each
+    created = quotient_basis_units(tgt_basis.dim, img).T
     return ExactSequenceReport(
         orientation=m.orientation,
         h1_subcode_dim=h1v.dim,
-        h0_subcode_dim=h0v.dim,
-        surjective_guaranteed=h0v.dim == 0,
+        h0_subcode_dim=h0_dim,
+        surjective_guaranteed=h0_dim == 0,
         injective_guaranteed=h1v.dim == 0,
         matrix_surjective=matrix_surjective,
         matrix_injective=matrix_injective,
         induced_matrix=induced,
         killed_coords=_independent_columns(killed),
-        created_coords=F2Matrix.from_rows(created_coord_vecs, cols=tgt_basis.dim),
+        created_coords=created,
         source_basis=src_basis,
     )
 

@@ -8,7 +8,9 @@ import pytest
 
 from chainsurg import catalog, protocols
 from chainsurg.cli import main
+from chainsurg.chaincomplex import ChainComplex
 from chainsurg.csscode import CssCode
+from chainsurg.errors import MalformedInput
 from chainsurg.protocols import direct_sum_code, plan_channel, plan_from_json
 
 SCHEMA = json.loads(
@@ -451,6 +453,176 @@ class TestMalformedInputs:
         payload = self._error(capsys, ["simulate", "--plan", str(plan_file)])
         assert payload["file"] == str(plan_file) and payload["section"] == "steps[1].p1"
         assert "p1" in payload["message"]
+
+
+class TestNothingSilentlyAccepted:
+    """Input that would otherwise be ignored or overwritten ends in exit 1 with a JSON error."""
+
+    def _error(self, capsys, argv):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1 and not captured.out
+        return json.loads(captured.err)
+
+    @pytest.mark.parametrize(
+        "edit, section, message",
+        [
+            (lambda t: t.replace("xl:", "x1:"), "x1", "unknown section 'x1:', expected one of hx, hz, zl, xl"),
+            (lambda t: t + "hx:\n1 7\n1111111\n", "hx", "section 'hx:' is given twice"),
+        ],
+        ids=["unknown", "repeated"],
+    )
+    def test_code_file_sections(self, tmp_path, capsys, edit, section, message):
+        bad = tmp_path / "bad.code"
+        bad.write_text(edit(catalog.steane().to_text()))
+        payload = self._error(capsys, ["validate", str(bad)])
+        assert payload == {"error": "MalformedInput", "message": message, "file": str(bad), "section": section}
+
+    def test_subcode_file_sections(self, welding_files, capsys):
+        code, sub = welding_files
+        text = Path(sub).read_text()
+        Path(sub).write_text(text + "orientation: X\n")
+        payload = self._error(capsys, ["merge", code, "--subcode", sub])
+        assert payload == {
+            "error": "MalformedInput",
+            "message": "section 'orientation:' is given twice",
+            "file": sub,
+            "section": "orientation",
+        }
+        Path(sub).write_text(text.replace("v0:", "w0:"))
+        payload = self._error(capsys, ["merge", code, "--subcode", sub])
+        assert payload["section"] == "w0" and payload["file"] == sub
+        assert payload["message"] == "unknown section 'w0:', expected one of orientation, v2, v1, v0"
+
+    def test_complex_file_sections(self):
+        text = catalog.steane().complex.to_text()
+        assert ChainComplex.from_text(text).dim1 == 7
+        with pytest.raises(MalformedInput, match="unknown section 'hx:'") as err:
+            ChainComplex.from_text(text + "hx:\n0 7\n")
+        assert err.value.section == "hx"
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["{code}"], "a code"),
+            (["--control", "0"], "--control"),
+            (["--target", "1"], "--target"),
+            (["--ancilla", "trivial"], "--ancilla"),
+            (["{code}", "--control", "0", "--ancilla", "embedded:1"], "a code, --control, --ancilla"),
+        ],
+    )
+    def test_simulate_plan_refuses_what_the_plan_fixes(self, steane_file, tmp_path, capsys, extra, named):
+        plan_file = tmp_path / "plan.json"
+        assert main(["cnot", steane_file, "--control", "0", "--out", str(plan_file)]) == 0
+        capsys.readouterr()
+        extra = [steane_file if a == "{code}" else a for a in extra]
+        payload = self._error(capsys, ["simulate", "--plan", str(plan_file)] + extra)
+        assert payload == {
+            "error": "ChainsurgError",
+            "message": f"simulate --plan takes no {named}: the plan fixes them",
+        }
+
+    @pytest.mark.parametrize("second", ["zmerge.zz0=-1", "zmerge.zz0=1"])
+    def test_repeated_outcome_id(self, steane_file, capsys, second):
+        argv = ["simulate", steane_file, "--control", "0", "--outcome", "zmerge.zz0=1", "--outcome", second]
+        payload = self._error(capsys, argv)
+        assert payload == {"error": "ChainsurgError", "message": "--outcome 'zmerge.zz0' is given twice"}
+
+
+class TestUnreachedErrorPaths:
+    """Error paths that no other test reaches: each asserts the exit code and the payload."""
+
+    def _error(self, capsys, argv):
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 1 and not captured.out
+        return json.loads(captured.err)
+
+    @pytest.fixture()
+    def plan_doc(self, steane_file, tmp_path, capsys):
+        plan_file = tmp_path / "plan.json"
+        assert main(["cnot", steane_file, "--control", "0", "--out", str(plan_file)]) == 0
+        capsys.readouterr()
+        return plan_file, json.loads(plan_file.read_text())
+
+    def test_plan_not_valid_json(self, plan_doc, capsys):
+        plan_file, _ = plan_doc
+        plan_file.write_text("{")
+        payload = self._error(capsys, ["simulate", "--plan", str(plan_file)])
+        assert payload["error"] == "MalformedInput" and payload["file"] == str(plan_file)
+        assert payload["message"].startswith("not valid JSON: ") and "section" not in payload
+
+    @pytest.mark.parametrize("text, shown", [("[]", "None"), ('{"schema": "other/1"}', "'other/1'")])
+    def test_not_a_plan_document(self, plan_doc, capsys, text, shown):
+        plan_file, _ = plan_doc
+        plan_file.write_text(text)
+        payload = self._error(capsys, ["simulate", "--plan", str(plan_file)])
+        assert payload == {"error": "DimensionMismatch", "message": f"not a plan document: {shown}"}
+
+    @pytest.mark.parametrize(
+        "edit, expected",
+        [
+            (
+                lambda doc: doc["steps"].__setitem__(1, 5),
+                {"error": "MalformedInput", "message": "a step must be an object", "section": "steps[1]"},
+            ),
+            (
+                lambda doc: doc["steps"].append({"kind": "teleport"}),
+                {"error": "DimensionMismatch", "message": "unknown plan step kind 'teleport'"},
+            ),
+            (
+                lambda doc: doc.update(base_hx=[], base_hz=[], base_zl=[], base_xl=[]),
+                {"error": "MalformedInput", "message": "base code matrices are all empty", "section": "base_hx"},
+            ),
+        ],
+        ids=["step_not_object", "unknown_kind", "empty_base"],
+    )
+    def test_malformed_plan(self, plan_doc, capsys, edit, expected):
+        plan_file, doc = plan_doc
+        assert [s["kind"] for s in doc["steps"]] == ["init_ancilla", "merge", "split"]
+        edit(doc)
+        plan_file.write_text(json.dumps(doc))
+        payload = self._error(capsys, ["simulate", "--plan", str(plan_file)])
+        if expected["error"] == "MalformedInput":
+            expected = {**expected, "file": str(plan_file)}
+        assert payload == expected
+
+    def test_input_not_utf8(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.code"
+        bad.write_bytes(b"hx:\n1 2\n11\n\xe9\n")
+        payload = self._error(capsys, ["validate", str(bad)])
+        assert payload == {"error": "MalformedInput", "message": "input is not UTF-8 text", "file": str(bad)}
+
+    def test_simulate_without_plan_or_control(self, steane_file, capsys):
+        expected = {"error": "ChainsurgError", "message": "simulate needs either --plan or a code with --control"}
+        assert self._error(capsys, ["simulate"]) == expected
+        assert self._error(capsys, ["simulate", steane_file]) == expected
+
+    def test_catalog_export_without_name(self, capsys):
+        payload = self._error(capsys, ["catalog", "export"])
+        assert payload == {"error": "ChainsurgError", "message": "catalog export needs a name"}
+
+    def test_catalog_export_to_stdout(self, capsys):
+        assert main(["catalog", "export", "steane"]) == 0
+        assert capsys.readouterr().out == catalog.steane().to_text()
+
+    @pytest.mark.parametrize("target", ["1", "-1"])
+    def test_cnot_target_out_of_range(self, steane_file, capsys, target):
+        payload = self._error(capsys, ["cnot", steane_file, "--control", "0", "--target", target])
+        assert payload == {"error": "DimensionMismatch", "message": f"target index {target} out of range for k=1"}
+
+    def test_provided_ancilla_without_logicals(self, steane_file, tmp_path, capsys):
+        k0 = tmp_path / "k0.code"
+        k0.write_text("hx:\n1 2\n11\nhz:\n1 2\n11\n")
+        payload = self._error(capsys, ["cnot", steane_file, "--control", "0", "--ancilla", str(k0)])
+        assert payload == {"error": "DimensionMismatch", "message": "ancilla code must carry a logical qubit"}
+
+    def test_injective_flag_in_human_analysis(self, tmp_path, capsys):
+        assert main(["catalog", "export", "example:partial_boundary", "--dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        code, sub = (str(tmp_path / f"partial_boundary.{ext}") for ext in ("code", "sub"))
+        assert main(["merge", code, "--subcode", sub, "--analyze"]) == 0
+        assert "guaranteed flags: injective\n" in capsys.readouterr().out
 
 
 class TestUnwritableOutput:

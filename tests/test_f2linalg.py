@@ -269,7 +269,7 @@ class TestTextFormat:
 
     def test_sections(self):
         text = "orientation: Z\nv1:\n1 2\n01\nv0:\n0 2\n"
-        sections = split_sections(text)
+        sections = split_sections(text, ("orientation", "v2", "v1", "v0"))
         assert sections["orientation"] == "Z"
         assert parse_matrix(sections["v1"]).rows == 1
 
@@ -661,7 +661,7 @@ class TestParsing:
             parse_matrix("1 100000000000\n01\n")
 
     def test_section_named(self):
-        sections = split_sections("hx:\n1 2\n01\nhz:\n1 2\n0b\n")
+        sections = split_sections("hx:\n1 2\n01\nhz:\n1 2\n0b\n", ("hx", "hz", "zl", "xl"))
         assert f2linalg.section_matrix(sections, "hx") == F2Matrix([[0, 1]])
         for name in ("hz", "zl"):
             with pytest.raises(MalformedInput) as exc:

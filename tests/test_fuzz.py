@@ -48,7 +48,7 @@ def _text_readers() -> dict:
     steane_sub = catalog.worked_example("steane_z_subcode")
     return {
         "matrix": (format_matrix(steane.hx), parse_matrix),
-        "sections": (steane.to_text(), split_sections),
+        "sections": (steane.to_text(), lambda text: split_sections(text, ("hx", "hz", "zl", "xl"))),
         "steane": (steane.to_text(), CssCode.from_text),
         "toric2": (catalog.toric(2).to_text(), CssCode.from_text),
         "steane_subcode": (

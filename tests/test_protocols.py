@@ -40,6 +40,7 @@ from chainsurg.protocols import (
     propagate_pauli,
     singleton_check,
 )
+from chainsurg.simverify import PHASE_TOL
 from chainsurg.surgery import quotient_merge, validate_subcode
 from test_plan_golden import PLANS as GOLDEN_PLANS
 
@@ -101,6 +102,14 @@ class TestBuildCnotPlan:
                 target=None,
                 ancilla=AncillaStrategy.provided(catalog.surface_patch(2, 2)),
             )
+
+    @pytest.mark.parametrize("index", [1, -1])
+    def test_provided_ancilla_index_out_of_range(self, steane, index):
+        # a k = 1 ancilla code has only logical 0
+        strategy = AncillaStrategy.provided(steane, index)
+        with pytest.raises(DimensionMismatch) as err:
+            build_cnot_plan(steane, control=0, target=None, ancilla=strategy)
+        assert str(err.value) == f"ancilla index {index} out of range 0..0"
 
     def test_embedded_needs_spare(self, toric2):
         with pytest.raises(DimensionMismatch):
@@ -573,6 +582,45 @@ class TestCodeSwitch:
         assert np.max(np.abs(plan_channel(plan) - np.eye(2))) < 1e-9
 
 
+class TestSingleGeneratorSwitch:
+    """A switch whose merge measures the one joint operator z_0 + z_a, with k = 1 and k = 2.
+
+    Its -1 merge outcome is corrected through the class of its solved
+    branch gauge, and the ancilla follows the data logicals.
+    """
+
+    @staticmethod
+    def _plan(data):
+        anc = catalog.trivial_qubit()
+        base = direct_sum_code(data, anc)
+        cx = base.complex
+        joint = Subspace.from_vectors([base.z_logical(0) ^ base.z_logical(data.k)], cx.dim1)
+        sub = validate_subcode(cx, Subspace.zero(cx.dim2), joint, Subspace.zero(cx.dim0), "Z")
+        return pairwise_switch_plan(data, anc, sub)
+
+    @pytest.mark.parametrize(
+        "name, ancilla, data", [("steane", 1, (0,)), ("toric_2", 2, (0, 1))]
+    )
+    def test_every_outcome_pattern_is_corrected(self, name, ancilla, data):
+        plan = self._plan(catalog.catalog_code(name))
+        assert (plan.ancilla_index, plan.data_indices) == (ancilla, data)
+        ids = plan.measurement_ids()
+        assert ids == ["zmerge.zz0", "final.xa"]
+        expected = expected_plan_channel(plan)
+        for signs in itertools.product((1, -1), repeat=len(ids)):
+            channel = plan_channel(plan, dict(zip(ids, signs)))
+            assert np.max(np.abs(channel - expected)) < PHASE_TOL, signs
+
+    @pytest.mark.parametrize("name", ["steane", "toric_2"])
+    def test_action_is_the_identity_on_the_data_logicals(self, name):
+        plan = self._plan(catalog.catalog_code(name))
+        action = plan_symplectic_action(plan)
+        unit = np.eye(plan.base_code.k, dtype=np.uint8)
+        for i in plan.data_indices:
+            assert np.array_equal(action[f"X{i}"][0], unit[i]) and not action[f"X{i}"][1].any()
+            assert np.array_equal(action[f"Z{i}"][1], unit[i]) and not action[f"Z{i}"][0].any()
+
+
 def _steane_pair_subcode(steane):
     """Z-subcode identifying two Steane blocks qubit by qubit and check by check."""
     from chainsurg.chaincomplex import direct_sum
@@ -648,6 +696,23 @@ class TestPlanLoading:
         with pytest.raises(MalformedInput, match="trailing diagonal block") as err:
             plan_from_json(json.dumps(doc))
         assert err.value.section == f"steps[0].{field}"
+
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_branch_insert_leaving_the_codespace(self, step):
+        # a golden plan's declared gauge, moved by one qubit onto the support
+        # of a check of the merge's type, no longer commutes with that check
+        plan = GOLDEN_PLANS["toric3_full"]()
+        doc = json.loads(plan_to_json(plan))
+        merge = doc["steps"][step]
+        side, checks = ("x", plan.base_code.hz) if merge["orientation"] == "Z" else ("z", plan.base_code.hx)
+        qubit = int(np.flatnonzero(checks.row(0))[0])
+        merge["branch_inserts"][0][side][qubit] ^= 1
+        with pytest.raises(MalformedInput) as err:
+            plan_from_json(json.dumps(doc))
+        assert err.value.section == f"steps[{step}].branch_inserts"
+        assert str(err.value) == (
+            f"branch insert 0 leaves the codespace: it anticommutes with a {merge['orientation']} check"
+        )
 
     def test_load_builds_each_split_once(self, patch_plan, monkeypatch):
         import chainsurg.protocols
@@ -838,6 +903,18 @@ class TestPropagation:
         assert not flips
         merged = from_parity_checks(m.quotient.d1, m.quotient.d2.T)
         assert merged.z_stabilizer_space().contains(out.z)
+
+
+class TestSplitProjectionFlips:
+    def test_a_non_normalizer_records_the_projection_it_anticommutes_with(self):
+        # the X-split of a locality plan re-imposes the X-check IIXXXIIIIII
+        # of the merged register, which a Z on merged qubit 2 anticommutes with
+        split = GOLDEN_PLANS["two_patch_locality_w2"]().steps[2]
+        assert isinstance(split, SplitStep) and split.orientation == "X"
+        z = np.zeros(split.merge.quotient.dim1, dtype=np.uint8)
+        z[2] = 1
+        _, flips = propagate_pauli(split, PauliOperator.from_z(z))
+        assert flips == {"xsplit.proj.+IIXXXIIIIII": 1}
 
 
 class TestSingleton:

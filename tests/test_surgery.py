@@ -396,6 +396,27 @@ class TestAnalyzeMerge:
         assert rep.matrix_injective
         assert rep.killed_count == 0
 
+    def test_welding_analysis_eliminates_eleven_times(self, tmp_path, capsys):
+        import chainsurg
+        from chainsurg import f2linalg
+        from chainsurg.cli import main
+
+        assert main(["catalog", "export", "example:welding", "--dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        calls, original = [], f2linalg.rref
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            for module in vars(chainsurg).values():
+                if getattr(module, "rref", None) is original:
+                    mp.setattr(module, "rref", counted)
+            code, sub = (str(tmp_path / f"welding.{ext}") for ext in ("code", "sub"))
+            assert main(["--json", "merge", code, "--subcode", sub, "--analyze"]) == 0
+        assert len(calls) == 11
+
     def test_report_json_schema_fields(self):
         import json
 
