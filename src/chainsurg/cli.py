@@ -247,20 +247,20 @@ def _cmd_switch(args) -> int:
     return 0
 
 
+def _refuse_ignored(command: str, arguments, reason: str = "") -> None:
+    """Refuse every (name, value) of ``arguments`` that was given, as ``command`` would ignore it."""
+    given = [name for name, value in arguments if value is not None]
+    if given:
+        raise ChainsurgError(f"{command} takes no {', '.join(given)}{reason}")
+
+
 def _cmd_simulate(args) -> int:
     if args.plan:
-        given = [
-            name
-            for name, value in (
-                ("a code", args.code),
-                ("--control", args.control),
-                ("--target", args.target),
-                ("--ancilla", args.ancilla),
-            )
-            if value is not None
-        ]
-        if given:
-            raise ChainsurgError(f"simulate --plan takes no {', '.join(given)}: the plan fixes them")
+        _refuse_ignored(
+            "simulate --plan",
+            (("a code", args.code), ("--control", args.control), ("--target", args.target), ("--ancilla", args.ancilla)),
+            ": the plan fixes them",
+        )
         plan = _read_input(args.plan, plan_from_json)
     else:
         if args.code is None or args.control is None:
@@ -299,6 +299,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_catalog(args) -> int:
     if args.action == "list":
+        _refuse_ignored("catalog list", ((f"name {args.name!r}", args.name), ("--out", args.out), ("--dir", args.dir)))
         names = catalog.catalog_names() + [f"example:{n}" for n in catalog.example_names()]
         _emit(args, {"type": "catalog", "names": names}, "\n".join(names))
         return 0
@@ -306,6 +307,7 @@ def _cmd_catalog(args) -> int:
     if name is None:
         raise ChainsurgError("catalog export needs a name")
     if name.startswith("example:"):
+        _refuse_ignored(f"catalog export {name}", (("--out", args.out),), ": an example's files go to --dir")
         ex = catalog.worked_example(name.split(":", 1)[1])
         # the scenario's parent code (the direct sum for two-code examples)
         parent_code = from_parity_checks(ex.parent.d1, ex.parent.d2.T)
@@ -327,6 +329,7 @@ def _cmd_catalog(args) -> int:
             _write_output(path, text)
         _emit(args, {"type": "catalog-export", "files": files}, "\n".join(files))
         return 0
+    _refuse_ignored(f"catalog export {name}", (("--dir", args.dir),), ": a code goes to --out or stdout")
     code = catalog.catalog_code(name)
     text = code.to_text()
     if args.out:

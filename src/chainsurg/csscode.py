@@ -397,7 +397,8 @@ class Encoder:
     ``fixed``, when set, is (index, state): that logical input is
     contracted with a 1-qubit state, and labels run over the other
     logicals in their order. Nothing of size 2^n x 2^k is held:
-    ``column`` builds one 2^n state, ``adjoint`` builds E^dagger, the
+    ``column`` builds one 2^n state, ``supports`` lists every label's
+    nonzero amplitudes without building any, ``adjoint`` builds E^dagger, the
     one dense array channel extraction needs (its BLAS product with each
     state fixes the pinned channel bits), and ``matrix`` builds E for
     callers that read it.
@@ -439,6 +440,15 @@ class Encoder:
         for base, value in self._terms(label):
             col[self.orbit ^ base] = value
         return col
+
+    def supports(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every label's state on its cosets: sorted int64 keys ``(label << n) | index``
+        and the complex128 amplitude ``column(label)`` holds at each; the rest is zero."""
+        terms = [((u << self.code.n) | base, value) for u in range(1 << self.k) for base, value in self._terms(u)]
+        keys = (np.array([key for key, _ in terms], dtype=np.int64)[:, None] ^ self.orbit).ravel()
+        values = np.repeat(np.array([value for _, value in terms], dtype=np.complex128), len(self.orbit))
+        order = np.argsort(keys)
+        return keys[order], values[order]
 
     @property
     def matrix(self) -> np.ndarray:

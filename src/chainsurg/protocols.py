@@ -138,6 +138,8 @@ class PlanStep:
     own class: a dataclass would take a value set here as a field default.
     """
 
+    merge_side: Optional[str] = None  # the Pauli type a merge measures; None for other kinds
+
     def transport(self, p: PauliOperator) -> tuple[PauliOperator, dict]:
         """The Pauli on the step's output register, and the measurement ids it flips."""
         return p, {}
@@ -197,6 +199,7 @@ class MergeStep(PlanStep):
     branch_inserts: tuple[Optional[PauliOperator], ...] = ()
 
     # the subcode generators and the projection as plan JSON stores them
+    merge_side = property(lambda self: self.orientation)
     v2 = property(lambda self: self.merge.subcode.v2.basis)
     v1 = property(lambda self: self.merge.subcode.v1.basis)
     v0 = property(lambda self: self.merge.subcode.v0.basis)
@@ -655,7 +658,7 @@ def _assemble_plan(
     rules: dict[str, PauliOperator] = {}
     for sub, gauge, rule in merges:
         gauge, rule = (None, None) if locality else (gauge, rule)
-        merge, split = _merge_and_split(base, sub, anc, None if gauge is None else (gauge,))
+        merge, split = _merge_and_split(base, sub, anc, None if gauge is None else (gauge,), steps)
         steps += [merge, split]
         if rule is not None:
             rules[merge.measurement_ids[0]] = rule
@@ -701,19 +704,24 @@ def _merge_and_split(
     sub: Subcode,
     anc: int,
     inserts: Optional[Sequence[Optional[PauliOperator]]],
+    earlier: Sequence[PlanStep] = (),
 ) -> tuple[MergeStep, SplitStep]:
     """The merge of ``base`` along ``sub`` and the split that undoes it.
 
     The merge measures one slot per generator of ``sub.v1``, named
-    ``zmerge.zz<i>`` (``xmerge.xx<i>`` for an X-merge). ``inserts`` are
-    the slots' branch gauges, or None to solve them per outcome pattern.
+    ``zmerge.zz<i>`` (``xmerge.xx<i>`` for an X-merge) when it is the
+    first merge of its type among the ``earlier`` steps, and
+    ``zmerge<j>.zz<i>`` when j merges of its type come before it.
+    ``inserts`` are the slots' branch gauges, or None to solve them per
+    outcome pattern.
     The merge carries the map it induces on the logicals of its own side,
     from the basis of ``base`` to the pushed basis of the merged code; the
     split reads its own from the merge, without building the merged code.
     """
     merge = quotient_merge(base.complex, sub)
     side = sub.orientation
-    ids = tuple(f"{side.lower()}merge.{side.lower() * 2}{i}" for i in range(sub.v1.dim))
+    j = sum(step.merge_side == side for step in earlier)
+    ids = tuple(f"{side.lower()}merge{j or ''}.{side.lower() * 2}{i}" for i in range(sub.v1.dim))
     inserts = (None,) * len(ids) if inserts is None else tuple(inserts)
     if len(inserts) != len(ids):
         raise DimensionMismatch(
@@ -1124,7 +1132,7 @@ def _merge_from_json(ctx: dict, orientation: str, v2, v1, v0, inserts) -> tuple[
     base = ctx["base"]
     spaces = (Subspace.from_matrix_rows(v) for v in (v2, v1, v0))
     sub = validate_subcode(base.complex, *spaces, orientation)
-    steps = _merge_and_split(base, sub, ctx["ancilla_index"], inserts)
+    steps = _merge_and_split(base, sub, ctx["ancilla_index"], inserts, ctx["steps"])
     checks = base.hz if orientation == "Z" else base.hx
     for j, ins in enumerate(inserts):
         if ins is not None and (checks @ (ins.x if orientation == "Z" else ins.z)).any():
@@ -1343,6 +1351,7 @@ def plan_from_json(text: str) -> SurgeryPlan:
 def _steps_from_json(entries: list, ctx: dict) -> list[PlanStep]:
     """The steps the entries rebuild, each derived field checked against its rebuilt value."""
     steps: list[PlanStep] = []
+    ctx = {**ctx, "steps": steps}  # the steps rebuilt so far
     for i, entry in enumerate(entries):
         with _within(f"steps[{i}]"):
             kind = entry.field("kind", "str")

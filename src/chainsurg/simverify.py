@@ -3,23 +3,31 @@
 Physical operations are parity maps, Hadamard-conjugated parity maps,
 post-selected stabilizer projections, and Pauli gates; channels are
 extracted by conjugating an operation list with encoders. Everything is
-exact linear algebra on dense state vectors (n <= 20 qubits).
+exact floating-point arithmetic, with the bytes of dense state vectors
+(n <= 20 qubits).
 
-Encoders are coset tables (``csscode.Encoder``): an input column is built
-as one 2^n state when it is simulated. The one dense 2^n x 2^k array is
-E_out^dagger, because the BLAS product of it with each simulated state
-fixes the channel's pinned floating-point bits.
+Every op maps CSS states to CSS states, and a CSS state lives on an
+affine support (Dehaene & De Moor, PRA 68, 042318, 2003): a small share
+of the 2^n indices. So channel extraction holds the states of all input
+columns as one ``Supports``: sorted (column, basis index) keys with their
+amplitudes, seeded from the ``csscode.Encoder`` cosets. Each op kind has
+a support rule next to its dense ``apply``, with the same numpy
+arithmetic, in the same order, on the same operands: a parity map moves
+key x to A x and sums collisions in ascending x, a Hadamard-conjugated
+parity map moves x to its preimages y0(x) + ker A^T, and a Pauli gate
+or projection pairs key x with x ^ mask and signs by the Z parity.
+Entries off the supports equal the all-(+0+0j) vector pushed through the
+same ops; it is built densely, at most once per channel, only when read.
+Each op builds its support map (byte tables of its index map) once and
+keeps it, so ops a plan step holds keep theirs as long as the plan.
 
-Each op kind is a class that applies itself in O(2^n): a parity map
-scatters amplitude x to A x, a Hadamard-conjugated parity map gathers
-out[y] = 2^{(in-out)/2} * amps[A^T y] (no Walsh-Hadamard transform is
-taken), and a Pauli gate permutes by its X part and signs by its Z
-parity; a projection adds its Pauli's action to the state and halves.
-Every op maps CSS states to CSS states by a fixed XOR-linear index map,
-so its table depends on the op alone and not on the state: each op
-builds its int32 table the first time it is applied and keeps it, so a
-channel builds it once for all input columns, and ops a plan step holds
-keep theirs as long as the plan.
+The dense ``apply`` of each kind runs in O(2^n) from an int32 table it
+builds on first use: ``apply`` on a ``StateVector``, the background, and
+channels small enough (``DENSE_CHANNEL_AMPLITUDES``) that the support
+rules' fixed cost would exceed it use it. Each column is handed off as
+one dense 2^n state to the one dense 2^n x 2^k array, E_out^dagger,
+because the BLAS product of it with each state fixes the channel's
+pinned floating-point bits.
 """
 from __future__ import annotations
 
@@ -84,22 +92,100 @@ class StateVector:
 
 
 class PhysicalOp:
-    """An op on dense amplitudes: ``apply`` maps 2^n_in of them to 2^n_out.
+    """An op on 2^n_in amplitudes, dense or on the supports of a channel's columns.
 
-    Each kind builds its ``table`` (int32 indices, and a Pauli's int8 Z
-    signs) the first time it is applied and keeps it for every later
-    state. Indexing casts the int32 table in buffered chunks (``np.take``
-    would copy it to int64 first), and each application allocates one
-    output array and works in it.
+    ``apply`` maps 2^n_in dense amplitudes to 2^n_out: each kind builds
+    its ``table`` (int32 indices, and a Pauli's int8 Z signs) the first
+    time it is applied densely and keeps it. Indexing casts the int32
+    table in buffered chunks (``np.take`` would copy it to int64 first),
+    and each application allocates one output array and works in it.
+
+    ``apply_support`` maps ``Supports`` by the same numpy arithmetic, in
+    the same order, on the same operands, for the entries each column
+    holds: its ``support_map`` (byte tables of an XOR-linear index map,
+    or a Pauli's masks) is built on first use and kept, and costs no 2^n
+    array. ``keeps_zero`` says whether ``apply`` maps the all-(+0+0j)
+    vector to itself.
     """
+
+    keeps_zero = True
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def apply_support(self, states: "Supports") -> "Supports":
+        raise NotImplementedError
+
+
+def _row_indices(m: np.ndarray) -> list[int]:
+    """The basis index of each row of a 0/1 array (its first column is the top bit)."""
+    return (m @ (1 << np.arange(m.shape[1] - 1, -1, -1, dtype=np.int64))).tolist()
+
 
 def _parity_indices(a: F2Matrix) -> np.ndarray:
     """Output basis index A @ x for every input index x, as int32 (n <= 20)."""
-    return linear_indices([bits_to_index(a.a[:, j]) for j in range(a.cols)], np.int32)
+    return linear_indices(_row_indices(a.a.T), np.int32)
+
+
+# The bits of every byte value, most significant first.
+_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(7, -1, -1)) & 1
+
+
+def _byte_tables(columns: Sequence[int]) -> tuple[tuple[int, np.ndarray], ...]:
+    """The map x -> XOR of columns[j] over the set bits x_j (x_0 the top bit), by
+    bytes of x: (shift, table) pairs whose lookups of (x >> shift) XOR to its value."""
+    n, out = len(columns), []
+    for start in range(0, n, 8):
+        part = np.array(columns[start : start + 8], dtype=np.int64)
+        width = len(part)
+        table = np.bitwise_xor.reduce(_BYTE_BITS[: 1 << width, 8 - width :] * part, axis=1)
+        out.append((n - start - width, table))
+    return tuple(out)
+
+
+def _preimages(a: np.ndarray) -> tuple[list[int], list[int]]:
+    """Solving A^T y = x for a 0/1 array A, by one elimination on basis indices.
+
+    Returns the columns (as for ``_byte_tables``) of the linear map
+    x -> (r(x) << rows) | g(x), where r(x) = 0 exactly when x is in the
+    image and A^T g(x) = x then, and a basis of ker A^T. The elimination
+    keeps a fully reduced basis of the image: each member has one pivot
+    bit that no other member has, and the preimage it came from.
+    """
+    rows, cols = a.shape
+    basis: dict[int, tuple[int, int]] = {}  # pivot bit -> (image, preimage)
+    kernel = []
+    for j, image in enumerate(_row_indices(a)):  # A^T of unit y_j is row j of A
+        pre = 1 << (rows - 1 - j)
+        for bit, (b, bp) in basis.items():
+            if image >> bit & 1:
+                image, pre = image ^ b, pre ^ bp
+        if not image:
+            kernel.append(pre)
+            continue
+        top = image.bit_length() - 1
+        for bit, (b, bp) in basis.items():
+            if b >> top & 1:
+                basis[bit] = (b ^ image, bp ^ pre)
+        basis[top] = (image, pre)
+    columns = []
+    for bit in range(cols - 1, -1, -1):
+        b, bp = basis.get(bit, (0, 0))
+        columns.append((((1 << bit) ^ b) << rows) | bp)
+    return columns, kernel
+
+
+def _lookup(tables, x: np.ndarray) -> np.ndarray:
+    """The map that ``_byte_tables`` built, at every index of ``x``."""
+    out = np.zeros_like(x)
+    for shift, table in tables:
+        out ^= table[(x >> shift) & (len(table) - 1)]
+    return out
+
+
+def _z_signs(x: np.ndarray) -> np.ndarray:
+    """(-1)^{popcount(x)} as int8, the dtype of a Pauli's dense sign table."""
+    return 1 - 2 * (np.bitwise_count(x) & 1).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -126,6 +212,22 @@ class ParityMap(_BinaryMap):
         np.add.at(out, self.table, amps)
         return out
 
+    @cached_property
+    def support_map(self) -> tuple:
+        """A x, as byte tables."""
+        return _byte_tables(_row_indices(self.matrix.a.T))
+
+    def apply_support(self, states: "Supports") -> "Supports":
+        """Each key moves to A x; colliding keys sum in ascending x from +0+0j, as
+        ``np.add.at`` sums them. Entries off the supports add zeros of either sign
+        to that sum, which leave it unchanged, and sum to +0+0j elsewhere."""
+        x = states.keys & ((1 << self.n_in) - 1)
+        moved = (states.keys >> self.n_in << self.n_out) | _lookup(self.support_map, x)
+        keys, slots = np.unique(moved, return_inverse=True)
+        out = np.zeros(len(keys), dtype=np.complex128)
+        np.add.at(out, slots, states.values)
+        return Supports(self.n_out, keys, out, _Background(self.n_out)).pruned()
+
 
 @dataclass(frozen=True)
 class HadamardConjugatedParityMap(_BinaryMap):
@@ -142,10 +244,34 @@ class HadamardConjugatedParityMap(_BinaryMap):
         """The gather table A^T y."""
         return _parity_indices(self.matrix.T)
 
+    @cached_property
+    def scale(self) -> float:
+        """2^{(in-out)/2}, the one factor both ``apply`` and ``apply_support`` multiply by."""
+        return np.sqrt(2.0 ** (self.n_in - self.n_out))
+
     def apply(self, amps: np.ndarray) -> np.ndarray:
         out = amps[self.table]
-        out *= np.sqrt(2.0 ** (self.n_in - self.n_out))
+        out *= self.scale
         return out
+
+    @cached_property
+    def support_map(self) -> tuple:
+        """(tables, kernel): byte tables of x -> (r(x) << n_out) | y0(x), where
+        r(x) = 0 exactly when A^T y = x is solvable and y0(x) then solves it,
+        and every basis index in ker A^T, from one elimination."""
+        columns, kernel = _preimages(self.matrix.a)
+        return _byte_tables(columns), linear_indices(kernel)
+
+    def apply_support(self, states: "Supports") -> "Supports":
+        """Each key x with A^T y = x solvable moves to every y in y0(x) + ker A^T."""
+        tables, kernel = self.support_map
+        solved = _lookup(tables, states.keys & ((1 << self.n_in) - 1))
+        hit = solved < (1 << self.n_out)
+        base = (states.keys[hit] >> self.n_in << self.n_out) | solved[hit]
+        keys = (base[:, None] ^ kernel).ravel()
+        out = np.repeat(states.values[hit], len(kernel))
+        out *= self.scale
+        return states.moved(self, keys, out)
 
 
 @dataclass(frozen=True)
@@ -186,10 +312,31 @@ class _PauliAction(PhysicalOp):
         out *= self.pauli.sign
         return out
 
+    @cached_property
+    def support_map(self) -> tuple[int, int]:
+        """(X mask, Z mask) as basis indices."""
+        return bits_to_index(self.pauli.x), bits_to_index(self.pauli.z)
+
+    def _signed(self, values: np.ndarray, sources: np.ndarray) -> np.ndarray:
+        """``apply``'s products for the amplitudes ``values`` read at keys ``sources``."""
+        out = values * _z_signs(sources & self.support_map[1])
+        out *= self.pauli.sign
+        return out
+
 
 @dataclass(frozen=True)
 class PauliGate(_PauliAction):
     """The Pauli P applied as a gate."""
+
+    @property
+    def keeps_zero(self) -> bool:
+        """A Z part or a -1 sign gives zeros of either sign."""
+        return not self.pauli.z.any() and self.pauli.sign == 1
+
+    def apply_support(self, states: "Supports") -> "Supports":
+        """Each key x moves to x ^ mask, signed by its own Z parity."""
+        out = self._signed(states.values, states.keys)
+        return states.moved(self, states.keys ^ self.support_map[0], out)
 
 
 @dataclass(frozen=True)
@@ -205,9 +352,122 @@ class Projection(_PauliAction):
         out /= 2.0
         return out
 
+    def apply_support(self, states: "Supports") -> "Supports":
+        """Each key pairs with its partner key ^ mask; the support grows by the
+        partners, and a partner off it reads the background. Sums that are
+        +0+0j leave a support whose background is +0+0j."""
+        xmask = self.support_map[0]
+        keys, own = states.keys, states.values
+        if xmask:
+            keys = np.union1d(keys, keys ^ xmask)
+            own = states.read(keys)
+        partners = keys ^ xmask
+        out = self._signed(states.read(partners) if xmask else own, partners)
+        out *= self.outcome
+        np.add(own, out, out=out)
+        out /= 2.0
+        return Supports(self.n_out, keys, out, states.background.then(self)).pruned()
 
-def apply_linear(op: PhysicalOp, amps: np.ndarray) -> np.ndarray:
-    """Raw linear action of an op; no renormalization."""
+
+# --- the states of a channel's columns, on their supports ----------------------
+
+
+class _Background:
+    """The all-(+0+0j) vector on ``n`` qubits pushed through ``op`` after ``parent``.
+
+    With no op it is +0+0j throughout. It is built densely, by each op's
+    ``apply``, only when read, and then kept. (This class and ``Supports``
+    are plain classes: a dataclass costs about 0.4 ms at import.)
+    """
+
+    def __init__(self, n: int, parent: Optional["_Background"] = None, op: Optional[PhysicalOp] = None):
+        self.n, self.parent, self.op = n, parent, op
+
+    uniform = property(lambda self: self.op is None)
+
+    def then(self, op: PhysicalOp) -> "_Background":
+        if self.uniform and op.keeps_zero:
+            return _Background(op.n_out)
+        return _Background(op.n_out, self, op)
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        if self.uniform:
+            return np.zeros(1 << self.n, dtype=np.complex128)
+        return self.op.apply(self.parent.dense)
+
+    def at(self, indices: np.ndarray) -> np.ndarray:
+        """Its entries at ``indices``, without building it when it is +0+0j."""
+        return np.zeros(len(indices), dtype=np.complex128) if self.uniform else self.dense[indices]
+
+    def state(self) -> np.ndarray:
+        """A fresh dense copy of it."""
+        return np.zeros(1 << self.n, dtype=np.complex128) if self.uniform else self.dense.copy()
+
+
+class Supports:
+    """The states of all input columns of one channel, held on their supports.
+
+    ``keys`` are sorted int64 (column << n) | basis index, and ``values``
+    the complex128 amplitude there. Every entry off a column's keys
+    equals ``background`` at that index: the all-(+0+0j) vector pushed
+    through the same ops, which does not depend on the column. A CSS
+    state lives on an affine support (Dehaene & De Moor, PRA 68, 042318,
+    2003), a small share of the 2^n indices at the sizes simulated here.
+    """
+
+    __slots__ = ("n", "keys", "values", "background")
+
+    def __init__(self, n: int, keys: np.ndarray, values: np.ndarray, background: _Background):
+        self.n, self.keys, self.values, self.background = n, keys, values, background
+
+    @classmethod
+    def on(cls, n: int, keys: np.ndarray, values: np.ndarray) -> "Supports":
+        """States on n qubits that hold ``values`` at the sorted ``keys`` and +0+0j elsewhere."""
+        return cls(n, keys, values, _Background(n))
+
+    @classmethod
+    def from_encoder(cls, e: Encoder) -> "Supports":
+        """Every input column of ``e``, seeded from its cosets; no dense column is built."""
+        return cls.on(e.code.n, *e.supports())
+
+    def moved(self, op: PhysicalOp, keys: np.ndarray, values: np.ndarray) -> "Supports":
+        """The distinct ``keys`` and their ``values`` after ``op``, sorted."""
+        order = np.argsort(keys)
+        return Supports(op.n_out, keys[order], values[order], self.background.then(op))
+
+    def pruned(self) -> "Supports":
+        """Without the entries that equal a +0+0j background bit for bit."""
+        if not self.background.uniform:
+            return self
+        held = self.values.view(np.uint64).reshape(-1, 2).any(axis=1)
+        if held.all():
+            return self
+        return Supports(self.n, self.keys[held], self.values[held], self.background)
+
+    def read(self, keys: np.ndarray) -> np.ndarray:
+        """The amplitudes at ``keys``: held ones, else the background's."""
+        out = self.background.at(keys & ((1 << self.n) - 1))
+        if len(self.keys):
+            at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
+            held = self.keys[at] == keys
+            out[held] = self.values[at[held]]
+        return out
+
+    def column(self, u: int) -> np.ndarray:
+        """The dense 2^n state of column ``u``: the background with its held amplitudes."""
+        lo, hi = np.searchsorted(self.keys, [u << self.n, (u + 1) << self.n])
+        col = self.background.state()
+        col[self.keys[lo:hi] & ((1 << self.n) - 1)] = self.values[lo:hi]
+        return col
+
+
+def apply_linear(op: PhysicalOp, amps: np.ndarray | Supports) -> np.ndarray | Supports:
+    """Raw linear action of an op on dense amplitudes or on ``Supports``; no renormalization."""
+    if isinstance(amps, Supports):
+        if amps.n != op.n_in:
+            raise DimensionMismatch(f"op expects {op.n_in} qubits, states have {amps.n}")
+        return op.apply_support(amps)
     return op.apply(amps)
 
 
@@ -266,26 +526,43 @@ def physical_op_sequence(f: ChainMap, orientation: str = "Z") -> list[PhysicalOp
 # --- logical channel extraction ----------------------------------------------
 
 
+# The most amplitudes (2^k input columns of 2^n) a channel simulates densely: up
+# to about this size the support rules' fixed numpy work per op costs more than
+# applying the op to every dense column.
+DENSE_CHANNEL_AMPLITUDES = 1 << 11
+
+
 def extract_logical_channel(ops: Sequence[PhysicalOp], e_in: Encoder, e_out: Encoder) -> np.ndarray:
     """E_out^dagger . (composed ops) . E_in, column by column.
 
-    ``e_in`` gives one 2^n column at a time, and ``e_out`` gives
-    E_out^dagger from its coset table: that is the only dense 2^n x 2^k
-    array, formed once for all columns. Each op builds its table on the
-    first column and applies it to every later one.
+    Above ``DENSE_CHANNEL_AMPLITUDES``, every column of ``e_in`` is
+    seeded on its cosets as one ``Supports`` and each op is applied once
+    to all of them through its support rule; below it, each column is
+    built densely and every op is applied to it. Each column is then one
+    dense 2^n state, with the same bytes either way, multiplied by
+    E_out^dagger, which ``e_out`` builds from its coset table: that is
+    the only dense 2^n x 2^k array, formed once for all columns.
     Projections are applied linearly so relative column norms are
     meaningful; the result is normalized so its largest-magnitude entry
     is exactly 1 (real positive). Raises ZeroProbabilityOutcome if
     everything post-selects to zero.
     """
+    count = 1 << e_in.k
+    if count << e_in.code.n <= DENSE_CHANNEL_AMPLITUDES:
+        column = lambda u: apply_sequence_linear(ops, e_in.column(u))
+    else:
+        states = Supports.from_encoder(e_in)
+        for op in ops:
+            states = apply_linear(op, states)
+        column = states.column
     # E_out^dagger in the bytes and layout of e_out.matrix.conj().T, so BLAS
     # rounds each column as the per-column conj(e_out).T @ amps; conjugating
     # the state instead, conj(e_out.T @ conj(amps)), flips the sign of some
     # zero imaginary parts in reports.
     e_out_h = e_out.adjoint()
-    mat = np.zeros((e_out_h.shape[0], 1 << e_in.k), dtype=np.complex128)
-    for u in range(1 << e_in.k):
-        mat[:, u] = e_out_h @ apply_sequence_linear(ops, e_in.column(u))
+    mat = np.zeros((e_out_h.shape[0], count), dtype=np.complex128)
+    for u in range(count):
+        mat[:, u] = e_out_h @ column(u)
     return fix_phase_and_scale(mat)
 
 

@@ -602,6 +602,28 @@ class TestUnreachedErrorPaths:
         payload = self._error(capsys, ["catalog", "export"])
         assert payload == {"error": "ChainsurgError", "message": "catalog export needs a name"}
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["catalog", "list", "extra", "--out", "F", "--dir", "D"],
+                "catalog list takes no name 'extra', --out, --dir",
+            ),
+            (
+                ["catalog", "export", "steane", "--dir", "D"],
+                "catalog export steane takes no --dir: a code goes to --out or stdout",
+            ),
+            (
+                ["catalog", "export", "example:welding", "--out", "w.txt"],
+                "catalog export example:welding takes no --out: an example's files go to --dir",
+            ),
+        ],
+    )
+    def test_catalog_refuses_arguments_it_would_ignore(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert self._error(capsys, argv) == {"error": "ChainsurgError", "message": message}
+        assert list(tmp_path.iterdir()) == []
+
     def test_catalog_export_to_stdout(self, capsys):
         assert main(["catalog", "export", "steane"]) == 0
         assert capsys.readouterr().out == catalog.steane().to_text()

@@ -1,17 +1,22 @@
-"""Each simulated op builds its index table once, with unchanged bytes.
+"""Channel extraction on supports and on dense columns, with unchanged bytes.
 
-Each op kind builds its table the first time it is applied and keeps it,
-so ``extract_logical_channel`` builds it once for all input columns. The
-old path, kept here as the oracle, rebuilt every op's 2^n table once per
+Above a size rule, ``extract_logical_channel`` holds every input column
+on its support and applies each op once to all of them; below it, each op
+builds its dense index table once and applies it to every column. The old
+path, kept here as the oracle, rebuilt every op's 2^n table once per
 column. The channels must agree byte for byte (signed zeros included) on
 every catalog and golden plan that the simulator takes, in every outcome
-branch, with and without corrections.
+branch, with and without corrections, and the support rules must match
+the dense ops on random op chains over inputs that hold zeros of either
+sign.
 """
 import itertools
 from functools import cached_property
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chainsurg import catalog, simverify
 from chainsurg.csscode import SIMULATOR_QUBIT_LIMIT, PauliOperator, bits_to_index, linear_indices
@@ -28,11 +33,14 @@ from chainsurg.protocols import (
     plan_to_json,
 )
 from chainsurg.simverify import (
+    DENSE_CHANNEL_AMPLITUDES,
     HadamardConjugatedParityMap,
     ParityMap,
     PauliGate,
     Projection,
+    Supports,
     apply_linear,
+    apply_sequence_linear,
     fix_phase_and_scale,
 )
 from test_plan_golden import PLANS as GOLDEN_PLANS
@@ -109,11 +117,18 @@ def _catalog_plans():
     return plans
 
 
+# 19-qubit ancilla-target plans beside the catalog's, as the benchmark runs them
+LARGE_PLANS = {
+    "toric_3_anc_target_c1": lambda: build_cnot_plan(catalog.toric(3), 1, None),
+    "surface_3x4_anc_target": lambda: build_cnot_plan(catalog.surface_patch(3, 4), 0, None),
+}
+
+
 def _simulable_plans():
     """Every catalog and golden plan of at most 20 qubits, each distinct plan once."""
     plans, seen = {}, set()
     golden = {f"golden_{k}": v for k, v in GOLDEN_PLANS.items()}
-    for name, build in {**golden, **_catalog_plans()}.items():
+    for name, build in {**golden, **_catalog_plans(), **LARGE_PLANS}.items():
         plan = build()
         text = plan_to_json(plan)
         if plan.base_code.n <= SIMULATOR_QUBIT_LIMIT and text not in seen:
@@ -187,29 +202,105 @@ def test_op_bytes_match_the_old_op_on_signed_zeros(n):
         assert table is None or table.dtype == np.int32
 
 
-# --- each table is built once -----------------------------------------------------
+# --- random op chains on signed zeros ---------------------------------------------
 
 
-def _record_table_builds(monkeypatch) -> list:
-    """The list of ops whose table is built, one entry per build."""
+def _op_on(r, n_in: int, kind: str):
+    """A random op of ``kind`` on n_in qubits, from the numpy generator ``r``."""
+    n_out = int(r.randint(max(1, n_in - 1), min(n_in + 1, 6) + 1))
+    pauli = PauliOperator(x=r.randint(0, 2, n_in), z=r.randint(0, 2, n_in), sign=int(r.choice([1, -1])))
+    if kind == "parity":  # two equal columns: not injective
+        m = r.randint(0, 2, size=(n_out, n_in))
+        i, j = r.choice(n_in, 2, replace=False) if n_in > 1 else (0, 0)
+        m[:, i] = m[:, j] if n_in > 1 else 0
+        return ParityMap(F2Matrix(m))
+    if kind == "hconj":  # a zero row: ker A^T holds that unit vector
+        m = r.randint(0, 2, size=(n_out, n_in))
+        m[r.randint(n_out)] = 0
+        return HadamardConjugatedParityMap(F2Matrix(m))
+    if kind == "pauli":
+        return PauliGate(pauli)
+    if kind == "pauli-":
+        return PauliGate(PauliOperator(x=pauli.x, z=pauli.z | (np.arange(n_in) == 0), sign=-1))
+    return Projection(pauli, outcome=-1 if kind == "project-" else int(r.choice([1, -1])))
+
+
+# In every chain: a non-injective parity map, a Hadamard-conjugated one with a
+# kernel, and two Paulis in a row (one of sign -1) right before a projection
+# with outcome -1. The rest of each chain is random.
+REQUIRED = (("parity",), ("hconj",), ("pauli-", "pauli", "project-"))
+KINDS = ("parity", "hconj", "pauli", "project")
+
+
+@st.composite
+def op_chains(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    r = np.random.RandomState(seed)
+    blocks = [list(b) for b in REQUIRED] + [[k] for k in draw(st.lists(st.sampled_from(KINDS), max_size=8))]
+    r.shuffle(blocks)
+    n = n_in = draw(st.integers(1, 5))
+    ops = []
+    for kind in (k for block in blocks for k in block):
+        ops.append(_op_on(r, n, kind))
+        n = ops[-1].n_out
+    columns = draw(st.integers(1, 3))
+    inputs = np.zeros((columns, 1 << n_in), dtype=np.complex128)
+    held = r.rand(columns, 1 << n_in) < 0.3
+    inputs.real[held] = r.choice([0.0, -0.0, 0.5, -0.5, 0.25], size=held.sum())
+    inputs.imag[held] = r.choice([0.0, -0.0, 0.5], size=held.sum())
+    u, x = np.nonzero(held)
+    return ops, inputs, (u << n_in) | x
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(op_chains())
+def test_support_rules_match_the_dense_ops_on_signed_zeros(chain):
+    ops, inputs, keys = chain
+    n_in = ops[0].n_in
+    states = Supports.on(n_in, keys, inputs.reshape(-1)[keys])
+    for op in ops:
+        states = apply_linear(op, states)
+    for u, amps in enumerate(inputs):
+        expect = apply_sequence_linear(ops, amps)
+        assert np.array_equal(states.column(u).view(np.uint64), expect.view(np.uint64)), u
+
+
+# --- each op builds its index map once ------------------------------------------------
+
+
+def _record_builds(monkeypatch, name: str) -> list:
+    """The list of ops whose cached ``name`` (``table`` or ``support_map``) is built, one entry per build."""
     built = []
     for cls in (ParityMap, HadamardConjugatedParityMap, simverify._PauliAction):
-        real = cls.__dict__["table"].func
-        table = cached_property(lambda op, real=real: built.append(op) or real(op))
-        table.__set_name__(cls, "table")
-        monkeypatch.setattr(cls, "table", table)
+        real = cls.__dict__[name].func
+        prop = cached_property(lambda op, real=real: built.append(op) or real(op))
+        prop.__set_name__(cls, name)
+        monkeypatch.setattr(cls, name, prop)
     return built
 
 
-COUNT_PLANS = {  # name -> (plan, number of logical inputs k_in)
-    "steane_anc_target": (lambda: build_cnot_plan(catalog.steane(), 0, None), 1),
+def _record_applications(monkeypatch) -> list:
+    """The list of (op, states) that pass through ``simverify.apply_linear``."""
+    applied, real = [], simverify.apply_linear
+    monkeypatch.setattr(simverify, "apply_linear", lambda op, amps: applied.append((op, amps)) or real(op, amps))
+    return applied
+
+
+def _step_op_ids(plan) -> set:
+    return {id(op) for step in plan.steps for op in getattr(step, "ops", ())}
+
+
+COUNT_PLANS = {  # name -> (plan, number of logical inputs k_in); all above the dense size rule
     "steane_provided_steane": (
         lambda: build_cnot_plan(
             catalog.steane(), 0, None, ancilla=AncillaStrategy.provided(catalog.steane())
         ),
         1,
     ),
-    "toric2_c0t1": (lambda: build_cnot_plan(catalog.toric(2), 0, 1), 2),
+    "steane_steane_c0t1": (
+        lambda: build_cnot_plan(direct_sum_code(catalog.steane(), catalog.steane()), 0, 1),
+        2,
+    ),
     "toric2_steane_c0t2": (
         lambda: build_cnot_plan(direct_sum_code(catalog.toric(2), catalog.steane()), 0, 2),
         3,
@@ -218,28 +309,42 @@ COUNT_PLANS = {  # name -> (plan, number of logical inputs k_in)
 
 
 @pytest.mark.parametrize("name", sorted(COUNT_PLANS))
-def test_each_op_table_is_built_once(name, monkeypatch):
+def test_each_op_support_map_is_built_once(name, monkeypatch):
     build, k_in = COUNT_PLANS[name]
     plan = build()
     ids = plan.measurement_ids()
-    outcomes = {ids[0]: -1}  # one forced branch gauge and its correction
-    built, applied = _record_table_builds(monkeypatch), []
-    real_apply_linear = simverify.apply_linear
-    monkeypatch.setattr(
-        simverify, "apply_linear", lambda op, amps: applied.append(op) or real_apply_linear(op, amps)
-    )
+    outcomes = {ids[0]: -1}  # one forced branch gauge and its correction, both of X type
+    e_in = plan_encoders(plan, outcomes)[0]
+    assert e_in.k == k_in and (1 << k_in + e_in.code.n) > DENSE_CHANNEL_AMPLITUDES
+    tables, maps = _record_builds(monkeypatch, "table"), _record_builds(monkeypatch, "support_map")
+    applied = _record_applications(monkeypatch)
     plan_channel(plan, outcomes)
-    assert plan_encoders(plan, outcomes)[0].k == k_in
     ops = plan_physical_ops(plan, outcomes) + measurement_correction(plan, {m: 1 for m in ids} | outcomes)
-    assert len(built) == len(ops) == len({id(op) for op in built})
-    # the channel loop still applies every op to every column through apply_linear
-    assert len(applied) == len(ops) << k_in
-    assert {id(op) for op in applied} == {id(op) for op in built}
+    # the background stays +0+0j, so no dense table is built at all
+    assert tables == []
+    assert len(maps) == len(ops) == len({id(op) for op in maps})
+    # every op is applied once, to the supports of all columns, through apply_linear
+    assert [id(op) for op, _ in applied] == [id(op) for op in maps]
+    assert all(isinstance(states, Supports) for _, states in applied)
 
-    # the merge and split ops live on their steps, and keep their tables
-    # for the next channel; its gauge, projection and correction ops are new
-    first, step_ops = len(built), {id(op) for step in plan.steps for op in getattr(step, "ops", ())}
+    # the merge and split ops live on their steps, and keep their maps for
+    # the next channel; its gauge, projection and correction ops are new
+    first, step_ops = len(maps), _step_op_ids(plan)
     plan_channel(plan, outcomes)
-    again = {id(op) for op in applied[len(ops) << k_in:]}
-    assert {id(op) for op in built[first:]} == again - step_ops
-    assert len(built) - first == len(again - step_ops) == len(ops) - len(step_ops)
+    again = {id(op) for op, _ in applied[len(ops):]}
+    assert {id(op) for op in maps[first:]} == again - step_ops
+    assert len(maps) - first == len(again - step_ops) == len(ops) - len(step_ops)
+    assert tables == []
+
+
+def test_small_channels_apply_each_dense_table_to_every_column(monkeypatch):
+    plan = build_cnot_plan(catalog.toric(2), 0, 1)
+    outcomes = {plan.measurement_ids()[0]: -1}
+    e_in = plan_encoders(plan, outcomes)[0]
+    assert (1 << e_in.k + e_in.code.n) == DENSE_CHANNEL_AMPLITUDES
+    tables, maps = _record_builds(monkeypatch, "table"), _record_builds(monkeypatch, "support_map")
+    applied = _record_applications(monkeypatch)
+    plan_channel(plan, outcomes)
+    assert maps == [] and len(tables) == len({id(op) for op in tables})
+    assert len(applied) == len(tables) << e_in.k
+    assert {id(op) for op, _ in applied} == {id(op) for op in tables}

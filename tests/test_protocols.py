@@ -133,6 +133,19 @@ class TestBuildCnotPlan:
         with pytest.raises(DimensionMismatch, match=match):
             plan_from_json(json.dumps(doc))
 
+    def test_each_merge_of_a_type_names_its_own_slots(self, toric2):
+        # two X-merges on toric-2 + Steane: the second one's slots are xmerge1.xx<i>,
+        # and the loader rebuilds the same names
+        from chainsurg.protocols import _assemble_plan, _joint_subcode, _resolve_ancilla
+
+        attached = _resolve_ancilla(direct_sum_code(toric2, catalog.steane()), AncillaStrategy.trivial(), ())
+        base, anc = attached[0], attached[1]
+        merges = [(_joint_subcode(base, "X", a, anc, False, 2), None, None) for a in (0, 2)]
+        plan = _assemble_plan("two_x_merges", attached, merges, None, 0)
+        assert plan.measurement_ids() == ["xmerge.xx0", "xmerge1.xx0"]
+        text = plan_to_json(plan)
+        assert plan_to_json(plan_from_json(text)) == text
+
     def test_plan_json_schema(self, patch_plan):
         doc = json.loads(plan_to_json(patch_plan))
         assert doc["schema"] == "chainsurg-plan/1"
@@ -222,10 +235,10 @@ class TestPlanChannels:
 
     def test_one_dense_encoder_array(self):
         # toric-3 with the ancilla as target: n = 19 and k_out = 3. The one
-        # 2^n x 2^k_out array is E_out^dagger (64 MiB); inputs are built a
-        # column at a time from the coset table, and each op builds its
-        # int32 table once, on the first column, so beside it there is room
-        # for two states only (80 MiB in all)
+        # 2^n x 2^k_out array is E_out^dagger (64 MiB); inputs are held on
+        # their supports, seeded from the coset table, and each column is
+        # written into one dense state only for its product, so beside it
+        # there is room for two states only (80 MiB in all)
         plan = build_cnot_plan(catalog.toric(3), control=0, target=None)
         n, k_out = plan.base_code.n, plan.base_code.k
         assert (n, k_out) == (19, 3)
