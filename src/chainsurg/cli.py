@@ -189,6 +189,8 @@ def _deviation(plan, channel) -> float:
 
 
 def _cmd_cnot(args) -> int:
+    if not args.locality:
+        _refuse_ignored("cnot", (("--max-weight", args.max_weight),), " without --locality")
     code = _load_code(args.code)
     plan = build_cnot_plan(
         code,
@@ -196,7 +198,7 @@ def _cmd_cnot(args) -> int:
         target=args.target,
         ancilla=_parse_ancilla(args.ancilla),
         locality=args.locality,
-        max_weight=args.max_weight,
+        max_weight=2 if args.max_weight is None else args.max_weight,
     )
     payload = {
         "type": "cnot-plan",
@@ -422,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=int, default=None)
     p.add_argument("--ancilla", default="trivial", help="trivial | embedded:IDX | code file")
     p.add_argument("--locality", action="store_true")
-    p.add_argument("--max-weight", type=int, default=2)
+    p.add_argument("--max-weight", type=int, default=None, help="with --locality; 2 when omitted")
     p.add_argument("--simulate", action="store_true")
     p.add_argument("--out", help="write the plan JSON")
     p.set_defaults(func=_cmd_cnot)

@@ -16,18 +16,19 @@ arithmetic, in the same order, on the same operands: a parity map moves
 key x to A x and sums collisions in ascending x, a Hadamard-conjugated
 parity map moves x to its preimages y0(x) + ker A^T, and a Pauli gate
 or projection pairs key x with x ^ mask and signs by the Z parity.
-Entries off the supports equal the all-(+0+0j) vector pushed through the
-same ops; it is built densely, at most once per channel, only when read.
-Each op builds its support map (byte tables of its index map) once and
-keeps it, so ops a plan step holds keep theirs as long as the plan.
+Entries off the supports are 0, and entries that become 0 leave them.
+So every nonzero amplitude has the bytes of the dense ops; only a zero
+may differ from them in its sign, which changes no IEEE value. Each op
+builds its support map (byte tables of its index map) once and keeps
+it, so ops a plan step holds keep theirs as long as the plan.
 
 The dense ``apply`` of each kind runs in O(2^n) from an int32 table it
-builds on first use: ``apply`` on a ``StateVector``, the background, and
-channels small enough (``DENSE_CHANNEL_AMPLITUDES``) that the support
-rules' fixed cost would exceed it use it. Each column is handed off as
-one dense 2^n state to the one dense 2^n x 2^k array, E_out^dagger,
-because the BLAS product of it with each state fixes the channel's
-pinned floating-point bits.
+builds on first use: ``apply`` on a ``StateVector``, and channels small
+enough (``DENSE_CHANNEL_AMPLITUDES``) that the support rules' fixed cost
+would exceed it, use it. Each column is handed off as one dense 2^n
+state to the one dense 2^n x 2^k array, E_out^dagger, because the BLAS
+product of it with each state fixes the channel's pinned floating-point
+bits; its sums start at +0, so a zero channel entry is +0 either way.
 """
 from __future__ import annotations
 
@@ -48,7 +49,7 @@ from .csscode import (
     quotient_basis_units,
 )
 from .errors import DimensionMismatch, ZeroProbabilityOutcome
-from .f2linalg import F2Matrix, image_basis
+from .f2linalg import Elimination, F2Matrix, free_column_vectors, image_basis
 
 PHASE_TOL = 1e-9
 
@@ -104,11 +105,9 @@ class PhysicalOp:
     the same order, on the same operands, for the entries each column
     holds: its ``support_map`` (byte tables of an XOR-linear index map,
     or a Pauli's masks) is built on first use and kept, and costs no 2^n
-    array. ``keeps_zero`` says whether ``apply`` maps the all-(+0+0j)
-    vector to itself.
+    array. So each nonzero amplitude has the bytes ``apply`` gives it;
+    only the sign of a zero may differ.
     """
-
-    keeps_zero = True
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -143,36 +142,23 @@ def _byte_tables(columns: Sequence[int]) -> tuple[tuple[int, np.ndarray], ...]:
     return tuple(out)
 
 
-def _preimages(a: np.ndarray) -> tuple[list[int], list[int]]:
-    """Solving A^T y = x for a 0/1 array A, by one elimination on basis indices.
+def _preimages(a: F2Matrix) -> tuple[list[int], np.ndarray]:
+    """Solving A^T y = x, from one ``f2linalg.Elimination`` of A^T.
 
-    Returns the columns (as for ``_byte_tables``) of the linear map
-    x -> (r(x) << rows) | g(x), where r(x) = 0 exactly when x is in the
-    image and A^T g(x) = x then, and a basis of ker A^T. The elimination
-    keeps a fully reduced basis of the image: each member has one pivot
-    bit that no other member has, and the preimage it came from.
+    With T its row transform, A^T y = x holds exactly when its RREF times
+    y is T x. So r(x), the rows of T x below the rank, is 0 exactly when
+    x is in the image, and y0(x), the rows above it scattered to the
+    pivots, solves it then. Returns the columns (as for ``_byte_tables``)
+    of the linear map x -> (r(x) << rows) | y0(x), and a basis of
+    ker A^T as 0/1 rows.
     """
-    rows, cols = a.shape
-    basis: dict[int, tuple[int, int]] = {}  # pivot bit -> (image, preimage)
-    kernel = []
-    for j, image in enumerate(_row_indices(a)):  # A^T of unit y_j is row j of A
-        pre = 1 << (rows - 1 - j)
-        for bit, (b, bp) in basis.items():
-            if image >> bit & 1:
-                image, pre = image ^ b, pre ^ bp
-        if not image:
-            kernel.append(pre)
-            continue
-        top = image.bit_length() - 1
-        for bit, (b, bp) in basis.items():
-            if b >> top & 1:
-                basis[bit] = (b ^ image, bp ^ pre)
-        basis[top] = (image, pre)
-    columns = []
-    for bit in range(cols - 1, -1, -1):
-        b, bp = basis.get(bit, (0, 0))
-        columns.append((((1 << bit) ^ b) << rows) | bp)
-    return columns, kernel
+    res = Elimination(a.T).result
+    t, pivots = res.transform.a, list(res.pivots)
+    y0 = np.zeros((a.cols, a.rows), dtype=np.uint8)
+    y0[:, pivots] = t[: res.rank].T
+    columns = [(r << a.rows) | y for r, y in zip(_row_indices(t[res.rank :].T), _row_indices(y0))]
+    free = [j for j in range(a.rows) if j not in res.pivots]
+    return columns, free_column_vectors(res.reduced.a, pivots, free)
 
 
 def _lookup(tables, x: np.ndarray) -> np.ndarray:
@@ -219,14 +205,13 @@ class ParityMap(_BinaryMap):
 
     def apply_support(self, states: "Supports") -> "Supports":
         """Each key moves to A x; colliding keys sum in ascending x from +0+0j, as
-        ``np.add.at`` sums them. Entries off the supports add zeros of either sign
-        to that sum, which leave it unchanged, and sum to +0+0j elsewhere."""
+        ``np.add.at`` sums them, and sums that are 0 leave the support."""
         x = states.keys & ((1 << self.n_in) - 1)
         moved = (states.keys >> self.n_in << self.n_out) | _lookup(self.support_map, x)
         keys, slots = np.unique(moved, return_inverse=True)
         out = np.zeros(len(keys), dtype=np.complex128)
         np.add.at(out, slots, states.values)
-        return Supports(self.n_out, keys, out, _Background(self.n_out)).pruned()
+        return Supports(self.n_out, keys, out).pruned()
 
 
 @dataclass(frozen=True)
@@ -258,9 +243,9 @@ class HadamardConjugatedParityMap(_BinaryMap):
     def support_map(self) -> tuple:
         """(tables, kernel): byte tables of x -> (r(x) << n_out) | y0(x), where
         r(x) = 0 exactly when A^T y = x is solvable and y0(x) then solves it,
-        and every basis index in ker A^T, from one elimination."""
-        columns, kernel = _preimages(self.matrix.a)
-        return _byte_tables(columns), linear_indices(kernel)
+        and every basis index in ker A^T, from one ``f2linalg.Elimination``."""
+        columns, kernel = _preimages(self.matrix)
+        return _byte_tables(columns), linear_indices(_row_indices(kernel))
 
     def apply_support(self, states: "Supports") -> "Supports":
         """Each key x with A^T y = x solvable moves to every y in y0(x) + ker A^T."""
@@ -328,11 +313,6 @@ class _PauliAction(PhysicalOp):
 class PauliGate(_PauliAction):
     """The Pauli P applied as a gate."""
 
-    @property
-    def keeps_zero(self) -> bool:
-        """A Z part or a -1 sign gives zeros of either sign."""
-        return not self.pauli.z.any() and self.pauli.sign == 1
-
     def apply_support(self, states: "Supports") -> "Supports":
         """Each key x moves to x ^ mask, signed by its own Z parity."""
         out = self._signed(states.values, states.keys)
@@ -354,8 +334,7 @@ class Projection(_PauliAction):
 
     def apply_support(self, states: "Supports") -> "Supports":
         """Each key pairs with its partner key ^ mask; the support grows by the
-        partners, and a partner off it reads the background. Sums that are
-        +0+0j leave a support whose background is +0+0j."""
+        partners, a partner off it reads 0, and sums that are 0 leave it."""
         xmask = self.support_map[0]
         keys, own = states.keys, states.values
         if xmask:
@@ -366,88 +345,47 @@ class Projection(_PauliAction):
         out *= self.outcome
         np.add(own, out, out=out)
         out /= 2.0
-        return Supports(self.n_out, keys, out, states.background.then(self)).pruned()
+        return Supports(self.n_out, keys, out).pruned()
 
 
 # --- the states of a channel's columns, on their supports ----------------------
-
-
-class _Background:
-    """The all-(+0+0j) vector on ``n`` qubits pushed through ``op`` after ``parent``.
-
-    With no op it is +0+0j throughout. It is built densely, by each op's
-    ``apply``, only when read, and then kept. (This class and ``Supports``
-    are plain classes: a dataclass costs about 0.4 ms at import.)
-    """
-
-    def __init__(self, n: int, parent: Optional["_Background"] = None, op: Optional[PhysicalOp] = None):
-        self.n, self.parent, self.op = n, parent, op
-
-    uniform = property(lambda self: self.op is None)
-
-    def then(self, op: PhysicalOp) -> "_Background":
-        if self.uniform and op.keeps_zero:
-            return _Background(op.n_out)
-        return _Background(op.n_out, self, op)
-
-    @cached_property
-    def dense(self) -> np.ndarray:
-        if self.uniform:
-            return np.zeros(1 << self.n, dtype=np.complex128)
-        return self.op.apply(self.parent.dense)
-
-    def at(self, indices: np.ndarray) -> np.ndarray:
-        """Its entries at ``indices``, without building it when it is +0+0j."""
-        return np.zeros(len(indices), dtype=np.complex128) if self.uniform else self.dense[indices]
-
-    def state(self) -> np.ndarray:
-        """A fresh dense copy of it."""
-        return np.zeros(1 << self.n, dtype=np.complex128) if self.uniform else self.dense.copy()
 
 
 class Supports:
     """The states of all input columns of one channel, held on their supports.
 
     ``keys`` are sorted int64 (column << n) | basis index, and ``values``
-    the complex128 amplitude there. Every entry off a column's keys
-    equals ``background`` at that index: the all-(+0+0j) vector pushed
-    through the same ops, which does not depend on the column. A CSS
+    the complex128 amplitude there; every other amplitude is 0. A CSS
     state lives on an affine support (Dehaene & De Moor, PRA 68, 042318,
     2003), a small share of the 2^n indices at the sizes simulated here.
+    (It is a plain class: a dataclass costs about 0.4 ms at import.)
     """
 
-    __slots__ = ("n", "keys", "values", "background")
+    __slots__ = ("n", "keys", "values")
 
-    def __init__(self, n: int, keys: np.ndarray, values: np.ndarray, background: _Background):
-        self.n, self.keys, self.values, self.background = n, keys, values, background
-
-    @classmethod
-    def on(cls, n: int, keys: np.ndarray, values: np.ndarray) -> "Supports":
-        """States on n qubits that hold ``values`` at the sorted ``keys`` and +0+0j elsewhere."""
-        return cls(n, keys, values, _Background(n))
+    def __init__(self, n: int, keys: np.ndarray, values: np.ndarray):
+        self.n, self.keys, self.values = n, keys, values
 
     @classmethod
     def from_encoder(cls, e: Encoder) -> "Supports":
         """Every input column of ``e``, seeded from its cosets; no dense column is built."""
-        return cls.on(e.code.n, *e.supports())
+        return cls(e.code.n, *e.supports())
 
     def moved(self, op: PhysicalOp, keys: np.ndarray, values: np.ndarray) -> "Supports":
         """The distinct ``keys`` and their ``values`` after ``op``, sorted."""
         order = np.argsort(keys)
-        return Supports(op.n_out, keys[order], values[order], self.background.then(op))
+        return Supports(op.n_out, keys[order], values[order])
 
     def pruned(self) -> "Supports":
-        """Without the entries that equal a +0+0j background bit for bit."""
-        if not self.background.uniform:
-            return self
-        held = self.values.view(np.uint64).reshape(-1, 2).any(axis=1)
+        """Without the entries whose amplitude is 0."""
+        held = self.values != 0
         if held.all():
             return self
-        return Supports(self.n, self.keys[held], self.values[held], self.background)
+        return Supports(self.n, self.keys[held], self.values[held])
 
     def read(self, keys: np.ndarray) -> np.ndarray:
-        """The amplitudes at ``keys``: held ones, else the background's."""
-        out = self.background.at(keys & ((1 << self.n) - 1))
+        """The amplitudes at ``keys``: held ones, else 0."""
+        out = np.zeros(len(keys), dtype=np.complex128)
         if len(self.keys):
             at = np.minimum(np.searchsorted(self.keys, keys), len(self.keys) - 1)
             held = self.keys[at] == keys
@@ -455,9 +393,9 @@ class Supports:
         return out
 
     def column(self, u: int) -> np.ndarray:
-        """The dense 2^n state of column ``u``: the background with its held amplitudes."""
+        """The dense 2^n state of column ``u``: its held amplitudes, and 0 elsewhere."""
         lo, hi = np.searchsorted(self.keys, [u << self.n, (u + 1) << self.n])
-        col = self.background.state()
+        col = np.zeros(1 << self.n, dtype=np.complex128)
         col[self.keys[lo:hi] & ((1 << self.n) - 1)] = self.values[lo:hi]
         return col
 

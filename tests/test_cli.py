@@ -624,6 +624,22 @@ class TestUnreachedErrorPaths:
         assert self._error(capsys, argv) == {"error": "ChainsurgError", "message": message}
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("weight", ["5", "-3", "0"])
+    def test_cnot_refuses_max_weight_without_locality(self, steane_file, capsys, weight):
+        argv = ["cnot", steane_file, "--control", "0", "--max-weight", weight]
+        assert self._error(capsys, argv) == {
+            "error": "ChainsurgError",
+            "message": "cnot takes no --max-weight without --locality",
+        }
+
+    @pytest.mark.parametrize("weight", ["-3", "0"])
+    def test_cnot_locality_uses_the_max_weight_given(self, steane_file, capsys, weight):
+        argv = ["cnot", steane_file, "--control", "0", "--locality", "--max-weight", weight]
+        assert self._error(capsys, argv) == {
+            "error": "DecompositionInfeasible",
+            "message": "max_weight must be at least 1",
+        }
+
     def test_catalog_export_to_stdout(self, capsys):
         assert main(["catalog", "export", "steane"]) == 0
         assert capsys.readouterr().out == catalog.steane().to_text()

@@ -6,19 +6,24 @@ builds its dense index table once and applies it to every column. The old
 path, kept here as the oracle, rebuilt every op's 2^n table once per
 column. The channels must agree byte for byte (signed zeros included) on
 every catalog and golden plan that the simulator takes, in every outcome
-branch, with and without corrections, and the support rules must match
-the dense ops on random op chains over inputs that hold zeros of either
-sign.
+branch, with and without corrections. On random op chains over inputs
+that hold zeros of either sign, the states on supports must equal the
+dense ops' in value, and so have the bytes of every nonzero component;
+only zeros off the supports may differ in sign, and the product with an
+E^dagger-shaped array, as the hand-off forms it, must have the same bytes
+either way. ``_preimages``, the one solve behind the Hadamard-conjugated
+support rule, is checked against A^T on random matrices.
 """
 import itertools
 from functools import cached_property
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainsurg import catalog, simverify
+from chainsurg import catalog, f2linalg, simverify
 from chainsurg.csscode import SIMULATOR_QUBIT_LIMIT, PauliOperator, bits_to_index, linear_indices
 from chainsurg.errors import ChainsurgError
 from chainsurg.f2linalg import F2Matrix
@@ -117,10 +122,16 @@ def _catalog_plans():
     return plans
 
 
-# 19-qubit ancilla-target plans beside the catalog's, as the benchmark runs them
+def toric2_steane_c0t2():
+    return build_cnot_plan(direct_sum_code(catalog.toric(2), catalog.steane()), 0, 2)
+
+
+# 19-qubit ancilla-target plans beside the catalog's, as the benchmark runs them,
+# and a direct sum whose xmerge.xx0 = -1 branch ends in a Z-type correction
 LARGE_PLANS = {
     "toric_3_anc_target_c1": lambda: build_cnot_plan(catalog.toric(3), 1, None),
     "surface_3x4_anc_target": lambda: build_cnot_plan(catalog.surface_patch(3, 4), 0, None),
+    "toric2_steane_c0t2": toric2_steane_c0t2,
 }
 
 
@@ -151,7 +162,12 @@ def test_channel_bytes_match_the_per_column_path(name):
 
 
 def test_the_oracle_covers_every_op_kind_and_branch_error():
-    assert {"golden_toric3_full", "golden_two_patch_locality_w2", "steane_steane_c0t1"} <= set(PLANS)
+    assert {
+        "golden_toric3_full",
+        "golden_two_patch_locality_w2",
+        "steane_steane_c0t1",
+        "toric2_steane_c0t2",
+    } <= set(PLANS)
     kinds, errors = set(), set()
     for plan in PLANS.values():
         ids = plan.measurement_ids()
@@ -222,13 +238,15 @@ def _op_on(r, n_in: int, kind: str):
         return PauliGate(pauli)
     if kind == "pauli-":
         return PauliGate(PauliOperator(x=pauli.x, z=pauli.z | (np.arange(n_in) == 0), sign=-1))
+    if kind == "pauliz":
+        return PauliGate(PauliOperator.from_z(pauli.z | (np.arange(n_in) == 0)))
     return Projection(pauli, outcome=-1 if kind == "project-" else int(r.choice([1, -1])))
 
 
 # In every chain: a non-injective parity map, a Hadamard-conjugated one with a
-# kernel, and two Paulis in a row (one of sign -1) right before a projection
-# with outcome -1. The rest of each chain is random.
-REQUIRED = (("parity",), ("hconj",), ("pauli-", "pauli", "project-"))
+# kernel, and two Paulis in a row (one of sign -1, then a Z-only one) right
+# before a projection with outcome -1. The rest of each chain is random.
+REQUIRED = (("parity",), ("hconj",), ("pauli-", "pauliz", "project-"))
 KINDS = ("parity", "hconj", "pauli", "project")
 
 
@@ -249,20 +267,65 @@ def op_chains(draw):
     inputs.real[held] = r.choice([0.0, -0.0, 0.5, -0.5, 0.25], size=held.sum())
     inputs.imag[held] = r.choice([0.0, -0.0, 0.5], size=held.sum())
     u, x = np.nonzero(held)
-    return ops, inputs, (u << n_in) | x
+    # E^dagger-shaped, as Encoder.adjoint lays it out: F-ordered, every imaginary
+    # part -0, and some entries exact zeros (0, -0)
+    e_h = np.full((1 << n, draw(st.integers(1, 4))), complex(0.0, -0.0)).T
+    e_h.real = r.choice([0.0, 0.5, -0.5, 0.25], size=e_h.shape)
+    return ops, inputs, (u << n_in) | x, e_h
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(op_chains())
 def test_support_rules_match_the_dense_ops_on_signed_zeros(chain):
-    ops, inputs, keys = chain
-    n_in = ops[0].n_in
-    states = Supports.on(n_in, keys, inputs.reshape(-1)[keys])
+    ops, inputs, keys, e_h = chain
+    assert any(isinstance(op, PauliGate) and op.pauli.sign == -1 for op in ops)
+    assert any(isinstance(op, PauliGate) and not op.pauli.x.any() and op.pauli.z.any() for op in ops)
+    assert any(isinstance(op, Projection) and op.outcome == -1 for op in ops)
+    assert e_h.flags.f_contiguous
+    states = Supports(ops[0].n_in, keys, inputs.reshape(-1)[keys])
     for op in ops:
         states = apply_linear(op, states)
     for u, amps in enumerate(inputs):
         expect = apply_sequence_linear(ops, amps)
-        assert np.array_equal(states.column(u).view(np.uint64), expect.view(np.uint64)), u
+        got = states.column(u)
+        # equal in value: every nonzero component has the dense bytes
+        assert np.array_equal(got, expect), u
+        assert (e_h @ got).tobytes() == (e_h @ expect).tobytes(), u
+
+
+# --- the preimages of A^T, from one elimination -------------------------------------
+
+
+@st.composite
+def binary_matrices(draw):
+    """Random 0/1 matrices of any shape up to 6 x 6, often with zero or repeated rows."""
+    rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    r = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
+    m = r.randint(0, 2, size=(rows, cols))
+    m[r.rand(rows) < 0.2] = 0
+    if rows > 1 and draw(st.booleans()):
+        i, j = r.choice(rows, 2, replace=False)
+        m[i] = m[j]
+    return F2Matrix(m)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(binary_matrices())
+def test_preimages_solve_the_transpose_by_one_elimination(a):
+    op = HadamardConjugatedParityMap(a)
+    with mock.patch.object(f2linalg, "rref", wraps=f2linalg.rref) as rref:
+        tables, kernel = op.support_map
+    assert rref.call_count == 1
+    xs = np.arange(1 << a.cols)
+    solved = simverify._lookup(tables, xs)
+    image = old_parity_indices(a.T)  # A^T y at every index y
+    solvable = np.isin(xs, image)
+    # r(x) = 0 exactly when A^T y = x is solvable, and y0(x) solves it then
+    assert np.array_equal(solved >> a.rows == 0, solvable)
+    assert np.array_equal(image[solved[solvable]], xs[solvable])
+    # the kernel table enumerates ker A^T, each of its 2^dim indices once
+    assert len(kernel) == 1 << (a.rows - f2linalg.rank(a))
+    assert np.array_equal(np.sort(kernel), np.flatnonzero(image == 0))
 
 
 # --- each op builds its index map once ------------------------------------------------
@@ -301,26 +364,32 @@ COUNT_PLANS = {  # name -> (plan, number of logical inputs k_in); all above the 
         lambda: build_cnot_plan(direct_sum_code(catalog.steane(), catalog.steane()), 0, 1),
         2,
     ),
-    "toric2_steane_c0t2": (
-        lambda: build_cnot_plan(direct_sum_code(catalog.toric(2), catalog.steane()), 0, 2),
-        3,
-    ),
+    "toric2_steane_c0t2": (toric2_steane_c0t2, 3),
 }
 
+# (plan, the one outcome read as -1): the first measurement's branch has a gauge
+# and a correction of X type; an xmerge.xx0 = -1 branch ends in a Z-type correction
+COUNT_BRANCHES = [pytest.param(name, None, id=name) for name in sorted(COUNT_PLANS)] + [
+    ("steane_steane_c0t1", "xmerge.xx0"),
+    ("toric2_steane_c0t2", "xmerge.xx0"),
+]
 
-@pytest.mark.parametrize("name", sorted(COUNT_PLANS))
-def test_each_op_support_map_is_built_once(name, monkeypatch):
+
+@pytest.mark.parametrize("name,flipped", COUNT_BRANCHES)
+def test_each_op_support_map_is_built_once(name, flipped, monkeypatch):
     build, k_in = COUNT_PLANS[name]
     plan = build()
     ids = plan.measurement_ids()
-    outcomes = {ids[0]: -1}  # one forced branch gauge and its correction, both of X type
+    outcomes = {flipped or ids[0]: -1}
+    correction = measurement_correction(plan, {m: 1 for m in ids} | outcomes)
+    assert len(correction) == 1 and correction[0].z.any() == (flipped is not None)
     e_in = plan_encoders(plan, outcomes)[0]
     assert e_in.k == k_in and (1 << k_in + e_in.code.n) > DENSE_CHANNEL_AMPLITUDES
     tables, maps = _record_builds(monkeypatch, "table"), _record_builds(monkeypatch, "support_map")
     applied = _record_applications(monkeypatch)
     plan_channel(plan, outcomes)
-    ops = plan_physical_ops(plan, outcomes) + measurement_correction(plan, {m: 1 for m in ids} | outcomes)
-    # the background stays +0+0j, so no dense table is built at all
+    ops = plan_physical_ops(plan, outcomes) + correction
+    # no dense table is built at all
     assert tables == []
     assert len(maps) == len(ops) == len({id(op) for op in maps})
     # every op is applied once, to the supports of all columns, through apply_linear
