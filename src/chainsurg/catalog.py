@@ -122,15 +122,9 @@ def hypergraph_product(h1, h2) -> tuple[F2Matrix, F2Matrix]:
     a, b = F2Matrix(h1).a, F2Matrix(h2).a
     (m1, n1), (m2, n2) = a.shape, b.shape
     i_m1, i_n1, i_m2, i_n2 = (np.eye(k, dtype=np.uint8) for k in (m1, n1, m2, n2))
-    hx = np.hstack([_kron(a, i_n2), _kron(i_m1, b.T)])
-    hz = np.hstack([_kron(i_n1, b), _kron(a.T, i_m2)])
+    hx = np.hstack([np.kron(a, i_n2), np.kron(i_m1, b.T)])
+    hz = np.hstack([np.kron(i_n1, b), np.kron(a.T, i_m2)])
     return F2Matrix._wrap(hx), F2Matrix._wrap(hz)
-
-
-def _kron(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two 0/1 arrays, without its general-purpose overhead on small ones."""
-    (p, q), (r, s) = x.shape, y.shape
-    return (x[:, None, :, None] * y[None, :, None, :]).reshape(p * r, q * s)
 
 
 def _repetition(length: int, cyclic: bool) -> np.ndarray:

@@ -229,10 +229,9 @@ def _cmd_switch(args) -> int:
     d = min((s for s in certify_distance(merged, wmax=merged.n) if s is not None), default=None)
     p1 = plan.steps[1].logical_matrix
     action = plan_symplectic_action(plan)
-    identity_ok = (
-        list(map(int, action["X0"][0])) == [1, 0]
-        and list(map(int, action["Z0"][1])) == [1, 0]
-    )
+    # both (X, Z) coordinate pairs: X0 must come back as X0 alone, Z0 as Z0 alone
+    unit, zero = [1, 0], [0, 0]
+    identity_ok = np.array_equal(action["X0"], (unit, zero)) and np.array_equal(action["Z0"], (zero, unit))
     payload = {
         "type": "code-switch",
         "merged": {"n": merged.n, "k": merged.k, "d": d},

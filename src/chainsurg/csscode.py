@@ -12,7 +12,7 @@ from typing import Optional
 import numpy as np
 
 from .chaincomplex import ChainComplex, HomologyBasis, homology
-from .errors import DimensionMismatch, NonCommutingChecks, SingularMatrix
+from .errors import DimensionMismatch, MalformedInput, NonCommutingChecks, SingularMatrix
 from .f2linalg import (
     F2Matrix,
     Subspace,
@@ -140,11 +140,17 @@ class CssCode:
 
     @classmethod
     def from_text(cls, text: str) -> "CssCode":
+        """The code of a section file; a section whose width is not hx's raises
+        MalformedInput naming it, with the message ``from_parity_checks`` gives."""
         sections = split_sections(text, ("hx", "hz", "zl", "xl"))
         hx = section_matrix(sections, "hx")
         hz = section_matrix(sections, "hz")
-        zl = section_matrix(sections, "zl") if "zl" in sections else None
-        xl = section_matrix(sections, "xl") if "xl" in sections else None
+        if hz.cols != hx.cols:
+            raise MalformedInput(f"hx has {hx.cols} columns, hz has {hz.cols}", section="hz")
+        zl, xl = (section_matrix(sections, name) if name in sections else None for name in ("zl", "xl"))
+        for name, rows in (("zl", zl), ("xl", xl)):
+            if rows is not None and rows.cols != hx.cols:
+                raise MalformedInput(f"expected length {hx.cols}, got {rows.cols}", section=name)
         return from_parity_checks(hx, hz, z_basis=zl, x_basis=xl)
 
 
@@ -474,16 +480,16 @@ def bits_to_index(bits: np.ndarray) -> int:
     return idx
 
 
-def linear_indices(columns, dtype=np.int64) -> np.ndarray:
+def linear_indices(columns) -> np.ndarray:
     """The value of the linear map x -> XOR of columns[j] over the set bits x_j, for every x.
 
     Entry x of the result is indexed as in ``bits_to_index`` (qubit 0 is
     the most significant bit). The table is built by linearity: each
     qubit, from the last to the first, doubles it with its column XORed in.
     With basis-index columns this enumerates a GF(2) span, one element
-    per coordinate vector x.
+    per coordinate vector x. The table is int64.
     """
-    out = np.zeros(1, dtype=dtype)
+    out = np.zeros(1, dtype=np.int64)
     for c in reversed(columns):
         out = np.concatenate([out, out ^ int(c)])
     return out

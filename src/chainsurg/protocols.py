@@ -943,9 +943,12 @@ def plan_symplectic_action(plan: SurgeryPlan) -> dict:
     contributes that measurement's correction Pauli (the flip is what
     the classical control sees, so the correction is part of the
     transported operator). Returns {"X0": (xcoords, zcoords), ...} in
-    the base code's logical bases.
+    the base code's logical bases, read by pairing: as x_i . z_j =
+    delta_ij, the X coordinates of a cocycle are zl @ x and the Z
+    coordinates of a cycle are xl @ z, with no class-system elimination.
     """
     base = plan.base_code
+    zl, xl = base.z_logicals.matrix(), base.x_logicals.matrix()
     out = {}
     for kind in ("X", "Z"):
         for i in range(base.k):
@@ -956,9 +959,9 @@ def plan_symplectic_action(plan: SurgeryPlan) -> dict:
                 p, flips = propagate_pauli(step, p)
                 flipped.update(flips)
             p = p.compose(_outcome_correction(plan, flipped))
-            xc = base.x_logicals.class_coordinates(p.x) if p.x.any() else np.zeros(base.k, dtype=np.uint8)
-            zc = base.z_logicals.class_coordinates(p.z) if p.z.any() else np.zeros(base.k, dtype=np.uint8)
-            out[f"{kind}{i}"] = (xc, zc)
+            if not (base.x_logicals.kernel.contains(p.x) and base.z_logicals.kernel.contains(p.z)):
+                raise DimensionMismatch("vector is not a cycle at this degree")
+            out[f"{kind}{i}"] = (zl @ p.x, xl @ p.z)
     return out
 
 
@@ -1261,13 +1264,13 @@ def plan_from_json(text: str) -> SurgeryPlan:
     than its rebuilt value, ancilla checks that are not the base code's
     trailing diagonal block or that come without ``ancilla_n``, a
     correction conditioned on no earlier measurement, a measurement id
-    used twice, repeated ``data_indices`` or ones that include the
-    ancilla, a ``target`` equal to ``control``, a ``correction_rules``
-    key that no merge measures, a ``measure_logical`` Pauli that is not
-    the ancilla's logical of its ``basis`` type with sign +1 (section
-    ``steps[i].pauli``), and a branch insert that anticommutes with a
-    base-code check of its merge's type (section
-    ``steps[i].branch_inserts``). A field that is
+    used twice, ``data_indices`` other than every logical but the
+    ancilla in ascending order, a ``target`` equal to ``control``, a
+    ``correction_rules`` key that no merge measures, a
+    ``measure_logical`` Pauli that is not the ancilla's logical of its
+    ``basis`` type with sign +1 (section ``steps[i].pauli``), and a
+    branch insert that anticommutes with a base-code check of its
+    merge's type (section ``steps[i].branch_inserts``). A field that is
     missing, of the wrong type or out of range, a Pauli not on the base
     code's qubits included, raises MalformedInput whose section names it
     (``steps[2].v1`` for a field of a step).
@@ -1313,13 +1316,11 @@ def plan_from_json(text: str) -> SurgeryPlan:
     twice = [m for m in ids if ids.count(m) > 1]
     if twice:
         raise MalformedInput(f"measurement id {twice[0]!r} is used by two steps", section="steps")
-    data_indices = doc.field("data_indices", "ints")
-    spare = set(logicals) - {ctx["ancilla_index"]}
-    if not set(data_indices) <= spare or len(set(data_indices)) != len(data_indices):
+    # every logical but the ancilla carries data: plan_encoders keeps them all
+    data_indices = [i for i in logicals if i != ctx["ancilla_index"]]
+    if doc.field("data_indices", "ints") != data_indices:
         raise MalformedInput(
-            f"field 'data_indices' must list distinct logical qubits from 0 to {base.k - 1}"
-            f" other than the ancilla {ctx['ancilla_index']}",
-            section="data_indices",
+            "field 'data_indices' differs from the value rebuilt from the plan", section="data_indices"
         )
     control = doc.field("control", "int", choices=data_indices)
     target = doc.field("target", "int", nullable=True, choices=data_indices)

@@ -15,12 +15,14 @@ a support rule next to its dense ``apply``, with the same numpy
 arithmetic, in the same order, on the same operands: a parity map moves
 key x to A x and sums collisions in ascending x, a Hadamard-conjugated
 parity map moves x to its preimages y0(x) + ker A^T, and a Pauli gate
-or projection pairs key x with x ^ mask and signs by the Z parity.
-Entries off the supports are 0, and entries that become 0 leave them.
-So every nonzero amplitude has the bytes of the dense ops; only a zero
-may differ from them in its sign, which changes no IEEE value. Each op
-builds its support map (byte tables of its index map) once and keeps
-it, so ops a plan step holds keep theirs as long as the plan.
+or projection pairs key x with x ^ mask and multiplies by one signed
+table, factor * (-1)^{z.x}, where factor is the Pauli's sign times a
+projection's outcome. Entries off the supports are 0, and entries that
+become 0 leave them. So every nonzero amplitude has the bytes of the
+dense ops; no op keeps the sign of a zero, which changes no IEEE value
+and no output byte. Each op builds its support map (byte tables of its
+index map) once and keeps it, so ops a plan step holds keep theirs as
+long as the plan.
 
 The dense ``apply`` of each kind runs in O(2^n) from an int32 table it
 builds on first use: ``apply`` on a ``StateVector``, and channels small
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -96,10 +98,10 @@ class PhysicalOp:
     """An op on 2^n_in amplitudes, dense or on the supports of a channel's columns.
 
     ``apply`` maps 2^n_in dense amplitudes to 2^n_out: each kind builds
-    its ``table`` (int32 indices, and a Pauli's int8 Z signs) the first
-    time it is applied densely and keeps it. Indexing casts the int32
-    table in buffered chunks (``np.take`` would copy it to int64 first),
-    and each application allocates one output array and works in it.
+    its ``table`` (int32 indices, and a Pauli's int8 signed table) the
+    first time it is applied densely and keeps it. Indexing casts the
+    int32 table in buffered chunks (``np.take`` would copy it to int64
+    first), and each application allocates one output array and works in it.
 
     ``apply_support`` maps ``Supports`` by the same numpy arithmetic, in
     the same order, on the same operands, for the entries each column
@@ -123,7 +125,7 @@ def _row_indices(m: np.ndarray) -> list[int]:
 
 def _parity_indices(a: F2Matrix) -> np.ndarray:
     """Output basis index A @ x for every input index x, as int32 (n <= 20)."""
-    return linear_indices(_row_indices(a.a.T), np.int32)
+    return linear_indices(_row_indices(a.a.T)).astype(np.int32)
 
 
 # The bits of every byte value, most significant first.
@@ -167,11 +169,6 @@ def _lookup(tables, x: np.ndarray) -> np.ndarray:
     for shift, table in tables:
         out ^= table[(x >> shift) & (len(table) - 1)]
     return out
-
-
-def _z_signs(x: np.ndarray) -> np.ndarray:
-    """(-1)^{popcount(x)} as int8, the dtype of a Pauli's dense sign table."""
-    return 1 - 2 * (np.bitwise_count(x) & 1).astype(np.int8)
 
 
 @dataclass(frozen=True)
@@ -261,40 +258,37 @@ class HadamardConjugatedParityMap(_BinaryMap):
 
 @dataclass(frozen=True)
 class _PauliAction(PhysicalOp):
-    """The action of a Pauli P, from one gather and one Z-sign table.
+    """The action of a Pauli P, from one gather and one signed table.
 
-    ``apply`` multiplies the same pairs of floats, in the same order, as
-    sign * (-1)^{z.x} * amps[y ^ mask]: a product with (s + 0j) is exact
-    in value but not in the sign of a zero, so the Z signs, the Pauli's
-    sign and a projection's outcome stay three products. Gathering first
-    and multiplying by the gathered signs pairs the same operands as
-    multiplying first and gathering.
+    The signed table holds factor * (-1)^{z.x} as int8, where factor is
+    the Pauli's sign (times the outcome, for a projection). ``apply``
+    gathers amps[y ^ mask] and multiplies by it once, and the support
+    rules multiply by the same popcount rule at their keys. A product
+    with (s + 0j) is exact in value, so every nonzero amplitude has the
+    same bytes either way; only the sign of a zero may differ.
     """
 
     pauli: PauliOperator
 
     n_in = n_out = property(lambda self: self.pauli.n)
+    factor = property(lambda self: self.pauli.sign)
+
+    def _signs(self, x: np.ndarray, zmask: int) -> np.ndarray:
+        """factor * (-1)^{popcount(x & zmask)} at each index of ``x``, as int8."""
+        odd = (np.bitwise_count(x & zmask) & 1).astype(np.int8)
+        return self.factor * (1 - 2 * odd)
 
     @cached_property
-    def table(self) -> tuple[Optional[np.ndarray], np.ndarray]:
-        """(gather, signs): the X part's gather table y ^ mask, None when it
-        has none, and the Z signs (-1)^{z.x} as int8 in gathered order."""
+    def table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(gather, signs): y ^ X mask as int32, and the signed table there."""
         p = self.pauli
-        signs = 1 - 2 * linear_indices(p.z, np.int8)
-        xmask = bits_to_index(p.x)
-        if not xmask:
-            return None, signs
-        gather = np.arange(1 << p.n, dtype=np.int32) ^ xmask
-        return gather, signs[gather]
+        gather = np.arange(1 << p.n, dtype=np.int32) ^ bits_to_index(p.x)
+        return gather, self._signs(gather, bits_to_index(p.z))
 
     def apply(self, amps: np.ndarray) -> np.ndarray:
         gather, signs = self.table
-        if gather is None:
-            out = amps * signs
-        else:
-            out = amps[gather]
-            out *= signs
-        out *= self.pauli.sign
+        out = amps[gather]
+        out *= signs
         return out
 
     @cached_property
@@ -302,21 +296,16 @@ class _PauliAction(PhysicalOp):
         """(X mask, Z mask) as basis indices."""
         return bits_to_index(self.pauli.x), bits_to_index(self.pauli.z)
 
-    def _signed(self, values: np.ndarray, sources: np.ndarray) -> np.ndarray:
-        """``apply``'s products for the amplitudes ``values`` read at keys ``sources``."""
-        out = values * _z_signs(sources & self.support_map[1])
-        out *= self.pauli.sign
-        return out
-
 
 @dataclass(frozen=True)
 class PauliGate(_PauliAction):
     """The Pauli P applied as a gate."""
 
     def apply_support(self, states: "Supports") -> "Supports":
-        """Each key x moves to x ^ mask, signed by its own Z parity."""
-        out = self._signed(states.values, states.keys)
-        return states.moved(self, states.keys ^ self.support_map[0], out)
+        """Each key x moves to x ^ mask, signed at x."""
+        xmask, zmask = self.support_map
+        out = states.values * self._signs(states.keys, zmask)
+        return states.moved(self, states.keys ^ xmask, out)
 
 
 @dataclass(frozen=True)
@@ -325,9 +314,10 @@ class Projection(_PauliAction):
 
     outcome: int = 1
 
+    factor = property(lambda self: self.pauli.sign * self.outcome)
+
     def apply(self, amps: np.ndarray) -> np.ndarray:
         out = super().apply(amps)
-        out *= self.outcome
         np.add(amps, out, out=out)
         out /= 2.0
         return out
@@ -335,14 +325,13 @@ class Projection(_PauliAction):
     def apply_support(self, states: "Supports") -> "Supports":
         """Each key pairs with its partner key ^ mask; the support grows by the
         partners, a partner off it reads 0, and sums that are 0 leave it."""
-        xmask = self.support_map[0]
+        xmask, zmask = self.support_map
         keys, own = states.keys, states.values
         if xmask:
             keys = np.union1d(keys, keys ^ xmask)
             own = states.read(keys)
         partners = keys ^ xmask
-        out = self._signed(states.read(partners) if xmask else own, partners)
-        out *= self.outcome
+        out = (states.read(partners) if xmask else own) * self._signs(partners, zmask)
         np.add(own, out, out=out)
         out /= 2.0
         return Supports(self.n_out, keys, out).pruned()
@@ -446,19 +435,10 @@ def physical_op_sequence(f: ChainMap, orientation: str = "Z") -> list[PhysicalOp
     """
     if orientation not in ("Z", "X"):
         raise DimensionMismatch("orientation must be 'Z' or 'X'")
-    ops: list[PhysicalOp] = []
-    if orientation == "Z":
-        ops.append(HadamardConjugatedParityMap(f.f1))
-    else:
-        ops.append(ParityMap(f.f1))
+    z = orientation == "Z"
+    first, side = (HadamardConjugatedParityMap, PauliOperator.from_z) if z else (ParityMap, PauliOperator.from_x)
     stabilizers = f.tgt.d2 @ quotient_basis_units(f.tgt.dim2, image_basis(f.f2))
-    for j in range(stabilizers.cols):
-        vec = stabilizers.col(j)
-        if orientation == "Z":
-            ops.append(Projection(PauliOperator.from_z(vec), outcome=1))
-        else:
-            ops.append(Projection(PauliOperator.from_x(vec), outcome=1))
-    return ops
+    return [first(f.f1)] + [Projection(side(stabilizers.col(j))) for j in range(stabilizers.cols)]
 
 
 # --- logical channel extraction ----------------------------------------------

@@ -34,6 +34,7 @@ from .csscode import quotient_basis_units
 from .errors import (
     ClosureViolated,
     DimensionMismatch,
+    MalformedInput,
     NotSurjective,
     SingularMatrix,
 )
@@ -105,14 +106,20 @@ class Subcode:
 
     @classmethod
     def from_text(cls, text: str, parent: ChainComplex) -> "Subcode":
+        """The subcode of a section file; an orientation other than Z or X, or a
+        space whose width is not its parent degree's, raises MalformedInput naming
+        its section. Closure is checked as ``validate_subcode`` checks it."""
         sections = split_sections(text, ("orientation", "v2", "v1", "v0"))
         orientation = sections.get("orientation", "Z").strip().upper()
-        spaces = {}
-        for name in ("v2", "v1", "v0"):
-            spaces[name] = Subspace.from_matrix_rows(section_matrix(sections, name))
-        return validate_subcode(
-            parent, spaces["v2"], spaces["v1"], spaces["v0"], orientation
-        )
+        if orientation not in ("Z", "X"):
+            raise MalformedInput("orientation must be 'Z' or 'X'", section="orientation")
+        spaces = []
+        for name, dim in (("v2", parent.dim2), ("v1", parent.dim1), ("v0", parent.dim0)):
+            rows = section_matrix(sections, name)
+            if rows.cols != dim:
+                raise MalformedInput(f"{name} has {rows.cols} columns, expected {dim}", section=name)
+            spaces.append(Subspace.from_matrix_rows(rows))
+        return validate_subcode(parent, *spaces, orientation)
 
 
 def _restricted_boundary(d: F2Matrix, src: Subspace, tgt: Subspace) -> F2Matrix:

@@ -6,7 +6,7 @@ import jsonschema
 import numpy as np
 import pytest
 
-from chainsurg import catalog, protocols
+from chainsurg import catalog, cli, protocols
 from chainsurg.cli import main
 from chainsurg.chaincomplex import ChainComplex
 from chainsurg.csscode import CssCode
@@ -169,6 +169,25 @@ class TestPlanCommands:
         assert doc["merged"] == {"n": 15, "k": 1, "d": 3}
         assert doc["p1_star"] == [[1, 1]]
         assert doc["round_trip_identity"] is True
+
+    @pytest.mark.parametrize(
+        "key, coords",
+        [("X0", ([1, 0], [1, 0])), ("Z0", ([1, 0], [1, 0])), ("X0", ([1, 1], [0, 0]))],
+        ids=["X0.z", "Z0.x", "X0.x"],
+    )
+    def test_switch_checks_both_coordinates(self, capsys, monkeypatch, key, coords):
+        real = protocols.plan_symplectic_action
+
+        def action(plan):
+            out = real(plan)
+            assert [list(c) for c in out[key]] != [list(c) for c in coords]
+            return {**out, key: tuple(np.array(c, dtype=np.uint8) for c in coords)}
+
+        monkeypatch.setattr(cli, "plan_symplectic_action", action)
+        rc, doc = run_json(capsys, ["switch"])
+        assert rc == 0 and doc["round_trip_identity"] is False
+        assert main(["switch"]) == 0
+        assert capsys.readouterr().out.endswith("round-trip logical map NOT identity\n")
 
     def test_simulate_with_outcome(self, steane_file, capsys):
         rc, doc = run_json(
@@ -442,6 +461,26 @@ class TestMalformedInputs:
         payload = json.loads(captured.err)
         assert (payload["error"], payload.get("section")) == expected
 
+    @pytest.mark.parametrize("data", [[0], [1, 0]])
+    def test_plan_with_edited_data_indices(self, tmp_path, capsys, data):
+        # plan_encoders simulates every logical but the ancilla, whatever the field says
+        code = tmp_path / "toric2.code"
+        code.write_text(catalog.toric(2).to_text())
+        plan_file = tmp_path / "plan.json"
+        assert main(["cnot", str(code), "--control", "0", "--out", str(plan_file)]) == 0
+        capsys.readouterr()
+        doc = json.loads(plan_file.read_text())
+        assert (doc["ancilla_index"], doc["data_indices"]) == (2, [0, 1])
+        doc["data_indices"] = data
+        plan_file.write_text(json.dumps(doc))
+        payload = self._error(capsys, ["simulate", "--plan", str(plan_file)])
+        assert payload == {
+            "error": "MalformedInput",
+            "message": "field 'data_indices' differs from the value rebuilt from the plan",
+            "file": str(plan_file),
+            "section": "data_indices",
+        }
+
     def test_plan_with_edited_p1(self, steane_file, tmp_path, capsys):
         plan_file = tmp_path / "plan.json"
         assert main(["cnot", steane_file, "--control", "0", "--out", str(plan_file)]) == 0
@@ -477,6 +516,42 @@ class TestNothingSilentlyAccepted:
         bad.write_text(edit(catalog.steane().to_text()))
         payload = self._error(capsys, ["validate", str(bad)])
         assert payload == {"error": "MalformedInput", "message": message, "file": str(bad), "section": section}
+
+    @pytest.mark.parametrize(
+        "edit, section, message",
+        [
+            (
+                lambda t: t.replace("hz:\n3 7\n1110100\n0011110\n0100111", "hz:\n3 6\n111010\n001111\n010011"),
+                "hz",
+                "hx has 7 columns, hz has 6",
+            ),
+            (lambda t: t.replace("zl:\n1 7\n0001011", "zl:\n1 5\n00010"), "zl", "expected length 7, got 5"),
+            (lambda t: t.replace("xl:\n1 7\n1011000", "xl:\n0 5"), "xl", "expected length 7, got 5"),
+        ],
+        ids=["hz", "zl", "xl"],
+    )
+    def test_code_file_section_widths(self, tmp_path, capsys, edit, section, message):
+        text = catalog.steane().to_text()
+        bad = tmp_path / "bad.code"
+        bad.write_text(edit(text))
+        assert bad.read_text() != text
+        payload = self._error(capsys, ["validate", str(bad)])
+        assert payload == {"error": "MalformedInput", "message": message, "file": str(bad), "section": section}
+
+    @pytest.mark.parametrize(
+        "text, section, message",
+        [
+            ("orientation: Y\nv2:\n0 3\nv1:\n0 7\nv0:\n0 3\n", "orientation", "orientation must be 'Z' or 'X'"),
+            ("v2:\n0 3\nv1:\n1 6\n111000\nv0:\n0 3\n", "v1", "v1 has 6 columns, expected 7"),
+            ("orientation: X\nv2:\n0 3\nv1:\n0 7\nv0:\n1 4\n1000\n", "v0", "v0 has 4 columns, expected 3"),
+        ],
+        ids=["orientation", "v1", "v0"],
+    )
+    def test_subcode_file_section_widths(self, steane_file, tmp_path, capsys, text, section, message):
+        sub = tmp_path / "bad.sub"
+        sub.write_text(text)
+        payload = self._error(capsys, ["merge", steane_file, "--subcode", str(sub)])
+        assert payload == {"error": "MalformedInput", "message": message, "file": str(sub), "section": section}
 
     def test_subcode_file_sections(self, welding_files, capsys):
         code, sub = welding_files

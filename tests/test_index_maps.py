@@ -6,9 +6,10 @@ builds its dense index table once and applies it to every column. The old
 path, kept here as the oracle, rebuilt every op's 2^n table once per
 column. The channels must agree byte for byte (signed zeros included) on
 every catalog and golden plan that the simulator takes, in every outcome
-branch, with and without corrections. On random op chains over inputs
-that hold zeros of either sign, the states on supports must equal the
-dense ops' in value, and so have the bytes of every nonzero component;
+branch, with and without corrections. On inputs that hold zeros of
+either sign, each dense op must equal its old oracle in value, and on
+random op chains the states on supports must equal the dense ops' in
+value, and so have the bytes of every nonzero component;
 only zeros off the supports may differ in sign, and the product with an
 E^dagger-shaped array, as the hand-off forms it, must have the same bytes
 either way. ``_preimages``, the one solve behind the Hadamard-conjugated
@@ -207,15 +208,31 @@ def _random_ops(r, n):
     ]
 
 
+def e_dagger_like(r, n: int, rows: int) -> np.ndarray:
+    """An array shaped and laid out as Encoder.adjoint gives E^dagger: F-ordered,
+    every imaginary part -0, and some entries exact zeros (0, -0)."""
+    e_h = np.full((1 << n, rows), complex(0.0, -0.0)).T
+    e_h.real = r.choice([0.0, 0.5, -0.5, 0.25], size=e_h.shape)
+    return e_h
+
+
 @pytest.mark.parametrize("n", [1, 4, 9])
 def test_op_bytes_match_the_old_op_on_signed_zeros(n):
+    """Each op equals its old oracle in value, so every nonzero component has its
+    bytes; a Pauli's one signed product may flip the sign of a zero, which no
+    product with E^dagger, as the channel hand-off forms it, shows."""
     r = np.random.RandomState(n)
     for op in _random_ops(r, n):
+        e_h = e_dagger_like(r, op.n_out, 3)
         for _ in range(3):
             amps = signed_zero_amps(r, op.n_in)
-            assert apply_linear(op, amps).tobytes() == old_apply_linear(op, amps).tobytes()
-        table = op.table[0] if isinstance(op, (PauliGate, Projection)) else op.table
-        assert table is None or table.dtype == np.int32
+            got, expect = apply_linear(op, amps), old_apply_linear(op, amps)
+            assert np.array_equal(got, expect)
+            assert (e_h @ got).tobytes() == (e_h @ expect).tobytes()
+        if isinstance(op, (PauliGate, Projection)):
+            assert [t.dtype for t in op.table] == [np.int32, np.int8]
+        else:
+            assert op.table.dtype == np.int32
 
 
 # --- random op chains on signed zeros ---------------------------------------------
@@ -267,11 +284,7 @@ def op_chains(draw):
     inputs.real[held] = r.choice([0.0, -0.0, 0.5, -0.5, 0.25], size=held.sum())
     inputs.imag[held] = r.choice([0.0, -0.0, 0.5], size=held.sum())
     u, x = np.nonzero(held)
-    # E^dagger-shaped, as Encoder.adjoint lays it out: F-ordered, every imaginary
-    # part -0, and some entries exact zeros (0, -0)
-    e_h = np.full((1 << n, draw(st.integers(1, 4))), complex(0.0, -0.0)).T
-    e_h.real = r.choice([0.0, 0.5, -0.5, 0.25], size=e_h.shape)
-    return ops, inputs, (u << n_in) | x, e_h
+    return ops, inputs, (u << n_in) | x, e_dagger_like(r, n, draw(st.integers(1, 4)))
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)

@@ -1,0 +1,317 @@
+"""Input errors that public calls reach, each with its type and message.
+
+Each case breaks one precondition of a public call, and must end in the
+raise that guards it. Checks that only a corrupted internal invariant
+could fail are not here.
+"""
+import json
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from chainsurg import catalog
+from chainsurg.chaincomplex import (
+    HomologyBasis,
+    homology,
+    identity_chain_map,
+    induced_on_homology,
+    validate,
+    validate_chain_map,
+)
+from chainsurg.cli import main
+from chainsurg.csscode import (
+    PauliOperator,
+    dual_x_basis,
+    from_parity_checks,
+    quotient_basis_units,
+    symplectic_product,
+)
+from chainsurg.errors import (
+    DecompositionInfeasible,
+    DimensionMismatch,
+    SingularMatrix,
+    SquareDoesNotCommute,
+    UnknownExample,
+    ZeroProbabilityOutcome,
+)
+from chainsurg.f2linalg import F2Matrix, Subspace, as_bit_vector, hstack, quotient_basis, vstack
+from chainsurg.protocols import (
+    build_cnot_plan,
+    decompose_merge_support,
+    plan_from_json,
+    plan_symplectic_action,
+    plan_to_json,
+)
+from chainsurg.simverify import (
+    PauliGate,
+    PhysicalOp,
+    StateVector,
+    Supports,
+    apply,
+    apply_linear,
+    fix_phase_and_scale,
+    pauli_expectation,
+    physical_op_sequence,
+)
+from chainsurg.surgery import quotient_merge, span_merge, validate_subcode
+
+STEANE = catalog.steane()
+TORIC2 = catalog.toric(2)
+E0 = np.eye(7, dtype=np.uint8)[0]  # not a cycle of the Steane code
+
+
+def _bogus_basis(rep):
+    """A Steane Z basis holding ``rep``, built without the checks ``from_parity_checks`` makes."""
+    cx = STEANE.complex
+    return HomologyBasis(representatives=(rep,), kernel=cx.cycles, image=cx.boundaries)
+
+
+def _wrong_parent_merge():
+    welding = catalog.worked_example("welding")
+    return quotient_merge(STEANE.complex, welding.subcode)
+
+
+def _symplectic_action_without_the_cocycle():
+    """A toric-2 CNOT plan whose zmerge.zz0 rule is X on qubit 0, which anticommutes with a Z check."""
+    plan = build_cnot_plan(TORIC2, 0, 1)
+    rule = PauliOperator.from_x(np.eye(plan.base_code.n, dtype=np.uint8)[0])
+    return plan_symplectic_action(replace(plan, correction_rules={**plan.correction_rules, "zmerge.zz0": rule}))
+
+
+def _symplectic_action_with_a_commuting_insert():
+    """A Steane plan loaded with an X check as its branch insert: it flips no measurement."""
+    doc = json.loads(plan_to_json(build_cnot_plan(STEANE, 0, None)))
+    doc["steps"][1]["branch_inserts"][0]["x"] = doc["base_hx"][0]
+    return plan_symplectic_action(plan_from_json(json.dumps(doc)))
+
+
+CASES = {
+    # catalog
+    "toric_1": (lambda: catalog.toric(1), DimensionMismatch, "toric code needs L >= 2"),
+    "surface_patch_0x2": (lambda: catalog.surface_patch(0, 2), DimensionMismatch, "patch needs w, h >= 1"),
+    "no_check_0": (lambda: catalog.no_check(0), DimensionMismatch, "need at least one qubit"),
+    "catalog_code": (lambda: catalog.catalog_code("nope"), UnknownExample, "unknown catalog code 'nope'"),
+    # chain complexes and chain maps
+    "validate_middle": (
+        lambda: validate(F2Matrix.zeros(2, 1), F2Matrix.zeros(1, 3)),
+        DimensionMismatch,
+        "middle space mismatch: d1 has 3 columns, d2 has 2 rows",
+    ),
+    "homology_degree": (lambda: homology(STEANE.complex, 3), DimensionMismatch, "degree must be 0, 1 or 2, got 3"),
+    "compose": (
+        lambda: identity_chain_map(STEANE.complex).compose(identity_chain_map(TORIC2.complex)),
+        DimensionMismatch,
+        "chain maps are not composable",
+    ),
+    "chain_map_shape": (
+        lambda: validate_chain_map(
+            STEANE.complex, STEANE.complex, F2Matrix.identity(3), F2Matrix.identity(6), F2Matrix.identity(3)
+        ),
+        DimensionMismatch,
+        r"f1 must be 7x7, got \(6, 6\)",
+    ),
+    "chain_map_square_1": (
+        lambda: validate_chain_map(
+            STEANE.complex, STEANE.complex, F2Matrix.identity(3), F2Matrix.identity(7), F2Matrix.zeros(3, 3)
+        ),
+        SquareDoesNotCommute,
+        "chain-map square at degree 1 does not commute",
+    ),
+    "induced_on_homology": (
+        lambda: induced_on_homology(identity_chain_map(STEANE.complex), 1, _bogus_basis(E0), STEANE.z_logicals),
+        DimensionMismatch,
+        "pushed representative is not a cycle",
+    ),
+    # codes and Paulis
+    "pauli_sign": (lambda: PauliOperator(x=[1], z=[0], sign=2), DimensionMismatch, r"sign must be \+1 or -1"),
+    "pauli_compose": (
+        lambda: PauliOperator.from_x([1]).compose(PauliOperator.from_x([1, 0])),
+        DimensionMismatch,
+        "Pauli lengths differ",
+    ),
+    "symplectic_product": (
+        lambda: symplectic_product(PauliOperator.from_x([1]), PauliOperator.from_z([1, 0])),
+        DimensionMismatch,
+        "Pauli lengths differ",
+    ),
+    "from_parity_checks_widths": (
+        lambda: from_parity_checks(STEANE.hx, F2Matrix.zeros(1, 6)),
+        DimensionMismatch,
+        "hx has 7 columns, hz has 6",
+    ),
+    "quotient_basis_units": (
+        lambda: quotient_basis_units(6, Subspace.zero(7)),
+        DimensionMismatch,
+        "ambient dimensions differ",
+    ),
+    "dual_x_basis": (
+        lambda: dual_x_basis(STEANE.complex, _bogus_basis(np.zeros(7, dtype=np.uint8))),
+        SingularMatrix,
+        "dual basis assembly failed",
+    ),
+    # GF(2) matrices and subspaces
+    "bit_vector_shape": (lambda: as_bit_vector([[1, 0]]), DimensionMismatch, r"expected a vector, got shape \(1, 2\)"),
+    "bit_vector_length": (lambda: as_bit_vector([1, 0], 3), DimensionMismatch, "expected length 3, got 2"),
+    "matrix_shape": (
+        lambda: F2Matrix(np.zeros((1, 1, 2))), DimensionMismatch, r"expected a matrix, got shape \(1, 1, 2\)"
+    ),
+    "from_rows": (lambda: F2Matrix.from_rows([]), DimensionMismatch, "empty row list needs an explicit column count"),
+    "matmul": (
+        lambda: F2Matrix.identity(2) @ F2Matrix.identity(3),
+        DimensionMismatch,
+        r"\(2, 2\) @ \(3, 3\)",
+    ),
+    "matmul_vector": (
+        lambda: F2Matrix.identity(2) @ np.zeros(3, dtype=np.uint8),
+        DimensionMismatch,
+        r"\(2, 2\) @ vector of length 3",
+    ),
+    # F2Matrix leaves an array of any other rank to numpy, which refuses it
+    "matmul_3d": (lambda: F2Matrix.identity(2) @ np.zeros((2, 2, 2)), ValueError, "matmul"),
+    "add": (lambda: F2Matrix.identity(2) + F2Matrix.identity(3), DimensionMismatch, r"\(2, 2\) \+ \(3, 3\)"),
+    "hstack": (lambda: hstack([]), DimensionMismatch, "need at least one block"),
+    "vstack": (lambda: vstack([]), DimensionMismatch, "need at least one block"),
+    "contains_rows": (
+        lambda: Subspace.zero(3).contains_rows(F2Matrix.zeros(1, 2)),
+        DimensionMismatch,
+        "ambient dimensions differ",
+    ),
+    "subspace_sum": (lambda: Subspace.zero(3).sum(Subspace.zero(2)), DimensionMismatch, "ambient dimensions differ"),
+    "quotient_basis": (
+        lambda: quotient_basis(3, Subspace.zero(3), Subspace.zero(2)),
+        DimensionMismatch,
+        "ambient dimensions differ",
+    ),
+    # merges
+    "validate_subcode_orientation": (
+        lambda: validate_subcode(STEANE.complex, Subspace.zero(3), Subspace.zero(7), Subspace.zero(3), "Y"),
+        DimensionMismatch,
+        "orientation must be 'Z' or 'X'",
+    ),
+    "validate_subcode_dims": (
+        lambda: validate_subcode(STEANE.complex, Subspace.zero(3), Subspace.zero(6), Subspace.zero(3)),
+        DimensionMismatch,
+        r"subspace ambient dims \(3, 6, 3\) do not match parent \(3, 7, 3\)",
+    ),
+    "quotient_merge_parent": (
+        _wrong_parent_merge,
+        DimensionMismatch,
+        "subcode was validated against a different parent",
+    ),
+    "span_merge_apex": (
+        lambda: span_merge(identity_chain_map(STEANE.complex), identity_chain_map(TORIC2.complex)),
+        DimensionMismatch,
+        "span legs have different apex complexes",
+    ),
+    # plans
+    "decompose_equal_ends": (
+        lambda: decompose_merge_support(STEANE, STEANE.z_logical(0), STEANE.z_logical(0), 2),
+        DecompositionInfeasible,
+        "u and w coincide; nothing to merge",
+    ),
+    "decompose_weight_cap": (
+        lambda: decompose_merge_support(catalog.no_check(2), [1, 0], [0, 1], max_weight=1),
+        DecompositionInfeasible,
+        "no admissible decomposition under the weight cap",
+    ),
+    "decompose_second_class": (
+        lambda: decompose_merge_support(TORIC2, TORIC2.z_logical(0), TORIC2.z_logical(1), max_weight=1),
+        DecompositionInfeasible,
+        "candidate span admits a second independent logical class",
+    ),
+    "action_not_a_cocycle": (
+        _symplectic_action_without_the_cocycle,
+        DimensionMismatch,
+        "vector is not a cycle at this degree",
+    ),
+    "action_commuting_insert": (
+        _symplectic_action_with_a_commuting_insert,
+        DimensionMismatch,
+        "transport failed: the flipping side has no preimage",
+    ),
+    # simulation
+    "state_qubit_limit": (
+        lambda: StateVector(n=21, amplitudes=np.zeros(1)),
+        DimensionMismatch,
+        "21 qubits exceeds the simulator limit 20",
+    ),
+    "state_length": (
+        lambda: StateVector(n=2, amplitudes=np.zeros(3)),
+        DimensionMismatch,
+        "amplitude array has the wrong length",
+    ),
+    "state_normalized": (
+        lambda: StateVector(n=1, amplitudes=np.ones(2), normalized=True),
+        DimensionMismatch,
+        "state marked normalized but",
+    ),
+    "from_amplitudes_length": (
+        lambda: StateVector.from_amplitudes([1, 0, 0]),
+        DimensionMismatch,
+        "amplitude count is not a power of two",
+    ),
+    "op_apply": (lambda: PhysicalOp().apply(np.zeros(2)), NotImplementedError, "^$"),
+    "op_apply_support": (
+        lambda: PhysicalOp().apply_support(Supports(1, np.zeros(0, dtype=np.int64), np.zeros(0))),
+        NotImplementedError,
+        "^$",
+    ),
+    "apply_linear_supports": (
+        lambda: apply_linear(
+            PauliGate(PauliOperator.from_x([1, 0])), Supports(1, np.zeros(1, dtype=np.int64), np.ones(1))
+        ),
+        DimensionMismatch,
+        "op expects 2 qubits, states have 1",
+    ),
+    "apply_state": (
+        lambda: apply(PauliGate(PauliOperator.from_x([1, 0])), StateVector.basis_state(1)),
+        DimensionMismatch,
+        "op expects 2 qubits, state has 1",
+    ),
+    "op_sequence_orientation": (
+        lambda: physical_op_sequence(identity_chain_map(STEANE.complex), "Y"),
+        DimensionMismatch,
+        "orientation must be 'Z' or 'X'",
+    ),
+    "zero_channel": (
+        lambda: fix_phase_and_scale(np.zeros((2, 2), dtype=np.complex128)),
+        ZeroProbabilityOutcome,
+        "extracted channel is identically zero",
+    ),
+    "zero_state_expectation": (
+        lambda: pauli_expectation(PauliOperator.from_z([1]), StateVector(n=1, amplitudes=np.zeros(2))),
+        ZeroProbabilityOutcome,
+        "zero state has no expectation values",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_input_error(name):
+    call, error, message = CASES[name]
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (
+            ["homology", "{steane}", "--degree", "3"],
+            {"error": "DimensionMismatch", "message": "degree must be 0, 1 or 2, got 3"},
+        ),
+        (
+            ["catalog", "export", "nope"],
+            {"error": "UnknownExample", "message": f"unknown catalog code 'nope'; known: {catalog.catalog_names()}"},
+        ),
+    ],
+    ids=["homology_degree", "catalog_export"],
+)
+def test_cli_input_error(tmp_path, capsys, argv, payload):
+    steane = tmp_path / "steane.code"
+    steane.write_text(STEANE.to_text())
+    assert main([str(steane) if a == "{steane}" else a for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out and json.loads(captured.err) == payload
+

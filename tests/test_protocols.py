@@ -526,6 +526,55 @@ class TestSymplecticAction:
         plan_symplectic_action(plan)
         assert len(calls) == 2  # one per split, not one per transported Pauli
 
+    @staticmethod
+    def _action_by_class_systems(plan):
+        """The action as it read classes before pairing: each base basis's class system."""
+        base, out = plan.base_code, {}
+        for kind in ("X", "Z"):
+            for i in range(base.k):
+                rep = base.x_logical(i) if kind == "X" else base.z_logical(i)
+                p = PauliOperator.from_x(rep) if kind == "X" else PauliOperator.from_z(rep)
+                flipped = set()
+                for step in plan.steps:
+                    p, flips = propagate_pauli(step, p)
+                    flipped.update(flips)
+                p = p.compose(_outcome_correction(plan, flipped))
+                out[f"{kind}{i}"] = (
+                    base.x_logicals.class_coordinates(p.x), base.z_logicals.class_coordinates(p.z)
+                )
+        return out
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_PLANS))
+    @pytest.mark.parametrize("reloaded", [False, True], ids=["built", "reloaded"])
+    def test_pairing_reads_the_class_coordinates(self, name, reloaded):
+        plan = GOLDEN_PLANS[name]()
+        if reloaded:  # both bases given, so neither basis carries a class system
+            plan = plan_from_json(plan_to_json(plan))
+        try:
+            expect = self._action_by_class_systems(plan)
+        except CorrectionUnavailable:
+            with pytest.raises(CorrectionUnavailable):
+                plan_symplectic_action(plan)
+            return
+        act = plan_symplectic_action(plan)
+        assert act.keys() == expect.keys()
+        for key, (xc, zc) in expect.items():
+            assert [c.dtype for c in act[key]] == [np.uint8, np.uint8]
+            assert np.array_equal(act[key][0], xc) and np.array_equal(act[key][1], zc), key
+
+    def test_reloaded_toric_5_cnot_runs_no_class_system_elimination(self, monkeypatch):
+        from chainsurg import chaincomplex
+
+        plan = plan_from_json(plan_to_json(build_cnot_plan(catalog.toric(5), 0, 1)))
+        assert (plan.base_code.n, plan.base_code.k) == (51, 3)
+        shapes = []
+        real = chaincomplex.rref
+        monkeypatch.setattr(chaincomplex, "rref", lambda m, *a, **kw: shapes.append(m.shape) or real(m, *a, **kw))
+        act = plan_symplectic_action(plan)
+        assert shapes == []
+        expect = self._action_by_class_systems(plan)
+        assert all(np.array_equal(np.stack(act[key]), np.stack(expect[key])) for key in expect)
+
     def test_switch_identity(self):
         plan = code_switch_plan()
         act = plan_symplectic_action(plan)
