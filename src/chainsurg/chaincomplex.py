@@ -40,7 +40,9 @@ class ChainComplex:
     complex's ``cycles`` and ``boundaries``, and transposing twice gives
     back this object. A complex built by ``direct_sum`` keeps its two
     summands, and assembles its spaces from theirs with no elimination;
-    the summands take no part in equality or hashing.
+    the summands take no part in equality or hashing. A builder that
+    already knows the spaces sets them with ``_seed``, as
+    ``surgery.quotient_merge`` does.
     """
 
     d2: F2Matrix
@@ -93,6 +95,12 @@ class ChainComplex:
         """The cochain complex viewed as a chain complex (degree n -> 2 - n)."""
         return self._transposed
 
+    def _seed(self, cycles: Subspace | None, boundaries: Subspace | None) -> None:
+        """Set the degree-1 spaces the complex's builder already knows (None: not known)."""
+        for name, space in (("cycles", cycles), ("boundaries", boundaries)):
+            if space is not None:
+                self.__dict__[name] = space
+
     def to_text(self) -> str:
         return "d2:\n" + format_matrix(self.d2) + "d1:\n" + format_matrix(self.d1)
 
@@ -121,11 +129,29 @@ class HomologyBasis:
     representatives reduced modulo the image, with its k x k row
     transform. ``homology`` and ``_basis_from_rows`` know it already and
     seed it; any other basis eliminates its k rows on first use.
+
+    A basis made by ``of_complex`` holds a complex instead of its kernel
+    and image, and reads them as the complex's cycles and boundaries
+    when first asked for, so they are computed only if read.
     """
 
     representatives: tuple[np.ndarray, ...]
     kernel: Subspace
     image: Subspace
+
+    @classmethod
+    def of_complex(cls, representatives: tuple[np.ndarray, ...], cplx: ChainComplex) -> "HomologyBasis":
+        """A degree-1 basis of ``cplx`` whose kernel and image are read from it when first used."""
+        basis = object.__new__(cls)
+        basis.__dict__.update(representatives=representatives, _complex=cplx)
+        return basis
+
+    def __getattr__(self, name: str):
+        # reached only for an attribute not set: the kernel or image of an of_complex basis
+        cplx = self.__dict__.get("_complex")
+        if cplx is None or name not in ("kernel", "image"):
+            raise AttributeError(name)
+        return cplx.cycles if name == "kernel" else cplx.boundaries
 
     @property
     def dim(self) -> int:
@@ -133,7 +159,8 @@ class HomologyBasis:
 
     @property
     def ambient_dim(self) -> int:
-        return self.kernel.ambient_dim
+        cplx = self.__dict__.get("_complex")
+        return self.kernel.ambient_dim if cplx is None else cplx.dim1
 
     def matrix(self) -> F2Matrix:
         """Representatives stacked as rows (dim x ambient)."""

@@ -154,6 +154,10 @@ class CssCode:
         return from_parity_checks(hx, hz, z_basis=zl, x_basis=xl)
 
 
+def _rows(m: F2Matrix) -> tuple[np.ndarray, ...]:
+    return tuple(m.row(i) for i in range(m.rows))
+
+
 def _basis_from_rows(rows: F2Matrix, kernel: Subspace, image: Subspace) -> HomologyBasis:
     """The rows as a homology basis, checked to be independent cycles spanning ker/im.
 
@@ -174,12 +178,8 @@ def _basis_from_rows(rows: F2Matrix, kernel: Subspace, image: Subspace) -> Homol
     if rows.rows + image.dim != kernel.dim:
         k = kernel.dim - image.dim
         raise DimensionMismatch(f"supplied {rows.rows} logical representatives for {k} logical qubits")
-    basis = _rows_basis(rows, kernel, image)
+    basis = HomologyBasis(representatives=_rows(rows), kernel=kernel, image=image)
     return basis if reduced is None else basis._seed(reduced)
-
-
-def _rows_basis(rows: F2Matrix, kernel: Subspace, image: Subspace) -> HomologyBasis:
-    return HomologyBasis(representatives=tuple(rows.row(i) for i in range(rows.rows)), kernel=kernel, image=image)
 
 
 def from_parity_checks(
@@ -217,13 +217,16 @@ def from_complex(
     z_j that is a boundary pairs to zero with every cocycle x_i, so its
     coefficients are all zero: the z_j are independent modulo the
     stabilizers, and the x_i likewise. Such a pair is taken with no rank
-    elimination. Any other pair is checked one basis at a time, and the
-    first check that fails names the error.
+    elimination, and (co)cycles are told by the products hx @ zl.T and
+    hz @ xl.T, so each basis's kernel and image are eliminated only when
+    first read: a job on one side never eliminates the other's. Any other
+    pair is checked one basis at a time, and the first check that fails
+    names the error.
     """
     co = cplx.transpose()
     if z_basis is not None and x_basis is not None and _dual_pair(cplx, z_basis, x_basis):
-        zb = _rows_basis(z_basis, cplx.cycles, cplx.boundaries)
-        return CssCode(complex=cplx, z_logicals=zb, x_logicals=_rows_basis(x_basis, co.cycles, co.boundaries))
+        zb = HomologyBasis.of_complex(_rows(z_basis), cplx)
+        return CssCode(complex=cplx, z_logicals=zb, x_logicals=HomologyBasis.of_complex(_rows(x_basis), co))
     if z_basis is None:
         zb = homology(cplx, 1)
     else:
@@ -238,12 +241,11 @@ def from_complex(
 
 def _dual_pair(cplx: ChainComplex, z_basis: F2Matrix, x_basis: F2Matrix) -> bool:
     """Whether both bases are k x n (co)cycles with x_basis @ z_basis.T = I."""
-    co = cplx.transpose()
     k = cplx.cycles.dim - cplx.boundaries.dim
     return (
         z_basis.shape == x_basis.shape == (k, cplx.dim1)
-        and cplx.cycles.contains_rows(z_basis)
-        and co.cycles.contains_rows(x_basis)
+        and (cplx.d1 @ z_basis.T).is_zero()
+        and (cplx.d2.T @ x_basis.T).is_zero()
         and x_basis @ z_basis.T == F2Matrix.identity(k)
     )
 

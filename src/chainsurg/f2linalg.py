@@ -59,11 +59,21 @@ What an RREF already says is read, not eliminated again:
   space too;
 - ``Subspace.intersect`` is one elimination of [[U, U], [W, 0]]
   (Zassenhaus): the rows with a zero left half come last, and their
-  right halves are already the canonical basis of the intersection.
+  right halves are already the canonical basis of the intersection;
+- ``Subspace.sum`` eliminates only the other space's rows reduced
+  modulo this one: their RREF is zero at this space's pivots, so
+  clearing its pivot columns in this space's rows and inserting its rows
+  by pivot gives the canonical RREF of the sum; one nonzero row is its
+  own RREF, with its pivot at its first 1;
+- the quotient rule (``Subspace.project``): the image of a space U that
+  holds W, under reduction modulo W read at W's free columns, is U's
+  canonical basis with W's pivot rows and pivot columns dropped, since
+  each of W's pivots is one of U's and U's other rows are zero there.
 """
 from __future__ import annotations
 
 import re
+from bisect import bisect
 from dataclasses import dataclass
 from itertools import compress, count
 from typing import Iterable, Sequence
@@ -347,6 +357,8 @@ class Subspace:
     def from_matrix_rows(cls, m: F2Matrix) -> "Subspace":
         if m.is_zero():  # no rows, or only zero rows: nothing to eliminate
             return cls.zero(m.cols)
+        if m.rows == 1:  # a nonzero row is its own RREF, its pivot at its first 1
+            return cls(m.cols, m, (int(m.a[0].argmax()),))
         res = rref(m, transform=False)
         return cls(m.cols, F2Matrix._wrap(res.reduced.a[: res.rank]), res.pivots)
 
@@ -394,9 +406,43 @@ class Subspace:
         return self.contains_rows(other.basis)
 
     def sum(self, other: "Subspace") -> "Subspace":
+        """self + other by inserting other's rows into self's canonical basis.
+
+        Only other's rows reduced modulo self are eliminated. Their RREF N
+        is zero at self's pivots, so clearing N's pivot columns in self's
+        rows keeps those rows reduced, with their leading ones in place;
+        N's rows inserted among them by pivot then give the canonical RREF.
+        """
         if other.ambient_dim != self._ambient:
             raise DimensionMismatch("ambient dimensions differ")
-        return Subspace.from_vectors(self.basis_vectors() + other.basis_vectors(), self._ambient)
+        if not self.dim:
+            return other
+        new = Subspace.from_matrix_rows(F2Matrix._wrap(_reduce_rows(other.basis.a, self)))
+        rows, pivots = self._basis.a, self._pivots
+        for row, c in zip(new.basis.a, new.pivots):
+            at = bisect(pivots, c)
+            rows = rows ^ (rows[:, c, None] & row)  # clear column c: an outer product with the row
+            rows = np.concatenate([rows[:at], row[None], rows[at:]])
+            pivots = pivots[:at] + (c,) + pivots[at:]
+        return Subspace(self._ambient, F2Matrix._wrap(rows), pivots) if new.dim else self
+
+    def project(self, w: "Subspace") -> "Subspace":
+        """The image of self, which must hold w, under the projection onto w's free columns.
+
+        That projection is reduction modulo w read off at the columns that
+        are not w's pivots. Each of w's pivots is one of self's, and self's
+        other rows are zero at them, so they are already reduced: dropped
+        to the free columns they are the canonical RREF of the image, and
+        the rows at w's pivots are not needed.
+        """
+        free = np.ones(self._ambient, dtype=bool)
+        free[list(w.pivots)] = False
+        pivots = np.array(self._pivots, dtype=np.intp)
+        keep = free[pivots]
+        kept = pivots[keep]
+        # a free column's position among the free columns: less the pivots of w before it
+        kept -= np.searchsorted(w.pivots, kept)
+        return Subspace(self._ambient - w.dim, F2Matrix._wrap(self._basis.a[keep][:, free]), tuple(kept.tolist()))
 
     def direct_sum(self, other: "Subspace") -> "Subspace":
         """self in the first coordinates and other in the rest, with no elimination.

@@ -70,6 +70,7 @@ from .f2linalg import (
     Subspace,
     as_bit_vector,
     block_diag,
+    kernel_basis,
     solve,  # unused here; perfbench/test_perfbench.py checks its tracer patches protocols.solve
     vstack,
 )
@@ -516,16 +517,21 @@ def _decompose_support(cplx: ChainComplex, u, w, max_weight: int) -> list[np.nda
 
 def _allowed_space(cplx: ChainComplex, target: np.ndarray) -> Subspace:
     """The boundaries and u + w: the cycles a safe span may contain."""
-    stab = cplx.boundaries
-    return Subspace.from_vectors(list(stab.basis_vectors()) + [target], cplx.dim1)
+    return cplx.boundaries.sum(Subspace.from_vectors([target], cplx.dim1))
 
 
 def _check_span_exclusion(
     cplx: ChainComplex, gens: list[np.ndarray], target: np.ndarray, allowed: Subspace
 ) -> None:
-    span = Subspace.from_vectors(gens, cplx.dim1)
-    inside = span.intersect(cplx.cycles)
-    if not allowed.contains_subspace(inside):
+    """Raise unless span(gens) meets the cycles inside ``allowed`` and the gens sum to ``target``.
+
+    The combinations y @ G of the generator rows G that are cycles are
+    those with y in the kernel of the small dim0 x g matrix d1 @ G.T, so
+    their products with G span span(gens) ∩ cycles.
+    """
+    g = F2Matrix.from_rows(gens, cols=cplx.dim1)
+    inside = kernel_basis(cplx.d1 @ g.T).basis @ g
+    if not allowed.contains_rows(inside):
         raise DecompositionInfeasible(
             "candidate span admits a second independent logical class"
         )
@@ -1131,16 +1137,27 @@ def _is_trailing_block(checks: F2Matrix, block: F2Matrix) -> bool:
 
 
 def _merge_from_json(ctx: dict, orientation: str, v2, v1, v0, inserts) -> tuple[PlanStep, ...]:
-    """The merge and its split; a declared branch gauge must commute with the checks of its type."""
+    """The merge and its split; a declared branch gauge must commute with the checks of its
+    type and anticommute with its own slot's measured operator alone."""
     base = ctx["base"]
     spaces = (Subspace.from_matrix_rows(v) for v in (v2, v1, v0))
     sub = validate_subcode(base.complex, *spaces, orientation)
     steps = _merge_and_split(base, sub, ctx["ancilla_index"], inserts, ctx["steps"])
     checks = base.hz if orientation == "Z" else base.hx
+    # one product per insert: its syndrome on the checks, then its flips on the slots
+    rows, slots = vstack([checks, sub.v1.basis]), np.eye(len(inserts), dtype=np.uint8)
     for j, ins in enumerate(inserts):
-        if ins is not None and (checks @ (ins.x if orientation == "Z" else ins.z)).any():
+        if ins is None:
+            continue
+        flips = rows @ (ins.x if orientation == "Z" else ins.z)
+        if flips[: checks.rows].any():
             raise MalformedInput(
                 f"branch insert {j} leaves the codespace: it anticommutes with a {orientation} check",
+                section="branch_inserts",
+            )
+        if not np.array_equal(flips[checks.rows :], slots[j]):
+            raise MalformedInput(
+                f"branch insert {j} does not flip exactly its own slot {steps[0].measurement_ids[j]}",
                 section="branch_inserts",
             )
     return steps
@@ -1270,7 +1287,8 @@ def plan_from_json(text: str) -> SurgeryPlan:
     ``measure_logical`` Pauli that is not the ancilla's logical of its
     ``basis`` type with sign +1 (section ``steps[i].pauli``), and a
     branch insert that anticommutes with a base-code check of its
-    merge's type (section ``steps[i].branch_inserts``). A field that is
+    merge's type or does not flip exactly its own slot, v1 @ w_j = e_j
+    (section ``steps[i].branch_inserts``). A field that is
     missing, of the wrong type or out of range, a Pauli not on the base
     code's qubits included, raises MalformedInput whose section names it
     (``steps[2].v1`` for a field of a step).

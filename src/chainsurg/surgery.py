@@ -10,6 +10,15 @@ subcode's own complex, ``MergeResult.i``, is built and validated the
 first time it is read; ``split_from_merge`` checks and returns the dual
 split each time it is called, so a caller that keeps the split (as a
 plan's split step does) calls it once per merge.
+
+What the parent's RREFs already say is read, not eliminated again: with
+the default degree-1 coset reps, the merged complex's boundaries are
+p1(B), and its cycles are p1(K + V1) when V0 = d1(V1), where B and K are
+the parent's boundaries and cycles. Each is the parent's space with V1's
+rows inserted (``Subspace.sum``, which eliminates only V1's rows reduced
+modulo it) and V1's pivot rows and columns dropped (``Subspace.project``).
+Whether V0 = d1(V1) costs no test: closure gives d1(V1) <= V0, and
+dim d1(V1) is the rank V1's rows gain over K in that same insertion.
 """
 from __future__ import annotations
 
@@ -242,6 +251,8 @@ def quotient_merge(
 
     ``quotient_bases`` optionally supplies coset representatives per
     degree (in the oriented frame) replacing the pivot-complement rule.
+    With the default degree-1 representatives, the quotient's cycles and
+    boundaries are read off the parent's (``_projected_spaces``).
     """
     if sub.parent != parent:
         raise DimensionMismatch("subcode was validated against a different parent")
@@ -264,6 +275,8 @@ def quotient_merge(
     q_d2 = p1 @ oriented.d2 @ sections[0]
     q_d1 = p0 @ oriented.d1 @ sections[1]
     quotient = validate(d2=q_d2, d1=q_d1)
+    if supplied.get(1) is None:
+        quotient._seed(*_projected_spaces(oriented, spaces[1], spaces[2], q_d2, q_d1))
     p = validate_chain_map(oriented, quotient, p2, p1, p0)
     return MergeResult(
         source=oriented,
@@ -272,6 +285,31 @@ def quotient_merge(
         subcode=sub,
         sections=tuple(sections),
     )
+
+
+def _projected_spaces(
+    parent: ChainComplex, v1: Subspace, v0: Subspace, q_d2: F2Matrix, q_d1: F2Matrix
+) -> tuple[Subspace | None, Subspace | None]:
+    """(cycles, boundaries) of the quotient by the default degree-1 reps, or None where not read off.
+
+    With p1 the default projection, im q_d2 = p1(B): the degree-2 reps
+    and V2 span C2, and d2(V2) lies in V1 = ker p1. The cycles are the x
+    with d1(s1 x) in V0, which is p1(K + V1) when V0 = d1(V1). Closure
+    gives d1(V1) <= V0, and dim d1(V1) is the rank V1's rows gain over K,
+    dim(K + V1) - dim K, so comparing dimensions decides it; otherwise the
+    cycles are left to ``kernel_basis``. V0 = 0 needs no test and no sum:
+    then V1 <= K. A zero q_d2 or q_d1 needs no sum either.
+    """
+    dim = parent.dim1 - v1.dim
+    boundaries = Subspace.zero(dim) if q_d2.is_zero() else parent.boundaries.sum(v1).project(v1)
+    if q_d1.is_zero():
+        return Subspace.full(dim), boundaries
+    if not v0.dim:
+        return parent.cycles.project(v1), boundaries
+    cycles = parent.cycles.sum(v1)
+    if cycles.dim - parent.cycles.dim != v0.dim:
+        return None, boundaries
+    return cycles.project(v1), boundaries
 
 
 def split_from_merge(m: MergeResult) -> ChainMap:

@@ -355,6 +355,16 @@ class TestMalformedInputs:
         payload = self._error(capsys, ["simulate", "--plan", str(plan_file)])
         assert payload["file"] == str(plan_file) and payload["section"] == "base_hx"
 
+    def test_plan_with_branch_insert_flipping_no_slot(self, steane_file, tmp_path, capsys):
+        plan_file = tmp_path / "plan.json"
+        assert main(["cnot", steane_file, "--control", "0", "--out", str(plan_file)]) == 0
+        capsys.readouterr()
+        doc = json.loads(plan_file.read_text())
+        doc["steps"][1]["branch_inserts"][0]["x"] = doc["base_hx"][0]
+        plan_file.write_text(json.dumps(doc))
+        payload = self._error(capsys, ["simulate", "--plan", str(plan_file)])
+        assert payload["file"] == str(plan_file) and payload["section"] == "steps[1].branch_inserts"
+        assert "branch insert 0" in payload["message"]
 
     MALFORMED_FIELDS = [
         (("base_hx",), 5, "base_hx"),

@@ -30,6 +30,7 @@ from chainsurg.csscode import (
 from chainsurg.errors import (
     DecompositionInfeasible,
     DimensionMismatch,
+    MalformedInput,
     SingularMatrix,
     SquareDoesNotCommute,
     UnknownExample,
@@ -80,7 +81,7 @@ def _symplectic_action_without_the_cocycle():
 
 
 def _symplectic_action_with_a_commuting_insert():
-    """A Steane plan loaded with an X check as its branch insert: it flips no measurement."""
+    """A Steane plan with an X check as its branch insert, which flips no measurement: the loader refuses it."""
     doc = json.loads(plan_to_json(build_cnot_plan(STEANE, 0, None)))
     doc["steps"][1]["branch_inserts"][0]["x"] = doc["base_hx"][0]
     return plan_symplectic_action(plan_from_json(json.dumps(doc)))
@@ -227,8 +228,8 @@ CASES = {
     ),
     "action_commuting_insert": (
         _symplectic_action_with_a_commuting_insert,
-        DimensionMismatch,
-        "transport failed: the flipping side has no preimage",
+        MalformedInput,
+        "branch insert 0 does not flip exactly its own slot zmerge.zz0",
     ),
     # simulation
     "state_qubit_limit": (

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chainsurg import catalog
 from chainsurg.chaincomplex import induced_on_homology
@@ -22,6 +24,8 @@ from chainsurg.protocols import (
     AncillaStrategy,
     MergeStep,
     SplitStep,
+    _allowed_space,
+    _check_span_exclusion,
     _outcome_correction,
     build_cnot_plan,
     cnot_unitary,
@@ -42,6 +46,7 @@ from chainsurg.protocols import (
 )
 from chainsurg.simverify import PHASE_TOL
 from chainsurg.surgery import quotient_merge, validate_subcode
+from test_assembled_spaces import complexes
 from test_plan_golden import PLANS as GOLDEN_PLANS
 
 
@@ -776,6 +781,16 @@ class TestPlanLoading:
             f"branch insert 0 leaves the codespace: it anticommutes with a {merge['orientation']} check"
         )
 
+    def test_branch_insert_flipping_no_slot(self, steane):
+        # the first X check commutes with every Z check and with the measured
+        # operator, so as the slot's insert it flips no slot
+        doc = json.loads(plan_to_json(build_cnot_plan(steane, 0)))
+        doc["steps"][1]["branch_inserts"][0]["x"] = doc["base_hx"][0]
+        with pytest.raises(MalformedInput) as err:
+            plan_from_json(json.dumps(doc))
+        assert err.value.section == "steps[1].branch_inserts"
+        assert str(err.value) == "branch insert 0 does not flip exactly its own slot zmerge.zz0"
+
     def test_load_builds_each_split_once(self, patch_plan, monkeypatch):
         import chainsurg.protocols
 
@@ -841,6 +856,43 @@ class TestPlanLoading:
         with pytest.raises(MalformedInput, match="must be the [ZX] logical of the ancilla 2") as err:
             plan_from_json(json.dumps(doc))
         assert err.value.section == "steps[5].pauli"
+
+
+def zassenhaus_span_exclusion(cplx, gens, target, allowed):
+    """The old check, kept as the oracle: span(gens) ∩ cycles from one Zassenhaus elimination."""
+    inside = Subspace.from_vectors(gens, cplx.dim1).intersect(cplx.cycles)
+    if not allowed.contains_subspace(inside):
+        raise DecompositionInfeasible("candidate span admits a second independent logical class")
+    total = np.zeros(cplx.dim1, dtype=np.uint8)
+    for g in gens:
+        total ^= g
+    if not np.array_equal(total, target):
+        raise DecompositionInfeasible("generators do not sum to u + w")
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except DecompositionInfeasible as exc:
+        return str(exc)
+    return None
+
+
+class TestSpanExclusion:
+    @settings(max_examples=300, deadline=None)
+    @given(complexes(), st.integers(1, 4), st.booleans(), st.integers(0, 2**30 - 1))
+    def test_matches_zassenhaus_check(self, cplx, count, summed, seed):
+        assume(cplx.dim1)
+        r = np.random.RandomState(seed)
+        target = r.randint(0, 2, cplx.dim1).astype(np.uint8)
+        target[r.randint(cplx.dim1)] = 1
+        gens = [r.randint(0, 2, cplx.dim1).astype(np.uint8) for _ in range(count)]
+        if summed:
+            gens[-1] = target ^ np.bitwise_xor.reduce(gens[:-1], axis=0) if count > 1 else target
+        allowed = _allowed_space(cplx, target)
+        assert allowed == Subspace.from_vectors(cplx.boundaries.basis_vectors() + [target], cplx.dim1)
+        got = _raised(_check_span_exclusion, cplx, gens, target, allowed)
+        assert got == _raised(zassenhaus_span_exclusion, cplx, gens, target, allowed)
 
 
 class TestDecomposeMergeSupport:

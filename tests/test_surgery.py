@@ -27,7 +27,7 @@ from chainsurg.surgery import (
     split_from_merge,
     validate_subcode,
 )
-from test_assembled_spaces import complexes
+from test_assembled_spaces import assert_same_space, complexes
 
 
 def random_subcode(cplx, r, orientation="Z", max_gens=2):
@@ -396,7 +396,7 @@ class TestAnalyzeMerge:
         assert rep.matrix_injective
         assert rep.killed_count == 0
 
-    def test_welding_analysis_eliminates_eleven_times(self, tmp_path, capsys):
+    def test_welding_analysis_eliminates_nine_times(self, tmp_path, capsys):
         import chainsurg
         from chainsurg import f2linalg
         from chainsurg.cli import main
@@ -415,7 +415,7 @@ class TestAnalyzeMerge:
                     mp.setattr(module, "rref", counted)
             code, sub = (str(tmp_path / f"welding.{ext}") for ext in ("code", "sub"))
             assert main(["--json", "merge", code, "--subcode", sub, "--analyze"]) == 0
-        assert len(calls) == 11
+        assert len(calls) == 9
 
     def test_report_json_schema_fields(self):
         import json
@@ -548,3 +548,72 @@ class TestDefaultProjection:
         explicit = quotient_merge(ex.parent, ex.subcode, quotient_bases=supplied)
         for deg in (2, 1, 0):
             assert explicit.p.component(deg) == default.p.component(deg)
+
+
+# --- the quotient's cycles and boundaries, read off the parent's ----------------------
+
+
+@st.composite
+def hgp_merges(draw):
+    """A random hypergraph-product complex, a subcode of it in either orientation and
+    supplied coset reps at some degrees.
+
+    The subcode has V2 != 0 when drawn, and V0 larger than d1(V1) when an
+    extra degree-0 vector is drawn outside it. Each supplied rep is a
+    default rep plus a member of the subcode, so the reps stay a complement.
+    """
+    r = np.random.RandomState(draw(st.integers(0, 2**30 - 1)))
+    m1, n1, m2, n2 = (draw(st.integers(1, 3)) for _ in range(4))
+    hx, hz = catalog.hypergraph_product(r.randint(0, 2, (m1, n1)), r.randint(0, 2, (m2, n2)))
+    cplx = validate(hz.T, hx)
+    orientation = draw(st.sampled_from("ZX"))
+    oriented = cplx if orientation == "Z" else cplx.transpose()
+    v2 = [r.randint(0, 2, oriented.dim2).astype(np.uint8) for _ in range(draw(st.integers(0, 2)))]
+    v1 = [r.randint(0, 2, oriented.dim1).astype(np.uint8) for _ in range(draw(st.integers(0, 3)))]
+    v1 += [oriented.d2 @ v for v in v2]
+    v0 = [r.randint(0, 2, oriented.dim0).astype(np.uint8) for _ in range(draw(st.integers(0, 1)))]
+    v0 += [oriented.d1 @ v for v in v1]
+    spaces = (
+        Subspace.from_vectors(v2, oriented.dim2),
+        Subspace.from_vectors(v1, oriented.dim1),
+        Subspace.from_vectors(v0, oriented.dim0),
+    )
+    sub = validate_subcode(cplx, *(spaces if orientation == "Z" else spaces[::-1]), orientation)
+    supplied = {}
+    for degree, space in zip((2, 1, 0), spaces):
+        if draw(st.booleans()):
+            units = quotient_basis(space.ambient_dim, Subspace.full(space.ambient_dim), space)
+            shifts = r.randint(0, 2, (len(units), space.dim)).astype(np.uint8)
+            supplied[degree] = [u ^ (F2Matrix(s[None, :]) @ space.basis).a[0] for u, s in zip(units, shifts)]
+    return cplx, sub, supplied
+
+
+class TestQuotientSpacesReadOff:
+    @settings(max_examples=300, deadline=None)
+    @given(hgp_merges())
+    def test_match_eliminated_spaces(self, case):
+        cplx, sub, supplied = case
+        q = quotient_merge(cplx, sub, quotient_bases=supplied).quotient
+        assert_same_space(q.cycles, kernel_basis(q.d1))
+        assert_same_space(q.boundaries, image_basis(q.d2))
+
+    def _merge(self, cplx, v1, v0=(), supplied=None):
+        sub = validate_subcode(
+            cplx,
+            Subspace.zero(cplx.dim2),
+            Subspace.from_vectors(v1, cplx.dim1),
+            Subspace.from_vectors(list(v0) + [cplx.d1 @ v for v in v1], cplx.dim0),
+        )
+        return quotient_merge(cplx, sub, quotient_bases=supplied).quotient
+
+    def test_which_spaces_are_read_off(self, steane):
+        c = steane.complex
+        read_off = lambda q: sorted(name for name in ("cycles", "boundaries") if name in q.__dict__)
+        qubit = np.eye(c.dim1, dtype=np.uint8)[0]
+        # V0 = d1(V1): both spaces; a larger V0: the boundaries only
+        assert read_off(self._merge(c, [qubit])) == ["boundaries", "cycles"]
+        extra = np.eye(c.dim0, dtype=np.uint8)[2]
+        assert read_off(self._merge(c, [qubit], [extra])) == ["boundaries"]
+        # supplied degree-1 reps: neither
+        units = quotient_basis(c.dim1, Subspace.full(c.dim1), Subspace.from_vectors([qubit], c.dim1))
+        assert read_off(self._merge(c, [qubit], supplied={1: units})) == []
