@@ -23,7 +23,6 @@ from .f2linalg import (
     format_matrix,
     image_basis,
     kernel_basis,
-    quotient_basis,
     rref,
     section_matrix,
     split_sections,
@@ -133,6 +132,11 @@ class HomologyBasis:
     A basis made by ``of_complex`` holds a complex instead of its kernel
     and image, and reads them as the complex's cycles and boundaries
     when first asked for, so they are computed only if read.
+
+    ``matrix()`` stacks the representatives at most once; a basis made
+    from a matrix (``of_rows``, ``of_complex``) keeps that matrix and its
+    representatives are its rows. Two bases are equal when their
+    matrices, kernels and images are.
     """
 
     representatives: tuple[np.ndarray, ...]
@@ -140,10 +144,17 @@ class HomologyBasis:
     image: Subspace
 
     @classmethod
-    def of_complex(cls, representatives: tuple[np.ndarray, ...], cplx: ChainComplex) -> "HomologyBasis":
+    def of_rows(cls, rows: F2Matrix, kernel: Subspace, image: Subspace) -> "HomologyBasis":
+        """The basis whose representatives are the rows of ``rows``, which it keeps as its matrix."""
+        basis = cls(representatives=tuple(rows.a), kernel=kernel, image=image)
+        basis.__dict__["_matrix"] = rows
+        return basis
+
+    @classmethod
+    def of_complex(cls, rows: F2Matrix, cplx: ChainComplex) -> "HomologyBasis":
         """A degree-1 basis of ``cplx`` whose kernel and image are read from it when first used."""
         basis = object.__new__(cls)
-        basis.__dict__.update(representatives=representatives, _complex=cplx)
+        basis.__dict__.update(representatives=tuple(rows.a), _complex=cplx, _matrix=rows)
         return basis
 
     def __getattr__(self, name: str):
@@ -162,9 +173,24 @@ class HomologyBasis:
         cplx = self.__dict__.get("_complex")
         return self.kernel.ambient_dim if cplx is None else cplx.dim1
 
+    @cached_property
+    def _matrix(self) -> F2Matrix:
+        return F2Matrix.from_rows(list(self.representatives), cols=self.ambient_dim)
+
     def matrix(self) -> F2Matrix:
         """Representatives stacked as rows (dim x ambient)."""
-        return F2Matrix.from_rows(list(self.representatives), cols=self.ambient_dim)
+        return self._matrix
+
+    def _key(self) -> tuple:
+        return self.matrix(), self.kernel, self.image
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @cached_property
     def _class_system(self) -> tuple[list[int], np.ndarray]:
@@ -209,12 +235,14 @@ def _class_rows(reduced: RrefResult) -> tuple[list[int], np.ndarray]:
 
 
 def homology(c: ChainComplex, degree: int = 1) -> HomologyBasis:
-    """Pivot-complement basis of ker/im at the given degree.
+    """Pivot-complement basis of ker/im at the given degree, read off ker's RREF.
 
-    The representatives are rows of ker's RREF basis whose pivots are not
-    the image's. Each image pivot is another row's pivot, so they are zero
-    there: already reduced modulo the image, and already in RREF with the
-    identity transform. Their pivots are their leading ones.
+    The representatives are the rows of ker's canonical basis whose
+    pivots are not the image's, taken with one row slice that the basis
+    keeps as its matrix. Each image pivot is another row's pivot, so they
+    are zero there: already reduced modulo the image, and already in RREF
+    with the identity transform, their pivots the kernel pivots that are
+    not image pivots. That RREF is seeded as the class system.
     """
     if degree == 1:
         ker = c.cycles
@@ -227,10 +255,11 @@ def homology(c: ChainComplex, degree: int = 1) -> HomologyBasis:
         img = image_basis(c.d1)
     else:
         raise DimensionMismatch(f"degree must be 0, 1 or 2, got {degree}")
-    reps = quotient_basis(ker.ambient_dim, ker, img)
-    basis = HomologyBasis(representatives=tuple(reps), kernel=ker, image=img)
-    pivots = tuple(int(np.flatnonzero(r)[0]) for r in reps)
-    return basis._seed(RrefResult(basis.matrix(), pivots, F2Matrix.identity(len(reps))))
+    img_pivots = set(img.pivots)
+    keep = [j for j, p in enumerate(ker.pivots) if p not in img_pivots]
+    reps = F2Matrix._wrap(ker.basis.a[keep])
+    pivots = tuple(ker.pivots[j] for j in keep)
+    return HomologyBasis.of_rows(reps, ker, img)._seed(RrefResult(reps, pivots, F2Matrix.identity(len(keep))))
 
 
 def cohomology(c: ChainComplex, degree: int = 1) -> HomologyBasis:

@@ -18,7 +18,7 @@ from . import catalog, jsontext
 from .chaincomplex import ChainComplex, homology
 from .csscode import CssCode, PauliOperator, certify_distance, from_complex, from_parity_checks
 from .errors import ChainsurgError, MalformedInput
-from .f2linalg import F2Matrix
+from .f2linalg import F2Matrix, bit_lines
 from .protocols import (
     AncillaStrategy,
     MergeStep,
@@ -82,12 +82,13 @@ def _write_output(path: str, text: str) -> None:
         raise _output_error(path, exc) from None
 
 
-def _emit(args, payload: dict, human: str) -> None:
+def _emit(args, payload: dict, human) -> None:
+    """Print ``payload`` as JSON under ``--json``, else ``human``: the text, or a function that builds it."""
     if args.json:
         payload = {"schema": REPORT_SCHEMA, **payload}
         print(jsontext.dumps(payload))
     else:
-        print(human)
+        print(human() if callable(human) else human)
 
 
 def _cmd_validate(args) -> int:
@@ -103,12 +104,11 @@ def _cmd_validate(args) -> int:
 def _cmd_homology(args) -> int:
     code = _load_code(args.code)
     h = homology(code.complex, args.degree)
-    reps = h.representatives
+    reps = h.matrix().a  # written as the list of representatives
     _emit(
         args,
         {"type": "homology", "degree": args.degree, "dim": h.dim, "representatives": reps},
-        f"H_{args.degree} dimension {h.dim}\n"
-        + "\n".join("".join(map(str, r.tolist())) for r in reps),
+        lambda: f"H_{args.degree} dimension {h.dim}\n" + bit_lines(reps)[:-1],
     )
     return 0
 
@@ -161,11 +161,7 @@ def _cmd_logical_map(args) -> int:
     src = homology(merge.source, 1)
     tgt = homology(merge.quotient, 1)
     mat = induced_logical_matrix(merge, src, tgt)
-    _emit(
-        args,
-        {"type": "logical-map", "matrix": mat.a},
-        "\n".join("".join(str(b) for b in row) for row in mat.to_lists()),
-    )
+    _emit(args, {"type": "logical-map", "matrix": mat.a}, lambda: bit_lines(mat.a)[:-1])
     return 0
 
 

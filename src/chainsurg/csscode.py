@@ -32,7 +32,8 @@ class PauliOperator:
     """A Pauli in (x|z) coordinates with a bookkeeping sign.
 
     The sign plays no role in the code algebra; it only records phases
-    picked up while commuting corrections around.
+    picked up while commuting corrections around. Two Paulis are equal
+    when their x bits, z bits and signs are.
     """
 
     x: np.ndarray
@@ -44,6 +45,17 @@ class PauliOperator:
         object.__setattr__(self, "z", as_bit_vector(self.z, len(self.x)))
         if self.sign not in (1, -1):
             raise DimensionMismatch("sign must be +1 or -1")
+
+    def _key(self) -> tuple:
+        return self.x.tobytes(), self.z.tobytes(), self.sign
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @classmethod
     def identity(cls, n: int) -> "PauliOperator":
@@ -154,10 +166,6 @@ class CssCode:
         return from_parity_checks(hx, hz, z_basis=zl, x_basis=xl)
 
 
-def _rows(m: F2Matrix) -> tuple[np.ndarray, ...]:
-    return tuple(m.row(i) for i in range(m.rows))
-
-
 def _basis_from_rows(rows: F2Matrix, kernel: Subspace, image: Subspace) -> HomologyBasis:
     """The rows as a homology basis, checked to be independent cycles spanning ker/im.
 
@@ -178,8 +186,9 @@ def _basis_from_rows(rows: F2Matrix, kernel: Subspace, image: Subspace) -> Homol
     if rows.rows + image.dim != kernel.dim:
         k = kernel.dim - image.dim
         raise DimensionMismatch(f"supplied {rows.rows} logical representatives for {k} logical qubits")
-    basis = HomologyBasis(representatives=_rows(rows), kernel=kernel, image=image)
-    return basis if reduced is None else basis._seed(reduced)
+    if reduced is None:  # no rows, whatever their width: the empty basis
+        return HomologyBasis(representatives=(), kernel=kernel, image=image)
+    return HomologyBasis.of_rows(rows, kernel, image)._seed(reduced)
 
 
 def from_parity_checks(
@@ -225,8 +234,8 @@ def from_complex(
     """
     co = cplx.transpose()
     if z_basis is not None and x_basis is not None and _dual_pair(cplx, z_basis, x_basis):
-        zb = HomologyBasis.of_complex(_rows(z_basis), cplx)
-        return CssCode(complex=cplx, z_logicals=zb, x_logicals=HomologyBasis.of_complex(_rows(x_basis), co))
+        zb = HomologyBasis.of_complex(z_basis, cplx)
+        return CssCode(complex=cplx, z_logicals=zb, x_logicals=HomologyBasis.of_complex(x_basis, co))
     if z_basis is None:
         zb = homology(cplx, 1)
     else:
@@ -298,8 +307,7 @@ def dual_x_basis(cplx: ChainComplex, z_basis: HomologyBasis) -> HomologyBasis:
     lx = F2Matrix._wrap(inv.a[:k].copy())  # row views of inv would keep all n x n alive
     if not ker.contains_rows(lx):
         raise SingularMatrix("dual basis construction produced a non-cycle")
-    reps = tuple(lx.row(i) for i in range(k))
-    return HomologyBasis(representatives=reps, kernel=ker, image=img)
+    return HomologyBasis.of_rows(lx, ker, img)
 
 
 def dual_z_basis(cplx: ChainComplex, x_basis: HomologyBasis) -> HomologyBasis:

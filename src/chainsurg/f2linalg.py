@@ -5,6 +5,11 @@ Matrices are immutable wrappers around uint8 numpy arrays with entries in
 inputs produce bit-identical outputs, which the rest of the package relies
 on for reproducible bases and reports.
 
+``_mul`` is the one matrix product. It multiplies in float32 BLAS, which
+is exact while the inner dimension is below 2**24: every sum is then an
+integer that float32 holds exactly. Larger inner dimensions multiply in
+float64.
+
 There are two constructors. ``F2Matrix(data)`` takes data from outside the
 package: it reduces mod 2 and copies, so it never aliases a caller's
 array. ``F2Matrix._wrap(a)`` trusts a 2-D 0/1 uint8 array the package made
@@ -47,7 +52,8 @@ What an RREF already says is read, not eliminated again:
 - ``homology``'s pivot-complement representatives need no elimination for
   that RREF: they are rows of ker's canonical basis whose pivots are not
   the image's, so they are zero at the image's pivots (already reduced)
-  and in RREF with the identity transform, pivots at their leading ones;
+  and in RREF with the identity transform, with those kernel pivots as
+  their pivots;
 - the RREF that ranks k supplied rows modulo w, taken with its
   transform, is also their class system, so one elimination does both;
 - two supplied bases with pairing x_i . z_j = delta_ij, k (co)cycles
@@ -95,12 +101,21 @@ def as_bit_vector(v, length: int | None = None) -> np.ndarray:
     return a
 
 
-def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mod-2 product of 0/1 arrays as uint8.
+# inner dimensions below this multiply exactly in float32, which holds every integer up to 2**24
+_FLOAT32_EXACT = 1 << 24
 
-    The product runs in float64 BLAS; it is exact because every sum is an
-    integer no larger than the inner dimension, far below 2**53.
+
+def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Mod-2 product of 0/1 arrays as uint8; ``b`` may be a vector.
+
+    The product runs in float32 BLAS and its parity is read through an
+    int32 mask. Every sum is an integer no larger than the inner
+    dimension, so it is exact while that dimension is below
+    ``_FLOAT32_EXACT`` (2**24). At or above it the product runs in
+    float64, exact below 2**53.
     """
+    if a.shape[-1] < _FLOAT32_EXACT:
+        return ((a.astype(np.float32) @ b.astype(np.float32)).astype(np.int32) & 1).astype(np.uint8)
     return ((a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) & 1).astype(np.uint8)
 
 
@@ -602,10 +617,15 @@ def invert(m: F2Matrix) -> F2Matrix:
 # body is a matrix (or other literal) in this format.
 
 
+def bit_lines(a: np.ndarray) -> str:
+    """Each row of a 2-D 0/1 uint8 array as '0'/'1' characters and a newline."""
+    lines = np.hstack([a + ord("0"), np.full((a.shape[0], 1), ord("\n"), dtype=np.uint8)])
+    return lines.tobytes().decode()
+
+
 def format_matrix(m: F2Matrix) -> str:
-    """The header line, then each row's uint8 bytes as '0'/'1' characters and a newline."""
-    lines = np.hstack([m.a + ord("0"), np.full((m.rows, 1), ord("\n"), dtype=np.uint8)])
-    return f"{m.rows} {m.cols}\n" + lines.tobytes().decode()
+    """The header line, then each row as ``bit_lines`` writes it."""
+    return f"{m.rows} {m.cols}\n" + bit_lines(m.a)
 
 
 _HEADER_RE = re.compile(r"[0-9]+")

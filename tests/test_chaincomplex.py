@@ -1,12 +1,16 @@
 """Chain complex, homology, and chain-map tests."""
+import importlib.util
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from chainsurg import catalog
 from chainsurg.chaincomplex import (
     ChainComplex,
+    HomologyBasis,
     cohomology,
     direct_sum,
     homology,
@@ -16,7 +20,9 @@ from chainsurg.chaincomplex import (
     validate_chain_map,
 )
 from chainsurg.errors import NonZeroComposition, SquareDoesNotCommute
-from chainsurg.f2linalg import F2Matrix, image_basis, kernel_basis
+from chainsurg.f2linalg import F2Matrix, Subspace, image_basis, kernel_basis, quotient_basis
+from test_assembled_spaces import complexes
+from test_f2linalg import rref_inputs
 
 
 class TestValidate:
@@ -70,6 +76,79 @@ class TestHomology:
         for r in h.representatives:
             assert h.kernel.contains(r)
             assert not h.image.contains(r)
+
+
+def quotient_basis_homology(c: ChainComplex, degree: int):
+    """homology as first written, kept as the oracle: ``quotient_basis``, each row's first 1
+    by ``flatnonzero``, and the rows restacked with ``F2Matrix.from_rows``.
+
+    Returns (basis, pivots, matrix). The basis's spaces are eliminated
+    afresh and its class system is not seeded, so reading the class system
+    eliminates the reduced representatives.
+    """
+    ker, img = {
+        0: (Subspace.full(c.dim0), image_basis(c.d1)),
+        1: (kernel_basis(c.d1), image_basis(c.d2)),
+        2: (kernel_basis(c.d2), Subspace.zero(c.dim2)),
+    }[degree]
+    reps = quotient_basis(ker.ambient_dim, ker, img)
+    basis = HomologyBasis(representatives=tuple(reps), kernel=ker, image=img)
+    pivots = tuple(int(np.flatnonzero(r)[0]) for r in reps)
+    return basis, pivots, F2Matrix.from_rows(reps, cols=ker.ambient_dim)
+
+
+def assert_matches_quotient_basis_oracle(c: ChainComplex) -> None:
+    for degree in (0, 1, 2):
+        got = homology(c, degree)
+        want, want_pivots, want_matrix = quotient_basis_homology(c, degree)
+        assert [r.tobytes() for r in got.representatives] == [r.tobytes() for r in want.representatives]
+        assert got.matrix().shape == want_matrix.shape
+        assert got.matrix().a.tobytes() == want_matrix.a.tobytes()
+        (got_pivots, got_rows), (eliminated_pivots, want_rows) = got._class_system, want._class_system
+        assert tuple(got_pivots) == want_pivots == tuple(eliminated_pivots)
+        assert got_rows.shape == want_rows.shape and got_rows.tobytes() == want_rows.tobytes()
+        assert (got.kernel, got.image) == (want.kernel, want.image)
+
+
+def _hgp_reference():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "hgp.py"
+    spec = importlib.util.spec_from_file_location("hgp_reference", path)
+    hgp = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(hgp)
+    return hgp
+
+
+class TestHomologyReadOff:
+    """``homology`` reads its basis off ker's RREF; the quotient-basis construction is the oracle."""
+
+    @pytest.mark.parametrize("name", catalog.catalog_names())
+    def test_catalog_codes(self, name):
+        assert_matches_quotient_basis_oracle(catalog.catalog_code(name).complex)
+
+    @pytest.mark.parametrize("name", sorted(_hgp_reference().HGP_FAMILY))
+    def test_benchmark_hypergraph_products(self, name):
+        hgp = _hgp_reference()
+        hx, hz = hgp.hypergraph_product(*hgp.HGP_FAMILY[name]())
+        assert_matches_quotient_basis_oracle(validate(F2Matrix(hz).T, F2Matrix(hx)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(complexes())
+    def test_random_complexes(self, c):
+        assert_matches_quotient_basis_oracle(c)
+
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_matrix_is_stacked_once(self, steane, degree):
+        h = homology(steane.complex, degree)
+        assert h.matrix() is h.matrix()
+        built = HomologyBasis(h.representatives, h.kernel, h.image)
+        assert built.matrix() is built.matrix() and built.matrix() == h.matrix()
+
+    def test_no_elimination_on_cached_spaces(self, toric2):
+        c = ChainComplex(d2=toric2.complex.d2, d1=toric2.complex.d1)
+        c.cycles, c.boundaries  # fills the caches
+        h = homology(c, 1)
+        assert rref_inputs(lambda: h.class_coordinates(h.representatives[1])) == []
+        assert rref_inputs(lambda: homology(c, 1)) == []
 
 
 class TestCohomology:

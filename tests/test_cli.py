@@ -8,10 +8,11 @@ import pytest
 
 from chainsurg import catalog, cli, protocols
 from chainsurg.cli import main
-from chainsurg.chaincomplex import ChainComplex
+from chainsurg.chaincomplex import ChainComplex, homology
 from chainsurg.csscode import CssCode
 from chainsurg.errors import MalformedInput
 from chainsurg.protocols import direct_sum_code, plan_channel, plan_from_json
+from chainsurg.surgery import Subcode, induced_logical_matrix, quotient_merge
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report_schema.json").read_text()
@@ -141,6 +142,52 @@ class TestMergeCommands:
         rc, doc = run_json(capsys, ["logical-map", code, "--subcode", sub])
         assert rc == 0
         assert len(doc["matrix"]) == 1 and doc["matrix"][0] == [1, 1]
+
+
+def per_entry_logical_map_text(code_path, sub_path) -> str:
+    """logical-map's human text as first written: one ``str`` per entry."""
+    code = CssCode.from_text(Path(code_path).read_text())
+    merge = quotient_merge(code.complex, Subcode.from_text(Path(sub_path).read_text(), code.complex))
+    mat = induced_logical_matrix(merge, homology(merge.source, 1), homology(merge.quotient, 1))
+    return "\n".join("".join(str(b) for b in row) for row in mat.to_lists()) + "\n"
+
+
+def per_entry_homology_text(code: CssCode, degree: int) -> str:
+    """homology's human text as first written: one ``str`` per entry of each representative."""
+    h = homology(code.complex, degree)
+    reps = "\n".join("".join(map(str, r.tolist())) for r in h.representatives)
+    return f"H_{degree} dimension {h.dim}\n" + reps + "\n"
+
+
+VALID_EXAMPLES = [n for n in catalog.example_names() if n not in ("wrong_merge", "steane_invalid_subcode")]
+
+
+class TestHumanText:
+    @pytest.mark.parametrize("name", VALID_EXAMPLES)
+    def test_logical_map_matches_per_entry_text(self, name, tmp_path, capsys):
+        assert main(["catalog", "export", f"example:{name}", "--dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        code, sub = str(tmp_path / f"{name}.code"), str(tmp_path / f"{name}.sub")
+        assert main(["logical-map", code, "--subcode", sub]) == 0
+        assert capsys.readouterr().out == per_entry_logical_map_text(code, sub)
+
+    @pytest.mark.parametrize("name", catalog.catalog_names())
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_homology_matches_per_entry_text(self, name, degree, tmp_path, capsys):
+        code = catalog.catalog_code(name)
+        path = tmp_path / "code"
+        path.write_text(code.to_text())
+        assert main(["homology", str(path), "--degree", str(degree)]) == 0
+        assert capsys.readouterr().out == per_entry_homology_text(code, degree)
+
+    def test_json_builds_no_human_text(self, welding_files, steane_file, monkeypatch, capsys):
+        def unused(a):
+            raise AssertionError("human text built under --json")
+
+        monkeypatch.setattr(cli, "bit_lines", unused)
+        code, sub = welding_files
+        assert run_json(capsys, ["logical-map", code, "--subcode", sub])[0] == 0
+        assert run_json(capsys, ["homology", steane_file])[0] == 0
 
 
 class TestPlanCommands:

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainsurg import catalog, csscode, f2linalg
+from chainsurg.chaincomplex import HomologyBasis
 from chainsurg.csscode import (
     CssCode,
     PauliOperator,
@@ -310,6 +311,63 @@ class TestPauliOperator:
 
     def test_weight(self):
         assert PauliOperator(x=[1, 0, 1], z=[1, 0, 0]).weight() == 2
+
+
+class TestValueSemantics:
+    """Paulis, homology bases and codes compare and hash by value."""
+
+    def test_pauli_equality(self):
+        p = PauliOperator(x=[1, 0, 1], z=[0, 0, 1])
+        assert p == PauliOperator(x=np.array([1, 0, 1], dtype=np.int64), z=[0, 0, 1])
+        assert hash(p) == hash(PauliOperator(x=[1, 0, 1], z=[0, 0, 1]))
+        assert p != PauliOperator(x=[1, 0, 1], z=[0, 0, 1], sign=-1)
+        assert p != PauliOperator(x=[1, 0, 0], z=[0, 0, 1])
+        assert p != PauliOperator(x=[0, 0, 1], z=[1, 0, 1])
+        assert PauliOperator.identity(2) != PauliOperator.identity(3)
+        assert p != "+XIY"
+
+    def test_paulis_in_a_set(self):
+        paulis = {
+            PauliOperator.from_x([1, 0]),
+            PauliOperator.from_x([1, 0]),
+            PauliOperator.from_x([1, 0], sign=-1),
+            PauliOperator.from_z([1, 0]),
+            PauliOperator.from_x([1, 0]).compose(PauliOperator.from_z([1, 0])),
+        }
+        assert len(paulis) == 4
+        assert PauliOperator(x=[1, 0], z=[1, 0]) in paulis
+
+    def test_code_equality(self):
+        assert catalog.steane() == catalog.steane()
+        assert hash(catalog.steane()) == hash(catalog.steane())
+        assert catalog.steane() != catalog.toric(2)
+        assert catalog.toric(2) != catalog.toric(3)
+        assert catalog.steane().with_distance(3) != catalog.steane().with_distance(None)
+
+    def test_codes_with_other_bases_differ(self, toric2):
+        zl, xl = (F2Matrix(b.matrix().a[::-1]) for b in (toric2.z_logicals, toric2.x_logicals))
+        swapped = from_parity_checks(toric2.hx, toric2.hz, z_basis=zl, x_basis=xl)
+        assert swapped.complex == toric2.complex and swapped != toric2
+        zl, xl = toric2.z_logicals.matrix(), toric2.x_logicals.matrix()
+        again = from_parity_checks(toric2.hx, toric2.hz, z_basis=zl, x_basis=xl)
+        assert again.with_distance(2) == toric2 and hash(again.with_distance(2)) == hash(toric2)
+
+    def test_codes_in_a_set(self):
+        codes = {catalog.steane(), catalog.steane(), catalog.toric(2), catalog.catalog_code("toric_2")}
+        assert codes == {catalog.steane(), catalog.toric(2)}
+
+    def test_basis_equality(self, steane, toric2):
+        h = steane.z_logicals
+        assert h == HomologyBasis(h.representatives, h.kernel, h.image)
+        assert hash(h) == hash(HomologyBasis(h.representatives, h.kernel, h.image))
+        assert h != steane.x_logicals
+        assert h != toric2.z_logicals
+        # one representative moved by a stabilizer: the same class, another basis
+        moved = (h.representatives[0] ^ h.image.basis.row(0),)
+        assert h != HomologyBasis(moved, h.kernel, h.image)
+        # the same representatives in a different image
+        assert h != HomologyBasis(h.representatives, h.kernel, steane.complex.cycles)
+        assert len({h, HomologyBasis(h.representatives, h.kernel, h.image), steane.x_logicals}) == 2
 
 
 # --- loop oracle: encoder_isometry as first written -------------------------------

@@ -475,6 +475,65 @@ class TestProductOracle:
         assert np.array_equal(got, int64_product(a, v))
 
 
+class TestMulOracle:
+    """``_mul`` (float32, or float64 at large inner dimensions) against the int64 product."""
+
+    @staticmethod
+    def assert_matches_int64(a, b):
+        got = f2linalg._mul(a, b)
+        assert got.dtype == np.uint8
+        assert got.shape == int64_product(a, b).shape
+        assert np.array_equal(got, int64_product(a, b))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 9), st.integers(0, 70), st.integers(0, 9), st.sampled_from([0.1, 0.5, 0.9]),
+           st.integers(0, 2**30 - 1))
+    def test_random_shapes(self, rows, inner, cols, density, seed):
+        r = np.random.RandomState(seed)
+        a, b = random_matrix(r, rows, inner, density), random_matrix(r, inner, cols, density)
+        self.assert_matches_int64(a, b)
+        self.assert_matches_int64(a, random_matrix(r, 1, inner, density)[0])
+
+    @pytest.mark.parametrize("shapes", [((3, 0), (0, 4)), ((0, 0), (0, 0)), ((1, 0), (0,))])
+    def test_inner_dimension_zero(self, shapes):
+        a, b = (np.zeros(shape, dtype=np.uint8) for shape in shapes)
+        self.assert_matches_int64(a, b)
+        assert not f2linalg._mul(a, b).any()
+
+    @pytest.mark.parametrize("inner", [1, 2, 255, 256, 257, 1023, 4095, 4096])
+    def test_all_ones_sums_at_their_maximum(self, inner):
+        # every sum equals the inner dimension, so its parity is the parity of inner
+        a, b = np.ones((3, inner), dtype=np.uint8), np.ones((inner, 2), dtype=np.uint8)
+        self.assert_matches_int64(a, b)
+        self.assert_matches_int64(a, b[:, 0])
+        assert (f2linalg._mul(a, b) == inner % 2).all()
+
+    @pytest.mark.parametrize("inner", [3, 4, 5, 64, 4096])
+    def test_float64_branch(self, monkeypatch, inner):
+        monkeypatch.setattr(f2linalg, "_FLOAT32_EXACT", 4)
+        r = np.random.RandomState(inner)
+        a, b = random_matrix(r, 5, inner, 0.9), random_matrix(r, inner, 6, 0.9)
+        self.assert_matches_int64(a, b)
+        self.assert_matches_int64(a, b[:, 1])
+        ones = np.ones((2, inner), dtype=np.uint8)
+        self.assert_matches_int64(ones, ones.T)
+
+    def test_float64_branch_is_taken_at_the_bound(self, monkeypatch):
+        seen = []
+        real_astype = np.ndarray.astype
+
+        class Spy(np.ndarray):
+            def astype(self, dtype, *args, **kwargs):
+                seen.append(np.dtype(dtype))
+                return real_astype(np.asarray(self), dtype, *args, **kwargs)
+
+        monkeypatch.setattr(f2linalg, "_FLOAT32_EXACT", 4)
+        for inner in (3, 4):
+            a = np.ones((2, inner), dtype=np.uint8).view(Spy)
+            f2linalg._mul(a, np.ones((inner, 2), dtype=np.uint8))
+        assert seen == [np.dtype(np.float32), np.dtype(np.float64)]
+
+
 class TestSubspaceOracle:
     @pytest.mark.parametrize("a", oracle_matrices(), ids=lambda a: "x".join(map(str, a.shape)))
     def test_kernel_matches_loop_construction(self, a):

@@ -97,3 +97,22 @@ def test_unserializable_raises_like_json(doc):
 def test_non_str_key_raises(key):
     with pytest.raises(TypeError):
         dumps({key: 0})
+
+
+def nested(value, depth: int):
+    """``value`` under ``depth`` levels of alternating dicts and lists."""
+    for level in range(depth):
+        value = {"k": value, "a": 1} if level % 2 == 0 else [0, value]
+    return value
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+@pytest.mark.parametrize(
+    "shape",
+    [(1, 1), (1, 9), (9, 1), (0, 9), (9, 0), (0, 0), (2, 3), (8, 20), (44, 117), (117, 44), (1,), (0,), (200,)],
+)
+def test_bit_array_template_at_every_depth(shape, depth):
+    a = np.random.RandomState(sum(shape) + depth).randint(0, 2, shape).astype(np.uint8)
+    for array in (a, np.ascontiguousarray(a.T), a.T, np.ones_like(a), np.zeros_like(a)):
+        doc = nested(array, depth)
+        assert dumps(doc) == reference(doc)
