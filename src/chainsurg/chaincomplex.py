@@ -210,8 +210,11 @@ class HomologyBasis:
 
     def _coordinates(self, cycles: np.ndarray) -> F2Matrix:
         """Class coordinates of each row of ``cycles``, as columns: one product for all rows."""
+        return self._reduced_coordinates(_reduce_rows(cycles, self.image))
+
+    def _reduced_coordinates(self, w: np.ndarray) -> F2Matrix:
+        """``_coordinates`` of cycles whose rows ``w`` are already reduced modulo the image."""
         pivots, rows = self._class_system
-        w = _reduce_rows(cycles, self.image)
         n = w.shape[1]
         out = _mul(w[:, pivots], rows)
         if (out[:, :n] != w).any():
@@ -304,8 +307,19 @@ class ChainMap:
 
 
 def validate_chain_map(
-    src: ChainComplex, tgt: ChainComplex, f2: F2Matrix, f1: F2Matrix, f0: F2Matrix
+    src: ChainComplex,
+    tgt: ChainComplex,
+    f2: F2Matrix,
+    f1: F2Matrix,
+    f0: F2Matrix,
+    f1_d2: F2Matrix | None = None,
+    f0_d1: F2Matrix | None = None,
 ) -> ChainMap:
+    """The chain map, checked: each component's shape, then each square.
+
+    A caller that already holds the product f1 @ src.d2 or f0 @ src.d1
+    passes it as ``f1_d2`` or ``f0_d1``, and it is not multiplied again.
+    """
     shapes = {
         2: (f2, tgt.dim2, src.dim2),
         1: (f1, tgt.dim1, src.dim1),
@@ -314,9 +328,9 @@ def validate_chain_map(
     for deg, (f, r, c) in shapes.items():
         if f.shape != (r, c):
             raise DimensionMismatch(f"f{deg} must be {r}x{c}, got {f.shape}")
-    if (f1 @ src.d2) != (tgt.d2 @ f2):
+    if (f1 @ src.d2 if f1_d2 is None else f1_d2) != (tgt.d2 @ f2):
         raise SquareDoesNotCommute(2)
-    if (f0 @ src.d1) != (tgt.d1 @ f1):
+    if (f0 @ src.d1 if f0_d1 is None else f0_d1) != (tgt.d1 @ f1):
         raise SquareDoesNotCommute(1)
     return ChainMap(src=src, tgt=tgt, f2=f2, f1=f1, f0=f0)
 

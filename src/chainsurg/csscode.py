@@ -166,21 +166,27 @@ class CssCode:
         return from_parity_checks(hx, hz, z_basis=zl, x_basis=xl)
 
 
-def _basis_from_rows(rows: F2Matrix, kernel: Subspace, image: Subspace) -> HomologyBasis:
+def _basis_from_rows(
+    rows: F2Matrix, kernel: Subspace, image: Subspace, reductions: np.ndarray | None = None
+) -> HomologyBasis:
     """The rows as a homology basis, checked to be independent cycles spanning ker/im.
 
     The rows are independent modulo the image exactly when their
     reductions modulo it have full rank, so only k rows are eliminated;
     that elimination, with its row transform, is kept as the basis's
-    class system.
+    class system. A caller that has already checked the rows are cycles
+    and reduced them modulo the image passes those ``reductions``, and
+    neither is done again.
     """
     reduced = None
     if rows.rows:
         if rows.cols != kernel.ambient_dim:
             raise DimensionMismatch(f"expected length {kernel.ambient_dim}, got {rows.cols}")
-        if not kernel.contains_rows(rows):
-            raise DimensionMismatch("supplied logical representative is not a cycle")
-        reduced = rref(F2Matrix._wrap(_reduce_rows(rows.a, image)))
+        if reductions is None:
+            if not kernel.contains_rows(rows):
+                raise DimensionMismatch("supplied logical representative is not a cycle")
+            reductions = _reduce_rows(rows.a, image)
+        reduced = rref(F2Matrix._wrap(reductions))
         if reduced.rank != rows.rows:
             raise DimensionMismatch("supplied logical representatives are dependent mod stabilizers")
     if rows.rows + image.dim != kernel.dim:

@@ -62,7 +62,8 @@ What an RREF already says is read, not eliminated again:
   and likewise for the x_i;
 - a matrix with no rows is already reduced: its row space is zero and
   its kernel is the whole space; a matrix of zero rows spans the zero
-  space too;
+  space too; rows reduced modulo the zero space are themselves, with no
+  product taken;
 - ``Subspace.intersect`` is one elimination of [[U, U], [W, 0]]
   (Zassenhaus): the rows with a zero left half come last, and their
   right halves are already the canonical basis of the intersection;
@@ -568,8 +569,8 @@ def solve(m: F2Matrix, b) -> np.ndarray | None:
 
 
 def _reduce_rows(a: np.ndarray, w: Subspace) -> np.ndarray:
-    """Each row of ``a`` with w's pivot entries cleared by w's RREF rows."""
-    return a ^ _mul(a[:, list(w.pivots)], w.basis.a)
+    """Each row of ``a`` with w's pivot entries cleared by w's RREF rows; ``a`` itself modulo the zero space."""
+    return a ^ _mul(a[:, list(w.pivots)], w.basis.a) if w.dim else a
 
 
 def coset_reduce(v, w: Subspace) -> np.ndarray:
@@ -643,14 +644,18 @@ def parse_matrix(text: str) -> F2Matrix:
     body = [line.strip() for line in lines[1 : 1 + rows]]
     if len(body) != rows:
         raise MalformedInput(f"expected {rows} rows, found {len(body)}")
-    for i, line in enumerate(body):
-        if len(line) != cols:
-            raise MalformedInput(f"row {i} has {len(line)} entries, expected {cols}")
-        bad = _NOT_BIT_RE.search(line)
-        if bad:
-            raise MalformedInput(f"bad character {bad.group()!r} in matrix row {i}")
-    a = np.frombuffer("".join(body).encode(), dtype=np.uint8).reshape(rows, cols) - ord("0")
-    return F2Matrix._wrap(a)
+    # the whole body at once: every row cols long and every byte '0' or '1', so
+    # the body is ASCII and has rows * cols bytes; the rows are read one by one
+    # only to name the first bad one
+    a = np.frombuffer("".join(body).encode("utf-8", "surrogatepass"), dtype=np.uint8) - ord("0")
+    if not set(map(len, body)) <= {cols} or (a > 1).any():
+        for i, line in enumerate(body):
+            if len(line) != cols:
+                raise MalformedInput(f"row {i} has {len(line)} entries, expected {cols}")
+            bad = _NOT_BIT_RE.search(line)
+            if bad:
+                raise MalformedInput(f"bad character {bad.group()!r} in matrix row {i}")
+    return F2Matrix._wrap(a.reshape(rows, cols))
 
 
 def section_matrix(sections: dict[str, str], name: str) -> F2Matrix:

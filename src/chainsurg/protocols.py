@@ -31,7 +31,7 @@ import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -42,7 +42,6 @@ from .chaincomplex import (
     ChainMap,
     HomologyBasis,
     direct_sum,
-    induced_on_homology,
 )
 from .csscode import (
     CssCode,
@@ -68,6 +67,8 @@ from .f2linalg import (
     Elimination,
     F2Matrix,
     Subspace,
+    _mul,
+    _reduce_rows,
     as_bit_vector,
     block_diag,
     kernel_basis,
@@ -545,22 +546,38 @@ def _check_span_exclusion(
 # --- plan construction ----------------------------------------------------------
 
 
-def _pushed_basis(m: MergeResult, src: HomologyBasis, anc: int) -> HomologyBasis:
-    """The merged code's logical basis on the merge's own side.
+def _pushed_basis(m: MergeResult, src: HomologyBasis, anc: int) -> tuple[HomologyBasis, F2Matrix]:
+    """The merged code's logical basis on the merge's own side, and the map p1 induces on it.
 
-    It pushes every class of ``src`` but the ancilla's through p1, and
-    fails unless those classes stay a basis: when the merge identifies
-    logical classes of the base code, or when it creates new ones.
+    The basis pushes every class of ``src`` but the ancilla's through p1,
+    and fails unless those classes stay a basis: when the merge identifies
+    logical classes of the base code, or when it creates new ones. The
+    matrix is that of ``induced_on_homology(m.p, 1, src, basis)``, from the
+    same arithmetic done once: one product pushes all k representatives,
+    one reduction checks they are cycles and one reduces them modulo the
+    boundaries. A kept class is its own basis representative, so its
+    column is a unit vector, and only the ancilla's column is solved for.
     """
     q = m.quotient
     keep = [i for i in range(src.dim) if i != anc]
     if q.cycles.dim - q.boundaries.dim > len(keep):
         raise DimensionMismatch("the merge creates logical classes the base code does not have")
-    rows = F2Matrix._wrap((m.p.f1 @ src.matrix().T).a.T[keep])
+    pushed = _mul(src.matrix().a, m.p.f1.a.T)  # row i: p1 of representative i
+    not_cycle = _reduce_rows(pushed, q.cycles).any(axis=1)
+    reductions = _reduce_rows(pushed, q.boundaries)
+    identifies = "the merge identifies logical classes of the base code"
+    if not_cycle[keep].any():
+        raise DimensionMismatch(identifies)
     try:
-        return _basis_from_rows(rows, q.cycles, q.boundaries)
+        basis = _basis_from_rows(F2Matrix._wrap(pushed[keep]), q.cycles, q.boundaries, reductions[keep])
     except DimensionMismatch:
-        raise DimensionMismatch("the merge identifies logical classes of the base code") from None
+        raise DimensionMismatch(identifies) from None
+    if not_cycle[anc]:
+        raise DimensionMismatch("pushed representative is not a cycle; chain map or basis corrupted")
+    matrix = np.zeros((len(keep), src.dim), dtype=np.uint8)
+    matrix[range(len(keep)), keep] = 1
+    matrix[:, anc] = basis._reduced_coordinates(reductions[anc : anc + 1]).a[:, 0]
+    return basis, F2Matrix._wrap(matrix)
 
 
 def _merged_code(m: MergeResult, base: CssCode, ancilla_index: int) -> CssCode:
@@ -569,7 +586,7 @@ def _merged_code(m: MergeResult, base: CssCode, ancilla_index: int) -> CssCode:
     A Z-merge keeps the pushed Z-basis and its dual X-basis; an X-merge
     keeps the pushed X-basis and its dual Z-basis.
     """
-    pushed = _pushed_basis(m, _logicals(base, m.orientation), ancilla_index)
+    pushed, _ = _pushed_basis(m, _logicals(base, m.orientation), ancilla_index)
     if m.orientation == "Z":
         return from_complex(m.quotient, z_basis=pushed.matrix())
     code_cplx = m.merged_complex()
@@ -723,6 +740,12 @@ def _merge_and_split(
     The merge carries the map it induces on the logicals of its own side,
     from the basis of ``base`` to the pushed basis of the merged code; the
     split reads its own from the merge, without building the merged code.
+    Each GF(2) product is computed once: ``quotient_merge`` shares its
+    products between the quotient and its checks, one push of the base
+    logicals through p1 gives both the pushed basis and the logical matrix
+    (``_pushed_basis``), and the split's injectivity check reads p at the
+    default section's unit columns. Synthesis and ``plan_from_json`` both
+    build every merge here.
     """
     merge = quotient_merge(base.complex, sub)
     side = sub.orientation
@@ -735,13 +758,13 @@ def _merge_and_split(
         )
     if len({ins is None for ins in inserts}) > 1:
         raise DimensionMismatch("branch_inserts mixes null and set entries")
-    src = _logicals(base, side)
+    _, logical_matrix = _pushed_basis(merge, _logicals(base, side), anc)
     merge_step = MergeStep(
         merge=merge,
         orientation=side,
         measurement_ids=ids,
         pivot_qubits=sub.v1.pivots,
-        logical_matrix=induced_on_homology(merge.p, 1, src, _pushed_basis(merge, src, anc)),
+        logical_matrix=logical_matrix,
         branch_inserts=inserts,
     )
     return merge_step, SplitStep(merge_step, split_from_merge(merge))
@@ -1022,6 +1045,14 @@ def _is_bits(v) -> bool:
     return _is_ints(v) and set(v) <= {0, 1}
 
 
+def _is_matrix(v) -> bool:
+    """Whether ``v`` is a list of equal-length lists of 0/1 integers, all its entries read in one pass."""
+    if not (isinstance(v, list) and all(isinstance(row, list) for row in v) and len(set(map(len, v))) <= 1):
+        return False
+    entries = list(chain.from_iterable(v))
+    return set(map(type, entries)) <= {int} and set(entries) <= {0, 1}
+
+
 # field kind -> (description for the error message, check)
 _FIELD_KINDS = {
     "int": ("an integer", _is_int),
@@ -1030,10 +1061,7 @@ _FIELD_KINDS = {
     "ints": ("a list of integers", _is_ints),
     "strs": ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)),
     "bits": ("a list of 0/1 entries", _is_bits),
-    "matrix": (
-        "a list of equal-length lists of 0/1 entries",
-        lambda v: isinstance(v, list) and all(map(_is_bits, v)) and len({len(r) for r in v}) <= 1,
-    ),
+    "matrix": ("a list of equal-length lists of 0/1 entries", _is_matrix),
     "list": ("a list", lambda v: isinstance(v, list)),
     "object": ("an object", lambda v: isinstance(v, dict)),
 }
@@ -1072,14 +1100,7 @@ class _JsonObject(dict):
         """
         if kind == "matrix":
             rows = self.field(key, kind, nullable and spec is None)
-            if rows is None:
-                return None
-            width = len(rows[0]) if rows else (spec or 0)
-            if spec is not None and width != spec:
-                raise MalformedInput(
-                    f"field {key!r} must have {spec} columns, has {width}", section=key
-                )
-            return F2Matrix.from_rows(rows, cols=width)
+            return None if rows is None else _matrix_value(key, rows, spec)
         if kind == "bits":
             bits = self.field(key, kind)
             if len(bits) != spec:
@@ -1093,6 +1114,15 @@ class _JsonObject(dict):
             items = self.field(key, "list")
             return tuple(_pauli_from_json(d, f"{key}[{j}]", spec) for j, d in enumerate(items))
         return self.field(key, kind, nullable, spec)
+
+
+def _matrix_value(key: str, rows: list, width: Optional[int]) -> F2Matrix:
+    """The checked "matrix" field ``key`` as a matrix, in one conversion; ``width`` is its
+    required number of columns, or None for any (an empty matrix then has no columns)."""
+    cols = len(rows[0]) if rows else (width or 0)
+    if width is not None and cols != width:
+        raise MalformedInput(f"field {key!r} must have {width} columns, has {cols}", section=key)
+    return F2Matrix._wrap(np.array(rows, dtype=np.uint8)) if rows else F2Matrix.zeros(0, cols)
 
 
 def _pauli_from_json(d, where: str, n: int) -> Optional[PauliOperator]:
@@ -1301,11 +1331,12 @@ def plan_from_json(text: str) -> SurgeryPlan:
     if schema != "chainsurg-plan/1":
         raise DimensionMismatch(f"not a plan document: {schema!r}")
     base_keys = ("base_hx", "base_hz", "base_zl", "base_xl")
-    widths = [len(rows[0]) for rows in (doc.field(key, "matrix") for key in base_keys) if rows]
+    base_rows = [doc.field(key, "matrix") for key in base_keys]
+    widths = [len(rows[0]) for rows in base_rows if rows]
     if not widths:
         raise MalformedInput("base code matrices are all empty", section="base_hx")
     n = widths[0]
-    hx, hz, zl, xl = (doc.read(key, "matrix", spec=n) for key in base_keys)
+    hx, hz, zl, xl = (_matrix_value(key, rows, n) for key, rows in zip(base_keys, base_rows))
     base = from_parity_checks(hx, hz, z_basis=zl, x_basis=xl)
     entries = doc.field("steps", "list")
     if not entries:
@@ -1387,8 +1418,18 @@ def _steps_from_json(entries: list, ctx: dict) -> list[PlanStep]:
             for name, form, _, spec in fields:
                 if spec is not _REBUILT:
                     continue
-                if entry[name] != np.asarray(_json_value(form, getattr(steps[i], name))).tolist():
+                if not _same_value(form, values[name], getattr(steps[i], name)):
                     raise MalformedInput(
                         f"field {name!r} differs from the value rebuilt from the plan", section=name
                     )
     return steps
+
+
+def _same_value(kind: str, read, rebuilt) -> bool:
+    """Whether a field read as ``kind`` is the rebuilt value, as plan_to_json would write it.
+
+    A matrix of no rows is written as [], whatever its width.
+    """
+    if kind == "matrix":
+        return read.rows == rebuilt.rows and (not read.rows or read == rebuilt)
+    return read == (list(rebuilt) if kind in ("ints", "strs") else rebuilt)

@@ -5,11 +5,18 @@ is a surjective preserving code map and the induced homology map is the
 logical operation. X-type surgery runs the same machinery on transposed
 complexes.
 
-``quotient_merge`` builds the projection only. The inclusion of the
-subcode's own complex, ``MergeResult.i``, is built and validated the
-first time it is read; ``split_from_merge`` checks and returns the dual
-split each time it is called, so a caller that keeps the split (as a
-plan's split step does) calls it once per merge.
+``quotient_merge`` builds the projection only, computing each GF(2)
+product once. The default coset representatives of a degree are the unit
+vectors at the subcode space's free columns F, so a product with their
+section is a selection of the columns F, and along a zero space the
+section and the projection are both the identity, which multiplies
+nothing. The products p1 d2 and p0 d1 that give the quotient's
+boundaries are also the left sides of the chain-map squares
+``validate_chain_map`` checks. The inclusion of the subcode's own
+complex, ``MergeResult.i``, is built and validated the first time it is
+read. ``split_from_merge`` checks and returns the dual split each time it
+is called: it checks p @ section = I in every degree, which for default
+representatives reads p at the columns F and takes no product.
 
 What the parent's RREFs already say is read, not eliminated again: with
 the default degree-1 coset reps, the merged complex's boundaries are
@@ -50,6 +57,7 @@ from .errors import (
 from .f2linalg import (
     F2Matrix,
     Subspace,
+    _mul,
     as_bit_vector,
     format_matrix,
     free_column_vectors,
@@ -157,10 +165,10 @@ def validate_subcode(
     sub = Subcode(parent=parent, v2=v2, v1=v1, v0=v0, orientation=orientation)
     oriented = sub.oriented_parent()
     s2, s1, s0 = sub.oriented_spaces()
-    # row i of basis @ d.T is d applied to basis row i
-    if not s1.contains_rows(s2.basis @ oriented.d2.T):
+    # row i of basis @ d.T is d applied to basis row i; a zero space needs no product
+    if s2.dim and not s1.contains_rows(s2.basis @ oriented.d2.T):
         raise ClosureViolated(2)
-    if not s0.contains_rows(s1.basis @ oriented.d1.T):
+    if s1.dim and not s0.contains_rows(s1.basis @ oriented.d1.T):
         raise ClosureViolated(1)
     return sub
 
@@ -191,9 +199,7 @@ def _projection_matrix(ambient: int, sub: Subspace, reps: list[np.ndarray] | Non
     inverse the supplied-reps path computes for those reps.
     """
     if reps is None:
-        pivot_set = set(sub.pivots)
-        free = [j for j in range(ambient) if j not in pivot_set]
-        return F2Matrix._wrap(free_column_vectors(sub.basis.a, sub.pivots, free))
+        return _default_section(ambient, sub)[2]
     if not reps:
         return F2Matrix.zeros(0, ambient)
     system = F2Matrix.from_rows(reps + list(sub.basis_vectors()), cols=ambient).T
@@ -202,6 +208,33 @@ def _projection_matrix(ambient: int, sub: Subspace, reps: list[np.ndarray] | Non
     except SingularMatrix:
         raise DimensionMismatch("supplied quotient basis is not a complement of the subcode") from None
     return F2Matrix._wrap(inverse.a[: len(reps)])
+
+
+def _default_section(ambient: int, sub: Subspace) -> tuple[list[int], F2Matrix, F2Matrix]:
+    """(F, section, projection) of the default reps: sub's free columns F, the
+    unit vectors at F as columns, and their projection (see ``_projection_matrix``).
+    Along the zero space both are the identity."""
+    if not sub.dim:
+        identity = F2Matrix.identity(ambient)
+        return list(range(ambient)), identity, identity
+    pivot_set = set(sub.pivots)
+    free = [j for j in range(ambient) if j not in pivot_set]
+    section = F2Matrix._wrap(np.eye(ambient, dtype=np.uint8)[:, free])
+    return free, section, F2Matrix._wrap(free_column_vectors(sub.basis.a, sub.pivots, free))
+
+
+def _times_section(a: np.ndarray, section: F2Matrix, units: list[int] | None) -> np.ndarray:
+    """a @ section: a column selection when the section is the unit columns at ``units``."""
+    if units is None:
+        return _mul(a, section.a)
+    return a if len(units) == a.shape[1] else a[:, units]
+
+
+def _project(projection: F2Matrix, units: list[int] | None, m: F2Matrix) -> F2Matrix:
+    """projection @ m; no product when the projection is the default one along the zero space."""
+    if units is not None and len(units) == projection.cols:
+        return m
+    return F2Matrix._wrap(_mul(projection.a, m.a))
 
 
 @dataclass(frozen=True)
@@ -218,6 +251,8 @@ class MergeResult:
     subcode: Subcode
     # per degree 2, 1, 0: the section whose columns are the coset representatives
     sections: tuple[F2Matrix, F2Matrix, F2Matrix]
+    # per degree 2, 1, 0: where a default section's unit columns sit, None for supplied reps
+    section_units: tuple[list[int] | None, list[int] | None, list[int] | None]
 
     @property
     def orientation(self) -> str:
@@ -259,31 +294,36 @@ def quotient_merge(
     oriented = sub.oriented_parent()
     spaces = sub.oriented_spaces()
     supplied = quotient_bases or {}
-    sections = []
-    projections = []
+    sections, projections, units = [], [], []
     for degree, space in zip((2, 1, 0), spaces):
         ambient = oriented.dim(degree)
         given = supplied.get(degree)
         if given is None:
-            sections.append(quotient_basis_units(ambient, space))
-            projections.append(_projection_matrix(ambient, space, None))
+            free, section, projection = _default_section(ambient, space)
+            sections.append(section)
+            projections.append(projection)
+            units.append(free)
         else:
             given = _complement_reps(ambient, space, given)
             sections.append(F2Matrix.from_rows(given, cols=ambient).T)
             projections.append(_projection_matrix(ambient, space, given))
+            units.append(None)
     p2, p1, p0 = projections
-    q_d2 = p1 @ oriented.d2 @ sections[0]
-    q_d1 = p0 @ oriented.d1 @ sections[1]
+    # each product once: p1 d2 and p0 d1 give the quotient's boundaries and both squares' left sides
+    p1_d2, p0_d1 = _project(p1, units[1], oriented.d2), _project(p0, units[2], oriented.d1)
+    q_d2 = F2Matrix._wrap(_times_section(p1_d2.a, sections[0], units[0]))
+    q_d1 = F2Matrix._wrap(_times_section(p0_d1.a, sections[1], units[1]))
     quotient = validate(d2=q_d2, d1=q_d1)
     if supplied.get(1) is None:
         quotient._seed(*_projected_spaces(oriented, spaces[1], spaces[2], q_d2, q_d1))
-    p = validate_chain_map(oriented, quotient, p2, p1, p0)
+    p = validate_chain_map(oriented, quotient, p2, p1, p0, p1_d2, p0_d1)
     return MergeResult(
         source=oriented,
         quotient=quotient,
         p=p,
         subcode=sub,
         sections=tuple(sections),
+        section_units=tuple(units),
     )
 
 
@@ -316,12 +356,14 @@ def split_from_merge(m: MergeResult) -> ChainMap:
     """The injective preserving code map dual to the merge (its transpose).
 
     The section spanned by the merge's coset representatives is a right
-    inverse of p in every degree, so p's transpose is injective; one
-    product per degree checks it.
+    inverse of p in every degree, so p's transpose is injective. Each
+    degree checks p @ section = I: a default section is the unit columns
+    at its free positions, so p is read there, and supplied
+    representatives take one product.
     """
-    for deg, section in zip((2, 1, 0), m.sections):
+    for deg, section, units in zip((2, 1, 0), m.sections, m.section_units):
         comp = m.p.component(deg)
-        if comp @ section != F2Matrix.identity(comp.rows):
+        if not np.array_equal(_times_section(comp.a, section, units), np.eye(comp.rows, dtype=np.uint8)):
             raise DimensionMismatch("split component is not injective; merge corrupted")
     return m.p.transpose()
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainsurg import catalog, f2linalg
-from chainsurg.csscode import from_parity_checks
+from chainsurg.csscode import CssCode, from_parity_checks
 from chainsurg.errors import DimensionMismatch, MalformedInput, NotContained, SingularMatrix
 from chainsurg.f2linalg import (
     Elimination,
@@ -734,14 +734,13 @@ HAMMING_3 = [[((j + 1) >> (2 - i)) & 1 for j in range(7)] for i in range(3)]
 
 
 
-def rref_inputs(fn):
-    """(shape, bytes) of every rref input fn passes, counted in every chainsurg namespace that binds rref."""
-    original = f2linalg.rref
-    inputs = []
+def _record_calls(original, fn, record) -> None:
+    """Run fn with ``original`` replaced, in every chainsurg namespace that binds it, by a
+    function that passes its arguments to ``record`` and then calls it."""
 
-    def counted(m, *args, **kwargs):
-        inputs.append((m.shape, m.a.tobytes()))
-        return original(m, *args, **kwargs)
+    def counted(*args, **kwargs):
+        record(*args, **kwargs)
+        return original(*args, **kwargs)
 
     patched = [
         (module, attr)
@@ -757,7 +756,20 @@ def rref_inputs(fn):
     finally:
         for module, attr in patched:
             setattr(module, attr, original)
+
+
+def rref_inputs(fn):
+    """(shape, bytes) of every rref input fn passes, counted in every chainsurg namespace that binds rref."""
+    inputs = []
+    _record_calls(f2linalg.rref, fn, lambda m, *args, **kwargs: inputs.append((m.shape, m.a.tobytes())))
     return inputs
+
+
+def mul_calls(fn) -> int:
+    """How many GF(2) products (``f2linalg._mul`` calls) fn runs, in every chainsurg namespace."""
+    calls = []
+    _record_calls(f2linalg._mul, fn, lambda a, b: calls.append(None))
+    return len(calls)
 
 
 class TestEliminationBudget:
@@ -870,6 +882,34 @@ class TestEliminationBudget:
         # read off its parent's: only the image of the induced map and the killed
         # classes are eliminated
         assert len(inputs) <= 2
+
+
+class TestProductBudget:
+    """GF(2) products of a toric-3 CNOT: each merge is built, and loaded, from one set of them.
+
+    Per merge, a default section is a column selection, the split reads p at
+    the section's unit columns, the chain-map squares reuse p1 @ d2 and
+    p0 @ d1, and one push of the base logicals through p1 gives both the
+    pushed basis and the logical matrix. A zero space takes no product: the
+    subcode's closure check skips it, and reduction modulo it is the identity.
+    """
+
+    @staticmethod
+    def _code():
+        # read from its text, as the CLI reads a code file, so no cache an earlier test filled hides products
+        return CssCode.from_text(catalog.toric(3).to_text())
+
+    def test_cnot_plan_on_toric_3(self):
+        from chainsurg.protocols import build_cnot_plan
+
+        code = self._code()
+        assert mul_calls(lambda: build_cnot_plan(code, 0, 1)) <= 25
+
+    def test_cnot_plan_load_on_toric_3(self):
+        from chainsurg.protocols import build_cnot_plan, plan_from_json, plan_to_json
+
+        text = plan_to_json(build_cnot_plan(self._code(), 0, 1))
+        assert mul_calls(lambda: plan_from_json(text)) <= 28
 
 
 # --- the two constructors ------------------------------------------------------------
