@@ -122,64 +122,47 @@ def validate(d2: F2Matrix, d1: F2Matrix) -> ChainComplex:
 
 @dataclass(frozen=True)
 class HomologyBasis:
-    """Chosen representatives of ker/im at one degree of a complex.
+    """Chosen representatives of degree-1 homology: rows of cycles of a complex.
+
+    The kernel and image are the complex's cycles and boundaries, so they
+    are computed once per complex, and only when read. ``homology`` takes
+    degrees 0 and 2 as degree 1 of a complex built for them.
 
     Class coordinates are read from the class system: the RREF of the k
     representatives reduced modulo the image, with its k x k row
     transform. ``homology`` and ``_basis_from_rows`` know it already and
     seed it; any other basis eliminates its k rows on first use.
 
-    A basis made by ``of_complex`` holds a complex instead of its kernel
-    and image, and reads them as the complex's cycles and boundaries
-    when first asked for, so they are computed only if read.
-
-    ``matrix()`` stacks the representatives at most once; a basis made
-    from a matrix (``of_rows``, ``of_complex``) keeps that matrix and its
-    representatives are its rows. Two bases are equal when their
-    matrices, kernels and images are.
+    ``matrix()`` is ``rows``, and the representatives are its rows. Two
+    bases are equal when their matrices, kernels and images are.
     """
 
-    representatives: tuple[np.ndarray, ...]
-    kernel: Subspace
-    image: Subspace
+    rows: F2Matrix
+    complex: ChainComplex
 
-    @classmethod
-    def of_rows(cls, rows: F2Matrix, kernel: Subspace, image: Subspace) -> "HomologyBasis":
-        """The basis whose representatives are the rows of ``rows``, which it keeps as its matrix."""
-        basis = cls(representatives=tuple(rows.a), kernel=kernel, image=image)
-        basis.__dict__["_matrix"] = rows
-        return basis
+    @property
+    def kernel(self) -> Subspace:
+        return self.complex.cycles
 
-    @classmethod
-    def of_complex(cls, rows: F2Matrix, cplx: ChainComplex) -> "HomologyBasis":
-        """A degree-1 basis of ``cplx`` whose kernel and image are read from it when first used."""
-        basis = object.__new__(cls)
-        basis.__dict__.update(representatives=tuple(rows.a), _complex=cplx, _matrix=rows)
-        return basis
+    @property
+    def image(self) -> Subspace:
+        return self.complex.boundaries
 
-    def __getattr__(self, name: str):
-        # reached only for an attribute not set: the kernel or image of an of_complex basis
-        cplx = self.__dict__.get("_complex")
-        if cplx is None or name not in ("kernel", "image"):
-            raise AttributeError(name)
-        return cplx.cycles if name == "kernel" else cplx.boundaries
+    @cached_property
+    def representatives(self) -> tuple[np.ndarray, ...]:
+        return tuple(self.rows.a)
 
     @property
     def dim(self) -> int:
-        return len(self.representatives)
+        return self.rows.rows
 
     @property
     def ambient_dim(self) -> int:
-        cplx = self.__dict__.get("_complex")
-        return self.kernel.ambient_dim if cplx is None else cplx.dim1
-
-    @cached_property
-    def _matrix(self) -> F2Matrix:
-        return F2Matrix.from_rows(list(self.representatives), cols=self.ambient_dim)
+        return self.complex.dim1
 
     def matrix(self) -> F2Matrix:
         """Representatives stacked as rows (dim x ambient)."""
-        return self._matrix
+        return self.rows
 
     def _key(self) -> tuple:
         return self.matrix(), self.kernel, self.image
@@ -240,29 +223,26 @@ def _class_rows(reduced: RrefResult) -> tuple[list[int], np.ndarray]:
 def homology(c: ChainComplex, degree: int = 1) -> HomologyBasis:
     """Pivot-complement basis of ker/im at the given degree, read off ker's RREF.
 
-    The representatives are the rows of ker's canonical basis whose
-    pivots are not the image's, taken with one row slice that the basis
-    keeps as its matrix. Each image pivot is another row's pivot, so they
+    Degree 2 is degree 1 of the complex (0, d2), and degree 0 is degree 1
+    of (d1, 0); a zero map has the whole space as kernel and the zero
+    space as image, with no elimination. The representatives are the
+    rows of ker's canonical basis whose pivots are not the image's, taken
+    with one row slice. Each image pivot is another row's pivot, so they
     are zero there: already reduced modulo the image, and already in RREF
     with the identity transform, their pivots the kernel pivots that are
     not image pivots. That RREF is seeded as the class system.
     """
-    if degree == 1:
-        ker = c.cycles
-        img = c.boundaries
-    elif degree == 2:
-        ker = kernel_basis(c.d2)
-        img = Subspace.zero(c.dim2)
+    if degree == 2:
+        c = ChainComplex(d2=F2Matrix.zeros(c.dim2, 0), d1=c.d2)
     elif degree == 0:
-        ker = Subspace.full(c.dim0)
-        img = image_basis(c.d1)
-    else:
+        c = ChainComplex(d2=c.d1, d1=F2Matrix.zeros(0, c.dim0))
+    elif degree != 1:
         raise DimensionMismatch(f"degree must be 0, 1 or 2, got {degree}")
-    img_pivots = set(img.pivots)
+    ker, img_pivots = c.cycles, set(c.boundaries.pivots)
     keep = [j for j, p in enumerate(ker.pivots) if p not in img_pivots]
     reps = F2Matrix._wrap(ker.basis.a[keep])
     pivots = tuple(ker.pivots[j] for j in keep)
-    return HomologyBasis.of_rows(reps, ker, img)._seed(RrefResult(reps, pivots, F2Matrix.identity(len(keep))))
+    return HomologyBasis(reps, c)._seed(RrefResult(reps, pivots, F2Matrix.identity(len(keep))))
 
 
 def cohomology(c: ChainComplex, degree: int = 1) -> HomologyBasis:
@@ -333,16 +313,6 @@ def validate_chain_map(
     if (f0 @ src.d1 if f0_d1 is None else f0_d1) != (tgt.d1 @ f1):
         raise SquareDoesNotCommute(1)
     return ChainMap(src=src, tgt=tgt, f2=f2, f1=f1, f0=f0)
-
-
-def identity_chain_map(c: ChainComplex) -> ChainMap:
-    return ChainMap(
-        src=c,
-        tgt=c,
-        f2=F2Matrix.identity(c.dim2),
-        f1=F2Matrix.identity(c.dim1),
-        f0=F2Matrix.identity(c.dim0),
-    )
 
 
 def induced_on_homology(

@@ -166,10 +166,8 @@ class CssCode:
         return from_parity_checks(hx, hz, z_basis=zl, x_basis=xl)
 
 
-def _basis_from_rows(
-    rows: F2Matrix, kernel: Subspace, image: Subspace, reductions: np.ndarray | None = None
-) -> HomologyBasis:
-    """The rows as a homology basis, checked to be independent cycles spanning ker/im.
+def _basis_from_rows(rows: F2Matrix, cplx: ChainComplex, reductions: np.ndarray | None = None) -> HomologyBasis:
+    """The rows as a homology basis of ``cplx``, checked to be independent cycles spanning ker/im.
 
     The rows are independent modulo the image exactly when their
     reductions modulo it have full rank, so only k rows are eliminated;
@@ -178,6 +176,7 @@ def _basis_from_rows(
     and reduced them modulo the image passes those ``reductions``, and
     neither is done again.
     """
+    kernel, image = cplx.cycles, cplx.boundaries
     reduced = None
     if rows.rows:
         if rows.cols != kernel.ambient_dim:
@@ -193,8 +192,8 @@ def _basis_from_rows(
         k = kernel.dim - image.dim
         raise DimensionMismatch(f"supplied {rows.rows} logical representatives for {k} logical qubits")
     if reduced is None:  # no rows, whatever their width: the empty basis
-        return HomologyBasis(representatives=(), kernel=kernel, image=image)
-    return HomologyBasis.of_rows(rows, kernel, image)._seed(reduced)
+        return HomologyBasis(F2Matrix.zeros(0, cplx.dim1), cplx)
+    return HomologyBasis(rows, cplx)._seed(reduced)
 
 
 def from_parity_checks(
@@ -240,16 +239,12 @@ def from_complex(
     """
     co = cplx.transpose()
     if z_basis is not None and x_basis is not None and _dual_pair(cplx, z_basis, x_basis):
-        zb = HomologyBasis.of_complex(z_basis, cplx)
-        return CssCode(complex=cplx, z_logicals=zb, x_logicals=HomologyBasis.of_complex(x_basis, co))
-    if z_basis is None:
-        zb = homology(cplx, 1)
-    else:
-        zb = _basis_from_rows(z_basis, cplx.cycles, cplx.boundaries)
+        return CssCode(cplx, HomologyBasis(z_basis, cplx), HomologyBasis(x_basis, co))
+    zb = homology(cplx, 1) if z_basis is None else _basis_from_rows(z_basis, cplx)
     if x_basis is None:
         xb = dual_x_basis(cplx, zb)
     else:
-        xb = _basis_from_rows(x_basis, co.cycles, co.boundaries)
+        xb = _basis_from_rows(x_basis, co)
         _check_duality(xb, zb)
     return CssCode(complex=cplx, z_logicals=zb, x_logicals=xb)
 
@@ -300,10 +295,11 @@ def dual_x_basis(cplx: ChainComplex, z_basis: HomologyBasis) -> HomologyBasis:
     """
     n = cplx.dim1
     k = z_basis.dim
-    ker = cplx.transpose().cycles
-    img = cplx.transpose().boundaries
+    co = cplx.transpose()
+    ker = co.cycles
+    co.boundaries  # eliminated here with the kernel, not later where the basis is first used
     if k == 0:
-        return HomologyBasis(representatives=(), kernel=ker, image=img)
+        return HomologyBasis(F2Matrix.zeros(0, n), co)
     lz = z_basis.matrix().T  # n x k, columns are z representatives
     kernel_complement = quotient_basis_units(n, cplx.cycles)
     try:
@@ -313,7 +309,7 @@ def dual_x_basis(cplx: ChainComplex, z_basis: HomologyBasis) -> HomologyBasis:
     lx = F2Matrix._wrap(inv.a[:k].copy())  # row views of inv would keep all n x n alive
     if not ker.contains_rows(lx):
         raise SingularMatrix("dual basis construction produced a non-cycle")
-    return HomologyBasis.of_rows(lx, ker, img)
+    return HomologyBasis(lx, co)
 
 
 def dual_z_basis(cplx: ChainComplex, x_basis: HomologyBasis) -> HomologyBasis:

@@ -64,9 +64,6 @@ What an RREF already says is read, not eliminated again:
   its kernel is the whole space; a matrix of zero rows spans the zero
   space too; rows reduced modulo the zero space are themselves, with no
   product taken;
-- ``Subspace.intersect`` is one elimination of [[U, U], [W, 0]]
-  (Zassenhaus): the rows with a zero left half come last, and their
-  right halves are already the canonical basis of the intersection;
 - ``Subspace.sum`` eliminates only the other space's rows reduced
   modulo this one: their RREF is zero at this space's pivots, so
   clearing its pivot columns in this space's rows and inserting its rows
@@ -477,29 +474,6 @@ class Subspace:
         if self.dim == 0:
             return Subspace.full(self._ambient)
         return kernel_basis(self._basis)
-
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """self ∩ other from one Zassenhaus elimination, already canonical.
-
-        The RREF of [[U, U], [W, 0]] (U, W the two bases) ends in the rows
-        whose left half is zero, and their right halves span U ∩ W. Those
-        rows are an RREF block on their own, their pivots in the right
-        half, so their right halves are the canonical basis.
-        """
-        n = self._ambient
-        if other.ambient_dim != n:
-            raise DimensionMismatch("ambient dimensions differ")
-        if not (self.dim and other.dim):
-            return Subspace.zero(n)
-        u, w = self._basis.a, other.basis.a
-        stacked = np.block([[u, u], [w, np.zeros_like(w)]])
-        res = rref(F2Matrix._wrap(stacked), transform=False)
-        left = sum(p < n for p in res.pivots)
-        return Subspace(
-            n,
-            F2Matrix._wrap(res.reduced.a[left : res.rank, n:]),
-            tuple(p - n for p in res.pivots[left:]),
-        )
 
     def enumerate(self):
         """Yield every element (2**dim of them); caller checks the dimension."""

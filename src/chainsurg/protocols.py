@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain, combinations
 from typing import Optional, Sequence
 
@@ -569,7 +569,7 @@ def _pushed_basis(m: MergeResult, src: HomologyBasis, anc: int) -> tuple[Homolog
     if not_cycle[keep].any():
         raise DimensionMismatch(identifies)
     try:
-        basis = _basis_from_rows(F2Matrix._wrap(pushed[keep]), q.cycles, q.boundaries, reductions[keep])
+        basis = _basis_from_rows(F2Matrix._wrap(pushed[keep]), q, reductions[keep])
     except DimensionMismatch:
         raise DimensionMismatch(identifies) from None
     if not_cycle[anc]:
@@ -652,17 +652,21 @@ def _resolve_ancilla(code: CssCode, ancilla: AncillaStrategy, reserved: tuple) -
         if ancilla.index in reserved or ancilla.index >= code.k:
             raise DimensionMismatch("embedded ancilla must be a distinct spare logical")
         return code, ancilla.index, InitAncilla(logical_index=ancilla.index, state="plus")
-    anc_code = ancilla.code
-    if ancilla.kind == "trivial":
-        from .catalog import trivial_qubit
-
-        anc_code = trivial_qubit()
+    anc_code = _trivial_qubit() if ancilla.kind == "trivial" else ancilla.code
     if anc_code is None or anc_code.k < 1:
         raise DimensionMismatch("ancilla code must carry a logical qubit")
     if not 0 <= ancilla.index < anc_code.k:
         raise DimensionMismatch(f"ancilla index {ancilla.index} out of range 0..{anc_code.k - 1}")
     anc = code.k + ancilla.index
     return direct_sum_code(code, anc_code), anc, InitAncilla(anc, "plus", anc_code.hx, anc_code.hz)
+
+
+@cache
+def _trivial_qubit() -> CssCode:
+    """The default ancilla's code: it is immutable, so it is built once per process."""
+    from .catalog import trivial_qubit
+
+    return trivial_qubit()
 
 
 def _assemble_plan(
@@ -702,7 +706,8 @@ def _joint_subcode(
     Its degree-1 generators are the sum of the two representatives, or
     with ``locality`` that sum decomposed into pieces of weight at most
     ``max_weight``; in the ``side`` frame, degree 0 holds their
-    boundaries and degree 2 nothing.
+    boundaries and degree 2 nothing, so it is closed by construction and
+    is built without ``validate_subcode``'s products.
     """
     oriented = base.complex if side == "Z" else base.complex.transpose()
     rep = base.z_logical if side == "Z" else base.x_logical
@@ -715,7 +720,7 @@ def _joint_subcode(
         Subspace.from_vectors(gens, base.n),
         Subspace.from_vectors([oriented.d1 @ g for g in gens], oriented.dim0),
     )
-    return validate_subcode(base.complex, *(spaces if side == "Z" else spaces[::-1]), side)
+    return Subcode(base.complex, *(spaces if side == "Z" else spaces[::-1]), side)
 
 
 def _logicals(code: CssCode, side: str) -> HomologyBasis:

@@ -77,12 +77,6 @@ class StateVector:
                 raise DimensionMismatch(f"state marked normalized but |psi| = {norm}")
 
     @classmethod
-    def basis_state(cls, n: int, index: int = 0) -> "StateVector":
-        a = np.zeros(1 << n, dtype=np.complex128)
-        a[index] = 1.0
-        return cls(n=n, amplitudes=a, normalized=True)
-
-    @classmethod
     def from_amplitudes(cls, amps) -> "StateVector":
         a = np.asarray(amps, dtype=np.complex128)
         n = int(np.log2(len(a)))

@@ -23,10 +23,10 @@ from hypothesis import strategies as st
 from chainsurg import catalog
 from chainsurg.chaincomplex import (
     ChainComplex,
+    ChainMap,
     HomologyBasis,
     direct_sum,
     homology,
-    identity_chain_map,
     induced_on_homology,
 )
 from chainsurg.csscode import _basis_from_rows, _check_duality, dual_x_basis, from_complex
@@ -63,6 +63,17 @@ def complexes(draw, max_dim=7):
     allowed = image_basis(d2).perp()
     d1 = F2Matrix(_bits(r, dim0, allowed.dim, density)) @ allowed.basis
     return ChainComplex(d2=d2, d1=d1)
+
+
+def identity_chain_map(c: ChainComplex) -> ChainMap:
+    """The identity chain map of ``c``."""
+    return ChainMap(
+        src=c,
+        tgt=c,
+        f2=F2Matrix.identity(c.dim2),
+        f1=F2Matrix.identity(c.dim1),
+        f0=F2Matrix.identity(c.dim0),
+    )
 
 
 def assert_same_space(got: Subspace, want: Subspace):
@@ -138,8 +149,9 @@ class TestDirectSum:
 # --- supplied-basis check --------------------------------------------------------
 
 
-def stacked_rank_basis_from_rows(rows: F2Matrix, kernel: Subspace, image: Subspace) -> HomologyBasis:
+def stacked_rank_basis_from_rows(rows: F2Matrix, cplx: ChainComplex) -> HomologyBasis:
     """The old rule: rank the rows stacked on the image basis."""
+    kernel, image = cplx.cycles, cplx.boundaries
     if rows.rows:
         if rows.cols != kernel.ambient_dim:
             raise DimensionMismatch(f"expected length {kernel.ambient_dim}, got {rows.cols}")
@@ -151,8 +163,7 @@ def stacked_rank_basis_from_rows(rows: F2Matrix, kernel: Subspace, image: Subspa
     if rows.rows + image.dim != kernel.dim:
         k = kernel.dim - image.dim
         raise DimensionMismatch(f"supplied {rows.rows} logical representatives for {k} logical qubits")
-    reps = tuple(rows.row(i) for i in range(rows.rows))
-    return HomologyBasis(representatives=reps, kernel=kernel, image=image)
+    return HomologyBasis(rows if rows.rows else F2Matrix.zeros(0, cplx.dim1), cplx)
 
 
 def _outcome(fn, *args):
@@ -219,8 +230,8 @@ class TestSuppliedBasisCheck:
         r = np.random.RandomState(seed)
         for side in (c, c.transpose()):
             rows = _edited_rows(r, side, edit)
-            want = _outcome(stacked_rank_basis_from_rows, rows, side.cycles, side.boundaries)
-            got = _outcome(_basis_from_rows, rows, side.cycles, side.boundaries)
+            want = _outcome(stacked_rank_basis_from_rows, rows, side)
+            got = _outcome(_basis_from_rows, rows, side)
             assert got == want
 
     @pytest.mark.parametrize(
@@ -236,20 +247,20 @@ class TestSuppliedBasisCheck:
         f = F2Matrix(rows)
         for fn in (stacked_rank_basis_from_rows, _basis_from_rows):
             with pytest.raises(DimensionMismatch, match=message):
-                fn(f, c.cycles, c.boundaries)
+                fn(f, c)
 
     def test_no_rows_for_a_code_with_logicals(self, steane):
         c = steane.complex
-        want = _outcome(stacked_rank_basis_from_rows, F2Matrix.zeros(0, 7), c.cycles, c.boundaries)
-        assert _outcome(_basis_from_rows, F2Matrix.zeros(0, 7), c.cycles, c.boundaries) == want
+        want = _outcome(stacked_rank_basis_from_rows, F2Matrix.zeros(0, 7), c)
+        assert _outcome(_basis_from_rows, F2Matrix.zeros(0, 7), c) == want
         assert want == ("rejected", "supplied 0 logical representatives for 1 logical qubits")
 
 
 def sequential_from_complex(c: ChainComplex, z: F2Matrix, x: F2Matrix):
     """The old rule for two supplied bases: each checked on its own, then the pairing."""
     co = c.transpose()
-    zb = stacked_rank_basis_from_rows(z, c.cycles, c.boundaries)
-    xb = stacked_rank_basis_from_rows(x, co.cycles, co.boundaries)
+    zb = stacked_rank_basis_from_rows(z, c)
+    xb = stacked_rank_basis_from_rows(x, co)
     _check_duality(xb, zb)
     return zb, xb
 
@@ -274,7 +285,7 @@ class TestDualPairCertificate:
         r = np.random.RandomState(seed)
         z = _edited_rows(r, c, z_edit)
         try:
-            zb = _basis_from_rows(z, c.cycles, c.boundaries)
+            zb = _basis_from_rows(z, c)
             x_rows = dual_x_basis(c, zb).matrix().a  # the dual, then edited
         except DimensionMismatch:
             x_rows = _recombined_basis(r, c.transpose())
@@ -322,10 +333,10 @@ def _bases(r, c: ChainComplex) -> list[HomologyBasis]:
     """The canonical basis, a recombined one, one short of a representative, and a
     recombined one certified by its dual, whose class system is built on first use."""
     canonical = homology(c, 1)
-    recombined = _basis_from_rows(F2Matrix(_recombined_basis(r, c)), c.cycles, c.boundaries)
-    short = HomologyBasis(canonical.representatives[1:], canonical.kernel, canonical.image)
+    recombined = _basis_from_rows(F2Matrix(_recombined_basis(r, c)), c)
+    short = HomologyBasis(F2Matrix(canonical.matrix().a[1:]), c)
     z = F2Matrix(_recombined_basis(r, c))
-    x = dual_x_basis(c, _basis_from_rows(z, c.cycles, c.boundaries)).matrix()
+    x = dual_x_basis(c, _basis_from_rows(z, c)).matrix()
     paired = from_complex(c, z, x).z_logicals
     assert "_class_system" not in vars(paired)
     return [canonical, recombined, short, paired]
@@ -366,7 +377,7 @@ class TestClassCoordinates:
 
     def test_not_expressible_message_kept(self, steane):
         h = homology(steane.complex, 1)
-        short = HomologyBasis((), h.kernel, h.image)
+        short = HomologyBasis(F2Matrix.zeros(0, h.ambient_dim), h.complex)
         with pytest.raises(DimensionMismatch, match="cycle not expressible in basis \\+ boundaries"):
             short.class_coordinates(h.representatives[0])
 

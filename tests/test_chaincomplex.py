@@ -14,14 +14,14 @@ from chainsurg.chaincomplex import (
     cohomology,
     direct_sum,
     homology,
-    identity_chain_map,
     induced_on_homology,
     validate,
     validate_chain_map,
 )
+from chainsurg.csscode import dual_x_basis, from_parity_checks
 from chainsurg.errors import NonZeroComposition, SquareDoesNotCommute
 from chainsurg.f2linalg import F2Matrix, Subspace, image_basis, kernel_basis, quotient_basis
-from test_assembled_spaces import complexes
+from test_assembled_spaces import complexes, identity_chain_map
 from test_f2linalg import rref_inputs
 
 
@@ -83,18 +83,21 @@ def quotient_basis_homology(c: ChainComplex, degree: int):
     by ``flatnonzero``, and the rows restacked with ``F2Matrix.from_rows``.
 
     Returns (basis, pivots, matrix). The basis's spaces are eliminated
-    afresh and its class system is not seeded, so reading the class system
-    eliminates the reduced representatives.
+    afresh and seeded on a new complex whose degree 1 is the given
+    degree, and its class system is not seeded, so reading the class
+    system eliminates the reduced representatives.
     """
-    ker, img = {
-        0: (Subspace.full(c.dim0), image_basis(c.d1)),
-        1: (kernel_basis(c.d1), image_basis(c.d2)),
-        2: (kernel_basis(c.d2), Subspace.zero(c.dim2)),
+    (ker, img), (d2, d1) = {
+        0: ((Subspace.full(c.dim0), image_basis(c.d1)), (c.d1, F2Matrix.zeros(0, c.dim0))),
+        1: ((kernel_basis(c.d1), image_basis(c.d2)), (c.d2, c.d1)),
+        2: ((kernel_basis(c.d2), Subspace.zero(c.dim2)), (F2Matrix.zeros(c.dim2, 0), c.d2)),
     }[degree]
     reps = quotient_basis(ker.ambient_dim, ker, img)
-    basis = HomologyBasis(representatives=tuple(reps), kernel=ker, image=img)
+    own = ChainComplex(d2=d2, d1=d1)
+    own._seed(ker, img)
+    matrix = F2Matrix.from_rows(reps, cols=ker.ambient_dim)
     pivots = tuple(int(np.flatnonzero(r)[0]) for r in reps)
-    return basis, pivots, F2Matrix.from_rows(reps, cols=ker.ambient_dim)
+    return HomologyBasis(matrix, own), pivots, matrix
 
 
 def assert_matches_quotient_basis_oracle(c: ChainComplex) -> None:
@@ -140,7 +143,7 @@ class TestHomologyReadOff:
     def test_matrix_is_stacked_once(self, steane, degree):
         h = homology(steane.complex, degree)
         assert h.matrix() is h.matrix()
-        built = HomologyBasis(h.representatives, h.kernel, h.image)
+        built = HomologyBasis(F2Matrix.from_rows(list(h.representatives), cols=h.ambient_dim), h.complex)
         assert built.matrix() is built.matrix() and built.matrix() == h.matrix()
 
     def test_no_elimination_on_cached_spaces(self, toric2):
@@ -166,6 +169,52 @@ class TestCohomology:
         for name in catalog.catalog_names():
             code = catalog.catalog_code(name)
             assert homology(code.complex, 1).dim == cohomology(code.complex, 1).dim
+
+
+def _assert_on_its_complex(basis: HomologyBasis) -> None:
+    """The basis's kernel and image are its complex's cached spaces, equal to fresh eliminations."""
+    assert basis.kernel is basis.complex.cycles
+    assert basis.image is basis.complex.boundaries
+    assert basis.kernel == kernel_basis(basis.complex.d1)
+    assert basis.image == image_basis(basis.complex.d2)
+    assert basis.matrix() is basis.rows and basis.rows.shape == (basis.dim, basis.complex.dim1)
+
+
+class TestBasisOnItsComplex:
+    """Every way a basis is built gives the pair (rows, complex), with the complex's spaces."""
+
+    @pytest.mark.parametrize("name", catalog.catalog_names())
+    @pytest.mark.parametrize("degree", [0, 1, 2])
+    def test_homology_of_catalog_codes(self, name, degree):
+        _assert_on_its_complex(homology(catalog.catalog_code(name).complex, degree))
+
+    @pytest.mark.parametrize("bases", ["none", "z", "dual_pair"])
+    @pytest.mark.parametrize("name", ["steane", "toric_2", "surface_3", "reed_muller_15"])
+    def test_codes_from_parity_checks(self, name, bases):
+        code = catalog.catalog_code(name)
+        zl, xl = code.z_logicals.matrix(), code.x_logicals.matrix()
+        z_basis, x_basis = {"none": (None, None), "z": (zl, None), "dual_pair": (zl, xl)}[bases]
+        built = from_parity_checks(code.hx, code.hz, z_basis=z_basis, x_basis=x_basis)
+        assert built.z_logicals.complex is built.complex
+        assert built.x_logicals.complex is built.complex.transpose()
+        for basis in (built.z_logicals, built.x_logicals):
+            _assert_on_its_complex(basis)
+
+    def test_dual_x_basis(self, toric2):
+        c = ChainComplex(d2=toric2.complex.d2, d1=toric2.complex.d1)
+        basis = dual_x_basis(c, homology(c, 1))
+        assert basis.complex is c.transpose()
+        _assert_on_its_complex(basis)
+
+    def test_pushed_basis_on_toric_3(self):
+        from chainsurg.protocols import _joint_subcode, _pushed_basis, direct_sum_code
+        from chainsurg.surgery import quotient_merge
+
+        base = direct_sum_code(catalog.toric(3), catalog.trivial_qubit())
+        merge = quotient_merge(base.complex, _joint_subcode(base, "Z", 0, 2, False, 0))
+        basis, _ = _pushed_basis(merge, base.z_logicals, 2)
+        assert basis.complex is merge.quotient and basis.dim == 2
+        _assert_on_its_complex(basis)
 
 
 class TestCachedSpaces:

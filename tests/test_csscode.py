@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainsurg import catalog, csscode, f2linalg
-from chainsurg.chaincomplex import HomologyBasis
+from chainsurg.chaincomplex import ChainComplex, HomologyBasis
 from chainsurg.csscode import (
     CssCode,
     PauliOperator,
@@ -358,16 +358,20 @@ class TestValueSemantics:
 
     def test_basis_equality(self, steane, toric2):
         h = steane.z_logicals
-        assert h == HomologyBasis(h.representatives, h.kernel, h.image)
-        assert hash(h) == hash(HomologyBasis(h.representatives, h.kernel, h.image))
+
+        def basis(reps, cplx=h.complex):
+            return HomologyBasis(F2Matrix.from_rows(list(reps), cols=h.ambient_dim), cplx)
+
+        assert h == basis(h.representatives)
+        assert hash(h) == hash(basis(h.representatives))
         assert h != steane.x_logicals
         assert h != toric2.z_logicals
         # one representative moved by a stabilizer: the same class, another basis
         moved = (h.representatives[0] ^ h.image.basis.row(0),)
-        assert h != HomologyBasis(moved, h.kernel, h.image)
-        # the same representatives in a different image
-        assert h != HomologyBasis(h.representatives, h.kernel, steane.complex.cycles)
-        assert len({h, HomologyBasis(h.representatives, h.kernel, h.image), steane.x_logicals}) == 2
+        assert h != basis(moved)
+        # the same representatives in a different image: a complex whose boundaries are its cycles
+        assert h != basis(h.representatives, ChainComplex(d2=h.kernel.basis.T, d1=steane.complex.d1))
+        assert len({h, basis(h.representatives), steane.x_logicals}) == 2
 
 
 # --- loop oracle: encoder_isometry as first written -------------------------------

@@ -14,7 +14,6 @@ from chainsurg import catalog
 from chainsurg.chaincomplex import (
     HomologyBasis,
     homology,
-    identity_chain_map,
     induced_on_homology,
     validate,
     validate_chain_map,
@@ -56,6 +55,8 @@ from chainsurg.simverify import (
     physical_op_sequence,
 )
 from chainsurg.surgery import quotient_merge, span_merge, validate_subcode
+from test_assembled_spaces import identity_chain_map
+from test_simverify import basis_state
 
 STEANE = catalog.steane()
 TORIC2 = catalog.toric(2)
@@ -65,7 +66,7 @@ E0 = np.eye(7, dtype=np.uint8)[0]  # not a cycle of the Steane code
 def _bogus_basis(rep):
     """A Steane Z basis holding ``rep``, built without the checks ``from_parity_checks`` makes."""
     cx = STEANE.complex
-    return HomologyBasis(representatives=(rep,), kernel=cx.cycles, image=cx.boundaries)
+    return HomologyBasis(F2Matrix.from_rows([rep], cols=cx.dim1), cx)
 
 
 def _wrong_parent_merge():
@@ -266,7 +267,7 @@ CASES = {
         "op expects 2 qubits, states have 1",
     ),
     "apply_state": (
-        lambda: apply(PauliGate(PauliOperator.from_x([1, 0])), StateVector.basis_state(1)),
+        lambda: apply(PauliGate(PauliOperator.from_x([1, 0])), basis_state(1)),
         DimensionMismatch,
         "op expects 2 qubits, state has 1",
     ),

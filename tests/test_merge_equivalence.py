@@ -19,7 +19,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chainsurg.chaincomplex import HomologyBasis, induced_on_homology, validate_chain_map
+from chainsurg.chaincomplex import ChainComplex, HomologyBasis, induced_on_homology, validate_chain_map
 from chainsurg.csscode import from_parity_checks
 from chainsurg.errors import DimensionMismatch
 from chainsurg.f2linalg import F2Matrix, Subspace, image_basis, kernel_basis, rank, vstack
@@ -115,7 +115,9 @@ def test_one_pass_merge_matches_public_functions(case):
     src = _logicals(code, sub.orientation)
     keep = [i for i in range(src.dim) if i != anc]
     pushed = (m.p.f1 @ src.matrix().T).T
-    basis = HomologyBasis(tuple(pushed.a[keep]), kernel_basis(q.d1), image_basis(q.d2))
+    fresh = ChainComplex(d2=q.d2, d1=q.d1)
+    fresh._seed(kernel_basis(q.d1), image_basis(q.d2))
+    basis = HomologyBasis(F2Matrix(pushed.a[keep]), fresh)
     assert merge_step.logical_matrix == induced_on_homology(m.p, 1, src, basis)
     assert split_step.logical_matrix == merge_step.logical_matrix.T
 

@@ -47,6 +47,7 @@ from chainsurg.protocols import (
 from chainsurg.simverify import PHASE_TOL
 from chainsurg.surgery import quotient_merge, validate_subcode
 from test_assembled_spaces import complexes
+from test_f2linalg import zassenhaus_intersect
 from test_plan_golden import PLANS as GOLDEN_PLANS
 
 
@@ -860,7 +861,7 @@ class TestPlanLoading:
 
 def zassenhaus_span_exclusion(cplx, gens, target, allowed):
     """The old check, kept as the oracle: span(gens) ∩ cycles from one Zassenhaus elimination."""
-    inside = Subspace.from_vectors(gens, cplx.dim1).intersect(cplx.cycles)
+    inside = zassenhaus_intersect(Subspace.from_vectors(gens, cplx.dim1), cplx.cycles)
     if not allowed.contains_subspace(inside):
         raise DecompositionInfeasible("candidate span admits a second independent logical class")
     total = np.zeros(cplx.dim1, dtype=np.uint8)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from chainsurg import catalog
-from chainsurg.chaincomplex import homology, identity_chain_map
+from chainsurg.chaincomplex import homology
 from chainsurg.csscode import (
     PauliOperator,
     encoder_isometry,
@@ -29,11 +29,19 @@ from chainsurg.simverify import (
 )
 from chainsurg.simverify import _parity_indices
 from chainsurg.surgery import quotient_merge, split_from_merge, validate_subcode
+from test_assembled_spaces import identity_chain_map
+
+
+def basis_state(n: int, index: int = 0) -> StateVector:
+    """The computational basis state |index> on n qubits."""
+    a = np.zeros(1 << n, dtype=np.complex128)
+    a[index] = 1.0
+    return StateVector(n=n, amplitudes=a, normalized=True)
 
 
 class TestApply:
     def test_parity_identity(self):
-        s = StateVector.basis_state(2, 1)
+        s = basis_state(2, 1)
         out, amp = apply(ParityMap(F2Matrix.identity(2)), s)
         assert np.allclose(out.amplitudes, s.amplitudes)
         assert abs(amp - 1.0) < 1e-12
@@ -70,12 +78,12 @@ class TestApply:
         assert np.allclose(out.amplitudes, state.amplitudes)
 
     def test_projection_zero_branch(self):
-        s = StateVector.basis_state(1, 0)
+        s = basis_state(1, 0)
         with pytest.raises(ZeroProbabilityOutcome):
             apply(Projection(PauliOperator.from_z([1]), outcome=-1), s)
 
     def test_pauli_gate(self):
-        s = StateVector.basis_state(2, 0)
+        s = basis_state(2, 0)
         out, _ = apply(PauliGate(PauliOperator(x=[1, 0], z=[0, 0])), s)
         assert np.allclose(out.amplitudes, [0, 0, 1, 0])
 
@@ -338,7 +346,7 @@ class TestCounterexample:
         )
         ops = physical_op_sequence(f, "Z")
         middle = [op for op in ops if not isinstance(op, Projection)]
-        zero = StateVector.basis_state(2, 0)
+        zero = basis_state(2, 0)
         out = apply_sequence_linear(middle, zero.amplitudes)
         for zvec in ([1, 0], [0, 1]):
             exp = pauli_expectation(

@@ -27,7 +27,7 @@ from chainsurg.surgery import (
     split_from_merge,
     validate_subcode,
 )
-from test_assembled_spaces import assert_same_space, complexes
+from test_assembled_spaces import assert_same_space, complexes, identity_chain_map
 
 
 def random_subcode(cplx, r, orientation="Z", max_gens=2):
@@ -306,8 +306,6 @@ class TestSpanMerge:
         assert m_span.subcode.v1 == m_quot.subcode.v1
 
     def test_diagonal_span_collapses(self, surface2):
-        from chainsurg.chaincomplex import identity_chain_map
-
         cpl = surface2.complex
         ident = identity_chain_map(cpl)
         m = span_merge(ident, ident)
