@@ -294,11 +294,13 @@ def validate_chain_map(
     f0: F2Matrix,
     f1_d2: F2Matrix | None = None,
     f0_d1: F2Matrix | None = None,
+    d2_f2: F2Matrix | None = None,
 ) -> ChainMap:
     """The chain map, checked: each component's shape, then each square.
 
-    A caller that already holds the product f1 @ src.d2 or f0 @ src.d1
-    passes it as ``f1_d2`` or ``f0_d1``, and it is not multiplied again.
+    A caller that already holds the product f1 @ src.d2, f0 @ src.d1 or
+    tgt.d2 @ f2 passes it as ``f1_d2``, ``f0_d1`` or ``d2_f2``, and it is
+    not multiplied again.
     """
     shapes = {
         2: (f2, tgt.dim2, src.dim2),
@@ -308,7 +310,7 @@ def validate_chain_map(
     for deg, (f, r, c) in shapes.items():
         if f.shape != (r, c):
             raise DimensionMismatch(f"f{deg} must be {r}x{c}, got {f.shape}")
-    if (f1 @ src.d2 if f1_d2 is None else f1_d2) != (tgt.d2 @ f2):
+    if (f1 @ src.d2 if f1_d2 is None else f1_d2) != (tgt.d2 @ f2 if d2_f2 is None else d2_f2):
         raise SquareDoesNotCommute(2)
     if (f0 @ src.d1 if f0_d1 is None else f0_d1) != (tgt.d1 @ f1):
         raise SquareDoesNotCommute(1)

@@ -80,7 +80,8 @@ from .simverify import (
     PhysicalOp,
     Projection,
     extract_logical_channel,
-    physical_op_sequence,
+    merge_op_sequence,
+    split_op_sequence,
 )
 from .surgery import (
     MergeResult,
@@ -222,8 +223,8 @@ class MergeStep(PlanStep):
 
     @cached_property
     def ops(self) -> tuple[PhysicalOp, ...]:
-        """The merge's physical ops in its all-+1 branch, built when first read."""
-        return tuple(physical_op_sequence(self.merge.p, self.orientation))
+        """The merge's physical ops in its all-+1 branch, read off its sections when first read."""
+        return merge_op_sequence(self.merge)
 
     def branch_gauge(self, flips: np.ndarray) -> Optional[np.ndarray]:
         """The flipping side (X for a Z-merge) of a codespace-preserving Pauli
@@ -327,8 +328,8 @@ class SplitStep(PlanStep):
 
     @cached_property
     def ops(self) -> tuple[PhysicalOp, ...]:
-        """The split's physical ops, built when first read."""
-        return tuple(physical_op_sequence(self.split, self.orientation))
+        """The split's physical ops, read off the merge's sections when first read."""
+        return split_op_sequence(self.merge)
 
     @cached_property
     def pullback(self) -> Elimination:

@@ -22,7 +22,10 @@ become 0 leave them. So every nonzero amplitude has the bytes of the
 dense ops; no op keeps the sign of a zero, which changes no IEEE value
 and no output byte. Each op builds its support map (byte tables of its
 index map) once and keeps it, so ops a plan step holds keep theirs as
-long as the plan.
+long as the plan. A merge or a split reads its ops, and the preimages
+y0(x) and ker A^T, off the merge's sections (``merge_op_sequence``,
+``split_op_sequence``); ``physical_op_sequence`` and an op built from a
+bare matrix find them by elimination.
 
 The dense ``apply`` of each kind runs in O(2^n) from an int32 table it
 builds on first use: ``apply`` on a ``StateVector``, and channels small
@@ -34,9 +37,9 @@ bits; its sums start at +0, so a zero channel entry is +0 either way.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -52,6 +55,7 @@ from .csscode import (
 )
 from .errors import DimensionMismatch, ZeroProbabilityOutcome
 from .f2linalg import Elimination, F2Matrix, free_column_vectors, image_basis
+from .surgery import MergeResult
 
 PHASE_TOL = 1e-9
 
@@ -138,23 +142,22 @@ def _byte_tables(columns: Sequence[int]) -> tuple[tuple[int, np.ndarray], ...]:
     return tuple(out)
 
 
-def _preimages(a: F2Matrix) -> tuple[list[int], np.ndarray]:
+def _preimages(a: F2Matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solving A^T y = x, from one ``f2linalg.Elimination`` of A^T.
 
     With T its row transform, A^T y = x holds exactly when its RREF times
     y is T x. So r(x), the rows of T x below the rank, is 0 exactly when
     x is in the image, and y0(x), the rows above it scattered to the
-    pivots, solves it then. Returns the columns (as for ``_byte_tables``)
-    of the linear map x -> (r(x) << rows) | y0(x), and a basis of
-    ker A^T as 0/1 rows.
+    pivots, solves it then. Returns (y0, r, kernel): y0 and r as 0/1
+    arrays whose row j is their value at the j-th unit vector, and a
+    basis of ker A^T as 0/1 rows.
     """
     res = Elimination(a.T).result
     t, pivots = res.transform.a, list(res.pivots)
     y0 = np.zeros((a.cols, a.rows), dtype=np.uint8)
     y0[:, pivots] = t[: res.rank].T
-    columns = [(r << a.rows) | y for r, y in zip(_row_indices(t[res.rank :].T), _row_indices(y0))]
     free = [j for j in range(a.rows) if j not in res.pivots]
-    return columns, free_column_vectors(res.reduced.a, pivots, free)
+    return y0, t[res.rank :].T, free_column_vectors(res.reduced.a, pivots, free)
 
 
 def _lookup(tables, x: np.ndarray) -> np.ndarray:
@@ -213,7 +216,13 @@ class HadamardConjugatedParityMap(_BinaryMap):
     So on amplitudes it is the gather out[y] = 2^{(in-out)/2} * amps[matrix^T y],
     one table lookup per output index: O(2^out) work, where the literal
     transform-scatter-transform reading costs O((in + out) 2^max(in, out)).
+
+    ``preimages``, when its builder already knows how to solve A^T y = x,
+    holds (y0, r, kernel) as ``_preimages`` returns them, so the support
+    rule needs no elimination. It is not part of the op's value.
     """
+
+    preimages: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @cached_property
     def table(self) -> np.ndarray:
@@ -234,8 +243,10 @@ class HadamardConjugatedParityMap(_BinaryMap):
     def support_map(self) -> tuple:
         """(tables, kernel): byte tables of x -> (r(x) << n_out) | y0(x), where
         r(x) = 0 exactly when A^T y = x is solvable and y0(x) then solves it,
-        and every basis index in ker A^T, from one ``f2linalg.Elimination``."""
-        columns, kernel = _preimages(self.matrix)
+        and every basis index in ker A^T: from ``preimages``, else from one
+        ``f2linalg.Elimination``."""
+        y0, residue, kernel = _preimages(self.matrix) if self.preimages is None else self.preimages
+        columns = [(r << self.n_out) | y for r, y in zip(_row_indices(residue), _row_indices(y0))]
         return _byte_tables(columns), linear_indices(_row_indices(kernel))
 
     def apply_support(self, states: "Supports") -> "Supports":
@@ -375,12 +386,10 @@ class Supports:
             out[held] = self.values[at[held]]
         return out
 
-    def column(self, u: int) -> np.ndarray:
-        """The dense 2^n state of column ``u``: its held amplitudes, and 0 elsewhere."""
+    def held(self, u: int) -> tuple[np.ndarray, np.ndarray]:
+        """(basis indices, amplitudes) that column ``u`` holds; its other amplitudes are 0."""
         lo, hi = np.searchsorted(self.keys, [u << self.n, (u + 1) << self.n])
-        col = np.zeros(1 << self.n, dtype=np.complex128)
-        col[self.keys[lo:hi] & ((1 << self.n) - 1)] = self.values[lo:hi]
-        return col
+        return self.keys[lo:hi] & ((1 << self.n) - 1), self.values[lo:hi]
 
 
 def apply_linear(op: PhysicalOp, amps: np.ndarray | Supports) -> np.ndarray | Supports:
@@ -426,6 +435,10 @@ def physical_op_sequence(f: ChainMap, orientation: str = "Z") -> list[PhysicalOp
     of transposed complexes; the op is the plain parity map of f1
     followed by X-stabilizer projections (same formula in the transposed
     frame). Surjective f2 means no projections are emitted.
+
+    This is the generic reading of any chain map, by elimination. Plan
+    steps do not call it: a merge and its split read the same ops off the
+    merge's sections (``merge_op_sequence``, ``split_op_sequence``).
     """
     if orientation not in ("Z", "X"):
         raise DimensionMismatch("orientation must be 'Z' or 'X'")
@@ -433,6 +446,45 @@ def physical_op_sequence(f: ChainMap, orientation: str = "Z") -> list[PhysicalOp
     first, side = (HadamardConjugatedParityMap, PauliOperator.from_z) if z else (ParityMap, PauliOperator.from_x)
     stabilizers = f.tgt.d2 @ quotient_basis_units(f.tgt.dim2, image_basis(f.f2))
     return [first(f.f1)] + [Projection(side(stabilizers.col(j))) for j in range(stabilizers.cols)]
+
+
+def merge_op_sequence(m: MergeResult) -> tuple[PhysicalOp, ...]:
+    """``physical_op_sequence(m.p, m.orientation)``, read off the merge's sections.
+
+    A quotient map is onto, so a merge has no projection. For a Z-merge,
+    p1^T y = x has at most one solution, as ker p1^T = 0, and p1 s1 = I
+    for the degree-1 section s1 gives it: y = s1^T x. It exists exactly
+    when x lies in im p1^T = V1^perp, that is when V1 x = 0. Nothing is
+    eliminated.
+    """
+    p1 = m.p.f1
+    if m.orientation == "X":
+        return (ParityMap(p1),)
+    v1 = m.subcode.oriented_spaces()[1].basis.a
+    return (HadamardConjugatedParityMap(p1, (m.sections[1].a, v1.T, np.zeros((0, p1.rows), dtype=np.uint8))),)
+
+
+def split_op_sequence(m: MergeResult) -> tuple[PhysicalOp, ...]:
+    """The ops of the split that undoes ``m``, as ``physical_op_sequence`` reads
+    ``split_from_merge(m)`` in the other orientation, read off the merge's sections.
+
+    The split's f1 is p1^T. For a Z-split, after an X-merge, p1 y = x is
+    solved by y = s1 x + V1, since p1 s1 = I and ker p1 = V1, for every x.
+    Its f2 is p0^T, whose image is V0^perp: the kernel of V0's rows, whose
+    canonical basis ``kernel_basis`` gives from an elimination of dim V0
+    rows, and none when V0 = 0. The projections are onto the source's
+    boundaries d1 @ w for the unit vectors w off that basis's pivots, the
+    rows of d1 there.
+    """
+    _, v1, v0 = m.subcode.oriented_spaces()
+    p1t = m.p.f1.T
+    if m.orientation == "Z":
+        first, side = ParityMap(p1t), PauliOperator.from_x
+    else:
+        solution = (m.sections[1].a.T, np.zeros((p1t.cols, 0), dtype=np.uint8), v1.basis.a)
+        first, side = HadamardConjugatedParityMap(p1t, solution), PauliOperator.from_z
+    pivots, d1 = set(v0.perp().pivots), m.source.d1.a
+    return (first,) + tuple(Projection(side(d1[j])) for j in range(m.source.dim0) if j not in pivots)
 
 
 # --- logical channel extraction ----------------------------------------------
@@ -453,28 +505,35 @@ def extract_logical_channel(ops: Sequence[PhysicalOp], e_in: Encoder, e_out: Enc
     built densely and every op is applied to it. Each column is then one
     dense 2^n state, with the same bytes either way, multiplied by
     E_out^dagger, which ``e_out`` builds from its coset table: that is
-    the only dense 2^n x 2^k array, formed once for all columns.
+    the only dense 2^n x 2^k array, formed once for all columns. On
+    supports, one zeroed 2^n array holds every column in turn: a column's
+    held entries are written before its product and cleared after it.
     Projections are applied linearly so relative column norms are
     meaningful; the result is normalized so its largest-magnitude entry
     is exactly 1 (real positive). Raises ZeroProbabilityOutcome if
     everything post-selects to zero.
     """
     count = 1 << e_in.k
-    if count << e_in.code.n <= DENSE_CHANNEL_AMPLITUDES:
-        column = lambda u: apply_sequence_linear(ops, e_in.column(u))
-    else:
-        states = Supports.from_encoder(e_in)
-        for op in ops:
-            states = apply_linear(op, states)
-        column = states.column
     # E_out^dagger in the bytes and layout of e_out.matrix.conj().T, so BLAS
     # rounds each column as the per-column conj(e_out).T @ amps; conjugating
     # the state instead, conj(e_out.T @ conj(amps)), flips the sign of some
     # zero imaginary parts in reports.
     e_out_h = e_out.adjoint()
     mat = np.zeros((e_out_h.shape[0], count), dtype=np.complex128)
+    if count << e_in.code.n <= DENSE_CHANNEL_AMPLITUDES:
+        for u in range(count):
+            mat[:, u] = e_out_h @ apply_sequence_linear(ops, e_in.column(u))
+        return fix_phase_and_scale(mat)
+    states = Supports.from_encoder(e_in)
+    for op in ops:
+        states = apply_linear(op, states)
+    # one dense column for all: each column's entries are written, multiplied and cleared
+    column = np.zeros(1 << states.n, dtype=np.complex128)
     for u in range(count):
-        mat[:, u] = e_out_h @ column(u)
+        at, values = states.held(u)
+        column[at] = values
+        mat[:, u] = e_out_h @ column
+        column[at] = 0
     return fix_phase_and_scale(mat)
 
 

@@ -12,11 +12,12 @@ section is a selection of the columns F, and along a zero space the
 section and the projection are both the identity, which multiplies
 nothing. The products p1 d2 and p0 d1 that give the quotient's
 boundaries are also the left sides of the chain-map squares
-``validate_chain_map`` checks. The inclusion of the subcode's own
-complex, ``MergeResult.i``, is built and validated the first time it is
-read. ``split_from_merge`` checks and returns the dual split each time it
-is called: it checks p @ section = I in every degree, which for default
-representatives reads p at the columns F and takes no product.
+``validate_chain_map`` checks, and along a zero V2 the right side q_d2 p2
+is q_d2. The inclusion of the subcode's own complex, ``MergeResult.i``,
+is built and validated the first time it is read. ``split_from_merge``
+checks and returns the dual split each time it is called: it checks
+p @ section = I in every degree, which for default representatives
+reads p at the columns F and takes no product.
 
 What the parent's RREFs already say is read, not eliminated again: with
 the default degree-1 coset reps, the merged complex's boundaries are
@@ -316,7 +317,9 @@ def quotient_merge(
     quotient = validate(d2=q_d2, d1=q_d1)
     if supplied.get(1) is None:
         quotient._seed(*_projected_spaces(oriented, spaces[1], spaces[2], q_d2, q_d1))
-    p = validate_chain_map(oriented, quotient, p2, p1, p0, p1_d2, p0_d1)
+    # along a zero V2 the default p2 is the identity, so q_d2 @ p2 is q_d2
+    d2_p2 = q_d2 if units[0] is not None and len(units[0]) == p2.cols else None
+    p = validate_chain_map(oriented, quotient, p2, p1, p0, p1_d2, p0_d1, d2_p2)
     return MergeResult(
         source=oriented,
         quotient=quotient,

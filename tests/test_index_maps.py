@@ -300,7 +300,9 @@ def test_support_rules_match_the_dense_ops_on_signed_zeros(chain):
         states = apply_linear(op, states)
     for u, amps in enumerate(inputs):
         expect = apply_sequence_linear(ops, amps)
-        got = states.column(u)
+        got = np.zeros(1 << states.n, dtype=np.complex128)
+        at, values = states.held(u)
+        got[at] = values
         # equal in value: every nonzero component has the dense bytes
         assert np.array_equal(got, expect), u
         assert (e_h @ got).tobytes() == (e_h @ expect).tobytes(), u
@@ -400,11 +402,17 @@ def test_each_op_support_map_is_built_once(name, flipped, monkeypatch):
     assert e_in.k == k_in and (1 << k_in + e_in.code.n) > DENSE_CHANNEL_AMPLITUDES
     tables, maps = _record_builds(monkeypatch, "table"), _record_builds(monkeypatch, "support_map")
     applied = _record_applications(monkeypatch)
+    eliminated, real_preimages = [], simverify._preimages
+    monkeypatch.setattr(simverify, "_preimages", lambda a: eliminated.append(a) or real_preimages(a))
     plan_channel(plan, outcomes)
     ops = plan_physical_ops(plan, outcomes) + correction
     # no dense table is built at all
     assert tables == []
     assert len(maps) == len(ops) == len({id(op) for op in maps})
+    # each Hadamard-conjugated map is a step's, built from its merge's sections
+    assert eliminated == []
+    solved = [op for op in maps if isinstance(op, HadamardConjugatedParityMap)]
+    assert solved and all(op.preimages is not None for op in solved)
     # every op is applied once, to the supports of all columns, through apply_linear
     assert [id(op) for op, _ in applied] == [id(op) for op in maps]
     assert all(isinstance(states, Supports) for _, states in applied)

@@ -520,14 +520,14 @@ class TestSymplecticAction:
         import chainsurg.protocols
 
         plan = build_cnot_plan(catalog.toric(3), 0, 1)
-        original = chainsurg.protocols.physical_op_sequence
+        original = chainsurg.protocols.split_op_sequence
         calls = []
 
         def counted(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(chainsurg.protocols, "physical_op_sequence", counted)
+        monkeypatch.setattr(chainsurg.protocols, "split_op_sequence", counted)
         plan_symplectic_action(plan)
         plan_symplectic_action(plan)
         assert len(calls) == 2  # one per split, not one per transported Pauli
