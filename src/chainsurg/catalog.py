@@ -470,19 +470,26 @@ def _switch_spaces(
         # same 3-bit string with bit4 = 0, i.e. the integer value itself.
         return _steane_bits(steane_q) - 1
 
-    qubit_pairs = [
-        _pair_vector(7, 15, q - 1, rm_index(q)) for q in range(1, 8)
-    ]
     # Z-check pairs: steane face i <-> rm boundary face x_i(1+x4), which is
     # row 6 + i of the rm hz (construction order: six x_i x_j rows first).
-    z_pairs = [_pair_vector(3, 10, i, 6 + i) for i in range(3)]
     # X-check pairs: steane check i <-> rm cell i.
-    x_pairs = [_pair_vector(3, 4, i, i) for i in range(3)]
     return total, (
-        Subspace.from_vectors(z_pairs, total.dim2),
-        Subspace.from_vectors(qubit_pairs, total.dim1),
-        Subspace.from_vectors(x_pairs, total.dim0),
+        _pair_space(3, 10, [6 + i for i in range(3)]),
+        _pair_space(7, 15, [rm_index(q) for q in range(1, 8)]),
+        _pair_space(3, 4, [0, 1, 2]),
     )
+
+
+def _pair_space(dim_a: int, dim_b: int, partners: list[int]) -> Subspace:
+    """The span of the pair vectors of coordinate i of the first block and ``partners[i]`` of the second.
+
+    Row i has its first 1 at column i and no other row has a 1 there,
+    so the rows are already the canonical RREF: nothing is eliminated.
+    """
+    rows = np.zeros((len(partners), dim_a + dim_b), dtype=np.uint8)
+    rows[range(len(partners)), range(len(partners))] = 1
+    rows[range(len(partners)), [dim_a + j for j in partners]] = 1
+    return Subspace(dim_a + dim_b, F2Matrix._wrap(rows), tuple(range(len(partners))))
 
 
 def _steane_bits(q: int) -> int:

@@ -58,6 +58,16 @@ class PauliOperator:
         return hash(self._key())
 
     @classmethod
+    def _wrap(cls, x: np.ndarray, z: np.ndarray, sign: int = 1) -> "PauliOperator":
+        """The Pauli of two 1-D 0/1 uint8 arrays of one length that the package made, and a
+        sign of +1 or -1, without copies: it only marks the arrays read-only."""
+        x.setflags(write=False)
+        z.setflags(write=False)
+        p = object.__new__(cls)
+        p.__dict__.update(x=x, z=z, sign=sign)
+        return p
+
+    @classmethod
     def identity(cls, n: int) -> "PauliOperator":
         return cls(x=np.zeros(n, dtype=np.uint8), z=np.zeros(n, dtype=np.uint8))
 

@@ -5,10 +5,12 @@ Matrices are immutable wrappers around uint8 numpy arrays with entries in
 inputs produce bit-identical outputs, which the rest of the package relies
 on for reproducible bases and reports.
 
-``_mul`` is the one matrix product. It multiplies in float32 BLAS, which
-is exact while the inner dimension is below 2**24: every sum is then an
-integer that float32 holds exactly. Larger inner dimensions multiply in
-float64.
+``_mul`` is the one matrix product. A product of at most 1024
+multiply-adds runs in uint8, where converting to float would cost more
+than the product: its sums wrap modulo 256, which keeps their parity.
+Any other multiplies in float32 BLAS, which is exact while the inner
+dimension is below 2**24: every sum is then an integer that float32
+holds exactly. Larger inner dimensions multiply in float64.
 
 There are two constructors. ``F2Matrix(data)`` takes data from outside the
 package: it reduces mod 2 and copies, so it never aliases a caller's
@@ -33,7 +35,8 @@ What an RREF already says is read, not eliminated again:
 - coordinates in a subspace's basis are the entries at its pivots;
 - ``kernel_basis`` reduces m with its columns reversed, and the kernel
   vectors it reads off are then, in reverse order, the canonical RREF of
-  the kernel, so one elimination gives the canonical basis;
+  the kernel, so one elimination gives the canonical basis; one row
+  reversed is its own RREF, so it needs none;
 - ``quotient_basis`` needs none: a subspace's pivots are among the pivots
   of any subspace holding it, and that fixes the quotient basis;
 - ``Subspace.direct_sum`` needs none: two canonical bases placed
@@ -95,26 +98,41 @@ def as_bit_vector(v, length: int | None = None) -> np.ndarray:
     if length is not None and a.shape[0] != length:
         raise DimensionMismatch(f"expected length {length}, got {a.shape[0]}")
     a = a.copy()
-    a.flags.writeable = False
+    a.setflags(write=False)
     return a
 
 
 # inner dimensions below this multiply exactly in float32, which holds every integer up to 2**24
 _FLOAT32_EXACT = 1 << 24
+# products of at most this many multiply-adds run in uint8, faster than converting to float there
+_SMALL_PRODUCT = 1024
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Mod-2 product of 0/1 arrays as uint8; ``b`` may be a vector.
 
-    The product runs in float32 BLAS and its parity is read through an
-    int32 mask. Every sum is an integer no larger than the inner
+    A small product, of at most ``_SMALL_PRODUCT`` multiply-adds, runs
+    in uint8: its sums wrap modulo 256, which is even, so each keeps its
+    parity. Any other runs in float32 BLAS and its parity is read through
+    an int32 mask. Every sum is an integer no larger than the inner
     dimension, so it is exact while that dimension is below
     ``_FLOAT32_EXACT`` (2**24). At or above it the product runs in
     float64, exact below 2**53.
     """
+    if a.size * (b.shape[1] if b.ndim == 2 else 1) <= _SMALL_PRODUCT:
+        sums = a.astype(np.uint8, copy=False) @ b.astype(np.uint8, copy=False)
+        return sums & 1
     if a.shape[-1] < _FLOAT32_EXACT:
-        return ((a.astype(np.float32) @ b.astype(np.float32)).astype(np.int32) & 1).astype(np.uint8)
-    return ((a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) & 1).astype(np.uint8)
+        sums = (a.astype(np.float32) @ b.astype(np.float32)).astype(np.int32)
+    else:
+        sums = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
+    sums &= 1
+    return sums.astype(np.uint8)
+
+
+def _is_identity(a: np.ndarray) -> bool:
+    """Whether the 0/1 array ``a`` is square with as many ones as rows, all of them on its diagonal."""
+    return a.shape[0] == a.shape[1] and np.count_nonzero(a) == a.shape[0] and bool(a.diagonal().all())
 
 
 class F2Matrix:
@@ -134,13 +152,13 @@ class F2Matrix:
         if a.ndim != 2:
             raise DimensionMismatch(f"expected a matrix, got shape {a.shape}")
         a = (a % 2).copy()
-        a.flags.writeable = False
+        a.setflags(write=False)
         self._a = a
 
     @classmethod
     def _wrap(cls, a: np.ndarray) -> "F2Matrix":
         """The matrix of a 0/1 uint8 array the package made, without reduction or copy."""
-        a.flags.writeable = False
+        a.setflags(write=False)
         m = object.__new__(cls)
         m._a = a
         return m
@@ -186,7 +204,7 @@ class F2Matrix:
         return as_bit_vector(self._a[:, j])
 
     def is_zero(self) -> bool:
-        return not self._a.any()
+        return not np.count_nonzero(self._a)
 
     def __matmul__(self, other):
         if isinstance(other, F2Matrix):
@@ -210,9 +228,8 @@ class F2Matrix:
         return self._a.shape
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, F2Matrix) and self.shape == other.shape and bool(
-            np.array_equal(self._a, other._a)
-        )
+        # both arrays are uint8, so equal bytes are equal entries
+        return isinstance(other, F2Matrix) and self.shape == other.shape and self._a.tobytes() == other._a.tobytes()
 
     def __hash__(self) -> int:
         return hash((self.shape, self._a.tobytes()))
@@ -407,7 +424,7 @@ class Subspace:
         return coset_reduce(v, self)
 
     def contains(self, v) -> bool:
-        return not self.reduce(v).any()
+        return not _reduce_rows(as_bit_vector(v, self._ambient)[None, :], self).any()
 
     def contains_rows(self, m: F2Matrix) -> bool:
         """Whether every row of m lies in this subspace (one product for all rows)."""
@@ -508,15 +525,22 @@ def kernel_basis(m: F2Matrix) -> Subspace:
     pivots left of f'. Reversed back, its leading 1 sits at n-1-f', a
     column that is zero in every other kernel vector. So the vectors,
     ordered by n-1-f', are already the canonical RREF of the kernel, with
-    pivots n-1-f'. A matrix with no rows needs no elimination.
+    pivots n-1-f'. A matrix with no rows needs no elimination, and nor
+    does one row: reversed, it is its own RREF, with its pivot at its
+    first 1, or none when it is zero.
     """
     n = m.cols
     if not m.rows:
         return Subspace.full(n)
-    res = rref(F2Matrix._wrap(m.a[:, ::-1]), transform=False)
-    pivot_set = set(res.pivots)
+    flipped = m.a[:, ::-1]
+    if m.rows == 1:
+        reduced, pivots = flipped, ((int(flipped[0].argmax()),) if flipped.any() else ())
+    else:
+        res = rref(F2Matrix._wrap(flipped), transform=False)
+        reduced, pivots = res.reduced.a, res.pivots
+    pivot_set = set(pivots)
     free = [c for c in reversed(range(n)) if c not in pivot_set]
-    vecs = free_column_vectors(res.reduced.a, res.pivots, free)
+    vecs = free_column_vectors(reduced, pivots, free)
     return Subspace(n, F2Matrix._wrap(vecs[:, ::-1]), tuple(n - 1 - f for f in free))
 
 

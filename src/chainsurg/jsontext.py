@@ -4,15 +4,23 @@
 and also takes ``uint8`` arrays, which it prints as the nested lists their
 ``.tolist()`` gives. Dict keys must be ``str``. With ``indent`` set,
 CPython's encoder runs in pure Python and writes each matrix entry through
-a chain of generator frames. Here a 0/1 array is written from one byte
-template: the text of one row with '0' at every entry, and the separator
-to the next row. The template is tiled once per row, the array is added
-to the '0's at the entries' offsets with one strided assignment, and the
-last separator is dropped. A 1-D array is written as a one-row array.
+a chain of generator frames. Here every piece of text is appended to one
+list, joined once at the end. ``int``, finite ``float``, ``True``,
+``False`` and ``None`` are written as the encoder writes them
+(``int.__repr__``, ``float.__repr__``, ``true``, ``false``, ``null``);
+any other value that is not a string, container or array goes through
+``json.dumps``, so NaN, the infinities, numpy scalars and the
+``TypeError`` for an unknown type come out as there. A 0/1 array is
+written from one byte template: the text of one row with '0' at every
+entry, and the separator to the next row. The template is tiled once per
+row, the array is added to the '0's at the entries' offsets with one
+strided assignment, and the last separator is dropped. A 1-D array is
+written as a one-row array.
 """
 from __future__ import annotations
 
 import json
+import math
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -21,36 +29,60 @@ INDENT = "  "
 
 
 def dumps(doc) -> str:
-    return _encode(doc, "\n")
+    out: list[str] = []
+    _encode(doc, "\n", out)
+    return "".join(out)
 
 
-def _encode(value, newline: str) -> str:
-    """``value`` as JSON text; ``newline`` is the line break and indent it starts after."""
+def _encode(value, newline: str, out: list[str]) -> None:
+    """Append ``value`` as JSON text to ``out``; ``newline`` is the line break and indent it starts after."""
     if isinstance(value, str):
-        return encode_basestring_ascii(value)
+        out.append(encode_basestring_ascii(value))
+        return
     if isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
         inner = newline + INDENT
-        items = (
-            f"{encode_basestring_ascii(k)}: {_encode(v, inner)}" for k, v in sorted(value.items())
-        )
-        return _container("{", items, "}", newline)
-    if isinstance(value, (list, tuple)):
-        return _container("[", (_encode(v, newline + INDENT) for v in value), "]", newline)
-    if isinstance(value, np.ndarray) and value.dtype == np.uint8:
+        lead = "{" + inner
+        for k, v in sorted(value.items()):
+            out += (lead, encode_basestring_ascii(k), ": ")
+            _encode(v, inner, out)
+            lead = "," + inner
+        out.append(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + INDENT
+        lead = "[" + inner
+        for v in value:
+            out.append(lead)
+            _encode(v, inner, out)
+            lead = "," + inner
+        out.append(newline + "]")
+    elif isinstance(value, np.ndarray) and value.dtype == np.uint8:
         if value.ndim not in (1, 2) or value.max(initial=0) > 1:
-            return _encode(value.tolist(), newline)
-        if value.ndim == 1:
-            return _bit_rows(value[None], newline)
-        if not len(value):
-            return "[]"
-        inner = newline + INDENT
-        return f"[{inner}{_bit_rows(value, inner)}{newline}]"
-    return json.dumps(value)  # numbers, true, false, null; TypeError for anything else
-
-
-def _container(open_: str, items, close: str, newline: str) -> str:
-    body = ("," + newline + INDENT).join(items)
-    return f"{open_}{newline}{INDENT}{body}{newline}{close}" if body else open_ + close
+            _encode(value.tolist(), newline, out)
+        elif value.ndim == 1:
+            out.append(_bit_rows(value[None], newline))
+        elif len(value):
+            inner = newline + INDENT
+            out += ("[", inner, _bit_rows(value, inner), newline, "]")
+        else:
+            out.append("[]")
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif type(value) is int:
+        out.append(int.__repr__(value))
+    elif type(value) is float and math.isfinite(value):
+        out.append(float.__repr__(value))
+    else:
+        out.append(json.dumps(value))  # NaN, infinities, numpy scalars; TypeError for anything else
 
 
 def _bit_rows(a: np.ndarray, newline: str) -> str:
@@ -64,8 +96,8 @@ def _bit_rows(a: np.ndarray, newline: str) -> str:
     """
     separator = "," + newline
     entry = newline + INDENT
-    template = (_container("[", "0" * a.shape[1], "]", newline) + separator).encode()
-    text = bytearray(template * len(a))
+    row = f"[{entry}{(',' + entry).join('0' * a.shape[1])}{newline}]" if a.shape[1] else "[]"
+    text = bytearray((row + separator).encode() * len(a))
     first, step = len("[" + entry), len("," + entry) + 1
     np.frombuffer(text, dtype=np.uint8).reshape(len(a), -1)[:, first : first + step * a.shape[1] : step] += a
     return text[: -len(separator)].decode()

@@ -28,7 +28,6 @@ qubits.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import chain, combinations
@@ -46,7 +45,6 @@ from .chaincomplex import (
 from .csscode import (
     CssCode,
     PauliOperator,
-    _basis_from_rows,
     dual_z_basis,
     encoder_isometry,
     encoder_with_fixed_logical,
@@ -67,11 +65,13 @@ from .f2linalg import (
     Elimination,
     F2Matrix,
     Subspace,
+    _is_identity,
     _mul,
     _reduce_rows,
     as_bit_vector,
     block_diag,
     kernel_basis,
+    rref,
     solve,  # unused here; perfbench/test_perfbench.py checks its tracer patches protocols.solve
     vstack,
 )
@@ -547,17 +547,23 @@ def _check_span_exclusion(
 # --- plan construction ----------------------------------------------------------
 
 
-def _pushed_basis(m: MergeResult, src: HomologyBasis, anc: int) -> tuple[HomologyBasis, F2Matrix]:
-    """The merged code's logical basis on the merge's own side, and the map p1 induces on it.
+_IDENTIFIES = "the merge identifies logical classes of the base code"
 
-    The basis pushes every class of ``src`` but the ancilla's through p1,
-    and fails unless those classes stay a basis: when the merge identifies
-    logical classes of the base code, or when it creates new ones. The
-    matrix is that of ``induced_on_homology(m.p, 1, src, basis)``, from the
-    same arithmetic done once: one product pushes all k representatives,
-    one reduction checks they are cycles and one reduces them modulo the
-    boundaries. A kept class is its own basis representative, so its
-    column is a unit vector, and only the ancilla's column is solved for.
+
+def _pushed_classes(m: MergeResult, src: HomologyBasis, anc: int) -> tuple[F2Matrix, np.ndarray]:
+    """(matrix, rows): the map p1 induces on the logicals of ``src``, from ``src`` to the
+    basis of the merged complex whose rows push every class of it but the ancilla's.
+
+    One product pushes every representative through p1. It fails unless
+    the kept classes stay a basis: when the merge identifies logical
+    classes of the base code, or when it creates new ones. The matrix is that of
+    ``induced_on_homology(m.p, 1, src, basis)``, read off one elimination
+    of the kept reductions with its row transform: their rank checks that
+    they are independent, and the ancilla's reduction is y times their
+    RREF rows, y its entries at the pivots, with coordinates y times the
+    transform. A kept class is its own basis representative, so its
+    column is a unit vector. No basis object is built: only
+    ``_merged_code`` takes the rows as one.
     """
     q = m.quotient
     keep = [i for i in range(src.dim) if i != anc]
@@ -566,19 +572,23 @@ def _pushed_basis(m: MergeResult, src: HomologyBasis, anc: int) -> tuple[Homolog
     pushed = _mul(src.matrix().a, m.p.f1.a.T)  # row i: p1 of representative i
     not_cycle = _reduce_rows(pushed, q.cycles).any(axis=1)
     reductions = _reduce_rows(pushed, q.boundaries)
-    identifies = "the merge identifies logical classes of the base code"
     if not_cycle[keep].any():
-        raise DimensionMismatch(identifies)
-    try:
-        basis = _basis_from_rows(F2Matrix._wrap(pushed[keep]), q, reductions[keep])
-    except DimensionMismatch:
-        raise DimensionMismatch(identifies) from None
+        raise DimensionMismatch(_IDENTIFIES)
+    kept = rref(F2Matrix._wrap(reductions[keep]))
+    # with the kept rows independent and no more classes than them, they span ker/im
+    if kept.rank != len(keep):
+        raise DimensionMismatch(_IDENTIFIES)
     if not_cycle[anc]:
         raise DimensionMismatch("pushed representative is not a cycle; chain map or basis corrupted")
+    w = reductions[anc]
+    n = w.shape[0]
+    out = _mul(w[list(kept.pivots)], np.concatenate([kept.reduced.a, kept.transform.a], axis=1))  # [y R | y T]
+    if out[:n].tobytes() != w.tobytes():  # both uint8
+        raise DimensionMismatch("cycle not expressible in basis + boundaries")
     matrix = np.zeros((len(keep), src.dim), dtype=np.uint8)
     matrix[range(len(keep)), keep] = 1
-    matrix[:, anc] = basis._reduced_coordinates(reductions[anc : anc + 1]).a[:, 0]
-    return basis, F2Matrix._wrap(matrix)
+    matrix[:, anc] = out[n:]
+    return F2Matrix._wrap(matrix), pushed[keep]
 
 
 def _merged_code(m: MergeResult, base: CssCode, ancilla_index: int) -> CssCode:
@@ -587,12 +597,12 @@ def _merged_code(m: MergeResult, base: CssCode, ancilla_index: int) -> CssCode:
     A Z-merge keeps the pushed Z-basis and its dual X-basis; an X-merge
     keeps the pushed X-basis and its dual Z-basis.
     """
-    pushed, _ = _pushed_basis(m, _logicals(base, m.orientation), ancilla_index)
+    rows = F2Matrix._wrap(_pushed_classes(m, _logicals(base, m.orientation), ancilla_index)[1])
     if m.orientation == "Z":
-        return from_complex(m.quotient, z_basis=pushed.matrix())
+        return from_complex(m.quotient, z_basis=rows)
     code_cplx = m.merged_complex()
-    zb = dual_z_basis(code_cplx, pushed)
-    return from_complex(code_cplx, z_basis=zb.matrix(), x_basis=pushed.matrix())
+    zb = dual_z_basis(code_cplx, HomologyBasis(rows, m.quotient))
+    return from_complex(code_cplx, z_basis=zb.matrix(), x_basis=rows)
 
 
 def build_cnot_plan(
@@ -748,10 +758,10 @@ def _merge_and_split(
     split reads its own from the merge, without building the merged code.
     Each GF(2) product is computed once: ``quotient_merge`` shares its
     products between the quotient and its checks, one push of the base
-    logicals through p1 gives both the pushed basis and the logical matrix
-    (``_pushed_basis``), and the split's injectivity check reads p at the
-    default section's unit columns. Synthesis and ``plan_from_json`` both
-    build every merge here.
+    logicals through p1 and one elimination of their reductions give the
+    logical matrix (``_pushed_classes``, which builds no basis), and the
+    split's injectivity check reads p at the default section's unit
+    columns. Synthesis and ``plan_from_json`` both build every merge here.
     """
     merge = quotient_merge(base.complex, sub)
     side = sub.orientation
@@ -764,7 +774,7 @@ def _merge_and_split(
         )
     if len({ins is None for ins in inserts}) > 1:
         raise DimensionMismatch("branch_inserts mixes null and set entries")
-    _, logical_matrix = _pushed_basis(merge, _logicals(base, side), anc)
+    logical_matrix = _pushed_classes(merge, _logicals(base, side), anc)[0]
     merge_step = MergeStep(
         merge=merge,
         orientation=side,
@@ -1051,12 +1061,13 @@ def _is_bits(v) -> bool:
     return _is_ints(v) and set(v) <= {0, 1}
 
 
-def _is_matrix(v) -> bool:
-    """Whether ``v`` is a list of equal-length lists of 0/1 integers, all its entries read in one pass."""
-    if not (isinstance(v, list) and all(isinstance(row, list) for row in v) and len(set(map(len, v))) <= 1):
-        return False
+def _matrix_entries(v) -> Optional[list]:
+    """The entries of ``v`` row by row when it is a list of equal-length lists of 0/1
+    integers, all of them read in one pass; None when it is not."""
+    if not (isinstance(v, list) and set(map(type, v)) <= {list} and len(set(map(len, v))) <= 1):
+        return None
     entries = list(chain.from_iterable(v))
-    return set(map(type, entries)) <= {int} and set(entries) <= {0, 1}
+    return entries if set(map(type, entries)) <= {int} and set(entries) <= {0, 1} else None
 
 
 # field kind -> (description for the error message, check)
@@ -1067,90 +1078,116 @@ _FIELD_KINDS = {
     "ints": ("a list of integers", _is_ints),
     "strs": ("a list of strings", lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v)),
     "bits": ("a list of 0/1 entries", _is_bits),
-    "matrix": ("a list of equal-length lists of 0/1 entries", _is_matrix),
+    "matrix": ("a list of equal-length lists of 0/1 entries", lambda v: _matrix_entries(v) is not None),
     "list": ("a list", lambda v: isinstance(v, list)),
     "object": ("an object", lambda v: isinstance(v, dict)),
 }
 
 
-class _JsonObject(dict):
-    """A JSON object whose missing or wrongly typed fields raise MalformedInput naming them."""
-
-    def __missing__(self, key):
-        raise MalformedInput(f"missing field {key!r}", section=key)
-
-    def field(self, key: str, kind: str, nullable: bool = False, choices=None):
-        """The value of ``key``, checked to be of ``kind`` (see _FIELD_KINDS) and in ``choices``."""
-        value = self[key]
-        if value is None and nullable:
-            return None
-        what, check = _FIELD_KINDS[kind]
-        if not check(value) or (choices is not None and value not in choices):
-            if isinstance(choices, range):
-                what = f"an integer from {choices.start} to {choices.stop - 1}"
-            elif choices is not None:
-                what = "one of " + ", ".join(map(repr, choices))
-            raise MalformedInput(
-                f"field {key!r} must be {what}{' or null' if nullable else ''}, got {value!r:.40}",
-                section=key,
-            )
-        return value
-
-    def read(self, key: str, kind: str, nullable: bool = False, spec=None):
-        """The value of ``key`` as a plan field of ``kind``.
-
-        ``kind`` is a _FIELD_KINDS entry, "pauli" or "paulis" (a list of
-        Paulis and nulls). ``spec`` is the width of a "matrix" (None: any;
-        only then may a nullable matrix be null), the length of "bits" and
-        of each Pauli, and the choices of any other kind.
-        """
-        if kind == "matrix":
-            rows = self.field(key, kind, nullable and spec is None)
-            return None if rows is None else _matrix_value(key, rows, spec)
-        if kind == "bits":
-            bits = self.field(key, kind)
-            if len(bits) != spec:
-                raise MalformedInput(
-                    f"field {key!r} must have {spec} entries, has {len(bits)}", section=key
-                )
-            return np.array(bits, dtype=np.uint8)
-        if kind == "pauli":
-            return _pauli_from_json(self.field(key, "object", nullable), key, spec)
-        if kind == "paulis":
-            items = self.field(key, "list")
-            return tuple(_pauli_from_json(d, f"{key}[{j}]", spec) for j, d in enumerate(items))
-        return self.field(key, kind, nullable, spec)
+def _refuse(key: str, kind: str, nullable: bool, choices, value):
+    """Raise the MalformedInput for a ``key`` that is not of ``kind`` or not in ``choices``."""
+    what = _FIELD_KINDS[kind][0]
+    if isinstance(choices, range):
+        what = f"an integer from {choices.start} to {choices.stop - 1}"
+    elif choices is not None:
+        what = "one of " + ", ".join(map(repr, choices))
+    raise MalformedInput(
+        f"field {key!r} must be {what}{' or null' if nullable else ''}, got {value!r:.40}", section=key
+    )
 
 
-def _matrix_value(key: str, rows: list, width: Optional[int]) -> F2Matrix:
-    """The checked "matrix" field ``key`` as a matrix, in one conversion; ``width`` is its
+def _value(obj: dict, key: str):
+    """The value of ``key`` in a JSON object; a missing field raises MalformedInput naming it."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise MalformedInput(f"missing field {key!r}", section=key) from None
+
+
+def _field(obj: dict, key: str, kind: str, nullable: bool = False, choices=None):
+    """The value of ``key``, checked to be of ``kind`` (see _FIELD_KINDS) and in ``choices``."""
+    value = _value(obj, key)
+    if value is None and nullable:
+        return None
+    if not _FIELD_KINDS[kind][1](value) or (choices is not None and value not in choices):
+        _refuse(key, kind, nullable, choices, value)
+    return value
+
+
+def _bit_rows(obj: dict, key: str, nullable: bool = False) -> Optional[tuple[list, list]]:
+    """The "matrix" field ``key`` as (its rows, their entries row by row), or None for null."""
+    rows = _value(obj, key)
+    if rows is None and nullable:
+        return None
+    entries = _matrix_entries(rows)
+    if entries is None:
+        _refuse(key, "matrix", nullable, None, rows)
+    return rows, entries
+
+
+def _read(obj: dict, key: str, kind: str, nullable: bool = False, spec=None):
+    """The value of ``key`` as a plan field of ``kind``.
+
+    ``kind`` is a _FIELD_KINDS entry, "pauli" or "paulis" (a list of
+    Paulis and nulls). ``spec`` is the width of a "matrix" (None: any;
+    only then may a nullable matrix be null), the length of "bits" and
+    of each Pauli, and the choices of any other kind.
+    """
+    if kind == "matrix":
+        checked = _bit_rows(obj, key, nullable and spec is None)
+        return None if checked is None else _matrix_value(key, checked, spec)
+    if kind == "bits":
+        bits = _field(obj, key, kind)
+        if len(bits) != spec:
+            raise MalformedInput(f"field {key!r} must have {spec} entries, has {len(bits)}", section=key)
+        return np.array(bits, dtype=np.uint8)
+    if kind == "pauli":
+        return _pauli_from_json(_field(obj, key, "object", nullable), key, spec)
+    if kind == "paulis":
+        items = _field(obj, key, "list")
+        return tuple(_pauli_from_json(d, f"{key}[{j}]", spec) for j, d in enumerate(items))
+    return _field(obj, key, kind, nullable, spec)
+
+
+def _matrix_value(key: str, checked: tuple[list, list], width: Optional[int]) -> F2Matrix:
+    """The "matrix" field ``key``, as ``_bit_rows`` read it, as a matrix; ``width`` is its
     required number of columns, or None for any (an empty matrix then has no columns)."""
+    rows, entries = checked
     cols = len(rows[0]) if rows else (width or 0)
     if width is not None and cols != width:
         raise MalformedInput(f"field {key!r} must have {width} columns, has {cols}", section=key)
-    return F2Matrix._wrap(np.array(rows, dtype=np.uint8)) if rows else F2Matrix.zeros(0, cols)
+    if not rows:
+        return F2Matrix.zeros(0, cols)
+    return F2Matrix._wrap(np.frombuffer(bytes(entries), dtype=np.uint8).reshape(len(rows), cols))
 
 
 def _pauli_from_json(d, where: str, n: int) -> Optional[PauliOperator]:
     """A Pauli {x, z, sign} on ``n`` qubits or None; errors name ``where`` before the field."""
     if d is None:
         return None
-    with _within(where):
+    with _Within(where):
         if not isinstance(d, dict):
             raise MalformedInput("a Pauli must be an object with 'x', 'z' and 'sign'")
-        sign = d.field("sign", "int", choices=(1, -1)) if "sign" in d else 1
-        x, z = (d.read(key, "bits", spec=n) for key in ("x", "z"))
-        return PauliOperator(x=x, z=z, sign=sign)
+        sign = _field(d, "sign", "int", choices=(1, -1)) if "sign" in d else 1
+        x = _read(d, "x", "bits", spec=n)
+        return PauliOperator._wrap(x, _read(d, "z", "bits", spec=n), sign)
 
 
-@contextmanager
-def _within(where: str):
+class _Within:
     """Prefix the section of a MalformedInput raised inside with ``where``."""
-    try:
-        yield
-    except MalformedInput as exc:
-        exc.section = where if exc.section is None else f"{where}.{exc.section}"
-        raise
+
+    __slots__ = ("where",)
+
+    def __init__(self, where: str):
+        self.where = where
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, traceback) -> bool:
+        if isinstance(exc, MalformedInput):
+            exc.section = self.where if exc.section is None else f"{self.where}.{exc.section}"
+        return False
 
 
 def _init_from_json(ctx: dict, state: str, n: Optional[int], hx, hz) -> tuple[PlanStep]:
@@ -1169,7 +1206,14 @@ def _init_from_json(ctx: dict, state: str, n: Optional[int], hx, hz) -> tuple[Pl
 def _is_trailing_block(checks: F2Matrix, block: F2Matrix) -> bool:
     """Whether ``checks`` is block diagonal with ``block`` as its last block."""
     rows, cols = checks.rows - block.rows, checks.cols - block.cols
-    return rows >= 0 and checks == block_diag(F2Matrix._wrap(checks.a[:rows, :cols]), block)
+    a = checks.a
+    return (
+        rows >= 0
+        and cols >= 0
+        and np.array_equal(a[rows:, cols:], block.a)
+        and not a[:rows, cols:].any()
+        and not a[rows:, :cols].any()
+    )
 
 
 def _merge_from_json(ctx: dict, orientation: str, v2, v1, v0, inserts) -> tuple[PlanStep, ...]:
@@ -1179,24 +1223,31 @@ def _merge_from_json(ctx: dict, orientation: str, v2, v1, v0, inserts) -> tuple[
     spaces = (Subspace.from_matrix_rows(v) for v in (v2, v1, v0))
     sub = validate_subcode(base.complex, *spaces, orientation)
     steps = _merge_and_split(base, sub, ctx["ancilla_index"], inserts, ctx["steps"])
-    checks = base.hz if orientation == "Z" else base.hx
-    # one product per insert: its syndrome on the checks, then its flips on the slots
-    rows, slots = vstack([checks, sub.v1.basis]), np.eye(len(inserts), dtype=np.uint8)
-    for j, ins in enumerate(inserts):
-        if ins is None:
-            continue
-        flips = rows @ (ins.x if orientation == "Z" else ins.z)
-        if flips[: checks.rows].any():
+    if inserts and inserts[0] is not None:  # _merge_and_split refuses null and set entries mixed
+        _check_inserts(base.hz if orientation == "Z" else base.hx, sub.v1.basis, inserts, orientation, steps[0])
+    return steps
+
+
+def _check_inserts(checks: F2Matrix, v1: F2Matrix, inserts, orientation: str, merge: MergeStep) -> None:
+    """Refuse the first insert j, in order, that anticommutes with a check or whose flips on the
+    slots are not e_j. One product gives every insert's syndrome on the checks, then its flips."""
+    sides = np.array([ins.x if orientation == "Z" else ins.z for ins in inserts])
+    flips = _mul(np.concatenate([checks.a, v1.a]), sides.T)  # column j: insert j
+    syndromes, slots = flips[: checks.rows], flips[checks.rows :]
+    if not np.count_nonzero(syndromes) and _is_identity(slots):
+        return
+    wanted = np.eye(len(inserts), dtype=np.uint8)
+    for j in range(len(inserts)):
+        if syndromes[:, j].any():
             raise MalformedInput(
                 f"branch insert {j} leaves the codespace: it anticommutes with a {orientation} check",
                 section="branch_inserts",
             )
-        if not np.array_equal(flips[checks.rows :], slots[j]):
+        if not np.array_equal(slots[:, j], wanted[j]):
             raise MalformedInput(
-                f"branch insert {j} does not flip exactly its own slot {steps[0].measurement_ids[j]}",
+                f"branch insert {j} does not flip exactly its own slot {merge.measurement_ids[j]}",
                 section="branch_inserts",
             )
-    return steps
 
 
 def _measure_from_json(ctx: dict, pauli: PauliOperator, basis: str, measurement_id: str):
@@ -1223,7 +1274,7 @@ def _measure_from_json(ctx: dict, pauli: PauliOperator, basis: str, measurement_
 _REBUILT = object()
 
 # Every plan step kind, once: step class -> (JSON kind, fields, builder).
-# A field is (name, kind, nullable, spec) as _JsonObject.read takes them,
+# A field is (name, kind, nullable, spec) as _read takes them,
 # and is the step attribute of that name. A str spec names an entry of
 # the loading context or an earlier field of the step. The builder takes
 # the context and the values of the fields that are not derived, in
@@ -1328,31 +1379,38 @@ def plan_from_json(text: str) -> SurgeryPlan:
     missing, of the wrong type or out of range, a Pauli not on the base
     code's qubits included, raises MalformedInput whose section names it
     (``steps[2].v1`` for a field of a step).
+
+    Each piece of work is done once: a matrix field's entries are checked
+    and converted in one pass, a Pauli keeps the bit arrays read for it,
+    the steps read so far and their measurement ids grow with each step,
+    one product checks every branch insert of a merge, and each merge is
+    rebuilt as synthesis builds it (``_merge_and_split``), with its
+    logical matrix read off one elimination and no merged-code basis.
     """
     try:
-        doc = json.loads(text, object_hook=_JsonObject)
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"not valid JSON: {exc}") from None
     schema = doc.get("schema") if isinstance(doc, dict) else None
     if schema != "chainsurg-plan/1":
         raise DimensionMismatch(f"not a plan document: {schema!r}")
     base_keys = ("base_hx", "base_hz", "base_zl", "base_xl")
-    base_rows = [doc.field(key, "matrix") for key in base_keys]
-    widths = [len(rows[0]) for rows in base_rows if rows]
+    base_rows = [_bit_rows(doc, key) for key in base_keys]
+    widths = [len(rows[0]) for rows, _ in base_rows if rows]
     if not widths:
         raise MalformedInput("base code matrices are all empty", section="base_hx")
     n = widths[0]
-    hx, hz, zl, xl = (_matrix_value(key, rows, n) for key, rows in zip(base_keys, base_rows))
+    hx, hz, zl, xl = (_matrix_value(key, checked, n) for key, checked in zip(base_keys, base_rows))
     base = from_parity_checks(hx, hz, z_basis=zl, x_basis=xl)
-    entries = doc.field("steps", "list")
+    entries = _field(doc, "steps", "list")
     if not entries:
         raise MalformedInput("a plan needs at least one step", section="steps")
     kinds = []
     for i, entry in enumerate(entries):
-        with _within(f"steps[{i}]"):
+        with _Within(f"steps[{i}]"):
             if not isinstance(entry, dict):
                 raise MalformedInput("a step must be an object")
-            kinds.append(entry.field("kind", "str"))
+            kinds.append(_field(entry, "kind", "str"))
     for prev, kind in zip([None] + kinds, kinds + [None]):
         if (prev == "merge") != (kind == "split"):
             raise DimensionMismatch("every merge must be directly followed by its split")
@@ -1364,78 +1422,82 @@ def plan_from_json(text: str) -> SurgeryPlan:
         raise DimensionMismatch("plan measures a logical more than once")
     logicals = range(base.k)
     cx = base.complex
-    ctx = {"base": base, "ancilla_index": doc.field("ancilla_index", "int", choices=logicals),
-           "n": n, "qubits": range(n + 1), "dim2": cx.dim2, "dim1": cx.dim1, "dim0": cx.dim0}
-    steps = _steps_from_json(entries, ctx)
-    ids = _measurement_ids(steps)
+    ctx = {"base": base, "ancilla_index": _field(doc, "ancilla_index", "int", choices=logicals),
+           "n": n, "qubits": range(n + 1), "dim2": cx.dim2, "dim1": cx.dim1, "dim0": cx.dim0,
+           "steps": [], "measured": []}  # the steps rebuilt so far and the ids they measure
+    steps = _steps_from_json(entries, kinds, ctx)
+    ids = ctx["measured"]
     twice = [m for m in ids if ids.count(m) > 1]
     if twice:
         raise MalformedInput(f"measurement id {twice[0]!r} is used by two steps", section="steps")
     # every logical but the ancilla carries data: plan_encoders keeps them all
     data_indices = [i for i in logicals if i != ctx["ancilla_index"]]
-    if doc.field("data_indices", "ints") != data_indices:
+    if _field(doc, "data_indices", "ints") != data_indices:
         raise MalformedInput(
             "field 'data_indices' differs from the value rebuilt from the plan", section="data_indices"
         )
-    control = doc.field("control", "int", choices=data_indices)
-    target = doc.field("target", "int", nullable=True, choices=data_indices)
+    control = _field(doc, "control", "int", choices=data_indices)
+    target = _field(doc, "target", "int", nullable=True, choices=data_indices)
     if target == control:
         raise MalformedInput("field 'target' must differ from 'control'", section="target")
-    rules = doc.field("correction_rules", "object")
+    rules = _field(doc, "correction_rules", "object")
     merge_ids = [m for step in steps if isinstance(step, MergeStep) for m in step.measurement_ids]
-    with _within("correction_rules"):
+    with _Within("correction_rules"):
         for key in rules:
             if key not in merge_ids:
                 raise MalformedInput(f"key {key!r} is not a merge measurement id", section=key)
-        correction_rules = {k: rules.read(k, "pauli", spec=n) for k in rules}
+        correction_rules = {k: _read(rules, k, "pauli", spec=n) for k in rules}
     return SurgeryPlan(
-        name=doc.field("name", "str"),
+        name=_field(doc, "name", "str"),
         steps=tuple(steps),
         base_code=base,
         data_indices=tuple(data_indices),
         ancilla_index=ctx["ancilla_index"],
         control=control,
         target=target,
-        locality=doc.field("locality", "bool"),
+        locality=_field(doc, "locality", "bool"),
         correction_rules=correction_rules,
-        class_correction=doc.read("class_correction", "pauli", True, n)
+        class_correction=_read(doc, "class_correction", "pauli", True, n)
         if "class_correction" in doc
         else None,
     )
 
 
-def _steps_from_json(entries: list, ctx: dict) -> list[PlanStep]:
-    """The steps the entries rebuild, each derived field checked against its rebuilt value."""
-    steps: list[PlanStep] = []
-    ctx = {**ctx, "steps": steps}  # the steps rebuilt so far
-    for i, entry in enumerate(entries):
-        with _within(f"steps[{i}]"):
-            kind = entry.field("kind", "str")
+def _steps_from_json(entries: list, kinds: list, ctx: dict) -> list[PlanStep]:
+    """The steps the entries of ``kinds`` rebuild, each derived field checked against its
+    rebuilt value; ``ctx["steps"]`` and ``ctx["measured"]`` grow with every step."""
+    steps, measured = ctx["steps"], ctx["measured"]
+    for i, (entry, kind) in enumerate(zip(entries, kinds)):
+        with _Within(f"steps[{i}]"):
             if kind not in _STEP_KINDS:
                 raise DimensionMismatch(f"unknown plan step kind {kind!r}")
             fields, build = _STEP_KINDS[kind]
-            values = {**ctx, "measured": _measurement_ids(steps)}
+            values, stored = {}, []
             for name, form, nullable, spec in fields:
-                if isinstance(spec, str):
-                    spec = values[spec]  # a context entry or a field read before
-                values[name] = entry.read(name, form, nullable, None if spec is _REBUILT else spec)
-            stored = [values[name] for name, _, _, spec in fields if spec is not _REBUILT]
-            steps.extend(build(ctx, *stored))
-            for name, form, _, spec in fields:
-                if spec is not _REBUILT:
+                if spec is _REBUILT:  # checked for its type now, and against the rebuilt step as read
+                    values[name] = _bit_rows(entry, name)[0] if form == "matrix" else _field(entry, name, form)
                     continue
-                if not _same_value(form, values[name], getattr(steps[i], name)):
+                if isinstance(spec, str):
+                    spec = values[spec] if spec in values else ctx[spec]  # a field read before or a context entry
+                values[name] = value = _read(entry, name, form, nullable, spec)
+                stored.append(value)
+            built = build(ctx, *stored)
+            steps.extend(built)  # a split is built with its merge, so steps[i] is this entry's
+            for name, form, _, spec in fields:
+                if spec is _REBUILT and not _same_value(form, values[name], getattr(steps[i], name)):
                     raise MalformedInput(
                         f"field {name!r} differs from the value rebuilt from the plan", section=name
                     )
+            measured.extend(m for step in built for m in step.measurement_ids)
     return steps
 
 
 def _same_value(kind: str, read, rebuilt) -> bool:
-    """Whether a field read as ``kind`` is the rebuilt value, as plan_to_json would write it.
+    """Whether a derived field as read is the rebuilt value, as plan_to_json would write it.
 
-    A matrix of no rows is written as [], whatever its width.
+    A matrix is compared as its list of rows, with no conversion of the
+    field: a matrix of no rows is written as [], whatever its width.
     """
     if kind == "matrix":
-        return read.rows == rebuilt.rows and (not read.rows or read == rebuilt)
+        return read == rebuilt.a.tolist()
     return read == (list(rebuilt) if kind in ("ints", "strs") else rebuilt)

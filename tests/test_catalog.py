@@ -15,7 +15,7 @@ from chainsurg.chaincomplex import cohomology, homology
 from chainsurg.cli import main
 from chainsurg.csscode import distance_bruteforce, from_parity_checks
 from chainsurg.errors import UnknownExample
-from chainsurg.f2linalg import F2Matrix, rank
+from chainsurg.f2linalg import F2Matrix, Subspace, rank
 from chainsurg.surgery import quotient_merge
 
 
@@ -250,6 +250,20 @@ class TestExampleSpaces:
         ex = catalog.worked_example(name)
         ex.subcode
         assert len(calls) == (1 if ex.expect["valid"] else 0)
+
+    def test_switch_pair_spaces_are_already_canonical(self):
+        # the pairs of the 7-to-15 switch: qubits, Z-checks (steane face i with row
+        # 6 + i of the rm hz) and X-checks (steane check i with rm cell i)
+        steane, rm = catalog.steane(), catalog.reed_muller_15()
+        pairs = (
+            [catalog._pair_vector(3, 10, i, 6 + i) for i in range(3)],
+            [catalog._pair_vector(7, 15, q - 1, catalog._steane_bits(q) - 1) for q in range(1, 8)],
+            [catalog._pair_vector(3, 4, i, i) for i in range(3)],
+        )
+        total, spaces = catalog._switch_spaces(steane, rm)
+        for space, vectors, ambient in zip(spaces, pairs, (total.dim2, total.dim1, total.dim0)):
+            eliminated = Subspace.from_vectors(vectors, ambient)
+            assert space == eliminated and space.pivots == eliminated.pivots
 
     @pytest.mark.parametrize("name", catalog.example_names())
     def test_exported_files_bytes(self, name, tmp_path):

@@ -511,6 +511,7 @@ class TestMulOracle:
     @pytest.mark.parametrize("inner", [3, 4, 5, 64, 4096])
     def test_float64_branch(self, monkeypatch, inner):
         monkeypatch.setattr(f2linalg, "_FLOAT32_EXACT", 4)
+        monkeypatch.setattr(f2linalg, "_SMALL_PRODUCT", 0)
         r = np.random.RandomState(inner)
         a, b = random_matrix(r, 5, inner, 0.9), random_matrix(r, inner, 6, 0.9)
         self.assert_matches_int64(a, b)
@@ -528,10 +529,31 @@ class TestMulOracle:
                 return real_astype(np.asarray(self), dtype, *args, **kwargs)
 
         monkeypatch.setattr(f2linalg, "_FLOAT32_EXACT", 4)
+        monkeypatch.setattr(f2linalg, "_SMALL_PRODUCT", 0)
         for inner in (3, 4):
             a = np.ones((2, inner), dtype=np.uint8).view(Spy)
             f2linalg._mul(a, np.ones((inner, 2), dtype=np.uint8))
         assert seen == [np.dtype(np.float32), np.dtype(np.float64)]
+
+
+    @pytest.mark.parametrize("inner", [255, 256, 257, 511])
+    def test_small_products_wrap_in_uint8(self, inner):
+        # at most _SMALL_PRODUCT multiply-adds: no float conversion, and sums past 255 wrap
+        # modulo 256, which keeps their parity
+        seen = []
+        real_astype = np.ndarray.astype
+
+        class Spy(np.ndarray):
+            def astype(self, dtype, *args, **kwargs):
+                seen.append(np.dtype(dtype))
+                return real_astype(np.asarray(self), dtype, *args, **kwargs)
+
+        a = np.ones((1, inner), dtype=np.uint8).view(Spy)
+        b = np.ones((inner, 2), dtype=np.uint8)
+        assert a.size * b.shape[1] <= f2linalg._SMALL_PRODUCT
+        got = f2linalg._mul(a, b)
+        assert got.dtype == np.uint8 and np.asarray(got).tolist() == [[inner % 2] * 2]
+        assert seen == [np.dtype(np.uint8)]
 
 
 class TestSubspaceOracle:
@@ -668,6 +690,14 @@ class TestReadFromRref:
     def test_kernel_matches_two_eliminations_hypothesis(self, rows, cols, density, seed):
         m = F2Matrix(random_matrix(np.random.RandomState(seed), rows, cols, density))
         assert_same_subspace_bits(kernel_basis(m), two_elimination_kernel_basis(m))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 80), st.sampled_from([0.0, 0.05, 0.5, 0.95]), st.integers(0, 2**30 - 1))
+    def test_kernel_of_one_row_needs_no_elimination(self, cols, density, seed):
+        m = F2Matrix(random_matrix(np.random.RandomState(seed), 1, cols, density))
+        got = []
+        assert rref_inputs(lambda: got.append(kernel_basis(m))) == []
+        assert_same_subspace_bits(got[0], two_elimination_kernel_basis(m))
 
     @pytest.mark.parametrize("a", edge_matrices(), ids=lambda a: "x".join(map(str, a.shape)))
     def test_quotient_matches_rref(self, a):
@@ -815,7 +845,8 @@ class TestEliminationBudget:
     def test_code_switch_plan(self):
         from chainsurg.protocols import code_switch_plan
 
-        assert len(rref_inputs(code_switch_plan)) <= 16
+        # the switch subcode's pair spaces are built in RREF, with no elimination
+        assert len(rref_inputs(code_switch_plan)) <= 13
 
     def test_trivial_qubit(self):
         # its cycles are the whole space and its boundaries are zero
@@ -855,11 +886,11 @@ class TestEliminationBudget:
 
         plan = self._loaded_plan(catalog.toric(2), locality=True, max_weight=2)
         inputs = rref_inputs(lambda: plan_branch(plan))
-        # each split's projections need V0^perp: one kernel_basis of V0's one
-        # row, reduced with its columns reversed, and nothing else
+        # each split's projections need V0^perp: a kernel_basis of V0's one
+        # row, which reversed is its own RREF, and nothing else
         v0s = [step.merge.subcode.oriented_spaces()[2].basis.a for step in plan.steps if isinstance(step, SplitStep)]
         assert [v0.shape[0] for v0 in v0s] == [1, 1]
-        assert inputs == [(v0.shape, np.ascontiguousarray(v0[:, ::-1]).tobytes()) for v0 in v0s]
+        assert inputs == []
 
     def test_symplectic_action_of_code_switch_plan(self):
         from chainsurg.protocols import code_switch_plan, plan_symplectic_action

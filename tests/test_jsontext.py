@@ -116,3 +116,34 @@ def test_bit_array_template_at_every_depth(shape, depth):
     for array in (a, np.ascontiguousarray(a.T), a.T, np.ones_like(a), np.zeros_like(a)):
         doc = nested(array, depth)
         assert dumps(doc) == reference(doc)
+
+
+# the scalars dumps writes itself (int, finite float, bools, null) beside those it passes
+# to json.dumps (NaN, the infinities, numpy floats), in nested and empty containers
+WRITTEN_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    st.sampled_from([0, -1, 2**63, -(2**64) - 1, 10**80]),
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e300, float("nan"), float("inf"), float("-inf")]),
+    st.floats().map(np.float64),
+    st.sampled_from([np.float64("nan"), np.float64("inf"), np.float64("-inf"), np.float64(-0.0)]),
+    SHAPES.flatmap(bit_arrays),
+)
+WRITTEN_DOCS = st.recursive(
+    WRITTEN_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(WRITTEN_DOCS)
+def test_scalars_match_json_dumps(doc):
+    assert dumps(doc) == json.dumps(plain(doc), indent=2, sort_keys=True)
