@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -39,9 +40,10 @@ class ChainComplex:
     complex's ``cycles`` and ``boundaries``, and transposing twice gives
     back this object. A complex built by ``direct_sum`` keeps its two
     summands, and assembles its spaces from theirs with no elimination;
-    the summands take no part in equality or hashing. A builder that
-    already knows the spaces sets them with ``_seed``, as
-    ``surgery.quotient_merge`` does.
+    the summands take no part in equality or hashing. A builder that can
+    read the spaces off others sets a function for them with ``_seed``,
+    as ``surgery.quotient_merge`` does; it is called on the first read of
+    either space, and a space it does not know is eliminated.
     """
 
     d2: F2Matrix
@@ -71,7 +73,7 @@ class ChainComplex:
         if self.summands is not None:
             a, b = self.summands
             return a.cycles.direct_sum(b.cycles)
-        return kernel_basis(self.d1)
+        return self._read_off().get("cycles") or kernel_basis(self.d1)
 
     @cached_property
     def boundaries(self) -> Subspace:
@@ -79,7 +81,15 @@ class ChainComplex:
         if self.summands is not None:
             a, b = self.summands
             return a.boundaries.direct_sum(b.boundaries)
-        return image_basis(self.d2)
+        return self._read_off().get("boundaries") or image_basis(self.d2)
+
+    def _read_off(self) -> dict[str, Subspace]:
+        """The spaces the function ``_seed`` set reads off, cached as read: it runs at most once."""
+        read = self.__dict__.pop("_reader", None)
+        spaces = () if read is None else zip(("cycles", "boundaries"), read())
+        known = {name: space for name, space in spaces if space is not None}
+        self.__dict__.update(known)
+        return known
 
     @cached_property
     def _transposed(self) -> "ChainComplex":
@@ -94,11 +104,9 @@ class ChainComplex:
         """The cochain complex viewed as a chain complex (degree n -> 2 - n)."""
         return self._transposed
 
-    def _seed(self, cycles: Subspace | None, boundaries: Subspace | None) -> None:
-        """Set the degree-1 spaces the complex's builder already knows (None: not known)."""
-        for name, space in (("cycles", cycles), ("boundaries", boundaries)):
-            if space is not None:
-                self.__dict__[name] = space
+    def _seed(self, read: Callable[[], tuple[Subspace | None, Subspace | None]]) -> None:
+        """Have the first read of the degree-1 spaces take (cycles, boundaries) from ``read()``."""
+        self.__dict__["_reader"] = read
 
     def to_text(self) -> str:
         return "d2:\n" + format_matrix(self.d2) + "d1:\n" + format_matrix(self.d1)
@@ -211,7 +219,8 @@ class HomologyBasis:
         return self._coordinates(as_bit_vector(v)[None, :]).col(0)
 
     def is_trivial_class(self, v) -> bool:
-        return self.kernel.contains(v) and self.image.contains(v)
+        """Whether v is a boundary: the image lies in the kernel, so one reduction decides."""
+        return self.image.contains(v)
 
 
 def _class_rows(reduced: RrefResult) -> tuple[list[int], np.ndarray]:

@@ -82,7 +82,7 @@ from __future__ import annotations
 import re
 from bisect import bisect
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import chain, compress, count
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -662,7 +662,8 @@ def section_matrix(sections: dict[str, str], name: str) -> F2Matrix:
         raise
 
 
-_SECTION_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*):\s*(.*)$")
+# a header line, from the newline before it: its name, and what follows the colon on the line
+_SECTION_RE = re.compile(r"\n[^\S\n]*([A-Za-z_][A-Za-z0-9_]*):[^\S\n]*([^\n]*)")
 
 
 def split_sections(text: str, names: Sequence[str]) -> dict[str, str]:
@@ -670,37 +671,28 @@ def split_sections(text: str, names: Sequence[str]) -> dict[str, str]:
 
     A header with trailing content on the same line ("orientation: Z")
     becomes a plain key/value entry. A section not among ``names``, or one
-    given twice, raises MalformedInput naming it.
+    given twice, raises MalformedInput naming it. The headers are found in
+    one pass over the text, its lines (as ``str.splitlines`` splits them)
+    joined by newlines; a header is a line whose first non-blank
+    characters are a name and a colon.
     """
+    text = "\n" + "\n".join(text.splitlines())
     sections: dict[str, str] = {}
-    name = None
-    buf: list[str] = []
-
-    def flush():
-        nonlocal name, buf
+    name, start = None, 0  # the open section, and where the text after the last header starts
+    for m in chain(_SECTION_RE.finditer(text), (None,)):
+        gap = text[start : None if m is None else m.start()]
         if name is not None:
-            sections[name] = "\n".join(buf).strip("\n")
-        name = None
-        buf = []
-
-    for line in text.splitlines():
-        m = _SECTION_RE.match(line.strip())
-        if m:
-            flush()
-            key = m.group(1)
-            if key not in names:
-                raise MalformedInput(
-                    f"unknown section '{key}:', expected one of {', '.join(names)}", section=key
-                )
-            if key in sections:
-                raise MalformedInput(f"section '{key}:' is given twice", section=key)
-            if m.group(2):
-                sections[key] = m.group(2).strip()
-            else:
-                name = key
-        elif name is not None:
-            buf.append(line)
-        elif line.strip():
+            sections[name] = gap.strip("\n")
+        elif gap.strip():
+            line = next(line for line in gap.split("\n") if line.strip())
             raise MalformedInput(f"unexpected line outside any section: {line!r}")
-    flush()
-    return sections
+        if m is None:
+            return sections
+        key, value = m.groups()
+        if key not in names:
+            raise MalformedInput(f"unknown section '{key}:', expected one of {', '.join(names)}", section=key)
+        if key in sections:
+            raise MalformedInput(f"section '{key}:' is given twice", section=key)
+        if value:
+            sections[key] = value.strip()
+        name, start = (None if value else key), m.end()

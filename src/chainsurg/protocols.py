@@ -66,11 +66,9 @@ from .f2linalg import (
     F2Matrix,
     Subspace,
     _mul,
-    _reduce_rows,
     as_bit_vector,
     block_diag,
     kernel_basis,
-    rref,
     solve,  # unused here; perfbench/test_perfbench.py checks its tracer patches protocols.solve
     vstack,
 )
@@ -546,41 +544,41 @@ def _check_span_exclusion(
 # --- plan construction ----------------------------------------------------------
 
 
-def _pushed_basis(m: MergeResult, src: HomologyBasis, anc: int) -> tuple[HomologyBasis, F2Matrix]:
-    """The merged code's logical basis on the merge's own side, and the map p1 induces on it.
+def _merge_logical_matrix(m: MergeResult, base: CssCode, anc: int) -> F2Matrix:
+    """The map p1 induces on the merge's side of the logicals, from ``base``'s basis to the
+    pushed basis (every base class but the ancilla's, pushed through p1); raises unless that is a basis.
 
-    The basis pushes every class of ``src`` but the ancilla's through p1,
-    and fails unless those classes stay a basis: when the merge identifies
-    logical classes of the base code, or when it creates new ones. The
-    matrix is that of ``induced_on_homology(m.p, 1, src, basis)``, from the
-    same arithmetic done once: one product pushes all k representatives,
-    one reduction checks they are cycles and one reduces them modulo the
-    boundaries. One elimination of the kept reductions checks their rank
-    and is seeded as the basis's class system. A kept class is its own
-    basis representative, so its column is a unit vector, and only the
-    ancilla's column is solved for.
-    """
+    Read off the subcode V by the exact sequence H1(V) -> H1(C) -> H1(C/V) -> H0(V), so
+    ker p* = im i*. A cycle w of C has class coordinates x_i . w (z_i . w for an X-merge),
+    and in the RREF of [V1 d1^T | V1's pairings] (the pairings alone when V0 = 0) the rows
+    with pivots in the pairings span im i*, of rank r; the others count dim d1(V1). With
+    H0(V) = 0, H1(C/V) has k - r dimensions; otherwise, as only an edited V0 gives, they are
+    read off the quotient's spaces. The pushed classes are a basis exactly when there are
+    k - 1 and the nonzero class c of im i* is 1 at the ancilla; p* of the ancilla's class is then
+    c at the other classes."""
+    _, v1, v0 = m.subcode.oriented_spaces()
+    pairing = _mul(v1.basis.a, _logicals(base, "X" if m.orientation == "Z" else "Z").matrix().a.T)
+    d = m.source.dim0 if v0.dim else 0
+    rows = np.hstack([_mul(v1.basis.a, m.source.d1.a.T), pairing]) if d else pairing
+    span = Subspace.from_matrix_rows(F2Matrix._wrap(rows))
+    bounded = sum(p < d for p in span.pivots)  # dim d1(V1)
+    image = span.basis.a[bounded:, d:]  # im i*, in class coordinates
+    keep = [i for i in range(base.k) if i != anc]
     q = m.quotient
-    keep = [i for i in range(src.dim) if i != anc]
-    if q.cycles.dim - q.boundaries.dim > len(keep):
+    if (base.k - len(image) if bounded == v0.dim else q.cycles.dim - q.boundaries.dim) > len(keep):
         raise DimensionMismatch("the merge creates logical classes the base code does not have")
-    pushed = _mul(src.matrix().a, m.p.f1.a.T)  # row i: p1 of representative i
-    not_cycle = _reduce_rows(pushed, q.cycles).any(axis=1)
-    reductions = _reduce_rows(pushed, q.boundaries)
-    identifies = "the merge identifies logical classes of the base code"
-    if not_cycle[keep].any():
-        raise DimensionMismatch(identifies)
-    kept = rref(F2Matrix._wrap(reductions[keep]))
-    # with the kept rows independent and no more classes than them, they span ker/im
-    if kept.rank != len(keep):
-        raise DimensionMismatch(identifies)
-    if not_cycle[anc]:
-        raise DimensionMismatch("pushed representative is not a cycle; chain map or basis corrupted")
-    basis = HomologyBasis(F2Matrix._wrap(pushed[keep]), q)._seed(kept)
-    matrix = np.zeros((len(keep), src.dim), dtype=np.uint8)
-    matrix[range(len(keep)), keep] = 1
-    matrix[:, anc] = basis._reduced_coordinates(reductions[anc : anc + 1]).a[:, 0]
-    return basis, F2Matrix._wrap(matrix)
+    if len(image) != 1 or not image[0, anc]:
+        raise DimensionMismatch("the merge identifies logical classes of the base code")
+    matrix = np.eye(base.k, dtype=np.uint8)[keep]
+    matrix[:, anc] = image[0, keep]
+    return F2Matrix._wrap(matrix)
+
+
+def _pushed_basis(m: MergeResult, src: HomologyBasis, anc: int) -> HomologyBasis:
+    """The merged code's logical basis on the merge's own side: every class of ``src`` but the
+    ancilla's, pushed through p1. ``_merge_logical_matrix`` has checked it is a basis."""
+    keep = [i for i in range(src.dim) if i != anc]
+    return HomologyBasis(F2Matrix._wrap(_mul(src.matrix().a[keep], m.p.f1.a.T)), m.quotient)
 
 
 def _merged_code(m: MergeResult, base: CssCode, ancilla_index: int) -> CssCode:
@@ -589,7 +587,7 @@ def _merged_code(m: MergeResult, base: CssCode, ancilla_index: int) -> CssCode:
     A Z-merge keeps the pushed Z-basis and its dual X-basis; an X-merge
     keeps the pushed X-basis and its dual Z-basis.
     """
-    pushed, _ = _pushed_basis(m, _logicals(base, m.orientation), ancilla_index)
+    pushed = _pushed_basis(m, _logicals(base, m.orientation), ancilla_index)
     if m.orientation == "Z":
         return from_complex(m.quotient, z_basis=pushed.matrix())
     code_cplx = m.merged_complex()
@@ -749,11 +747,11 @@ def _merge_and_split(
     from the basis of ``base`` to the pushed basis of the merged code; the
     split reads its own from the merge, without building the merged code.
     Each GF(2) product is computed once: ``quotient_merge`` shares its
-    products between the quotient and its checks, one push of the base
-    logicals through p1 gives both the pushed basis and the logical matrix
-    (``_pushed_basis``), and the split's injectivity check reads p at the
-    default section's unit columns. Synthesis and ``plan_from_json`` both
-    build every merge here.
+    products between the quotient and its checks, the logical matrix is
+    read off the subcode by the exact sequence, with no space of the
+    quotient (``_merge_logical_matrix``), and the split's injectivity check
+    reads p at the default section's unit columns. Synthesis and
+    ``plan_from_json`` both build every merge here.
     """
     merge = quotient_merge(base.complex, sub)
     side = sub.orientation
@@ -766,7 +764,7 @@ def _merge_and_split(
         )
     if len({ins is None for ins in inserts}) > 1:
         raise DimensionMismatch("branch_inserts mixes null and set entries")
-    _, logical_matrix = _pushed_basis(merge, _logicals(base, side), anc)
+    logical_matrix = _merge_logical_matrix(merge, base, anc)
     merge_step = MergeStep(
         merge=merge,
         orientation=side,
@@ -1374,7 +1372,7 @@ def plan_from_json(text: str) -> SurgeryPlan:
     the steps read so far and their measurement ids grow with each step,
     one product checks every branch insert of a merge, and each merge is
     rebuilt as synthesis builds it (``_merge_and_split``), with its
-    logical matrix and pushed basis read off one elimination.
+    logical matrix read off its subcode and no space of its quotient.
     """
     try:
         doc = json.loads(text)

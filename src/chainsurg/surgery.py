@@ -19,10 +19,11 @@ checks and returns the dual split each time it is called: it checks
 p @ section = I in every degree, which for default representatives
 reads p at the columns F and takes no product.
 
-What the parent's RREFs already say is read, not eliminated again: with
-the default degree-1 coset reps, the merged complex's boundaries are
-p1(B), and its cycles are p1(K + V1) when V0 = d1(V1), where B and K are
-the parent's boundaries and cycles. Each is the parent's space with V1's
+What the parent's RREFs already say is read, not eliminated again, when
+the merged complex's spaces are first read: with the default degree-1
+coset reps, the merged complex's boundaries are p1(B), and its cycles
+are p1(K + V1) when V0 = d1(V1), where B and K are the parent's
+boundaries and cycles. Each is the parent's space with V1's
 rows inserted (``Subspace.sum``, which eliminates only V1's rows reduced
 modulo it) and V1's pivot rows and columns dropped (``Subspace.project``).
 Whether V0 = d1(V1) costs no test: closure gives d1(V1) <= V0, and
@@ -288,7 +289,8 @@ def quotient_merge(
     ``quotient_bases`` optionally supplies coset representatives per
     degree (in the oriented frame) replacing the pivot-complement rule.
     With the default degree-1 representatives, the quotient's cycles and
-    boundaries are read off the parent's (``_projected_spaces``).
+    boundaries are read off the parent's (``_projected_spaces``) when
+    first read, not when the merge is built: a plan's merge reads neither.
     """
     if sub.parent != parent:
         raise DimensionMismatch("subcode was validated against a different parent")
@@ -316,7 +318,7 @@ def quotient_merge(
     q_d1 = F2Matrix._wrap(_times_section(p0_d1.a, sections[1], units[1]))
     quotient = validate(d2=q_d2, d1=q_d1)
     if supplied.get(1) is None:
-        quotient._seed(*_projected_spaces(oriented, spaces[1], spaces[2], q_d2, q_d1))
+        quotient._seed(lambda: _projected_spaces(oriented, spaces[1], spaces[2], q_d2, q_d1))
     # along a zero V2 the default p2 is the identity, so q_d2 @ p2 is q_d2
     d2_p2 = q_d2 if units[0] is not None and len(units[0]) == p2.cols else None
     p = validate_chain_map(oriented, quotient, p2, p1, p0, p1_d2, p0_d1, d2_p2)
@@ -334,6 +336,8 @@ def _projected_spaces(
     parent: ChainComplex, v1: Subspace, v0: Subspace, q_d2: F2Matrix, q_d1: F2Matrix
 ) -> tuple[Subspace | None, Subspace | None]:
     """(cycles, boundaries) of the quotient by the default degree-1 reps, or None where not read off.
+
+    It runs, and reads the parent's spaces, on the quotient's first read of either space.
 
     With p1 the default projection, im q_d2 = p1(B): the degree-2 reps
     and V2 span C2, and d2(V2) lies in V1 = ker p1. The cycles are the x

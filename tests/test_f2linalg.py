@@ -1,5 +1,6 @@
 """GF(2) kernel tests; expected values come from brute-force enumeration."""
 import itertools
+import re
 import sys
 
 import numpy as np
@@ -272,6 +273,106 @@ class TestTextFormat:
         sections = split_sections(text, ("orientation", "v2", "v1", "v0"))
         assert sections["orientation"] == "Z"
         assert parse_matrix(sections["v1"]).rows == 1
+
+
+_PER_LINE_SECTION_RE = re.compile(r"^([A-Za-z_][A-Za-z0-9_]*):\s*(.*)$")
+
+
+def per_line_split_sections(text, names):
+    """split_sections as it was: one regex match per line, kept as the oracle."""
+    sections = {}
+    name = None
+    buf = []
+
+    def flush():
+        nonlocal name, buf
+        if name is not None:
+            sections[name] = "\n".join(buf).strip("\n")
+        name = None
+        buf = []
+
+    for line in text.splitlines():
+        m = _PER_LINE_SECTION_RE.match(line.strip())
+        if m:
+            flush()
+            key = m.group(1)
+            if key not in names:
+                raise MalformedInput(
+                    f"unknown section '{key}:', expected one of {', '.join(names)}", section=key
+                )
+            if key in sections:
+                raise MalformedInput(f"section '{key}:' is given twice", section=key)
+            if m.group(2):
+                sections[key] = m.group(2).strip()
+            else:
+                name = key
+        elif name is not None:
+            buf.append(line)
+        elif line.strip():
+            raise MalformedInput(f"unexpected line outside any section: {line!r}")
+    flush()
+    return sections
+
+
+def sections_outcome(split, text, names):
+    """The sections split reads, or the type, message and section it raises."""
+    try:
+        return split(text, names)
+    except MalformedInput as exc:
+        return type(exc), str(exc), exc.section
+
+
+SECTION_NAMES = ("hx", "hz", "zl", "xl", "orientation")
+_BLANKS = st.text(alphabet=" \t\x0c\x1f\xa0　", max_size=2)
+_HEADERS = st.builds(
+    lambda lead, name, gap, content: f"{lead}{name}:{gap}{content}",
+    _BLANKS,
+    st.sampled_from(SECTION_NAMES * 4 + ("bogus", "_x1", "Hx")),
+    _BLANKS,
+    st.sampled_from(["", "", "", "", "Z", "X ", "2 3", "a: b"]),
+)
+_BODY_LINES = st.one_of(
+    _BLANKS,
+    st.sampled_from(["1 2", "01", "0 1 1", "2 2", "11", "1:2", "a b: c", "#", "-"]),
+    st.builds(lambda lead, line: lead + line, _BLANKS, st.sampled_from(["01", "1 2", "x"])),
+)
+# str.splitlines splits at each of these but the last
+_LINE_ENDS = st.sampled_from(["\n", "\n", "\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", " "])
+
+
+@st.composite
+def section_texts(draw):
+    """Blank lines, at times a stray line, then headers each followed by body and blank
+    lines, with mixed line ends and maybe no final line end."""
+    lines = draw(st.lists(_BLANKS, max_size=2))
+    if not draw(st.integers(0, 9)):
+        lines.append(draw(_BODY_LINES))
+    for _ in range(draw(st.integers(0, 5))):
+        lines += [draw(_HEADERS)] + draw(st.lists(_BODY_LINES, max_size=3))
+    ends = [draw(_LINE_ENDS) for _ in lines]
+    if lines and draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+class TestSplitSections:
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(section_texts())
+    def test_matches_per_line_oracle(self, text):
+        assert sections_outcome(split_sections, text, SECTION_NAMES) == sections_outcome(
+            per_line_split_sections, text, SECTION_NAMES
+        )
+
+    @pytest.mark.parametrize("name", catalog.catalog_names())
+    def test_catalog_code_text(self, name):
+        text = catalog.catalog_code(name).to_text()
+        for t in (text, text.replace("\n", "\r\n"), text.replace("\n", "\r")):
+            assert split_sections(t, SECTION_NAMES) == per_line_split_sections(t, SECTION_NAMES)
+
+    def test_each_refusal(self):
+        for text in ("hx:\n01\nbogus:\n", "hx:\n1 1\nhx: 0\n", "  stray\nhx:\n", "orientation: Z\n  01\n"):
+            got = sections_outcome(split_sections, text, SECTION_NAMES)
+            assert isinstance(got, tuple) and got == sections_outcome(per_line_split_sections, text, SECTION_NAMES)
 
 
 @settings(max_examples=120, deadline=None)
@@ -809,15 +910,20 @@ class TestEliminationBudget:
         # a code built here, so that no cache an earlier test filled hides calls
         toric = catalog.toric(5)
         code = from_parity_checks(toric.hx, toric.hz)
-        inputs = rref_inputs(lambda: build_cnot_plan(code, 0, 1))
-        # no merged code: one elimination checks each pushed basis; the base
-        # code's spaces are assembled from its summands' and the bare
-        # ancilla qubit needs none; the zero degree-0 row of a non-local
-        # joint subcode needs none either; each merged complex's cycles and
-        # boundaries are read off its parent's with one generator inserted,
-        # whose reduction is a single row
-        assert len(inputs) <= 2
-        assert len(inputs) == len(set(inputs))
+        # no merged code, and no space of a merged complex: each logical matrix
+        # is read off its subcode's one generator paired with the dual basis;
+        # the base code's spaces are assembled from its summands' and the bare
+        # ancilla qubit needs none; the zero degree-0 row of a non-local joint
+        # subcode needs none either
+        assert rref_inputs(lambda: build_cnot_plan(code, 0, 1)) == []
+
+    @pytest.mark.parametrize("d", [3, 5, 9])
+    def test_cnot_plan_on_a_loaded_toric_code(self, d):
+        from chainsurg.protocols import build_cnot_plan
+
+        # read from its text, as the CLI reads a code file: its bases are a dual pair
+        code = CssCode.from_text(catalog.toric(d).to_text())
+        assert rref_inputs(lambda: build_cnot_plan(code, 0, 1)) == []
 
     def test_cnot_plan_on_toric_5_eliminates_nothing_code_sized(self):
         from chainsurg.protocols import build_cnot_plan
@@ -832,21 +938,23 @@ class TestEliminationBudget:
 
         patch = catalog.surface_patch(5, 5)
         code = from_parity_checks(patch.hx, patch.hz)
-        assert len(rref_inputs(lambda: build_cnot_plan(code, 0))) <= 1
+        assert rref_inputs(lambda: build_cnot_plan(code, 0)) == []
 
     def test_cnot_plan_load_on_toric_2(self):
         from chainsurg.protocols import build_cnot_plan, plan_from_json, plan_to_json
 
-        # the loader builds no code for the ancilla, no inclusion map and no
-        # merged code per merge
+        # the loader builds no code for the ancilla, no inclusion map, no merged
+        # code and no space of a merged complex per merge: only the base code's
+        # ker hx and the row space of hz (for k) are eliminated
         text = plan_to_json(build_cnot_plan(catalog.toric(2), 0, 1))
-        assert len(rref_inputs(lambda: plan_from_json(text))) <= 6
+        assert len(rref_inputs(lambda: plan_from_json(text))) <= 2
 
     def test_code_switch_plan(self):
         from chainsurg.protocols import code_switch_plan
 
-        # the switch subcode's pair spaces are built in RREF, with no elimination
-        assert len(rref_inputs(code_switch_plan)) <= 13
+        # the switch subcode's pair spaces are built in RREF, with no elimination,
+        # and its logical matrix is read off the subcode, with no quotient space
+        assert len(rref_inputs(code_switch_plan)) <= 11
 
     def test_trivial_qubit(self):
         # its cycles are the whole space and its boundaries are zero
@@ -863,10 +971,14 @@ class TestEliminationBudget:
         assert rref_inputs(lambda: plan_symplectic_action(plan)) == []
 
     @staticmethod
-    def _loaded_plan(code, **kwargs):
+    def _load(code, **kwargs):
+        """The c0t1 plan of ``code`` loaded from its JSON, and the rref inputs of the load alone."""
         from chainsurg.protocols import build_cnot_plan, plan_from_json, plan_to_json
 
-        return plan_from_json(plan_to_json(build_cnot_plan(code, 0, 1, **kwargs)))
+        text = plan_to_json(build_cnot_plan(code, 0, 1, **kwargs))
+        loaded = []
+        inputs = rref_inputs(lambda: loaded.append(plan_from_json(text)))
+        return loaded[0], inputs
 
     @pytest.mark.parametrize("code", ["toric2", "steane_steane"])
     def test_plan_branch_on_a_loaded_plan(self, code):
@@ -876,21 +988,29 @@ class TestEliminationBudget:
             "toric2": lambda: catalog.toric(2),
             "steane_steane": lambda: direct_sum_code(catalog.steane(), catalog.steane()),
         }
-        plan = self._loaded_plan(codes[code]())
+        plan, load = self._load(codes[code]())
+        branch = rref_inputs(lambda: plan_branch(plan))
         # each merge and split reads its physical ops off the merge's sections:
-        # no image of an identity f2 and no preimage system is eliminated
-        assert rref_inputs(lambda: plan_branch(plan)) == []
+        # no image of an identity f2 and no preimage system is eliminated; the
+        # X-stabilizer space, the row space of hx, is eliminated when the branch
+        # first reads it, as the load no longer reads the transposed complex
+        assert [shape for shape, _ in branch] == [plan.base_code.hx.shape]
+        assert len(load) + len(branch) <= 3
 
     def test_plan_branch_on_a_loaded_locality_plan(self):
         from chainsurg.protocols import SplitStep, plan_branch
 
-        plan = self._loaded_plan(catalog.toric(2), locality=True, max_weight=2)
-        inputs = rref_inputs(lambda: plan_branch(plan))
+        plan, load = self._load(catalog.toric(2), locality=True, max_weight=2)
+        branch = rref_inputs(lambda: plan_branch(plan))
         # each split's projections need V0^perp: a kernel_basis of V0's one
-        # row, which reversed is its own RREF, and nothing else
+        # row, which reversed is its own RREF; the branch eliminates only the
+        # X-stabilizer space, which the load no longer reads
         v0s = [step.merge.subcode.oriented_spaces()[2].basis.a for step in plan.steps if isinstance(step, SplitStep)]
         assert [v0.shape[0] for v0 in v0s] == [1, 1]
-        assert inputs == []
+        assert [shape for shape, _ in branch] == [plan.base_code.hx.shape]
+        # per merge, one elimination of [V1 d1^T | pairing] gives the logical matrix
+        # where the quotient's spaces and the pushed basis took three
+        assert len(load) + len(branch) <= 7
 
     def test_symplectic_action_of_code_switch_plan(self):
         from chainsurg.protocols import code_switch_plan, plan_symplectic_action
@@ -929,7 +1049,9 @@ class TestEliminationBudget:
         c, zl = code.complex, code.z_logicals.matrix().a
         gens = [zl[0] ^ zl[1], zl[2] ^ zl[5], zl[7] ^ zl[12]]
         sub = validate_subcode(c, Subspace.zero(c.dim2), Subspace.from_vectors(gens, c.dim1), Subspace.zero(c.dim0))
-        m = quotient_merge(c, sub)
+        merged = []
+        merge_inputs = rref_inputs(lambda: merged.append(quotient_merge(c, sub)))
+        m = merged[0]
         inputs = rref_inputs(lambda: analyze_merge(m))
         # the source and quotient bases are homology's, whose class systems are
         # already known: nothing of the shape of their representatives, as rows
@@ -939,10 +1061,11 @@ class TestEliminationBudget:
             shapes = {(basis.dim, basis.ambient_dim), (basis.ambient_dim, basis.dim)}
             assert not [shape for shape, _ in inputs if shape in shapes]
         # the subcode's own complex and its H0 need none (its degrees 2 and 0 are
-        # zero), nor do the quotient's cycles and boundaries, which the merge
-        # read off its parent's: only the image of the induced map and the killed
-        # classes are eliminated
-        assert len(inputs) <= 2
+        # zero); the merge reads no space of the quotient, and analyze_merge reads
+        # them off the parent's, eliminating only V1's rows reduced modulo its
+        # cycles; then the image of the induced map and the killed classes
+        assert merge_inputs == []
+        assert len(merge_inputs) + len(inputs) <= 3
 
 
 class TestProductBudget:
@@ -950,8 +1073,8 @@ class TestProductBudget:
 
     Per merge, a default section is a column selection, the split reads p at
     the section's unit columns, the chain-map squares reuse p1 @ d2 and
-    p0 @ d1, and one push of the base logicals through p1 gives both the
-    pushed basis and the logical matrix. A zero space takes no product: the
+    p0 @ d1, and one product pairs the subcode's generators with the dual
+    logical basis for the logical matrix. A zero space takes no product: the
     subcode's closure check skips it, reduction modulo it is the identity,
     and along a zero V2 the square's right side q_d2 @ p2 is q_d2.
     """
@@ -965,13 +1088,13 @@ class TestProductBudget:
         from chainsurg.protocols import build_cnot_plan
 
         code = self._code()
-        assert mul_calls(lambda: build_cnot_plan(code, 0, 1)) <= 21
+        assert mul_calls(lambda: build_cnot_plan(code, 0, 1)) <= 13
 
     def test_cnot_plan_load_on_toric_3(self):
         from chainsurg.protocols import build_cnot_plan, plan_from_json, plan_to_json
 
         text = plan_to_json(build_cnot_plan(self._code(), 0, 1))
-        assert mul_calls(lambda: plan_from_json(text)) <= 26
+        assert mul_calls(lambda: plan_from_json(text)) <= 17
 
 
 # --- the two constructors ------------------------------------------------------------

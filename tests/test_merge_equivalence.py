@@ -1,9 +1,9 @@
 """The one-pass plan merge against the public functions it fuses.
 
 ``protocols._merge_and_split`` builds each merge from one set of GF(2)
-products: default sections are read as column selections, and the pushed
-logical basis and the step's logical matrix come from one push of the base
-logicals through p1. Here every result is recomputed through the public
+products: default sections are read as column selections, and the step's
+logical matrix is read off the subcode by the exact sequence, with no space
+of the quotient. Here every result is recomputed through the public
 functions, on small random CSS codes with random joint subcodes in both
 orientations:
 
@@ -116,7 +116,7 @@ def test_one_pass_merge_matches_public_functions(case):
     keep = [i for i in range(src.dim) if i != anc]
     pushed = (m.p.f1 @ src.matrix().T).T
     fresh = ChainComplex(d2=q.d2, d1=q.d1)
-    fresh._seed(kernel_basis(q.d1), image_basis(q.d2))
+    fresh._seed(lambda: (kernel_basis(q.d1), image_basis(q.d2)))
     basis = HomologyBasis(F2Matrix(pushed.a[keep]), fresh)
     assert merge_step.logical_matrix == induced_on_homology(m.p, 1, src, basis)
     assert split_step.logical_matrix == merge_step.logical_matrix.T

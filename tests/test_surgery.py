@@ -28,6 +28,7 @@ from chainsurg.surgery import (
     validate_subcode,
 )
 from test_assembled_spaces import assert_same_space, complexes, identity_chain_map
+from test_f2linalg import rref_inputs
 
 
 def random_subcode(cplx, r, orientation="Z", max_gens=2):
@@ -606,12 +607,22 @@ class TestQuotientSpacesReadOff:
 
     def test_which_spaces_are_read_off(self, steane):
         c = steane.complex
-        read_off = lambda q: sorted(name for name in ("cycles", "boundaries") if name in q.__dict__)
+
+        def read_off(q):
+            """Read both spaces; the names read off the parent's, and the shapes eliminated."""
+            assert "cycles" not in q.__dict__ and "boundaries" not in q.__dict__  # not at the merge
+            names = []
+            eliminated = rref_inputs(lambda: (names.extend(sorted(q._read_off())), q.cycles, q.boundaries))
+            return names, [shape for shape, _ in eliminated]
+
         qubit = np.eye(c.dim1, dtype=np.uint8)[0]
-        # V0 = d1(V1): both spaces; a larger V0: the boundaries only
-        assert read_off(self._merge(c, [qubit])) == ["boundaries", "cycles"]
+        # V0 = d1(V1): both spaces, inserting V1's one row, which needs no elimination
+        assert read_off(self._merge(c, [qubit])) == (["boundaries", "cycles"], [])
+        # a larger V0: the boundaries only; the cycles are ker q_d1, whose one row is its own RREF
         extra = np.eye(c.dim0, dtype=np.uint8)[2]
-        assert read_off(self._merge(c, [qubit], [extra])) == ["boundaries"]
-        # supplied degree-1 reps: neither
+        q = self._merge(c, [qubit], [extra])
+        assert q.d1.rows == 1 and read_off(q) == (["boundaries"], [])
+        # supplied degree-1 reps: neither; ker q_d1 and the row space of q_d2.T are eliminated
         units = quotient_basis(c.dim1, Subspace.full(c.dim1), Subspace.from_vectors([qubit], c.dim1))
-        assert read_off(self._merge(c, [qubit], supplied={1: units})) == []
+        q = self._merge(c, [qubit], supplied={1: units})
+        assert read_off(q) == ([], [q.d1.shape, q.d2.T.shape])
