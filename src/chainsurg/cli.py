@@ -1,15 +1,25 @@
-"""Batch front-end: validate codes, run merges and analyses, synthesize
-plans, and verify them by simulation.
+"""Command-line front-end: validate codes, run merges and analyses,
+synthesize plans, and verify them by simulation.
 
 Exit codes: 0 success, 1 domain error (JSON payload on stderr), 2 usage
 error. All output is deterministic for fixed inputs.
+
+``chainsurg batch [FILE]`` runs many commands in one process. Each line of
+FILE (or stdin) is a JSON array of argv strings; for each line, batch writes
+one JSON line ``{"argv", "exit", "stdout", "stderr"}`` holding the exit code
+and output a separate ``chainsurg`` process would give. The process parses
+every command line with one parser, built on first use.
 """
 from __future__ import annotations
 
 import argparse
+import functools
+import io
 import json
 import re
 import sys
+import traceback
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -451,17 +461,76 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pauli", required=True, help='e.g. "X0 Z3"')
     p.set_defaults(func=_cmd_propagate)
 
+    p = sub.add_parser("batch", help="run one JSON argv array per line in this process")
+    p.add_argument("file", nargs="?", help="the lines to run; stdin when omitted")
+    p.set_defaults(func=_cmd_batch)
+
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parsing never changes it, so it is built once."""
+    return build_parser()
+
+
+def _write_error(exc: ChainsurgError) -> int:
+    sys.stderr.write(json.dumps(exc.payload()) + "\n")
+    return 1
+
+
+def _batch_argv(line: str, section: str, file: str) -> list:
+    try:
+        argv = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise MalformedInput(f"batch line is not JSON: {exc.msg}", section, file) from None
+    if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
+        raise MalformedInput("batch line is not a JSON array of strings", section, file)
+    return argv
+
+
+def _batch_record(line: str, number: int, source: str) -> dict:
+    """Run one batch line as ``main`` runs its argv, with the output a separate process would write."""
+    out, err = io.StringIO(), io.StringIO()
+    argv = None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            argv = _batch_argv(line, f"line {number}", source)
+            args = _parser().parse_args(argv)
+            if args.func is _cmd_batch:
+                raise ChainsurgError("a batch line cannot run batch")
+            code = args.func(args)
+        except ChainsurgError as exc:
+            code = _write_error(exc)
+        except SystemExit as exc:  # argparse: 2 after a usage error, 0 after --help
+            code = exc.code
+        except Exception:  # a crash ends this line as it would end a process, not the batch
+            traceback.print_exc()
+            code = 1
+    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def _cmd_batch(args) -> int:
+    if args.json:
+        raise ChainsurgError("batch takes no --json: give it in each line's argv")
+    if args.file is None:
+        source, lines = "<stdin>", sys.stdin
+    else:
+        source, lines = args.file, io.StringIO(_read_input(args.file, str))
+    try:
+        for number, line in enumerate(lines, 1):
+            print(json.dumps(_batch_record(line, number, source), separators=(",", ":")), flush=True)
+    except UnicodeDecodeError:
+        raise MalformedInput("input is not UTF-8 text", file=source) from None
+    return 0
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ChainsurgError as exc:
-        sys.stderr.write(json.dumps(exc.payload()) + "\n")
-        return 1
+        return _write_error(exc)
 
 
 if __name__ == "__main__":

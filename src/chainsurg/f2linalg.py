@@ -666,6 +666,20 @@ def section_matrix(sections: dict[str, str], name: str) -> F2Matrix:
 _SECTION_RE = re.compile(r"\n[^\S\n]*([A-Za-z_][A-Za-z0-9_]*):[^\S\n]*([^\n]*)")
 
 
+# the line breaks of str.splitlines, besides "\n", that an ASCII text can hold
+_ASCII_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+
+
+def _joined_lines(text: str) -> str:
+    """The lines of ``text``, as ``str.splitlines`` splits them, joined by newlines.
+
+    A text whose only line breaks are newlines is that already, less one final newline.
+    """
+    if text.isascii() and not any(b in text for b in _ASCII_BREAKS):
+        return text.removesuffix("\n")
+    return "\n".join(text.splitlines())
+
+
 def split_sections(text: str, names: Sequence[str]) -> dict[str, str]:
     """Split "name:"-introduced blocks of a section file into raw bodies.
 
@@ -676,7 +690,7 @@ def split_sections(text: str, names: Sequence[str]) -> dict[str, str]:
     joined by newlines; a header is a line whose first non-blank
     characters are a name and a colon.
     """
-    text = "\n" + "\n".join(text.splitlines())
+    text = "\n" + _joined_lines(text)
     sections: dict[str, str] = {}
     name, start = None, 0  # the open section, and where the text after the last header starts
     for m in chain(_SECTION_RE.finditer(text), (None,)):

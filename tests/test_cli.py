@@ -1,5 +1,11 @@
 """CLI behaviors: exit codes, round trips, schema-valid JSON, determinism."""
+import hashlib
+import io
 import json
+import os
+import random
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -13,6 +19,7 @@ from chainsurg.csscode import CssCode
 from chainsurg.errors import MalformedInput
 from chainsurg.protocols import direct_sum_code, plan_channel, plan_from_json
 from chainsurg.surgery import Subcode, induced_logical_matrix, quotient_merge
+import test_report_golden as report_golden
 
 SCHEMA = json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "report_schema.json").read_text()
@@ -875,3 +882,162 @@ class TestPropagate:
         payload = json.loads(captured.err)
         assert payload["error"] == "ChainsurgError"
         assert repr(term) in payload["message"] and "0..15" in payload["message"]
+
+
+def run_captured(capsys, argv):
+    """(exit code, stdout, stderr) of ``main(argv)``, a usage error included."""
+    capsys.readouterr()
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+# ordered pairs of argv that one parser parses one after the other
+PARSE_PAIRS = {
+    "outcome_then_none": (
+        ["simulate", "--plan", "{plan}", "--outcome", "zmerge.zz0=-1"],
+        ["simulate", "--plan", "{plan}"],
+    ),
+    "analyze_then_merge": (["analyze", "{code}", "--subcode", "{sub}"], ["merge", "{code}", "--subcode", "{sub}"]),
+    "locality_then_plain": (
+        ["cnot", "{steane}", "--control", "0", "--locality", "--max-weight", "3"],
+        ["cnot", "{steane}", "--control", "0"],
+    ),
+    "json_then_plain": (["--json", "homology", "{steane}"], ["homology", "{steane}"]),
+    "usage_error_then_valid": (["validate"], ["validate", "{steane}"]),
+}
+
+
+class TestOneParserPerProcess:
+    @pytest.mark.parametrize("pair", sorted(PARSE_PAIRS))
+    def test_no_leak_between_parses(self, pair, steane_file, welding_files, tmp_path, capsys):
+        code, sub = welding_files
+        plan = str(tmp_path / "plan.json")
+        assert main(["cnot", steane_file, "--control", "0", "--out", plan]) == 0
+        first, second = (
+            [a.format(steane=steane_file, code=code, sub=sub, plan=plan) for a in argv] for argv in PARSE_PAIRS[pair]
+        )
+        cli._parser.cache_clear()
+        fresh = run_captured(capsys, second)
+        cli._parser.cache_clear()
+        run_captured(capsys, first)
+        parser = cli._parser()
+        assert run_captured(capsys, second) == fresh
+        assert cli._parser() is parser
+
+    def test_main_builds_one_parser(self, steane_file, monkeypatch, capsys):
+        built = []
+        build = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+        cli._parser.cache_clear()
+        for argv in (["validate", steane_file], ["--json", "validate", steane_file], ["validate"]):
+            run_captured(capsys, argv)
+        assert len(built) == 1
+
+
+def batch_records(capsys, argv) -> list:
+    """The records of one in-process ``batch`` run, which must exit 0."""
+    capsys.readouterr()
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert not captured.err
+    return [json.loads(line) for line in captured.out.splitlines()]
+
+
+def report_golden_files(d: Path) -> None:
+    """The input files of tests/test_report_golden.py, written into ``d``."""
+    for name in report_golden.EXAMPLES:
+        assert main(["catalog", "export", f"example:{name}", "--dir", str(d)]) == 0
+    for name in report_golden.CODES:
+        (d / f"{name}.code").write_text(catalog.catalog_code(name).to_text())
+
+
+class TestBatch:
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_report_cases_in_shuffled_order(self, seed, tmp_path, capsys):
+        report_golden_files(tmp_path)
+        names = sorted(report_golden.CASES)
+        random.Random(seed).shuffle(names)
+        argvs = [["--json"] + [a.format(dir=tmp_path) for a in report_golden.CASES[name][0]] for name in names]
+        jobs = tmp_path / "jobs"
+        jobs.write_text("".join(json.dumps(argv) + "\n" for argv in argvs))
+        records = batch_records(capsys, ["batch", str(jobs)])
+        assert [r["argv"] for r in records] == argvs
+        for name, record in zip(names, records):
+            stream = report_golden.CASES[name][1]
+            assert record["exit"] == (1 if stream == "err" else 0)
+            text = record["stderr" if stream == "err" else "stdout"]
+            assert hashlib.sha256(text.encode()).hexdigest() == report_golden.DIGESTS[name]
+
+    def test_lines_from_stdin_match_main(self, steane_file, monkeypatch, capsys):
+        argvs = [
+            ["--json", "validate", steane_file],
+            ["homology", steane_file],
+            ["validate"],
+            ["cnot", steane_file, "--control", "0", "--target", "1"],
+            ["validate", "--help"],
+            ["catalog", "export", "steane"],
+        ]
+        expected = [run_captured(capsys, argv) for argv in argvs]
+        monkeypatch.setattr(sys, "stdin", io.StringIO("".join(json.dumps(argv) + "\n" for argv in argvs)))
+        records = batch_records(capsys, ["batch"])
+        assert [(r["exit"], r["stdout"], r["stderr"]) for r in records] == expected
+        assert [r["argv"] for r in records] == argvs
+        assert [r["exit"] for r in records] == [0, 0, 2, 1, 0, 0]
+
+    def test_a_crash_ends_its_line_only(self, steane_file, monkeypatch, capsys):
+        def crash(*args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "homology", crash)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            json.dumps(["homology", steane_file]) + "\n" + json.dumps(["validate", steane_file]) + "\n"
+        ))
+        crashed, valid = batch_records(capsys, ["batch"])
+        assert crashed["exit"] == 1 and not crashed["stdout"]
+        assert crashed["stderr"].startswith("Traceback") and crashed["stderr"].endswith("RuntimeError: boom\n")
+        assert (valid["exit"], valid["stdout"]) == (0, "valid CSS code [[7,1,?]]\n")
+
+    def test_jobs_run_in_the_batch_cwd(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("jobs").write_text(
+            json.dumps(["catalog", "export", "steane", "--out", "s.code"]) + "\n"
+            + json.dumps(["catalog", "export", "example:welding", "--dir", "ex"]) + "\n"
+        )
+        records = batch_records(capsys, ["batch", "jobs"])
+        assert [r["exit"] for r in records] == [0, 0]
+        assert Path("s.code").read_text() == catalog.steane().to_text()
+        assert (tmp_path / "ex" / "welding.sub").is_file()
+
+
+def test_batch_process_matches_separate_processes(tmp_path):
+    """One ``batch`` process against one process per argv, each in its own directory."""
+    src = str(Path(catalog.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argvs = [
+        ["--json", "validate", "steane.code"],
+        ["homology", "steane.code"],
+        ["validate"],
+        ["validate", "missing.code"],
+        ["cnot", "steane.code", "--control", "0", "--out", "plan.json"],
+    ]
+    batch_dir, single_dir = tmp_path / "batch", tmp_path / "single"
+    for d in (batch_dir, single_dir):
+        d.mkdir()
+        (d / "steane.code").write_text(catalog.steane().to_text())
+    command = [sys.executable, "-m", "chainsurg.cli"]
+    done = subprocess.run(
+        command + ["batch"], cwd=batch_dir, env=env, capture_output=True, text=True, timeout=60,
+        input="".join(json.dumps(argv) + "\n" for argv in argvs),
+    )
+    assert done.returncode == 0 and not done.stderr
+    records = [json.loads(line) for line in done.stdout.splitlines()]
+    assert len(records) == len(argvs)
+    for argv, record in zip(argvs, records):
+        single = subprocess.run(command + argv, cwd=single_dir, env=env, capture_output=True, text=True, timeout=60)
+        assert record == {"argv": argv, "exit": single.returncode, "stdout": single.stdout, "stderr": single.stderr}
+    assert [r["exit"] for r in records] == [0, 0, 2, 1, 0]
+    assert (batch_dir / "plan.json").read_bytes() == (single_dir / "plan.json").read_bytes()

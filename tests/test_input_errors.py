@@ -4,6 +4,7 @@ Each case breaks one precondition of a public call, and must end in the
 raise that guards it. Checks that only a corrupted internal invariant
 could fail are not here.
 """
+import io
 import json
 from dataclasses import replace
 
@@ -317,3 +318,80 @@ def test_cli_input_error(tmp_path, capsys, argv, payload):
     captured = capsys.readouterr()
     assert not captured.out and json.loads(captured.err) == payload
 
+
+
+def _batch(capsys, argv) -> tuple[int, list, str]:
+    """(exit code, records, stderr) of one in-process ``batch`` run."""
+    capsys.readouterr()
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    return rc, [json.loads(line) for line in captured.out.splitlines()], captured.err
+
+
+def test_batch_unreadable_file(tmp_path, capsys):
+    missing = str(tmp_path / "missing.jobs")
+    rc, records, err = _batch(capsys, ["batch", missing])
+    assert rc == 1 and not records
+    assert json.loads(err) == {
+        "error": "MalformedInput", "message": "cannot read input: No such file or directory", "file": missing,
+    }
+
+
+BAD_LINES = ("", "not json", '{"argv": []}', "[1, 2]", '"validate"', '["catalog", null]')
+
+
+@pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+def test_batch_malformed_lines(tmp_path, capsys, monkeypatch, from_stdin):
+    text = "".join(line + "\n" for line in BAD_LINES) + json.dumps(["catalog", "list"]) + "\n"
+    jobs = tmp_path / "jobs"
+    jobs.write_text(text)
+    if from_stdin:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    rc, records, err = _batch(capsys, ["batch"] if from_stdin else ["batch", str(jobs)])
+    assert rc == 0 and not err
+    source = "<stdin>" if from_stdin else str(jobs)
+    for number, (line, record) in enumerate(zip(BAD_LINES, records), 1):
+        payload = json.loads(record.pop("stderr"))
+        assert record == {"argv": None, "exit": 1, "stdout": ""}
+        assert payload["error"] == "MalformedInput"
+        assert (payload["file"], payload["section"]) == (source, f"line {number}")
+        shape = "is not JSON" if line in ("", "not json") else "is not a JSON array of strings"
+        assert payload["message"].startswith(f"batch line {shape}")
+    assert records[-1]["exit"] == 0 and "steane" in records[-1]["stdout"].split()
+
+
+@pytest.mark.parametrize("argv", [["batch"], ["--json", "batch", "jobs"]])
+def test_batch_line_runs_no_batch(tmp_path, capsys, argv):
+    jobs = tmp_path / "jobs"
+    jobs.write_text(json.dumps(argv) + "\n")
+    rc, [record], err = _batch(capsys, ["batch", str(jobs)])
+    assert rc == 0 and not err
+    assert record == {
+        "argv": argv, "exit": 1, "stdout": "",
+        "stderr": json.dumps({"error": "ChainsurgError", "message": "a batch line cannot run batch"}) + "\n",
+    }
+
+
+def test_batch_refuses_json(tmp_path, capsys):
+    jobs = tmp_path / "jobs"
+    jobs.write_text(json.dumps(["catalog", "list"]) + "\n")
+    rc, records, err = _batch(capsys, ["--json", "batch", str(jobs)])
+    assert rc == 1 and not records
+    assert json.loads(err) == {
+        "error": "ChainsurgError", "message": "batch takes no --json: give it in each line's argv",
+    }
+
+
+@pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
+def test_batch_input_not_utf8(tmp_path, capsys, monkeypatch, from_stdin):
+    data = json.dumps(["catalog", "list"]).encode() + b"\n\xff\n"
+    jobs = tmp_path / "jobs"
+    jobs.write_bytes(data)
+    if from_stdin:
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    rc, records, err = _batch(capsys, ["batch"] if from_stdin else ["batch", str(jobs)])
+    source = "<stdin>" if from_stdin else str(jobs)
+    # stdin is decoded in chunks, so a record may or may not come before the refusal
+    assert rc == 1 and (from_stdin or not records)
+    assert json.loads(err) == {"error": "MalformedInput", "message": "input is not UTF-8 text", "file": source}
