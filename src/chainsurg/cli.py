@@ -479,9 +479,13 @@ def _write_error(exc: ChainsurgError) -> int:
     return 1
 
 
-def _batch_argv(line: str, section: str, file: str) -> list:
+def _batch_argv(line: bytes, section: str, file: str) -> list:
     try:
-        argv = json.loads(line)
+        text = line.decode()
+    except UnicodeDecodeError:
+        raise MalformedInput("batch line is not UTF-8 text", section, file) from None
+    try:
+        argv = json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInput(f"batch line is not JSON: {exc.msg}", section, file) from None
     if not isinstance(argv, list) or not all(isinstance(a, str) for a in argv):
@@ -489,7 +493,7 @@ def _batch_argv(line: str, section: str, file: str) -> list:
     return argv
 
 
-def _batch_record(line: str, number: int, source: str) -> dict:
+def _batch_record(line: bytes, number: int, source: str) -> dict:
     """Run one batch line as ``main`` runs its argv, with the output a separate process would write."""
     out, err = io.StringIO(), io.StringIO()
     argv = None
@@ -513,15 +517,16 @@ def _batch_record(line: str, number: int, source: str) -> dict:
 def _cmd_batch(args) -> int:
     if args.json:
         raise ChainsurgError("batch takes no --json: give it in each line's argv")
+    # one loop over binary lines for FILE and stdin, each line decoded on its own
     if args.file is None:
-        source, lines = "<stdin>", sys.stdin
+        source, lines = "<stdin>", sys.stdin.buffer
     else:
-        source, lines = args.file, io.StringIO(_read_input(args.file, str))
-    try:
-        for number, line in enumerate(lines, 1):
-            print(json.dumps(_batch_record(line, number, source), separators=(",", ":")), flush=True)
-    except UnicodeDecodeError:
-        raise MalformedInput("input is not UTF-8 text", file=source) from None
+        try:
+            source, lines = args.file, io.BytesIO(Path(args.file).read_bytes())
+        except OSError as exc:
+            raise MalformedInput(f"cannot read input: {exc.strerror}", file=args.file) from None
+    for number, line in enumerate(lines, 1):
+        print(json.dumps(_batch_record(line, number, source), separators=(",", ":")), flush=True)
     return 0
 
 

@@ -176,26 +176,22 @@ class CssCode:
         return from_parity_checks(hx, hz, z_basis=zl, x_basis=xl)
 
 
-def _basis_from_rows(rows: F2Matrix, cplx: ChainComplex, reductions: np.ndarray | None = None) -> HomologyBasis:
+def _basis_from_rows(rows: F2Matrix, cplx: ChainComplex) -> HomologyBasis:
     """The rows as a homology basis of ``cplx``, checked to be independent cycles spanning ker/im.
 
     The rows are independent modulo the image exactly when their
     reductions modulo it have full rank, so only k rows are eliminated;
     that elimination, with its row transform, is kept as the basis's
-    class system. A caller that has already checked the rows are cycles
-    and reduced them modulo the image passes those ``reductions``, and
-    neither is done again.
+    class system.
     """
     kernel, image = cplx.cycles, cplx.boundaries
     reduced = None
     if rows.rows:
         if rows.cols != kernel.ambient_dim:
             raise DimensionMismatch(f"expected length {kernel.ambient_dim}, got {rows.cols}")
-        if reductions is None:
-            if not kernel.contains_rows(rows):
-                raise DimensionMismatch("supplied logical representative is not a cycle")
-            reductions = _reduce_rows(rows.a, image)
-        reduced = rref(F2Matrix._wrap(reductions))
+        if not kernel.contains_rows(rows):
+            raise DimensionMismatch("supplied logical representative is not a cycle")
+        reduced = rref(F2Matrix._wrap(_reduce_rows(rows.a, image)))
         if reduced.rank != rows.rows:
             raise DimensionMismatch("supplied logical representatives are dependent mod stabilizers")
     if rows.rows + image.dim != kernel.dim:
@@ -279,18 +275,6 @@ def _check_duality(xb: HomologyBasis, zb: HomologyBasis) -> None:
         raise DimensionMismatch(f"supplied bases are not dual: x_{i} . z_{j} = {int(pairing[i, j])}")
 
 
-def quotient_basis_units(ambient: int, sub: Subspace) -> F2Matrix:
-    """Complement of ``sub`` spanned by its non-pivot unit vectors, as columns.
-
-    They are the columns of one identity array at sub's free columns; no
-    elimination and no containment check is needed.
-    """
-    if sub.ambient_dim != ambient:
-        raise DimensionMismatch("ambient dimensions differ")
-    pivot_set = set(sub.pivots)
-    return F2Matrix._wrap(np.eye(ambient, dtype=np.uint8)[:, [j for j in range(ambient) if j not in pivot_set]])
-
-
 def dual_x_basis(cplx: ChainComplex, z_basis: HomologyBasis) -> HomologyBasis:
     """The unique degree-1 cohomology basis with x_i . z_j = delta_ij.
 
@@ -311,7 +295,7 @@ def dual_x_basis(cplx: ChainComplex, z_basis: HomologyBasis) -> HomologyBasis:
     if k == 0:
         return HomologyBasis(F2Matrix.zeros(0, n), co)
     lz = z_basis.matrix().T  # n x k, columns are z representatives
-    kernel_complement = quotient_basis_units(n, cplx.cycles)
+    kernel_complement = cplx.cycles.free_units()
     try:
         inv = left_inverse_block([lz, cplx.boundaries.basis.T, kernel_complement])
     except (SingularMatrix, DimensionMismatch) as exc:

@@ -37,6 +37,11 @@ What an RREF already says is read, not eliminated again:
   vectors it reads off are then, in reverse order, the canonical RREF of
   the kernel, so one elimination gives the canonical basis; one row
   reversed is its own RREF, so it needs none;
+- the default coset representatives of a subspace need none: the unit
+  vectors at its free (non-pivot) columns (``Subspace.free_units``)
+  complete its RREF basis to one of the whole space, as that basis is
+  the identity at its pivot columns; every module takes this one rule
+  from here;
 - ``quotient_basis`` needs none: a subspace's pivots are among the pivots
   of any subspace holding it, and that fixes the quotient basis;
 - ``Subspace.direct_sum`` needs none: two canonical bases placed
@@ -110,7 +115,7 @@ _SMALL_PRODUCT = 1024
 
 
 def _mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Mod-2 product of 0/1 arrays as uint8; ``b`` may be a vector.
+    """Mod-2 product of 0/1 arrays as uint8; ``a`` or ``b`` may be a vector.
 
     A small product, of at most ``_SMALL_PRODUCT`` multiply-adds, runs
     in uint8: its sums wrap modulo 256, which is even, so each keeps its
@@ -408,6 +413,19 @@ class Subspace:
     def pivots(self) -> tuple[int, ...]:
         return self._pivots
 
+    @property
+    def free(self) -> list[int]:
+        """The columns that are not pivots, ascending."""
+        return free_columns(self._pivots, self._ambient)
+
+    def free_units(self) -> F2Matrix:
+        """The unit vectors at the free columns, as columns: a complement of this space.
+
+        They are the default coset representatives of the quotient by it;
+        along the zero space they are the identity.
+        """
+        return F2Matrix._wrap(np.eye(self._ambient, dtype=np.uint8)[:, self.free])
+
     def basis_vectors(self) -> list[np.ndarray]:
         return [self._basis.row(i) for i in range(self.dim)]
 
@@ -530,10 +548,15 @@ def kernel_basis(m: F2Matrix) -> Subspace:
     else:
         res = rref(F2Matrix._wrap(flipped), transform=False)
         reduced, pivots = res.reduced.a, res.pivots
-    pivot_set = set(pivots)
-    free = [c for c in reversed(range(n)) if c not in pivot_set]
+    free = free_columns(pivots, n)[::-1]
     vecs = free_column_vectors(reduced, pivots, free)
     return Subspace(n, F2Matrix._wrap(vecs[:, ::-1]), tuple(n - 1 - f for f in free))
+
+
+def free_columns(pivots: Sequence[int], n: int) -> list[int]:
+    """The columns 0..n-1 that are not among ``pivots``, ascending."""
+    pivot_set = set(pivots)
+    return [j for j in range(n) if j not in pivot_set]
 
 
 def free_column_vectors(reduced: np.ndarray, pivots: Sequence[int], free: Sequence[int]) -> np.ndarray:
@@ -666,20 +689,6 @@ def section_matrix(sections: dict[str, str], name: str) -> F2Matrix:
 _SECTION_RE = re.compile(r"\n[^\S\n]*([A-Za-z_][A-Za-z0-9_]*):[^\S\n]*([^\n]*)")
 
 
-# the line breaks of str.splitlines, besides "\n", that an ASCII text can hold
-_ASCII_BREAKS = ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
-
-
-def _joined_lines(text: str) -> str:
-    """The lines of ``text``, as ``str.splitlines`` splits them, joined by newlines.
-
-    A text whose only line breaks are newlines is that already, less one final newline.
-    """
-    if text.isascii() and not any(b in text for b in _ASCII_BREAKS):
-        return text.removesuffix("\n")
-    return "\n".join(text.splitlines())
-
-
 def split_sections(text: str, names: Sequence[str]) -> dict[str, str]:
     """Split "name:"-introduced blocks of a section file into raw bodies.
 
@@ -690,7 +699,7 @@ def split_sections(text: str, names: Sequence[str]) -> dict[str, str]:
     joined by newlines; a header is a line whose first non-blank
     characters are a name and a colon.
     """
-    text = "\n" + _joined_lines(text)
+    text = "\n" + "\n".join(text.splitlines())
     sections: dict[str, str] = {}
     name, start = None, 0  # the open section, and where the text after the last header starts
     for m in chain(_SECTION_RE.finditer(text), (None,)):

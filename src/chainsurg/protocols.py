@@ -38,7 +38,6 @@ import numpy as np
 from . import jsontext
 from .chaincomplex import (
     ChainComplex,
-    ChainMap,
     HomologyBasis,
     direct_sum,
 )
@@ -173,19 +172,15 @@ class InitAncilla(PlanStep):
     ancilla_n = property(lambda self: None if self.ancilla_hx is None else self.ancilla_hx.cols)
 
 
-def _pull_back(pullback: Elimination, flipping: np.ndarray) -> np.ndarray:
-    pulled = pullback.solve(flipping)
-    if pulled is None:
-        raise DimensionMismatch("transport failed: the flipping side has no preimage")
-    return pulled
-
-
 @dataclass(frozen=True)
 class MergeStep(PlanStep):
     """A merge along a subcode, measuring one joint operator per generator of V1.
 
     A Pauli's side of the merge's type is pushed through p1. The other
-    side, plus the branch gauge of the outcomes it flips, is pulled back.
+    side, plus the branch gauge of the outcomes it flips, is pulled back
+    through p1.T: as p1 s1 = I for the degree-1 section s1, its one
+    preimage is s1.T x, a column selection for the default coset
+    representatives, and it has one exactly when V1 x = 0.
     """
 
     merge: MergeResult
@@ -205,16 +200,10 @@ class MergeStep(PlanStep):
     v0 = property(lambda self: self.merge.subcode.v0.basis)
     p1 = property(lambda self: self.merge.p.f1)
 
-    # Transport and gauge systems depend only on the step: each is
-    # eliminated once, when first read, for every Pauli and outcome pattern.
-    @cached_property
-    def pullback(self) -> Elimination:
-        """p1.T, through which the flipping side of a Pauli is pulled back."""
-        return Elimination(self.p1.T)
-
     @cached_property
     def gauge_system(self) -> Elimination:
-        """Overlaps with the subcode generators over the preserved-type checks."""
+        """Overlaps with the subcode generators over the preserved-type checks, eliminated
+        once, when first read, for every outcome pattern."""
         source = self.merge.source
         return Elimination(vstack([self.merge.subcode.v1.basis, source.d2.T]))
 
@@ -250,7 +239,10 @@ class MergeStep(PlanStep):
             raise DimensionMismatch(
                 "flip pattern inconsistent with stabilizers; transported operator corrupt"
             )
-        pulled, pushed = _pull_back(self.pullback, flipping ^ fix), self.p1 @ exact
+        flipping = flipping ^ fix
+        if (self.v1 @ flipping).any():
+            raise DimensionMismatch("transport failed: the flipping side has no preimage")
+        pulled, pushed = self.merge.times_section(1, flipping), self.p1 @ exact
         x, z = (pulled, pushed) if self.orientation == "Z" else (pushed, pulled)
         flips = {mid: 1 for mid, f in zip(self.measurement_ids, pattern) if f}
         return PauliOperator(x=x, z=z, sign=p.sign), flips
@@ -307,7 +299,7 @@ class SplitStep(PlanStep):
     """The split that reverses ``merge_step``, read off that merge.
 
     Its map is the merge projection transposed (``split_from_merge``
-    checks it once, when the step is built) and it preserves the other
+    checks it once, when the merge is built) and it preserves the other
     Pauli type: an X-split follows a Z-merge. Its logical matrix, on the
     other side's logical bases of the merged and the base code, is the
     merge's transposed: both codes pair their X- and Z-logical bases to
@@ -316,7 +308,6 @@ class SplitStep(PlanStep):
     """
 
     merge_step: MergeStep
-    split: ChainMap
 
     measurement_ids = ()
     merge = property(lambda self: self.merge_step.merge)
@@ -330,8 +321,12 @@ class SplitStep(PlanStep):
 
     @cached_property
     def pullback(self) -> Elimination:
-        """The split's f1.T, eliminated when first read."""
-        return Elimination(self.split.f1.T)
+        """The split's f1.T, which is p1, eliminated when first read.
+
+        Its pivot solution can differ from s1 x by a member of V1, and it
+        fixes the transported bytes.
+        """
+        return Elimination(self.merge.p.f1)
 
     @cached_property
     def residue_system(self) -> Elimination:
@@ -347,7 +342,9 @@ class SplitStep(PlanStep):
         """
         m = self.merge
         flipping, exact = (p.x, p.z) if self.orientation == "Z" else (p.z, p.x)
-        pulled = _pull_back(self.pullback, flipping)
+        pulled = self.pullback.solve(flipping)
+        if pulled is None:
+            raise DimensionMismatch("transport failed: the flipping side has no preimage")
         v1 = m.subcode.v1
         if v1.dim:
             residue = m.source.d1 @ pulled
@@ -355,7 +352,7 @@ class SplitStep(PlanStep):
                 coeffs = self.residue_system.solve(residue)
                 if coeffs is not None:
                     pulled = pulled ^ (v1.basis.T @ coeffs)
-        pushed = self.split.f1 @ exact
+        pushed = m.p.f1.T @ exact
         x, z = (pulled, pushed) if self.orientation == "Z" else (pushed, pulled)
         out = PauliOperator(x=x, z=z, sign=p.sign)
         return out, {
@@ -773,7 +770,8 @@ def _merge_and_split(
         logical_matrix=logical_matrix,
         branch_inserts=inserts,
     )
-    return merge_step, SplitStep(merge_step, split_from_merge(merge))
+    split_from_merge(merge)  # the injectivity check; the split step reads its map off the merge
+    return merge_step, SplitStep(merge_step)
 
 
 def pairwise_switch_plan(data: CssCode, anc: CssCode, sub: Subcode, name: str = "code_switch") -> SurgeryPlan:

@@ -51,10 +51,9 @@ from .csscode import (
     bits_to_index,
     from_parity_checks,
     linear_indices,
-    quotient_basis_units,
 )
 from .errors import DimensionMismatch, ZeroProbabilityOutcome
-from .f2linalg import Elimination, F2Matrix, free_column_vectors, image_basis
+from .f2linalg import Elimination, F2Matrix, free_column_vectors, free_columns, image_basis
 from .surgery import MergeResult
 
 PHASE_TOL = 1e-9
@@ -156,8 +155,7 @@ def _preimages(a: F2Matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     t, pivots = res.transform.a, list(res.pivots)
     y0 = np.zeros((a.cols, a.rows), dtype=np.uint8)
     y0[:, pivots] = t[: res.rank].T
-    free = [j for j in range(a.rows) if j not in res.pivots]
-    return y0, t[res.rank :].T, free_column_vectors(res.reduced.a, pivots, free)
+    return y0, t[res.rank :].T, free_column_vectors(res.reduced.a, pivots, free_columns(pivots, a.rows))
 
 
 def _lookup(tables, x: np.ndarray) -> np.ndarray:
@@ -444,7 +442,7 @@ def physical_op_sequence(f: ChainMap, orientation: str = "Z") -> list[PhysicalOp
         raise DimensionMismatch("orientation must be 'Z' or 'X'")
     z = orientation == "Z"
     first, side = (HadamardConjugatedParityMap, PauliOperator.from_z) if z else (ParityMap, PauliOperator.from_x)
-    stabilizers = f.tgt.d2 @ quotient_basis_units(f.tgt.dim2, image_basis(f.f2))
+    stabilizers = f.tgt.d2 @ image_basis(f.f2).free_units()
     return [first(f.f1)] + [Projection(side(stabilizers.col(j))) for j in range(stabilizers.cols)]
 
 
@@ -483,8 +481,8 @@ def split_op_sequence(m: MergeResult) -> tuple[PhysicalOp, ...]:
     else:
         solution = (m.sections[1].a.T, np.zeros((p1t.cols, 0), dtype=np.uint8), v1.basis.a)
         first, side = HadamardConjugatedParityMap(p1t, solution), PauliOperator.from_z
-    pivots, d1 = set(v0.perp().pivots), m.source.d1.a
-    return (first,) + tuple(Projection(side(d1[j])) for j in range(m.source.dim0) if j not in pivots)
+    d1 = m.source.d1.a
+    return (first,) + tuple(Projection(side(d1[j])) for j in v0.perp().free)
 
 
 # --- logical channel extraction ----------------------------------------------

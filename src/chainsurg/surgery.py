@@ -7,10 +7,12 @@ complexes.
 
 ``quotient_merge`` builds the projection only, computing each GF(2)
 product once. The default coset representatives of a degree are the unit
-vectors at the subcode space's free columns F, so a product with their
-section is a selection of the columns F, and along a zero space the
-section and the projection are both the identity, which multiplies
-nothing. The products p1 d2 and p0 d1 that give the quotient's
+vectors at the subcode space's free columns F (``Subspace.free_units``),
+so a product with their section is a selection of the columns F, and
+along a zero space the section and the projection are both the identity,
+which multiplies nothing. A merge stores only supplied representatives;
+its sections are built the first time they are read, which only
+simulation does. The products p1 d2 and p0 d1 that give the quotient's
 boundaries are also the left sides of the chain-map squares
 ``validate_chain_map`` checks, and along a zero V2 the right side q_d2 p2
 is q_d2. The inclusion of the subcode's own complex, ``MergeResult.i``,
@@ -48,7 +50,6 @@ from .chaincomplex import (
     validate,
     validate_chain_map,
 )
-from .csscode import quotient_basis_units
 from .errors import (
     ClosureViolated,
     DimensionMismatch,
@@ -192,16 +193,17 @@ def _complement_reps(ambient: int, sub: Subspace, supplied: Sequence) -> list[np
 def _projection_matrix(ambient: int, sub: Subspace, reps: list[np.ndarray] | None) -> F2Matrix:
     """Matrix of the coset projection in the basis [reps].
 
-    ``reps=None`` stands for the default reps, the non-pivot unit vectors
-    of sub's RREF basis S. The projection then has a closed form: with P
-    the pivots of S and F the other columns, p[:, F] = I and
-    p[:, P] = S[:, F].T, since x - sum_i x[P_i] S_i is zero on P and has
-    the coordinates x[F] - S[:, F].T x[P] on the unit vectors of F. Its
-    rows are the null vectors of S's free columns, and it is the unique
-    inverse the supplied-reps path computes for those reps.
+    ``reps=None`` stands for the default reps, ``sub.free_units()``. The
+    projection then has a closed form: with P the pivots of sub's RREF
+    basis S and F its free columns, p[:, F] = I and p[:, P] = S[:, F].T,
+    since x - sum_i x[P_i] S_i is zero on P and has the coordinates
+    x[F] - S[:, F].T x[P] on the unit vectors of F. Its rows are the null
+    vectors of S's free columns, the identity along the zero space, and
+    it is the unique inverse the supplied-reps path computes for those
+    reps.
     """
     if reps is None:
-        return _default_section(ambient, sub)[2]
+        return F2Matrix._wrap(free_column_vectors(sub.basis.a, sub.pivots, sub.free))
     if not reps:
         return F2Matrix.zeros(0, ambient)
     system = F2Matrix.from_rows(reps + list(sub.basis_vectors()), cols=ambient).T
@@ -212,31 +214,16 @@ def _projection_matrix(ambient: int, sub: Subspace, reps: list[np.ndarray] | Non
     return F2Matrix._wrap(inverse.a[: len(reps)])
 
 
-def _default_section(ambient: int, sub: Subspace) -> tuple[list[int], F2Matrix, F2Matrix]:
-    """(F, section, projection) of the default reps: sub's free columns F, the
-    unit vectors at F as columns, and their projection (see ``_projection_matrix``).
-    Along the zero space both are the identity."""
-    if not sub.dim:
-        identity = F2Matrix.identity(ambient)
-        return list(range(ambient)), identity, identity
-    pivot_set = set(sub.pivots)
-    free = [j for j in range(ambient) if j not in pivot_set]
-    section = F2Matrix._wrap(np.eye(ambient, dtype=np.uint8)[:, free])
-    return free, section, F2Matrix._wrap(free_column_vectors(sub.basis.a, sub.pivots, free))
+def _times_section(a: np.ndarray, sub: Subspace, section: F2Matrix | None) -> np.ndarray:
+    """a @ the section of sub's coset reps (``section=None`` for the default ones).
 
-
-def _times_section(a: np.ndarray, section: F2Matrix, units: list[int] | None) -> np.ndarray:
-    """a @ section: a column selection when the section is the unit columns at ``units``."""
-    if units is None:
+    The default section is the unit columns at sub's free columns, so the
+    product is a column selection, and along the zero space it is ``a``.
+    ``a`` may be a vector.
+    """
+    if section is not None:
         return _mul(a, section.a)
-    return a if len(units) == a.shape[1] else a[:, units]
-
-
-def _project(projection: F2Matrix, units: list[int] | None, m: F2Matrix) -> F2Matrix:
-    """projection @ m; no product when the projection is the default one along the zero space."""
-    if units is not None and len(units) == projection.cols:
-        return m
-    return F2Matrix._wrap(_mul(projection.a, m.a))
+    return a[..., sub.free] if sub.dim else a
 
 
 @dataclass(frozen=True)
@@ -247,18 +234,32 @@ class MergeResult:
     X-orientation); ``merged_complex()`` converts back to the code frame.
     """
 
-    source: ChainComplex
     quotient: ChainComplex
     p: ChainMap
     subcode: Subcode
-    # per degree 2, 1, 0: the section whose columns are the coset representatives
-    sections: tuple[F2Matrix, F2Matrix, F2Matrix]
-    # per degree 2, 1, 0: where a default section's unit columns sit, None for supplied reps
-    section_units: tuple[list[int] | None, list[int] | None, list[int] | None]
+    # per degree 2, 1, 0: the supplied coset representatives as columns, None for the default ones
+    supplied: tuple[F2Matrix | None, F2Matrix | None, F2Matrix | None]
 
     @property
     def orientation(self) -> str:
         return self.subcode.orientation
+
+    @property
+    def source(self) -> ChainComplex:
+        """The oriented parent, which p maps from."""
+        return self.subcode.oriented_parent()
+
+    @cached_property
+    def sections(self) -> tuple[F2Matrix, F2Matrix, F2Matrix]:
+        """Per degree 2, 1, 0, the section whose columns are the coset representatives, built when first read."""
+        return tuple(
+            space.free_units() if section is None else section
+            for space, section in zip(self.subcode.oriented_spaces(), self.supplied)
+        )
+
+    def times_section(self, degree: int, a: np.ndarray) -> np.ndarray:
+        """a @ the section at ``degree``: a column selection for the default reps."""
+        return _times_section(a, self.subcode.oriented_spaces()[2 - degree], self.supplied[2 - degree])
 
     @cached_property
     def i(self) -> ChainMap:
@@ -296,40 +297,28 @@ def quotient_merge(
         raise DimensionMismatch("subcode was validated against a different parent")
     oriented = sub.oriented_parent()
     spaces = sub.oriented_spaces()
-    supplied = quotient_bases or {}
-    sections, projections, units = [], [], []
+    given = quotient_bases or {}
+    supplied, projections = [], []
     for degree, space in zip((2, 1, 0), spaces):
-        ambient = oriented.dim(degree)
-        given = supplied.get(degree)
-        if given is None:
-            free, section, projection = _default_section(ambient, space)
-            sections.append(section)
-            projections.append(projection)
-            units.append(free)
-        else:
-            given = _complement_reps(ambient, space, given)
-            sections.append(F2Matrix.from_rows(given, cols=ambient).T)
-            projections.append(_projection_matrix(ambient, space, given))
-            units.append(None)
+        ambient, reps = oriented.dim(degree), given.get(degree)
+        if reps is not None:
+            reps = _complement_reps(ambient, space, reps)
+        supplied.append(None if reps is None else F2Matrix.from_rows(reps, cols=ambient).T)
+        projections.append(_projection_matrix(ambient, space, reps))
     p2, p1, p0 = projections
+    # the default projection along a zero space is the identity, which multiplies nothing
+    identity = [section is None and not space.dim for space, section in zip(spaces, supplied)]
     # each product once: p1 d2 and p0 d1 give the quotient's boundaries and both squares' left sides
-    p1_d2, p0_d1 = _project(p1, units[1], oriented.d2), _project(p0, units[2], oriented.d1)
-    q_d2 = F2Matrix._wrap(_times_section(p1_d2.a, sections[0], units[0]))
-    q_d1 = F2Matrix._wrap(_times_section(p0_d1.a, sections[1], units[1]))
+    p1_d2 = oriented.d2 if identity[1] else F2Matrix._wrap(_mul(p1.a, oriented.d2.a))
+    p0_d1 = oriented.d1 if identity[2] else F2Matrix._wrap(_mul(p0.a, oriented.d1.a))
+    q_d2 = F2Matrix._wrap(_times_section(p1_d2.a, spaces[0], supplied[0]))
+    q_d1 = F2Matrix._wrap(_times_section(p0_d1.a, spaces[1], supplied[1]))
     quotient = validate(d2=q_d2, d1=q_d1)
-    if supplied.get(1) is None:
+    if supplied[1] is None:
         quotient._seed(lambda: _projected_spaces(oriented, spaces[1], spaces[2], q_d2, q_d1))
     # along a zero V2 the default p2 is the identity, so q_d2 @ p2 is q_d2
-    d2_p2 = q_d2 if units[0] is not None and len(units[0]) == p2.cols else None
-    p = validate_chain_map(oriented, quotient, p2, p1, p0, p1_d2, p0_d1, d2_p2)
-    return MergeResult(
-        source=oriented,
-        quotient=quotient,
-        p=p,
-        subcode=sub,
-        sections=tuple(sections),
-        section_units=tuple(units),
-    )
+    p = validate_chain_map(oriented, quotient, p2, p1, p0, p1_d2, p0_d1, q_d2 if identity[0] else None)
+    return MergeResult(quotient=quotient, p=p, subcode=sub, supplied=tuple(supplied))
 
 
 def _projected_spaces(
@@ -368,9 +357,9 @@ def split_from_merge(m: MergeResult) -> ChainMap:
     at its free positions, so p is read there, and supplied
     representatives take one product.
     """
-    for deg, section, units in zip((2, 1, 0), m.sections, m.section_units):
+    for deg in (2, 1, 0):
         comp = m.p.component(deg)
-        if not np.array_equal(_times_section(comp.a, section, units), np.eye(comp.rows, dtype=np.uint8)):
+        if not np.array_equal(m.times_section(deg, comp.a), np.eye(comp.rows, dtype=np.uint8)):
             raise DimensionMismatch("split component is not injective; merge corrupted")
     return m.p.transpose()
 
@@ -499,7 +488,7 @@ def analyze_merge(m: MergeResult) -> ExactSequenceReport:
     killed = coords[:, coords.any(axis=0)]
 
     # created classes: complement of im(p1*) in the quotient basis, one unit vector each
-    created = quotient_basis_units(tgt_basis.dim, img).T
+    created = img.free_units().T
     return ExactSequenceReport(
         orientation=m.orientation,
         h1_subcode_dim=h1v.dim,

@@ -982,7 +982,8 @@ class TestBatch:
             ["catalog", "export", "steane"],
         ]
         expected = [run_captured(capsys, argv) for argv in argvs]
-        monkeypatch.setattr(sys, "stdin", io.StringIO("".join(json.dumps(argv) + "\n" for argv in argvs)))
+        stdin = "".join(json.dumps(argv) + "\n" for argv in argvs).encode()
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(stdin)))
         records = batch_records(capsys, ["batch"])
         assert [(r["exit"], r["stdout"], r["stderr"]) for r in records] == expected
         assert [r["argv"] for r in records] == argvs
@@ -993,9 +994,9 @@ class TestBatch:
             raise RuntimeError("boom")
 
         monkeypatch.setattr(cli, "homology", crash)
-        monkeypatch.setattr(sys, "stdin", io.StringIO(
-            json.dumps(["homology", steane_file]) + "\n" + json.dumps(["validate", steane_file]) + "\n"
-        ))
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(
+            (json.dumps(["homology", steane_file]) + "\n" + json.dumps(["validate", steane_file]) + "\n").encode()
+        )))
         crashed, valid = batch_records(capsys, ["batch"])
         assert crashed["exit"] == 1 and not crashed["stdout"]
         assert crashed["stderr"].startswith("Traceback") and crashed["stderr"].endswith("RuntimeError: boom\n")

@@ -19,7 +19,6 @@ from chainsurg.csscode import (
     encoder_isometry,
     encoder_with_fixed_logical,
     from_parity_checks,
-    quotient_basis_units,
     symplectic_product,
 )
 from chainsurg.errors import DimensionMismatch, NonCommutingChecks
@@ -174,7 +173,7 @@ def old_dual_x_rows(cplx, z_basis) -> np.ndarray:
     """The dual X basis as first built: d2's pivot columns, found by eliminating d2, as the middle block."""
     keep = list(f2linalg.rref(cplx.d2, transform=False).pivots)
     d2_gen = F2Matrix(cplx.d2.a[:, keep]) if keep else F2Matrix.zeros(cplx.d2.rows, 0)
-    complement = quotient_basis_units(cplx.dim1, cplx.cycles)
+    complement = cplx.cycles.free_units()
     return f2linalg.left_inverse_block([z_basis.matrix().T, d2_gen, complement]).a[: z_basis.dim]
 
 

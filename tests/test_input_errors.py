@@ -24,7 +24,6 @@ from chainsurg.csscode import (
     PauliOperator,
     dual_x_basis,
     from_parity_checks,
-    quotient_basis_units,
     symplectic_product,
 )
 from chainsurg.errors import (
@@ -142,11 +141,6 @@ CASES = {
         lambda: from_parity_checks(STEANE.hx, F2Matrix.zeros(1, 6)),
         DimensionMismatch,
         "hx has 7 columns, hz has 6",
-    ),
-    "quotient_basis_units": (
-        lambda: quotient_basis_units(6, Subspace.zero(7)),
-        DimensionMismatch,
-        "ambient dimensions differ",
     ),
     "dual_x_basis": (
         lambda: dual_x_basis(STEANE.complex, _bogus_basis(np.zeros(7, dtype=np.uint8))),
@@ -347,7 +341,7 @@ def test_batch_malformed_lines(tmp_path, capsys, monkeypatch, from_stdin):
     jobs = tmp_path / "jobs"
     jobs.write_text(text)
     if from_stdin:
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
     rc, records, err = _batch(capsys, ["batch"] if from_stdin else ["batch", str(jobs)])
     assert rc == 0 and not err
     source = "<stdin>" if from_stdin else str(jobs)
@@ -383,15 +377,51 @@ def test_batch_refuses_json(tmp_path, capsys):
     }
 
 
-@pytest.mark.parametrize("from_stdin", [False, True], ids=["file", "stdin"])
-def test_batch_input_not_utf8(tmp_path, capsys, monkeypatch, from_stdin):
-    data = json.dumps(["catalog", "list"]).encode() + b"\n\xff\n"
+def _batch_file_and_stdin(tmp_path, capsys, monkeypatch, data: bytes) -> list:
+    """The records of ``data`` run as a batch FILE and as batch stdin, which must be equal
+    but for the source they name; each run must exit 0."""
     jobs = tmp_path / "jobs"
     jobs.write_bytes(data)
-    if from_stdin:
-        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
-    rc, records, err = _batch(capsys, ["batch"] if from_stdin else ["batch", str(jobs)])
-    source = "<stdin>" if from_stdin else str(jobs)
-    # stdin is decoded in chunks, so a record may or may not come before the refusal
-    assert rc == 1 and (from_stdin or not records)
-    assert json.loads(err) == {"error": "MalformedInput", "message": "input is not UTF-8 text", "file": source}
+    runs = []
+    for argv, source in ((["batch", str(jobs)], str(jobs)), (["batch"], "<stdin>")):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        rc, records, err = _batch(capsys, argv)
+        assert rc == 0 and not err
+        runs.append(json.dumps(records).replace(json.dumps(source)[1:-1], "SOURCE"))
+    assert runs[0] == runs[1]
+    return json.loads(runs[0])
+
+
+def _assert_not_utf8(record: dict, number: int) -> None:
+    assert json.loads(record.pop("stderr")) == {
+        "error": "MalformedInput", "message": "batch line is not UTF-8 text", "section": f"line {number}",
+        "file": "SOURCE",
+    }
+    assert record == {"argv": None, "exit": 1, "stdout": ""}
+
+
+def test_batch_input_not_utf8(tmp_path, capsys, monkeypatch):
+    valid = json.dumps(["catalog", "list"]).encode() + b"\n"
+    first, bad, last = _batch_file_and_stdin(tmp_path, capsys, monkeypatch, valid + b"\xff\n" + valid)
+    _assert_not_utf8(bad, 2)
+    assert first == last and first["exit"] == 0 and "steane" in first["stdout"].split()
+
+
+# the bytes a text stream decodes at once
+_DECODE_CHUNK = 8192
+
+
+@pytest.mark.parametrize("offset", [-3, 0, 3])
+def test_batch_not_utf8_at_the_decode_chunk(tmp_path, capsys, monkeypatch, offset):
+    # a bad byte before, at and after the chunk boundary ends only its own line
+    filler = b'["validate", "--' + b"x" * 990 + b'"]\n'  # exit 2: a usage error
+    lines = [filler] * 9 + [json.dumps(["catalog", "list"]).encode() + b"\r\n"]
+    data = b"".join(lines)
+    at = _DECODE_CHUNK + offset
+    assert len(data) - len(lines[-1]) > at
+    data = data[:at] + b"\xff" + data[at:]
+    number = data[:at].count(b"\n") + 1
+    records = _batch_file_and_stdin(tmp_path, capsys, monkeypatch, data)
+    assert len(records) == len(lines)
+    _assert_not_utf8(records[number - 1], number)
+    assert [r["exit"] for r in records] == [1 if i == number - 1 else 2 for i in range(9)] + [0]

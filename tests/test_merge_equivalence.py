@@ -127,4 +127,4 @@ def test_one_pass_merge_matches_public_functions(case):
     assert explicit.quotient == q
     for deg in (2, 1, 0):
         assert explicit.p.component(deg) == m.p.component(deg)
-    assert split_from_merge(explicit) == split_step.split
+    assert split_from_merge(explicit) == split_from_merge(m)

@@ -45,7 +45,7 @@ from chainsurg.protocols import (
     singleton_check,
 )
 from chainsurg.simverify import PHASE_TOL
-from chainsurg.surgery import quotient_merge, validate_subcode
+from chainsurg.surgery import quotient_merge, split_from_merge, validate_subcode
 from test_assembled_spaces import complexes
 from test_f2linalg import zassenhaus_intersect
 from test_plan_golden import PLANS as GOLDEN_PLANS
@@ -336,7 +336,7 @@ def test_split_matrix_is_the_merge_matrix_transposed(name):
             bases = (merged.x_logicals, base.x_logicals)
         else:
             bases = (merged.z_logicals, base.z_logicals)
-        assert step.logical_matrix == induced_on_homology(step.split, 1, *bases)
+        assert step.logical_matrix == induced_on_homology(split_from_merge(step.merge), 1, *bases)
 
 
 class TestMeasurementCorrection:

@@ -16,7 +16,7 @@ import pytest
 
 from chainsurg import catalog, simverify
 from chainsurg.f2linalg import F2Matrix
-from chainsurg.protocols import MergeStep, SplitStep, build_cnot_plan, plan_from_json, plan_to_json
+from chainsurg.protocols import MergeStep, SplitStep, build_cnot_plan, code_switch_plan, plan_from_json, plan_to_json
 from chainsurg.simverify import (
     HadamardConjugatedParityMap,
     merge_op_sequence,
@@ -76,7 +76,7 @@ def test_step_ops_equal_the_generic_interpretation(name):
     for step in merges:
         assert_ops_match_the_oracle(step.ops, physical_op_sequence(step.merge.p, step.orientation))
     for step in splits:
-        assert_ops_match_the_oracle(step.ops, physical_op_sequence(step.split, step.orientation))
+        assert_ops_match_the_oracle(step.ops, physical_op_sequence(split_from_merge(step.merge), step.orientation))
 
 
 @pytest.mark.parametrize("name", sorted(LOCALITY_PLANS))
@@ -86,7 +86,7 @@ def test_loaded_locality_plan_splits_project(name):
     for step in splits:
         v0 = step.merge.subcode.oriented_spaces()[2]
         assert v0.dim and len(step.ops) == 1 + v0.dim
-        assert_ops_match_the_oracle(step.ops, physical_op_sequence(step.split, step.orientation))
+        assert_ops_match_the_oracle(step.ops, physical_op_sequence(split_from_merge(step.merge), step.orientation))
 
 
 def _supplied_reps(m, r: np.random.RandomState) -> dict:
@@ -108,10 +108,26 @@ def test_worked_example_merges_equal_the_generic_interpretation(name, seed):
     m = quotient_merge(ex.parent, ex.subcode)
     if seed is not None:
         m = quotient_merge(ex.parent, ex.subcode, quotient_bases=_supplied_reps(m, np.random.RandomState(seed)))
-        assert None in m.section_units
+        assert None not in m.supplied
     other = "X" if m.orientation == "Z" else "Z"
     assert_ops_match_the_oracle(merge_op_sequence(m), physical_op_sequence(m.p, m.orientation))
     assert_ops_match_the_oracle(split_op_sequence(m), physical_op_sequence(split_from_merge(m), other))
+
+
+BUILT_PLANS = {**_catalog_plans(), "code_switch": code_switch_plan}
+
+
+@pytest.mark.parametrize("name", sorted(BUILT_PLANS))
+def test_building_or_loading_a_plan_builds_no_section(name):
+    # a merge keeps only supplied representatives; only the steps' ops read its sections
+    built = BUILT_PLANS[name]()
+    for plan in (built, plan_from_json(plan_to_json(built))):
+        pairs = [(s, t) for s, t in zip(plan.steps, plan.steps[1:]) if isinstance(s, MergeStep)]
+        assert pairs and all(isinstance(t, SplitStep) and t.merge is s.merge for s, t in pairs)
+        assert not any("sections" in vars(s.merge) for s, _ in pairs)
+        for merge_step, split_step in pairs:
+            assert merge_step.ops and split_step.ops
+            assert "sections" in vars(merge_step.merge)
 
 
 def test_equality_ignores_the_carried_solution():

@@ -15,10 +15,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chainsurg
+from chainsurg import catalog
 from chainsurg.csscode import PauliOperator, symplectic_product
 from chainsurg.errors import ChainsurgError, CorrectionUnavailable, DimensionMismatch, EmptyOverlap
+from chainsurg.f2linalg import Elimination, F2Matrix
 from chainsurg.protocols import (
     _STEP_TABLE,
     ApplyCorrection,
@@ -33,6 +37,7 @@ from chainsurg.protocols import (
     propagate_pauli,
 )
 from chainsurg.simverify import PauliGate, PhysicalOp, Projection, physical_op_sequence
+from chainsurg.surgery import quotient_merge
 from test_index_maps import _catalog_plans
 from test_plan_golden import PLANS as GOLDEN_PLANS
 
@@ -68,7 +73,7 @@ def old_solve_branch_gauge(step: MergeStep, signs: Sequence[int]) -> Optional[np
 def old_transport(step, p: PauliOperator):
     merging = isinstance(step, MergeStep)
     m = step.merge
-    f1 = m.p.f1 if merging else step.split.f1
+    f1 = m.p.f1 if merging else m.p.f1.T
     flipping, exact = (p.x, p.z) if step.orientation == "Z" else (p.z, p.x)
     v1 = m.subcode.oriented_spaces()[1]
     if merging:
@@ -79,7 +84,7 @@ def old_transport(step, p: PauliOperator):
                 "flip pattern inconsistent with stabilizers; transported operator corrupt"
             )
         flipping = flipping ^ fix
-    pulled = step.pullback.solve(flipping)
+    pulled = Elimination(f1.T).solve(flipping)
     if pulled is None:
         raise DimensionMismatch("transport failed: the flipping side has no preimage")
     if not merging and v1.dim:
@@ -270,6 +275,57 @@ def test_transport_matches_the_dispatcher(name):
             assert got == _result(old_propagate_pauli, step, p, key=_transport_key), step
             assert got == _result(step.transport, p, key=_transport_key)
             p = propagate_pauli(step, p)[0]
+
+
+# the subcode of each worked example that has one, and of each merge of two plans
+SUBCODES = {
+    **{name: ex.subcode for name in catalog.example_names() if (ex := catalog.worked_example(name)).subcode},
+    **{
+        f"{name}_{i}": step.merge.subcode
+        for name in ("toric_2_c0t1", "golden_code_switch")
+        for i, step in enumerate(PLANS[name].steps)
+        if isinstance(step, MergeStep)
+    },
+}
+
+
+def _hand_built_step(m) -> MergeStep:
+    """A merge step built by hand, as tests/test_acceptance.py builds one: each gauge solved per pattern."""
+    v1 = m.subcode.v1
+    return MergeStep(
+        merge=m,
+        orientation=m.orientation,
+        measurement_ids=tuple(f"m{i}" for i in range(v1.dim)),
+        pivot_qubits=v1.pivots,
+        logical_matrix=F2Matrix.zeros(0, 0),
+        branch_inserts=(None,) * v1.dim,
+    )
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(SUBCODES)), st.booleans(), st.integers(0, 2**32 - 1))
+def test_merge_pull_back_through_the_section(name, supplied, seed):
+    """The pull-back s1.T x is p1.T's one preimage, with default and with supplied degree-1
+    representatives, and a hand-built step transports random Paulis as the oracle does."""
+    r = np.random.RandomState(seed)
+    sub = SUBCODES[name]
+    m = quotient_merge(sub.parent, sub)
+    if supplied:  # the default representatives, each shifted by a random member of V1
+        v1 = sub.v1.basis.a
+        shift = (r.randint(0, 2, size=(m.p.f1.rows, v1.shape[0])) @ v1 % 2).astype(np.uint8)
+        m = quotient_merge(sub.parent, sub, quotient_bases={1: list(m.sections[1].a.T ^ shift)})
+        assert m.supplied[1] is not None
+    p1, n = m.p.f1, m.source.dim1
+    images = [p1.T @ r.randint(0, 2, size=p1.rows) for _ in range(3)]
+    for x in images:
+        assert np.array_equal(m.times_section(1, x), Elimination(p1.T).solve(x))
+    step = _hand_built_step(m)
+    for flipping in images + [r.randint(0, 2, size=n) for _ in range(3)]:
+        exact = r.randint(0, 2, size=n)
+        x, z = (flipping, exact) if m.orientation == "Z" else (exact, flipping)
+        p = PauliOperator(x=x, z=z, sign=int(r.choice([1, -1])))
+        got = _result(step.transport, p, key=_transport_key)
+        assert got == _result(old_transport, step, p, key=_transport_key)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_PLANS))
