@@ -8,7 +8,8 @@ error. All output is deterministic for fixed inputs.
 FILE (or stdin) is a JSON array of argv strings; for each line, batch writes
 one JSON line ``{"argv", "exit", "stdout", "stderr"}`` holding the exit code
 and output a separate ``chainsurg`` process would give. The process parses
-every command line with one parser, built on first use.
+every command line with one parser, built on first use, and each distinct
+input text once (``_read_input``).
 """
 from __future__ import annotations
 
@@ -53,11 +54,30 @@ from .surgery import (
 )
 
 
-def _read_input(path: str, parse):
-    """``parse`` applied to the text of ``path``.
+# The most parsed inputs a process keeps: beyond it, the least recently used goes.
+_INPUT_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_INPUT_CACHE_SIZE)
+def _parsed(parse, text: str, *context):
+    """``parse(text, *context)``, kept for later jobs; a parse that raises is not kept."""
+    return parse(text, *context)
+
+
+def _read_input(path: str, parse, *context):
+    """``parse(text, *context)`` for the text of ``path``, parsed once per process.
+
+    The file is read on every call, and the parse is looked up by
+    ``parse``, the full text and ``context`` (a subcode's parent complex):
+    a rewritten file is parsed again, and the same text under another path
+    gives the same object. Only successful parses are kept, the last
+    ``_INPUT_CACHE_SIZE`` used. A kept object is shared by every later job
+    that reads the same text, so no command may change one in place; what
+    they fill in later (cached properties, eliminations) is the same
+    whichever job fills it in.
 
     An unreadable file, or one ``parse`` finds malformed, raises
-    MalformedInput naming the file.
+    MalformedInput naming ``path``.
     """
     try:
         text = Path(path).read_text()
@@ -66,7 +86,7 @@ def _read_input(path: str, parse):
     except UnicodeDecodeError:
         raise MalformedInput("input is not UTF-8 text", file=path) from None
     try:
-        return parse(text)
+        return _parsed(parse, text, *context)
     except MalformedInput as exc:
         exc.file = path
         raise
@@ -77,7 +97,7 @@ def _load_code(path: str) -> CssCode:
 
 
 def _load_subcode(path: str, parent: ChainComplex) -> Subcode:
-    return _read_input(path, lambda text: Subcode.from_text(text, parent))
+    return _read_input(path, Subcode.from_text, parent)
 
 
 def _output_error(path, exc: OSError) -> ChainsurgError:

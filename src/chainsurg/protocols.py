@@ -31,7 +31,8 @@ import json
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import chain, combinations
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -78,6 +79,7 @@ from .simverify import (
     extract_logical_channel,
     merge_op_sequence,
     split_op_sequence,
+    split_projections,
 )
 from .surgery import (
     MergeResult,
@@ -315,9 +317,15 @@ class SplitStep(PlanStep):
     logical_matrix = property(lambda self: self.merge_step.logical_matrix.T)
 
     @cached_property
+    def projections(self) -> tuple[PauliOperator, ...]:
+        """The stabilizers the split re-imposes, built when first read; transport reads
+        only these, so it builds no op."""
+        return split_projections(self.merge)
+
+    @cached_property
     def ops(self) -> tuple[PhysicalOp, ...]:
         """The split's physical ops, read off the merge's sections when first read."""
-        return split_op_sequence(self.merge)
+        return split_op_sequence(self.merge, self.projections)
 
     @cached_property
     def pullback(self) -> Elimination:
@@ -356,9 +364,9 @@ class SplitStep(PlanStep):
         x, z = (pulled, pushed) if self.orientation == "Z" else (pushed, pulled)
         out = PauliOperator(x=x, z=z, sign=p.sign)
         return out, {
-            f"{self.orientation.lower()}split.proj.{op.pauli.label()}": 1
-            for op in self.ops
-            if isinstance(op, Projection) and symplectic_product(out, op.pauli)
+            f"{self.orientation.lower()}split.proj.{s.label()}": 1
+            for s in self.projections
+            if symplectic_product(out, s)
         }
 
     def physical_ops(self, flipped_ids) -> tuple[PhysicalOp, ...]:
@@ -405,8 +413,12 @@ class SurgeryPlan:
     control: int
     target: Optional[int]  # None when the ancilla itself is the target
     locality: bool = False
-    correction_rules: dict = field(default_factory=dict)  # meas id -> PauliOperator
+    correction_rules: Mapping[str, PauliOperator] = field(default_factory=dict)  # meas id -> rule, read-only
     class_correction: Optional[PauliOperator] = None  # for every merge slot without its own rule
+
+    def __post_init__(self):
+        # frozen down to its rules: one loaded plan may serve many readers
+        object.__setattr__(self, "correction_rules", MappingProxyType(dict(self.correction_rules)))
 
     def measurement_ids(self) -> list[str]:
         return _measurement_ids(self.steps)

@@ -25,7 +25,9 @@ index map) once and keeps it, so ops a plan step holds keep theirs as
 long as the plan. A merge or a split reads its ops, and the preimages
 y0(x) and ker A^T, off the merge's sections (``merge_op_sequence``,
 ``split_op_sequence``); ``physical_op_sequence`` and an op built from a
-bare matrix find them by elimination.
+bare matrix find them by elimination. A split's projections are their
+own list (``split_projections``), so reading which of them a Pauli
+anticommutes with builds no op.
 
 The dense ``apply`` of each kind runs in O(2^n) from an int32 table it
 builds on first use: ``apply`` on a ``StateVector``, and channels small
@@ -462,27 +464,37 @@ def merge_op_sequence(m: MergeResult) -> tuple[PhysicalOp, ...]:
     return (HadamardConjugatedParityMap(p1, (m.sections[1].a, v1.T, np.zeros((0, p1.rows), dtype=np.uint8))),)
 
 
-def split_op_sequence(m: MergeResult) -> tuple[PhysicalOp, ...]:
+def split_projections(m: MergeResult) -> tuple[PauliOperator, ...]:
+    """The stabilizers that the split undoing ``m`` projects onto, in order.
+
+    The split's f2 is p0^T, whose image is V0^perp: the kernel of V0's
+    rows, whose canonical basis ``kernel_basis`` gives from an elimination
+    of dim V0 rows, and none when V0 = 0. The projections are onto the
+    source's boundaries d1 @ w for the unit vectors w off that basis's
+    pivots, the rows of d1 there, of the type the merge did not measure.
+    """
+    v0 = m.subcode.oriented_spaces()[2]
+    side = PauliOperator.from_x if m.orientation == "Z" else PauliOperator.from_z
+    d1 = m.source.d1.a
+    return tuple(side(d1[j]) for j in v0.perp().free)
+
+
+def split_op_sequence(m: MergeResult, projections: Sequence[PauliOperator]) -> tuple[PhysicalOp, ...]:
     """The ops of the split that undoes ``m``, as ``physical_op_sequence`` reads
     ``split_from_merge(m)`` in the other orientation, read off the merge's sections.
 
     The split's f1 is p1^T. For a Z-split, after an X-merge, p1 y = x is
     solved by y = s1 x + V1, since p1 s1 = I and ker p1 = V1, for every x.
-    Its f2 is p0^T, whose image is V0^perp: the kernel of V0's rows, whose
-    canonical basis ``kernel_basis`` gives from an elimination of dim V0
-    rows, and none when V0 = 0. The projections are onto the source's
-    boundaries d1 @ w for the unit vectors w off that basis's pivots, the
-    rows of d1 there.
+    Its projections are onto ``projections``, ``split_projections(m)``.
     """
-    _, v1, v0 = m.subcode.oriented_spaces()
     p1t = m.p.f1.T
     if m.orientation == "Z":
-        first, side = ParityMap(p1t), PauliOperator.from_x
+        first = ParityMap(p1t)
     else:
+        v1 = m.subcode.oriented_spaces()[1]
         solution = (m.sections[1].a.T, np.zeros((p1t.cols, 0), dtype=np.uint8), v1.basis.a)
-        first, side = HadamardConjugatedParityMap(p1t, solution), PauliOperator.from_z
-    d1 = m.source.d1.a
-    return (first,) + tuple(Projection(side(d1[j])) for j in v0.perp().free)
+        first = HadamardConjugatedParityMap(p1t, solution)
+    return (first,) + tuple(Projection(p) for p in projections)
 
 
 # --- logical channel extraction ----------------------------------------------

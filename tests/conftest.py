@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from chainsurg import catalog
+from chainsurg import catalog, cli
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +31,9 @@ def surface3():
 
 def rng(seed=0):
     return np.random.RandomState(seed)
+
+
+@pytest.fixture(autouse=True)
+def cold_input_cache():
+    """Each test starts, as a fresh process does, with no parsed input kept by the CLI."""
+    cli._parsed.cache_clear()

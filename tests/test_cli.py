@@ -17,6 +17,7 @@ from chainsurg.cli import main
 from chainsurg.chaincomplex import ChainComplex, homology
 from chainsurg.csscode import CssCode
 from chainsurg.errors import MalformedInput
+from chainsurg.f2linalg import Subspace
 from chainsurg.protocols import direct_sum_code, plan_channel, plan_from_json
 from chainsurg.surgery import Subcode, induced_logical_matrix, quotient_merge
 import test_report_golden as report_golden
@@ -1012,6 +1013,102 @@ class TestBatch:
         assert [r["exit"] for r in records] == [0, 0]
         assert Path("s.code").read_text() == catalog.steane().to_text()
         assert (tmp_path / "ex" / "welding.sub").is_file()
+
+
+class TestInputCache:
+    """A process parses each distinct input text once; a kept parse answers as a fresh one would."""
+
+    @staticmethod
+    def _digest_ok(name, rc, out, err) -> bool:
+        stream = report_golden.CASES[name][1]
+        text = err if stream == "err" else out
+        return rc == (1 if stream == "err" else 0) and report_golden._sha(text) == report_golden.DIGESTS[name]
+
+    def test_report_cases_cold_then_warm_in_reverse(self, tmp_path, capsys):
+        report_golden_files(tmp_path)
+        names = sorted(report_golden.CASES)
+        argvs = {name: ["--json"] + [a.format(dir=tmp_path) for a in report_golden.CASES[name][0]] for name in names}
+        for name in names:
+            cli._parsed.cache_clear()
+            assert self._digest_ok(name, *run_captured(capsys, argvs[name])), name
+        for name in reversed(names):
+            assert self._digest_ok(name, *run_captured(capsys, argvs[name])), name
+        assert cli._parsed.cache_info().hits > 0
+
+    def test_a_malformed_text_names_each_path_it_is_read_from(self, tmp_path, capsys):
+        text = catalog.steane().to_text()
+        paths = [tmp_path / "a.code", tmp_path / "b.code"]
+        for path in paths:
+            path.write_text(text.replace("hz:", "hq:"))
+        for path in paths + paths:
+            rc, out, err = run_captured(capsys, ["validate", str(path)])
+            assert rc == 1 and not out
+            assert json.loads(err) == {
+                "error": "MalformedInput",
+                "message": "unknown section 'hq:', expected one of hx, hz, zl, xl",
+                "file": str(path),
+                "section": "hq",
+            }
+        assert cli._parsed.cache_info().currsize == 0
+        paths[0].write_text(text)
+        assert run_captured(capsys, ["validate", str(paths[0])]) == (0, "valid CSS code [[7,1,?]]\n", "")
+
+    def test_a_rewritten_code_file_is_parsed_again(self, tmp_path, capsys):
+        code, plan = tmp_path / "code", tmp_path / "plan.json"
+        code.write_text(catalog.steane().to_text())
+        assert run_captured(capsys, ["--json", "cnot", str(code), "--control", "0", "--out", str(plan)])[0] == 0
+        code.write_text(catalog.toric(2).to_text())
+        argv = ["--json", "cnot", str(code), "--control", "0", "--target", "1", "--out", str(plan)]
+        warm = run_captured(capsys, argv), plan.read_bytes()
+        cli._parsed.cache_clear()
+        cold = run_captured(capsys, argv), plan.read_bytes()
+        assert warm == cold and warm[0][0] == 0
+
+    def test_code_and_ancilla_from_one_file(self, steane_file, tmp_path, monkeypatch, capsys):
+        plan = tmp_path / "plan.json"
+        argv = ["--json", "cnot", steane_file, "--control", "0", "--ancilla", steane_file, "--simulate"]
+        argv += ["--out", str(plan)]
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_parsed", cli._parsed.__wrapped__)  # every read parses afresh
+            cold = run_captured(capsys, argv), plan.read_bytes()
+        warm = run_captured(capsys, argv), plan.read_bytes()
+        info = cli._parsed.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)  # the ancilla is the code's object
+        assert warm == cold and json.loads(warm[0][1])["max_deviation"] == 0.0
+
+    def test_one_subcode_text_is_parsed_for_each_parent(self, steane_file, tmp_path, capsys):
+        # the same Steane code with its X checks in another order is another parent complex
+        steane = catalog.steane()
+        other = tmp_path / "rolled.code"
+        rolled = steane.to_text().replace("hx:\n3 7\n1110100\n0011110\n", "hx:\n3 7\n0011110\n1110100\n", 1)
+        assert rolled != steane.to_text()
+        other.write_text(rolled)
+        sub = tmp_path / "zero.sub"
+        sub.write_text(Subcode(steane.complex, *(Subspace.zero(n) for n in (3, 7, 3))).to_text())
+        argvs = [["--json", "merge", code, "--subcode", str(sub), "--analyze"] for code in (steane_file, str(other))]
+        warm = [run_captured(capsys, argv) for argv in argvs]
+        cold = []
+        for argv in argvs:
+            cli._parsed.cache_clear()
+            cold.append(run_captured(capsys, argv))
+        assert warm == cold and [rc for rc, _, _ in warm] == [0, 0]
+        assert cli._parsed.cache_info().currsize == 2  # the rolled code and its subcode
+
+    def test_a_kept_plan_is_read_only(self, steane_file, tmp_path, capsys):
+        plan_file = tmp_path / "plan.json"
+        assert main(["cnot", steane_file, "--control", "0", "--out", str(plan_file)]) == 0
+        plan = cli._read_input(str(plan_file), plan_from_json)
+        assert cli._read_input(str(plan_file), plan_from_json) is plan and plan.correction_rules
+        with pytest.raises(TypeError):
+            plan.correction_rules["zmerge.zz0"] = None
+
+    def test_the_cache_holds_at_most_its_bound(self, tmp_path, capsys):
+        for n in range(1, cli._INPUT_CACHE_SIZE + 6):
+            path = tmp_path / f"free{n}.code"
+            path.write_text(catalog.no_check(n).to_text())
+            assert run_captured(capsys, ["validate", str(path)]) == (0, f"valid CSS code [[{n},{n},?]]\n", "")
+        info = cli._parsed.cache_info()
+        assert info.currsize == cli._INPUT_CACHE_SIZE and info.misses == cli._INPUT_CACHE_SIZE + 5
 
 
 def test_batch_process_matches_separate_processes(tmp_path):

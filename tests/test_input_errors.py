@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chainsurg import catalog
+from chainsurg import catalog, cli
 from chainsurg.chaincomplex import (
     HomologyBasis,
     homology,
@@ -425,3 +425,90 @@ def test_batch_not_utf8_at_the_decode_chunk(tmp_path, capsys, monkeypatch, offse
     assert len(records) == len(lines)
     _assert_not_utf8(records[number - 1], number)
     assert [r["exit"] for r in records] == [1 if i == number - 1 else 2 for i in range(9)] + [0]
+
+
+def _error_inputs(d) -> None:
+    """The good and the malformed input files of the CLI error cases, written into ``d``."""
+    steane = STEANE.to_text()
+    (d / "steane.code").write_text(steane)
+    assert main(["catalog", "export", "example:welding", "--dir", str(d)]) == 0
+    assert main(["cnot", str(d / "steane.code"), "--control", "0", "--out", str(d / "plan.json")]) == 0
+    plan = json.loads((d / "plan.json").read_text())
+    edited = {
+        "unknown.code": steane.replace("xl:", "x1:"),
+        "narrow_hz.code": steane.replace("hz:\n3 7\n1110100\n0011110\n0100111", "hz:\n3 6\n111010\n001111\n010011"),
+        "narrow_zl.code": steane.replace("zl:\n1 7\n0001011", "zl:\n1 5\n00010"),
+    }
+    assert steane not in edited.values()
+    texts = {
+        **edited,
+        "nohz.code": "hx:\n1 3\n110\n",
+        "header.code": "hx:\nx y\n110\nhz:\n0 3\n",
+        "repeated.code": steane + "hx:\n1 7\n1111111\n",
+        "orientation.sub": "orientation: Y\nv2:\n0 3\nv1:\n0 7\nv0:\n0 3\n",
+        "narrow_v1.sub": "v2:\n0 3\nv1:\n1 6\n111000\nv0:\n0 3\n",
+        "repeated.sub": (d / "welding.sub").read_text() + "orientation: X\n",
+        "not_json.plan": "{",
+        "not_a_plan.plan": '{"schema": "other/1"}',
+        "no_base_hx.plan": json.dumps({k: v for k, v in plan.items() if k != "base_hx"}),
+        "step_not_object.plan": json.dumps({**plan, "steps": [plan["steps"][0], 5, *plan["steps"][2:]]}),
+    }
+    for name, text in texts.items():
+        (d / name).write_text(text)
+    (d / "latin1.code").write_bytes(b"hx:\n1 2\n11\n\xe9\n")
+
+
+# (argv, exit): each failing line comes after lines that load its good files, and
+# "f" holds a code, then a plan, then a code again
+ERROR_LINES = [
+    (["validate", "steane.code"], 0),
+    (["homology", "steane.code", "--degree", "3"], 1),
+    (["catalog", "export", "nope"], 1),
+    *[
+        line
+        for bad in ("unknown", "narrow_hz", "narrow_zl", "nohz", "header", "repeated", "latin1", "missing")
+        for line in ((["validate", "steane.code"], 0), (["--json", "validate", f"{bad}.code"], 1))
+    ],
+    (["merge", "welding.code", "--subcode", "welding.sub"], 0),
+    (["merge", "welding.code", "--subcode", "repeated.sub"], 1),
+    *[(["merge", "steane.code", "--subcode", f"{bad}.sub"], 1) for bad in ("orientation", "narrow_v1", "missing")],
+    *[
+        line
+        for bad in ("not_json", "not_a_plan", "no_base_hx", "step_not_object", "missing")
+        for line in ((["simulate", "--plan", "plan.json"], 0), (["simulate", "--plan", f"{bad}.plan"], 1))
+    ],
+    (["catalog", "export", "steane", "--out", "f"], 0),
+    (["validate", "f"], 0),
+    (["cnot", "f", "--control", "0", "--out", "f"], 0),
+    (["validate", "f"], 1),
+    (["simulate", "--plan", "f"], 0),
+    (["catalog", "export", "steane", "--out", "f"], 0),
+    (["simulate", "--plan", "f"], 1),
+    (["validate", "f"], 0),
+    (["cnot", "f", "--control", "0", "--out", "f"], 0),
+    (["simulate", "--plan", "f"], 0),
+]
+
+
+def test_input_errors_in_one_batch_match_cold_runs(tmp_path, capsys, monkeypatch):
+    # a kept parse never answers for a file that now fails, and a failure is never kept
+    cold_dir, batch_dir = tmp_path / "cold", tmp_path / "batch"
+    for d in (cold_dir, batch_dir):
+        d.mkdir()
+        _error_inputs(d)
+    monkeypatch.chdir(cold_dir)
+    expected = []
+    for argv, _ in ERROR_LINES:
+        cli._parsed.cache_clear()
+        capsys.readouterr()
+        rc = main(argv)
+        captured = capsys.readouterr()
+        expected.append({"argv": argv, "exit": rc, "stdout": captured.out, "stderr": captured.err})
+    assert [r["exit"] for r in expected] == [rc for _, rc in ERROR_LINES]
+    monkeypatch.chdir(batch_dir)
+    cli._parsed.cache_clear()
+    (batch_dir / "jobs").write_text("".join(json.dumps(argv) + "\n" for argv, _ in ERROR_LINES))
+    rc, records, err = _batch(capsys, ["batch", "jobs"])
+    assert rc == 0 and not err
+    assert records == expected
+    assert cli._parsed.cache_info().hits > 0

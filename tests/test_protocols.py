@@ -516,21 +516,23 @@ class TestSymplecticAction:
                 out = xc if kind == "X" else zc
                 assert np.array_equal(out[keep], expect[keep]), (kind, i)
 
-    def test_split_ops_built_once_per_step(self, monkeypatch):
+    def test_split_projections_built_once_per_step(self, monkeypatch):
         import chainsurg.protocols
 
         plan = build_cnot_plan(catalog.toric(3), 0, 1)
-        original = chainsurg.protocols.split_op_sequence
-        calls = []
+        calls = {}
+        for name in ("split_projections", "split_op_sequence"):
+            original = getattr(chainsurg.protocols, name)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(chainsurg.protocols, "split_op_sequence", counted)
+            monkeypatch.setattr(chainsurg.protocols, name, counted)
         plan_symplectic_action(plan)
         plan_symplectic_action(plan)
-        assert len(calls) == 2  # one per split, not one per transported Pauli
+        # one per split, not one per transported Pauli, and transport builds no op
+        assert calls == {"split_projections": 2}
 
     @staticmethod
     def _action_by_class_systems(plan):

@@ -16,12 +16,21 @@ import pytest
 
 from chainsurg import catalog, simverify
 from chainsurg.f2linalg import F2Matrix
-from chainsurg.protocols import MergeStep, SplitStep, build_cnot_plan, code_switch_plan, plan_from_json, plan_to_json
+from chainsurg.protocols import (
+    MergeStep,
+    SplitStep,
+    build_cnot_plan,
+    code_switch_plan,
+    plan_from_json,
+    plan_symplectic_action,
+    plan_to_json,
+)
 from chainsurg.simverify import (
     HadamardConjugatedParityMap,
     merge_op_sequence,
     physical_op_sequence,
     split_op_sequence,
+    split_projections,
 )
 from chainsurg.surgery import quotient_merge, split_from_merge
 from test_index_maps import LARGE_PLANS, _catalog_plans
@@ -111,7 +120,8 @@ def test_worked_example_merges_equal_the_generic_interpretation(name, seed):
         assert None not in m.supplied
     other = "X" if m.orientation == "Z" else "Z"
     assert_ops_match_the_oracle(merge_op_sequence(m), physical_op_sequence(m.p, m.orientation))
-    assert_ops_match_the_oracle(split_op_sequence(m), physical_op_sequence(split_from_merge(m), other))
+    split_ops = split_op_sequence(m, split_projections(m))
+    assert_ops_match_the_oracle(split_ops, physical_op_sequence(split_from_merge(m), other))
 
 
 BUILT_PLANS = {**_catalog_plans(), "code_switch": code_switch_plan}
@@ -119,12 +129,16 @@ BUILT_PLANS = {**_catalog_plans(), "code_switch": code_switch_plan}
 
 @pytest.mark.parametrize("name", sorted(BUILT_PLANS))
 def test_building_or_loading_a_plan_builds_no_section(name):
-    # a merge keeps only supplied representatives; only the steps' ops read its sections
+    # a merge keeps only supplied representatives; only the steps' ops read its sections,
+    # and transporting Paulis through every step builds no op
     built = BUILT_PLANS[name]()
     for plan in (built, plan_from_json(plan_to_json(built))):
         pairs = [(s, t) for s, t in zip(plan.steps, plan.steps[1:]) if isinstance(s, MergeStep)]
         assert pairs and all(isinstance(t, SplitStep) and t.merge is s.merge for s, t in pairs)
-        assert not any("sections" in vars(s.merge) for s, _ in pairs)
+        plan_symplectic_action(plan)
+        for merge_step, split_step in pairs:
+            assert "sections" not in vars(merge_step.merge)
+            assert "ops" not in vars(merge_step) and "ops" not in vars(split_step)
         for merge_step, split_step in pairs:
             assert merge_step.ops and split_step.ops
             assert "sections" in vars(merge_step.merge)

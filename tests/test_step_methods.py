@@ -440,10 +440,9 @@ def test_no_isinstance_dispatch_on_step_classes():
     assert len(sites) == 2
 
 
-# the places that may still test an op's class: a split's record of the
-# projections a Pauli flips, the renormalization of a projection, and the
-# counterexample that drops the projections
-OP_ISINSTANCE_ALLOWED = {"SplitStep.transport", "apply", "counterexample_check"}
+# the places that may still test an op's class: the renormalization of a
+# projection, and the counterexample that drops the projections
+OP_ISINSTANCE_ALLOWED = {"apply", "counterexample_check"}
 
 
 def test_no_isinstance_dispatch_on_op_classes():
