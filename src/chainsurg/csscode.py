@@ -19,7 +19,6 @@ from .f2linalg import (
     _reduce_rows,
     as_bit_vector,
     format_matrix,
-    left_inverse_block,
     packed_rows,
     rref,
     section_matrix,
@@ -276,34 +275,30 @@ def _check_duality(xb: HomologyBasis, zb: HomologyBasis) -> None:
 
 
 def dual_x_basis(cplx: ChainComplex, z_basis: HomologyBasis) -> HomologyBasis:
-    """The unique degree-1 cohomology basis with x_i . z_j = delta_ij.
+    """The unique degree-1 cohomology basis with x_i . z_j = delta_ij, read off ker d1's RREF.
 
-    Assembles (L_Z | basis of im d2 | complement of ker d1), inverts,
-    and reads the first k rows. The first two blocks span ker d1, so the
-    concatenation is invertible; rows of the inverse pair to delta with
-    the z-representatives and annihilate im d2, i.e. they are cocycles.
-    (A generating set of ker(d1)-perp would not do as the third block: it
-    can meet ker d1 itself, e.g. for self-dual checks.) Those k rows
-    depend only on the spans of the three blocks, so the second block is
-    the cached canonical basis of the boundaries: no elimination of d2.
+    With K the cached canonical basis of ker d1 and x_i zero at K's free
+    columns, x_i . K_r is x_i's entry at K_r's pivot, and it must be
+    coordinate i of K_r's class: the x_i are the class coordinates of K's
+    rows placed at K's pivots, one product for a seeded basis. They pair
+    to zero with every boundary, so they are cocycles. A Z basis that is
+    not a basis of ker/im, by its count or by a cycle of K outside its
+    span, raises SingularMatrix.
     """
-    n = cplx.dim1
-    k = z_basis.dim
-    co = cplx.transpose()
-    ker = co.cycles
-    co.boundaries  # eliminated here with the kernel, not later where the basis is first used
+    n, k = cplx.dim1, z_basis.dim
     if k == 0:
-        return HomologyBasis(F2Matrix.zeros(0, n), co)
-    lz = z_basis.matrix().T  # n x k, columns are z representatives
-    kernel_complement = cplx.cycles.free_units()
+        return HomologyBasis(F2Matrix.zeros(0, n), cplx.transpose())
+    ker = cplx.cycles
+    classes = ker.dim - cplx.boundaries.dim
     try:
-        inv = left_inverse_block([lz, cplx.boundaries.basis.T, kernel_complement])
-    except (SingularMatrix, DimensionMismatch) as exc:
+        if k != classes:
+            raise DimensionMismatch(f"{k} representatives for {classes} classes")
+        coordinates = z_basis._coordinates(ker.basis.a)
+    except DimensionMismatch as exc:
         raise SingularMatrix(f"dual basis assembly failed: {exc}") from exc
-    lx = F2Matrix._wrap(inv.a[:k].copy())  # row views of inv would keep all n x n alive
-    if not ker.contains_rows(lx):
-        raise SingularMatrix("dual basis construction produced a non-cycle")
-    return HomologyBasis(lx, co)
+    x = np.zeros((k, n), dtype=np.uint8)
+    x[:, list(ker.pivots)] = coordinates.a
+    return HomologyBasis(F2Matrix._wrap(x), cplx.transpose())
 
 
 def dual_z_basis(cplx: ChainComplex, x_basis: HomologyBasis) -> HomologyBasis:

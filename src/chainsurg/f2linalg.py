@@ -24,8 +24,9 @@ read-only; ``F2Matrix.row`` returns a read-only view.
 array [m | I] when the caller reads the row transform, is packed into one
 Python int, so a row XOR is one integer operation whatever the width,
 and the next pivot is found by comparing rows rather than scanning
-columns. Only ``Elimination``, ``left_inverse_block`` and ``invert`` read
-the transform; every other caller passes ``transform=False``.
+columns. Only ``Elimination``, ``left_inverse_block``, ``invert`` and the
+class systems of homology bases read the transform; every other caller
+passes ``transform=False``.
 ``Elimination`` is the one solve path: it reduces a matrix once with
 ``rref`` and then solves ``m @ x = b`` for as many right-hand sides as
 the caller has. ``solve`` is the one-shot form.
@@ -80,7 +81,14 @@ What an RREF already says is read, not eliminated again:
 - the quotient rule (``Subspace.project``): the image of a space U that
   holds W, under reduction modulo W read at W's free columns, is U's
   canonical basis with W's pivot rows and pivot columns dropped, since
-  each of W's pivots is one of U's and U's other rows are zero there.
+  each of W's pivots is one of U's and U's other rows are zero there;
+- a dual basis needs no inversion: a vector zero at the free columns of
+  a kernel's canonical basis K has x . K_r equal to its entry at K_r's
+  pivot (``csscode.dual_x_basis``);
+- the pivot solution of an onto map with kernel W needs no elimination of
+  the map: its non-pivot columns are the pivots of W reduced with the
+  columns reversed, so it is any preimage reduced modulo W in reversed
+  column order (``protocols.SplitStep.transport``).
 """
 from __future__ import annotations
 

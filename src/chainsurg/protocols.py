@@ -66,6 +66,7 @@ from .f2linalg import (
     F2Matrix,
     Subspace,
     _mul,
+    _reduce_rows,
     as_bit_vector,
     block_diag,
     kernel_basis,
@@ -306,7 +307,8 @@ class SplitStep(PlanStep):
     other side's logical bases of the merged and the base code, is the
     merge's transposed: both codes pair their X- and Z-logical bases to
     the identity, and x . (p1 z) = (p1.T x) . z for every merged-code
-    representative x and base-code representative z.
+    representative x and base-code representative z. A Pauli is pulled
+    back through p1 with no elimination of p1 (``transport``).
     """
 
     merge_step: MergeStep
@@ -328,13 +330,10 @@ class SplitStep(PlanStep):
         return split_op_sequence(self.merge, self.projections)
 
     @cached_property
-    def pullback(self) -> Elimination:
-        """The split's f1.T, which is p1, eliminated when first read.
-
-        Its pivot solution can differ from s1 x by a member of V1, and it
-        fixes the transported bytes.
-        """
-        return Elimination(self.merge.p.f1)
+    def reversed_v1(self) -> Subspace:
+        """V1 with its columns reversed, in RREF, built when first read: one row is its own,
+        several take one elimination of dim V1 rows."""
+        return Subspace.from_matrix_rows(F2Matrix._wrap(self.merge.subcode.v1.basis.a[:, ::-1]))
 
     @cached_property
     def residue_system(self) -> Elimination:
@@ -345,15 +344,19 @@ class SplitStep(PlanStep):
     def transport(self, p: PauliOperator) -> tuple[PauliOperator, dict]:
         """Push one side through p1.T and pull the other back, a cycle when one exists.
 
+        The preimages of x under p1 are s1 x + V1, s1 x being x at V1's free
+        columns for the default representatives every plan merge has. p1's
+        pivot solution is the one zero at p1's non-pivot columns, the pivots
+        of ``reversed_v1`` read back: s1 x reduced modulo V1, columns reversed.
         The split records the projections (re-imposed subcode stabilizers)
         that the result anticommutes with.
         """
         m = self.merge
         flipping, exact = (p.x, p.z) if self.orientation == "Z" else (p.z, p.x)
-        pulled = self.pullback.solve(flipping)
-        if pulled is None:
-            raise DimensionMismatch("transport failed: the flipping side has no preimage")
         v1 = m.subcode.v1
+        pulled = np.zeros(v1.ambient_dim, dtype=np.uint8)
+        pulled[v1.free] = flipping
+        pulled = _reduce_rows(pulled[None, ::-1], self.reversed_v1)[0, ::-1]
         if v1.dim:
             residue = m.source.d1 @ pulled
             if residue.any():
@@ -945,36 +948,28 @@ def plan_branch(
 
 def cnot_unitary(k: int, control: int, target: int) -> np.ndarray:
     """CNOT on (control, target) tensored with identity, over k qubits."""
-    dim = 1 << k
-    mat = np.zeros((dim, dim))
-    for i in range(dim):
-        bits = [(i >> (k - 1 - b)) & 1 for b in range(k)]
-        if bits[control]:
-            bits[target] ^= 1
-        j = 0
-        for b in bits:
-            j = (j << 1) | b
-        mat[j, i] = 1.0
+    i = np.arange(1 << k)
+    mat = np.zeros((1 << k, 1 << k))
+    mat[i ^ (((i >> (k - 1 - control)) & 1) << (k - 1 - target)), i] = 1.0
     return mat
 
 
 def expected_plan_channel(plan: SurgeryPlan) -> np.ndarray:
     """The target logical channel the plan claims to implement.
 
-    It acts on the logicals ``plan_encoders`` keeps: every base-code
-    logical but the ancilla. A plan without a data target that measures
-    its ancilla out is a round trip (a code switch): the identity.
+    It is CNOT from the control onto its partner on all k logicals, or the
+    identity: the partner is the target, else the ancilla unless the
+    ancilla is measured out (a round trip, a code switch). The ancilla
+    enters fresh, so the columns where its bit is 0 are kept, and so are
+    those rows when it is measured; ``plan_encoders`` drops it likewise.
     """
-    kept = [i for i in range(plan.base_code.k) if i != plan.ancilla_index]
-    if plan.target is not None:
-        return cnot_unitary(len(kept), kept.index(plan.control), kept.index(plan.target))
-    if plan.final_measurement is not None:
-        return np.eye(1 << len(kept))
-    # ancilla as target: CNOT from the control onto a fresh |0> logical,
-    # the CNOT's columns whose ancilla bit is 0
-    b, anc = plan.base_code.k, plan.ancilla_index
-    fresh = [j for j in range(1 << b) if not (j >> (b - 1 - anc)) & 1]
-    return cnot_unitary(b, plan.control, anc)[:, fresh]
+    k, anc = plan.base_code.k, plan.ancilla_index
+    measured = plan.final_measurement is not None
+    partner = plan.target if plan.target is not None or measured else anc
+    full = np.eye(1 << k) if partner is None else cnot_unitary(k, plan.control, partner)
+    labels = np.arange(1 << k)
+    fresh = labels[(labels >> (k - 1 - anc)) & 1 == 0]
+    return full[np.ix_(fresh if measured else labels, fresh)]
 
 
 # --- plan-level verification helpers ---------------------------------------------

@@ -1015,6 +1015,70 @@ class TestBatch:
         assert (tmp_path / "ex" / "welding.sub").is_file()
 
 
+# per subcommand: an argv that succeeds, one that exits 1 and one that exits 2, run in a
+# directory holding steane.code, the welding example and a Steane CNOT plan.json
+SUBCOMMAND_CASES = {
+    "validate": (["validate", "steane.code"], ["validate", "missing.code"], ["validate"]),
+    "homology": (
+        ["homology", "steane.code"], ["homology", "steane.code", "--degree", "3"],
+        ["homology", "steane.code", "--degree", "x"],
+    ),
+    "merge": (
+        ["merge", "welding.code", "--subcode", "welding.sub", "--analyze"],
+        ["merge", "steane.code", "--subcode", "welding.sub"], ["merge", "welding.code"],
+    ),
+    "analyze": (
+        ["analyze", "welding.code", "--subcode", "welding.sub"],
+        ["analyze", "welding.code", "--subcode", "missing.sub"], ["analyze", "welding.code"],
+    ),
+    "logical-map": (
+        ["logical-map", "welding.code", "--subcode", "welding.sub"],
+        ["logical-map", "steane.code", "--subcode", "welding.sub"], ["logical-map", "--subcode", "welding.sub"],
+    ),
+    "cnot": (
+        ["cnot", "steane.code", "--control", "0", "--simulate"],
+        ["cnot", "steane.code", "--control", "0", "--target", "1"], ["cnot", "steane.code"],
+    ),
+    "switch": (["switch", "--out", "switch.json"], ["switch", "--out", "nodir/switch.json"], ["switch", "extra"]),
+    "simulate": (
+        ["simulate", "--plan", "plan.json", "--outcome", "zmerge.zz0=-1"], ["simulate", "--plan", "missing.json"],
+        ["simulate", "--plan", "plan.json", "--control", "x"],
+    ),
+    "catalog": (["catalog", "list"], ["catalog", "export", "nope"], ["catalog", "frob"]),
+    "propagate": (
+        ["propagate", "welding.code", "--subcode", "welding.sub", "--pauli", "Z0"],
+        ["propagate", "welding.code", "--subcode", "welding.sub", "--pauli", "Q0"],
+        ["propagate", "welding.code", "--subcode", "welding.sub"],
+    ),
+}
+
+
+def test_every_subcommand_in_one_shuffled_batch(tmp_path, monkeypatch, capsys):
+    """Each subcommand's success, exit 1 and exit 2, with and without --json, run through
+    one batch in a shuffled order: every record is what a separate ``main`` run gives."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["catalog", "export", "example:welding", "--dir", "."]) == 0
+    Path("steane.code").write_text(catalog.steane().to_text())
+    assert main(["cnot", "steane.code", "--control", "0", "--out", "plan.json"]) == 0
+    assert sorted(SUBCOMMAND_CASES) == sorted(
+        name for name in cli.build_parser()._subparsers._group_actions[0].choices if name != "batch"
+    )
+    argvs = [
+        json_flag + argv for cases in SUBCOMMAND_CASES.values() for argv in cases for json_flag in ([], ["--json"])
+    ]
+    random.Random(5).shuffle(argvs)
+    expected = [run_captured(capsys, argv) for argv in argvs]
+    Path("jobs").write_text("".join(json.dumps(argv) + "\n" for argv in argvs))
+    records = batch_records(capsys, ["batch", "jobs"])
+    assert records == [
+        {"argv": argv, "exit": rc, "stdout": out, "stderr": err} for argv, (rc, out, err) in zip(argvs, expected)
+    ]
+    exits = {tuple(argv): rc for argv, (rc, _, _) in zip(argvs, expected)}
+    for cases in SUBCOMMAND_CASES.values():
+        for argv, want in zip(cases, (0, 1, 2)):
+            assert exits[tuple(argv)] == exits[("--json", *argv)] == want, argv
+
+
 class TestInputCache:
     """A process parses each distinct input text once; a kept parse answers as a fresh one would."""
 

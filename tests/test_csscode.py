@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainsurg import catalog, csscode, f2linalg
+from chainsurg import catalog, chaincomplex, csscode, f2linalg
 from chainsurg.chaincomplex import ChainComplex, HomologyBasis
 from chainsurg.csscode import (
     CssCode,
@@ -21,7 +21,7 @@ from chainsurg.csscode import (
     from_parity_checks,
     symplectic_product,
 )
-from chainsurg.errors import DimensionMismatch, NonCommutingChecks
+from chainsurg.errors import DimensionMismatch, NonCommutingChecks, SingularMatrix
 from chainsurg.f2linalg import F2Matrix, rref
 from chainsurg.protocols import _STATES
 from chainsurg.simverify import StateVector, pauli_expectation
@@ -187,29 +187,105 @@ def rref_calls(fn, *args) -> tuple:
         return original(*a, **kw)
 
     with pytest.MonkeyPatch.context() as mp:
-        for module in (f2linalg, csscode):
+        for module in (f2linalg, csscode, chaincomplex):
             mp.setattr(module, "rref", counted)
         return fn(*args), len(calls)
+
+
+def random_code(r, n: int, x_rows: int, z_rows: int):
+    """A code with random X checks and Z checks drawn from their kernel."""
+    hx = F2Matrix(r.randint(0, 2, size=(x_rows, n)))
+    kernel = f2linalg.kernel_basis(hx).basis
+    hz = F2Matrix(r.randint(0, 2, size=(z_rows, kernel.rows)) @ kernel.a) if kernel.rows else F2Matrix.zeros(0, n)
+    return from_parity_checks(hx, hz)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 12), st.integers(0, 6), st.integers(0, 8), st.integers(0, 2**30 - 1))
 def test_dual_bases_read_the_cached_boundaries(n, x_rows, z_rows, seed):
-    """The canonical boundary basis gives the bytes d2's pivot columns gave, with one rref fewer."""
-    r = np.random.RandomState(seed)
-    hx = F2Matrix(r.randint(0, 2, size=(x_rows, n)))
-    kernel = f2linalg.kernel_basis(hx).basis
-    hz = F2Matrix(r.randint(0, 2, size=(z_rows, kernel.rows)) @ kernel.a) if kernel.rows else F2Matrix.zeros(0, n)
-    code = from_parity_checks(hx, hz)
+    """With the complex's spaces and the basis's class system known, a dual basis takes no
+    rref, and it has the bytes d2's pivot columns gave."""
+    code = random_code(np.random.RandomState(seed), n, x_rows, z_rows)
     for cplx, own, dual in (
         (code.complex, code.z_logicals, dual_x_basis),
         (code.complex.transpose(), code.x_logicals, lambda c, b: dual_z_basis(c.transpose(), b)),
     ):
+        cplx.cycles, cplx.boundaries, own._class_system  # what the dual reads, eliminated beforehand
         got, calls = rref_calls(dual, cplx, own)
-        want, old_calls = rref_calls(old_dual_x_rows, cplx, own)
+        want, _ = rref_calls(old_dual_x_rows, cplx, own)
         rows = got.matrix().a if got.dim else np.zeros((0, n), dtype=np.uint8)
         assert rows.dtype == want.dtype and rows.tobytes() == want.tobytes()
-        assert calls == (old_calls - 1 if code.k else 0)
+        assert calls == 0
+
+
+def invertible(r, k: int) -> np.ndarray:
+    """A random invertible k x k 0/1 matrix."""
+    while True:
+        m = r.randint(0, 2, size=(k, k)).astype(np.uint8)
+        if f2linalg.rank(F2Matrix(m)) == k:
+            return m
+
+
+def dual_cases(code, r) -> list:
+    """(complex, Z basis) pairs: both of the code's own bases, and a rebased Z basis (an
+    invertible change of basis plus random stabilizers), seeded and unseeded."""
+    cplx = code.complex
+    cases = [(cplx, code.z_logicals), (cplx.transpose(), code.x_logicals)]
+    if code.k:
+        stabilizers = cplx.boundaries.basis.a
+        rows = invertible(r, code.k) @ code.z_logicals.matrix().a
+        if len(stabilizers):
+            rows = rows + r.randint(0, 2, size=(code.k, len(stabilizers))) @ stabilizers
+        rebased = F2Matrix(rows % 2)
+        cases += [(cplx, csscode._basis_from_rows(rebased, cplx)), (cplx, HomologyBasis(rebased, cplx))]
+    return cases
+
+
+def dual_or_refusal(fn, cplx, basis):
+    """The dual rows' bytes, or "refused" when fn raises SingularMatrix; ``dual_x_basis``
+    names the assembly in its message."""
+    try:
+        got = fn(cplx, basis)
+    except SingularMatrix as exc:
+        assert fn is not dual_x_basis or str(exc).startswith("dual basis assembly failed: ")
+        return "refused"
+    rows = got.matrix().a if isinstance(got, HomologyBasis) else got
+    return rows.dtype.str, rows.shape[0], rows.tobytes()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 7), st.integers(0, 9), st.integers(0, 2**30 - 1))
+def test_dual_basis_matches_the_block_inversion(n, x_rows, z_rows, seed):
+    """On random codes the dual read off ker d1's RREF is the n x n inversion's, byte for byte,
+    for the code's own, rebased and unseeded Z bases, and both refuse a Z basis whose last
+    row is a stabilizer."""
+    r = np.random.RandomState(seed)
+    code = random_code(r, n, x_rows, z_rows)
+    cases = dual_cases(code, r)
+    if code.k:
+        bad = code.z_logicals.matrix().a.copy()
+        bad[-1] = code.complex.boundaries.basis.a[0] if code.complex.boundaries.dim else 0
+        cases.append((code.complex, HomologyBasis(F2Matrix._wrap(bad), code.complex)))
+    for cplx, basis in cases:
+        want = dual_or_refusal(old_dual_x_rows, cplx, basis)
+        assert dual_or_refusal(dual_x_basis, cplx, basis) == want
+
+
+@pytest.mark.parametrize("name", catalog.catalog_names())
+def test_catalog_duals_match_the_block_inversion(name):
+    code = catalog.catalog_code(name)
+    for cplx, basis in dual_cases(code, np.random.RandomState(7)):
+        assert dual_or_refusal(dual_x_basis, cplx, basis) == dual_or_refusal(old_dual_x_rows, cplx, basis)
+
+
+@pytest.mark.parametrize("size", [2, 3, 5])
+def test_a_code_with_default_bases_takes_two_eliminations(size):
+    """ker d1 and im d2, once each; the transposed complex's spaces wait until they are read."""
+    toric = catalog.toric(size)
+    code, calls = rref_calls(from_parity_checks, toric.hx, toric.hz)
+    assert calls == 2
+    assert code.x_logicals.matrix() == toric.x_logicals.matrix()
+    assert "cycles" not in code.complex.transpose().__dict__
 
 
 class TestDistance:

@@ -271,6 +271,68 @@ class TestPlanChannels:
         assert peak < 16 << SIMULATOR_QUBIT_LIMIT  # less than one state at the limit
 
 
+def old_cnot_unitary(k: int, control: int, target: int) -> np.ndarray:
+    """The CNOT permutation as first built, bit by bit."""
+    dim = 1 << k
+    mat = np.zeros((dim, dim))
+    for i in range(dim):
+        bits = [(i >> (k - 1 - b)) & 1 for b in range(k)]
+        if bits[control]:
+            bits[target] ^= 1
+        j = 0
+        for b in bits:
+            j = (j << 1) | b
+        mat[j, i] = 1.0
+    return mat
+
+
+def old_expected_plan_channel(plan) -> np.ndarray:
+    """The expected channel as first built: a CNOT on the kept logicals, a round trip, or a
+    CNOT onto a fresh |0>."""
+    kept = [i for i in range(plan.base_code.k) if i != plan.ancilla_index]
+    if plan.target is not None:
+        return old_cnot_unitary(len(kept), kept.index(plan.control), kept.index(plan.target))
+    if plan.final_measurement is not None:
+        return np.eye(1 << len(kept))
+    b, anc = plan.base_code.k, plan.ancilla_index
+    fresh = [j for j in range(1 << b) if not (j >> (b - 1 - anc)) & 1]
+    return old_cnot_unitary(b, plan.control, anc)[:, fresh]
+
+
+def _channel_plans() -> dict:
+    """The switch, and CNOTs with every ancilla strategy: trivial (onto a target and onto the
+    ancilla), embedded, and a provided code's logical 1."""
+    codes = {
+        "steane": catalog.steane(), "toric2": catalog.toric(2), "toric3": catalog.toric(3),
+        "surface2": catalog.surface_patch(2, 2).with_distance(2), "no_check4": catalog.no_check(4).with_distance(1),
+    }
+    plans = {"switch": code_switch_plan()}
+    for name, code in codes.items():
+        provided = AncillaStrategy.provided(catalog.toric(3) if code.d == 3 else catalog.toric(2), 1)
+        for c, t in itertools.product(range(code.k), [None, *range(code.k)]):
+            if c == t:
+                continue
+            plans[f"{name}_c{c}t{t}"] = build_cnot_plan(code, c, t)
+            plans[f"{name}_c{c}t{t}_provided"] = build_cnot_plan(code, c, t, ancilla=provided)
+            for spare in set(range(code.k)) - {c, t}:
+                plans[f"{name}_c{c}t{t}_embedded{spare}"] = build_cnot_plan(
+                    code, c, t, ancilla=AncillaStrategy.embedded(spare)
+                )
+    return plans
+
+
+def test_expected_channel_and_cnot_permutation_keep_their_bytes():
+    plans = _channel_plans()
+    assert len(plans) == 93
+    for name, plan in plans.items():
+        want = old_expected_plan_channel(plan)
+        got = expected_plan_channel(plan)
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes()), name
+    for k in range(1, 6):
+        for c, t in itertools.permutations(range(k), 2):
+            assert cnot_unitary(k, c, t).tobytes() == old_cnot_unitary(k, c, t).tobytes()
+
+
 class TestPerStepSoundness:
     def test_each_surgery_step_channel_matches_logical_matrix(self, patch_plan):
         # every merge and split step, simulated in isolation between the

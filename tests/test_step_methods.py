@@ -19,12 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chainsurg
-from chainsurg import catalog
+from chainsurg import catalog, f2linalg
 from chainsurg.csscode import PauliOperator, symplectic_product
 from chainsurg.errors import ChainsurgError, CorrectionUnavailable, DimensionMismatch, EmptyOverlap
 from chainsurg.f2linalg import Elimination, F2Matrix
 from chainsurg.protocols import (
     _STEP_TABLE,
+    AncillaStrategy,
     ApplyCorrection,
     InitAncilla,
     MeasureLogical,
@@ -32,7 +33,9 @@ from chainsurg.protocols import (
     PlanStep,
     SplitStep,
     _outcome_correction,
+    build_cnot_plan,
     plan_physical_ops,
+    plan_symplectic_action,
     plan_to_json,
     propagate_pauli,
 )
@@ -326,6 +329,68 @@ def test_merge_pull_back_through_the_section(name, supplied, seed):
         p = PauliOperator(x=x, z=z, sign=int(r.choice([1, -1])))
         got = _result(step.transport, p, key=_transport_key)
         assert got == _result(old_transport, step, p, key=_transport_key)
+
+
+def _split_plans():
+    """Every plan above, the catalog CNOTs with embedded and provided ancillas, and locality
+    plans whose merges have one to three generators."""
+    toric2, steane = catalog.toric(2), catalog.steane()
+    plans = {
+        "toric2_embedded_t0": build_cnot_plan(toric2, 1, None, ancilla=AncillaStrategy.embedded(0)),
+        "toric2_provided_toric2_1": build_cnot_plan(toric2, 0, None, ancilla=AncillaStrategy.provided(toric2, 1)),
+        "toric2_provided_steane_c0t1": build_cnot_plan(toric2, 0, 1, ancilla=AncillaStrategy.provided(steane)),
+    }
+    for size, weight in itertools.product((2, 3, 4), (2, 3)):
+        plans[f"toric{size}_w{weight}"] = build_cnot_plan(catalog.toric(size), 0, 1, locality=True, max_weight=weight)
+    for size, weight in itertools.product((3, 4), (2, 4)):
+        patch = catalog.surface_patch(size, size)
+        plans[f"surface{size}_w{weight}"] = build_cnot_plan(patch, 0, None, locality=True, max_weight=weight)
+    return {**PLANS, **plans}
+
+
+SPLIT_PLANS = _split_plans()
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_PLANS))
+def test_split_pull_back_is_the_pivot_solution_of_p1(name):
+    """Each split pulls back random Paulis of the merged register as the old transport did,
+    through the pivot solution of one elimination of p1; one generator or several."""
+    plan = SPLIT_PLANS[name]
+    r = np.random.RandomState(sum(map(ord, name)))
+    splits = [step for step in plan.steps if isinstance(step, SplitStep)]
+    assert splits
+    for step in splits:
+        p1 = step.merge.p.f1
+        oracle = Elimination(p1)
+        for _ in range(8):
+            x, z = r.randint(0, 2, size=(2, p1.rows))
+            got = _result(step.transport, PauliOperator(x=x, z=z), key=_transport_key)
+            assert got == _result(old_transport, step, PauliOperator(x=x, z=z), key=_transport_key)
+            # the pull-back before its residue is fixed: x at V1's free columns, reduced reversed
+            flipping = x if step.orientation == "Z" else z
+            pulled = np.zeros(p1.cols, dtype=np.uint8)
+            pulled[step.merge.subcode.v1.free] = flipping
+            reduced = f2linalg._reduce_rows(pulled[None, ::-1], step.reversed_v1)[0, ::-1]
+            assert np.array_equal(reduced, oracle.solve(flipping))
+
+
+def test_symplectic_action_eliminates_no_projection():
+    """On a toric-9 CNOT no elimination takes p1's shape, and no split is pulled back by one."""
+    plan = build_cnot_plan(catalog.toric(9), 0, 1)
+    shapes = {step.merge.p.f1.shape for step in plan.steps if isinstance(step, SplitStep)}
+    seen = []
+    original = f2linalg.rref
+
+    def recorded(m, *args, **kwargs):
+        seen.append(m.shape)
+        return original(m, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (f2linalg, chainsurg.chaincomplex, chainsurg.csscode, chainsurg.surgery):
+            mp.setattr(module, "rref", recorded)
+        action = plan_symplectic_action(plan)
+    assert len(action) == 2 * plan.base_code.k and seen
+    assert shapes == {(162, 163)} and not shapes & set(seen)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_PLANS))
