@@ -404,9 +404,9 @@ class Encoder:
     ``fixed``, when set, is (index, state): that logical input is
     contracted with a 1-qubit state, and labels run over the other
     logicals in their order. Nothing of size 2^n x 2^k is held:
-    ``column`` builds one 2^n state, ``supports`` lists every label's
-    nonzero amplitudes without building any, ``adjoint`` builds E^dagger, the
-    one dense array channel extraction needs (its BLAS product with each
+    ``supports`` lists every label's nonzero amplitudes, from which
+    channel extraction simulates, ``adjoint`` builds E^dagger, the one
+    dense array channel extraction needs (its BLAS product with each
     state fixes the pinned channel bits), and ``matrix`` builds E for
     callers that read it.
     """
@@ -441,16 +441,9 @@ class Encoder:
                 out[self.orbit ^ base, u] = np.conj(value) if conjugate else value
         return out
 
-    def column(self, label: int) -> np.ndarray:
-        """The 2^n state of one label: one scatter per nonzero coset."""
-        col = np.zeros(1 << self.code.n, dtype=np.complex128)
-        for base, value in self._terms(label):
-            col[self.orbit ^ base] = value
-        return col
-
     def supports(self) -> tuple[np.ndarray, np.ndarray]:
         """Every label's state on its cosets: sorted int64 keys ``(label << n) | index``
-        and the complex128 amplitude ``column(label)`` holds at each; the rest is zero."""
+        and the complex128 amplitude column ``label`` of ``matrix`` holds at each; the rest is zero."""
         terms = [((u << self.code.n) | base, value) for u in range(1 << self.k) for base, value in self._terms(u)]
         keys = (np.array([key for key, _ in terms], dtype=np.int64)[:, None] ^ self.orbit).ravel()
         values = np.repeat(np.array([value for _, value in terms], dtype=np.complex128), len(self.orbit))

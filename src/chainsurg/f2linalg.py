@@ -375,13 +375,14 @@ class Subspace:
     equality is plain matrix equality.
     """
 
-    __slots__ = ("_ambient", "_basis", "_pivots")
+    __slots__ = ("_ambient", "_basis", "_pivots", "_free")
 
     def __init__(self, ambient_dim: int, basis: F2Matrix, pivots: tuple[int, ...]):
         # Internal constructor; use from_vectors / zero / full.
         self._ambient = ambient_dim
         self._basis = basis
         self._pivots = pivots
+        self._free = None
 
     @classmethod
     def from_vectors(cls, vectors: Iterable, ambient_dim: int) -> "Subspace":
@@ -423,8 +424,10 @@ class Subspace:
 
     @property
     def free(self) -> list[int]:
-        """The columns that are not pivots, ascending."""
-        return free_columns(self._pivots, self._ambient)
+        """The columns that are not pivots, ascending: found on the first read and kept."""
+        if self._free is None:
+            self._free = free_columns(self._pivots, self._ambient)
+        return self._free
 
     def free_units(self) -> F2Matrix:
         """The unit vectors at the free columns, as columns: a complement of this space.
@@ -663,8 +666,9 @@ def parse_matrix(text: str) -> F2Matrix:
         raise MalformedInput(f"bad matrix header: {lines[0]!r}")
     rows, cols = int(head[0]), int(head[1])
     body = [line.strip() for line in lines[1 : 1 + rows]]
-    if len(body) != rows:
-        raise MalformedInput(f"expected {rows} rows, found {len(body)}")
+    found = len(body) + sum(1 for line in lines[1 + rows :] if line.strip())
+    if found != rows:
+        raise MalformedInput(f"expected {rows} rows, found {found}")
     # the whole body at once: every row cols long and every byte '0' or '1', so
     # the body is ASCII and has rows * cols bytes; the rows are read one by one
     # only to name the first bad one

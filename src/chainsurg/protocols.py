@@ -999,7 +999,7 @@ def plan_symplectic_action(plan: SurgeryPlan) -> dict:
                 p, flips = propagate_pauli(step, p)
                 flipped.update(flips)
             p = p.compose(_outcome_correction(plan, flipped))
-            if not (base.x_logicals.kernel.contains(p.x) and base.z_logicals.kernel.contains(p.z)):
+            if (base.hz @ p.x).any() or (base.hx @ p.z).any():
                 raise DimensionMismatch("vector is not a cycle at this degree")
             out[f"{kind}{i}"] = (zl @ p.x, xl @ p.z)
     return out

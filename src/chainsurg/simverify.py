@@ -8,34 +8,29 @@ exact floating-point arithmetic, with the bytes of dense state vectors
 
 Every op maps CSS states to CSS states, and a CSS state lives on an
 affine support (Dehaene & De Moor, PRA 68, 042318, 2003): a small share
-of the 2^n indices. So channel extraction holds the states of all input
-columns as one ``Supports``: sorted (column, basis index) keys with their
-amplitudes, seeded from the ``csscode.Encoder`` cosets. Each op kind has
-a support rule next to its dense ``apply``, with the same numpy
-arithmetic, in the same order, on the same operands: a parity map moves
-key x to A x and sums collisions in ascending x, a Hadamard-conjugated
-parity map moves x to its preimages y0(x) + ker A^T, and a Pauli gate
-or projection pairs key x with x ^ mask and multiplies by one signed
-table, factor * (-1)^{z.x}, where factor is the Pauli's sign times a
+of the 2^n indices. So each op kind has one rule, ``apply_support``, on
+``Supports``: sorted (column, basis index) keys with their amplitudes.
+A parity map moves key x to A x and sums collisions in ascending x, a
+Hadamard-conjugated parity map moves x to its preimages y0(x) + ker A^T,
+and a Pauli gate or projection pairs key x with x ^ mask and multiplies
+by factor * (-1)^{z.x}, where factor is the Pauli's sign times a
 projection's outcome. Entries off the supports are 0, and entries that
-become 0 leave them. So every nonzero amplitude has the bytes of the
-dense ops; no op keeps the sign of a zero, which changes no IEEE value
-and no output byte. Each op builds its support map (byte tables of its
-index map) once and keeps it, so ops a plan step holds keep theirs as
-long as the plan. A merge or a split reads its ops, and the preimages
-y0(x) and ker A^T, off the merge's sections (``merge_op_sequence``,
-``split_op_sequence``); ``physical_op_sequence`` and an op built from a
-bare matrix find them by elimination. A split's projections are their
-own list (``split_projections``), so reading which of them a Pauli
-anticommutes with builds no op.
+become 0 leave them. That is the arithmetic the op does on dense
+amplitudes, in the same order, on the same operands, so every nonzero
+amplitude has its bytes; no op keeps the sign of a zero, which changes
+no IEEE value and no output byte.
 
-The dense ``apply`` of each kind runs in O(2^n) from an int32 table it
-builds on first use: ``apply`` on a ``StateVector``, and channels small
-enough (``DENSE_CHANNEL_AMPLITUDES``) that the support rules' fixed cost
-would exceed it, use it. Each column is handed off as one dense 2^n
-state to the one dense 2^n x 2^k array, E_out^dagger, because the BLAS
-product of it with each state fixes the channel's pinned floating-point
-bits; its sums start at +0, so a zero channel entry is +0 either way.
+Channel extraction holds the states of all input columns as one
+``Supports``, seeded from the ``csscode.Encoder`` cosets, and
+``apply_linear`` holds a dense array's nonzero entries as one column and
+scatters the result back. Each op builds its support map (byte tables
+of its index map) once and keeps it, so ops a plan step holds keep
+theirs as long as the plan. A merge or a split reads its ops, and the
+preimages y0(x) and ker A^T, off the merge's sections
+(``merge_op_sequence``, ``split_op_sequence``); ``physical_op_sequence``
+and an op built from a bare matrix find them by elimination. A split's
+projections are their own list (``split_projections``), so reading
+which of them a Pauli anticommutes with builds no op.
 """
 from __future__ import annotations
 
@@ -94,24 +89,13 @@ class StateVector:
 
 
 class PhysicalOp:
-    """An op on 2^n_in amplitudes, dense or on the supports of a channel's columns.
+    """An op from n_in to n_out qubits, with one rule: ``apply_support``.
 
-    ``apply`` maps 2^n_in dense amplitudes to 2^n_out: each kind builds
-    its ``table`` (int32 indices, and a Pauli's int8 signed table) the
-    first time it is applied densely and keeps it. Indexing casts the
-    int32 table in buffered chunks (``np.take`` would copy it to int64
-    first), and each application allocates one output array and works in it.
-
-    ``apply_support`` maps ``Supports`` by the same numpy arithmetic, in
-    the same order, on the same operands, for the entries each column
-    holds: its ``support_map`` (byte tables of an XOR-linear index map,
-    or a Pauli's masks) is built on first use and kept, and costs no 2^n
-    array. So each nonzero amplitude has the bytes ``apply`` gives it;
-    only the sign of a zero may differ.
+    It maps the ``Supports`` of any number of columns, entry by entry,
+    from its ``support_map`` (byte tables of an XOR-linear index map, or
+    a Pauli's masks), which it builds on first use and keeps; nothing of
+    size 2^n is built. ``apply_linear`` reads a dense array through it.
     """
-
-    def apply(self, amps: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
     def apply_support(self, states: "Supports") -> "Supports":
         raise NotImplementedError
@@ -120,11 +104,6 @@ class PhysicalOp:
 def _row_indices(m: np.ndarray) -> list[int]:
     """The basis index of each row of a 0/1 array (its first column is the top bit)."""
     return (m @ (1 << np.arange(m.shape[1] - 1, -1, -1, dtype=np.int64))).tolist()
-
-
-def _parity_indices(a: F2Matrix) -> np.ndarray:
-    """Output basis index A @ x for every input index x, as int32 (n <= 20)."""
-    return linear_indices(_row_indices(a.a.T)).astype(np.int32)
 
 
 # The bits of every byte value, most significant first.
@@ -183,16 +162,6 @@ class ParityMap(_BinaryMap):
     """|x> -> |A x> ... the basis-state parity map of a binary matrix."""
 
     @cached_property
-    def table(self) -> np.ndarray:
-        """The scatter table A x."""
-        return _parity_indices(self.matrix)
-
-    def apply(self, amps: np.ndarray) -> np.ndarray:
-        out = np.zeros(1 << self.n_out, dtype=np.complex128)
-        np.add.at(out, self.table, amps)
-        return out
-
-    @cached_property
     def support_map(self) -> tuple:
         """A x, as byte tables."""
         return _byte_tables(_row_indices(self.matrix.a.T))
@@ -212,10 +181,9 @@ class ParityMap(_BinaryMap):
 class HadamardConjugatedParityMap(_BinaryMap):
     """H^out . ParityMap(matrix) . H^in; equivalently the transpose-fiber map.
 
-    On basis states: |x> -> 2^{(in-out)/2} * sum_{y : matrix^T y = x} |y>.
-    So on amplitudes it is the gather out[y] = 2^{(in-out)/2} * amps[matrix^T y],
-    one table lookup per output index: O(2^out) work, where the literal
-    transform-scatter-transform reading costs O((in + out) 2^max(in, out)).
+    On basis states: |x> -> 2^{(in-out)/2} * sum_{y : matrix^T y = x} |y>,
+    so its support rule moves each key x to every solution y, where the
+    literal transform-scatter-transform reading costs O((in + out) 2^max(in, out)).
 
     ``preimages``, when its builder already knows how to solve A^T y = x,
     holds (y0, r, kernel) as ``_preimages`` returns them, so the support
@@ -225,19 +193,9 @@ class HadamardConjugatedParityMap(_BinaryMap):
     preimages: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @cached_property
-    def table(self) -> np.ndarray:
-        """The gather table A^T y."""
-        return _parity_indices(self.matrix.T)
-
-    @cached_property
     def scale(self) -> float:
-        """2^{(in-out)/2}, the one factor both ``apply`` and ``apply_support`` multiply by."""
+        """2^{(in-out)/2}, the one factor each moved amplitude is multiplied by."""
         return np.sqrt(2.0 ** (self.n_in - self.n_out))
-
-    def apply(self, amps: np.ndarray) -> np.ndarray:
-        out = amps[self.table]
-        out *= self.scale
-        return out
 
     @cached_property
     def support_map(self) -> tuple:
@@ -263,14 +221,13 @@ class HadamardConjugatedParityMap(_BinaryMap):
 
 @dataclass(frozen=True)
 class _PauliAction(PhysicalOp):
-    """The action of a Pauli P, from one gather and one signed table.
+    """The action of a Pauli P: key x pairs with x ^ X mask, and one signed product.
 
-    The signed table holds factor * (-1)^{z.x} as int8, where factor is
-    the Pauli's sign (times the outcome, for a projection). ``apply``
-    gathers amps[y ^ mask] and multiplies by it once, and the support
-    rules multiply by the same popcount rule at their keys. A product
-    with (s + 0j) is exact in value, so every nonzero amplitude has the
-    same bytes either way; only the sign of a zero may differ.
+    The sign is factor * (-1)^{z.x} as int8, where factor is the Pauli's
+    sign (times the outcome, for a projection), read by popcount at the
+    keys. A product with (s + 0j) is exact in value, so every nonzero
+    amplitude has the bytes of the dense product; only the sign of a
+    zero may differ.
     """
 
     pauli: PauliOperator
@@ -282,19 +239,6 @@ class _PauliAction(PhysicalOp):
         """factor * (-1)^{popcount(x & zmask)} at each index of ``x``, as int8."""
         odd = (np.bitwise_count(x & zmask) & 1).astype(np.int8)
         return self.factor * (1 - 2 * odd)
-
-    @cached_property
-    def table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(gather, signs): y ^ X mask as int32, and the signed table there."""
-        p = self.pauli
-        gather = np.arange(1 << p.n, dtype=np.int32) ^ bits_to_index(p.x)
-        return gather, self._signs(gather, bits_to_index(p.z))
-
-    def apply(self, amps: np.ndarray) -> np.ndarray:
-        gather, signs = self.table
-        out = amps[gather]
-        out *= signs
-        return out
 
     @cached_property
     def support_map(self) -> tuple[int, int]:
@@ -320,12 +264,6 @@ class Projection(_PauliAction):
     outcome: int = 1
 
     factor = property(lambda self: self.pauli.sign * self.outcome)
-
-    def apply(self, amps: np.ndarray) -> np.ndarray:
-        out = super().apply(amps)
-        np.add(amps, out, out=out)
-        out /= 2.0
-        return out
 
     def apply_support(self, states: "Supports") -> "Supports":
         """Each key pairs with its partner key ^ mask; the support grows by the
@@ -393,12 +331,23 @@ class Supports:
 
 
 def apply_linear(op: PhysicalOp, amps: np.ndarray | Supports) -> np.ndarray | Supports:
-    """Raw linear action of an op on dense amplitudes or on ``Supports``; no renormalization."""
+    """Raw linear action of an op on ``Supports`` or on 2^n_in dense amplitudes; no renormalization.
+
+    A dense array's nonzero entries are held as one column of ``Supports``,
+    moved by the op's support rule and scattered back into 2^n_out zeros.
+    """
     if isinstance(amps, Supports):
         if amps.n != op.n_in:
             raise DimensionMismatch(f"op expects {op.n_in} qubits, states have {amps.n}")
         return op.apply_support(amps)
-    return op.apply(amps)
+    amps = np.asarray(amps)
+    if amps.shape != (1 << op.n_in,):
+        raise DimensionMismatch(f"op expects {1 << op.n_in} amplitudes, array has shape {amps.shape}")
+    at = np.flatnonzero(amps)
+    states = op.apply_support(Supports(op.n_in, at, amps[at]))
+    out = np.zeros(1 << op.n_out, dtype=np.complex128)
+    out[states.keys] = states.values
+    return out
 
 
 def apply(op: PhysicalOp, state: StateVector) -> tuple[StateVector, float]:
@@ -500,46 +449,34 @@ def split_op_sequence(m: MergeResult, projections: Sequence[PauliOperator]) -> t
 # --- logical channel extraction ----------------------------------------------
 
 
-# The most amplitudes (2^k input columns of 2^n) a channel simulates densely: up
-# to about this size the support rules' fixed numpy work per op costs more than
-# applying the op to every dense column.
-DENSE_CHANNEL_AMPLITUDES = 1 << 11
-
-
 def extract_logical_channel(ops: Sequence[PhysicalOp], e_in: Encoder, e_out: Encoder) -> np.ndarray:
     """E_out^dagger . (composed ops) . E_in, column by column.
 
-    Above ``DENSE_CHANNEL_AMPLITUDES``, every column of ``e_in`` is
-    seeded on its cosets as one ``Supports`` and each op is applied once
-    to all of them through its support rule; below it, each column is
-    built densely and every op is applied to it. Each column is then one
-    dense 2^n state, with the same bytes either way, multiplied by
-    E_out^dagger, which ``e_out`` builds from its coset table: that is
-    the only dense 2^n x 2^k array, formed once for all columns. On
-    supports, one zeroed 2^n array holds every column in turn: a column's
-    held entries are written before its product and cleared after it.
-    Projections are applied linearly so relative column norms are
-    meaningful; the result is normalized so its largest-magnitude entry
-    is exactly 1 (real positive). Raises ZeroProbabilityOutcome if
-    everything post-selects to zero.
+    Every column of ``e_in`` is seeded on its cosets as one ``Supports``
+    and each op is applied once to all of them through its support rule.
+    Each column is then handed off as one dense 2^n state to E_out^dagger,
+    which ``e_out`` builds from its coset table: the only dense 2^n x 2^k
+    array, formed once for all columns, because the BLAS product of it
+    with each state fixes the channel's pinned floating-point bits (its
+    sums start at +0, so a zero channel entry is +0). One zeroed 2^n
+    array holds every column in turn: a column's held entries are written
+    before its product and cleared after it. Projections are applied
+    linearly so relative column norms are meaningful; the result is
+    normalized so its largest-magnitude entry is exactly 1 (real
+    positive). Raises ZeroProbabilityOutcome if everything post-selects
+    to zero.
     """
-    count = 1 << e_in.k
     # E_out^dagger in the bytes and layout of e_out.matrix.conj().T, so BLAS
     # rounds each column as the per-column conj(e_out).T @ amps; conjugating
     # the state instead, conj(e_out.T @ conj(amps)), flips the sign of some
     # zero imaginary parts in reports.
     e_out_h = e_out.adjoint()
-    mat = np.zeros((e_out_h.shape[0], count), dtype=np.complex128)
-    if count << e_in.code.n <= DENSE_CHANNEL_AMPLITUDES:
-        for u in range(count):
-            mat[:, u] = e_out_h @ apply_sequence_linear(ops, e_in.column(u))
-        return fix_phase_and_scale(mat)
+    mat = np.zeros((e_out_h.shape[0], 1 << e_in.k), dtype=np.complex128)
     states = Supports.from_encoder(e_in)
     for op in ops:
         states = apply_linear(op, states)
-    # one dense column for all: each column's entries are written, multiplied and cleared
     column = np.zeros(1 << states.n, dtype=np.complex128)
-    for u in range(count):
+    for u in range(mat.shape[1]):
         at, values = states.held(u)
         column[at] = values
         mat[:, u] = e_out_h @ column

@@ -324,7 +324,7 @@ class TestEncoder:
 
     def test_steane_zero_is_8_term_superposition(self, steane):
         e = encoder_isometry(steane)
-        col = e.column(0)
+        col = e.matrix[:, 0]
         nz = np.nonzero(np.abs(col) > 1e-12)[0]
         assert len(nz) == 8
         assert np.allclose(np.abs(col[nz]), 1 / np.sqrt(8))
@@ -339,12 +339,12 @@ class TestEncoder:
         for i in range(steane.hx.rows):
             p = PauliOperator.from_x(steane.hx.row(i))
             for u in range(2):
-                s = StateVector.from_amplitudes(e.column(u))
+                s = StateVector.from_amplitudes(e.matrix[:, u])
                 assert abs(pauli_expectation(p, s) - 1.0) < 1e-12
         for i in range(steane.hz.rows):
             p = PauliOperator.from_z(steane.hz.row(i))
             for u in range(2):
-                s = StateVector.from_amplitudes(e.column(u))
+                s = StateVector.from_amplitudes(e.matrix[:, u])
                 assert abs(pauli_expectation(p, s) - 1.0) < 1e-12
 
     def test_logical_z_acts_diagonally(self, toric2):
@@ -356,16 +356,16 @@ class TestEncoder:
             for u in range(4):
                 bits = [(u >> (1 - b)) & 1 for b in range(2)]
                 expect = (-1) ** bits[i]
-                out = apply_linear(PauliGate(p), e.column(u))
-                assert np.allclose(out, expect * e.column(u), atol=1e-12)
+                out = apply_linear(PauliGate(p), e.matrix[:, u])
+                assert np.allclose(out, expect * e.matrix[:, u], atol=1e-12)
 
     def test_logical_x_permutes_labels(self, steane):
         e = encoder_isometry(steane)
         from chainsurg.simverify import PauliGate, apply_linear
 
         p = PauliOperator.from_x(steane.x_logical(0))
-        out = apply_linear(PauliGate(p), e.column(0))
-        assert np.allclose(out, e.column(1), atol=1e-12)
+        out = apply_linear(PauliGate(p), e.matrix[:, 0])
+        assert np.allclose(out, e.matrix[:, 1], atol=1e-12)
 
     def test_qubit_limit(self):
         big = catalog.no_check(21)
@@ -497,14 +497,18 @@ def dense_fixed_logical(mat, k, index, state):
 
 
 def assert_encoder_bytes(e, ref):
-    """Columns, matrix and adjoint of ``e`` are those of the dense ``ref``, byte for byte.
+    """Supports, matrix and adjoint of ``e`` are those of the dense ``ref``, byte for byte.
 
-    The adjoint is compared with ``ref.conj().T`` in layout too, so the
+    The supports, scattered into zeros column by column, are the columns;
+    the adjoint is compared with ``ref.conj().T`` in layout too, so the
     signed zeros ``conj`` writes and the strides BLAS reads are checked.
     """
     assert e.matrix.tobytes() == ref.tobytes()
-    for u in range(ref.shape[1]):
-        assert e.column(u).tobytes() == np.ascontiguousarray(ref[:, u]).tobytes()
+    keys, values = e.supports()
+    assert np.all(np.diff(keys) > 0) and np.all(values != 0)
+    columns = np.zeros((ref.shape[1], ref.shape[0]), dtype=np.complex128)
+    columns.reshape(-1)[keys] = values
+    assert columns.tobytes() == np.ascontiguousarray(ref.T).tobytes()
     ref_h = ref.conj().T
     adj = e.adjoint()
     assert (adj.shape, adj.strides) == (ref_h.shape, ref_h.strides)

@@ -266,6 +266,13 @@ class TestTextFormat:
     def test_header(self):
         assert format_matrix(F2Matrix([[1, 0], [0, 1]])).splitlines()[0] == "2 2"
 
+    def test_rows_beyond_the_header_are_refused(self):
+        with pytest.raises(MalformedInput, match="^expected 1 rows, found 3$"):
+            parse_matrix("1 2\n01\n10\n \n11")
+        with pytest.raises(MalformedInput, match="^expected 2 rows, found 1$"):
+            parse_matrix("2 2\n01")
+        assert parse_matrix("1 2\n01\n \n\t") == F2Matrix([[0, 1]])
+
     def test_sections(self):
         text = "orientation: Z\nv1:\n1 2\n01\nv0:\n0 2\n"
         sections = split_sections(text, ("orientation", "v2", "v1", "v0"))
@@ -968,6 +975,24 @@ class TestEliminationBudget:
         assert len(first) == len(set(first)) <= 4
         assert rref_inputs(lambda: plan_symplectic_action(plan)) == []
 
+    def test_symplectic_action_of_a_fresh_toric_5_cnot_eliminates_nothing(self):
+        from chainsurg.protocols import build_cnot_plan, plan_symplectic_action
+
+        # each transported Pauli is checked by the products hz @ x and hx @ z,
+        # not by membership in ker hz and ker hx, which eliminated hz
+        plan = build_cnot_plan(catalog.toric(5), 0, 1)
+        action = []
+        assert rref_inputs(lambda: action.append(plan_symplectic_action(plan))) == []
+        got = {name: (x.tolist(), z.tolist()) for name, (x, z) in action[0].items()}
+        assert got == {  # as the membership test read it
+            "X0": ([1, 1, 0], [0, 0, 0]),
+            "X1": ([0, 1, 0], [0, 0, 0]),
+            "X2": ([0, 0, 0], [0, 0, 0]),
+            "Z0": ([0, 0, 0], [1, 0, 0]),
+            "Z1": ([0, 0, 0], [1, 1, 1]),
+            "Z2": ([0, 0, 0], [1, 0, 0]),
+        }
+
     @staticmethod
     def _load(code, **kwargs):
         """The c0t1 plan of ``code`` loaded from its JSON, and the rref inputs of the load alone."""
@@ -1309,3 +1334,12 @@ def test_zero_rows_span_the_zero_space_without_elimination():
     assert rref_inputs(lambda: Subspace.from_matrix_rows(m)) == []
     assert Subspace.from_matrix_rows(m) == Subspace.zero(5)
     assert Subspace.from_vectors([np.zeros(4), np.zeros(4)], 4) == Subspace.zero(4)
+
+
+def test_subspace_free_columns_are_found_once(monkeypatch):
+    w = Subspace.from_matrix_rows(F2Matrix([[1, 1, 0, 0], [0, 0, 1, 1]]))
+    calls, real = [], f2linalg.free_columns
+    monkeypatch.setattr(f2linalg, "free_columns", lambda *args: calls.append(args) or real(*args))
+    first = w.free
+    assert first == [1, 3] and w.free is first
+    assert len(calls) == 1

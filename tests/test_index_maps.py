@@ -1,19 +1,19 @@
-"""Channel extraction on supports and on dense columns, with unchanged bytes.
+"""Channel extraction and dense arrays on supports, with unchanged bytes.
 
-Above a size rule, ``extract_logical_channel`` holds every input column
-on its support and applies each op once to all of them; below it, each op
-builds its dense index table once and applies it to every column. The old
-path, kept here as the oracle, rebuilt every op's 2^n table once per
-column. The channels must agree byte for byte (signed zeros included) on
-every catalog and golden plan that the simulator takes, in every outcome
-branch, with and without corrections. On inputs that hold zeros of
-either sign, each dense op must equal its old oracle in value, and on
-random op chains the states on supports must equal the dense ops' in
-value, and so have the bytes of every nonzero component;
-only zeros off the supports may differ in sign, and the product with an
-E^dagger-shaped array, as the hand-off forms it, must have the same bytes
-either way. ``_preimages``, the one solve behind the Hadamard-conjugated
-support rule, is checked against A^T on random matrices.
+Each op kind has one rule, its support rule: ``extract_logical_channel``
+holds every input column on its support and applies each op once to all
+of them, and ``apply_linear`` holds a dense array as one column. The old
+dense path, kept here as the oracle, rebuilt every op's 2^n table once
+per column. The channels must agree byte for byte (signed zeros
+included) on every catalog and golden plan that the simulator takes, in
+every outcome branch, with and without corrections, small channels
+included. On inputs that hold zeros of either sign, each op and random
+op chains must equal the oracle in value, and so have the bytes of every
+nonzero component; only zeros may differ in sign, and the product with
+an E^dagger-shaped array, as the hand-off forms it, must have the same
+bytes either way. ``_preimages``, the one solve behind the
+Hadamard-conjugated support rule, is checked against A^T on random
+matrices.
 """
 import itertools
 from functools import cached_property
@@ -39,8 +39,8 @@ from chainsurg.protocols import (
     plan_to_json,
 )
 from chainsurg.simverify import (
-    DENSE_CHANNEL_AMPLITUDES,
     HadamardConjugatedParityMap,
+    PhysicalOp,
     ParityMap,
     PauliGate,
     Projection,
@@ -81,6 +81,12 @@ def old_apply_linear(op, amps: np.ndarray) -> np.ndarray:
     return old_apply_pauli(op.pauli, amps)
 
 
+def old_apply_sequence(ops, amps: np.ndarray) -> np.ndarray:
+    for op in ops:
+        amps = old_apply_linear(op, amps)
+    return amps
+
+
 def old_plan_channel(plan, outcomes, corrected):
     """plan_channel as it was: every op read afresh for every input column."""
     ops = plan_physical_ops(plan, outcomes)
@@ -90,11 +96,9 @@ def old_plan_channel(plan, outcomes, corrected):
     e_in, e_out = plan_encoders(plan, outcomes)
     e_out_h = e_out.adjoint()
     mat = np.zeros((e_out_h.shape[0], 1 << e_in.k), dtype=np.complex128)
+    columns = np.ascontiguousarray(e_in.matrix.T)
     for u in range(1 << e_in.k):
-        amps = e_in.column(u)
-        for op in ops:
-            amps = old_apply_linear(op, amps)
-        mat[:, u] = e_out_h @ amps
+        mat[:, u] = e_out_h @ old_apply_sequence(ops, columns[u])
     return fix_phase_and_scale(mat)
 
 
@@ -152,12 +156,16 @@ def _simulable_plans():
 PLANS = _simulable_plans()
 
 
+def _branches(plan):
+    """Every outcome pattern of ``plan``: none read, then each pattern of signs."""
+    ids = plan.measurement_ids()
+    return [None] + [dict(zip(ids, s)) for s in itertools.product((1, -1), repeat=len(ids))]
+
+
 @pytest.mark.parametrize("name", sorted(PLANS))
 def test_channel_bytes_match_the_per_column_path(name):
     plan = PLANS[name]
-    ids = plan.measurement_ids()
-    branches = [None] + [dict(zip(ids, s)) for s in itertools.product((1, -1), repeat=len(ids))]
-    for outcomes, corrected in itertools.product(branches, (True, False)):
+    for outcomes, corrected in itertools.product(_branches(plan), (True, False)):
         got = _outcome(plan_channel, plan, outcomes, corrected)
         assert got == _outcome(old_plan_channel, plan, outcomes, corrected), (outcomes, corrected)
 
@@ -197,10 +205,14 @@ def signed_zero_amps(r, n):
 def _random_ops(r, n):
     pauli = lambda: PauliOperator(x=r.randint(0, 2, n), z=r.randint(0, 2, n), sign=int(r.choice([1, -1])))
     m = r.randint(0, 2, size=(n, n))
+    taller = np.vstack([m, m[:1] ^ m[-1:]])  # n + 1 rows, one of them a sum of two others
     return [
         ParityMap(F2Matrix(m)),
+        ParityMap(F2Matrix(m[: n - 1])),
+        ParityMap(F2Matrix(taller)),
         HadamardConjugatedParityMap(F2Matrix(m)),
         HadamardConjugatedParityMap(F2Matrix(m[: n - 1])),
+        HadamardConjugatedParityMap(F2Matrix(taller)),
         PauliGate(pauli()),
         PauliGate(PauliOperator.from_z(r.randint(0, 2, n))),
         Projection(pauli(), outcome=int(r.choice([1, -1]))),
@@ -218,21 +230,20 @@ def e_dagger_like(r, n: int, rows: int) -> np.ndarray:
 
 @pytest.mark.parametrize("n", [1, 4, 9])
 def test_op_bytes_match_the_old_op_on_signed_zeros(n):
-    """Each op equals its old oracle in value, so every nonzero component has its
-    bytes; a Pauli's one signed product may flip the sign of a zero, which no
-    product with E^dagger, as the channel hand-off forms it, shows."""
+    """Each op on a dense array, through its support rule, equals its old oracle
+    in value, from n_in to n_out qubits, equal or not, so every nonzero component
+    has its bytes; only the sign of a zero may differ, which no product with
+    E^dagger, as the channel hand-off forms it, shows."""
     r = np.random.RandomState(n)
-    for op in _random_ops(r, n):
+    ops = _random_ops(r, n)
+    assert {op.n_out - op.n_in for op in ops} == {-1, 0, 1}
+    for op in ops:
         e_h = e_dagger_like(r, op.n_out, 3)
         for _ in range(3):
             amps = signed_zero_amps(r, op.n_in)
             got, expect = apply_linear(op, amps), old_apply_linear(op, amps)
-            assert np.array_equal(got, expect)
+            assert got.shape == expect.shape and np.array_equal(got, expect)
             assert (e_h @ got).tobytes() == (e_h @ expect).tobytes()
-        if isinstance(op, (PauliGate, Projection)):
-            assert [t.dtype for t in op.table] == [np.int32, np.int8]
-        else:
-            assert op.table.dtype == np.int32
 
 
 # --- random op chains on signed zeros ---------------------------------------------
@@ -289,7 +300,7 @@ def op_chains(draw):
 
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(op_chains())
-def test_support_rules_match_the_dense_ops_on_signed_zeros(chain):
+def test_support_rules_match_the_old_ops_on_signed_zeros(chain):
     ops, inputs, keys, e_h = chain
     assert any(isinstance(op, PauliGate) and op.pauli.sign == -1 for op in ops)
     assert any(isinstance(op, PauliGate) and not op.pauli.x.any() and op.pauli.z.any() for op in ops)
@@ -299,7 +310,8 @@ def test_support_rules_match_the_dense_ops_on_signed_zeros(chain):
     for op in ops:
         states = apply_linear(op, states)
     for u, amps in enumerate(inputs):
-        expect = apply_sequence_linear(ops, amps)
+        expect = old_apply_sequence(ops, amps)
+        assert np.array_equal(apply_sequence_linear(ops, amps), expect), u
         got = np.zeros(1 << states.n, dtype=np.complex128)
         at, values = states.held(u)
         got[at] = values
@@ -346,14 +358,14 @@ def test_preimages_solve_the_transpose_by_one_elimination(a):
 # --- each op builds its index map once ------------------------------------------------
 
 
-def _record_builds(monkeypatch, name: str) -> list:
-    """The list of ops whose cached ``name`` (``table`` or ``support_map``) is built, one entry per build."""
+def _record_builds(monkeypatch) -> list:
+    """The list of ops whose cached ``support_map`` is built, one entry per build."""
     built = []
     for cls in (ParityMap, HadamardConjugatedParityMap, simverify._PauliAction):
-        real = cls.__dict__[name].func
+        real = cls.__dict__["support_map"].func
         prop = cached_property(lambda op, real=real: built.append(op) or real(op))
-        prop.__set_name__(cls, name)
-        monkeypatch.setattr(cls, name, prop)
+        prop.__set_name__(cls, "support_map")
+        monkeypatch.setattr(cls, "support_map", prop)
     return built
 
 
@@ -368,7 +380,7 @@ def _step_op_ids(plan) -> set:
     return {id(op) for step in plan.steps for op in getattr(step, "ops", ())}
 
 
-COUNT_PLANS = {  # name -> (plan, number of logical inputs k_in); all above the dense size rule
+COUNT_PLANS = {  # name -> (plan, number of logical inputs k_in)
     "steane_provided_steane": (
         lambda: build_cnot_plan(
             catalog.steane(), 0, None, ancilla=AncillaStrategy.provided(catalog.steane())
@@ -399,15 +411,13 @@ def test_each_op_support_map_is_built_once(name, flipped, monkeypatch):
     correction = measurement_correction(plan, {m: 1 for m in ids} | outcomes)
     assert len(correction) == 1 and correction[0].z.any() == (flipped is not None)
     e_in = plan_encoders(plan, outcomes)[0]
-    assert e_in.k == k_in and (1 << k_in + e_in.code.n) > DENSE_CHANNEL_AMPLITUDES
-    tables, maps = _record_builds(monkeypatch, "table"), _record_builds(monkeypatch, "support_map")
+    assert e_in.k == k_in
+    maps = _record_builds(monkeypatch)
     applied = _record_applications(monkeypatch)
     eliminated, real_preimages = [], simverify._preimages
     monkeypatch.setattr(simverify, "_preimages", lambda a: eliminated.append(a) or real_preimages(a))
     plan_channel(plan, outcomes)
     ops = plan_physical_ops(plan, outcomes) + correction
-    # no dense table is built at all
-    assert tables == []
     assert len(maps) == len(ops) == len({id(op) for op in maps})
     # each Hadamard-conjugated map is a step's, built from its merge's sections
     assert eliminated == []
@@ -424,17 +434,51 @@ def test_each_op_support_map_is_built_once(name, flipped, monkeypatch):
     again = {id(op) for op, _ in applied[len(ops):]}
     assert {id(op) for op in maps[first:]} == again - step_ops
     assert len(maps) - first == len(again - step_ops) == len(ops) - len(step_ops)
-    assert tables == []
 
 
-def test_small_channels_apply_each_dense_table_to_every_column(monkeypatch):
-    plan = build_cnot_plan(catalog.toric(2), 0, 1)
-    outcomes = {plan.measurement_ids()[0]: -1}
+# --- one rule per op: small channels and dense arrays take the support path too -----
+
+
+def _channel_amplitudes(plan, outcomes) -> int:
+    """2^k columns of 2^n amplitudes: the size of the channel's input states."""
     e_in = plan_encoders(plan, outcomes)[0]
-    assert (1 << e_in.k + e_in.code.n) == DENSE_CHANNEL_AMPLITUDES
-    tables, maps = _record_builds(monkeypatch, "table"), _record_builds(monkeypatch, "support_map")
+    return 1 << e_in.k + e_in.code.n
+
+
+SMALL = 1 << 11  # the channels a dense per-column path once simulated
+SMALL_PLANS = sorted(name for name, plan in PLANS.items() if _channel_amplitudes(plan, None) <= SMALL)
+
+
+def test_small_channels_are_covered():
+    assert {"golden_steane_anc_target", "golden_toric2_embedded", "toric_2_c0t1"} <= set(SMALL_PLANS)
+    assert any(_channel_amplitudes(PLANS[name], None) == SMALL for name in SMALL_PLANS)
+
+
+@pytest.mark.parametrize("name", SMALL_PLANS)
+def test_small_channels_take_the_support_path(name, monkeypatch):
+    """Each op is applied once, to the supports of all columns, and the channel
+    has the oracle's bytes, in every outcome branch, with and without corrections."""
+    plan = PLANS[name]
     applied = _record_applications(monkeypatch)
-    plan_channel(plan, outcomes)
-    assert maps == [] and len(tables) == len({id(op) for op in tables})
-    assert len(applied) == len(tables) << e_in.k
-    assert {id(op) for op, _ in applied} == {id(op) for op in tables}
+    for outcomes, corrected in itertools.product(_branches(plan), (True, False)):
+        if _channel_amplitudes(plan, outcomes) > SMALL:
+            continue
+        del applied[:]
+        got = _outcome(plan_channel, plan, outcomes, corrected)
+        assert got == _outcome(old_plan_channel, plan, outcomes, corrected), (outcomes, corrected)
+        assert applied and all(isinstance(states, Supports) for _, states in applied)
+        assert len({id(op) for op, _ in applied}) == len(applied)
+
+
+def test_each_op_kind_has_one_rule():
+    kinds, found = set(), [PhysicalOp]
+    while found:
+        cls = found.pop()
+        kinds.add(cls)
+        found.extend(cls.__subclasses__())
+    assert {ParityMap, HadamardConjugatedParityMap, PauliGate, Projection} <= kinds
+    for cls in kinds:
+        assert not {"apply", "table"} & set(vars(cls)), cls
+    for name in ("DENSE_CHANNEL_AMPLITUDES", "_parity_indices"):
+        assert not hasattr(simverify, name)
+    assert not hasattr(simverify.Encoder, "column")

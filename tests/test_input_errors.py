@@ -21,6 +21,7 @@ from chainsurg.chaincomplex import (
 )
 from chainsurg.cli import main
 from chainsurg.csscode import (
+    CssCode,
     PauliOperator,
     dual_x_basis,
     from_parity_checks,
@@ -44,6 +45,7 @@ from chainsurg.protocols import (
     plan_to_json,
 )
 from chainsurg.simverify import (
+    HadamardConjugatedParityMap,
     PauliGate,
     PhysicalOp,
     StateVector,
@@ -248,7 +250,6 @@ CASES = {
         DimensionMismatch,
         "amplitude count is not a power of two",
     ),
-    "op_apply": (lambda: PhysicalOp().apply(np.zeros(2)), NotImplementedError, "^$"),
     "op_apply_support": (
         lambda: PhysicalOp().apply_support(Supports(1, np.zeros(0, dtype=np.int64), np.zeros(0))),
         NotImplementedError,
@@ -260,6 +261,16 @@ CASES = {
         ),
         DimensionMismatch,
         "op expects 2 qubits, states have 1",
+    ),
+    "apply_linear_longer": (
+        lambda: apply_linear(PauliGate(PauliOperator.from_x([1, 0])), np.ones(8)),
+        DimensionMismatch,
+        r"op expects 4 amplitudes, array has shape \(8,\)",
+    ),
+    "apply_linear_shorter": (
+        lambda: apply_linear(HadamardConjugatedParityMap(F2Matrix([[1, 1]])), np.ones(2)),
+        DimensionMismatch,
+        r"op expects 4 amplitudes, array has shape \(2,\)",
     ),
     "apply_state": (
         lambda: apply(PauliGate(PauliOperator.from_x([1, 0])), basis_state(1)),
@@ -312,6 +323,26 @@ def test_cli_input_error(tmp_path, capsys, argv, payload):
     captured = capsys.readouterr()
     assert not captured.out and json.loads(captured.err) == payload
 
+
+
+# a code file whose hx holds one row more than its header declares
+EXTRA_ROW = "hx:\n1 3\n111\n000\nhz:\n0 3\n"
+
+
+def test_extra_matrix_rows_are_refused(tmp_path, capsys):
+    with pytest.raises(MalformedInput, match="^expected 1 rows, found 2$") as info:
+        CssCode.from_text(EXTRA_ROW)
+    assert info.value.section == "hx"
+    # lines of whitespace after the rows are blank, not rows
+    assert CssCode.from_text("hx:\n1 3\n111\n  \n\t\nhz:\n0 3\n").hx.shape == (1, 3)
+    bad = tmp_path / "extra_row.code"
+    bad.write_text(EXTRA_ROW)
+    assert main(["validate", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert json.loads(captured.err) == {
+        "error": "MalformedInput", "message": "expected 1 rows, found 2", "file": str(bad), "section": "hx",
+    }
 
 
 def _batch(capsys, argv) -> tuple[int, list, str]:
@@ -444,6 +475,7 @@ def _error_inputs(d) -> None:
         **edited,
         "nohz.code": "hx:\n1 3\n110\n",
         "header.code": "hx:\nx y\n110\nhz:\n0 3\n",
+        "extra_row.code": EXTRA_ROW,
         "repeated.code": steane + "hx:\n1 7\n1111111\n",
         "orientation.sub": "orientation: Y\nv2:\n0 3\nv1:\n0 7\nv0:\n0 3\n",
         "narrow_v1.sub": "v2:\n0 3\nv1:\n1 6\n111000\nv0:\n0 3\n",
@@ -466,7 +498,7 @@ ERROR_LINES = [
     (["catalog", "export", "nope"], 1),
     *[
         line
-        for bad in ("unknown", "narrow_hz", "narrow_zl", "nohz", "header", "repeated", "latin1", "missing")
+        for bad in ("unknown", "narrow_hz", "narrow_zl", "nohz", "header", "extra_row", "repeated", "latin1", "missing")
         for line in ((["validate", "steane.code"], 0), (["--json", "validate", f"{bad}.code"], 1))
     ],
     (["merge", "welding.code", "--subcode", "welding.sub"], 0),

@@ -27,7 +27,6 @@ from chainsurg.simverify import (
     pauli_expectation,
     physical_op_sequence,
 )
-from chainsurg.simverify import _parity_indices
 from chainsurg.surgery import quotient_merge, split_from_merge, validate_subcode
 from test_assembled_spaces import identity_chain_map
 
@@ -71,7 +70,7 @@ class TestApply:
 
     def test_projection_preserves_codeword(self, steane):
         e = encoder_isometry(steane)
-        state = StateVector.from_amplitudes(e.column(0))
+        state = StateVector.from_amplitudes(e.matrix[:, 0])
         p = Projection(PauliOperator.from_z(steane.hz.row(0)), outcome=1)
         out, amp = apply(p, state)
         assert abs(amp - 1.0) < 1e-12
@@ -391,12 +390,13 @@ class TestIndexTables:
     @pytest.mark.parametrize(
         "shape", [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (7, 7), (4, 12), (12, 10)]
     )
-    def test_parity_indices_match_bit_table(self, shape):
+    def test_parity_map_matches_bit_table(self, shape):
         r = np.random.RandomState(shape[0] * 31 + shape[1])
         a = F2Matrix(r.randint(0, 2, size=shape))
-        got = _parity_indices(a)
-        assert got.dtype == np.int32  # the table a parity map holds
-        assert np.array_equal(got, bit_table_parity_indices(a))
+        amps = random_amps(r, a.cols)
+        expect = np.zeros(1 << a.rows, dtype=np.complex128)
+        np.add.at(expect, bit_table_parity_indices(a), amps)
+        assert np.array_equal(apply_linear(ParityMap(a), amps), expect)
 
     @pytest.mark.parametrize("n", [0, 1, 3, 9])
     def test_z_parity_matches_bit_table(self, n):
@@ -507,8 +507,9 @@ class TestProjectionBytes:
         e_out = encoder_with_fixed_logical(enc, 1, minus)
         ops = [PauliGate(PauliOperator.from_x(code.x_logical(0)))]
         expect = np.zeros((2, 2), dtype=np.complex128)
+        columns = np.ascontiguousarray(e_in.matrix.T)
         for u in range(2):
-            expect[:, u] = e_out.matrix.conj().T @ apply_sequence_linear(ops, e_in.column(u))
+            expect[:, u] = e_out.matrix.conj().T @ apply_sequence_linear(ops, columns[u])
         expect = expect / expect.ravel()[np.argmax(np.abs(expect))]
         got = extract_logical_channel(ops, e_in, e_out)
         assert got.tobytes() == expect.tobytes()
