@@ -6,7 +6,7 @@ of C is the chain complex (d1.T, d2.T), with degree n mapped to 2 - n.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -38,19 +38,14 @@ class ChainComplex:
     ``cycles`` is ker d1 and ``boundaries`` is im d2. ``transpose()`` is
     memoised, so the cocycles and coboundaries are the transposed
     complex's ``cycles`` and ``boundaries``, and transposing twice gives
-    back this object. A complex built by ``direct_sum`` keeps its two
-    summands, and assembles its spaces from theirs with no elimination;
-    the summands take no part in equality or hashing. A builder that can
-    read the spaces off others sets a function for them with ``_seed``,
-    as ``surgery.quotient_merge`` does; it is called on the first read of
+    back this object. A builder that can read the spaces off others sets
+    a function for them with ``_seed``, as ``direct_sum`` and
+    ``surgery.quotient_merge`` do; it is called on the first read of
     either space, and a space it does not know is eliminated.
     """
 
     d2: F2Matrix
     d1: F2Matrix
-    summands: tuple["ChainComplex", "ChainComplex"] | None = field(
-        default=None, compare=False, repr=False
-    )
 
     @property
     def dim2(self) -> int:
@@ -70,17 +65,11 @@ class ChainComplex:
     @cached_property
     def cycles(self) -> Subspace:
         """ker d1, the degree-1 cycles."""
-        if self.summands is not None:
-            a, b = self.summands
-            return a.cycles.direct_sum(b.cycles)
         return self._read_off().get("cycles") or kernel_basis(self.d1)
 
     @cached_property
     def boundaries(self) -> Subspace:
         """im d2, the degree-1 boundaries."""
-        if self.summands is not None:
-            a, b = self.summands
-            return a.boundaries.direct_sum(b.boundaries)
         return self._read_off().get("boundaries") or image_basis(self.d2)
 
     def _read_off(self) -> dict[str, Subspace]:
@@ -93,10 +82,7 @@ class ChainComplex:
 
     @cached_property
     def _transposed(self) -> "ChainComplex":
-        summands = None
-        if self.summands is not None:
-            summands = tuple(s.transpose() for s in self.summands)
-        t = ChainComplex(d2=self.d1.T, d1=self.d2.T, summands=summands)
+        t = ChainComplex(d2=self.d1.T, d1=self.d2.T)
         t.__dict__["_transposed"] = self
         return t
 
@@ -341,7 +327,16 @@ def induced_on_homology(
 def direct_sum(a: ChainComplex, b: ChainComplex) -> ChainComplex:
     """Block-diagonal sum; a's coordinates come first in every degree.
 
-    The sum keeps a and b, so its cycles and boundaries, and those of its
-    transpose, are a's and b's placed side by side (``Subspace.direct_sum``).
+    The sum and its transpose are seeded (``ChainComplex._seed``) with
+    a's and b's cycles and boundaries, and those of their transposes,
+    placed side by side (``Subspace.direct_sum``): no elimination.
     """
-    return ChainComplex(d2=block_diag(a.d2, b.d2), d1=block_diag(a.d1, b.d1), summands=(a, b))
+    total = ChainComplex(d2=block_diag(a.d2, b.d2), d1=block_diag(a.d1, b.d1))
+    total._seed(lambda: _side_by_side(a, b))
+    total.transpose()._seed(lambda: _side_by_side(a.transpose(), b.transpose()))
+    return total
+
+
+def _side_by_side(a: ChainComplex, b: ChainComplex) -> tuple[Subspace, Subspace]:
+    """The cycles and the boundaries of ``direct_sum(a, b)``, from a's and b's."""
+    return a.cycles.direct_sum(b.cycles), a.boundaries.direct_sum(b.boundaries)

@@ -338,9 +338,7 @@ def _min_logical_weight(checks: F2Matrix, duals: F2Matrix, wmax: int) -> Optiona
     k, n = duals.rows, duals.cols
     if k == 0:
         return None
-    stacked = np.concatenate([checks.a, duals.a]).T
-    pad = 8 * ((stacked.shape[1] + 7) // 8) - stacked.shape[1]
-    columns = [c >> pad for c in packed_rows(stacked)]
+    columns = row_indices(np.concatenate([checks.a, duals.a]).T)
     mask = (1 << k) - 1
     lightest: dict[int, dict[int, int]] = {0: {0: 0}}
     best = wmax + 1
@@ -466,18 +464,21 @@ class Encoder:
         return self._fill(np.full(shape, complex(0.0, -0.0)), True).T
 
 
-def bits_to_index(bits: np.ndarray) -> int:
-    """Computational-basis index; qubit 0 is the most significant bit."""
-    idx = 0
-    for b in bits:
-        idx = (idx << 1) | int(b)
-    return idx
+def row_indices(a: np.ndarray) -> list[int]:
+    """The computational-basis index of each row of a 2-D 0/1 array, as a Python int of any width.
+
+    A row's first column is the most significant bit, as qubit 0 is in a
+    state's index: its ``f2linalg.packed_rows`` value without the zero
+    padding bits.
+    """
+    pad = -a.shape[1] % 8
+    return [row >> pad for row in packed_rows(a)]
 
 
 def linear_indices(columns) -> np.ndarray:
     """The value of the linear map x -> XOR of columns[j] over the set bits x_j, for every x.
 
-    Entry x of the result is indexed as in ``bits_to_index`` (qubit 0 is
+    Entry x of the result is indexed as in ``row_indices`` (qubit 0 is
     the most significant bit). The table is built by linearity: each
     qubit, from the last to the first, doubles it with its column XORed in.
     With basis-index columns this enumerates a GF(2) span, one element
@@ -497,12 +498,11 @@ def encoder_isometry(code: CssCode) -> Encoder:
 
     The qubit limit is checked before anything of size 2^n is built.
     """
-    n, k = code.n, code.k
+    n = code.n
     if n > SIMULATOR_QUBIT_LIMIT:
         raise DimensionMismatch(f"{n} qubits exceeds the simulator limit {SIMULATOR_QUBIT_LIMIT}")
-    stabilizers = code.x_stabilizer_space().basis
-    orbit = linear_indices([bits_to_index(stabilizers.row(i)) for i in range(stabilizers.rows)])
-    bases = linear_indices([bits_to_index(code.x_logical(i)) for i in range(k)])
+    orbit = linear_indices(row_indices(code.x_stabilizer_space().basis.a))
+    bases = linear_indices(row_indices(code.x_logicals.matrix().a))
     return Encoder(code=code, orbit=orbit, bases=bases, amplitude=1.0 / np.sqrt(len(orbit)))
 
 

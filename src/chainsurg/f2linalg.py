@@ -81,14 +81,7 @@ What an RREF already says is read, not eliminated again:
 - the quotient rule (``Subspace.project``): the image of a space U that
   holds W, under reduction modulo W read at W's free columns, is U's
   canonical basis with W's pivot rows and pivot columns dropped, since
-  each of W's pivots is one of U's and U's other rows are zero there;
-- a dual basis needs no inversion: a vector zero at the free columns of
-  a kernel's canonical basis K has x . K_r equal to its entry at K_r's
-  pivot (``csscode.dual_x_basis``);
-- the pivot solution of an onto map with kernel W needs no elimination of
-  the map: its non-pivot columns are the pivots of W reduced with the
-  columns reversed, so it is any preimage reduced modulo W in reversed
-  column order (``protocols.SplitStep.transport``).
+  each of W's pivots is one of U's and U's other rows are zero there.
 """
 from __future__ import annotations
 
@@ -439,10 +432,6 @@ class Subspace:
 
     def basis_vectors(self) -> list[np.ndarray]:
         return [self._basis.row(i) for i in range(self.dim)]
-
-    def reduce(self, v) -> np.ndarray:
-        """Canonical coset representative of v + self (pivot entries cleared)."""
-        return coset_reduce(v, self)
 
     def contains(self, v) -> bool:
         return not _reduce_rows(as_bit_vector(v, self._ambient)[None, :], self).any()

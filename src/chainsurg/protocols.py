@@ -409,10 +409,8 @@ class ApplyCorrection(PlanStep):
 @dataclass(frozen=True)
 class SurgeryPlan:
     name: str
-    steps: tuple[PlanStep, ...]
+    steps: tuple[PlanStep, ...]  # steps[0] is the ancilla's InitAncilla
     base_code: CssCode  # the code every step starts and ends on, bar merge..split
-    data_indices: tuple[int, ...]  # logical indices carrying data
-    ancilla_index: int
     control: int
     target: Optional[int]  # None when the ancilla itself is the target
     locality: bool = False
@@ -423,8 +421,19 @@ class SurgeryPlan:
         # frozen down to its rules: one loaded plan may serve many readers
         object.__setattr__(self, "correction_rules", MappingProxyType(dict(self.correction_rules)))
 
+    @property
+    def ancilla_index(self) -> int:
+        """The ancilla's logical index, as its init step declares it."""
+        return self.steps[0].logical_index
+
+    @property
+    def data_indices(self) -> tuple[int, ...]:
+        """The logical indices carrying data: every one but the ancilla's, an ancilla code's
+        spare logicals too."""
+        return tuple(i for i in range(self.base_code.k) if i != self.ancilla_index)
+
     def measurement_ids(self) -> list[str]:
-        return _measurement_ids(self.steps)
+        return [m for step in self.steps for m in step.measurement_ids]
 
     @property
     def final_measurement(self) -> Optional[MeasureLogical]:
@@ -434,10 +443,6 @@ class SurgeryPlan:
     def merged_code(self, merge: MergeResult) -> CssCode:
         """The code between ``merge`` and its split."""
         return _merged_code(merge, self.base_code, self.ancilla_index)
-
-
-def _measurement_ids(steps: Sequence[PlanStep]) -> list[str]:
-    return [m for step in steps for m in step.measurement_ids]
 
 
 # --- Pauli propagation --------------------------------------------------------
@@ -707,8 +712,7 @@ def _assemble_plan(
         side = PauliOperator.from_z if basis == "Z" else PauliOperator.from_x
         logical, mid = side(_logicals(base, basis).representatives[anc]), f"final.{basis.lower()}a"
         steps += [MeasureLogical(logical, basis, mid), ApplyCorrection(correction, mid)]
-    data = tuple(i for i in range(base.k) if i != anc)  # an ancilla code's spare logicals too
-    return SurgeryPlan(name, tuple(steps), base, data, anc, control, target, locality, rules, class_correction)
+    return SurgeryPlan(name, tuple(steps), base, control, target, locality, rules, class_correction)
 
 
 def _joint_subcode(
@@ -1443,8 +1447,6 @@ def plan_from_json(text: str) -> SurgeryPlan:
         name=_field(doc, "name", "str"),
         steps=tuple(steps),
         base_code=base,
-        data_indices=tuple(data_indices),
-        ancilla_index=ctx["ancilla_index"],
         control=control,
         target=target,
         locality=_field(doc, "locality", "bool"),

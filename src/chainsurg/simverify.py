@@ -45,9 +45,9 @@ from .csscode import (
     Encoder,
     PauliOperator,
     SIMULATOR_QUBIT_LIMIT,
-    bits_to_index,
     from_parity_checks,
     linear_indices,
+    row_indices,
 )
 from .errors import DimensionMismatch, ZeroProbabilityOutcome
 from .f2linalg import Elimination, F2Matrix, free_column_vectors, free_columns, image_basis
@@ -101,25 +101,14 @@ class PhysicalOp:
         raise NotImplementedError
 
 
-def _row_indices(m: np.ndarray) -> list[int]:
-    """The basis index of each row of a 0/1 array (its first column is the top bit)."""
-    return (m @ (1 << np.arange(m.shape[1] - 1, -1, -1, dtype=np.int64))).tolist()
-
-
-# The bits of every byte value, most significant first.
-_BYTE_BITS = (np.arange(256)[:, None] >> np.arange(7, -1, -1)) & 1
-
-
 def _byte_tables(columns: Sequence[int]) -> tuple[tuple[int, np.ndarray], ...]:
     """The map x -> XOR of columns[j] over the set bits x_j (x_0 the top bit), by
-    bytes of x: (shift, table) pairs whose lookups of (x >> shift) XOR to its value."""
-    n, out = len(columns), []
-    for start in range(0, n, 8):
-        part = np.array(columns[start : start + 8], dtype=np.int64)
-        width = len(part)
-        table = np.bitwise_xor.reduce(_BYTE_BITS[: 1 << width, 8 - width :] * part, axis=1)
-        out.append((n - start - width, table))
-    return tuple(out)
+    bytes of x: (shift, table) pairs whose lookups of (x >> shift) XOR to its value.
+    Each byte's table is ``linear_indices`` of its (at most 8) columns."""
+    n = len(columns)
+    return tuple(
+        (max(n - start - 8, 0), linear_indices(columns[start : start + 8])) for start in range(0, n, 8)
+    )
 
 
 def _preimages(a: F2Matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -164,7 +153,7 @@ class ParityMap(_BinaryMap):
     @cached_property
     def support_map(self) -> tuple:
         """A x, as byte tables."""
-        return _byte_tables(_row_indices(self.matrix.a.T))
+        return _byte_tables(row_indices(self.matrix.a.T))
 
     def apply_support(self, states: "Supports") -> "Supports":
         """Each key moves to A x; colliding keys sum in ascending x from +0+0j, as
@@ -204,8 +193,9 @@ class HadamardConjugatedParityMap(_BinaryMap):
         and every basis index in ker A^T: from ``preimages``, else from one
         ``f2linalg.Elimination``."""
         y0, residue, kernel = _preimages(self.matrix) if self.preimages is None else self.preimages
-        columns = [(r << self.n_out) | y for r, y in zip(_row_indices(residue), _row_indices(y0))]
-        return _byte_tables(columns), linear_indices(_row_indices(kernel))
+        # y0 has n_out columns, so row x of [residue | y0] reads (r(x) << n_out) | y0(x)
+        columns = row_indices(np.hstack([residue, y0]))
+        return _byte_tables(columns), linear_indices(row_indices(kernel))
 
     def apply_support(self, states: "Supports") -> "Supports":
         """Each key x with A^T y = x solvable moves to every y in y0(x) + ker A^T."""
@@ -243,7 +233,7 @@ class _PauliAction(PhysicalOp):
     @cached_property
     def support_map(self) -> tuple[int, int]:
         """(X mask, Z mask) as basis indices."""
-        return bits_to_index(self.pauli.x), bits_to_index(self.pauli.z)
+        return tuple(row_indices(np.stack([self.pauli.x, self.pauli.z])))
 
 
 @dataclass(frozen=True)

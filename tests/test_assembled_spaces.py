@@ -2,8 +2,8 @@
 
 Each rewrite keeps its old form here as the oracle:
 
-* ``direct_sum`` assembles its cycles and boundaries (and its
-  transpose's) from the summands' instead of eliminating the
+* ``direct_sum`` seeds its cycles and boundaries (and its transpose's)
+  with the summands' placed side by side instead of eliminating the
   block-diagonal matrices;
 * ``_basis_from_rows`` ranks the k rows reduced modulo the image instead
   of the stacked (k + dim im) rows;
@@ -15,6 +15,8 @@ Each rewrite keeps its old form here as the oracle:
 * ``no_check`` and ``trivial_qubit`` build their codes with no
   elimination.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -111,12 +113,14 @@ class TestDirectSum:
 
     @settings(max_examples=100, deadline=None)
     @given(complexes(), complexes())
-    def test_summands_take_no_part_in_equality(self, a, b):
+    def test_seeded_spaces_take_no_part_in_equality(self, a, b):
         s = direct_sum(a, b)
         plain = ChainComplex(d2=s.d2, d1=s.d1)
         assert s == plain and hash(s) == hash(plain)
         assert s.transpose() == plain.transpose()
         assert type(s) is ChainComplex
+        # the sum holds its boundary maps alone: its spaces come through ``_seed``
+        assert [f.name for f in dataclasses.fields(s)] == ["d2", "d1"]
 
     @settings(max_examples=150, deadline=None)
     @given(

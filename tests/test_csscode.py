@@ -12,13 +12,14 @@ from chainsurg.csscode import (
     CssCode,
     PauliOperator,
     SIMULATOR_QUBIT_LIMIT,
-    bits_to_index,
+    certify_distance,
     distance_bruteforce,
     dual_x_basis,
     dual_z_basis,
     encoder_isometry,
     encoder_with_fixed_logical,
     from_parity_checks,
+    row_indices,
     symplectic_product,
 )
 from chainsurg.errors import DimensionMismatch, NonCommutingChecks, SingularMatrix
@@ -317,6 +318,35 @@ class TestDistance:
                     assert xs.contains(v)
 
 
+def loop_index(bits) -> int:
+    """A row's basis index, one bit at a time: its first entry is the top bit."""
+    index = 0
+    for b in bits:
+        index = (index << 1) | int(b)
+    return index
+
+
+class TestRowIndices:
+    @pytest.mark.parametrize("cols", [0, 1, 7, 8, 9, 63, 64, 65, 200])
+    @pytest.mark.parametrize("rows", [0, 1, 5])
+    def test_matches_a_per_bit_loop(self, rows, cols):
+        r = np.random.RandomState(1000 * rows + cols)
+        a = r.randint(0, 2, size=(rows, cols)).astype(np.uint8)
+        if rows and cols:
+            a[0] = 1  # the widest index of that width
+        got = row_indices(a)
+        assert got == [loop_index(row) for row in a]
+        assert all(type(i) is int for i in got)
+
+    def test_distance_search_columns_wider_than_63_bits(self):
+        # each column of toric-9's [hx; xl] has 83 bits; the search reads them as indices
+        toric = catalog.toric(9)
+        stacked = np.concatenate([toric.hx.a, toric.x_logicals.matrix().a]).T
+        assert stacked.shape[1] == 83
+        assert row_indices(stacked) == [loop_index(col) for col in stacked]
+        assert certify_distance(toric, 4) == (5, 5)
+
+
 class TestEncoder:
     def test_trivial_qubit_identity(self):
         e = encoder_isometry(catalog.trivial_qubit())
@@ -453,7 +483,7 @@ class TestValueSemantics:
 
 
 def encoder_matrix_oracle(code):
-    """Orbit x label loop with one bits_to_index call per entry."""
+    """Orbit x label loop with one row_indices call per entry."""
     n, k = code.n, code.k
     row_basis = rref(code.hx)
     gen_rows = [row_basis.reduced.row(i) for i in range(row_basis.rank)]
@@ -472,7 +502,7 @@ def encoder_matrix_oracle(code):
             if (label >> (k - 1 - i)) & 1:
                 base ^= code.x_logical(i)
         for s in orbit:
-            mat[bits_to_index(base ^ s), label] += amp
+            mat[row_indices((base ^ s)[None, :])[0], label] += amp
     return mat
 
 

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainsurg import catalog, f2linalg, simverify
-from chainsurg.csscode import SIMULATOR_QUBIT_LIMIT, PauliOperator, bits_to_index, linear_indices
+from chainsurg.csscode import SIMULATOR_QUBIT_LIMIT, PauliOperator, linear_indices, row_indices
 from chainsurg.errors import ChainsurgError
 from chainsurg.f2linalg import F2Matrix
 from chainsurg.protocols import (
@@ -55,13 +55,13 @@ from test_plan_golden import PLANS as GOLDEN_PLANS
 
 
 def old_parity_indices(a: F2Matrix) -> np.ndarray:
-    return linear_indices([bits_to_index(a.a[:, j]) for j in range(a.cols)])
+    return linear_indices(row_indices(a.a.T))
 
 
 def old_apply_pauli(p: PauliOperator, amps: np.ndarray) -> np.ndarray:
     zpar = linear_indices(p.z)
     shifted = amps * np.where(zpar, -1.0, 1.0) * p.sign
-    xmask = bits_to_index(p.x)
+    xmask = row_indices(p.x[None, :])[0]
     if xmask:
         idx = np.arange(1 << p.n, dtype=np.int64) ^ xmask
         shifted = shifted[idx]
