@@ -88,7 +88,7 @@ class ZeroProbabilityOutcome(ChainsurgError):
 
 
 class CorrectionUnavailable(ChainsurgError):
-    """Outcome corrections are not defined for this plan (open question)."""
+    """No correction exists for these outcomes: a slot gauge's class has no rule, or they are not valid."""
 
 
 class UnknownExample(ChainsurgError):

@@ -652,6 +652,8 @@ def build_cnot_plan(
     if target is not None:
         halves.append(("X", target, Z(z(anc)), Z(z(control))))
         measure = ("Z", X(x(target)))
+    if locality:  # a slot per piece: each pattern's gauge is solved, and no slot takes a rule
+        halves = [(side, a, None, None) for side, a, _, _ in halves]
     # a generator: each half's subcode is built after the merge before it
     merges = (
         (_joint_subcode(base, side, a, anc, locality, max_weight), gauge, rule)
@@ -694,7 +696,7 @@ def _assemble_plan(
 
     ``attached`` is what ``_resolve_ancilla`` returns. Each merge is
     (subcode, gauge, rule): a single slot's branch gauge and correction
-    rule, or None to solve the gauge per pattern; ``locality`` drops both.
+    rule, or None to solve the gauge per pattern.
     ``measure`` is (basis, correction applied when the ancilla's logical
     of that basis, measured as ``final.za`` or ``final.xa``, reads -1).
     """
@@ -702,7 +704,6 @@ def _assemble_plan(
     steps: list[PlanStep] = [init]
     rules: dict[str, PauliOperator] = {}
     for sub, gauge, rule in merges:
-        gauge, rule = (None, None) if locality else (gauge, rule)
         merge, split = _merge_and_split(base, sub, anc, None if gauge is None else (gauge,), steps)
         steps += [merge, split]
         if rule is not None:
@@ -849,8 +850,8 @@ def measurement_correction(plan: SurgeryPlan, outcomes: dict) -> list[PauliOpera
 
     ``outcomes`` maps every measurement id of the plan, and nothing
     else, to +1 or -1; unlike the other entry points, it refuses a missing
-    id. Locality-decomposed plans with any -1 outcome are refused:
-    handling them is an open question, not something to guess at.
+    id. Every plan takes its steps' corrections; a locality merge has no
+    rule, so a -1 outcome product on one, a nontrivial class, is refused.
     """
     total = _outcome_correction(plan, _flipped_ids(plan, outcomes, complete=True))
     return [] if total.is_identity() else [total]
@@ -861,10 +862,6 @@ def _outcome_correction(plan: SurgeryPlan, flipped_ids) -> PauliOperator:
     total = PauliOperator.identity(plan.base_code.n)
     if not flipped_ids:
         return total
-    if plan.locality:
-        raise CorrectionUnavailable(
-            "corrections for locality-decomposed merges are an open question"
-        )
     for step in plan.steps:
         correction = step.correction(plan, flipped_ids)
         if correction is not None:
@@ -929,25 +926,23 @@ def plan_branch(
     """``plan_channel``, and the correction of the branch as a list of at most one Pauli.
 
     The correction is ``measurement_correction``'s for ``outcomes`` with
-    missing ids read as +1, computed once. With ``corrected`` it is
-    applied, so a refusal is raised before anything is simulated.
-    Without, it is computed after the channel only to be reported, and a
-    CorrectionUnavailable reports none: none is applied, so none is refused.
+    missing ids read as +1, computed once, before anything is simulated.
+    With ``corrected`` it is applied and a refusal is raised; without, it
+    is only reported, and a CorrectionUnavailable reports none: none is
+    applied, so none is refused.
     """
     flipped = _flipped_ids(plan, outcomes)
     ops = _physical_ops(plan, flipped)
-    if corrected:
+    try:
         correction = _outcome_correction(plan, flipped)
-        if not correction.is_identity():
-            ops.append(PauliGate(correction))
+    except CorrectionUnavailable:
+        if corrected:
+            raise
+        correction = PauliOperator.identity(plan.base_code.n)
+    if corrected and not correction.is_identity():
+        ops.append(PauliGate(correction))
     e_in, e_out = _encoders(plan, flipped)
-    channel = extract_logical_channel(ops, e_in, e_out)
-    if not corrected:
-        try:
-            correction = _outcome_correction(plan, flipped)
-        except CorrectionUnavailable:
-            correction = PauliOperator.identity(plan.base_code.n)
-    return channel, [] if correction.is_identity() else [correction]
+    return extract_logical_channel(ops, e_in, e_out), [] if correction.is_identity() else [correction]
 
 
 def cnot_unitary(k: int, control: int, target: int) -> np.ndarray:
@@ -1366,13 +1361,13 @@ def plan_from_json(text: str) -> SurgeryPlan:
     correction conditioned on no earlier measurement, a measurement id
     used twice, ``data_indices`` other than every logical but the
     ancilla in ascending order, a ``target`` equal to ``control``, a
-    ``correction_rules`` key that no merge measures, a
-    ``measure_logical`` Pauli that is not the ancilla's logical of its
-    ``basis`` type with sign +1 (section ``steps[i].pauli``), and a
-    branch insert that anticommutes with a base-code check of its
-    merge's type or does not flip exactly its own slot, v1 @ w_j = e_j
-    (section ``steps[i].branch_inserts``). A field that is
-    missing, of the wrong type or out of range, a Pauli not on the base
+    ``correction_rules`` key that is not the slot of a single-slot merge
+    (no other reads a rule), a ``measure_logical`` Pauli that is not the
+    ancilla's logical of its ``basis`` type with sign +1 (section
+    ``steps[i].pauli``), and a branch insert that anticommutes with a
+    base-code check of its merge's type or does not flip exactly its own
+    slot, v1 @ w_j = e_j (section ``steps[i].branch_inserts``). A field
+    that is missing, of the wrong type or out of range, a Pauli not on the base
     code's qubits included, raises MalformedInput whose section names it
     (``steps[2].v1`` for a field of a step).
 
@@ -1437,11 +1432,14 @@ def plan_from_json(text: str) -> SurgeryPlan:
     if target == control:
         raise MalformedInput("field 'target' must differ from 'control'", section="target")
     rules = _field(doc, "correction_rules", "object")
-    merge_ids = [m for step in steps if isinstance(step, MergeStep) for m in step.measurement_ids]
+    # merge measurement id -> its merge's slot count
+    slots = {m: len(s.measurement_ids) for s in steps if isinstance(s, MergeStep) for m in s.measurement_ids}
     with _Within("correction_rules"):
         for key in rules:
-            if key not in merge_ids:
+            if key not in slots:
                 raise MalformedInput(f"key {key!r} is not a merge measurement id", section=key)
+            if slots[key] > 1:
+                raise MalformedInput(f"key {key!r} is one of {slots[key]} merge slots, which read no rule", section=key)
         correction_rules = {k: _read(rules, k, "pauli", spec=n) for k in rules}
     return SurgeryPlan(
         name=_field(doc, "name", "str"),

@@ -313,7 +313,7 @@ class TestPlanCommands:
         assert main(simulate) == 1
         assert json.loads(capsys.readouterr().err) == {
             "error": "CorrectionUnavailable",
-            "message": "corrections for locality-decomposed merges are an open question",
+            "message": "plan carries no class correction rule",
         }
 
     @pytest.mark.parametrize("extra", [[], ["--no-corrections"]])

@@ -279,6 +279,14 @@ def test_catalog_duals_match_the_block_inversion(name):
         assert dual_or_refusal(dual_x_basis, cplx, basis) == dual_or_refusal(old_dual_x_rows, cplx, basis)
 
 
+def test_dual_basis_refuses_a_z_basis_of_the_wrong_count(steane):
+    """Two representatives for Steane's one class are refused by the count, before any read."""
+    rows = np.vstack([steane.z_logicals.matrix().a] * 2)
+    basis = HomologyBasis(F2Matrix(rows), steane.complex)
+    with pytest.raises(SingularMatrix, match="^dual basis assembly failed: 2 representatives for 1 classes$"):
+        dual_x_basis(steane.complex, basis)
+
+
 @pytest.mark.parametrize("size", [2, 3, 5])
 def test_a_code_with_default_bases_takes_two_eliminations(size):
     """ker d1 and im d2, once each; the transposed complex's spaces wait until they are read."""

@@ -55,7 +55,7 @@ DIGESTS = {
         "simulate[zmerge.zz1=-1]": "0f4b9b464f8cb2f9bc0338a3cfa27c5723c00eb11f100180be7b17ecfef599f0",
         "simulate[xmerge.xx0=-1]": "4ab1fa8f617176efd26c06f563a832400558fdb04adabd1f6c9fabcc8027fb41",
         "simulate[xmerge.xx1=-1]": "4ab1fa8f617176efd26c06f563a832400558fdb04adabd1f6c9fabcc8027fb41",
-        "simulate[final.za=-1]": "98348212f1b6dbd036a9b6979043a8b7697d99847171779bc4e5aea3de8f7903",
+        "simulate[final.za=-1]": "1b5a282f35d0e6dc64f77b824b6f987af5312f78e077a07a8b37b90aa925939f",
     },
 }
 

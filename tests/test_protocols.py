@@ -35,6 +35,7 @@ from chainsurg.protocols import (
     expected_plan_channel,
     measurement_correction,
     pairwise_switch_plan,
+    plan_branch,
     plan_channel,
     plan_encoders,
     plan_from_json,
@@ -449,6 +450,53 @@ class TestMeasurementCorrection:
         outcomes[plan.measurement_ids()[0]] = -1
         with pytest.raises(CorrectionUnavailable):
             measurement_correction(plan, outcomes)
+
+
+# name -> (code, control, target, ancilla, max weight, patterns corrected, patterns)
+LOCALITY_PLANS = {
+    "toric2_c0t1_w2": (lambda: catalog.toric(2), 0, 1, None, 2, 8, 32),
+    "toric2_c1t0_w2": (lambda: catalog.toric(2), 1, 0, None, 2, 8, 32),
+    "surface2_sum_c0t1_w2": (
+        lambda: direct_sum_code(catalog.surface_patch(2, 2), catalog.surface_patch(2, 2)).with_distance(2),
+        0, 1, None, 2, 8, 32,
+    ),
+    "steane_anc_target_w2": (catalog.steane, 0, None, None, 2, 2, 4),
+    "steane_anc_target_w3": (catalog.steane, 0, None, None, 3, 2, 4),
+    "surface3_anc_target_w2": (lambda: catalog.surface_patch(3, 3), 0, None, None, 2, 2, 4),
+    "surface3_anc_target_w3": (lambda: catalog.surface_patch(3, 3), 0, None, None, 3, 2, 4),
+    "toric2_onto_surface2_w2": (lambda: catalog.toric(2), 0, None, lambda: catalog.surface_patch(2, 2), 2, 2, 4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOCALITY_PLANS))
+def test_locality_plans_follow_the_one_correction_rule(name):
+    """Every outcome pattern of a locality plan is corrected exactly when each of its
+    merges' outcome products is +1; otherwise the slot gauge's class is nontrivial and
+    the plan, which carries no class correction, refuses it (uncorrected, it reports none)."""
+    code, control, target, ancilla, weight, corrected, patterns = LOCALITY_PLANS[name]
+    strategy = AncillaStrategy.trivial() if ancilla is None else AncillaStrategy.provided(ancilla())
+    plan = build_cnot_plan(code(), control, target, strategy, locality=True, max_weight=weight)
+    ids = plan.measurement_ids()
+    merges = [step.measurement_ids for step in plan.steps if isinstance(step, MergeStep)]
+    assert plan.correction_rules == {} and plan.class_correction is None
+    assert all(len(slots) > 1 for slots in merges)
+    expected = expected_plan_channel(plan)
+    passed = 0
+    for signs in itertools.product((1, -1), repeat=len(ids)):
+        outcomes = dict(zip(ids, signs))
+        odd = any(np.prod([outcomes[m] for m in slots]) == -1 for slots in merges)
+        if odd:
+            with pytest.raises(CorrectionUnavailable, match="plan carries no class correction rule"):
+                plan_channel(plan, outcomes)
+            assert plan_branch(plan, outcomes, corrected=False)[1] == []
+            continue
+        channel, correction = plan_branch(plan, outcomes)
+        assert np.max(np.abs(channel - expected)) < PHASE_TOL, signs
+        final = plan.final_measurement
+        flipped = final is not None and outcomes[final.measurement_id] == -1
+        assert [c.label() for c in correction] == ([plan.steps[-1].pauli.label()] if flipped else [])
+        passed += 1
+    assert (passed, 2 ** len(ids)) == (corrected, patterns)
 
 
 @pytest.fixture(scope="module")
@@ -889,6 +937,20 @@ class TestPlanLoading:
         with pytest.raises(MalformedInput, match="not a merge measurement id") as err:
             plan_from_json(json.dumps(doc))
         assert err.value.section == f"correction_rules.{key}"
+
+    @pytest.mark.parametrize("which", ["toric2_locality", "code_switch"])
+    def test_correction_rule_for_a_slot_of_a_merge_with_several_slots(self, toric2, which):
+        # MergeStep.correction reads a rule only for a single-slot merge
+        plans = {
+            "toric2_locality": lambda: build_cnot_plan(toric2, 0, 1, locality=True, max_weight=2),
+            "code_switch": code_switch_plan,
+        }
+        doc = json.loads(plan_to_json(plans[which]()))
+        n = len(doc["base_hx"][0])
+        doc["correction_rules"]["zmerge.zz1"] = {"x": [1] + [0] * (n - 1), "z": [0] * n}
+        with pytest.raises(MalformedInput, match="'zmerge.zz1' is one of [27] merge slots, which read no rule") as err:
+            plan_from_json(json.dumps(doc))
+        assert err.value.section == "correction_rules.zmerge.zz1"
 
     def test_branch_inserts_mixed(self, two_patches):
         plan = build_cnot_plan(two_patches, control=0, target=1, locality=True, max_weight=2)

@@ -123,10 +123,6 @@ def old_outcome_correction(plan, flipped_ids) -> PauliOperator:
     total = PauliOperator.identity(plan.base_code.n)
     if not flipped_ids:
         return total
-    if plan.locality:
-        raise CorrectionUnavailable(
-            "corrections for locality-decomposed merges are an open question"
-        )
     for step in plan.steps:
         if isinstance(step, MergeStep):
             signs = [-1 if m in flipped_ids else 1 for m in step.measurement_ids]
@@ -426,7 +422,6 @@ def test_the_oracle_reaches_every_refusal():
                 except ChainsurgError as exc:
                     messages.add(str(exc))
     assert messages == {
-        "corrections for locality-decomposed merges are an open question",
         "outcome pattern is inconsistent with the merged stabilizers",
         "branch gauge commutes with the measured operator; dual bases corrupted",
         "no correction rule for zmerge.zz0",
