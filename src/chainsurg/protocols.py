@@ -631,6 +631,9 @@ def build_cnot_plan(
     ("ancilla as target"): the plan stops after the Z-merge/X-split and
     the ancilla stays live, prepared in |+>; the channel equals CNOT
     from the control onto a fresh |0> qubit.
+
+    ``locality`` only caps each joint operator's pieces at ``max_weight``
+    (else at ``base.n``: one piece) and sets the plan's flag (``_assemble_plan``).
     """
     if control < 0 or control >= code.k:
         raise DimensionMismatch(f"control index {control} out of range for k={code.k}")
@@ -652,13 +655,9 @@ def build_cnot_plan(
     if target is not None:
         halves.append(("X", target, Z(z(anc)), Z(z(control))))
         measure = ("Z", X(x(target)))
-    if locality:  # a slot per piece: each pattern's gauge is solved, and no slot takes a rule
-        halves = [(side, a, None, None) for side, a, _, _ in halves]
+    cap = max_weight if locality else base.n
     # a generator: each half's subcode is built after the merge before it
-    merges = (
-        (_joint_subcode(base, side, a, anc, locality, max_weight), gauge, rule)
-        for side, a, gauge, rule in halves
-    )
+    merges = ((_joint_subcode(base, side, a, anc, cap), gauge, rule) for side, a, gauge, rule in halves)
     return _assemble_plan("cnot", attached, merges, measure, control, target, locality)
 
 
@@ -696,7 +695,8 @@ def _assemble_plan(
 
     ``attached`` is what ``_resolve_ancilla`` returns. Each merge is
     (subcode, gauge, rule): a single slot's branch gauge and correction
-    rule, or None to solve the gauge per pattern.
+    rule, or None to solve the gauge per pattern. The slot count alone
+    decides: a merge of several slots always solves it and takes no rule.
     ``measure`` is (basis, correction applied when the ancilla's logical
     of that basis, measured as ``final.za`` or ``final.xa``, reads -1).
     """
@@ -704,6 +704,8 @@ def _assemble_plan(
     steps: list[PlanStep] = [init]
     rules: dict[str, PauliOperator] = {}
     for sub, gauge, rule in merges:
+        if sub.v1.dim > 1:  # a slot per piece: each pattern's gauge is solved, and no slot takes a rule
+            gauge = rule = None
         merge, split = _merge_and_split(base, sub, anc, None if gauge is None else (gauge,), steps)
         steps += [merge, split]
         if rule is not None:
@@ -716,23 +718,18 @@ def _assemble_plan(
     return SurgeryPlan(name, tuple(steps), base, control, target, locality, rules, class_correction)
 
 
-def _joint_subcode(
-    base: CssCode, side: str, a: int, b: int, locality: bool, max_weight: int
-) -> Subcode:
+def _joint_subcode(base: CssCode, side: str, a: int, b: int, max_weight: int) -> Subcode:
     """Subcode along the joint ``side`` operator of logicals ``a`` and ``b``.
 
-    Its degree-1 generators are the sum of the two representatives, or
-    with ``locality`` that sum decomposed into pieces of weight at most
-    ``max_weight``; in the ``side`` frame, degree 0 holds their
+    Its degree-1 generators are ``_decompose_support``'s pieces of the sum of
+    the two representatives, of weight at most ``max_weight`` (the sum itself,
+    with no elimination, at ``base.n``); in the ``side`` frame, degree 0 holds their
     boundaries and degree 2 nothing, so it is closed by construction and
     is built without ``validate_subcode``'s products.
     """
     oriented = base.complex if side == "Z" else base.complex.transpose()
     rep = base.z_logical if side == "Z" else base.x_logical
-    if locality:
-        gens = _decompose_support(oriented, rep(a), rep(b), max_weight)
-    else:
-        gens = [as_bit_vector(rep(a) ^ rep(b), base.n)]
+    gens = _decompose_support(oriented, rep(a), rep(b), max_weight)
     spaces = (
         Subspace.zero(oriented.dim2),
         Subspace.from_vectors(gens, base.n),
@@ -794,7 +791,7 @@ def _merge_and_split(
     return merge_step, SplitStep(merge_step)
 
 
-def pairwise_switch_plan(data: CssCode, anc: CssCode, sub: Subcode, name: str = "code_switch") -> SurgeryPlan:
+def pairwise_switch_plan(data: CssCode, anc: CssCode, sub: Subcode) -> SurgeryPlan:
     """Round-trip switch plan along a Z-subcode identifying the two codes.
 
     Init the ancilla (logical 0 of ``anc``) in |+>, Z-merge along ``sub``,
@@ -806,7 +803,7 @@ def pairwise_switch_plan(data: CssCode, anc: CssCode, sub: Subcode, name: str = 
     sub = validate_subcode(base.complex, sub.v2, sub.v1, sub.v0, "Z")
     measure = ("X", PauliOperator.from_z(base.z_logical(control)))
     rule = PauliOperator.from_x(base.x_logical(control))
-    return _assemble_plan(name, attached, [(sub, None, None)], measure, control, class_correction=rule)
+    return _assemble_plan("code_switch", attached, [(sub, None, None)], measure, control, class_correction=rule)
 
 
 def code_switch_plan() -> SurgeryPlan:
@@ -850,8 +847,8 @@ def measurement_correction(plan: SurgeryPlan, outcomes: dict) -> list[PauliOpera
 
     ``outcomes`` maps every measurement id of the plan, and nothing
     else, to +1 or -1; unlike the other entry points, it refuses a missing
-    id. Every plan takes its steps' corrections; a locality merge has no
-    rule, so a -1 outcome product on one, a nontrivial class, is refused.
+    id. Every plan takes its steps' corrections; a merge of several slots has
+    no rule, so without a class correction a -1 outcome product on one is refused.
     """
     total = _outcome_correction(plan, _flipped_ids(plan, outcomes, complete=True))
     return [] if total.is_identity() else [total]

@@ -231,7 +231,7 @@ class TestBasisOnItsComplex:
         from chainsurg.surgery import quotient_merge
 
         base = direct_sum_code(catalog.toric(3), catalog.trivial_qubit())
-        merge = quotient_merge(base.complex, _joint_subcode(base, "Z", 0, 2, False, 0))
+        merge = quotient_merge(base.complex, _joint_subcode(base, "Z", 0, 2, base.n))
         basis = _pushed_basis(merge, base.z_logicals, 2)
         assert basis.complex is merge.quotient and basis.dim == 2
         _assert_on_its_complex(basis)

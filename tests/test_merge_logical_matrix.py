@@ -199,7 +199,7 @@ def _h0_cases():
     }
     for name, code in bases.items():
         for side, a, b in (("Z", 0, 1), ("X", 1, 0)):
-            joint = _joint_subcode(code, side, a, b, False, 0)
+            joint = _joint_subcode(code, side, a, b, code.n)
             oriented = joint.oriented_parent()
             v2, v1, v0 = joint.oriented_spaces()
             units = np.eye(oriented.dim0, dtype=np.uint8)

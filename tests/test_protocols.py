@@ -1,4 +1,5 @@
 """Plan synthesis, propagation, corrections, decomposition, Singleton."""
+import dataclasses
 import itertools
 import json
 import tracemalloc
@@ -129,7 +130,7 @@ class TestBuildCnotPlan:
         from chainsurg.protocols import _joint_subcode, _merge_and_split
 
         base = direct_sum_code(toric2, catalog.trivial_qubit())
-        sub = _joint_subcode(base, side, 0, 1, False, 2)
+        sub = _joint_subcode(base, side, 0, 1, base.n)
         match = "the merge identifies logical classes of the base code"
         with pytest.raises(DimensionMismatch, match=match):
             _merge_and_split(base, sub, 2, None)
@@ -147,7 +148,7 @@ class TestBuildCnotPlan:
 
         attached = _resolve_ancilla(direct_sum_code(toric2, catalog.steane()), AncillaStrategy.trivial(), ())
         base, anc = attached[0], attached[1]
-        merges = [(_joint_subcode(base, "X", a, anc, False, 2), None, None) for a in (0, 2)]
+        merges = [(_joint_subcode(base, "X", a, anc, base.n), None, None) for a in (0, 2)]
         plan = _assemble_plan("two_x_merges", attached, merges, None, 0)
         assert plan.measurement_ids() == ["xmerge.xx0", "xmerge1.xx0"]
         text = plan_to_json(plan)
@@ -499,6 +500,36 @@ def test_locality_plans_follow_the_one_correction_rule(name):
     assert (passed, 2 ** len(ids)) == (corrected, patterns)
 
 
+# name -> (code, control, target): each merge at max weight 4 is one piece
+ONE_PIECE_LOCALITY_PLANS = {
+    "steane_anc_target": (catalog.steane, 0, None),
+    "surface3_anc_target": (lambda: catalog.surface_patch(3, 3), 0, None),
+    "toric2_c0t1": (lambda: catalog.toric(2), 0, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_PIECE_LOCALITY_PLANS))
+def test_one_piece_locality_merge_is_the_plain_merge(name):
+    """A locality merge of one piece is the non-locality merge, with its gauge and rule:
+    the plan differs only in its locality flag and corrects every outcome pattern."""
+    make, control, target = ONE_PIECE_LOCALITY_PLANS[name]
+    code = make()
+    plan = build_cnot_plan(code, control, target, locality=True, max_weight=4)
+    plain = build_cnot_plan(code, control, target)
+    doc, plain_doc = json.loads(plan_to_json(plan)), json.loads(plan_to_json(plain))
+    assert (doc.pop("locality"), plain_doc.pop("locality")) == (True, False)
+    assert doc == plain_doc
+    action, plain_action = plan_symplectic_action(plan), plan_symplectic_action(plain)
+    assert action.keys() == plain_action.keys()
+    for key, (xc, zc) in action.items():
+        assert np.array_equal(xc, plain_action[key][0]) and np.array_equal(zc, plain_action[key][1])
+    ids = plan.measurement_ids()
+    expected = expected_plan_channel(plan)
+    for signs in itertools.product((1, -1), repeat=len(ids)):
+        channel = plan_channel(plan, dict(zip(ids, signs)))
+        assert np.max(np.abs(channel - expected)) < PHASE_TOL, signs
+
+
 @pytest.fixture(scope="module")
 def toric_plan():
     return build_cnot_plan(catalog.toric(2), control=0, target=1)
@@ -586,11 +617,11 @@ class TestSymplecticAction:
             assert not act[key][0].any()
 
     def test_locality_plan_refused(self, steane):
-        # a single-generator locality merge has no correction rule; the
-        # action is refused like its corrections, not a KeyError
-        plan = build_cnot_plan(steane, 0, locality=True, max_weight=10)
-        assert len(plan.steps[1].measurement_ids) == 1
-        with pytest.raises(CorrectionUnavailable):
+        # a merge of several slots has no correction rule; the action is
+        # refused like its corrections, not a KeyError
+        plan = build_cnot_plan(steane, 0, locality=True, max_weight=2)
+        assert len(plan.steps[1].measurement_ids) == 2
+        with pytest.raises(CorrectionUnavailable, match="plan carries no class correction rule"):
             plan_symplectic_action(plan)
 
     @pytest.mark.parametrize("ancilla", ["trivial", "steane", "toric2"])
@@ -757,7 +788,8 @@ class TestCodeSwitch:
 
     def test_custom_name_expects_identity(self, steane):
         # the target channel follows the plan's structure, not its name
-        plan = pairwise_switch_plan(steane, steane, _steane_pair_subcode(steane), name="custom")
+        plan = pairwise_switch_plan(steane, steane, _steane_pair_subcode(steane))
+        plan = dataclasses.replace(plan, name="custom")
         assert np.array_equal(expected_plan_channel(plan), np.eye(2))
         assert np.max(np.abs(plan_channel(plan) - np.eye(2))) < 1e-9
 
